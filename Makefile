@@ -3,7 +3,7 @@
 PYTHON ?= python3
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test check verify-ir fuzz-smoke autovec-smoke schedule-smoke frontend-smoke tier-smoke trace-demo parallel-smoke serve-smoke bench bench-compile bench-serve bench-autovec bench-schedule report examples clean
+.PHONY: install test check verify-ir fuzz-smoke autovec-smoke schedule-smoke frontend-smoke tier-smoke trace-demo parallel-smoke serve-smoke bench bench-ledger bench-compile bench-serve bench-autovec bench-schedule report examples clean
 
 TRACE_DEMO_OUT ?= $(or $(TMPDIR),/tmp)/repro-trace-demo.json
 PARALLEL_TRACE_OUT ?= $(or $(TMPDIR),/tmp)/repro-parallel-trace.json
@@ -20,6 +20,8 @@ check:  # the tier-1 gate: full test suite + a buildd CLI smoke
 	$(PYTHON) -m pytest tests/ -x -q
 	$(PYTHON) -m repro.buildd --stats
 	$(PYTHON) -m repro.buildd --gc
+	@echo "src lines: $$(find src -name '*.py' | xargs cat | wc -l)"
+	@echo "REPRO_* knobs: $$(grep -c '^| `REPRO_' docs/ENVIRONMENT.md)"
 
 test-verbose:
 	$(PYTHON) -m pytest tests/ -v
@@ -91,6 +93,12 @@ serve-smoke:  # protocol tests, then a self-checking multi-tenant load with a tr
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+
+OUT ?= benchmarks/ledger/out
+
+bench-ledger:  # the performance ledger, 3 runs, compared to the committed baseline
+	$(PYTHON) benchmarks/ledger/run.py --out $(OUT) --runs 3
+	$(PYTHON) benchmarks/ledger/run.py compare benchmarks/ledger/baseline/a.json $(OUT)/ledger.json
 
 bench-compile:  # serial vs. parallel tuner compile wall-clock (buildd)
 	$(PYTHON) -m pytest benchmarks/test_compile_throughput.py -p no:benchmark -q -s

@@ -41,7 +41,7 @@ for policy, label in [(L.MATERIALIZE, "materialize every stage"),
     pipe = build_pipeline(N, policy=policy)
     rows.append((label, best_time(pipe)))
 pipe_v = build_pipeline(N, policy=L.INLINE, vectorize=8)
-rows.append(("inline + 8-wide vectors", best_time(pipe_v)))
+rows.append((f"inline + {pipe_v.tile_schedule.key()}", best_time(pipe_v)))
 
 base = rows[0][1]
 table = Table(f"4-kernel point-wise pipeline at {N}x{N} (paper §6.2)",

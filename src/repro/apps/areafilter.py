@@ -16,6 +16,7 @@ import numpy as np
 from ..bench.cbaseline import compile_c
 from ..orion import lang as L
 from ..orion.compile import CompiledStencil, compile_pipeline
+from ..schedule import Schedule, Vectorize
 
 
 def build_area_filter(N: int, vectorize: int = 0,
@@ -26,7 +27,8 @@ def build_area_filter(N: int, vectorize: int = 0,
         policy=L.LINEBUFFER if linebuffer else None)
     out = (ypass(-2, 0) + ypass(-1, 0) + ypass(0, 0)
            + ypass(1, 0) + ypass(2, 0)) / 5.0
-    return compile_pipeline(out, N, vectorize=vectorize)
+    return compile_pipeline(out, N, tile_schedule=Schedule(
+        [Vectorize("x", vectorize)] if vectorize else []))
 
 
 _C_SOURCE = r"""

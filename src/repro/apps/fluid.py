@@ -33,6 +33,8 @@ from .. import terra
 from ..bench.cbaseline import compile_c
 from ..orion import lang as L
 from ..orion.compile import compile_pipeline
+from ..parallel import default_nthreads, parallel_for
+from ..schedule import Parallel, Schedule, Vectorize
 
 DIFFUSE_ITERS = 10
 PROJECT_ITERS = 10
@@ -114,15 +116,18 @@ class OrionFluid:
 
     def __init__(self, params: FluidParams, vectorize: int = 0,
                  linebuffer: bool = False, parallel=None):
-        from ..orion.compile import _resolve_parallel
         self.params = params
         N = params.N
         self.N = N
         p = params
-        # effective worker count; <= 1 compiles the exact serial solver
-        # (byte-identical generated code, no chunked entries)
-        self._nt = _resolve_parallel(parallel)
-        par = self._nt if self._nt > 1 else None
+        # effective worker count (``parallel``: None = serial, 0 = auto);
+        # <= 1 compiles the exact serial solver (byte-identical generated
+        # code, no chunked entries)
+        self._nt = 0 if parallel is None else default_nthreads(parallel)
+        directives = [Vectorize("x", vectorize)] if vectorize else []
+        if self._nt > 1:
+            directives.append(Parallel("y", self._nt))
+        loops = Schedule(directives)
 
         a_visc = p.dt * p.visc * N * N
         a_diff = p.dt * p.diff * N * N
@@ -130,11 +135,11 @@ class OrionFluid:
         x0 = L.image("x0")
         self.diffuse_visc = compile_pipeline(
             _jacobi_chain(x0, a_visc, p.diffuse_iters, linebuffer), N,
-            vectorize=vectorize, parallel=par)
+            tile_schedule=loops)
         x0d = L.image("x0")
         self.diffuse_diff = compile_pipeline(
             _jacobi_chain(x0d, a_diff, p.diffuse_iters, linebuffer), N,
-            vectorize=vectorize, parallel=par)
+            tile_schedule=loops)
 
         # projection — ONE fused multi-output pipeline: divergence,
         # pressure Jacobi chain, and both gradient subtractions
@@ -153,8 +158,7 @@ class OrionFluid:
         u_out = u_in(0, 0) - 0.5 * N * (pstage(1, 0) - pstage(-1, 0))
         v_out = v_in(0, 0) - 0.5 * N * (pstage(0, 1) - pstage(0, -1))
         self.project_pipe = compile_pipeline([u_out, v_out], N,
-                                             vectorize=vectorize,
-                                             parallel=par)
+                                             tile_schedule=loops)
 
         self.advect = _advect_terra(chunked=self._nt > 1)
 
@@ -187,7 +191,6 @@ class OrionFluid:
         N, W, P = self.N, self.W, self.P
         if self._nt > 1:
             # rows are independent: chunk the outer i loop across workers
-            from ..parallel import parallel_for
             parallel_for(self.advect, 0, N, dst, src, u, v, N, W, P, p.dt,
                          nthreads=self._nt)
         else:

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..orion import lang as L
 from ..orion.compile import CompiledStencil, compile_pipeline
+from ..schedule import Schedule, Vectorize
 
 BLACKLEVEL = 0.05
 BRIGHTNESS = 1.4
@@ -35,7 +36,8 @@ def build_pipeline(N: int, policy: str = L.MATERIALIZE,
     clamped = L.stage(L.clamp(brightness(0, 0), 0.0, 1.0), "clamp",
                       policy=policy)
     inverted = 1.0 - clamped(0, 0)
-    return compile_pipeline(inverted, N, vectorize=vectorize)
+    return compile_pipeline(inverted, N, tile_schedule=Schedule(
+        [Vectorize("x", vectorize)] if vectorize else []))
 
 
 def reference_numpy(image: np.ndarray) -> np.ndarray:

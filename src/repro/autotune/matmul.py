@@ -5,233 +5,126 @@ where the matrices fit into L1 cache.  An optimized kernel for L1-sized
 multiplies is used for each operation. ... We found that a simple
 two-level blocking scheme worked well."
 
-``make_gemm`` stages the outer two-level blocking around two instances of
-the L1 kernel (an ``alpha=0`` variant for the first k-panel, which also
-initializes C, and an ``alpha=1`` accumulating variant), computing
-``C = A*B`` for square row-major matrices whose size is a multiple of NB.
+:func:`make_gemm_from_schedule` stages that outer blocking around two
+instances of the L1 kernel (an ``alpha=0`` variant for the first k-panel,
+which also initializes C, and an ``alpha=1`` accumulating variant); the
+``make_gemm*`` functions are schedule presets.
 """
 
 from __future__ import annotations
 
-from .. import double, terra
+from .. import double, includec, int64, pointer, quote_, symbol, terra
 from ..core import types as T
 from .genkernel import genkernel
 
 
-def _start_compile(gemm, fma: bool, async_compile: bool) -> None:
-    """Kick off the kernel's native build: blocking by default, or
-    submitted to the buildd pool (``async_compile=True``) so many
-    candidate kernels compile concurrently — the first call joins the
-    pending build.  FMA contraction flags are captured at submission."""
-    from ..backend.c.runtime import extra_cflags
-    if fma:
-        with extra_cflags("-ffp-contract=fast"):
-            if async_compile:
-                gemm.compile_async("c")
-            else:
-                gemm.compile("c")
-    elif async_compile:
-        gemm.compile_async("c")
+def gemm_schedule(NB: int, RM: int, RN: int, V: int, packed: bool = True,
+                  nthreads: int | None = None):
+    """A tuner configuration in the schedule vocabulary of
+    :func:`make_gemm_from_schedule`; an ``nthreads`` (0 = auto) adds the
+    row-panel ``Parallel``."""
+    from ..schedule import Pack, Parallel, Schedule, Tile, Unroll, Vectorize
+    directives = [Tile(("i", "j"), (NB, NB))]
+    if V > 1:
+        directives.append(Vectorize("j", V))
+    if RM > 1:
+        directives.append(Unroll("i", RM))
+    if RN > 1:
+        directives.append(Unroll("jj", RN))
+    if packed:
+        directives += [Pack("a", "panel"), Pack("b", "panel")]
+    if nthreads is not None:
+        directives.append(Parallel("i_o", nthreads))
+    return Schedule(directives)
 
 
 def make_gemm(NB: int, RM: int, RN: int, V: int, elem: T.Type = double,
               use_prefetch: bool = True, fma: bool = True,
               async_compile: bool = False):
-    """Build ``gemm(C, A, B, N)`` for any N.
-
-    The blocked interior covers the largest multiple of NB; the k tail
-    and the bottom/right edges run as naive loops (the same remainder
-    structure as :func:`make_gemm_packed` — an earlier version assumed
-    NB | N and read and wrote past the matrices otherwise).
-
-    ``fma=True`` compiles the kernel with fused multiply-add contraction
-    (what a hand-tuned BLAS uses on FMA hardware); pass False for strict
-    per-operation IEEE results.  ``async_compile=True`` returns while gcc
-    still runs on the :mod:`repro.buildd` pool (the auto-tuner uses this
-    to overlap candidate compilation with timing runs).
-    """
-    l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
-    l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
-    gemm = terra("""
-    terra gemm(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB     -- the blocked interior; edges go naive
-      for mb = 0, N0, NB do
-        for nb = 0, N0, NB do
-          l1_first(A + mb*N, B + nb, C + mb*N + nb, N, N, N)
-          for kb = NB, N0, NB do
-            l1_accum(A + mb*N + kb, B + kb*N + nb, C + mb*N + nb, N, N, N)
-          end
-        end
-      end
-      if N0 == N then return end
-      -- k tail for the blocked interior
-      for i = 0, N0 do
-        for k = N0, N do
-          var aik = A[i * N + k]
-          for j = 0, N0 do
-            C[i * N + j] = C[i * N + j] + aik * B[k * N + j]
-          end
-        end
-      end
-      -- bottom edge rows (full k)
-      for i = N0, N do
-        for j = 0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-      -- right edge columns above the bottom edge (full k)
-      for i = 0, N0 do
-        for j = N0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-    end
-    """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
-                  zeroconst=_zero(elem)))
-    _start_compile(gemm, fma, async_compile)
-    return gemm
+    """Preset: the blocked GEMM multiplying in place (no packing)."""
+    return make_gemm_from_schedule(gemm_schedule(NB, RM, RN, V, packed=False),
+                                   elem, use_prefetch, fma, async_compile)
 
 
 def make_gemm_packed(NB: int, RM: int, RN: int, V: int,
                      elem: T.Type = double, use_prefetch: bool = True,
                      fma: bool = True, async_compile: bool = False):
-    """Blocked GEMM with ATLAS-style panel packing.
-
-    Each L1 block of A and B is copied into a contiguous scratch buffer
-    before the micro-kernel runs, so the kernel's inner loops see unit
-    stride and no cache-set conflicts — the same data-copy strategy ATLAS
-    uses around its generated kernels.  Usually several GFLOPS faster than
-    :func:`make_gemm` at large N.
-    """
-    from .. import includec
-    std = includec("stdlib.h")
-    l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
-    l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
-    gemm = terra("""
-    terra gemm(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB     -- the blocked interior; edges go naive
-      var bufA = [&elem](std.malloc(NB * NB * sizeof(elem)))
-      var bufB = [&elem](std.malloc(NB * NB * sizeof(elem)))
-      for nb = 0, N0, NB do
-        for kb = 0, N0, NB do
-          -- pack B[kb : kb+NB, nb : nb+NB] contiguously
-          for i = 0, NB do
-            var src = B + (kb + i) * N + nb
-            var dst = bufB + i * NB
-            for j = 0, NB do dst[j] = src[j] end
-          end
-          for mb = 0, N0, NB do
-            -- pack A[mb : mb+NB, kb : kb+NB]
-            for i = 0, NB do
-              var src = A + (mb + i) * N + kb
-              var dst = bufA + i * NB
-              for j = 0, NB do dst[j] = src[j] end
-            end
-            if kb == 0 then
-              l1_first(bufA, bufB, C + mb * N + nb, NB, NB, N)
-            else
-              l1_accum(bufA, bufB, C + mb * N + nb, NB, NB, N)
-            end
-          end
-        end
-      end
-      std.free(bufA)
-      std.free(bufB)
-      if N0 == N then return end
-      -- k tail for the blocked interior
-      for i = 0, N0 do
-        for k = N0, N do
-          var aik = A[i * N + k]
-          for j = 0, N0 do
-            C[i * N + j] = C[i * N + j] + aik * B[k * N + j]
-          end
-        end
-      end
-      -- bottom edge rows (full k)
-      for i = N0, N do
-        for j = 0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-      -- right edge columns above the bottom edge (full k)
-      for i = 0, N0 do
-        for j = N0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-    end
-    """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
-                  std=std, zeroconst=_zero(elem)))
-    _start_compile(gemm, fma, async_compile)
-    return gemm
+    """Preset: ATLAS-style panel packing — usually several GFLOPS faster
+    than :func:`make_gemm` at large N."""
+    return make_gemm_from_schedule(gemm_schedule(NB, RM, RN, V),
+                                   elem, use_prefetch, fma, async_compile)
 
 
 def make_gemm_packed_parallel(NB: int, RM: int, RN: int, V: int,
                               elem: T.Type = double,
                               use_prefetch: bool = True, fma: bool = True,
                               nthreads: int = 0):
-    """Packed GEMM whose row-panel loop runs across worker threads.
+    """Preset: the packed GEMM with row panels across worker threads."""
+    return make_gemm_from_schedule(
+        gemm_schedule(NB, RM, RN, V, nthreads=nthreads),
+        elem, use_prefetch, fma)
 
-    The kernel is restructured so ``mb`` (the C row-panel index) is the
-    *outer* loop: each panel of C has exactly one writer, so panels
-    dispatch independently, and each chunk call packs into its own
-    freshly-malloc'd scratch (per-worker buffers for free).  Per element
-    of C the k-accumulation order is unchanged, so the result is
-    bit-identical to the serial packed GEMM.  Edge tails (N not a
-    multiple of NB) run serially after the panels.
 
-    Returns a Python driver ``gemm(C, A, B, N)``; the staged pieces are
-    exposed as ``gemm.panels`` / ``gemm.edges`` for inspection.
+def make_gemm_from_schedule(schedule, elem: T.Type = double,
+                            use_prefetch: bool = True, fma: bool = True,
+                            async_compile: bool = False):
+    """Stage ``gemm(C, A, B, N)`` — ``C = A*B``, square row-major, any N —
+    from a :class:`repro.schedule.Schedule`.
+
+    ==========================  ===========================================
+    ``Tile(("i","j"),(NB,NB))`` the square L1 cache block (required)
+    ``Vectorize("j", V)``       vector width of the micro-kernel (default 1:
+                                the unvectorized kernel of Figure 6)
+    ``Unroll("i", RM)``         register-block rows (default 1)
+    ``Unroll("jj", RN)``        register-block *column vectors* (default 1;
+                                ``jj`` is the vector-column axis inside a
+                                j-tile — distinct from the lane axis ``j``)
+    ``Pack("a"/"b","panel")``   copy each L1 block into contiguous scratch
+                                first, as ATLAS does (both or neither)
+    ``Parallel("i_o", NT)``     row-panel thread dispatch (needs the Packs;
+                                ``i_o`` is the outer chunk loop the Tile
+                                creates — the generic lowering's name for it)
+    ==========================  ===========================================
+
+    Anything else — or a directive violating the micro-kernel's
+    divisibility constraints — raises :class:`ScheduleError` naming it.
+    The blocked interior covers the largest multiple of NB; the k tail
+    and the bottom/right edges run as naive loops.  A ``Parallel``
+    schedule returns a Python driver exposing its staged pieces as
+    ``gemm.panels`` / ``gemm.edges``; per element of C the k-accumulation
+    order is the serial packed GEMM's, so results are bit-identical.
+
+    ``fma=True`` builds with fused multiply-add contraction (what a
+    hand-tuned BLAS uses on FMA hardware; False gives strict per-operation
+    IEEE results).  ``async_compile=True`` submits the build to the
+    :mod:`repro.buildd` pool and the first call joins it — the auto-tuner
+    overlaps candidate compilation with timing runs this way.
     """
-    from .. import includec
-    from ..parallel import default_nthreads, parallel_for
+    from ..backend.c.runtime import extra_cflags
+    NB, RM, RN, V, packed, par = _decode(schedule)
     std = includec("stdlib.h")
     l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
     l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
-    panels = terra("""
-    terra gemm_panels(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB     -- the blocked interior; edges go naive
-      for mb = 0, N0, NB do
-        var bufA = [&elem](std.malloc(NB * NB * sizeof(elem)))
-        var bufB = [&elem](std.malloc(NB * NB * sizeof(elem)))
-        for nb = 0, N0, NB do
-          for kb = 0, N0, NB do
-            -- pack B[kb : kb+NB, nb : nb+NB] contiguously
-            for i = 0, NB do
-              var src = B + (kb + i) * N + nb
-              var dst = bufB + i * NB
-              for j = 0, NB do dst[j] = src[j] end
-            end
-            -- pack A[mb : mb+NB, kb : kb+NB]
-            for i = 0, NB do
-              var src = A + (mb + i) * N + kb
-              var dst = bufA + i * NB
-              for j = 0, NB do dst[j] = src[j] end
-            end
-            if kb == 0 then
-              l1_first(bufA, bufB, C + mb * N + nb, NB, NB, N)
-            else
-              l1_accum(bufA, bufB, C + mb * N + nb, NB, NB, N)
+    zeroconst = _zero(elem)
+    # the drivers' parameters, block indices and scratch: symbols, because
+    # the quotes below that use them are spliced in schedule-chosen order
+    C, A, B, bufA, bufB = (symbol(pointer(elem), name)
+                           for name in ("C", "A", "B", "bufA", "bufB"))
+    N, N0, mb, nb, kb = (symbol(int64, name)
+                         for name in ("N", "N0", "mb", "nb", "kb"))
+
+    dots = []   # C[i,j] = A[i,:] . B[:,j] (full k) over an edge strip
+    for ilo, ihi, jlo, jhi in ((N0, N, 0, N), (0, N0, N0, N)):
+        dots.append(quote_("""
+          for i = ilo, ihi do
+            for j = jlo, jhi do
+              var sum = [zeroconst]
+              for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
+              C[i * N + j] = sum
             end
           end
-        end
-        std.free(bufA)
-        std.free(bufB)
-      end
-    end
-    """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
-                  std=std)).mark_chunked()
-    edges = terra("""
-    terra gemm_edges(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB
+        """))
+    edges = quote_("""
       if N0 == N then return end
       -- k tail for the blocked interior
       for i = 0, N0 do
@@ -242,112 +135,125 @@ def make_gemm_packed_parallel(NB: int, RM: int, RN: int, V: int,
           end
         end
       end
-      -- bottom edge rows (full k)
-      for i = N0, N do
-        for j = 0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
+      [dots]   -- the bottom edge rows, then the right edge columns above them
+    """)
+    if not packed:
+        blocks = quote_("""
+          for [mb] = 0, N0, NB do
+            for [nb] = 0, N0, NB do
+              l1_first(A + mb*N, B + nb, C + mb*N + nb, N, N, N)
+              for [kb] = NB, N0, NB do
+                l1_accum(A + mb*N + kb, B + kb*N + nb, C + mb*N + nb, N, N, N)
+              end
+            end
+          end
+        """)
+    else:
+        packs = []   # copy one NB x NB block into contiguous scratch
+        for src_matrix, row, col, buf in ((A, mb, kb, bufA), (B, kb, nb, bufB)):
+            packs.append(quote_("""
+              for i = 0, NB do
+                var src = src_matrix + (row + i) * N + col
+                var dst = buf + i * NB
+                for j = 0, NB do dst[j] = src[j] end
+              end
+            """))
+        pack_a, pack_b = packs
+        block = quote_("""
+          [pack_a]
+          if kb == 0 then
+            l1_first(bufA, bufB, C + mb * N + nb, NB, NB, N)
+          else
+            l1_accum(bufA, bufB, C + mb * N + nb, NB, NB, N)
+          end
+        """)
+        if par is None:   # mb innermost: a packed B block is reused down it
+            block = quote_("for [mb] = 0, N0, NB do [block] end")
+        blocks = quote_("""
+          var [bufA] = [&elem](std.malloc(NB * NB * sizeof(elem)))
+          var [bufB] = [&elem](std.malloc(NB * NB * sizeof(elem)))
+          for [nb] = 0, N0, NB do
+            for [kb] = 0, N0, NB do
+              [pack_b]
+              [block]
+            end
+          end
+          std.free(bufA)
+          std.free(bufB)
+        """)
+        if par is not None:   # mb outermost: one writer + scratch per panel
+            blocks = quote_("for [mb] = 0, N0, NB do [blocks] end")
+
+    bodies = {"gemm": [blocks, edges]} if par is None else \
+        {"gemm_panels": [blocks], "gemm_edges": [edges]}
+    fns = []
+    for name, body in bodies.items():
+        fn = terra(f"""
+        terra {name}([C] : &elem, [A] : &elem, [B] : &elem, [N] : int64) : {{}}
+          var [N0] = (N / NB) * NB     -- the blocked interior; edges go naive
+          [body]
         end
-      end
-      -- right edge columns above the bottom edge (full k)
-      for i = 0, N0 do
-        for j = N0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-    end
-    """, env=dict(elem=elem, NB=NB, zeroconst=_zero(elem)))
-    _start_compile(panels, fma, False)
-    _start_compile(edges, fma, False)
+        """)
+        if name == "gemm_panels":
+            fn.mark_chunked()
+        build = fn.compile_async if async_compile else fn.compile
+        if fma:
+            with extra_cflags("-ffp-contract=fast"):
+                build("c")
+        elif async_compile:
+            build("c")
+        fns.append(fn)
+    if par is None:
+        return fns[0]
+    from ..parallel import default_nthreads, parallel_for
 
     def gemm(C, A, B, N):
         N0 = (N // NB) * NB
-        parallel_for(panels, 0, N0, C, A, B, N,
-                     nthreads=default_nthreads(nthreads), grain=NB)
+        parallel_for(gemm.panels, 0, N0, C, A, B, N,
+                     nthreads=default_nthreads(par.nthreads), grain=NB)
         if N0 != N:
-            edges(C, A, B, N)
+            gemm.edges(C, A, B, N)
 
-    gemm.panels = panels
-    gemm.edges = edges
-    gemm.NB = NB
+    gemm.panels, gemm.edges = fns
     return gemm
 
 
-def make_gemm_from_schedule(schedule, elem: T.Type = double,
-                            use_prefetch: bool = True, fma: bool = True,
-                            async_compile: bool = False):
-    """Build a staged GEMM from a :class:`repro.schedule.Schedule`.
-
-    The schedule *describes* the candidate; the kernel is still staged
-    by the proven makers above, so a schedule and its (NB, RM, RN, V)
-    tuple produce byte-identical C.  Directive mapping:
-
-    ==========================  ===========================================
-    ``Tile(("i","j"),(NB,NB))`` the square L1 cache block (required)
-    ``Vectorize("j", V)``       vector width of the micro-kernel (required)
-    ``Unroll("i", RM)``         register-block rows (default 1)
-    ``Unroll("jj", RN)``        register-block *column vectors* (default 1;
-                                ``jj`` is the vector-column axis inside a
-                                j-tile — distinct from the lane axis ``j``)
-    ``Pack("a"/"b","panel")``   ATLAS-style panel packing (both or neither)
-    ``Parallel("i_o", NT)``     row-panel thread dispatch (implies packing;
-                                ``i_o`` is the outer chunk loop the Tile
-                                creates — the generic lowering's name for it)
-    ==========================  ===========================================
-
-    Anything else — or a directive violating the micro-kernel's
-    divisibility constraints — raises :class:`ScheduleError` naming it.
-    """
+def _decode(schedule):
+    """Validate a GEMM schedule → ``(NB, RM, RN, V, packed, Parallel)``;
+    one branch per row of :func:`make_gemm_from_schedule`'s table."""
     from ..schedule import (Pack, Parallel, Schedule, ScheduleError, Tile,
                             Unroll, Vectorize)
     if not isinstance(schedule, Schedule):
         raise ScheduleError(
             f"make_gemm_from_schedule needs a Schedule, got {schedule!r}")
-    tiles = schedule.of_kind(Tile)
-    if len(tiles) != 1 or tiles[0].axes != ("i", "j"):
-        raise ScheduleError(
-            f"{schedule.key()}: GEMM schedules need exactly one "
-            f"Tile(('i', 'j'), (NB, NB))")
-    tile = tiles[0]
-    if tile.sizes[0] != tile.sizes[1]:
-        raise ScheduleError(f"{tile}: the L1 block must be square")
-    NB = tile.sizes[0]
-    vecs = schedule.of_kind(Vectorize)
-    if len(vecs) != 1 or vecs[0].axis != "j" or vecs[0].width < 2:
-        raise ScheduleError(
-            f"{schedule.key()}: GEMM schedules need exactly one "
-            f"Vectorize('j', V) with an explicit width")
-    V = vecs[0].width
-    RM = RN = 1
-    for u in schedule.of_kind(Unroll):
-        if u.axis == "i":
-            RM = u.factor
-        elif u.axis == "jj":
-            RN = u.factor
+    NB = par = None
+    V = RM = RN = 1
+    packs = set()
+    for d in schedule:
+        if isinstance(d, Tile) and d.axes == ("i", "j") \
+                and d.sizes[0] == d.sizes[1]:
+            NB = d.sizes[0]
+        elif isinstance(d, Vectorize) and d.axis == "j" and d.width >= 2:
+            V = d.width
+        elif isinstance(d, Unroll) and d.axis == "i":
+            RM = d.factor
+        elif isinstance(d, Unroll) and d.axis == "jj":
+            RN = d.factor
+        elif isinstance(d, Pack) and d.operand in ("a", "b") \
+                and d.layout == "panel":
+            packs.add(d.operand)
+        elif isinstance(d, Parallel) and d.axis == "i_o":
+            par = d
         else:
             raise ScheduleError(
-                f"{u}: GEMM register blocking unrolls 'i' (rows) or "
-                f"'jj' (column vectors)")
-    pack_ops = {p.operand for p in schedule.packs}
-    if pack_ops and pack_ops != {"a", "b"}:
+                f"{d}: no GEMM staging for this directive — GEMM takes a "
+                f"square Tile(('i', 'j'), (NB, NB)), Vectorize('j', V >= 2), "
+                f"Unroll('i'/'jj', R), Pack('a'/'b', 'panel') and "
+                f"Parallel('i_o', NT)")
+    if NB is None:
         raise ScheduleError(
-            f"{schedule.packs[0]}: GEMM packs panels of both 'a' and "
-            f"'b' or neither")
-    for p in schedule.packs:
-        if p.layout != "panel":
-            raise ScheduleError(f"{p}: GEMM packing is per panel")
-    par = schedule.parallel
-    if par is not None and par.axis != "i_o":
-        raise ScheduleError(
-            f"{par}: GEMM parallelizes the row-panel axis 'i_o' (the "
-            f"outer chunk loop of the Tile)")
-    for d in schedule:
-        if not isinstance(d, (Tile, Vectorize, Unroll, Pack, Parallel)):
-            raise ScheduleError(
-                f"{d}: no GEMM staging for this directive")
+            f"{schedule.key()}: GEMM schedules need a "
+            f"Tile(('i', 'j'), (NB, NB))")
     if NB % RM:
         raise ScheduleError(
             f"Unroll('i', {RM}): register rows must divide the "
@@ -356,12 +262,13 @@ def make_gemm_from_schedule(schedule, elem: T.Type = double,
         raise ScheduleError(
             f"Unroll('jj', {RN}): RN*V = {RN * V} must divide the "
             f"{NB}-column L1 block")
-    if par is not None:
-        return make_gemm_packed_parallel(NB, RM, RN, V, elem,
-                                         use_prefetch, fma,
-                                         nthreads=par.nthreads)
-    maker = make_gemm_packed if pack_ops else make_gemm
-    return maker(NB, RM, RN, V, elem, use_prefetch, fma, async_compile)
+    missing = [f"Pack({op!r}, 'panel')" for op in "ab" if op not in packs]
+    if missing and (packs or par is not None):
+        raise ScheduleError(
+            f"{par or schedule.packs[0]}: GEMM packs panels of both 'a' "
+            f"and 'b' or neither, and the row-panel kernel packs per "
+            f"worker — add {' and '.join(missing)}")
+    return NB, RM, RN, V, bool(packs), par
 
 
 def blocked_matmul(NB: int, elem: T.Type = double):

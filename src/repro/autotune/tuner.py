@@ -23,7 +23,7 @@ import numpy as np
 from .. import double
 from .. import trace
 from ..core import types as T
-from .matmul import make_gemm_from_schedule
+from .matmul import gemm_schedule, make_gemm_from_schedule
 
 
 @dataclass
@@ -41,19 +41,9 @@ class Candidate:
     def schedule(self, packed: bool = True):
         """This candidate as a :class:`repro.schedule.Schedule` — the
         tuner's search space in the first-class schedule vocabulary
-        (see :func:`repro.autotune.make_gemm_from_schedule` for the
-        directive mapping).  ``candidate.schedule()`` round-trips:
-        staging it produces byte-identical C to the legacy maker."""
-        from ..schedule import Pack, Schedule, Tile, Unroll, Vectorize
-        directives = [Tile(("i", "j"), (self.NB, self.NB)),
-                      Vectorize("j", self.V)]
-        if self.RM > 1:
-            directives.append(Unroll("i", self.RM))
-        if self.RN > 1:
-            directives.append(Unroll("jj", self.RN))
-        if packed:
-            directives += [Pack("a", "panel"), Pack("b", "panel")]
-        return Schedule(directives)
+        (:func:`repro.autotune.matmul.make_gemm_from_schedule` has the
+        directive mapping)."""
+        return gemm_schedule(self.NB, self.RM, self.RN, self.V, packed)
 
 
 @dataclass
@@ -135,8 +125,8 @@ def tune(test_size: int = 512, elem: T.Type = double,
     best: Optional[Candidate] = None
     best_gflops = -1.0
     best_gemm = None
-    # every candidate is feasible at any test size: both GEMM makers
-    # handle N % NB != 0 through their edge loops (an earlier version
+    # every candidate is feasible at any test size: the GEMM driver
+    # handles N % NB != 0 through its edge loops (an earlier version
     # silently dropped every candidate whose NB did not divide the test
     # size, which for e.g. test_size=500 was *all* of them)
     # stage every candidate first; with parallel_compile each staged kernel

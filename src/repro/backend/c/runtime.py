@@ -8,10 +8,9 @@ identical code never rebuilds.
 Compilation itself is owned by :mod:`repro.buildd` — the in-process
 compile service with a thread pool, a content-addressed artifact cache
 (keyed on source, flags, *and* compiler identity), in-flight request
-dedup, and telemetry.  This module keeps thin compatibility wrappers
-(:func:`compile_shared`, :func:`find_cc`, :func:`cache_dir`) plus the
-ctypes binding layer, and adds :meth:`CBackend.compile_unit_async` so
-callers (the auto-tuner, Orion) can overlap compilation with other work.
+dedup, and telemetry.  This module is the ctypes binding layer, plus
+:meth:`CBackend.compile_unit_async` so callers (the auto-tuner, Orion)
+can overlap compilation with other work.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import ctypes
 
 from ... import trace as _trace
 from ...buildd import get_service
-from ...buildd import toolchain as _toolchain
-from ...buildd.service import DEFAULT_CFLAGS  # noqa: F401  (re-export)
 from ...core import types as T
 from ...errors import CompileError, FFIError, TrapError
 from ...ffi import convert
@@ -29,16 +26,6 @@ from ...memory import layout
 from ..base import Backend, CompileTicket, ExecutableHandle
 from . import abi
 from .emit import CEmitter, TRAP_MESSAGES
-
-
-def cache_dir() -> str:
-    """The artifact cache root (compatibility wrapper for buildd)."""
-    return get_service().cache.root
-
-
-def find_cc() -> str:
-    """The C compiler path (compatibility wrapper for buildd.toolchain)."""
-    return _toolchain.find_cc()
 
 
 #: extra flags applied to subsequently-compiled units (see extra_cflags)
@@ -66,16 +53,6 @@ def extra_cflags(*flags: str):
         yield
     finally:
         del _EXTRA_CFLAGS[len(_EXTRA_CFLAGS) - len(flags):]
-
-
-def compile_shared(source: str, extra_flags: tuple[str, ...] = ()) -> str:
-    """Compile C source to a cached shared object; returns the .so path.
-
-    Routed through the :mod:`repro.buildd` service: cached artifacts are
-    returned immediately, concurrent identical requests share one compile,
-    and publication is atomic (unique temp name + ``os.replace``).
-    """
-    return get_service().compile(source, extra_flags)
 
 
 class CompiledFunction(ExecutableHandle):
@@ -272,7 +249,7 @@ class CBackend(Backend):
             emitter = CEmitter(component, self)
             source = emitter.emit_unit()
             sp.set(c_bytes=len(source))
-        so_path = compile_shared(source, tuple(_EXTRA_CFLAGS))
+        so_path = get_service().compile(source, tuple(_EXTRA_CFLAGS))
         return self._bind_unit(fn, component, emitter, so_path)
 
     def compile_unit_async(self, fn, component):

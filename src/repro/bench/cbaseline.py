@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..backend.c.runtime import compile_shared
+from .. import buildd
 
 _CTYPES = {
     "void": None,
@@ -54,7 +54,7 @@ def compile_c(source: str, functions: dict[str, tuple],
               flags: tuple[str, ...] = ()) -> SimpleNamespace:
     """Compile C ``source`` and bind ``functions``: name -> (argspec list,
     restype), with types from {void,int,long,float,double,ptr}."""
-    so_path = compile_shared(source, tuple(flags))
+    so_path = buildd.compile(source, tuple(flags))
     lib = ctypes.CDLL(so_path)
     out = {}
     for name, (argspec, restype) in functions.items():

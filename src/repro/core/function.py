@@ -133,17 +133,6 @@ class TerraFunction:
     # The mechanics live on ``self.dispatcher`` (repro.exec): TerraFunction
     # keeps only the thin public API.
 
-    @property
-    def _compiled(self) -> dict:
-        """Backend name -> compiled handle (the dispatcher's handle table;
-        kept as a property for backward compatibility)."""
-        return self.dispatcher.handles
-
-    @property
-    def _pending(self) -> dict:
-        """Backend name -> pending CompileTicket (dispatcher state)."""
-        return self.dispatcher.pending
-
     def compile(self, backend=None):
         """Compile (JIT) on ``backend`` and return a callable handle.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..core.quotes import Quote
 from ..core.symbols import symbol
-from .. import core  # noqa: F401  (documentation import)
 
 
 def blockedloop(N, blocksizes, bodyfn) -> Quote:
@@ -63,19 +62,3 @@ def blockedloop(N, blocksizes, bodyfn) -> Quote:
             })
 
     return generatelevel(1, 0, 0, N, N, N)
-
-
-def parallel_blockedloop(kernel, N, *args, blocksizes=None,
-                         nthreads: int = 0) -> None:
-    """Dispatch a blocked kernel's outer row loop across worker threads.
-
-    ``kernel`` is a ``mark_chunked()`` Terra function whose body *ends*
-    in a blockedloop nest (the outer ``for i1 = 0, N, blocksizes[0]``
-    loop is the chunked one).  Chunk cuts are aligned to
-    ``blocksizes[0]`` so whole row blocks stay on one worker — the
-    blocking structure, and therefore the per-element arithmetic order,
-    is exactly the serial call's.
-    """
-    from ..parallel import parallel_for
-    grain = blocksizes[0] if blocksizes else 1
-    parallel_for(kernel, 0, N, *args, nthreads=nthreads, grain=grain)

@@ -5,11 +5,9 @@ Public surface: ``image``, ``param``, ``stage``, ``min_``/``max_``/
 """
 
 from .lang import (INLINE, LINEBUFFER, MATERIALIZE, POLICIES, Expr, Param,
-                   Parallel, Stage, clamp, image, max_, min_, parallel,
-                   param, stage)
+                   Stage, clamp, image, max_, min_, param, stage)
 from .compile import CompiledStencil, compile_pipeline
 
-__all__ = ["image", "param", "stage", "clamp", "min_", "max_", "parallel",
+__all__ = ["image", "param", "stage", "clamp", "min_", "max_",
            "compile_pipeline", "CompiledStencil", "Expr", "Stage", "Param",
-           "Parallel",
            "MATERIALIZE", "INLINE", "LINEBUFFER", "POLICIES"]

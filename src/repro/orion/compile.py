@@ -20,7 +20,7 @@ the padding is kept zero, which implements the zero boundary condition
 inner loop.  Out-of-range *rows* read from a shared zero row, selected by
 row-pointer computation outside the x loop.
 
-Vectorization (``vectorize=4/8``) emits a vector main loop over Terra
+Vectorization (``Vectorize("x", 4/8)``) emits a vector main loop over Terra
 vector types plus a scalar tail — the paper's "Orion can vectorize any
 schedule using Terra's vector instructions".
 """
@@ -38,8 +38,6 @@ from . import lang
 
 _std = includec("stdlib.h")
 _str = includec("string.h")
-
-_fn_counter = [0]
 
 
 class _StageInfo:
@@ -254,116 +252,75 @@ class CompiledStencil:
             raise_aggregated("orion", errors, reg)
 
 
-def _resolve_parallel(parallel) -> int:
-    """The effective worker count a ``parallel=`` argument asks for.
-
-    Accepts a :class:`~repro.orion.lang.Parallel` directive, a bare int
-    (worker count, 0 = auto), or True (auto).  ``REPRO_TERRA_THREADS``
-    overrides whatever was asked (see
-    :func:`repro.parallel.default_nthreads`); a result <= 1 selects the
+def _loop_directives(tile_schedule) -> tuple[int, int]:
+    """``(V, NT)`` from the loop schedule: ``Vectorize("x", V)`` is the
+    scanline vector width and ``Parallel("y", NT)`` the worker-strip
+    split (0 = auto; ``REPRO_TERRA_THREADS`` overrides either, see
+    :func:`repro.parallel.default_nthreads`).  ``NT <= 1`` selects the
     exact serial code path — byte-identical generated C."""
-    if parallel is None or parallel is False:
-        return 0
     from ..parallel import default_nthreads
-    if isinstance(parallel, lang.Parallel):
-        return default_nthreads(parallel.nthreads)
-    if parallel is True:
-        return default_nthreads(0)
-    return default_nthreads(int(parallel))
-
-
-def _merge_tile_schedule(tile_schedule, vectorize, parallel):
-    """Normalize loop-level directives onto one vocabulary.
-
-    Orion's loop directives are sugar for :mod:`repro.schedule` objects:
-    ``Vectorize("x", V)`` is the scanline vector width (``vectorize=V``)
-    and ``Parallel("y", NT)`` the worker-strip split (``parallel=NT``).
-    Returns ``(vectorize, parallel, tile_schedule)`` with the schedule
-    synthesized from legacy arguments when none was passed — so every
-    compile records its loop directives as one inspectable Schedule
-    (``CompiledStencil.tile_schedule``)."""
     from ..schedule import Parallel, Schedule, ScheduleError, Vectorize
-    if tile_schedule is None:
-        directives = []
-        if vectorize:
-            directives.append(Vectorize("x", int(vectorize)))
-        nt = _resolve_parallel(parallel)
-        if nt > 1:
-            directives.append(Parallel("y", nt))
-        return vectorize, parallel, Schedule(directives)
     if not isinstance(tile_schedule, Schedule):
         raise ScheduleError(
             f"tile_schedule must be a repro.schedule.Schedule, "
             f"got {tile_schedule!r}")
-    if vectorize or parallel is not None:
-        raise ScheduleError(
-            f"{tile_schedule.key()}: pass loop directives either as "
-            f"tile_schedule or as legacy vectorize=/parallel= — not both")
+    V = NT = 0
     for d in tile_schedule:
         if isinstance(d, Vectorize):
-            if d.axis != "x":
+            if d.axis != "x" or d.width not in (2, 4, 8, 16):
                 raise ScheduleError(
-                    f"{d}: Orion vectorizes the scanline axis 'x'")
-            vectorize = d.width
+                    f"{d}: Orion vectorizes the scanline axis 'x' with "
+                    f"an explicit width of 2/4/8/16")
+            V = d.width
         elif isinstance(d, Parallel):
             if d.axis != "y":
                 raise ScheduleError(
                     f"{d}: Orion parallelizes the row axis 'y'")
-            parallel = d.nthreads or True
+            NT = default_nthreads(d.nthreads)
         else:
             raise ScheduleError(
                 f"{d}: Orion loop schedules support Vectorize('x', V) "
                 f"and Parallel('y', NT); stage storage policies go in "
                 f"the policy schedule= dict")
-    return vectorize, parallel, tile_schedule
+    return V, NT
 
 
-def compile_pipeline(output, N: int, vectorize: int | bool = False,
-                     schedule: Optional[dict] = None,
+def compile_pipeline(output, N: int, schedule: Optional[dict] = None,
                      default_policy: str = lang.MATERIALIZE,
-                     parallel=None,
-                     tile_schedule=None,
-                     ) -> CompiledStencil:
+                     tile_schedule=None) -> CompiledStencil:
     """Compile an Orion pipeline to a Terra function for N×N images.
 
     ``output`` may be a single expression/stage or a list of them (a
     multi-output pipeline: one fused function filling several buffers).
     ``schedule`` maps stages (or stage names) to *storage* policies;
     unlisted stages use their declared ``policy=`` or ``default_policy``.
-    ``parallel`` (a :func:`repro.orion.lang.parallel` directive, an int
-    worker count, or True) splits the scanline loop into per-worker
-    strips dispatched through :mod:`repro.parallel`.
 
-    ``tile_schedule`` is the first-class spelling of the *loop*
-    directives: a :class:`repro.schedule.Schedule` of
-    ``Vectorize("x", V)`` / ``Parallel("y", NT)``, equivalent to (and
-    mutually exclusive with) the legacy ``vectorize=`` / ``parallel=``
-    arguments and producing byte-identical C.  The normalized schedule
-    is recorded on the result as ``stencil.tile_schedule``.
+    ``tile_schedule`` carries the *loop* directives: a
+    :class:`repro.schedule.Schedule` of ``Vectorize("x", V)`` (vector
+    main loop plus scalar tail) and ``Parallel("y", NT)`` (the scanline
+    loop split into per-worker strips dispatched through
+    :mod:`repro.parallel`).  It is recorded on the result as
+    ``stencil.tile_schedule``.
     """
-    vectorize, parallel, tile_schedule = _merge_tile_schedule(
-        tile_schedule, vectorize, parallel)
-    nt = _resolve_parallel(parallel)
-    with trace.span("orion.compile", cat="orion", N=N,
-                    vectorize=int(vectorize) if vectorize else 0,
-                    nthreads=nt) as sp:
-        stencil = _compile_pipeline(output, N, vectorize, schedule,
-                                    default_policy, nt)
+    from ..schedule import Schedule
+    if tile_schedule is None:
+        tile_schedule = Schedule()
+    V, NT = _loop_directives(tile_schedule)
+    with trace.span("orion.compile", cat="orion", N=N, vectorize=V,
+                    nthreads=NT) as sp:
+        stencil = _compile_pipeline(output, N, V, schedule, default_policy,
+                                    NT)
         stencil.tile_schedule = tile_schedule
         sp.set(stages=len(stencil.input_names) + len(stencil.output_names))
         return stencil
 
 
-def _compile_pipeline(output, N, vectorize, schedule, default_policy,
-                      NT=0):
+def _compile_pipeline(output, N, V, schedule, default_policy, NT):
     outputs = output if isinstance(output, (list, tuple)) else [output]
     out_stages = [lang.as_stage(o, f"out{i}" if len(outputs) > 1 else "out")
                   for i, o in enumerate(outputs)]
     out_ids = {s.id for s in out_stages}
     stages = _collect_stages(out_stages)
-    V = int(vectorize) if vectorize else 0
-    if V and V not in (2, 4, 8, 16):
-        raise TerraError(f"vector width must be 2/4/8/16, got {V}")
 
     # -- resolve policies -------------------------------------------------------
     schedule = dict(schedule or {})

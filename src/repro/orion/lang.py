@@ -233,37 +233,6 @@ def stage(expr, name: Optional[str] = None, policy: Optional[str] = None,
     return st
 
 
-class Parallel:
-    """The ``parallel(axis, nthreads=0)`` schedule directive.
-
-    Composable with ``vectorize`` and ``linebuffer``: the compiled
-    pipeline's scanline (y) loop is split into per-worker strips
-    dispatched on the :mod:`repro.parallel` pool, group by group (each
-    fused group is a barrier, preserving producer→consumer order).
-
-    ``nthreads=0`` means "decide at compile time": the
-    ``REPRO_TERRA_THREADS`` environment variable if set, else the
-    machine's core count.  An effective count of 1 compiles the exact
-    serial code path — byte-identical generated C."""
-
-    def __init__(self, axis: str = "y", nthreads: int = 0):
-        if axis != "y":
-            raise TerraError(
-                f"parallel axis must be 'y' (the scanline axis); got "
-                f"{axis!r} — x is the vectorize axis")
-        self.axis = axis
-        self.nthreads = int(nthreads)
-
-    def __repr__(self):
-        return f"parallel({self.axis!r}, nthreads={self.nthreads})"
-
-
-def parallel(axis: str = "y", nthreads: int = 0) -> Parallel:
-    """Split the pipeline's y loop across worker threads (see
-    :class:`Parallel`)."""
-    return Parallel(axis, nthreads)
-
-
 def min_(a, b) -> Expr:
     return BinOp("min", wrap(a), wrap(b))
 

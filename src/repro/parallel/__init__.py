@@ -15,11 +15,10 @@ This package is the runtime half of that story:
   :class:`~repro.errors.TrapError` on the dispatching thread, and the
   pool survives to run the next dispatch.
 
-Surfaced in three places: the Orion schedule directive
-``parallel(axis, nthreads=0)`` (see :mod:`repro.orion`), the
-``parallel_blockedloop`` / ``DataTable.parallel_map`` helpers in
-:mod:`repro.lib`, and the packed GEMM driver's panel loop
-(:mod:`repro.autotune.matmul`).
+Surfaced in three places: the ``Parallel`` schedule directive
+(:mod:`repro.schedule`; Orion takes it as ``Parallel("y", NT)``), the
+``parallel_map_rows`` helper of :mod:`repro.lib.datatable`, and the
+packed GEMM driver's panel loop (:mod:`repro.autotune.matmul`).
 
 Environment: ``REPRO_TERRA_THREADS`` overrides every requested thread
 count (``1`` disables parallel dispatch entirely — bit-identical to

@@ -1,5 +1,4 @@
-"""Constant folding and control-flow pruning (migrated from the old
-interp-only ``core/optimize.py``).
+"""Constant folding and control-flow pruning.
 
 Staged programs bake meta-level constants (block sizes, strides, unrolled
 indices) into the object program; folding them is what makes the paper's

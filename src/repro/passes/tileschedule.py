@@ -10,28 +10,7 @@ verifier integration, and ``pass.schedule`` timing for free.
 
 from __future__ import annotations
 
-import os
-import sys
-
 from .manager import Pass, register_pass
-
-
-def _dump_scheduled(typed, schedule) -> None:
-    """``REPRO_TERRA_SCHEDULE_DUMP=<path|1>``: write the scheduled IR
-    (before any optimization pass touches it) to a file — appending, so
-    one dump file collects every scheduled kernel of a run; this is the
-    artifact the CI schedule-smoke job uploads — or to stderr for ``1``."""
-    dest = os.environ.get("REPRO_TERRA_SCHEDULE_DUMP", "")
-    if not dest:
-        return
-    from ..core.prettyprint import format_typed_ir
-    text = (f"-- {typed.name}: {schedule.key()}\n"
-            f"{format_typed_ir(typed)}\n")
-    if dest == "1":
-        sys.stderr.write(text)
-    else:
-        with open(dest, "a") as fh:
-            fh.write(text)
 
 
 @register_pass
@@ -52,7 +31,4 @@ class SchedulePass(Pass):
         from ..schedule.lower import lower_schedule
         if _env_disabled():
             return False
-        changed = lower_schedule(typed, schedule)
-        if changed:
-            _dump_scheduled(typed, schedule)
-        return changed
+        return lower_schedule(typed, schedule)

@@ -50,9 +50,8 @@ Environment knobs (see docs/ENVIRONMENT.md):
 * ``REPRO_TERRA_VEC_BYTES`` — vector register width in bytes (default
   64: on AVX-512 hardware gcc's own autovectorizer stops at 256-bit
   vectors for these kernels, so the explicit 512-bit width is where the
-  measured win comes from; must be a power of two).
-* ``REPRO_TERRA_VEC_WIDTH`` — force the lane count instead of deriving
-  it from ``REPRO_TERRA_VEC_BYTES // max-element-size``.
+  measured win comes from; must be a power of two).  The lane count is
+  ``REPRO_TERRA_VEC_BYTES // max-element-size``.
 
 Observability: each vectorized loop counts ``vec.loops``; each rejected
 loop counts ``vec.bailouts`` plus ``vec.bailouts.<reason>``; pass timing
@@ -88,17 +87,6 @@ class _Bail(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-def _env_vec_width() -> int | None:
-    raw = os.environ.get("REPRO_TERRA_VEC_WIDTH", "")
-    if not raw:
-        return None
-    try:
-        width = int(raw)
-    except ValueError:
-        return None
-    return width if width >= 2 and (width & (width - 1)) == 0 else None
 
 
 def _env_vec_bytes() -> int:
@@ -534,21 +522,20 @@ def vectorize_loop(loop: tast.TForNum, addr_taken: set,
     """Vectorize one innermost loop, raising :class:`_Bail` on failure.
 
     ``width=0`` derives the lane count from the widest lane type and
-    ``REPRO_TERRA_VEC_WIDTH``/``REPRO_TERRA_VEC_BYTES``; an explicit
-    width forces it.  No bailout accounting happens here — the pass
-    walker (and :mod:`repro.schedule.lower`, which forwards the bail as
-    a ``ScheduleError``) decide how a failure is reported."""
-    forced = width or _env_vec_width()
+    ``REPRO_TERRA_VEC_BYTES``; an explicit width forces it.  No bailout
+    accounting happens here — the pass walker (and
+    :mod:`repro.schedule.lower`, which forwards the bail as a
+    ``ScheduleError``) decide how a failure is reported."""
     # trial build: validates the loop and discovers the lane types
-    trial = _LoopVectorizer(loop, forced or 2, addr_taken)
+    trial = _LoopVectorizer(loop, width or 2, addr_taken)
     trial.qualify()
     trial.build_body()
-    if not forced:
+    if not width:
         widest = max(ty.sizeof() for ty in trial.lane_types)
-        forced = _env_vec_bytes() // widest
-        if forced < 2:
+        width = _env_vec_bytes() // widest
+        if width < 2:
             raise _Bail("width")
-    final = _LoopVectorizer(loop, forced, addr_taken)
+    final = _LoopVectorizer(loop, width, addr_taken)
     final.qualify()
     body = final.build_body()
     return final.rewrite(body)

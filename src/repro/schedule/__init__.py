@@ -24,12 +24,10 @@ tree with no special cases.  Invalid schedules raise a typed
 construction when the conflict is schedule-internal and at compile time
 when it depends on the loop nest.
 
-Environment knobs (docs/ENVIRONMENT.md):
-
-* ``REPRO_TERRA_SCHEDULE_DISABLE=1`` — ignore attached schedules (compile
-  the naive kernel and dispatch serially; the ablation baseline switch);
-* ``REPRO_TERRA_SCHEDULE_DUMP=<path|1>`` — write the scheduled IR after
-  lowering to a file (or stderr) — what the CI artifact captures.
+Environment knob (docs/ENVIRONMENT.md): ``REPRO_TERRA_SCHEDULE_DISABLE=1``
+ignores attached schedules (compile the naive kernel and dispatch
+serially; the ablation baseline switch).  The pass-manager knob
+``REPRO_TERRA_DUMP_IR=schedule`` dumps the IR around the lowering.
 
 See docs/SCHEDULES.md for the lowering contract and the Orion-directive
 mapping table.

@@ -210,27 +210,52 @@ class TestPackedGemm:
         assert np.allclose(C, A @ B, atol=1e-3)
 
 
+def _pin(source):
+    import hashlib
+    data = source.encode()
+    return hashlib.sha256(data).hexdigest()[:16], len(data)
+
+
+class TestGoldenC:
+    """sha256 prefix + byte length of ``get_c_source()`` captured at the
+    commit *before* the three makers became presets of the one
+    schedule-driven builder: the staged-from-shared-quotes drivers must
+    emit the C the hand-inlined text did.  (``fma=False`` only skips the
+    eager build; flags are not part of the source.)"""
+
+    @pytest.mark.parametrize("maker,args,kwargs,pin", [
+        ("make_gemm", (16, 2, 1, 4), {}, ("bce7dcc6182703d1", 11528)),
+        ("make_gemm", (32, 4, 2, 8), dict(elem=float_),
+         ("1782c05f07882277", 16227)),
+        ("make_gemm", (32, 4, 2, 1), dict(elem=float_),  # Fig. 6: V=1
+         ("15c32d2fd8537aa3", 15548)),
+        ("make_gemm_packed", (32, 4, 2, 4), {}, ("d9fb551e6094c372", 17815)),
+        ("make_gemm_packed", (128, 4, 2, 4), {},
+         ("a7938f3c12a1d6b6", 17843)),
+        ("make_gemm_packed", (32, 4, 2, 4), dict(use_prefetch=False),
+         ("cc55d8d0f6034ed0", 17597)),
+    ])
+    def test_serial_presets(self, maker, args, kwargs, pin):
+        from repro.autotune import matmul
+        gemm = getattr(matmul, maker)(*args, fma=False, **kwargs)
+        assert _pin(gemm.get_c_source()) == pin
+
+    def test_parallel_preset(self):
+        from repro.autotune.matmul import make_gemm_packed_parallel
+        gemm = make_gemm_packed_parallel(32, 2, 2, 4, fma=False)
+        assert _pin(gemm.panels.get_c_source()) == ("061d0f61acbd285c", 16204)
+        assert _pin(gemm.edges.get_c_source()) == ("7b885422876a2fb9", 3698)
+
+    def test_candidate_schedule_is_the_preset(self):
+        from repro.autotune.matmul import make_gemm_from_schedule
+        from repro.autotune.tuner import Candidate
+        gemm = make_gemm_from_schedule(
+            Candidate(32, 4, 2, 4).schedule(packed=True), fma=False)
+        assert _pin(gemm.get_c_source()) == ("d9fb551e6094c372", 17815)
+
+
 class TestScheduleMigration:
-    """The tuner's candidate vocabulary as first-class schedules:
-    ``Candidate.schedule()`` → ``make_gemm_from_schedule`` must produce
-    byte-identical C to the legacy (NB, RM, RN, V) makers."""
-
-    def test_packed_byte_identical(self):
-        from repro.autotune.matmul import (make_gemm_from_schedule,
-                                           make_gemm_packed)
-        from repro.autotune.tuner import Candidate
-        cand = Candidate(32, 4, 2, 4)
-        legacy = make_gemm_packed(32, 4, 2, 4)
-        migrated = make_gemm_from_schedule(cand.schedule(packed=True))
-        assert migrated.get_c_source() == legacy.get_c_source()
-
-    def test_unpacked_byte_identical(self):
-        from repro.autotune.matmul import make_gemm, make_gemm_from_schedule
-        from repro.autotune.tuner import Candidate
-        cand = Candidate(16, 2, 1, 4)
-        legacy = make_gemm(16, 2, 1, 4)
-        migrated = make_gemm_from_schedule(cand.schedule(packed=False))
-        assert migrated.get_c_source() == legacy.get_c_source()
+    """The tuner's candidate vocabulary as first-class schedules."""
 
     def test_candidate_schedule_shape(self):
         from repro.autotune.tuner import Candidate
@@ -240,9 +265,11 @@ class TestScheduleMigration:
         assert s.of_kind(Vectorize) == [Vectorize("j", 4)]
         assert set(s.of_kind(Unroll)) == {Unroll("i", 4), Unroll("jj", 2)}
         assert {p.operand for p in s.packs} == {"a", "b"}
-        # RM=RN=1 candidates carry no Unrolls at all
+        # RM=RN=1 candidates carry no Unrolls at all, and the
+        # unvectorized kernel (V=1, Figure 6) no Vectorize
         assert Candidate(32, 1, 1, 4).schedule(packed=False).of_kind(
             Unroll) == []
+        assert Candidate(32, 2, 1, 1).schedule().of_kind(Vectorize) == []
 
     def test_schedule_correctness_non_divisible(self):
         from repro.autotune.matmul import make_gemm_from_schedule
@@ -259,33 +286,71 @@ class TestScheduleMigration:
         base = [Tile(("i", "j"), (32, 32)), Vectorize("j", 4)]
         with pytest.raises(ScheduleError, match="Tile"):
             make_gemm_from_schedule(Schedule([Vectorize("j", 4)]))
-        with pytest.raises(ScheduleError, match="square"):
+        with pytest.raises(ScheduleError, match=r"^Tile\(.*\[32, 16\].*square"):
             make_gemm_from_schedule(
                 Schedule([Tile(("i", "j"), (32, 16)), Vectorize("j", 4)]))
-        with pytest.raises(ScheduleError, match="Vectorize"):
-            make_gemm_from_schedule(Schedule([Tile(("i", "j"), (32, 32))]))
-        with pytest.raises(ScheduleError, match="'jj'"):
+        with pytest.raises(ScheduleError, match=r"^Vectorize\('i', 4\)"):
+            make_gemm_from_schedule(Schedule(
+                [Tile(("i", "j"), (32, 32)), Vectorize("i", 4)]))
+        with pytest.raises(ScheduleError, match=r"^Vectorize\('j', 0\)"):
+            make_gemm_from_schedule(Schedule(
+                [Tile(("i", "j"), (32, 32)), Vectorize("j")]))
+        with pytest.raises(ScheduleError, match=r"^Unroll\('k', 2\).*'jj'"):
             make_gemm_from_schedule(Schedule(base + [Unroll("k", 2)]))
         with pytest.raises(ScheduleError, match="divide"):
             make_gemm_from_schedule(
                 Schedule([Tile(("i", "j"), (32, 32)), Vectorize("j", 4),
                           Unroll("i", 5)]))
-        with pytest.raises(ScheduleError, match="both"):
+        with pytest.raises(ScheduleError,
+                           match=r"^Pack\('a'.*both.*add Pack\('b', 'panel'\)"):
             make_gemm_from_schedule(Schedule(base + [Pack("a", "panel")]))
-        with pytest.raises(ScheduleError, match="no GEMM staging"):
+        with pytest.raises(ScheduleError,
+                           match=r"^Block\('k', 8\): no GEMM staging"):
             make_gemm_from_schedule(Schedule(base + [Block("k", 8)]))
 
-    def test_parallel_schedule_dispatches(self):
-        from repro.autotune.matmul import (make_gemm_from_schedule,
-                                           make_gemm_packed)
+    def test_parallel_without_packs_rejected(self):
+        # regression: this schedule used to build the *packed* parallel
+        # kernel silently, so schedule.key() misdescribed the artifact
+        from repro.autotune.matmul import make_gemm_from_schedule
         from repro.autotune.tuner import Candidate
-        from repro.schedule import Parallel, Schedule
-        cand = Candidate(32, 2, 2, 4)
-        s = Schedule(list(cand.schedule()) + [Parallel("i_o")])
-        par = make_gemm_from_schedule(s)
-        N = 70
-        A, B, C = _abc(N, np.float64, seed=3)
-        par(C, A, B, N)
-        C2 = np.zeros_like(C)
-        make_gemm_packed(32, 2, 2, 4)(C2, A, B, N)
-        assert np.array_equal(C, C2)  # bit-identical to serial packed
+        from repro.schedule import Parallel, Schedule, ScheduleError
+        unpacked = Candidate(32, 2, 2, 4).schedule(packed=False)
+        with pytest.raises(ScheduleError,
+                           match=r"Pack\('a', 'panel'\) and "
+                                 r"Pack\('b', 'panel'\)"):
+            make_gemm_from_schedule(
+                Schedule(list(unpacked) + [Parallel("i_o")]))
+
+    def test_parallel_async_compile_honoured(self):
+        # regression: async_compile=True was dropped on the parallel
+        # variant (both pieces were built synchronously)
+        from repro.autotune.matmul import (gemm_schedule,
+                                           make_gemm_from_schedule)
+        par = make_gemm_from_schedule(gemm_schedule(32, 2, 2, 4, nthreads=2),
+                                      async_compile=True)
+        for piece in (par.panels, par.edges):
+            assert "c" in piece.dispatcher.pending
+            assert "c" not in piece.dispatcher.handles
+        A, B, C = _abc(70, np.float64, seed=4)
+        par(C, A, B, 70)   # the first call joins both pending builds
+        assert np.allclose(C, A @ B)
+
+    @pytest.mark.parametrize("elem,dtype,V", [(double, np.float64, 4),
+                                              (float_, np.float32, 8)])
+    def test_presets_agree_bit_for_bit(self, elem, dtype, V):
+        from repro.autotune.matmul import (make_gemm, make_gemm_packed,
+                                           make_gemm_packed_parallel)
+        gemms = [make_gemm(32, 2, 2, V, elem),
+                 make_gemm_packed(32, 2, 2, V, elem),
+                 make_gemm_packed_parallel(32, 2, 2, V, elem, nthreads=3)]
+        for N in (70, 133):  # not multiples of NB: edges and k tail run
+            A, B, _ = _abc(N, dtype, seed=N)
+            results = []
+            for gemm in gemms:
+                C = np.zeros((N, N), dtype=dtype)
+                gemm(C, A, B, N)
+                results.append(C.tobytes())
+            assert results[0] == results[1] == results[2]
+            assert np.allclose(np.frombuffer(results[0], dtype).reshape(N, N),
+                               A @ B, atol=1e-8 * N if elem is double
+                               else 1e-2)

@@ -50,11 +50,3 @@ class TestSingleSourceOfTruth:
     def test_backend_base_delegates(self):
         from repro.backend.base import _cc_available
         assert _cc_available() == toolchain.cc_available()
-
-    def test_runtime_find_cc_delegates(self):
-        from repro.backend.c import runtime
-        if toolchain.cc_available():
-            assert runtime.find_cc() == toolchain.find_cc()
-        else:
-            with pytest.raises(CompileError):
-                runtime.find_cc()

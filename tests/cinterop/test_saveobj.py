@@ -8,7 +8,7 @@ import subprocess
 import pytest
 
 from repro import saveobj, terra
-from repro.backend.c.runtime import find_cc
+from repro.buildd.toolchain import find_cc
 from repro.errors import CompileError
 
 

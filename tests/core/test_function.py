@@ -107,7 +107,7 @@ class TestLinking:
         """)
         # calling the root compiles the whole component; all get handles
         assert fns.c1(1) == 4 + 2
-        assert "c" in fns.a1._compiled
+        assert "c" in fns.a1.dispatcher.handles
 
     def test_deep_chain(self):
         prev = terra("terra base(x : int) : int return x end")

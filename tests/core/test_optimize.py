@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro import get_backend, terra
 from repro.core import tast
-from repro.core.optimize import optimize_function
 from repro.core import types as T
+from repro.passes import PIPELINE_CANON, run_pipeline
 
 
 def folded_body(source, env=None):
     fn = terra(source, env=env or {})
     fn.ensure_typechecked()
-    optimize_function(fn.typed)
+    run_pipeline(fn.typed, PIPELINE_CANON)
     return fn.typed.body
 
 

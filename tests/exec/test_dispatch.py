@@ -56,13 +56,11 @@ def test_compile_async_joins_pending(cbackend):
 
 
 def test_function_facade_delegates():
-    """fn.compile / fn() / the _compiled & _pending compat views all hit
-    the same dispatcher state."""
+    """fn.compile / fn() hit the dispatcher's state."""
     fn = _fresh()
     handle = fn.compile("interp")
-    assert fn._compiled is fn.dispatcher.handles
-    assert fn._pending is fn.dispatcher.pending
-    assert fn._compiled["interp"] is handle
+    assert fn.dispatcher.handles["interp"] is handle
+    assert not fn.dispatcher.pending
 
 
 def test_tier_info_defaults_without_tier_state():

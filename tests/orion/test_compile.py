@@ -8,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import TerraError
 from repro.orion import lang as L
 from repro.orion.compile import compile_pipeline
+from repro.schedule import Parallel, Schedule, Vectorize
 
 N = 24
+
+
+def vec(width):
+    """The loop schedule vectorizing the scanline axis."""
+    return Schedule([Vectorize("x", width)])
 
 
 def zero_pad_ref(img, fn):
@@ -96,10 +102,10 @@ class TestCorrectness:
 
 class TestScheduleEquivalence:
     SCHEDULES = [
-        dict(default_policy=L.MATERIALIZE, vectorize=0),
-        dict(default_policy=L.MATERIALIZE, vectorize=4),
-        dict(default_policy=L.INLINE, vectorize=0),
-        dict(default_policy=L.INLINE, vectorize=8),
+        dict(default_policy=L.MATERIALIZE),
+        dict(default_policy=L.MATERIALIZE, tile_schedule=vec(4)),
+        dict(default_policy=L.INLINE),
+        dict(default_policy=L.INLINE, tile_schedule=vec(8)),
     ]
 
     def _pipeline(self):
@@ -147,7 +153,7 @@ class TestScheduleEquivalence:
                 e = read * 0.5
         base = compile_pipeline(e, N).run(image)
         schedule = [dict(default_policy=L.INLINE),
-                    dict(vectorize=4),
+                    dict(tile_schedule=vec(4)),
                     dict(default_policy=L.LINEBUFFER)][which_schedule]
         # linebuffering the output stage itself is not allowed; the
         # compiler forces materialize on outputs, so this always compiles
@@ -169,7 +175,7 @@ class TestErrors:
     def test_bad_vector_width(self):
         f = L.image("f")
         with pytest.raises(TerraError, match="width"):
-            compile_pipeline(f(0, 0), N, vectorize=3)
+            compile_pipeline(f(0, 0), N, tile_schedule=vec(32))
 
     def test_bad_policy(self):
         f = L.image("f")
@@ -198,7 +204,7 @@ class TestRuntimeParams:
         f = L.image("f")
         a = L.param("a")
         out = (f(0, 0) + a * (f(-1, 0) + f(1, 0))) / (1 + 2 * a)
-        pipe = compile_pipeline(out, N, vectorize=4)
+        pipe = compile_pipeline(out, N, tile_schedule=vec(4))
         assert np.allclose(pipe.run(img, a=0.0), img, atol=1e-6)
 
     def test_missing_param_rejected(self, img):
@@ -240,7 +246,7 @@ class TestMultiOutput:
         e2 = f(0, 1) - f(0, -1)
         sep1 = compile_pipeline(f(1, 0) - f(-1, 0), N).run(img)
         sep2 = compile_pipeline(f(0, 1) - f(0, -1), N).run(img)
-        both = compile_pipeline([e1, e2], N, vectorize=4).run(img)
+        both = compile_pipeline([e1, e2], N, tile_schedule=vec(4)).run(img)
         assert np.allclose(both[0], sep1, atol=1e-6)
         assert np.allclose(both[1], sep2, atol=1e-6)
 
@@ -261,67 +267,66 @@ class TestMultiOutput:
         a = mid(0, 0) + f(0, 0)
         b = mid(0, 0) - f(0, 0)
         base = compile_pipeline([a, b], N).run(img)
-        fused = compile_pipeline([a, b], N, vectorize=4).run(img)
+        fused = compile_pipeline([a, b], N, tile_schedule=vec(4)).run(img)
         assert np.allclose(base[0], fused[0], atol=1e-6)
         assert np.allclose(base[1], fused[1], atol=1e-6)
 
 
 class TestTileSchedule:
-    """Orion loop directives as first-class repro.schedule objects.
+    """Orion's loop directives are ``repro.schedule`` objects, passed as
+    ``tile_schedule=Schedule([Vectorize("x", V), Parallel("y", NT)])``.
 
-    ``tile_schedule=Schedule([Vectorize("x", V), Parallel("y", NT)])``
-    must be pure sugar for the legacy ``vectorize=``/``parallel=``
-    arguments: byte-identical C (modulo the per-compile function-name
-    counter) and identical results."""
+    The pins are the sha256 prefix + byte length of the emitted C
+    captured at the commit before the ``vectorize=``/``parallel=``
+    spellings were removed (modulo the per-process function/stage
+    counters and baked global addresses)."""
 
     @staticmethod
-    def normalize(source):
+    def pin(stencil):
+        import hashlib
         import re
-        return re.sub(r"orionfn\d+", "orionfn", source)
+        src = re.sub(r"orionfn\d+", "orionfn", stencil.fn.get_c_source())
+        src = re.sub(r"0x[0-9a-f]+UL", "0xADDR", src)
+        data = re.sub(r"buf_(\w+?)_\d+", r"buf_\1", src).encode()
+        return hashlib.sha256(data).hexdigest()[:16], len(data)
 
     def blur(self):
         f = L.image("f")
         return L.stage((f(-1, 0) + f(0, 0) + f(1, 0)) / 3.0, "blur")
 
-    def test_vectorize_byte_identical(self, img):
-        from repro.schedule import Schedule, Vectorize
-        blur = self.blur()  # one pipeline, compiled under both spellings
-        legacy = compile_pipeline(blur, N, vectorize=4)
-        new = compile_pipeline(
-            blur, N, tile_schedule=Schedule([Vectorize("x", 4)]))
-        assert self.normalize(new.source) == self.normalize(legacy.source)
-        assert np.array_equal(new.run(img), legacy.run(img))
+    def test_vectorize_golden_c(self, img):
+        pipe = compile_pipeline(self.blur(), N, tile_schedule=vec(4))
+        assert self.pin(pipe) == ("03ebf0b073cba100", 2516)
+        assert pipe.parallel_plan is None
+        plain = compile_pipeline(self.blur(), N)
+        assert np.array_equal(pipe.run(img), plain.run(img))
 
-    def test_parallel_byte_identical(self, img):
-        from repro.schedule import Parallel, Schedule, Vectorize
-        blur = self.blur()
-        legacy = compile_pipeline(blur, N, vectorize=4, parallel=2)
-        new = compile_pipeline(
-            blur, N,
+    def test_parallel_golden_c(self, img, monkeypatch):
+        monkeypatch.delenv("REPRO_TERRA_THREADS", raising=False)
+        pipe = compile_pipeline(
+            self.blur(), N,
             tile_schedule=Schedule([Vectorize("x", 4), Parallel("y", 2)]))
-        assert self.normalize(new.source) == self.normalize(legacy.source)
-        assert new.parallel_plan is not None
-        assert np.array_equal(new.run(img), legacy.run(img))
+        assert self.pin(pipe) == ("58ced981576692d8", 3053)
+        assert pipe.parallel_plan["nthreads"] == 2
+        plain = compile_pipeline(self.blur(), N)
+        assert np.array_equal(pipe.run(img), plain.run(img))
 
-    def test_legacy_args_record_a_schedule(self):
-        from repro.schedule import Parallel, Vectorize
-        s = compile_pipeline(self.blur(), N, vectorize=8)
+    def test_schedule_recorded_on_the_stencil(self):
+        s = compile_pipeline(self.blur(), N, tile_schedule=vec(8))
         assert s.tile_schedule.of_kind(Vectorize) == [Vectorize("x", 8)]
         assert compile_pipeline(self.blur(), N).tile_schedule.key() \
             == "naive"
 
-    def test_mixing_spellings_rejected(self):
-        from repro.schedule import Schedule, ScheduleError, Vectorize
-        with pytest.raises(ScheduleError, match="not both"):
-            compile_pipeline(self.blur(), N, vectorize=4,
-                             tile_schedule=Schedule([Vectorize("x", 4)]))
-
     def test_unsupported_directives_rejected(self):
-        from repro.schedule import Block, Schedule, ScheduleError, \
-            Vectorize
+        from repro.schedule import Block, ScheduleError
         with pytest.raises(ScheduleError, match="scanline axis 'x'"):
             compile_pipeline(self.blur(), N,
                              tile_schedule=Schedule([Vectorize("y", 4)]))
+        with pytest.raises(ScheduleError, match="explicit width"):
+            compile_pipeline(self.blur(), N,
+                             tile_schedule=Schedule([Vectorize("x")]))
         with pytest.raises(ScheduleError, match="Block"):
             compile_pipeline(self.blur(), N,
                              tile_schedule=Schedule([Block("x", 8)]))
+        with pytest.raises(ScheduleError, match="must be a repro.schedule"):
+            compile_pipeline(self.blur(), N, tile_schedule=4)

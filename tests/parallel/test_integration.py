@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro import float_, includec, quote_, symbol, terra
-from repro.lib.blockedloop import blockedloop, parallel_blockedloop
+from repro.lib.blockedloop import blockedloop
 from repro.lib.datatable import DataTable, map_rows, parallel_map_rows
+from repro.parallel import parallel_for
 
 
 class TestParallelBlockedloop:
@@ -25,7 +26,9 @@ class TestParallelBlockedloop:
         serial = np.zeros(N * N, dtype=np.float32)
         par = np.zeros(N * N, dtype=np.float32)
         fn(serial)
-        parallel_blockedloop(fn, N, par, blocksizes=[16, 4, 1], nthreads=3)
+        # chunk cuts aligned to the outer block edge keep whole row blocks
+        # on one worker, so the blocking structure is the serial call's
+        parallel_for(fn, 0, N, par, nthreads=3, grain=16)
         assert serial.tobytes() == par.tobytes()
 
 

@@ -1,4 +1,4 @@
-"""The Orion ``parallel(axis)`` schedule directive.
+"""The Orion ``Parallel("y", NT)`` loop directive.
 
 Contract: a parallel schedule is *pure speedup* — for every policy mix,
 vector width, and worker count, the output is bit-identical to the
@@ -13,9 +13,19 @@ import pytest
 
 from repro.errors import TerraError
 from repro.orion import (INLINE, LINEBUFFER, MATERIALIZE, compile_pipeline,
-                         image, parallel, stage)
+                         image, stage)
+from repro.schedule import Parallel, Schedule, Vectorize
 
 N = 64
+
+
+def loops(vec=0, nt=None):
+    """The loop schedule for a vector width and worker count (None =
+    no Parallel directive, 0 = auto)."""
+    directives = [Vectorize("x", vec)] if vec else []
+    if nt is not None:
+        directives.append(Parallel("y", nt))
+    return Schedule(directives)
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +55,11 @@ class TestBitIdentity:
                              ids=lambda s: "-".join(s.values()))
     def test_parallel_equals_serial(self, img, sched, vec):
         bx, by, out = blur_pipeline()
-        ref = compile_pipeline(out, N, vectorize=vec, schedule=sched).run(img)
+        ref = compile_pipeline(out, N, schedule=sched,
+                               tile_schedule=loops(vec)).run(img)
         bx, by, out = blur_pipeline()
-        cs = compile_pipeline(out, N, vectorize=vec, schedule=sched,
-                              parallel=parallel("y", 3))
+        cs = compile_pipeline(out, N, schedule=sched,
+                              tile_schedule=loops(vec, 3))
         assert cs.parallel_plan is not None
         got = cs.run(img)
         assert got.tobytes() == ref.tobytes()
@@ -56,12 +67,12 @@ class TestBitIdentity:
         assert cs.run(img).tobytes() == ref.tobytes()
 
     def test_multi_output(self, img):
-        def build(par):
+        def build(nt):
             inp = image("inp")
             s1 = stage(inp(-1, 0) + inp(1, 0), "s1")
             s2 = stage(s1(0, -1) * 0.5 + s1(0, 1) * 0.5, "s2")
             return compile_pipeline([s1, s2], N, schedule={s1: LINEBUFFER},
-                                    parallel=par)
+                                    tile_schedule=loops(nt=nt))
         r1, r2 = build(None).run(img)
         p1, p2 = build(2).run(img)
         assert r1.tobytes() == p1.tobytes()
@@ -70,23 +81,23 @@ class TestBitIdentity:
     def test_with_runtime_params(self, img):
         from repro.orion import param
 
-        def build(par):
+        def build(nt):
             inp = image("inp")
             k = param("k")
             sm = stage(inp(0, -1) + inp(0, 1), "sm", bounded=True)
             return compile_pipeline(sm * k, N, schedule={sm: LINEBUFFER},
-                                    parallel=par)
+                                    tile_schedule=loops(nt=nt))
         ref = build(None).run(img, k=0.3)
         got = build(4).run(img, k=0.3)
         assert got.tobytes() == ref.tobytes()
 
 
 class TestSerialPathUnchanged:
-    def _build(self, par):
+    def _build(self, nt):
         bx, by, out = blur_pipeline()
         return compile_pipeline(out, N, schedule={"bx": LINEBUFFER,
                                                   "by": LINEBUFFER},
-                                parallel=par)
+                                tile_schedule=loops(nt=nt))
 
     @staticmethod
     def _norm(src):
@@ -97,7 +108,7 @@ class TestSerialPathUnchanged:
     def test_env_one_neutralizes_directive(self, monkeypatch):
         plain = self._build(None)
         monkeypatch.setenv("REPRO_TERRA_THREADS", "1")
-        neutered = self._build(parallel("y"))
+        neutered = self._build(0)
         assert neutered.parallel_plan is None
         assert self._norm(neutered.source) == self._norm(plain.source)
 
@@ -108,14 +119,15 @@ class TestSerialPathUnchanged:
 
     def test_env_overrides_explicit_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_TERRA_THREADS", "2")
-        cs = self._build(parallel("y", 16))
+        cs = self._build(16)
         assert cs.parallel_plan["nthreads"] == 2
 
 
 class TestDirectiveValidation:
     def test_only_y_axis(self):
-        with pytest.raises(TerraError, match="axis"):
-            parallel("x")
+        with pytest.raises(TerraError, match="row axis 'y'"):
+            compile_pipeline(blur_pipeline()[2], N,
+                             tile_schedule=Schedule([Parallel("x")]))
 
     def test_unsupported_shape_rejected_at_compile_time(self):
         # a linebuffered stage reading a materialized producer fused into
@@ -124,7 +136,7 @@ class TestDirectiveValidation:
         # Diamond A(lb) -> M(mat) -> B(lb) -> D, D also reads A: the
         # unions A-{M,D} and B-{D} fuse everything into one group, where
         # B reads the materialized M.
-        def build(par):
+        def build(nt):
             inp = image("inp")
             a = stage(inp(0, -1) + inp(0, 1), "a")
             m = stage(a(0, -1) + a(0, 1), "m")
@@ -132,7 +144,7 @@ class TestDirectiveValidation:
             d = stage(a(0, 0) + b(0, 0), "d")
             return compile_pipeline(
                 d, N, schedule={a: LINEBUFFER, m: MATERIALIZE,
-                                b: LINEBUFFER}, parallel=par)
+                                b: LINEBUFFER}, tile_schedule=loops(nt=nt))
         with pytest.raises(TerraError, match="strip-parallel"):
             build(2)
         build(None)  # the same schedule compiles fine serially

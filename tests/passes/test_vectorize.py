@@ -268,7 +268,7 @@ class TestScalarVectorEquality:
         assert scalar == vec_i == vec_c
 
     def test_forced_width(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_VEC_WIDTH", "4")
+        monkeypatch.setenv("REPRO_TERRA_VEC_BYTES", "16")  # 4 float lanes
         rng = np.random.RandomState(9)
         a = rng.rand(32).astype(np.float32)
         b = rng.rand(32).astype(np.float32)
