@@ -3,7 +3,7 @@
 PYTHON ?= python3
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test check verify-ir fuzz-smoke autovec-smoke schedule-smoke frontend-smoke tier-smoke trace-demo parallel-smoke serve-smoke bench bench-ledger bench-compile bench-serve bench-autovec bench-schedule report examples clean
+.PHONY: install test check env-doc verify-ir fuzz-smoke autovec-smoke schedule-smoke frontend-smoke tier-smoke trace-demo parallel-smoke serve-smoke bench bench-ledger bench-compile bench-serve bench-autovec bench-schedule report examples clean
 
 TRACE_DEMO_OUT ?= $(or $(TMPDIR),/tmp)/repro-trace-demo.json
 PARALLEL_TRACE_OUT ?= $(or $(TMPDIR),/tmp)/repro-parallel-trace.json
@@ -22,6 +22,10 @@ check:  # the tier-1 gate: full test suite + a buildd CLI smoke
 	$(PYTHON) -m repro.buildd --gc
 	@echo "src lines: $$(find src -name '*.py' | xargs cat | wc -l)"
 	@echo "REPRO_* knobs: $$(grep -c '^| `REPRO_' docs/ENVIRONMENT.md)"
+	@echo "src files touching os.environ: $$(grep -rl 'os\.environ' src --include='*.py' | wc -l) (config.py, fuzz/child.py, fuzz/runner.py)"
+
+env-doc:  # docs/ENVIRONMENT.md is generated from the table in src/repro/config.py
+	$(PYTHON) -m repro.config > docs/ENVIRONMENT.md
 
 test-verbose:
 	$(PYTHON) -m pytest tests/ -v

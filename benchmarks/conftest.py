@@ -11,14 +11,14 @@ needed to keep the suite's runtime reasonable; set REPRO_BENCH_FULL=1 for
 paper-scale runs.
 """
 
-import os
-
 import numpy as np
 import pytest
 
+from repro import config
+
 
 def full_scale() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") == "1"
+    return config.get("REPRO_BENCH_FULL")
 
 
 @pytest.fixture(scope="session")

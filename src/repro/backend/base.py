@@ -18,9 +18,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-import os
-
 from ..errors import CompileError
+from .. import config
 from .. import trace as _trace
 
 
@@ -166,11 +165,8 @@ def get_backend(name: str) -> Backend:
 def default_backend() -> Backend:
     global _default_name
     if _default_name is None:
-        env = os.environ.get("REPRO_TERRA_BACKEND")
-        if env:
-            _default_name = env
-        else:
-            _default_name = "c" if _cc_available() else "interp"
+        _default_name = config.get("REPRO_TERRA_BACKEND") \
+            or ("c" if _cc_available() else "interp")
     return get_backend(_default_name)
 
 

@@ -22,9 +22,9 @@ Lowering notes:
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Optional
 
+from ... import config
 from ...core import tast
 from ...core import types as T
 from ...errors import CompileError
@@ -196,7 +196,7 @@ class CEmitter:
         # pass 0: with REPRO_TERRA_VERIFY_IR=1, re-check the typed trees
         # right before they become C — the last point a broken invariant
         # can be caught as a diagnostic instead of a miscompile
-        if os.environ.get("REPRO_TERRA_VERIFY_IR", "") not in ("", "0"):
+        if config.get("REPRO_TERRA_VERIFY_IR"):
             from ...passes.verify import verify_function
             for fn in self.component:
                 if not fn.is_external and fn.typed is not None:

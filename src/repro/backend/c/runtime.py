@@ -224,18 +224,11 @@ class CBackend(Backend):
     #: shrinks the emitted C and makes equivalent stagings hit the buildd
     #: artifact cache; LICM is deliberately left to gcc -O3, whose own
     #: loop optimizer subsumes ours — pre-hoisted temps only enlarge the
-    #: unit (and the cache key space).  ``REPRO_TERRA_VEC=1`` raises the
-    #: level to the auto-vectorizing pipeline (gcc's own vectorizer stops
-    #: at 256-bit vectors where ours emits the full register width; see
-    #: passes/vectorize.py), and ``REPRO_TERRA_PIPELINE`` still overrides
-    #: everything in resolve_level.
-    @property
-    def pipeline_level(self) -> int:
-        import os
-        if os.environ.get("REPRO_TERRA_VEC", "") not in ("", "0"):
-            from ...passes.manager import PIPELINE_VEC
-            return PIPELINE_VEC
-        return 1
+    #: unit (and the cache key space).  ``REPRO_TERRA_PIPELINE=3`` asks
+    #: for the auto-vectorizing pipeline instead (gcc's own vectorizer
+    #: stops at 256-bit vectors where ours emits the full register width;
+    #: see passes/vectorize.py).
+    pipeline_level = 1
 
     def __init__(self):
         self._libs: list[ctypes.CDLL] = []

@@ -30,9 +30,11 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from .. import config
+
 
 def default_out_dir() -> str:
-    return os.environ.get("REPRO_BENCH_OUT_DIR") or os.getcwd()
+    return config.get("REPRO_BENCH_OUT_DIR") or os.getcwd()
 
 
 class BenchRun:

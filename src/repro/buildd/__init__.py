@@ -21,12 +21,8 @@ Command line::
     python -m repro.buildd --gc        # evict over-cap artifacts, drop temps
     python -m repro.buildd --clear     # wipe the artifact cache
 
-Environment:
-
-* ``REPRO_TERRA_CACHE``        — cache root (default ``$TMPDIR/repro-terra-<uid>``)
-* ``REPRO_TERRA_CC``           — pin the C compiler (default: probe gcc, cc)
-* ``REPRO_BUILDD_JOBS``        — concurrent compiler jobs (default: cpu count)
-* ``REPRO_BUILDD_CACHE_BYTES`` — artifact cache size cap (default 1 GiB)
+Environment (docs/ENVIRONMENT.md): ``REPRO_TERRA_CACHE``,
+``REPRO_TERRA_CC``, ``REPRO_BUILDD_JOBS``, ``REPRO_BUILDD_CACHE_BYTES``.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .cache import ArtifactCache
-from .service import (CompileService, DEFAULT_CFLAGS, configure, default_jobs,
+from .service import (CompileService, DEFAULT_CFLAGS, configure,
                       get_service)
 from .stats import BuildStats
 from .toolchain import (Toolchain, cc_available, cc_identity, find_cc,
@@ -43,7 +39,7 @@ from .toolchain import (Toolchain, cc_available, cc_identity, find_cc,
 __all__ = [
     "ArtifactCache", "BuildStats", "CompileService", "Toolchain",
     "DEFAULT_CFLAGS", "cc_available", "cc_identity", "compile",
-    "compile_async", "configure", "default_jobs", "find_cc", "get_service",
+    "compile_async", "configure", "find_cc", "get_service",
     "require_toolchain", "stats",
 ]
 

@@ -31,7 +31,8 @@ import threading
 import time
 from typing import Iterable, Optional
 
-DEFAULT_MAX_BYTES = 1 << 30  # 1 GiB
+from .. import config
+
 INDEX_NAME = "buildd-index.json"
 INDEX_VERSION = 1
 
@@ -45,32 +46,11 @@ KEY_LEN = 24
 
 
 def default_root() -> str:
-    base = os.environ.get("REPRO_TERRA_CACHE")
+    base = config.get("REPRO_TERRA_CACHE")
     if base is None:
         uid = os.getuid() if hasattr(os, "getuid") else 0
         base = os.path.join(tempfile.gettempdir(), f"repro-terra-{uid}")
     return base
-
-
-def default_max_bytes() -> int:
-    raw = os.environ.get("REPRO_BUILDD_CACHE_BYTES")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_MAX_BYTES
-
-
-def default_max_entries() -> int:
-    """Entry-count cap (``REPRO_BUILDD_CACHE_ENTRIES``); 0 = unbounded."""
-    raw = os.environ.get("REPRO_BUILDD_CACHE_ENTRIES")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return 0
 
 
 class ArtifactCache:
@@ -88,12 +68,13 @@ class ArtifactCache:
                  max_entries: Optional[int] = None,
                  namespace_quota: Optional[int] = None) -> None:
         self.root = os.path.abspath(root or default_root())
-        self.max_bytes = default_max_bytes() if max_bytes is None else max_bytes
+        self.max_bytes = config.get("REPRO_BUILDD_CACHE_BYTES") \
+            if max_bytes is None else max_bytes
         self.temp_ttl_s = DEFAULT_TEMP_TTL_S if temp_ttl_s is None \
             else temp_ttl_s
         #: entry-count LRU cap across all namespaces (0 = unbounded)
-        self.max_entries = default_max_entries() if max_entries is None \
-            else max(0, max_entries)
+        self.max_entries = config.get("REPRO_BUILDD_CACHE_ENTRIES") \
+            if max_entries is None else max(0, max_entries)
         #: per-namespace entry quota (0/None = unbounded); namespaces come
         #: from publish(..., namespace=...) — repro.serve passes tenant ids
         self.namespace_quota = 0 if namespace_quota is None \

@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from typing import Iterable, Optional
 
 from ..errors import CompileError
-from .. import trace
+from .. import config, trace
 from . import toolchain as _toolchain
 from .cache import ArtifactCache
 from .stats import BuildStats
@@ -77,16 +77,6 @@ def current_namespace() -> Optional[str]:
     return getattr(_ns_ctx, "namespace", None)
 
 
-def default_jobs() -> int:
-    raw = os.environ.get("REPRO_BUILDD_JOBS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
 class CompileService:
     """A thread-pooled, cache-backed C compiler front end."""
 
@@ -94,7 +84,8 @@ class CompileService:
                  cache: Optional[ArtifactCache] = None,
                  tc: Optional[_toolchain.Toolchain] = None,
                  base_flags: Optional[list[str]] = None) -> None:
-        self.jobs = jobs if jobs is not None else default_jobs()
+        self.jobs = jobs if jobs is not None \
+            else config.get("REPRO_BUILDD_JOBS")
         self.cache = cache if cache is not None else ArtifactCache()
         self._tc = tc
         self.base_flags = list(DEFAULT_CFLAGS if base_flags is None

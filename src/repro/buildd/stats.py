@@ -11,9 +11,9 @@ ask *after the fact* where its compile time went:
   mark),
 * bytes cached (reported by the artifact cache at snapshot time).
 
-Since the ``repro.trace`` subsystem, the numbers themselves live in
-metrics registries (:mod:`repro.trace.metrics`) and this class is the
-**view** that keeps the historical public API:
+The numbers themselves live in metrics registries
+(:mod:`repro.trace.metrics`); this class records into them and reports
+them as one ``snapshot()`` dict:
 
 * per-service counters (submitted / hits / misses / compiles / queue)
   live in a registry private to this instance, so independently-built
@@ -45,7 +45,7 @@ class BuildStats:
         #: per-service counters; private by default
         self.registry = registry if registry is not None else MetricsRegistry()
 
-    # -- per-service counters, as attributes (historical API) ----------------
+    # -- the three counters callers compare before/after a build -----------
     @property
     def submitted(self) -> int:
         return int(self.registry.get(_P + "submitted"))
@@ -55,62 +55,8 @@ class BuildStats:
         return int(self.registry.get(_P + "cache_hits"))
 
     @property
-    def cache_misses(self) -> int:
-        return int(self.registry.get(_P + "cache_misses"))
-
-    @property
-    def inflight_dedup(self) -> int:
-        return int(self.registry.get(_P + "inflight_dedup"))
-
-    @property
     def compiles(self) -> int:
         return int(self.registry.get(_P + "compiles"))
-
-    @property
-    def failures(self) -> int:
-        return int(self.registry.get(_P + "failures"))
-
-    @property
-    def compile_seconds(self) -> float:
-        return float(self.registry.get(_P + "compile_seconds"))
-
-    @property
-    def queue_depth(self) -> int:
-        return int(self.registry.get(_P + "queue_depth"))
-
-    @property
-    def max_queue_depth(self) -> int:
-        return int(self.registry.get(_P + "max_queue_depth"))
-
-    @property
-    def tier_ups(self) -> int:
-        return int(self.registry.get(_P + "tier_ups"))
-
-    @property
-    def recent(self) -> list:
-        return self.registry.ring(_P + "recent")
-
-    # -- cross-cutting series (process-wide registry) ------------------------
-    @property
-    def pass_runs(self) -> dict:
-        return {name[len("pass."):]: entry
-                for name, entry in _global_registry().timings("pass.").items()}
-
-    @property
-    def fuzz_programs(self) -> int:
-        return int(_global_registry().get("fuzz.programs"))
-
-    @property
-    def fuzz_divergences(self) -> int:
-        return int(_global_registry().get("fuzz.divergences"))
-
-    @property
-    def fuzz_traps(self) -> int:
-        return int(_global_registry().get("fuzz.traps"))
-
-    @property
-    def fuzz_crashes(self) -> int:
-        return int(_global_registry().get("fuzz.crashes"))
 
     # -- event hooks (called by the service) --------------------------------
     def record_hit(self) -> None:
@@ -146,11 +92,6 @@ class BuildStats:
             self.registry.add(_P + "compile_seconds", seconds)
             self.registry.add(_P + "queue_depth", -1)
 
-    def record_pass(self, name: str, seconds: float) -> None:
-        """One IR pass ran for ``seconds`` (called by the pass manager;
-        recorded process-wide)."""
-        _global_registry().record_time(f"pass.{name}", seconds)
-
     def record_fuzz(self, programs: int, divergences: int,
                     traps: int = 0, crashes: int = 0) -> None:
         """One differential-fuzzing run finished (called by
@@ -177,37 +118,25 @@ class BuildStats:
     # -- reporting ----------------------------------------------------------
     def hit_rate(self) -> Optional[float]:
         """Cache hit rate over all requests, or None before any request."""
-        with self.registry.locked():
-            total = self.cache_hits + self.cache_misses + self.inflight_dedup
-            if total == 0:
-                return None
-            return self.cache_hits / total
+        return self.snapshot()["hit_rate"]
 
     def snapshot(self) -> dict:
-        with self.registry.locked():
-            total = self.cache_hits + self.cache_misses + self.inflight_dedup
-            return {
-                "submitted": self.submitted,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "inflight_dedup": self.inflight_dedup,
-                "compiles": self.compiles,
-                "failures": self.failures,
-                "compile_seconds": round(self.compile_seconds, 4),
-                "queue_depth": self.queue_depth,
-                "max_queue_depth": self.max_queue_depth,
-                "tier_ups": self.tier_ups,
-                "hit_rate": (self.cache_hits / total) if total else None,
-                "recent_builds": self.recent,
-                "fuzz": {
-                    "programs": self.fuzz_programs,
-                    "divergences": self.fuzz_divergences,
-                    "traps": self.fuzz_traps,
-                    "crashes": self.fuzz_crashes,
-                },
-                "passes": {
-                    name: {"runs": entry["runs"],
-                           "seconds": round(entry["seconds"], 4)}
-                    for name, entry in sorted(self.pass_runs.items())
-                },
-            }
+        reg, glob = self.registry, _global_registry()
+        with reg.locked():
+            out = {name: int(reg.get(_P + name)) for name in (
+                "submitted", "cache_hits", "cache_misses", "inflight_dedup",
+                "compiles", "failures", "compile_seconds", "queue_depth",
+                "max_queue_depth", "tier_ups")}
+            out["compile_seconds"] = round(
+                float(reg.get(_P + "compile_seconds")), 4)
+            total = (out["cache_hits"] + out["cache_misses"]
+                     + out["inflight_dedup"])
+            out["hit_rate"] = out["cache_hits"] / total if total else None
+            out["recent_builds"] = reg.ring(_P + "recent")
+        out["fuzz"] = {name: int(glob.get("fuzz." + name)) for name in (
+            "programs", "divergences", "traps", "crashes")}
+        out["passes"] = {
+            name[len("pass."):]: {"runs": entry["runs"],
+                                  "seconds": round(entry["seconds"], 4)}
+            for name, entry in sorted(glob.timings("pass.").items())}
+        return out

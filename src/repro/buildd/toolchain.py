@@ -15,13 +15,13 @@ and for pinning a specific compiler).
 from __future__ import annotations
 
 import hashlib
-import os
 import shutil
 import subprocess
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import config
 from ..errors import CompileError
 
 #: probed in order when REPRO_TERRA_CC is not set
@@ -47,7 +47,7 @@ _probed = False
 
 
 def _probe() -> Optional[Toolchain]:
-    env_cc = os.environ.get("REPRO_TERRA_CC")
+    env_cc = config.get("REPRO_TERRA_CC")
     candidates = (env_cc,) if env_cc else CC_CANDIDATES
     for cc in candidates:
         path = shutil.which(cc)

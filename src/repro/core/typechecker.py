@@ -25,9 +25,9 @@ ill-typed body stays ill-typed (definitions are immutable).
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
+from .. import config
 from ..errors import LinkError, TypeCheckError
 from . import sast, tast
 from . import types as T
@@ -96,7 +96,7 @@ class TypeChecker:
         typed.referenced_functions = self.referenced_functions
         typed.referenced_globals = self.referenced_globals
         typed.referenced_callbacks = self.referenced_callbacks
-        if os.environ.get("REPRO_TERRA_VERIFY_IR", "") not in ("", "0"):
+        if config.get("REPRO_TERRA_VERIFY_IR"):
             # catch malformed trees at the source before any pass touches
             # them (the pass manager re-verifies after each transform)
             from ..passes.verify import verify_function

@@ -82,6 +82,12 @@ class IRVerifyError(CompileError):
     pass corrupted one).  See :mod:`repro.passes.verify`."""
 
 
+class ConfigError(TerraError):
+    """A ``REPRO_*`` environment variable holds a value its row in
+    :mod:`repro.config` does not accept; the message names the variable,
+    the value and the accepted form."""
+
+
 class TrapError(TerraError):
     """A runtime trap in interpreted Terra code (bad pointer, OOB, ...)."""
 

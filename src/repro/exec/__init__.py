@@ -17,17 +17,17 @@ consults the *process-wide execution policy* chosen here:
 Select with ``REPRO_TERRA_EXEC_POLICY`` (read once, at first use), or at
 runtime with :func:`set_policy` / the :func:`policy_override` context
 manager.  Tiered knobs: ``REPRO_TERRA_TIER_THRESHOLD`` (tier-0 calls
-before tier-up, default 10), ``REPRO_TERRA_TIER_SYNC`` (complete
-tier-ups inline — determinism for tests/fuzzing), and
-``REPRO_TERRA_TIER_RESPEC`` (``0`` disables respecialization).
+before tier-up, default 10) and ``REPRO_TERRA_TIER_SYNC`` (complete
+tier-ups inline — determinism for tests/fuzzing), read when ``tiered``
+is built by name; ``TieredPolicy(respec=False)`` turns respecialization off.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Optional, Union
 
+from .. import config
 from .dispatch import Dispatcher, TierState
 from .policy import AheadOfTimePolicy, ExecutionPolicy, TieredPolicy
 
@@ -49,7 +49,9 @@ def make_policy(name: str) -> ExecutionPolicy:
     if name in ("c", "interp"):
         return AheadOfTimePolicy(name, name=name)
     if name == "tiered":
-        return TieredPolicy.from_env()
+        return TieredPolicy(
+            threshold=config.get("REPRO_TERRA_TIER_THRESHOLD"),
+            sync=config.get("REPRO_TERRA_TIER_SYNC"))
     raise ValueError(f"unknown execution policy {name!r} "
                      f"(available: {', '.join(POLICY_NAMES)})")
 
@@ -58,7 +60,7 @@ def current_policy() -> ExecutionPolicy:
     """The active policy; first use reads ``REPRO_TERRA_EXEC_POLICY``."""
     global _current
     if _current is None:
-        _current = make_policy(os.environ.get("REPRO_TERRA_EXEC_POLICY", ""))
+        _current = make_policy(config.get("REPRO_TERRA_EXEC_POLICY"))
     return _current
 
 

@@ -102,8 +102,7 @@ def main(argv=None) -> int:
 
     print()
     print(profile.report(limit=5))
-    stats = get_service().stats
-    print(f"\nbuildd tier_ups: {stats.tier_ups}")
+    print(f"\nbuildd tier_ups: {get_service().stats.snapshot()['tier_ups']}")
     st = fn.dispatcher.tier
     if st is not None and st.respec is not None:
         print(f"respecialized variant: {st.respec!r}")

@@ -19,7 +19,6 @@ every Python-level call:
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from .. import trace as _trace
@@ -70,24 +69,6 @@ class TieredPolicy(ExecutionPolicy):
         self.min_observations = max(1, int(min_observations))
         self._cc_checked = False
         self._cc_ok = False
-
-    @classmethod
-    def from_env(cls) -> "TieredPolicy":
-        def flag(name: str, default: bool) -> bool:
-            raw = os.environ.get(name)
-            if raw is None or raw == "":
-                return default
-            return raw not in ("0", "no", "off", "false")
-        raw = os.environ.get("REPRO_TERRA_TIER_THRESHOLD", "")
-        try:
-            threshold = int(raw) if raw else 10
-        except ValueError:
-            raise ValueError(
-                f"REPRO_TERRA_TIER_THRESHOLD must be an integer, "
-                f"got {raw!r}") from None
-        return cls(threshold=threshold,
-                   sync=flag("REPRO_TERRA_TIER_SYNC", False),
-                   respec=flag("REPRO_TERRA_TIER_RESPEC", True))
 
     # -- the per-call decision ----------------------------------------------
     def call(self, dispatcher, args):

@@ -46,12 +46,11 @@ from __future__ import annotations
 
 import ast as pyast
 import inspect
-import os
 import sys
 import textwrap
 from typing import Optional
 
-from .. import trace
+from .. import config, trace
 from ..errors import SourceLocation, TerraError, TerraSyntaxError
 from ..core import ast as tast
 from ..core.env import Environment
@@ -493,7 +492,7 @@ def define_pyfunc(pyfn, environment: Environment,
             params, ptypes, rettype, body = spec.spec_function(tdef)
         fn.define(params, ptypes, rettype, body)
         fn.frontend = "pyast"
-    if os.environ.get("REPRO_TERRA_FRONTEND_DEBUG", "0") not in ("", "0"):
+    if config.get("REPRO_TERRA_FRONTEND_DEBUG"):
         from ..core.prettyprint import format_specialized
         print(f"-- @terra lowered {fname} ({filename}:{line_offset + 1})",
               file=sys.stderr)

@@ -39,10 +39,10 @@ dispatches/chunks/traps.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Optional, Sequence
 
+from .. import config
 from .. import trace as _trace
 from ..errors import TrapError
 from .pool import WorkerPool, get_pool, in_worker, shutdown_pool
@@ -62,15 +62,12 @@ def default_nthreads(requested: int = 0) -> int:
     otherwise the machine's core count.  A result of 1 means "stay
     serial" — no pool, no chunking, byte-identical behaviour to code
     that never mentioned parallelism."""
-    raw = os.environ.get("REPRO_TERRA_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
+    env = config.get("REPRO_TERRA_THREADS")
+    if env is not None:
+        return env
     if requested and int(requested) > 0:
         return int(requested)
-    return os.cpu_count() or 1
+    return config.cpus()
 
 
 def split_range(lo: int, hi: int, nparts: int,

@@ -10,18 +10,11 @@ backend reads the tree at *exactly* its declared level through
 served from per-level snapshots — so what a backend compiles never
 depends on which backend compiled first.
 
-Environment switches:
-
-* ``REPRO_TERRA_PIPELINE=<0|1|2|3>`` — force a pipeline level process-wide
-  (0 = raw typed IR, 1 = canonicalize: fold/simplify/dce, 2 = full: +licm,
-  3 = vectorize: +auto-vectorization of innermost countable loops);
-* ``REPRO_TERRA_DISABLE_PASSES=licm,dce`` — drop individual passes;
-* ``REPRO_TERRA_DUMP_IR=<pass|all>`` — print the IR before and after the
-  named pass (or every pass) to stderr, rendered through
-  :mod:`repro.core.prettyprint`;
-* ``REPRO_TERRA_VERIFY_IR=1`` — run the IR verifier after typechecking
-  and again after every transform, turning silent miscompiles into
-  :class:`~repro.errors.IRVerifyError` diagnostics.
+Environment switches (docs/ENVIRONMENT.md): ``REPRO_TERRA_PIPELINE``
+forces a level process-wide, ``REPRO_TERRA_DISABLE_PASSES`` drops passes,
+``REPRO_TERRA_DUMP_IR`` prints the IR around a pass (both reject a name
+no pass registered), ``REPRO_TERRA_VERIFY_IR`` runs the verifier after
+typechecking and after every transform.
 
 Per-pass wall time is merged into the :mod:`repro.buildd` telemetry, so
 ``python -m repro.buildd --stats`` reports where *IR* time went alongside
@@ -30,14 +23,13 @@ where *gcc* time went.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from ..errors import CompileError
-from .. import trace
+from ..errors import CompileError, ConfigError
+from .. import config, trace
 
 # -- pipeline levels --------------------------------------------------------------
 
@@ -107,19 +99,15 @@ def _ensure_registered() -> None:
                    vectorize, verify)
 
 
-# -- env plumbing -----------------------------------------------------------------
-
-def _env_verify() -> bool:
-    return os.environ.get("REPRO_TERRA_VERIFY_IR", "") not in ("", "0")
-
-
-def _env_dump() -> Optional[str]:
-    return os.environ.get("REPRO_TERRA_DUMP_IR") or None
-
-
-def _env_disabled() -> set[str]:
-    raw = os.environ.get("REPRO_TERRA_DISABLE_PASSES", "")
-    return {part.strip() for part in raw.split(",") if part.strip()}
+def _registered(var: str, names, also: tuple = ()):
+    """``names`` (the value of ``var``), each checked against the pass
+    registry — a typo'd pass name must not silently do nothing."""
+    known = (*available_passes(), *also)
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"{var}: no pass named {name!r} "
+                              f"(registered: {', '.join(known)})")
+    return names
 
 
 #: process-wide level override installed by :func:`pipeline_override`
@@ -143,16 +131,9 @@ def resolve_level(level: Optional[int] = None) -> int:
     """The effective pipeline level: override > environment > request."""
     if _level_override is not None:
         return _level_override
-    env = os.environ.get("REPRO_TERRA_PIPELINE")
-    if env is not None and env != "":
-        try:
-            value = int(env)
-        except ValueError:
-            value = None
-        if value is None or not PIPELINE_NONE <= value <= PIPELINE_VEC:
-            raise CompileError(
-                f"REPRO_TERRA_PIPELINE must be 0..3, got {env!r}")
-        return value
+    env = config.get("REPRO_TERRA_PIPELINE")
+    if env is not None:
+        return env
     return PIPELINE_FULL if level is None else level
 
 
@@ -173,11 +154,15 @@ class PassManager:
             passes = LEVEL_PASSES[PIPELINE_FULL]
         resolved = [create_pass(p) if isinstance(p, str) else p
                     for p in passes]
-        disabled = _env_disabled()
+        disabled = _registered("REPRO_TERRA_DISABLE_PASSES",
+                               config.get("REPRO_TERRA_DISABLE_PASSES"))
         self.passes: list[Pass] = [p for p in resolved
                                    if p.name not in disabled]
-        self.verify = _env_verify() if verify is None else verify
-        self.dump = _env_dump() if dump is None else dump
+        self.verify = config.get("REPRO_TERRA_VERIFY_IR") \
+            if verify is None else verify
+        if dump is None and (dump := config.get("REPRO_TERRA_DUMP_IR")):
+            _registered("REPRO_TERRA_DUMP_IR", (dump,), also=("all",))
+        self.dump = dump
         self.record_stats = record_stats
         #: per-pass records of the most recent :meth:`run`
         self.last_run: list[dict] = []

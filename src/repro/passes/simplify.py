@@ -29,17 +29,12 @@ emit byte-identical C, and therefore hit the buildd artifact cache.
 
 from __future__ import annotations
 
-import os
-
+from .. import config
 from ..backend.interp import values as V
 from ..core import tast
 from ..core import types as T
 from .analysis import is_const, is_pure, transform_block
 from .manager import Pass, register_pass
-
-
-def _fma_enabled() -> bool:
-    return os.environ.get("REPRO_TERRA_FMA", "") not in ("", "0")
 
 
 @register_pass
@@ -150,7 +145,7 @@ def _contract_fma(e: tast.TBinOp) -> tast.TExpr:
     Only the left-operand-multiply form contracts, so a, b, c keep their
     original evaluation order.  Result-changing (single rounding), hence
     off by default and excluded from differential fuzzing."""
-    if e.op != "+" or not _fma_enabled():
+    if e.op != "+" or not config.get("REPRO_TERRA_FMA"):
         return e
     mul = e.lhs
     if isinstance(mul, tast.TBinOp) and mul.op == "*" \

@@ -27,8 +27,5 @@ class SchedulePass(Pass):
         schedule = getattr(func, "schedule", None)
         if not schedule:
             return False
-        from ..schedule import _env_disabled
         from ..schedule.lower import lower_schedule
-        if _env_disabled():
-            return False
         return lower_schedule(typed, schedule)

@@ -44,9 +44,8 @@ differential fuzzer (``make autovec-smoke``):
 
 Environment knobs (see docs/ENVIRONMENT.md):
 
-* ``REPRO_TERRA_VEC=1`` — make the C backend compile at pipeline level 3
-  (this pass); otherwise level 3 only runs when requested explicitly via
-  ``REPRO_TERRA_PIPELINE=3`` / ``pipeline_override(3)``.
+* ``REPRO_TERRA_PIPELINE=3`` / ``pipeline_override(3)`` — level 3 (this
+  pass) only runs when requested explicitly.
 * ``REPRO_TERRA_VEC_BYTES`` — vector register width in bytes (default
   64: on AVX-512 hardware gcc's own autovectorizer stops at 256-bit
   vectors for these kernels, so the explicit 512-bit width is where the
@@ -60,8 +59,7 @@ appears as ``pass.vectorize`` like every pass (docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
-import os
-
+from .. import config
 from ..core import tast
 from ..core import types as T
 from ..core.symbols import Symbol
@@ -87,17 +85,6 @@ class _Bail(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-def _env_vec_bytes() -> int:
-    raw = os.environ.get("REPRO_TERRA_VEC_BYTES", "")
-    try:
-        nbytes = int(raw) if raw else 64
-    except ValueError:
-        nbytes = 64
-    if nbytes < 4 or (nbytes & (nbytes - 1)) != 0:
-        nbytes = 64
-    return nbytes
 
 
 def _is_vec_scalar(ty) -> bool:
@@ -532,7 +519,7 @@ def vectorize_loop(loop: tast.TForNum, addr_taken: set,
     trial.build_body()
     if not width:
         widest = max(ty.sizeof() for ty in trial.lane_types)
-        width = _env_vec_bytes() // widest
+        width = config.get("REPRO_TERRA_VEC_BYTES") // widest
         if width < 2:
             raise _Bail("width")
     final = _LoopVectorizer(loop, width, addr_taken)

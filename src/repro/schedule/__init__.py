@@ -24,9 +24,9 @@ tree with no special cases.  Invalid schedules raise a typed
 construction when the conflict is schedule-internal and at compile time
 when it depends on the loop nest.
 
-Environment knob (docs/ENVIRONMENT.md): ``REPRO_TERRA_SCHEDULE_DISABLE=1``
-ignores attached schedules (compile the naive kernel and dispatch
-serially; the ablation baseline switch).  The pass-manager knob
+The pass-manager knobs apply (docs/ENVIRONMENT.md):
+``REPRO_TERRA_DISABLE_PASSES=schedule`` ignores attached schedules (naive
+kernel, serial dispatch; the ablation baseline switch) and
 ``REPRO_TERRA_DUMP_IR=schedule`` dumps the IR around the lowering.
 
 See docs/SCHEDULES.md for the lowering contract and the Orion-directive
@@ -44,10 +44,10 @@ mapping table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .. import config
 from ..errors import ScheduleError
 
 __all__ = [
@@ -57,8 +57,9 @@ __all__ = [
 ]
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("REPRO_TERRA_SCHEDULE_DISABLE", "") not in ("", "0")
+def _lowering_disabled() -> bool:
+    """The pass manager drops the ``schedule`` pass; dispatch must agree."""
+    return "schedule" in config.get("REPRO_TERRA_DISABLE_PASSES")
 
 
 # -- directives -------------------------------------------------------------------
@@ -412,7 +413,7 @@ class ScheduledKernel:
 
     def __call__(self, *args):
         par = self.schedule.parallel
-        if par is None or _env_disabled():
+        if par is None or _lowering_disabled():
             return self.fn(*args)
         from ..parallel import parallel_for
         lo, hi = self._axis_bounds(args)
@@ -484,7 +485,7 @@ def apply(fn, schedule) -> ScheduledKernel:
             f"builders (make_gemm_from_schedule, apps.dequant), not the "
             f"generic lowering — see docs/SCHEDULES.md")
     fn.schedule = schedule
-    if schedule.parallel is not None and not _env_disabled():
+    if schedule.parallel is not None and not _lowering_disabled():
         fn.mark_chunked()
     return ScheduledKernel(fn, schedule)
 

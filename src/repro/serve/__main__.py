@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="serve TCP on 127.0.0.1:PORT instead of a unix "
                         "socket (0 picks a free port)")
     p.add_argument("--workers", type=int,
-                   help="executor threads (default: cpu count)")
+                   help="executor threads (default: max(4, cpu count))")
     p.add_argument("--queue", type=int,
                    help="global in-flight request bound")
     p.add_argument("--tenant-concurrency", type=int,
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(ns: argparse.Namespace) -> ServeConfig:
-    cfg = ServeConfig.from_env()
+    cfg = ServeConfig(backend=ns.backend)
     if ns.port is not None:
         cfg.port, cfg.socket_path = ns.port, None
     elif ns.socket:
@@ -73,8 +73,6 @@ def _config_from(ns: argparse.Namespace) -> ServeConfig:
         cfg.tenant_kernels = max(1, ns.tenant_kernels)
     if ns.batch_window_ms is not None:
         cfg.batch_window_s = max(0.0, ns.batch_window_ms / 1000.0)
-    if ns.backend:
-        cfg.backend = ns.backend
     return cfg
 
 

@@ -37,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import config as _config
 from .. import trace as _trace
 from ..buildd import service as _buildd_service
 from ..errors import FFIError, TerraError, TrapError
@@ -48,18 +49,8 @@ from .protocol import ServeError
 from .state import TenantState, WarmKernel, kernel_key
 
 
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    raw = os.environ.get(name, "")
-    if raw:
-        try:
-            return max(minimum, int(raw))
-        except ValueError:
-            pass
-    return default
-
-
 def default_socket_path() -> str:
-    base = os.environ.get("REPRO_SERVE_SOCKET")
+    base = _config.get("REPRO_SERVE_SOCKET")
     if base:
         return base
     uid = os.getuid() if hasattr(os, "getuid") else 0
@@ -68,47 +59,18 @@ def default_socket_path() -> str:
 
 @dataclass
 class ServeConfig:
-    """Server knobs; every default is overridable by an environment
-    variable (``REPRO_SERVE_WORKERS``, ``REPRO_SERVE_QUEUE``, and
-    friends — see docs/ENVIRONMENT.md)."""
+    """Server knobs (docs/SERVING.md); the ``python -m repro.serve``
+    flags set these fields."""
 
     socket_path: Optional[str] = None     # unix socket (the default transport)
     port: Optional[int] = None            # TCP on 127.0.0.1 instead, if set
-    workers: int = 0                      # executor threads (0: cpu count)
+    workers: int = 0                      # executor threads (0: max(4, cpus))
     queue_limit: int = 1024               # global in-flight bound
     tenant_concurrency: int = 64          # per-tenant in-flight cap
     tenant_kernels: int = 32              # warm-pool quota per tenant
     max_request_bytes: int = 1 << 20      # per-line framing cap
     batch_window_s: float = 0.0           # 0: same-tick coalescing only
     backend: Optional[str] = None         # None: the process default
-
-    @classmethod
-    def from_env(cls) -> "ServeConfig":
-        port_raw = os.environ.get("REPRO_SERVE_PORT", "")
-        port = None
-        if port_raw:
-            try:
-                port = int(port_raw)
-            except ValueError:
-                port = None
-        window_ms_raw = os.environ.get("REPRO_SERVE_BATCH_WINDOW_MS", "")
-        try:
-            window_s = max(0.0, float(window_ms_raw) / 1000.0) \
-                if window_ms_raw else 0.0
-        except ValueError:
-            window_s = 0.0
-        return cls(
-            socket_path=None if port else default_socket_path(),
-            port=port,
-            workers=_env_int("REPRO_SERVE_WORKERS",
-                             max(4, os.cpu_count() or 1)),
-            queue_limit=_env_int("REPRO_SERVE_QUEUE", 1024),
-            tenant_concurrency=_env_int("REPRO_SERVE_TENANT_CONCURRENCY", 64),
-            tenant_kernels=_env_int("REPRO_SERVE_TENANT_KERNELS", 32),
-            max_request_bytes=_env_int("REPRO_SERVE_MAX_REQUEST_BYTES",
-                                       1 << 20, minimum=1024),
-            batch_window_s=window_s,
-        )
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else max(4, os.cpu_count() or 1)
@@ -118,7 +80,7 @@ class ServeServer:
     """The multi-tenant compile-and-execute service."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
-        self.config = config or ServeConfig.from_env()
+        self.config = config or ServeConfig()
         self._tenants: dict[str, TenantState] = {}
         self._admission = Admission(self.config.queue_limit,
                                     self.config.tenant_concurrency)

@@ -21,13 +21,10 @@ Quick use::
     print(trace.tree())                 # human nested summary
     trace.export_chrome("trace.json")   # open in chrome://tracing / Perfetto
 
-Environment:
-
-* ``REPRO_TERRA_TRACE=1`` — enable tracing for the whole process and
-  write a Chrome-trace JSON at exit (path: ``REPRO_TERRA_TRACE_OUT``,
-  default ``repro-trace.json``);
-* ``REPRO_TERRA_PROFILE=1`` — per-call runtime profiling
-  (``fn.report()``, ``repro.trace.profile.report()``).
+Environment (docs/ENVIRONMENT.md): ``REPRO_TERRA_TRACE=1`` traces the
+whole process and writes a Chrome-trace JSON at exit (to
+``REPRO_TERRA_TRACE_OUT``); ``REPRO_TERRA_PROFILE=1`` turns on per-call
+profiling (``fn.report()``, ``repro.trace.profile.report()``).
 
 Cost when disabled (the default): instrumented call sites check one
 module-level flag and receive a shared no-op span — no environment reads,
@@ -46,10 +43,10 @@ See ``docs/OBSERVABILITY.md`` for the full guide.
 from __future__ import annotations
 
 import atexit
-import os
 import time
 from typing import Optional
 
+from .. import config
 from . import metrics, profile
 from .collector import Collector, NULL_SPAN, Span
 from .export import (format_tree, summarize, to_chrome, validate_chrome,
@@ -157,7 +154,7 @@ def timed_call(fn, thunk):
 # -- environment activation ---------------------------------------------------
 
 def _dump_at_exit() -> None:
-    out = os.environ.get("REPRO_TERRA_TRACE_OUT") or "repro-trace.json"
+    out = config.get("REPRO_TERRA_TRACE_OUT")
     try:
         path = export_chrome(out)
         n = len(_collector)
@@ -166,7 +163,7 @@ def _dump_at_exit() -> None:
         print(f"[repro.trace] could not write trace: {exc}")
 
 
-if os.environ.get("REPRO_TERRA_TRACE", "") not in ("", "0"):
+if config.get("REPRO_TERRA_TRACE"):
     enable()
     atexit.register(_dump_at_exit)
 

@@ -16,16 +16,16 @@ cumulative time).
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Optional
 
+from .. import config
 from .metrics import registry
 
 _PREFIX = "call."
 
 #: module-level switch (seeded from the environment once, at import)
-_enabled = os.environ.get("REPRO_TERRA_PROFILE", "") not in ("", "0")
+_enabled = config.get("REPRO_TERRA_PROFILE")
 
 
 def enabled() -> bool:

@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from repro.buildd.cache import ArtifactCache, default_max_entries
+from repro.buildd.cache import ArtifactCache
 from repro.buildd.service import CompileService, cache_namespace
+from repro.errors import ConfigError
 
 
 def put(cache, key, ns=None, size=16, bump_clock=True):
@@ -60,11 +61,12 @@ class TestMaxEntries:
             put(cache, f"key{i}", bump_clock=False)
         assert len(live_keys(cache)) == 8
 
-    def test_env_default(self, monkeypatch):
+    def test_env_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_BUILDD_CACHE_ENTRIES", "17")
-        assert default_max_entries() == 17
+        assert ArtifactCache(str(tmp_path / "c")).max_entries == 17
         monkeypatch.setenv("REPRO_BUILDD_CACHE_ENTRIES", "junk")
-        assert default_max_entries() == 0
+        with pytest.raises(ConfigError, match="REPRO_BUILDD_CACHE_ENTRIES"):
+            ArtifactCache(str(tmp_path / "c"))
 
 
 class TestNamespaceQuota:

@@ -6,6 +6,7 @@ execution policy."""
 import pytest
 
 from repro import terra
+from repro.errors import ConfigError
 from repro.exec import (AheadOfTimePolicy, TieredPolicy, current_policy,
                         make_policy, policy_override, set_policy)
 
@@ -110,9 +111,11 @@ def test_pinned_policies_agree_bitwise():
 def test_tiered_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_TERRA_TIER_THRESHOLD", "3")
     monkeypatch.setenv("REPRO_TERRA_TIER_SYNC", "1")
-    monkeypatch.setenv("REPRO_TERRA_TIER_RESPEC", "0")
-    p = TieredPolicy.from_env()
-    assert (p.threshold, p.sync, p.respec) == (3, True, False)
+    p = make_policy("tiered")
+    assert (p.threshold, p.sync, p.respec) == (3, True, True)
+    assert TieredPolicy(respec=False).respec is False
+    monkeypatch.setenv("REPRO_TERRA_TIER_SYNC", "false")  # one convention:
+    assert make_policy("tiered").sync is True             # only "0" is off
     monkeypatch.setenv("REPRO_TERRA_TIER_THRESHOLD", "many")
-    with pytest.raises(ValueError, match="TIER_THRESHOLD"):
-        TieredPolicy.from_env()
+    with pytest.raises(ConfigError, match="TIER_THRESHOLD"):
+        make_policy("tiered")

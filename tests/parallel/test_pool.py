@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.parallel import (default_nthreads, get_pool, in_worker,
                             shutdown_pool, split_range, WorkerPool)
 
@@ -53,9 +54,14 @@ class TestDefaultNthreads:
         monkeypatch.delenv("REPRO_TERRA_THREADS", raising=False)
         assert default_nthreads(5) == 5
 
-    def test_garbage_env_ignored(self, monkeypatch):
+    def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_TERRA_THREADS", "lots")
-        assert default_nthreads(2) == 2
+        with pytest.raises(ConfigError, match="REPRO_TERRA_THREADS"):
+            default_nthreads(2)
+
+    def test_zero_clamps_to_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TERRA_THREADS", "0")
+        assert default_nthreads(8) == 1
 
 
 class TestWorkerPool:

@@ -4,7 +4,7 @@ import pytest
 
 from repro import terra
 from repro.core import tast
-from repro.errors import CompileError
+from repro.errors import CompileError, ConfigError
 from repro.passes import (
     LEVEL_PASSES,
     PIPELINE_CANON,
@@ -61,6 +61,20 @@ class TestManager:
         manager = PassManager(["fold", "simplify", "licm", "dce"])
         assert manager.pass_names() == ["fold", "simplify"]
 
+    @pytest.mark.parametrize("var, value", [
+        ("REPRO_TERRA_DISABLE_PASSES", "lcim"),
+        ("REPRO_TERRA_DISABLE_PASSES", "licm,all"),
+        ("REPRO_TERRA_DUMP_IR", "nosuchpass"),
+    ])
+    def test_unknown_pass_name_is_an_error(self, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ConfigError, match=f"{var}.*registered:.*licm"):
+            PassManager(["fold"])
+
+    def test_dump_all_is_valid(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TERRA_DUMP_IR", "all")
+        assert PassManager(["fold"]).dump == "all"
+
     def test_dump_ir(self, monkeypatch, capsys):
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
         manager = PassManager(["fold"], dump="fold", verify=False)
@@ -90,7 +104,7 @@ class TestLevels:
 
     def test_resolve_env_invalid(self, monkeypatch):
         monkeypatch.setenv("REPRO_TERRA_PIPELINE", "fast")
-        with pytest.raises(CompileError, match="REPRO_TERRA_PIPELINE"):
+        with pytest.raises(ConfigError, match="REPRO_TERRA_PIPELINE"):
             resolve_level(None)
 
     def test_resolve_env_vec_level(self, monkeypatch):
@@ -102,7 +116,7 @@ class TestLevels:
         """Out-of-range levels raise like non-integers do, instead of
         silently clamping a typo'd configuration."""
         monkeypatch.setenv("REPRO_TERRA_PIPELINE", value)
-        with pytest.raises(CompileError, match="REPRO_TERRA_PIPELINE"):
+        with pytest.raises(ConfigError, match="REPRO_TERRA_PIPELINE"):
             resolve_level(None)
 
     def test_override_wins(self, monkeypatch):

@@ -270,12 +270,12 @@ class TestApplyMisuse:
 
 class TestEnvDisable:
     def test_disable_skips_lowering(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_SCHEDULE_DISABLE", "1")
+        monkeypatch.setenv("REPRO_TERRA_DISABLE_PASSES", "schedule")
         typed = lower(build(SAXPY, Schedule([Block("i", 8)])))
         assert loop_names(typed.body) == ["i"]  # untouched
 
     def test_disable_dispatches_serially(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_SCHEDULE_DISABLE", "1")
+        monkeypatch.setenv("REPRO_TERRA_DISABLE_PASSES", "schedule")
         k = build(SAXPY, Schedule([Parallel("i")]))
         x = np.ones(8, dtype=np.float32)
         y = np.ones(8, dtype=np.float32)

@@ -91,8 +91,8 @@ def test_buildstats_counters_are_per_instance():
     a, b = BuildStats(), BuildStats()
     a.record_submit()
     a.record_compile("k", 0.5, 100)
-    assert (a.submitted, a.compiles) == (1, 1)
-    assert (b.submitted, b.compiles) == (0, 0)
+    assert (a.submitted, a.compiles, a.cache_hits) == (1, 1, 0)
+    assert (b.submitted, b.compiles, b.cache_hits) == (0, 0, 0)
 
 
 def test_buildstats_hit_and_queue_accounting():
@@ -100,17 +100,19 @@ def test_buildstats_hit_and_queue_accounting():
     st.record_hit()
     st.record_submit()
     st.record_submit()
-    assert st.queue_depth == 2
-    assert st.max_queue_depth == 2
+    snap = st.snapshot()
+    assert (snap["queue_depth"], snap["max_queue_depth"]) == (2, 2)
     st.record_compile("k1", 0.1, 10)
     st.record_failure("k2", 0.2)
-    assert st.queue_depth == 0
-    assert st.cache_hits == 1
-    assert st.cache_misses == 2
-    assert st.hit_rate() == 1 / 3
-    assert st.compile_seconds == 0.30000000000000004 or \
-        abs(st.compile_seconds - 0.3) < 1e-12
-    assert st.recent == [{"key": "k1", "seconds": 0.1, "bytes": 10}]
+    snap = st.snapshot()
+    assert (snap["queue_depth"], snap["max_queue_depth"]) == (0, 2)
+    assert st.cache_hits == snap["cache_hits"] == 1
+    assert snap["cache_misses"] == 2
+    assert st.hit_rate() == snap["hit_rate"] == 1 / 3
+    assert abs(st.registry.get("buildd.compile_seconds") - 0.3) < 1e-12
+    assert snap["compile_seconds"] == 0.3
+    assert snap["recent_builds"] == [{"key": "k1", "seconds": 0.1,
+                                      "bytes": 10}]
 
 
 def test_buildstats_cross_cutting_series_are_process_wide():
@@ -120,12 +122,11 @@ def test_buildstats_cross_cutting_series_are_process_wide():
     pass_runs_before = (reg.timing("pass.__viewtest__") or {}).get("runs", 0)
     a, b = BuildStats(), BuildStats()
     a.record_fuzz(programs=7, divergences=1, traps=2, crashes=3)
-    a.record_pass("__viewtest__", 0.25)
-    assert b.fuzz_programs == before + 7
-    assert b.pass_runs["__viewtest__"]["runs"] == pass_runs_before + 1
+    reg.record_time("pass.__viewtest__", 0.25)
+    assert int(reg.get("fuzz.programs")) == before + 7
     snap = b.snapshot()
     assert snap["fuzz"]["programs"] == before + 7
-    assert "__viewtest__" in snap["passes"]
+    assert snap["passes"]["__viewtest__"]["runs"] == pass_runs_before + 1
     reg.reset("pass.__viewtest__")
 
 
