@@ -99,9 +99,11 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 OUT ?= benchmarks/ledger/out
+WORKLOADS ?=
 
 bench-ledger:  # the performance ledger, 3 runs, compared to the committed baseline
-	$(PYTHON) benchmarks/ledger/run.py --out $(OUT) --runs 3
+	# (WORKLOADS=stage_cached,stage_cold runs a subset: two minutes, not twenty-five)
+	$(PYTHON) benchmarks/ledger/run.py --out $(OUT) --runs 3 $(if $(WORKLOADS),--workloads $(WORKLOADS))
 	$(PYTHON) benchmarks/ledger/run.py compare benchmarks/ledger/baseline/a.json $(OUT)/ledger.json
 
 bench-compile:  # serial vs. parallel tuner compile wall-clock (buildd)

@@ -57,10 +57,14 @@ def test_decorated_twin_is_a_cache_hit():
 
 
 def test_definition_overhead_is_bounded():
-    """Defining through the decorator (inspect + ast + lowering) vs the
-    string parser; both include eager specialization.  The decorator
-    may cost more per definition, but must stay within an order of
-    magnitude — it is a definition-time (not call-time) cost."""
+    """Defining through the decorator vs the string frontend; both
+    include eager specialization.  One literal (one ``def``) is defined
+    30 times, so after the first definition both sides pay
+    specialization only: both trees come from the template cache
+    (``repro.core.parser.parsed``), the decorator's keyed by the text
+    of its ``def`` — which it still reads (``inspect``) per decoration.
+    The decorator may cost more per definition, but must stay within an
+    order of magnitude — it is a definition-time (not call-time) cost."""
     n = 30
 
     t0 = time.perf_counter()

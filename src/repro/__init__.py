@@ -164,8 +164,8 @@ def terra(source=None, env=None, filename: str = "<terra>"):
             f"decorate, got {source!r}")
     environment = _environment(env)
     with trace.span("terra", cat="stage", filename=filename) as tsp:
-        with trace.span("parse", cat="stage", filename=filename):
-            defs = _parser.parse_toplevel(source, filename)
+        with trace.span("parse", cat="stage", filename=filename) as psp:
+            defs = _parser.parsed("toplevel", source, filename, span=psp)
         if not defs:
             raise TerraSyntaxError("no Terra definitions in source")
         results: dict[str, object] = {}
@@ -282,14 +282,14 @@ def quote_(source: str, env=None, filename: str = "<quote>") -> Quote:
     specialized in the caller's lexical environment.  An optional trailing
     ``in e`` clause makes it splicable in expression position."""
     environment = _environment(env)
-    qbody = _parser.parse_quote(source, filename)
+    qbody = _parser.parsed("quote", source, filename)
     return Specializer(environment).spec_quote(qbody)
 
 
 def expr(source: str, env=None, filename: str = "<expr>") -> Quote:
     """Create a single-expression quotation (Terra's back-tick)."""
     environment = _environment(env)
-    tree = _parser.parse_expression(source, filename)
+    tree = _parser.parsed("expr", source, filename)
     return Quote.from_expr(Specializer(environment).spec_expr(tree))
 
 
@@ -304,7 +304,7 @@ def struct(source_or_name: str, env=None) -> StructType:
     if "{" not in source_or_name:
         return _types.StructType(source_or_name)
     environment = _environment(env)
-    defs = _parser.parse_toplevel(source_or_name)
+    defs = _parser.parsed("toplevel", source_or_name, "<terra>")
     if len(defs) != 1 or not isinstance(defs[0], _ast.StructDef):
         raise TerraSyntaxError("struct() expects exactly one struct definition")
     d = defs[0]

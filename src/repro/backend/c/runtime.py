@@ -16,6 +16,7 @@ can overlap compilation with other work.
 from __future__ import annotations
 
 import ctypes
+import weakref
 
 from ... import trace as _trace
 from ...buildd import get_service
@@ -232,18 +233,34 @@ class CBackend(Backend):
 
     def __init__(self):
         self._libs: list[ctypes.CDLL] = []
+        #: entry fn -> (key, C source, C names): see _emit
+        self._units = weakref.WeakKeyDictionary()
         self._globals: dict[int, tuple] = {}   # glob.uid -> (buffer, addr)
         self._callbacks: dict[int, tuple] = {}  # cb.uid -> (wrapper, addr)
 
     # -- compilation -------------------------------------------------------------
+    def _emit(self, fn, component, **span_args):
+        """``(source, names)`` of ``fn``'s component — the C text and each
+        member's C name (``uid -> name``) — emitted once and remembered, so
+        ``get_c_source()`` shows the text that was compiled.  Only the
+        pipeline level and ``mark_chunked()`` can move it: the key."""
+        from ...passes import resolve_level
+        key = (resolve_level(self.pipeline_level),
+               tuple(f.emit_chunk for f in component))
+        unit = self._units.get(fn)
+        if unit is None or unit[0] != key:
+            with _trace.span(f"emit:{fn.name}", cat="emit", backend="c",
+                             component_size=len(component), **span_args) as sp:
+                emitter = CEmitter(component, self)
+                source = emitter.emit_unit()
+                sp.set(c_bytes=len(source))
+            unit = self._units[fn] = (key, source, emitter.fn_names)
+        return unit[1], unit[2]
+
     def compile_unit(self, fn, component):
-        with _trace.span(f"emit:{fn.name}", cat="emit", backend="c",
-                         component_size=len(component)) as sp:
-            emitter = CEmitter(component, self)
-            source = emitter.emit_unit()
-            sp.set(c_bytes=len(source))
+        source, names = self._emit(fn, component)
         so_path = get_service().compile(source, tuple(_EXTRA_CFLAGS))
-        return self._bind_unit(fn, component, emitter, so_path)
+        return self._bind_unit(fn, component, names, so_path)
 
     def compile_unit_async(self, fn, component):
         """Submit the unit to the buildd pool; returns a
@@ -253,32 +270,28 @@ class CBackend(Backend):
         Source emission and flag capture happen synchronously (in the
         caller's thread, so :func:`extra_cflags` blocks behave), only the
         compiler run overlaps."""
-        with _trace.span(f"emit:{fn.name}", cat="emit", backend="c",
-                         component_size=len(component), mode="async") as sp:
-            emitter = CEmitter(component, self)
-            source = emitter.emit_unit()
-            sp.set(c_bytes=len(source))
+        source, names = self._emit(fn, component, mode="async")
         future = get_service().compile_async(source, tuple(_EXTRA_CFLAGS))
         return CompileTicket(
-            future, lambda so: self._bind_unit(fn, component, emitter, so))
+            future, lambda so: self._bind_unit(fn, component, names, so))
 
-    def _bind_unit(self, fn, component, emitter, so_path):
+    def _bind_unit(self, fn, component, names, so_path):
         """ctypes-load a compiled unit and cache handles for every function
         in it; returns the entry function's handle.  Safe to call twice for
         the same unit (handles install with setdefault)."""
         with _trace.span(f"bind:{fn.name}", cat="bind",
                          so=so_path.rsplit("/", 1)[-1],
                          component_size=len(component)):
-            return self._bind_unit_traced(fn, component, emitter, so_path)
+            return self._bind_unit_traced(fn, component, names, so_path)
 
-    def _bind_unit_traced(self, fn, component, emitter, so_path):
+    def _bind_unit_traced(self, fn, component, names, so_path):
         lib = ctypes.CDLL(so_path)
         self._libs.append(lib)
         entry_handle = None
         for f in component:
             if f.is_external:
                 continue
-            cname = emitter.fn_name(f)
+            cname = names[f.uid]
             cfn = getattr(lib, cname)
             ftype = f.typed.type
             cfn.restype = abi.ctype_for(ftype.returntype)
@@ -311,8 +324,7 @@ class CBackend(Backend):
         tests, and saveobj), after the same IR pipeline a real compile
         would run."""
         from ...core.linker import pipelined_component
-        component = pipelined_component(fn, self)
-        return CEmitter(component, self).emit_unit()
+        return self._emit(fn, pipelined_component(fn, self))[0]
 
     # -- globals ----------------------------------------------------------------
     def materialize_global(self, glob):

@@ -5,6 +5,11 @@ run during specialization) and unresolved :class:`Name` nodes.  Eager
 specialization (:mod:`repro.core.specialize`) turns them into *specialized*
 trees in which every name is resolved to a symbol, constant, function
 reference or spliced quotation — the paper's ``ē`` terms.
+
+**Trees are read-only once built** — no assigning to a node, no mutating
+its lists: every evaluation of the same source text shares one
+(:func:`repro.core.parser.parsed`).  What derives from an escape's *text*
+(code object, ``&`` count) is therefore computed here, once.
 """
 
 from __future__ import annotations
@@ -12,6 +17,24 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..errors import SourceLocation
+
+
+class _Code:
+    """Meta-language code, compiled when the tree is built.  Only its
+    evaluation can tell bad Python from a Terra type (``[&vector(float,4)]``),
+    so a failure is kept: :meth:`code_object` raises a copy, every time."""
+
+    def _compile(self, code: str, filename: str, mode: str) -> None:
+        try:
+            self._compiled = compile(code, filename, mode)
+        except (SyntaxError, ValueError) as exc:
+            # args only: the traceback would pin the parser's frames
+            self._compiled = (type(exc), exc.args)
+
+    def code_object(self):
+        if isinstance(self._compiled, tuple):
+            raise self._compiled[0](*self._compiled[1])
+        return self._compiled
 
 
 class Node:
@@ -76,15 +99,20 @@ class Name(Expr):
         self.name = name
 
 
-class Escape(Expr):
+class Escape(Expr, _Code):
     """``[ python-code ]`` — evaluated in the shared lexical environment
-    during specialization; the result is spliced into the Terra tree."""
+    during specialization; the result is spliced into the Terra tree.
+    The ``&`` of ``[&PixelType]`` (paper §2) is not Python: leading ``&``s
+    are counted off (``npointer``), the rest is the expression."""
 
     _fields = ("code",)
 
     def __init__(self, code: str, location=None):
         super().__init__(location)
         self.code = code
+        python = code.lstrip("& \t\r\n")
+        self.npointer = code[:len(code) - len(python)].count("&")
+        self._compile(python, "<string>", "eval")
 
 
 class Select(Expr):
@@ -347,14 +375,14 @@ class EscapeStat(Stat):
     """A statement-position escape: may splice a quote, a list of quotes,
     or nothing."""
 
-    _fields = ("code",)
+    _fields = ("escape",)
 
-    def __init__(self, code: str, location=None):
-        super().__init__(location)
-        self.code = code
+    def __init__(self, escape: Escape):
+        super().__init__(escape.location)
+        self.escape = escape
 
 
-class EscapeBlock(Stat):
+class EscapeBlock(Stat, _Code):
     """``escape <python statements> end`` — run a Python block during
     specialization; quotes passed to its ``emit(...)`` are spliced here
     in order (Terra's escape/emit)."""
@@ -364,6 +392,7 @@ class EscapeBlock(Stat):
     def __init__(self, code: str, location=None):
         super().__init__(location)
         self.code = code
+        self._compile(code, "<escape block>", "exec")
 
 
 class DeferStat(Stat):

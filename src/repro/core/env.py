@@ -92,42 +92,34 @@ class Environment:
         return self.lookup(name, sentinel) is not sentinel
 
     # -- escape evaluation -------------------------------------------------------
-    def eval_escape(self, code: str, terra_scope: Optional[Mapping] = None,
-                    location=None):
-        """Evaluate escape code in this environment.
+    def eval_escape(self, escape, terra_scope: Optional[Mapping] = None):
+        """Evaluate an :class:`~repro.core.ast.Escape` in this environment.
 
         ``terra_scope`` maps in-scope Terra variable names to their quoted
         symbol references; it shadows the captured meta bindings, exactly
         as lexical scoping demands.
         """
-        maps = []
-        if terra_scope:
-            maps.append(dict(terra_scope))
-        maps.append(self.locals)
-        local_view = ChainMap(*maps) if len(maps) > 1 else maps[0]
-        # Terra type sugar: escapes like [&PixelType] (paper §2) use '&' as
-        # the pointer-type constructor, which is not Python syntax.
-        npointer = 0
-        stripped = code
-        while stripped.startswith("&"):
-            npointer += 1
-            stripped = stripped[1:].lstrip()
+        # {} takes the escape's own bindings ([(k := 3)]); the view is shared
+        local_view = ChainMap({}, terra_scope, self.locals) if terra_scope \
+            else self.locals
         try:
-            value = eval(stripped, self.globals, local_view)  # noqa: S307
+            value = eval(escape.code_object(), self.globals,  # noqa: S307
+                         local_view)
         except SpecializeError:
             raise
         except Exception as exc:
             raise SpecializeError(
-                f"error evaluating escape [{code}]: {exc!r}", location) from exc
-        if npointer:
+                f"error evaluating escape [{escape.code}]: {exc!r}",
+                escape.location) from exc
+        if escape.npointer:
             from . import types as T
             coerced = T.coerce_to_type(value)
             if coerced is None:
                 raise SpecializeError(
                     f"escape [&...] requires a Terra type, got {value!r}",
-                    location)
+                    escape.location)
             value = coerced
-            for _ in range(npointer):
+            for _ in range(escape.npointer):
                 value = T.pointer(value)
         return value
 

@@ -92,15 +92,20 @@ class Lexer:
         self.pos = 0
         self.line = first_line
         self.line_start = 0
+        self._line_text = (-1, "")   # (line_start, that line's text)
 
     # -- bookkeeping --------------------------------------------------------
     def _location(self) -> SourceLocation:
-        line_end = self.source.find("\n", self.line_start)
-        if line_end < 0:
-            line_end = len(self.source)
+        start, text = self._line_text
+        if start != self.line_start:
+            # cut once per line: every location on it shares the string
+            line_end = self.source.find("\n", self.line_start)
+            if line_end < 0:
+                line_end = len(self.source)
+            text = self.source[self.line_start:line_end]
+            self._line_text = (self.line_start, text)
         return SourceLocation(self.filename, self.line,
-                              self.pos - self.line_start + 1,
-                              self.source[self.line_start:line_end])
+                              self.pos - self.line_start + 1, text)
 
     def _error(self, message: str) -> TerraSyntaxError:
         return TerraSyntaxError(message, self._location())

@@ -19,9 +19,12 @@ Operator precedence (loosest to tightest) mirrors Terra:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Optional
 
 from ..errors import TerraSyntaxError
+from ..trace.metrics import registry
 from . import ast
 from .lexer import Lexer, Token
 
@@ -49,26 +52,23 @@ class Parser:
     def __init__(self, source: str, filename: str = "<terra>",
                  first_line: int = 1):
         self.lexer = Lexer(source, filename, first_line)
-        self._buffer: list[Token] = []
+        #: tokens lexed so far — lazily: a ``[`` opens Python; _pos = current
+        self._toks: list[Token] = []
+        self._pos = 0
         self.last_line = first_line
 
     # -- token plumbing ------------------------------------------------------
-    def _fill(self, n: int) -> None:
-        while len(self._buffer) < n:
-            self._buffer.append(self.lexer.next_token())
+    def peek(self, n: int = 0) -> Token:
+        toks = self._toks
+        while self._pos + n >= len(toks):
+            toks.append(self.lexer.next_token())
+        return toks[self._pos + n]
 
-    @property
-    def tok(self) -> Token:
-        self._fill(1)
-        return self._buffer[0]
-
-    def peek(self, n: int = 1) -> Token:
-        self._fill(n + 1)
-        return self._buffer[n]
+    tok = property(peek)
 
     def advance(self) -> Token:
-        self._fill(1)
-        tok = self._buffer.pop(0)
+        tok = self.tok
+        self._pos += 1
         self.last_line = tok.location.line
         return tok
 
@@ -108,9 +108,9 @@ class Parser:
     def parse_escape(self) -> ast.Escape:
         """Parse ``[ python ]`` with the current token being ``[``."""
         open_tok = self.expect(Token.OP, "[")
-        if self._buffer:
-            # tokens were buffered past the '['; the lexer will rewind.
-            self._buffer.clear()
+        # the lexer re-scans from the end of the '[' as raw Python: forget
+        # whatever was lexed past it
+        del self._toks[self._pos:]
         code, loc = self.lexer.scan_escape(open_tok.end_offset)
         code = code.strip()
         if not code:
@@ -269,8 +269,7 @@ class Parser:
                 return ast.DeferStat(call, loc)
             if kw == "escape":
                 open_tok = self.advance()
-                if self._buffer:
-                    self._buffer.clear()
+                del self._toks[self._pos:]
                 code, loc = self.lexer.scan_escape_block(open_tok.end_offset)
                 import textwrap
                 return ast.EscapeBlock(textwrap.dedent(code), loc)
@@ -381,7 +380,7 @@ class Parser:
         if isinstance(first, (ast.Apply, ast.MethodCall)):
             return ast.ExprStat(first, loc)
         if isinstance(first, ast.Escape):
-            return ast.EscapeStat(first.code, first.location)
+            return ast.EscapeStat(first)
         raise self.error("expected a statement (this expression has no effect)")
 
     # -- expressions ----------------------------------------------------------------
@@ -623,3 +622,72 @@ def parse_type(source: str, filename: str = "<type>",
     if not parser.check(Token.EOF):
         raise parser.error("unexpected text after type")
     return expr
+
+
+# -- the template cache ------------------------------------------------------------
+
+#: source characters the cache may hold (a tree is ~65 bytes per character,
+#: so ~8 MB); a longer text is parsed and not kept
+TEMPLATE_CACHE_CHARS = 128 * 1024
+
+#: kind -> ``(source, filename, first_line) -> tree``; a frontend with its
+#: own surface syntax adds its kind (``frontend/pyast.py``: ``pydef``)
+PARSERS = {"toplevel": parse_toplevel, "quote": parse_quote,
+           "expr": parse_expression, "type": parse_type}
+
+
+class TemplateCache:
+    """Source text → tree: a ``quote_("...")`` in a loop is lexed, parsed
+    and its escapes compiled once, as Terra parses a ``quote`` when the Lua
+    chunk loads and only *specializes* it per evaluation (§4.1).  Trees are
+    read-only (:mod:`repro.core.ast`) and have seen no environment, so all
+    evaluations, on any thread, share one.  Least recently used texts are
+    evicted past ``max_chars``; a text that fails to parse is never stored."""
+
+    def __init__(self, max_chars: int = TEMPLATE_CACHE_CHARS):
+        self.max_chars = max_chars
+        self.chars = 0
+        self._trees: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def parsed(self, kind: str, source: str, filename: str,
+               first_line: int = 1, span=None):
+        """``source`` parsed as ``kind`` (a key of ``PARSERS``): the same
+        tree for the same arguments while it stays cached.  ``span``, the
+        caller's ``parse`` trace span, is told ``cached=``."""
+        key = (kind, source, filename, first_line)
+        with self._lock:
+            tree = self._trees.get(key)
+            if tree is not None:
+                self._trees.move_to_end(key)
+        if span is not None:
+            span.set(cached=tree is not None)
+        if tree is not None:
+            registry().add("parse.cache.hits")
+            return tree
+        registry().add("parse.cache.misses")
+        tree = PARSERS[kind](source, filename, first_line)
+        if len(source) > self.max_chars:
+            return tree
+        with self._lock:
+            kept = self._trees.setdefault(key, tree)
+            if kept is not tree:
+                return kept  # another thread missed on this text first
+            self.chars += len(source)
+            while self.chars > self.max_chars:
+                oldest, _ = self._trees.popitem(last=False)
+                self.chars -= len(oldest[1])
+                registry().add("parse.cache.evictions")
+            registry().set("parse.cache.chars", self.chars)
+        return tree
+
+    def clear(self) -> None:
+        with self._lock:
+            self._trees.clear()
+            self.chars = 0
+            registry().set("parse.cache.chars", 0)
+
+
+#: the process-wide cache behind ``terra``/``quote_``/``expr``/``struct``
+templates = TemplateCache()
+parsed = templates.parsed

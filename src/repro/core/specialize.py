@@ -169,16 +169,20 @@ class Specializer:
         self.env = env
         #: stack of dicts: Terra-scope name -> Symbol
         self.scopes: list[dict[str, Symbol]] = [{}]
+        #: :meth:`terra_scope_view` of the current scopes; None = rebuild
+        self._scope_view: Optional[dict[str, Quote]] = None
 
     # -- scope handling -----------------------------------------------------
     def push_scope(self) -> None:
         self.scopes.append({})
 
     def pop_scope(self) -> None:
-        self.scopes.pop()
+        if self.scopes.pop():
+            self._scope_view = None
 
     def bind(self, name: str, symbol: Symbol) -> None:
         self.scopes[-1][name] = symbol
+        self._scope_view = None
 
     def lookup_terra(self, name: str) -> Optional[Symbol]:
         for scope in reversed(self.scopes):
@@ -187,17 +191,20 @@ class Specializer:
         return None
 
     def terra_scope_view(self) -> dict[str, Quote]:
-        """Terra variables as seen by escapes: quoted symbol references."""
-        view: dict[str, Quote] = {}
-        for scope in self.scopes:
-            for name, sym in scope.items():
-                view[name] = Quote.from_expr(sast.SVar(sym))
+        """Terra variables as seen by escapes: quoted symbol references
+        (built once per scope change; quotes copy on splice, so escapes
+        can share them)."""
+        view = self._scope_view
+        if view is None:
+            view = self._scope_view = {
+                name: Quote.from_expr(sast.SVar(sym))
+                for scope in self.scopes for name, sym in scope.items()}
         return view
 
     # -- escapes ---------------------------------------------------------------
-    def eval_escape(self, code: str, location):
+    def eval_escape(self, escape: ast.Escape):
         try:
-            return self.env.eval_escape(code, self.terra_scope_view(), location)
+            return self.env.eval_escape(escape, self.terra_scope_view())
         except SpecializeError as first_error:
             # Paper-style type escapes like [&vector(float,4)] are Terra
             # type syntax, not Python; retry as a Terra type expression
@@ -206,9 +213,8 @@ class Specializer:
             if not isinstance(cause, (NameError, SyntaxError)):
                 raise
             try:
-                from .parser import parse_type
-                tree = parse_type(code)
-                return self.eval_type(tree)
+                from .parser import parsed
+                return self.eval_type(parsed("type", escape.code, "<type>"))
             except Exception:
                 raise first_error from None
 
@@ -231,12 +237,12 @@ class Specializer:
         if isinstance(e, ast.Bool):
             return e.value
         if isinstance(e, ast.Escape):
-            return self.eval_escape(e.code, e.location)
+            return self.eval_escape(e)
         if isinstance(e, ast.Select):
             obj = self.meta_eval(e.obj)
             field = e.field
             if isinstance(field, ast.Escape):
-                field = self.eval_escape(field.code, field.location)
+                field = self.eval_escape(field)
             return _meta_select(obj, field, e.location)
         if isinstance(e, ast.Apply):
             fn = self.meta_eval(e.fn)
@@ -321,7 +327,7 @@ class Specializer:
         if isinstance(e, ast.Escape):
             # escape results behave like meta values so that e.g.
             # [table].field, [intrinsic](...) and [T](...) work
-            return _Meta(self.eval_escape(e.code, loc))
+            return _Meta(self.eval_escape(e))
         if isinstance(e, ast.Select):
             return self._spec_select(e)
         if isinstance(e, ast.Index):
@@ -378,7 +384,7 @@ class Specializer:
     def _spec_select(self, e: ast.Select):
         field = e.field
         if isinstance(field, ast.Escape):
-            field = self.eval_escape(field.code, field.location)
+            field = self.eval_escape(field)
             if isinstance(field, Symbol):
                 field = field.displayname or field.name
             if not isinstance(field, str):
@@ -400,7 +406,7 @@ class Specializer:
         out: list[sast.SExpr] = []
         for a in args:
             if isinstance(a, ast.Escape):
-                value = self.eval_escape(a.code, a.location)
+                value = self.eval_escape(a)
                 if isinstance(value, (list, tuple)):
                     out.extend(embed_value(v, a.location) for v in value)
                     continue
@@ -530,7 +536,7 @@ class Specializer:
             raise SpecializeError(f"cannot specialize {type(s).__name__}", loc)
 
     def _spec_escape_stat(self, s: ast.EscapeStat, out: list[sast.SStat]) -> None:
-        value = self.eval_escape(s.code, s.location)
+        value = self.eval_escape(s.escape)
         self._splice_stat_value(value, s.location, out)
 
     def _spec_escape_block(self, s: ast.EscapeBlock,
@@ -547,8 +553,7 @@ class Specializer:
         scope["emit"] = emit
         local_view = ChainMap(scope, self.env.locals)
         try:
-            exec(compile(s.code, "<escape block>", "exec"),  # noqa: S102
-                 self.env.globals, local_view)
+            exec(s.code_object(), self.env.globals, local_view)  # noqa: S102
         except SpecializeError:
             raise
         except Exception as exc:
@@ -587,8 +592,7 @@ class Specializer:
             declared = self.eval_type(target.type_expr) \
                 if target.type_expr is not None else None
             if target.escape is not None:
-                value = self.eval_escape(target.escape.code,
-                                         target.escape.location)
+                value = self.eval_escape(target.escape)
                 syms = value if isinstance(value, (list, tuple)) else [value]
                 for sym in syms:
                     if not isinstance(sym, Symbol):
@@ -612,7 +616,7 @@ class Specializer:
         step = self.spec_expr(s.step) if s.step is not None else None
         target = s.target
         if target.escape is not None:
-            sym = self.eval_escape(target.escape.code, target.escape.location)
+            sym = self.eval_escape(target.escape)
             if not isinstance(sym, Symbol):
                 raise SpecializeError(
                     f"for-loop variable escape must produce a symbol, got "
@@ -661,7 +665,7 @@ class Specializer:
                     types: list[T.Type]) -> None:
         declared = self.eval_type(p.type_expr) if p.type_expr is not None else None
         if p.escape is not None:
-            value = self.eval_escape(p.escape.code, p.escape.location)
+            value = self.eval_escape(p.escape)
             values = value if isinstance(value, (list, tuple)) else [value]
             for sym in values:
                 if not isinstance(sym, Symbol):

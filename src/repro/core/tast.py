@@ -427,13 +427,15 @@ class TypedFunction:
 
 def walk(node):
     """Yield every TNode in a typed tree (pre-order)."""
-    if isinstance(node, TNode):
-        yield node
-        for field in node._fields:
-            yield from walk(getattr(node, field))
-    elif isinstance(node, (list, tuple)):
-        for item in node:
-            yield from walk(item)
+    stack = [node]
+    while stack:
+        children = node = stack.pop()
+        if isinstance(node, TNode):
+            yield node
+            children = [getattr(node, field) for field in node._fields]
+        # reversed, so children pop — and are yielded — in field order
+        stack.extend([child for child in reversed(children)
+                      if isinstance(child, _CONTAINERS)])
 
 
 def clone(node):
@@ -446,11 +448,18 @@ def clone(node):
     """
     if isinstance(node, TNode):
         new = object.__new__(type(node))
-        for key, value in vars(node).items():
-            new.__dict__[key] = clone(value)
+        fresh = new.__dict__
+        # the whole dict, not ``_fields``: pass tags (``_sched_origin``) too
+        for key, value in node.__dict__.items():
+            fresh[key] = clone(value) if isinstance(value, _CONTAINERS) \
+                else value
         return new
     if isinstance(node, list):
-        return [clone(item) for item in node]
+        return [clone(item) if isinstance(item, _CONTAINERS) else item
+                for item in node]
     if isinstance(node, tuple):
-        return tuple(clone(item) for item in node)
+        return tuple([clone(item) for item in node])
     return node
+
+
+_CONTAINERS = (TNode, list, tuple)

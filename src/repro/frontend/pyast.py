@@ -52,7 +52,7 @@ from typing import Optional
 
 from .. import config, trace
 from ..errors import SourceLocation, TerraError, TerraSyntaxError
-from ..core import ast as tast
+from ..core import ast as tast, parser
 from ..core.env import Environment
 from ..core.function import TerraFunction
 from ..core.specialize import Specializer
@@ -210,7 +210,7 @@ class _Lowerer:
                 return None  # docstring
             payload = _escape_payload(node.value)
             if payload is not None:
-                return tast.EscapeStat(pyast.unparse(payload), loc)
+                return tast.EscapeStat(tast.Escape(pyast.unparse(payload), loc))
             return tast.ExprStat(self.expr(node.value), loc)
         raise self.error(
             f"{type(node).__name__} is outside the @terra statement subset "
@@ -419,16 +419,37 @@ class _Lowerer:
 
 
 def _function_source(pyfn):
-    """The dedented source of ``pyfn`` plus its 0-based file line offset."""
-    code = pyfn.__code__
+    """The dedented source of ``pyfn`` and the file line it starts on."""
     try:
         srclines, first_line = inspect.getsourcelines(pyfn)
     except (OSError, TypeError) as exc:
         raise TerraSyntaxError(
             f"@terra cannot read the source of {pyfn.__name__!r} "
-            f"({code.co_filename}): the decorator frontend re-parses the "
-            f"function body, so it needs the defining file") from exc
-    return textwrap.dedent("".join(srclines)), first_line - 1
+            f"({pyfn.__code__.co_filename}): the decorator frontend "
+            f"re-parses the function body, so it needs the defining file"
+        ) from exc
+    return textwrap.dedent("".join(srclines)), first_line
+
+
+def _lower_def(source: str, filename: str, first_line: int) -> tast.FunctionDef:
+    """The template cache's ``pydef`` kind.  Lowering is syntactic —
+    annotations, escapes and free names become expressions the specializer
+    evaluates in each decoration's environment — so every decoration of
+    the same text (a kernel factory in a loop) shares one read-only tree."""
+    try:
+        module = pyast.parse(source)
+    except SyntaxError as exc:  # pragma: no cover - defensive
+        raise TerraSyntaxError(f"could not re-parse the `def`: {exc}",
+                               SourceLocation(filename, first_line, 1)) from exc
+    if not module.body or not isinstance(module.body[0], pyast.FunctionDef):
+        raise TerraSyntaxError(
+            "@terra expects a plain `def` (async def and lambdas "
+            "are not Terra functions)", SourceLocation(filename, first_line, 1))
+    lowerer = _Lowerer(filename, source.splitlines(), first_line - 1)
+    return lowerer.lower_function(module.body[0])
+
+
+parser.PARSERS["pydef"] = _lower_def
 
 
 def define_pyfunc(pyfn, environment: Environment,
@@ -446,25 +467,12 @@ def define_pyfunc(pyfn, environment: Environment,
         raise TerraSyntaxError(
             f"@terra expects a plain Python function, got {pyfn!r}")
     filename = pyfn.__code__.co_filename
-    source, line_offset = _function_source(pyfn)
     fname = name or pyfn.__name__
     with trace.span("terra.pyast", cat="stage", filename=filename,
                     function=fname):
         with trace.span("lower", cat="stage", filename=filename):
-            try:
-                module = pyast.parse(source)
-            except SyntaxError as exc:  # pragma: no cover - defensive
-                raise TerraSyntaxError(
-                    f"could not re-parse {fname!r}: {exc}") from exc
-            if not module.body or not isinstance(module.body[0],
-                                                 pyast.FunctionDef):
-                raise TerraSyntaxError(
-                    f"@terra expects a plain `def` (async def and lambdas "
-                    f"are not Terra functions)",
-                    SourceLocation(filename, line_offset + 1, 1))
-            fdef = module.body[0]
-            lowerer = _Lowerer(filename, source.splitlines(), line_offset)
-            tdef = lowerer.lower_function(fdef)
+            source, first_line = _function_source(pyfn)
+            tdef = parser.parsed("pydef", source, filename, first_line)
         # closure cells participate in the lexical environment, exactly
         # like the enclosing-frame locals the string frontend captures
         if pyfn.__closure__:
@@ -494,7 +502,7 @@ def define_pyfunc(pyfn, environment: Environment,
         fn.frontend = "pyast"
     if config.get("REPRO_TERRA_FRONTEND_DEBUG"):
         from ..core.prettyprint import format_specialized
-        print(f"-- @terra lowered {fname} ({filename}:{line_offset + 1})",
+        print(f"-- @terra lowered {fname} ({filename}:{tdef.location.line})",
               file=sys.stderr)
         print(format_specialized(fn), file=sys.stderr)
     return fn

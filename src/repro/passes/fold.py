@@ -32,42 +32,7 @@ from .manager import Pass, register_pass
 _COMPARES = {"<", ">", "<=", ">=", "==", "~="}
 
 
-@register_pass
-class FoldPass(Pass):
-    """Fold constants and prune constant control flow, in place."""
-
-    name = "fold"
-
-    def run(self, typed) -> bool:
-        before = sum(1 for _ in tast.walk(typed.body))
-        typed.body = _block(typed.body)
-        return sum(1 for _ in tast.walk(typed.body)) != before
-
-
-# -- expressions ------------------------------------------------------------------
-
-def _expr(e: tast.TExpr) -> tast.TExpr:
-    # recurse into children first
-    for field in e._fields:
-        child = getattr(e, field)
-        if isinstance(child, tast.TExpr):
-            setattr(e, field, _expr(child))
-        elif isinstance(child, list):
-            setattr(e, field, [
-                _expr(c) if isinstance(c, tast.TExpr) else c for c in child])
-    if isinstance(e, tast.TBinOp):
-        return _fold_binop(e)
-    if isinstance(e, tast.TUnOp):
-        return _fold_unop(e)
-    if isinstance(e, tast.TCast):
-        return _fold_cast(e)
-    if isinstance(e, tast.TLogical):
-        return _fold_logical(e)
-    if isinstance(e, tast.TLetIn):
-        e.block = _block(e.block)
-        return e
-    return e
-
+# -- expression folds: each returns its argument when it has nothing to do ---------
 
 def _fold_binop(e: tast.TBinOp) -> tast.TExpr:
     lhs, rhs = e.lhs, e.rhs
@@ -126,96 +91,138 @@ def _fold_logical(e: tast.TLogical) -> tast.TExpr:
     return e
 
 
-# -- statements -------------------------------------------------------------------
-
-def _block(block: tast.TBlock) -> tast.TBlock:
-    out: list[tast.TStat] = []
-    for stat in block.statements:
-        lowered = _stat(stat)
-        for s in lowered:
-            out.append(s)
-            if isinstance(s, (tast.TReturn, tast.TBreak)):
-                # everything after an unconditional exit is unreachable
-                block.statements = out
-                return block
-    block.statements = out
-    return block
+_EXPR_FOLDS = {tast.TBinOp: _fold_binop, tast.TUnOp: _fold_unop,
+               tast.TCast: _fold_cast, tast.TLogical: _fold_logical}
 
 
-def _stat(s: tast.TStat) -> list[tast.TStat]:
-    if isinstance(s, tast.TVarDecl):
-        if s.inits is not None:
-            s.inits = [_expr(x) for x in s.inits]
-        return [s]
-    if isinstance(s, tast.TAssign):
-        s.lhs = [_expr(x) for x in s.lhs]
-        s.rhs = [_expr(x) for x in s.rhs]
-        return [s]
-    if isinstance(s, tast.TIf):
-        return _fold_if(s)
-    if isinstance(s, tast.TWhile):
-        s.cond = _expr(s.cond)
-        if is_const(s.cond) and not s.cond.value:
-            return []  # while false: gone
-        s.body = _block(s.body)
-        return [s]
-    if isinstance(s, tast.TRepeat):
-        s.body = _block(s.body)
-        s.cond = _expr(s.cond)
-        return [s]
-    if isinstance(s, tast.TForNum):
-        s.start = _expr(s.start)
-        s.limit = _expr(s.limit)
-        if s.step is not None:
-            s.step = _expr(s.step)
-        if is_const(s.start) and is_const(s.limit) \
-                and (s.step is None or is_const(s.step)):
-            # only prune when the step's SIGN is known: a non-constant
-            # step is not "1" — `for i = 5, 0, s` with a runtime
-            # negative s runs, and deleting it would be a miscompile
-            step_val = s.step.value if s.step is not None else 1
-            if step_val > 0 and s.start.value >= s.limit.value:
-                return []  # zero-trip loop
-            if step_val < 0 and s.start.value <= s.limit.value:
+@register_pass
+class FoldPass(Pass):
+    """Fold constants and prune constant control flow, in place."""
+
+    name = "fold"
+
+    def run(self, typed) -> bool:
+        folder = _Folder()
+        typed.body = folder.block(typed.body)
+        return folder.changed
+
+
+class _Folder:
+    """One run over one body; ``changed`` is set where a rewrite happens (a
+    fold returned another node, a block's list differs, an ``if`` shrank)."""
+
+    changed = False
+
+    def expr(self, e: tast.TExpr) -> tast.TExpr:
+        # recurse into children first
+        for field in e._fields:
+            child = getattr(e, field)
+            if isinstance(child, tast.TExpr):
+                setattr(e, field, self.expr(child))
+            elif isinstance(child, list):
+                setattr(e, field, [
+                    self.expr(c) if isinstance(c, tast.TExpr) else c
+                    for c in child])
+        fold = _EXPR_FOLDS.get(type(e))
+        if fold is not None:
+            folded = fold(e)
+            if folded is not e:
+                self.changed = True
+            return folded
+        if isinstance(e, tast.TLetIn):
+            e.block = self.block(e.block)
+        return e
+
+    def block(self, block: tast.TBlock) -> tast.TBlock:
+        out: list[tast.TStat] = []
+        for stat in block.statements:
+            out.extend(self.stat(stat))
+            # a folded block ends at its first unconditional exit, so one
+            # can only be last; everything after it is unreachable
+            if out and isinstance(out[-1], (tast.TReturn, tast.TBreak)):
+                break
+        # ``stat`` returns ``[s]`` for a survivor, so comparing identities
+        # sees every drop, splice and truncation
+        if out != block.statements:
+            self.changed = True
+        block.statements = out
+        return block
+
+    def stat(self, s: tast.TStat) -> list[tast.TStat]:
+        if isinstance(s, tast.TVarDecl):
+            if s.inits is not None:
+                s.inits = [self.expr(x) for x in s.inits]
+            return [s]
+        if isinstance(s, tast.TAssign):
+            s.lhs = [self.expr(x) for x in s.lhs]
+            s.rhs = [self.expr(x) for x in s.rhs]
+            return [s]
+        if isinstance(s, tast.TIf):
+            return self.fold_if(s)
+        if isinstance(s, tast.TWhile):
+            s.cond = self.expr(s.cond)
+            if is_const(s.cond) and not s.cond.value:
+                return []  # while false: gone
+            s.body = self.block(s.body)
+            return [s]
+        if isinstance(s, tast.TRepeat):
+            s.body = self.block(s.body)
+            s.cond = self.expr(s.cond)
+            return [s]
+        if isinstance(s, tast.TForNum):
+            s.start = self.expr(s.start)
+            s.limit = self.expr(s.limit)
+            if s.step is not None:
+                s.step = self.expr(s.step)
+            if is_const(s.start) and is_const(s.limit) \
+                    and (s.step is None or is_const(s.step)):
+                # only prune when the step's SIGN is known: a non-constant
+                # step is not "1" — `for i = 5, 0, s` with a runtime
+                # negative s runs, and deleting it would be a miscompile
+                step_val = s.step.value if s.step is not None else 1
+                if step_val > 0 and s.start.value >= s.limit.value:
+                    return []  # zero-trip loop
+                if step_val < 0 and s.start.value <= s.limit.value:
+                    return []
+            s.body = self.block(s.body)
+            return [s]
+        if isinstance(s, tast.TDoStat):
+            s.body = self.block(s.body)
+            if not s.body.statements:
                 return []
-        s.body = _block(s.body)
+            return [s]
+        if isinstance(s, tast.TReturn):
+            if s.expr is not None:
+                s.expr = self.expr(s.expr)
+            return [s]
+        if isinstance(s, tast.TExprStat):
+            s.expr = self.expr(s.expr)
+            if isinstance(s.expr, (tast.TConst, tast.TVar)):
+                return []  # a bare constant/variable has no effect
+            return [s]
         return [s]
-    if isinstance(s, tast.TDoStat):
-        s.body = _block(s.body)
-        if not s.body.statements:
-            return []
-        return [s]
-    if isinstance(s, tast.TReturn):
-        if s.expr is not None:
-            s.expr = _expr(s.expr)
-        return [s]
-    if isinstance(s, tast.TExprStat):
-        s.expr = _expr(s.expr)
-        if isinstance(s.expr, (tast.TConst, tast.TVar)):
-            return []  # a bare constant/variable has no effect
-        return [s]
-    return [s]
 
-
-def _fold_if(s: tast.TIf) -> list[tast.TStat]:
-    branches = []
-    for cond, body in s.branches:
-        cond = _expr(cond)
-        if is_const(cond):
-            if cond.value:
-                # this branch always runs; it terminates the chain
-                if not branches:
-                    return list(_block(body).statements)
-                s.branches = branches
-                s.orelse = _block(body)
-                return [s]
-            continue  # branch can never run: drop it
-        branches.append((cond, _block(body)))
-    if s.orelse is not None:
-        s.orelse = _block(s.orelse)
-        if not s.orelse.statements:
-            s.orelse = None
-    if not branches:
-        return list(s.orelse.statements) if s.orelse is not None else []
-    s.branches = branches
-    return [s]
+    def fold_if(self, s: tast.TIf) -> list[tast.TStat]:
+        branches = []
+        for cond, body in s.branches:
+            cond = self.expr(cond)
+            if is_const(cond):
+                self.changed = True  # the chain loses this branch or its tail
+                if cond.value:
+                    # this branch always runs; it terminates the chain
+                    if not branches:
+                        return list(self.block(body).statements)
+                    s.branches = branches
+                    s.orelse = self.block(body)
+                    return [s]
+                continue  # branch can never run: drop it
+            branches.append((cond, self.block(body)))
+        if s.orelse is not None:
+            s.orelse = self.block(s.orelse)
+            if not s.orelse.statements:
+                s.orelse = None
+                self.changed = True
+        if not branches:
+            return list(s.orelse.statements) if s.orelse is not None else []
+        s.branches = branches
+        return [s]

@@ -447,7 +447,8 @@ class ServeServer:
             "workers": self.config.resolved_workers(),
             "tenants": {name: t.summary()
                         for name, t in sorted(self._tenants.items())},
-            "counters": reg.counters("serve."),
+            "counters": {**reg.counters("serve."),
+                         **reg.counters("parse.cache.")},
             "timings": reg.timings("serve."),
         }
 

@@ -50,6 +50,11 @@ class MetricsRegistry:
             self._counters[name] = total
             return total
 
+    def set(self, name: str, value: float) -> None:
+        """Publish gauge ``name`` at its current absolute ``value``."""
+        with self._lock:
+            self._counters[name] = value
+
     def track_max(self, name: str, value: float) -> None:
         """Keep counter ``name`` at the maximum value ever observed."""
         with self._lock:

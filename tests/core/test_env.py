@@ -3,6 +3,7 @@
 import pytest
 
 from repro import int_, quote_, symbol, terra
+from repro.core.ast import Escape
 from repro.core.env import Environment, capture, from_mapping
 from repro.errors import SpecializeError
 
@@ -96,19 +97,19 @@ class TestEnvironmentObject:
 
     def test_eval_escape_terra_scope_shadows(self):
         env = Environment({"x": 10}, {})
-        assert env.eval_escape("x", {"x": 20}) == 20
-        assert env.eval_escape("x") == 10
+        assert env.eval_escape(Escape("x"), {"x": 20}) == 20
+        assert env.eval_escape(Escape("x")) == 10
 
     def test_pointer_sugar(self):
         from repro.core import types as T
         env = Environment({"T_": T.int32}, {})
-        assert env.eval_escape("&T_") is T.pointer(T.int32)
-        assert env.eval_escape("&&T_") is T.pointer(T.pointer(T.int32))
+        assert env.eval_escape(Escape("&T_")) is T.pointer(T.int32)
+        assert env.eval_escape(Escape("&&T_")) is T.pointer(T.pointer(T.int32))
 
     def test_pointer_sugar_requires_type(self):
         env = Environment({"n": 42}, {})
         with pytest.raises(SpecializeError, match="Terra type"):
-            env.eval_escape("&n")
+            env.eval_escape(Escape("&n"))
 
     def test_from_mapping(self):
         env = from_mapping({"k": 9})

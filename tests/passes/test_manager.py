@@ -51,6 +51,37 @@ class TestManager:
         assert all(r["seconds"] >= 0 for r in records)
         assert records[0]["changed"]  # 2 * 3 folded
 
+    @pytest.mark.parametrize("source", [
+        "terra f(x : int) : int return x + 2 * 3 end",
+        "terra f(x : int) : int if false then x = 1 end return x end",
+        # the if statement survives; only its chain is cut
+        """terra f(x : int) : int
+             if x > 0 then x = 1 elseif true then x = 2 else x = 3 end
+             return x
+           end""",
+        "terra f(x : int) : int return x return 7 end",
+    ])
+    def test_fold_reports_changed_where_it_rewrote(self, source):
+        """True for a tree with something to fold, False on the result —
+        and the ``pass:fold`` span and ``last_run`` say the same."""
+        from repro import trace
+        fn = typed_fn(source)
+        manager = PassManager(["fold"])
+        trace.clear()
+        trace.enable()
+        try:
+            first = manager.run(fn.typed)[0]["changed"]
+            assert manager.last_run[0]["changed"] is first
+            second = manager.run(fn.typed)[0]["changed"]
+            assert manager.last_run[0]["changed"] is second
+        finally:
+            trace.disable()
+        spans = [e.args["changed"] for e in trace.events()
+                 if e.name == "pass:fold"]
+        trace.clear()
+        assert (first, second) == (True, False)
+        assert spans == [True, False]
+
     def test_disable_method(self):
         manager = PassManager(["fold", "simplify", "dce"])
         manager.disable("simplify")

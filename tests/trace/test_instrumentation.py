@@ -133,3 +133,32 @@ def test_disabled_tracing_records_nothing_across_lifecycle():
     fn = _unique_fn()
     assert fn(1) > 0
     assert trace.events() == []
+
+
+def test_one_emission_per_unit():
+    """``get_c_source()`` and ``compile()`` share one emission per entry
+    function: what is shown is what was compiled.  The text is emitted
+    again only when something it depends on moved."""
+    from repro.passes import pipeline_override
+    trace.enable()
+    fn = _unique_fn()
+    shown = fn.get_c_source()
+    fn.compile()
+    fn.compile_async().result()
+    assert fn.get_c_source() is shown
+
+    def emissions():
+        return sum(e.name == f"emit:{fn.name}" for e in trace.events())
+    assert emissions() == 1
+    with pipeline_override(0):
+        raw = fn.get_c_source()
+    assert emissions() == 2 and fn.get_c_source() == shown
+    assert emissions() == 3 and raw is not shown
+
+    loop = repro.terra("""
+    terra fill(p : &int, n : int64) : {}
+      for i = 0, n do p[i] = 7 end
+    end""")
+    plain = loop.get_c_source()
+    assert "_chunk" not in plain
+    assert "fill_chunk" in loop.mark_chunked().get_c_source()
