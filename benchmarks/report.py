@@ -1,51 +1,85 @@
-"""Regenerate every table/figure of the paper's evaluation in one run.
+"""Every measured series of the evaluation, computed in one place.
 
-    python benchmarks/report.py            # scaled-down sizes (~2 min)
+    python benchmarks/report.py            # scaled-down sizes (~4 min)
     python benchmarks/report.py --full     # paper-scale sizes
+    python benchmarks/report.py --only fig9
 
-Prints the same series the paper reports (Figure 6 GFLOPS, Figure 8
-schedule speedups in both compiler modes, the §6.2 inlining table, the
-§6.3.1 dispatch ratio, Figure 9 GB/s) — the data behind EXPERIMENTS.md.
+Each experiment is one function returning its series as ``Table``s of raw
+numbers.  This script prints them (the data behind EXPERIMENTS.md);
+``benchmarks/test_shapes.py`` asserts who wins on the same functions.
+First the paper's Section 6 (Figure 6 GFLOPS with the E8 naive-vs-tuned
+factor, Figure 8 schedule speedups in both compiler modes, the §6.2
+inlining table, the §6.3.1 dispatch ratio, Figure 9 GB/s), then the
+shapes this repository claims for its own machinery.  Trend numbers
+(per-layer times, call overhead, serve latency) live in
+``benchmarks/ledger``, not here.
 """
 
 import argparse
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
-sys.path.insert(0, ".")  # allow `python benchmarks/report.py` from repo root
+# run from a checkout (`python benchmarks/report.py`) without installing
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
 
-from repro import double, float_
+from repro import double, float_, terra
+from repro.apps import attention, dequant, scan
 from repro.apps.areafilter import CAreaFilter, build_area_filter
-from repro.apps.dispatch import build_c_dispatch, build_terra_dispatch
+from repro.apps.dispatch import (build_c_dispatch, build_fatptr_dispatch,
+                                 build_terra_dispatch)
 from repro.apps.fluid import (FluidParams, initial_conditions, make_c_fluid,
                               make_orion_fluid)
 from repro.apps.mesh import build_mesh_kernels, random_mesh
 from repro.apps.pointwise import build_pipeline
-from repro.autotune.matmul import (blocked_matmul, make_gemm_packed,
-                                   naive_matmul)
+from repro.autotune.genkernel import genkernel
+from repro.autotune.matmul import (blocked_matmul, make_gemm,
+                                   make_gemm_packed, naive_matmul)
 from repro.autotune.tuner import time_gemm
 from repro.backend.c.runtime import extra_cflags
+from repro.bench.cbaseline import compile_c
 from repro.bench.harness import Table
+from repro.buildd.cache import ArtifactCache
+from repro.buildd.service import CompileService
+from repro.core import types as T
+from repro.exec import TieredPolicy, policy_override
+from repro.lib.sort import Sort
 from repro.orion import lang as L
+from repro.passes import (PIPELINE_CANON, PIPELINE_NONE, PIPELINE_VEC,
+                          pipeline_override)
+from repro.trace import profile
 
-NOVEC = ("-fno-tree-vectorize",)
+#: Figure 8's two compiler modes: modern gcc auto-vectorizes the scalar
+#: baseline; `-fno-tree-vectorize` restores what 2013 compilers emitted
+MODES = {"default flags": (), "2013 emulation": ("-fno-tree-vectorize",)}
+
+
+def best_interleaved(fns, rounds):
+    """Best time of each thunk, all taking turns within every round, so
+    drift on a shared host lands on both sides of a ratio."""
+    best = [float("inf")] * len(fns)
+    for _ in range(rounds + 1):  # the first round also warms up
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
 
 
 def best_of(fn, reps):
-    fn()
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
+    return best_interleaved([fn], reps)[0]
 
 
-def fig6(full: bool) -> None:
+# -- the paper's Section 6 ----------------------------------------------------
+
+def fig6(full=False):
+    """[DGEMM, SGEMM]; "vs first row" on DGEMM is E8's naive-vs-tuned."""
     N = 1024 if full else 512
-    dtype_rows = []
+    tables = []
     for elem, np_dtype, label, cfg in [
             (double, np.float64, "DGEMM", dict(NB=128, RM=4, RN=2, V=4)),
             (float_, np.float32, "SGEMM", dict(NB=64, RM=4, RN=2, V=8))]:
@@ -53,84 +87,78 @@ def fig6(full: bool) -> None:
         A = np.ascontiguousarray(rng.rand(N, N).astype(np_dtype))
         B = np.ascontiguousarray(rng.rand(N, N).astype(np_dtype))
         C = np.zeros((N, N), dtype=np_dtype)
-        flops = 2.0 * N ** 3
-        tuned = time_gemm(make_gemm_packed(elem=elem, **cfg), N, elem, 3)
-        vendor = flops / best_of(lambda: np.dot(A, B, out=C), 3) / 1e9
-        rows = [("Terra (tuned)", tuned), ("vendor BLAS (numpy)", vendor)]
-        if elem is double:
-            rows.insert(0, ("blocked", time_gemm(blocked_matmul(64), N,
-                                                 elem, 1)))
-            naive_n = min(N, 512)  # same footprint class as the others
-            rows.insert(0, ("naive", time_gemm(naive_matmul(), naive_n,
-                                               elem, 1)))
+        if elem is double:  # naive at <=512: same footprint class
+            rows = [("naive",
+                     time_gemm(naive_matmul(), min(N, 512), elem, 1)),
+                    ("blocked", time_gemm(blocked_matmul(64), N, elem, 1))]
         else:
-            rows.insert(0, ("unvectorized kernel (V=1)",
-                            time_gemm(make_gemm_packed(NB=64, RM=4, RN=2,
-                                                       V=1, elem=elem),
-                                      N, elem, 1)))
-        dtype_rows.append((label, rows))
-    for label, rows in dtype_rows:
+            rows = [("unvectorized kernel (V=1)",
+                     time_gemm(make_gemm_packed(NB=64, RM=4, RN=2, V=1,
+                                                elem=elem), N, elem, 1))]
+        tuned = make_gemm_packed(elem=elem, **cfg)
+        rows.append(("Terra (tuned)", time_gemm(tuned, N, elem, 3)))
+        blas_s = best_of(lambda: np.dot(A, B, out=C), 3)
+        rows.append(("vendor BLAS (numpy)", 2.0 * N ** 3 / blas_s / 1e9))
         table = Table(f"Figure 6 — {label} at N={N} (GFLOPS)",
-                      ["series", "GFLOPS"])
+                      ["series", "GFLOPS", "vs first row"])
         for name, g in rows:
-            table.add(name, g)
-        table.show()
+            table.add(name, g, f"{g / rows[0][1]:.1f}x")
+        tables.append(table)
+    return tables
 
 
-def fig8_fluid(full: bool) -> None:
+def _fig8(title, unit, c_ms, orion_ms, V):
+    """One table per compiler mode: reference C, then the Orion ladder."""
+    tables = []
+    for mode, flags in MODES.items():
+        tc = c_ms(flags)
+        table = Table(f"{title}, {mode}", ["schedule", unit, "speedup"])
+        table.add("reference C", tc, "1.00x")
+        for label, vec, lb in [("matching Orion", 0, False),
+                               ("+ vectorization", V, False),
+                               ("+ line buffering", V, True)]:
+            with extra_cflags(*flags):
+                t = orion_ms(vec, lb)
+            table.add(label, t, f"{tc / t:.2f}x")
+        tables.append(table)
+    return tables
+
+
+def fig8_fluid(full=False):
     N = 1024 if full else 512
     params = FluidParams(N)
-    u, v, d = initial_conditions(N)
+    state = initial_conditions(N)
 
-    def step_time(sim):
-        sim.set_state(u, v, d)
+    def step_ms(sim):
+        sim.set_state(*state)
         return best_of(sim.step, 3) * 1000
 
-    for mode, flags in [("default flags", ()), ("2013 emulation", NOVEC)]:
-        tc = step_time(make_c_fluid(params, flags=flags))
-        table = Table(f"Figure 8 (top) — fluid at {N}², {mode}",
-                      ["schedule", "ms/step", "speedup"])
-        table.add("reference C", tc, "1.00x")
-        for vec, lb, label in [(0, False, "matching Orion"),
-                               (4, False, "+ vectorization"),
-                               (4, True, "+ line buffering")]:
-            with extra_cflags(*flags):
-                sim = make_orion_fluid(params, vectorize=vec, linebuffer=lb)
-                t = step_time(sim)
-            table.add(label, t, f"{tc / t:.2f}x")
-        table.show()
+    return _fig8(
+        f"Figure 8 (top) — fluid at {N}²", "ms/step",
+        lambda flags: step_ms(make_c_fluid(params, flags=flags)),
+        lambda vec, lb: step_ms(make_orion_fluid(params, vectorize=vec,
+                                                 linebuffer=lb)), 4)
 
 
-def fig8_area(full: bool) -> None:
+def fig8_area(full=False):
     N = 1024 if full else 512
     img = np.random.RandomState(5).rand(N, N).astype(np.float32)
 
-    def orion_time(af):
-        src = af.pad(img)
-        out = af.alloc_out()
-        return best_of(lambda: af.fn(out, src), 10) * 1000
-
-    def c_time(caf):
-        src = caf.pad(img)
-        out = caf.alloc_out()
+    def c_ms(flags):
+        caf = CAreaFilter(N, flags=flags)
+        src, out = caf.pad(img), caf.alloc_out()
         return best_of(lambda: caf(src, out), 10) * 1000
 
-    for mode, flags in [("default flags", ()), ("2013 emulation", NOVEC)]:
-        tc = c_time(CAreaFilter(N, flags=flags))
-        table = Table(f"Figure 8 (bottom) — area filter at {N}², {mode}",
-                      ["schedule", "ms", "speedup"])
-        table.add("reference C", tc, "1.00x")
-        for vec, lb, label in [(0, False, "matching Orion"),
-                               (8, False, "+ vectorization"),
-                               (8, True, "+ line buffering")]:
-            with extra_cflags(*flags):
-                t = orion_time(build_area_filter(N, vectorize=vec,
-                                                 linebuffer=lb))
-            table.add(label, t, f"{tc / t:.2f}x")
-        table.show()
+    def orion_ms(vec, lb):
+        af = build_area_filter(N, vectorize=vec, linebuffer=lb)
+        src, out = af.pad(img), af.alloc_out()
+        return best_of(lambda: af.fn(out, src), 10) * 1000
+
+    return _fig8(f"Figure 8 (bottom) — area filter at {N}²", "ms",
+                 c_ms, orion_ms, 8)
 
 
-def pointwise(full: bool) -> None:
+def pointwise(full=False):
     N = 2048 if full else 1024
     img = np.random.RandomState(9).rand(N, N).astype(np.float32)
 
@@ -148,33 +176,34 @@ def pointwise(full: bool) -> None:
                       ("inline everything", t(L.INLINE)),
                       ("inline + 8-wide vectors", t(L.INLINE, 8))]:
         table.add(label, ms, f"{base / ms:.2f}x")
-    table.show()
+    return [table]
 
 
-def dispatch() -> None:
+def dispatch(full=False):
     ITERS = 5_000_000
-    tk = build_terra_dispatch()
-    ck = build_c_dispatch()
-    obj = tk.make(1.0001, 0.5)
-    cobj = ck.c_make(1.0001, 0.5)
-    rows = [
-        ("Terra class system (virtual)",
-         best_of(lambda: tk.loop_virtual(obj, ITERS), 5)),
-        ("C vtable (what C++ compiles to)",
-         best_of(lambda: ck.c_loop_virtual(cobj, ITERS), 5)),
-        ("Terra direct call", best_of(lambda: tk.loop_direct(obj, ITERS), 5)),
-        ("C direct call", best_of(lambda: ck.c_loop_direct(cobj, ITERS), 5)),
-    ]
+    tk, ck, fk = (build_terra_dispatch(), build_c_dispatch(),
+                  build_fatptr_dispatch())
+    obj, cobj, fobj = (tk.make(1.0001, 0.5), ck.c_make(1.0001, 0.5),
+                       fk.make(1.0001, 0.5))
+    variants = [
+        ("Terra class system (virtual)", tk.loop_virtual, obj),
+        ("C vtable (what C++ compiles to)", ck.c_loop_virtual, cobj),
+        ("Terra fat-pointer interface (virtual)", fk.loop_virtual, fobj),
+        ("Terra direct call", tk.loop_direct, obj),
+        ("C direct call", ck.c_loop_direct, cobj)]
+    secs = best_interleaved([lambda loop=loop, o=o: loop(o, ITERS)
+                             for _, loop, o in variants], 5)
     table = Table("§6.3.1 dispatch micro-benchmark (paper: within 1%)",
                   ["variant", "ns/call"])
-    for label, secs in rows:
-        table.add(label, secs / ITERS * 1e9)
-    table.show()
+    for (label, _, _), t in zip(variants, secs):
+        table.add(label, t / ITERS * 1e9)
     tk.free(obj)
     ck.c_release(cobj)
+    fk.free(fobj)
+    return [table]
 
 
-def fig9(full: bool) -> None:
+def fig9(full=False):
     nverts = 400_000 if full else 200_000
     ntris = nverts * 2
     positions, tris = random_mesh(nverts, ntris)
@@ -192,58 +221,269 @@ def fig9(full: bool) -> None:
             tt = best_of(lambda: k.translate(t, 0.1, 0.1, 0.1, nverts), 10)
             table.add(layout, ntris * 108 / tn / 1e9, nverts * 24 / tt / 1e9)
             k.release(t)
-    table.show()
+    return [table]
+
+
+# -- this repository's own shapes ---------------------------------------------
+
+AUTOVEC_SRC = """
+terra k(a : &{e}, b : &{e}, c : &{e}, d : &{e},
+        o1 : &{e}, o2 : &{e}, o3 : &{e}, o4 : &{e},
+        n : int, reps : int) : {{}}
+  for r = 0, reps do
+    a[0] = [{e}](r)
+    for i = 0, n do
+      o1[i] = a[i] * b[i] + c[i] * d[i] + a[i] * c[i] + b[i] * d[i]
+      o2[i] = (a[i] + b[i]) * (c[i] + d[i]) - a[i] * d[i]
+      o3[i] = a[i] * a[i] + b[i] * b[i] + c[i] * c[i] + d[i] * d[i]
+      o4[i] = (a[i] - b[i]) * (c[i] - d[i]) + b[i] * c[i]
+    end
+  end
+end
+"""
+
+
+def autovec(full=False):
+    """Level-3 C vs scalar level-1 C on the shape gcc's own vectorizer
+    gives up on: four input and four output pointers exceed its
+    alias-versioning budget, while passes/vectorize.py proves
+    disjointness with one guard chain.  Repetitions run inside the
+    kernel so the FFI call does not drown the loop."""
+    n, reps = (4096, 400) if full else (2048, 200)
+    rng = np.random.RandomState(12345)
+    table = Table(f"auto-vectorizer, n={n} x {reps} reps (ms)",
+                  ["elem", "scalar (level 1)", "vector (level 3)", "speedup"])
+    for elem, dt in [("float", np.float32), ("double", np.float64)]:
+        bufs = [rng.rand(n).astype(dt) for _ in range(4)] + \
+               [np.zeros(n, dt) for _ in range(4)]
+        ms = []
+        for level in (PIPELINE_CANON, PIPELINE_VEC):
+            with pipeline_override(level):
+                fn = terra(AUTOVEC_SRC.format(e=elem), env={}).compile("c")
+            ms.append(best_of(lambda: fn(*bufs, n, reps), 7) * 1000)
+        table.add(elem, ms[0], ms[1], f"{ms[0] / ms[1]:.2f}x")
+    return [table]
+
+
+def schedules(full=False):
+    """Naive vs every tile-schedule point, per workload family.  The
+    naive staging is the loop nest a programmer writes first and one gcc
+    cannot rescue at -O3 (scalar float reductions, strided int8 loads,
+    loop-carried stride-R accumulation); every point is bit-identical to
+    it (tests/schedule/test_workloads.py)."""
+    att_n, D = (384, 64) if full else (192, 64)
+    dq_n, dq_m, dq_k = (256, 512, 256) if full else (128, 384, 192)
+    sc_n, R = (16384, 64) if full else (8192, 64)
+    rng = np.random.RandomState(1)
+    q, k, v = (rng.rand(att_n, D).astype(np.float32) for _ in range(3))
+    o = np.zeros((att_n, D), dtype=np.float32)
+    a = rng.rand(dq_n, dq_k).astype(np.float32)
+    b = rng.randint(-128, 128, size=(dq_k, dq_m)).astype(np.int8)
+    c = np.zeros((dq_n, dq_m), dtype=np.float32)
+    x = rng.rand(sc_n, R).astype(np.float32)
+    out = np.zeros((sc_n, R), dtype=np.float32)
+
+    def att(s):
+        kern = attention.make_attention(D=D, schedule=s)
+        return lambda: kern(att_n, q, k, v, o)
+
+    def dq(s):
+        kern = dequant.make_dequant_gemm(schedule=s)
+
+        def call():
+            c[:] = 0.0  # scheduled variants accumulate into caller-zeroed C
+            kern(dq_n, dq_m, dq_k, a, b, 0.037, c)
+        return call
+
+    def sc(s):
+        kern = scan.make_scan(R=R, schedule=s)
+        return lambda: kern(sc_n, x, out)
+
+    tables = []
+    for fam, variant, points in [
+            ("attention", att, attention.schedule_points(D)),
+            ("dequant", dq, dequant.schedule_points()),
+            ("scan", sc, scan.schedule_points(R))]:
+        naive = best_of(variant(None), 5) * 1000
+        table = Table(f"tile schedules — {fam}",
+                      ["schedule", "ms", "speedup"])
+        table.add("naive", naive, "1.00x")
+        for point in points:
+            t = best_of(variant(point), 5) * 1000
+            table.add(point.key(), t, f"{naive / t:.2f}x")
+        tables.append(table)
+    return tables
+
+
+QSORT_C = r"""
+#include <stdlib.h>
+static int cmp_double(const void *a, const void *b) {
+    double x = *(const double *)a, y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+void qsort_double(double *data, long n) {
+    qsort(data, n, sizeof(double), cmp_double);
+}
+"""
+
+
+def sort(full=False):
+    """Staged monomorphic sort vs libc's generic qsort: staging removes
+    the per-comparison indirect call and byte copying (§6.1's
+    "generative beats generic" on a different kernel)."""
+    n = 1_000_000 if full else 200_000
+    doubles = np.random.RandomState(0).randn(n)
+    staged = Sort(T.float64)
+    libc = compile_c(QSORT_C, {"qsort_double": (["ptr", "long"], "void")})
+
+    def ms(sorter):  # every timed run sorts a fresh unsorted copy
+        best = float("inf")
+        for _ in range(3):
+            data = doubles.copy()
+            t0 = time.perf_counter()
+            sorter(data)
+            best = min(best, time.perf_counter() - t0)
+        return best * 1000
+
+    table = Table(f"sort, {n} doubles (ms)", ["sort", "ms"])
+    table.add("staged Sort(float64)", ms(lambda d: staged(d, n)))
+    table.add("libc qsort", ms(lambda d: libc.qsort_double(d, n)))
+    table.add("numpy.sort", ms(np.sort))
+    return [table]
+
+
+def passes(full=False):
+    """The mid-level pipeline must never emit a larger C unit than
+    unoptimized lowering of the same blocked-GEMM tuner kernel."""
+    def c_bytes():  # a fresh function each time: passes mutate the tree
+        return len(make_gemm(NB=16, RM=2, RN=2, V=2,
+                             fma=False).get_c_source())
+    table = Table("emitted C, blocked GEMM NB=16 RM=2 RN=2 V=2",
+                  ["pipeline", "bytes"])
+    table.add("on (backend default)", c_bytes())
+    with pipeline_override(PIPELINE_NONE):
+        table.add("off (level 0)", c_bytes())
+    return [table]
+
+
+def compile_pool(full=False):
+    """Cold-cache compile of six tuner candidates through a jobs=1 and a
+    jobs=N buildd pool (N = min(4, cores); parity on one core)."""
+    sources = [genkernel(NB, RM, RN, V, 0.0).get_c_source()
+               for NB, RM, RN, V in [(16, 2, 1, 2), (16, 2, 2, 2),
+                                     (16, 4, 1, 2), (32, 2, 2, 2),
+                                     (32, 4, 1, 2), (32, 4, 2, 2)]]
+    table = Table(f"buildd pool, {len(sources)} kernels, cold cache",
+                  ["jobs", "seconds"])
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, jobs in enumerate((1, min(4, os.cpu_count() or 1))):
+            svc = CompileService(jobs=jobs, cache=ArtifactCache(
+                root=os.path.join(tmp, f"cold{i}")))  # each pool starts cold
+            try:
+                t0 = time.perf_counter()
+                for fut in [svc.compile_async(src) for src in sources]:
+                    fut.result()
+                table.add(jobs, time.perf_counter() - t0)
+            finally:
+                svc.shutdown()
+    return [table]
+
+
+MODSUM = """
+terra modsum(n : int64, d : int64, x : &int64) : int64
+  var acc : int64 = 0
+  for i = 0, n do
+    acc = acc + x[i] % d
+  end
+  return acc
+end
+"""
+
+
+def tiering(full=False):
+    """A reduction whose hot loop divides by a scalar parameter — the
+    shape profile-guided respecialization is built for (the spliced
+    divisor becomes a multiply-shift with no per-iteration trap check)."""
+    D, small_n = 7, 2_000
+    big_n = 2_000_000 if full else 200_000
+    small = np.arange(small_n, dtype=np.int64)
+    big = np.arange(big_n, dtype=np.int64)
+
+    def fresh():
+        fn = terra(MODSUM)
+        profile.clear_args(fn)
+        return fn
+
+    def first_call(policy):
+        fn = fresh()
+        with policy_override(policy):
+            t0 = time.perf_counter()
+            fn(small_n, D, small)
+            return fn, time.perf_counter() - t0
+
+    _, first_interp = first_call("interp")
+    tiered = TieredPolicy(threshold=3, sync=True)
+    fn, first_tiered = first_call(tiered)
+    with policy_override(tiered):
+        fn(big_n, D, big)
+        fn(big_n, D, big)  # third call: sync tier-up + respecialization
+        warm_tiered = best_of(lambda: fn(big_n, D, big), 7)
+    fn_c = fresh()
+    with policy_override("c"):
+        warm_aot = best_of(lambda: fn_c(big_n, D, big), 7)
+    st = fn.dispatcher.tier
+    table = Table(f"tiered execution at n={big_n} (ms)",
+                  ["series", "ms", "vs AOT C"])
+    for label, secs in [
+            ("first call, pure interp", first_interp),
+            ("first call, tiered (tier 0)", first_tiered),
+            ("warm AOT C", warm_aot),
+            ("warm tiered (respecialized)", warm_tiered),
+            ("generic C entry",
+             best_of(lambda: st.generic(big_n, D, big), 7)),
+            ("respecialized entry",
+             best_of(lambda: st.respec.handle(big_n, D, big), 7))]:
+        table.add(label, secs * 1000, f"{secs / warm_aot:.2f}x")
+    return [table]
+
+
+def parallel_fluid(full=False):
+    """The parallel(y) fluid schedule against its serial twin: speedup
+    on a multicore host, bounded dispatch overhead without spare cores."""
+    N = 1024 if full else 512
+    nt = max(2, min(4, os.cpu_count() or 1))
+    state = initial_conditions(N)
+    sims = [make_orion_fluid(FluidParams(N), vectorize=4, linebuffer=True,
+                             **par) for par in ({}, {"parallel": nt})]
+    for sim in sims:
+        sim.set_state(*state)
+    table = Table(f"fluid step at {N}², vectorized + line-buffered",
+                  ["workers", "ms/step"])
+    for label, t in zip(("serial", nt),
+                        best_interleaved([sim.step for sim in sims], 5)):
+        table.add(label, t * 1000)
+    return [table]
+
+
+EXPERIMENTS = {
+    "fig6": fig6, "fluid": fig8_fluid, "area": fig8_area,
+    "pointwise": pointwise, "dispatch": dispatch, "fig9": fig9,
+    "autovec": autovec, "schedules": schedules, "sort": sort,
+    "passes": passes, "compile": compile_pool, "tiering": tiering,
+    "parallel": parallel_fluid,
+}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
                         help="paper-scale sizes")
-    parser.add_argument("--only", choices=["fig6", "fluid", "area",
-                                           "pointwise", "dispatch", "fig9"],
+    parser.add_argument("--only", choices=list(EXPERIMENTS),
                         help="run a single experiment")
-    parser.add_argument("--json", action="store_true",
-                        help="write BENCH_report.json plus one "
-                             "BENCH_<family>.json per experiment family "
-                             "(to REPRO_BENCH_OUT_DIR or the cwd)")
     args = parser.parse_args()
-    todo = {
-        "fig6": lambda: fig6(args.full),
-        "fluid": lambda: fig8_fluid(args.full),
-        "area": lambda: fig8_area(args.full),
-        "pointwise": lambda: pointwise(args.full),
-        "dispatch": dispatch,
-        "fig9": lambda: fig9(args.full),
-    }
-    #: experiment -> persisted family name (BENCH_<family>.json)
-    families = {
-        "fig6": "fig6",
-        "fluid": "fig8_fluid",
-        "area": "fig8_area",
-        "pointwise": "pointwise",
-        "dispatch": "dispatch",
-        "fig9": "fig9",
-    }
-    selected = [args.only] if args.only else list(todo)
-
-    if args.json:
-        from repro.bench.record import recording
-        paths = []
-        # recordings stack: every table lands in the umbrella report run
-        # AND its family's own file
-        with recording("report", full=args.full,
-                       experiments=selected) as report_run:
-            for name in selected:
-                with recording(families[name], full=args.full) as fam:
-                    todo[name]()
-                paths.append(fam.path())
-        paths.append(report_run.path())
-        print("\nresults written to:")
-        for p in paths:
-            print(f"  {p}")
-    else:
-        for name in selected:
-            todo[name]()
+    for name in [args.only] if args.only else EXPERIMENTS:
+        for table in EXPERIMENTS[name](args.full):
+            table.show()
 
 
 if __name__ == "__main__":

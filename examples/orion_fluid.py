@@ -64,9 +64,9 @@ sim.set_state(su, sv, sd)
 sim.step()
 assert np.allclose(sim.get_state()[0], ru, atol=1e-4)
 print("\nall schedules verified against the C reference.")
-print("(run with -fno-tree-vectorize scalar baselines — see "
-      "benchmarks/test_fig8_fluid.py — to reproduce the paper's "
-      "2013-compiler speedup shape.)")
+print("(run with -fno-tree-vectorize scalar baselines — "
+      "python benchmarks/report.py --only fluid — to reproduce the "
+      "paper's 2013-compiler speedup shape.)")
 
 # -- render the advected density field to a BMP ---------------------------------
 import os

@@ -142,14 +142,6 @@ VARS = {
         FLAG, False, "`0`",
         "trace (per-call profiler)", "import",
         "Per-call profiling; toggle later with `trace.profile.enable()`."),
-    "REPRO_BENCH_FULL": (
-        FLAG, False, "`0`",
-        "benchmarks only", "every use",
-        "Paper-scale problem sizes in `benchmarks/`; `src/` never reads it."),
-    "REPRO_BENCH_OUT_DIR": (
-        (str, "a directory"), None, "current directory",
-        "bench (`BENCH_*.json`)", "every use",
-        "Where `bench.record` writes its result files."),
     "REPRO_SERVE_SOCKET": (
         (str, "a unix socket path"), None, "`$TMPDIR/repro-serve-<uid>.sock`",
         "serve", "every use",

@@ -272,14 +272,6 @@ class GlobalVar:
         self.type = type
         self.init = init
         self.name = f"{name}{self.uid}"
-        self._storages: dict[str, object] = {}  # backend name -> storage
-
-    def storage_for(self, backend):
-        store = self._storages.get(backend.name)
-        if store is None:
-            store = backend.materialize_global(self)
-            self._storages[store_name := backend.name] = store
-        return store
 
     def get(self, backend=None):
         from ..backend.base import resolve_backend

@@ -8,8 +8,9 @@ Default mode binds the socket and serves until interrupted::
 multi-tenant load against it (cold and warm scalar calls per tenant,
 plus a coalesced chunked saxpy over server-resident buffers), verifies
 the results and the serve counters, prints the stats snapshot, and exits
-nonzero on any failure.  ``make serve-smoke`` and CI run exactly this;
-``--trace out.json`` additionally exports the Chrome trace of the run.
+nonzero on any failure (tier-1 runs exactly this load: ``tests/serve/
+test_server_basic.py::TestSmokeLoad``); ``--trace out.json`` additionally
+exports the Chrome trace of the run.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ profiling (``fn.report()``, ``repro.trace.profile.report()``).
 
 Cost when disabled (the default): instrumented call sites check one
 module-level flag and receive a shared no-op span — no environment reads,
-no allocation, no locking.  ``benchmarks/test_trace_overhead.py`` holds
-that to "in the noise".
+no allocation, no locking.  The ledger's ``trace.overhead_ratio`` holds
+the enabled cost to a number.
 
 Command line::
 

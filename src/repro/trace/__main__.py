@@ -7,7 +7,7 @@
 * ``view TRACE.json [--tree] [--limit N]`` — summarize an existing trace
   file (totals by category; ``--tree`` for the full nested view).
 * ``validate TRACE.json`` — structural trace_event validation; exit 1 on
-  problems.  Used by ``make trace-demo`` and CI.
+  problems.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ import pytest
 
 from repro.apps.areafilter import CAreaFilter, build_area_filter, \
     reference_numpy as area_ref
-from repro.apps.dispatch import build_c_dispatch, build_terra_dispatch
+from repro.apps.dispatch import (build_c_dispatch, build_fatptr_dispatch,
+                                 build_terra_dispatch)
 from repro.apps.fluid import (FluidParams, initial_conditions, make_c_fluid,
                               make_orion_fluid)
 from repro.apps.mesh import (build_mesh_kernels, normals_reference,
@@ -33,6 +34,15 @@ class TestFluid:
             assert np.allclose(ou, ru, atol=1e-4), (vec, lb)
             assert np.allclose(ov, rv, atol=1e-4), (vec, lb)
             assert np.allclose(od, rd, atol=1e-4), (vec, lb)
+            # chunking may never change results: the parallel twin of
+            # every schedule is BIT-identical to its serial version
+            par = make_orion_fluid(params, vectorize=vec, linebuffer=lb,
+                                   parallel=3)
+            par.set_state(u, v, d)
+            for _ in range(2):
+                par.step()
+            for p, o in zip(par.get_state(), (ou, ov, od)):
+                assert p.tobytes() == o.tobytes(), (vec, lb)
 
     def test_density_is_conserved_roughly(self):
         params = FluidParams(self.N, diff=0.0)
@@ -133,6 +143,16 @@ class TestDispatch:
                 pytest.approx(ck.c_loop_virtual(cobj, iters), abs=1e-4)
         tk.free(obj)
         ck.c_release(cobj)
+
+    def test_fatptr_interface_matches_embedded_vtable(self):
+        tk = build_terra_dispatch()
+        fk = build_fatptr_dispatch()
+        obj = tk.make(1.0001, 0.5)
+        fobj = fk.make(1.0001, 0.5)
+        assert fk.loop_virtual(fobj, 100000) == \
+            pytest.approx(tk.loop_virtual(obj, 100000), abs=1e-3)
+        tk.free(obj)
+        fk.free(fobj)
 
     def test_virtual_equals_direct_result(self):
         tk = build_terra_dispatch()

@@ -124,6 +124,28 @@ class TestParallelFor:
         assert sum(hi - lo for lo, hi, _ in hits) == 100
         assert all(tag == "t" for _, _, tag in hits)
 
+    def test_traced_chunks_land_in_distinct_worker_lanes(self, tmp_path):
+        """Two chunks that must overlap (each waits for the other) show
+        up as two worker lanes in the exported trace."""
+        import json
+        import threading
+
+        from repro import trace
+        both_running = threading.Barrier(2, timeout=10)
+        trace.enable()
+        try:
+            parallel_for(lambda lo, hi: both_running.wait(), 0, 64,
+                         nthreads=2)
+            doc = json.load(open(
+                trace.export_chrome(str(tmp_path / "lanes.json"))))
+        finally:
+            trace.disable()
+            trace.clear()
+        assert trace.validate_chrome(doc) == []
+        chunks = [e for e in doc["traceEvents"]
+                  if e["name"].startswith("parallel.chunk:")]
+        assert len({e["tid"] for e in chunks}) == 2, chunks
+
     def test_env_one_forces_serial_dispatch(self, monkeypatch):
         monkeypatch.setenv("REPRO_TERRA_THREADS", "1")
         calls = []

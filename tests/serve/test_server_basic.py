@@ -156,3 +156,19 @@ class TestConcurrentClients:
             assert results == [1.5] * 4
             # at least one of the four racers joined an in-flight staging
             assert registry().get("serve.compile_dedup") > before
+
+
+class TestSmokeLoad:
+    def test_smoke_load_passes_and_writes_a_valid_trace(self, tmp_path):
+        """What ``python -m repro.serve --smoke --trace OUT`` runs."""
+        from repro import trace
+        from repro.serve.__main__ import run_smoke
+        from repro.trace.__main__ import main as trace_cli
+        out = str(tmp_path / "serve-trace.json")
+        config = ServeConfig(socket_path=str(tmp_path / "smoke.sock"))
+        try:
+            assert run_smoke(config, tenants=2, trace_out=out) == 0
+        finally:  # run_smoke turns tracing on for the process
+            trace.disable()
+            trace.clear()
+        assert trace_cli(["validate", out]) == 0

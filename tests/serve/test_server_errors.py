@@ -209,6 +209,8 @@ class TestAdmissionOverTheWire:
                 with pytest.raises(ServeError) as ei:
                     c.call(self.SPIN, "spin", [1])
                 assert ei.value.code == "tenant-over-quota"
+            # a fast-reject: it did not wait behind the running kernel
+            assert t.is_alive()
             # a different tenant is still served while greedy spins
             with srv.client(tenant="patient") as c:
                 assert c.call(SQ, "sq", [2.0]) == 4.0

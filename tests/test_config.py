@@ -84,8 +84,6 @@ SAMPLES = {
     "REPRO_TERRA_TRACE": ("1", True, None),
     "REPRO_TERRA_TRACE_OUT": ("t.json", "t.json", None),
     "REPRO_TERRA_PROFILE": ("yes", True, None),
-    "REPRO_BENCH_FULL": ("1", True, None),
-    "REPRO_BENCH_OUT_DIR": ("out", "out", None),
     "REPRO_SERVE_SOCKET": ("/tmp/s.sock", "/tmp/s.sock", None),
 }
 

@@ -1,5 +1,6 @@
 """End-to-end: the real compile lifecycle produces the documented spans."""
 
+import json
 import uuid
 
 import pytest
@@ -8,6 +9,8 @@ import repro
 from repro import trace
 from repro.buildd.cache import ArtifactCache
 from repro.buildd.service import CompileService
+from repro.exec import TieredPolicy, policy_override
+from repro.trace import profile
 from repro.trace.export import validate_chrome
 
 
@@ -162,3 +165,31 @@ def test_one_emission_per_unit():
     plain = loop.get_c_source()
     assert "_chunk" not in plain
     assert "fill_chunk" in loop.mark_chunked().get_c_source()
+
+
+def test_tiered_run_traces_tier_up_respecialize_and_deopt(tmp_path):
+    """A stable divisor under a varying trip count: tier-up splices only
+    ``d``, a different ``d`` misses the guard — each a trace instant."""
+    fn = repro.terra("""
+    terra modsum(n : int64, d : int64) : int64
+      var acc : int64 = 0
+      for i = 0, n do
+        acc = acc + i % d
+      end
+      return acc
+    end
+    """)
+    profile.clear_args(fn)
+    trace.enable()
+    with policy_override(TieredPolicy(threshold=4, sync=True)):
+        for n in range(10, 16):
+            assert fn(n, 7) == sum(i % 7 for i in range(n))
+        info = fn.dispatcher.tier_info()
+        assert info["tier"] == 1 and info["respecialized"]
+        assert fn.dispatcher.tier.respec.consts == {1: 7}
+        assert fn(12, 5) == sum(i % 5 for i in range(12))
+        assert fn.dispatcher.tier_info()["deopts"] == 1
+    for instant in ("exec.tier_up", "exec.respecialize", "exec.deopt"):
+        assert instant in _names()
+    doc = json.load(open(trace.export_chrome(str(tmp_path / "tier.json"))))
+    assert validate_chrome(doc) == []
