@@ -15,6 +15,7 @@ check:  # the tier-1 gate: full test suite + a buildd CLI smoke
 	$(PYTHON) -m pytest tests/ -x -q
 	$(PYTHON) -m repro.buildd --stats
 	$(PYTHON) -m repro.buildd --gc
+	@$(PYTHON) -m repro.buildd --stats | grep '^spec\.memo'
 	@echo "src lines: $$(find src -name '*.py' | xargs cat | wc -l)"
 	@echo "REPRO_* knobs: $$(grep -c '^| `REPRO_' docs/ENVIRONMENT.md)"
 	@echo "src files touching os.environ:" $$(grep -rl 'os\.environ' src --include='*.py')

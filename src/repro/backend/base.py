@@ -113,18 +113,27 @@ class Backend:
     #: two backends requesting the same level share the work.
     pipeline_level: int = 2
 
-    def compile_unit(self, fn, component):
+    def memoized_unit(self, fn) -> tuple:
+        """What this backend's structural memo knows of ``fn``'s component
+        before anything typechecks it: ``(outcome, ticket, memo)`` — the
+        ticket binds a previously compiled artifact when the outcome is
+        ``"hit"``; ``memo`` is what :meth:`compile_unit` should remember the
+        unit under otherwise.  All None (the default): no memo, or nothing
+        left for one to skip."""
+        return None, None, None
+
+    def compile_unit(self, fn, component, memo=None):
         """Compile ``fn``'s connected ``component`` (a list of
         TerraFunctions, fn first) and return a Python-callable handle for
         ``fn``."""
         raise NotImplementedError
 
-    def compile_unit_async(self, fn, component) -> CompileTicket:
+    def compile_unit_async(self, fn, component, memo=None) -> CompileTicket:
         """Start compiling the unit without waiting for it; the returned
         ticket's ``result()`` yields the callable handle.  The default
         compiles synchronously (interpreter "compilation" is cheap); the C
         backend overrides this to run gcc on the buildd pool."""
-        return CompileTicket.completed(self.compile_unit(fn, component))
+        return CompileTicket.completed(self.compile_unit(fn, component, memo))
 
     # -- globals ------------------------------------------------------------
     def materialize_global(self, glob):

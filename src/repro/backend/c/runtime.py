@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import ctypes
 import weakref
+from concurrent.futures import Future
 
+from ... import config
 from ... import trace as _trace
-from ...buildd import get_service
+from ...buildd import get_service, toolchain
 from ...core import types as T
-from ...errors import CompileError, FFIError, TrapError
+from ...errors import CompileError, FFIError, TrapError, TypeCheckError
+from ...trace.metrics import registry
 from ...ffi import convert
 from ...memory import layout
 from ..base import Backend, CompileTicket, ExecutableHandle
@@ -233,20 +236,24 @@ class CBackend(Backend):
 
     def __init__(self):
         self._libs: list[ctypes.CDLL] = []
-        #: entry fn -> (key, C source, C names): see _emit
+        #: entry fn -> (key, C source, C names): see _emit; a unit bound from
+        #: the structural memo is (("memo", level), artifact key, None) — its
+        #: text is the artifact's unit_<key>.c: see emit_source
         self._units = weakref.WeakKeyDictionary()
         self._globals: dict[int, tuple] = {}   # glob.uid -> (buffer, addr)
         self._callbacks: dict[int, tuple] = {}  # cb.uid -> (wrapper, addr)
 
     # -- compilation -------------------------------------------------------------
+    def _level(self) -> int:
+        from ...passes import resolve_level
+        return resolve_level(self.pipeline_level)
+
     def _emit(self, fn, component, **span_args):
         """``(source, names)`` of ``fn``'s component — the C text and each
         member's C name (``uid -> name``) — emitted once and remembered, so
         ``get_c_source()`` shows the text that was compiled.  Only the
         pipeline level and ``mark_chunked()`` can move it: the key."""
-        from ...passes import resolve_level
-        key = (resolve_level(self.pipeline_level),
-               tuple(f.emit_chunk for f in component))
+        key = (self._level(), tuple(f.emit_chunk for f in component))
         unit = self._units.get(fn)
         if unit is None or unit[0] != key:
             with _trace.span(f"emit:{fn.name}", cat="emit", backend="c",
@@ -257,12 +264,10 @@ class CBackend(Backend):
             unit = self._units[fn] = (key, source, emitter.fn_names)
         return unit[1], unit[2]
 
-    def compile_unit(self, fn, component):
-        source, names = self._emit(fn, component)
-        so_path = get_service().compile(source, tuple(_EXTRA_CFLAGS))
-        return self._bind_unit(fn, component, names, so_path)
+    def compile_unit(self, fn, component, memo=None):
+        return self._submit(fn, component, memo).result()
 
-    def compile_unit_async(self, fn, component):
+    def compile_unit_async(self, fn, component, memo=None):
         """Submit the unit to the buildd pool; returns a
         :class:`~repro.backend.base.CompileTicket` whose ``result()``
         binds the shared object and yields ``fn``'s callable handle.
@@ -270,30 +275,101 @@ class CBackend(Backend):
         Source emission and flag capture happen synchronously (in the
         caller's thread, so :func:`extra_cflags` blocks behave), only the
         compiler run overlaps."""
-        source, names = self._emit(fn, component, mode="async")
-        future = get_service().compile_async(source, tuple(_EXTRA_CFLAGS))
-        return CompileTicket(
-            future, lambda so: self._bind_unit(fn, component, names, so))
+        return self._submit(fn, component, memo, mode="async")
 
-    def _bind_unit(self, fn, component, names, so_path):
+    def _submit(self, fn, component, memo, **span_args):
+        source, names = self._emit(fn, component, **span_args)
+        bound = [(f, names[f.uid], f.typed.type)
+                 for f in component if not f.is_external]
+        future = get_service().compile_async(
+            source, tuple(_EXTRA_CFLAGS),
+            memo and self._memo_record(*memo, bound))
+        return CompileTicket(future, lambda so: self._bind_unit(fn, bound, so))
+
+    # -- the structural memo (repro.core.linker.ensure_compiled) ------------------
+    def memoized_unit(self, fn):
+        with _trace.span(f"memo:{fn.name}", cat="link") as sp:
+            consulted = self._consult_memo(fn)
+            sp.set(outcome=consulted[0])
+        return consulted
+
+    def _consult_memo(self, fn):
+        from ...core.linker import pipelined_component, structural_digest
+        service = get_service()
+        # what outside the trees can move the C or the .so: the level, the
+        # pass knobs and — the key of the empty unit — every flag + compiler
+        members, digest = structural_digest(fn, repr((
+            self._level(), service.key_for("", tuple(_EXTRA_CFLAGS)),
+            [config.get("REPRO_TERRA_" + name)
+             for name in ("DISABLE_PASSES", "FMA", "VEC_BYTES")])))
+        if members is None:
+            return f"ineligible:{digest}", None, None
+        memo = (digest, members)
+        found = service.cache.memo(digest)
+        if found is None:
+            return "miss", None, memo
+        try:
+            key, (sources, rows) = found
+            if sources != toolchain.package_fingerprint():
+                raise ValueError("written by other sources")
+            bound = [(f, str(name), T.FunctionType(
+                         f.param_types, [T.decode(t) for t in returns]))
+                     for f, (name, returns) in zip(
+                         (f for f in members if not f.is_external), rows,
+                         strict=True)]
+        except (ValueError, TypeError, LookupError):
+            return "stale", None, memo      # a record that does not decode
+        so_path = service.fetch(key)
+        if so_path is None:
+            return "stale", None, memo      # ... or outlived its artifact
+        self._units[fn] = (("memo", self._level()), key, None)
+        if config.get("REPRO_TERRA_VERIFY_IR"):
+            # the safety net: derive the unit the slow way and demand the
+            # bytes the artifact was compiled from (its key hashes them)
+            source, _ = self._emit(
+                fn, pipelined_component(fn, self, memo="verify"))
+            if service.key_for(source, tuple(_EXTRA_CFLAGS)) != key:
+                raise CompileError(
+                    f"structural memo: {fn.name!r} was bound to "
+                    f"{service.cache.source_path(key)}, but its typed IR "
+                    f"emits other C — two components share a digest")
+        built: Future = Future()
+        built.set_result(so_path)
+        return "hit", CompileTicket(
+            built, lambda so: self._bind_unit(fn, bound, so)), memo
+
+    def _memo_record(self, digest, members, bound):
+        """``(digest, record)`` for the artifact's cache row — the sources'
+        fingerprint, then each defined member's C name and return types in
+        the digest's order — or None, and nothing is remembered, when the
+        digest's members are not the unit's or a type does not spell."""
+        unit = {f.uid: (name, ftype.returns) for f, name, ftype in bound}
+        try:
+            rows = [[name, [T.encode(t) for t in returns]] for name, returns
+                    in (unit[f.uid] for f in members if not f.is_external)]
+        except (KeyError, TypeCheckError):
+            rows = ()
+        if len(rows) != len(unit):
+            registry().add("spec.memo.ineligible.unit")
+            return None
+        return digest, [toolchain.package_fingerprint(), rows]
+
+    def _bind_unit(self, fn, bound, so_path):
         """ctypes-load a compiled unit and cache handles for every function
-        in it; returns the entry function's handle.  Safe to call twice for
+        in it — ``bound`` lists them as ``(function, C name, FunctionType)``
+        — and return the entry function's handle.  Safe to call twice for
         the same unit (handles install with setdefault)."""
         with _trace.span(f"bind:{fn.name}", cat="bind",
                          so=so_path.rsplit("/", 1)[-1],
-                         component_size=len(component)):
-            return self._bind_unit_traced(fn, component, names, so_path)
+                         component_size=len(bound)):
+            return self._bind_unit_traced(fn, bound, so_path)
 
-    def _bind_unit_traced(self, fn, component, names, so_path):
+    def _bind_unit_traced(self, fn, bound, so_path):
         lib = ctypes.CDLL(so_path)
         self._libs.append(lib)
         entry_handle = None
-        for f in component:
-            if f.is_external:
-                continue
-            cname = names[f.uid]
+        for f, cname, ftype in bound:
             cfn = getattr(lib, cname)
-            ftype = f.typed.type
             cfn.restype = abi.ctype_for(ftype.returntype)
             cfn.argtypes = [abi.ctype_for(p) for p in ftype.parameters]
             try:
@@ -322,7 +398,15 @@ class CBackend(Backend):
     def emit_source(self, fn) -> str:
         """The C source for ``fn``'s connected component (for inspection,
         tests, and saveobj), after the same IR pipeline a real compile
-        would run."""
+        would run — for a unit bound from the structural memo, the
+        artifact's own ``unit_<key>.c`` while that file exists."""
+        unit = self._units.get(fn)
+        if unit is not None and unit[0] == ("memo", self._level()):
+            try:
+                with open(get_service().cache.source_path(unit[1])) as f:
+                    return f.read()
+            except OSError:
+                pass    # evicted since: derive it
         from ...core.linker import pipelined_component
         return self._emit(fn, pipelined_component(fn, self))[0]
 

@@ -663,7 +663,7 @@ class InterpBackend(Backend):
         self.machine = Machine(self)
         self._global_slots: dict[int, int] = {}
 
-    def compile_unit(self, fn, component):
+    def compile_unit(self, fn, component, memo=None):
         with _trace.span(f"emit:{fn.name}", cat="emit", backend="interp",
                          component_size=len(component)):
             handle = fn.dispatcher.install(

@@ -19,6 +19,12 @@ flags, compile time, last use) and drives LRU eviction against a byte cap
 it is missing, stale, or corrupted, it is rebuilt by scanning the cache
 directory, so a pre-populated or damaged cache dir degrades to a rebuild,
 never to an error.
+
+A row may also carry ``memo``: *structural digest → bind record* for every
+specialized component known to compile to this artifact (the linker's
+structural memo, docs/INTERNALS.md).  It lives and dies with the row, so
+eviction, quotas, ``clear`` and index recovery need no code of their own;
+:meth:`ArtifactCache.memo` finds a row by digest.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ class ArtifactCache:
         os.makedirs(self.root, exist_ok=True)
         self._lock = threading.Lock()
         self._index: Optional[dict] = None  # key -> metadata dict
+        self._by_digest: dict[str, str] = {}  # memo digest -> key (advisory)
         self._pending_hits = 0      # last_use bumps not yet on disk
         self._last_hit_save = 0.0   # monotonic-ish wall time of last save
 
@@ -137,9 +144,15 @@ class ArtifactCache:
             entries[key] = {"size": st.st_size, "flags": [],
                             "compile_s": None, "created": st.st_mtime,
                             "last_use": st.st_mtime}
-        # drop index entries whose artifact vanished
-        entries = {k: v for k, v in entries.items()
-                   if os.path.exists(self.artifact_path(k))}
+        # drop index entries that are not rows or whose artifact vanished
+        entries = {k: v for k, v in entries.items() if isinstance(v, dict)
+                   and os.path.exists(self.artifact_path(k))}
+        self._by_digest = {}
+        for key, entry in entries.items():
+            if isinstance(entry.get("memo"), dict):
+                self._by_digest.update(dict.fromkeys(entry["memo"], key))
+            else:
+                entry.pop("memo", None)
         self._index = entries
         return entries
 
@@ -160,13 +173,32 @@ class ArtifactCache:
                 pass
 
     # -- lookup / publish ---------------------------------------------------
-    def lookup(self, key: str) -> Optional[str]:
+    def memo(self, digest: str) -> Optional[tuple]:
+        """``(key, record)`` of the row whose ``memo`` holds ``digest``, or
+        None.  Reads only: :meth:`lookup` of the key is the cache request."""
+        with self._lock:
+            entries = self._load_index_locked()
+            key = self._by_digest.get(digest)
+            record = entries.get(key, {}).get("memo", {}).get(digest)
+            return None if record is None else (key, record)
+
+    def memo_rows(self) -> int:
+        """How many rows carry a memo record."""
+        with self._lock:
+            entries = self._load_index_locked()
+            return len(entries.keys() & self._by_digest.values())
+
+    def lookup(self, key: str, memo: Optional[tuple] = None) -> Optional[str]:
         """Path of a cached artifact, or None.  Bumps the LRU clock.
 
         The bump is persisted (throttled — see :meth:`_maybe_save_hits_locked`)
         so that a warm-cache process, which never publishes, still refreshes
         ``last_use`` on disk; otherwise a later ``gc()`` in any process would
         LRU-evict the hottest artifacts as if they were never used.
+
+        ``memo`` is a ``(digest, record)`` to note on the row — another
+        specialized tree found to compile to this artifact — and reaches
+        the disk with the bump.
         """
         path = self.artifact_path(key)
         with self._lock:
@@ -185,8 +217,18 @@ class ArtifactCache:
                 entries[key] = entry
             entry["last_use"] = time.time()
             self._pending_hits += 1
+            if memo is not None:
+                self._note_memo_locked(key, entry, memo)
             self._maybe_save_hits_locked()
             return path
+
+    def _note_memo_locked(self, key: str, entry: dict, memo: tuple) -> None:
+        digest, record = memo
+        moved_from = self._index.get(self._by_digest.get(digest))
+        if moved_from is not None and moved_from is not entry:
+            moved_from.get("memo", {}).pop(digest, None)    # its C changed
+        entry.setdefault("memo", {})[digest] = record
+        self._by_digest[digest] = key
 
     def _maybe_save_hits_locked(self) -> None:
         """Persist pending pure-hit ``last_use`` bumps, batched: the first
@@ -207,12 +249,15 @@ class ArtifactCache:
     def publish(self, key: str, built_path: str, *, source: str = "",
                 flags: Iterable[str] = (),
                 compile_s: Optional[float] = None,
-                namespace: Optional[str] = None) -> str:
+                namespace: Optional[str] = None,
+                memo: Optional[tuple] = None) -> str:
         """Atomically install ``built_path`` (a unique temp file, consumed)
         as the artifact for ``key``; returns the final path.
 
         ``namespace`` attributes the entry for the per-namespace quota
         (multi-tenant churn control); None files it under ``"default"``.
+        ``memo`` is the ``(digest, record)`` of the specialized tree the
+        source was emitted from (see :meth:`lookup`).
         """
         final = self.artifact_path(key)
         if source:
@@ -230,6 +275,8 @@ class ArtifactCache:
                             "compile_s": compile_s, "created": now,
                             "last_use": now,
                             "ns": namespace or "default"}
+            if memo is not None:
+                self._note_memo_locked(key, entries[key], memo)
             self._evict_locked()
             self._save_index_locked()
         return final

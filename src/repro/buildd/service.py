@@ -34,6 +34,7 @@ from typing import Iterable, Optional
 
 from ..errors import CompileError
 from .. import config, trace
+from ..trace.metrics import registry
 from . import toolchain as _toolchain
 from .cache import ArtifactCache
 from .stats import BuildStats
@@ -117,20 +118,29 @@ class CompileService:
         """Compile (or fetch) ``source``; blocks; returns the .so path."""
         return self.compile_async(source, flags).result()
 
-    def compile_async(self, source: str, flags: Iterable[str] = ()) -> Future:
+    def fetch(self, key: str, memo: Optional[tuple] = None) -> Optional[str]:
+        """The cached artifact for ``key`` or None — a request like any
+        other when it hits: counted, LRU-bumped, traced."""
+        cached = self.cache.lookup(key, memo)
+        if cached is not None:
+            self.stats.record_hit()
+            trace.instant("buildd.cache_hit", cat="buildd", key=key[:12])
+        return cached
+
+    def compile_async(self, source: str, flags: Iterable[str] = (),
+                      memo: Optional[tuple] = None) -> Future:
         """Schedule a compile; returns a Future resolving to the .so path.
 
         Identical concurrent requests (same source, flags, and compiler)
-        share a single build; cached keys resolve immediately.
+        share a single build; cached keys resolve immediately.  ``memo``
+        — ``(digest, record)`` of the specialized tree ``source`` was
+        emitted from — is noted on the artifact's cache row.
         """
         flags = tuple(flags)
         key = self.key_for(source, flags)
         with self._lock:
-            cached = self.cache.lookup(key)
+            cached = self.fetch(key, memo)
             if cached is not None:
-                self.stats.record_hit()
-                trace.instant("buildd.cache_hit", cat="buildd",
-                              key=key[:12])
                 done: Future = Future()
                 done.set_result(cached)
                 return done
@@ -142,7 +152,7 @@ class CompileService:
             self.stats.record_submit()
             trace.instant("buildd.submit", cat="buildd", key=key[:12])
             fut = self._pool.submit(self._build, key, source, flags,
-                                    current_namespace())
+                                    current_namespace(), memo)
             self._inflight[key] = fut
             return fut
 
@@ -157,18 +167,20 @@ class CompileService:
 
     # -- the worker ---------------------------------------------------------
     def _build(self, key: str, source: str, flags: tuple[str, ...],
-               namespace: Optional[str] = None) -> str:
+               namespace: Optional[str] = None,
+               memo: Optional[tuple] = None) -> str:
         with trace.span("buildd.compile", cat="buildd",
                         key=key[:12], source_bytes=len(source)) as sp:
-            return self._build_traced(sp, key, source, flags, namespace)
+            return self._build_traced(sp, key, source, flags, namespace, memo)
 
     def _build_traced(self, sp, key: str, source: str,
                       flags: tuple[str, ...],
-                      namespace: Optional[str] = None) -> str:
+                      namespace: Optional[str] = None,
+                      memo: Optional[tuple] = None) -> str:
         t0 = time.perf_counter()
         try:
             # another process may have published this key since lookup
-            existing = self.cache.lookup(key)
+            existing = self.cache.lookup(key, memo)
             if existing is not None:
                 self.stats.record_already_built()
                 sp.set(already_built=True)
@@ -192,7 +204,8 @@ class CompileService:
             dt = time.perf_counter() - t0
             size = os.path.getsize(tmp)
             final = self.cache.publish(key, tmp, source=source, flags=flags,
-                                       compile_s=dt, namespace=namespace)
+                                       compile_s=dt, namespace=namespace,
+                                       memo=memo)
             self.stats.record_compile(key, dt, size)
             sp.set(artifact_bytes=size)
             return final
@@ -280,6 +293,10 @@ class CompileService:
         out["compiler"] = str(tc) if tc is not None else None
         out.update(self.cache.summary())
         out.update(self.stats.snapshot())
+        # the linker's structural memo: rows on disk, this process's counts
+        out["spec.memo"] = {"rows": self.cache.memo_rows(), **{
+            name[len("spec.memo."):]: int(count) for name, count
+            in sorted(registry().counters("spec.memo.").items())}}
         return out
 
     def shutdown(self, wait: bool = True) -> None:

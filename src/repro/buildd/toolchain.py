@@ -14,7 +14,9 @@ and for pinning a specific compiler).
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
 import shutil
 import subprocess
 import threading
@@ -101,6 +103,23 @@ def cc_identity() -> str:
     part of every artifact-cache key."""
     tc = default_toolchain()
     return tc.identity if tc is not None else ""
+
+
+@functools.lru_cache(maxsize=None)
+def package_fingerprint() -> str:
+    """Short hash of the ``repro`` sources this process runs — each
+    ``.py``'s path, ``mtime_ns`` and size, what CPython's own ``.pyc``
+    invalidation trusts — taken once.  Structural-memo records carry it, so
+    an edited pass or emitter is never served a unit its predecessor
+    emitted into a cache directory that outlived it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    stats = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(f for f in filenames if f.endswith(".py")):
+            st = os.stat(os.path.join(dirpath, name))
+            stats.append((dirpath[len(root):], name, st.st_mtime_ns, st.st_size))
+    return hashlib.sha256(repr(stats).encode()).hexdigest()[:12]
 
 
 def reset() -> None:

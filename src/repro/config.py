@@ -101,11 +101,13 @@ VARS = {
     "REPRO_TERRA_DUMP_IR": (
         (str, "a registered pass name, or `all`"), None, "none",
         "passes", "every use",
-        "Print the IR before and after that pass to stderr."),
+        "Print the IR before and after that pass to stderr (passes must run "
+        "to be seen: bypasses the structural memo)."),
     "REPRO_TERRA_VERIFY_IR": (
         FLAG, False, "`0`",
         "passes (IR verifier)", "every use",
-        "Verify the IR after typechecking, every pass and before emission."),
+        "Verify the IR after typechecking, every pass and before emission; "
+        "a structural-memo hit also re-derives its C and must match."),
     "REPRO_TERRA_THREADS": (
         integer(1), None, "the requested count, else cpu count",
         "parallel (worker pool)", "every use",

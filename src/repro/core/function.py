@@ -50,6 +50,7 @@ class TerraFunction:
         self.param_types: list[T.Type] = []
         self.declared_rettype: Optional[T.Type] = None
         self.body: Optional[sast.SBlock] = None
+        self.fingerprint: Optional[sast.Fingerprint] = None
         # external (C) functions have a type and symbol name but no body
         self.external_name: Optional[str] = None
         self.external_type: Optional[T.FunctionType] = None
@@ -79,10 +80,13 @@ class TerraFunction:
                 f"Terra function {self.name!r} is already defined; "
                 f"definitions are immutable")
         # every frontend funnels through here — enforce the frontend↔IR
-        # contract (docs/FRONTENDS.md) before accepting the definition
-        sast.validate_definition(param_symbols, param_types, rettype, body)
-        self.param_symbols = list(param_symbols)
-        self.param_types = list(param_types)
+        # contract (docs/FRONTENDS.md) before accepting the definition; the
+        # same walk fingerprints it for the linker's structural memo
+        params, ptypes = list(param_symbols), list(param_types)
+        self.fingerprint = sast.validate_definition(params, ptypes, rettype,
+                                                    body)
+        self.param_symbols = params
+        self.param_types = ptypes
         self.declared_rettype = rettype
         self.body = body
         self.state = self.DEFINED

@@ -12,14 +12,25 @@ stable); failures are *not* cached, because the result of typechecking can
 references are defined" — and because type reflection (``__cast``,
 ``__finalizelayout``) may legitimately add capabilities to types between
 attempts.
+
+Lazy also means *not at all* when the answer is on disk:
+:func:`ensure_compiled` first asks the backend's structural memo whether a
+component with these specialized trees was compiled before, by any
+process, and binds that artifact with no typed IR built (docs/INTERNALS.md,
+"per structure").  Later readers of ``fn.typed`` come through
+:func:`ensure_typechecked` / :func:`pipelined_component`, so a hit defers
+this module's work, never removes it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 from ..errors import LinkError, TypeCheckError
-from .. import trace
+from .. import config, trace
+from ..trace.metrics import registry
+from . import sast
 from .function import TerraFunction
 
 #: functions currently being typechecked (cycle detection).  Thread-local:
@@ -91,7 +102,8 @@ def ensure_typechecked(fn: TerraFunction) -> None:
     connected_component(fn)
 
 
-def pipelined_component(fn: TerraFunction, backend) -> list[TerraFunction]:
+def pipelined_component(fn: TerraFunction, backend,
+                        **span_args) -> list[TerraFunction]:
     """Typecheck ``fn``'s connected component and bring every member's
     typed IR to the backend's requested pipeline level.
 
@@ -105,7 +117,7 @@ def pipelined_component(fn: TerraFunction, backend) -> list[TerraFunction]:
     from ..passes import run_function_pipeline
     level = getattr(backend, "pipeline_level", None)
     with trace.span(f"link:{fn.name}", cat="typecheck",
-                    backend=backend.name, level=level) as sp:
+                    backend=backend.name, level=level, **span_args) as sp:
         component = connected_component(fn)
         for member in component:
             run_function_pipeline(member, level)
@@ -113,24 +125,62 @@ def pipelined_component(fn: TerraFunction, backend) -> list[TerraFunction]:
     return component
 
 
-def ensure_compiled(fn: TerraFunction, backend):
+def structural_digest(fn: TerraFunction, context: str) -> tuple:
+    """``(members, digest)`` of ``fn``'s reachable component, read off the
+    *specialized* trees: the members in discovery order and a hash of
+    ``context`` plus, per member, its name, :class:`~repro.core.sast.
+    Fingerprint` digest, chunk mark and schedule, its callees as component
+    indices (cycles are fine), its symbols numbered by first occurrence
+    across the component — externals as symbol name + type.  ``(None,
+    reason)`` when typechecking a member depends on state no tree shows: a
+    named struct's method tables, a global's or callback's address, a
+    constant of foreign type, a callee still undefined."""
+    members, index, symbols, parts = [fn], {fn.uid: 0}, {}, [context]
+    for f in members:                   # grows as callees are discovered
+        if f.is_external:
+            parts.append((f.external_name, sast.type_token(f.external_type)))
+            if parts[-1][1] is None:
+                return None, "struct"
+            continue
+        fp = f.fingerprint
+        if fp is None or fp.why:
+            return None, "undefined" if fp is None else fp.why
+        for ref in fp.refs:
+            if ref.uid not in index:
+                index[ref.uid] = len(members)
+                members.append(ref)
+        schedule = getattr(f, "schedule", None)
+        parts.append((f.name, fp.digest, f.emit_chunk,
+                      schedule and (schedule.key(), schedule.strict),
+                      [index[ref.uid] for ref in fp.refs],
+                      [symbols.setdefault(s, len(symbols))
+                       for s in fp.symbols]))
+    return members, hashlib.sha256(repr(parts).encode()).hexdigest()[:32]
+
+
+def ensure_compiled(fn: TerraFunction, backend, asynchronous: bool = False):
     """Compile ``fn``'s connected component on ``backend`` and return a
-    callable handle for ``fn``."""
-    component = pipelined_component(fn, backend)
-    return backend.compile_unit(fn, component)
+    callable handle for ``fn`` — or, ``asynchronous``, *submit* it to the
+    backend's compile service and return a :class:`~repro.backend.base.
+    CompileTicket` whose ``result()`` yields the handle.
 
-
-def ensure_compiled_async(fn: TerraFunction, backend):
-    """Typecheck ``fn``'s component, emit it, and *submit* it to the
-    backend's compile service without waiting; returns a
-    :class:`~repro.backend.base.CompileTicket` whose ``result()`` yields
-    the callable handle.
-
-    Typechecking, the IR pipeline, and emission run synchronously in the
+    Typechecking, the IR pipeline and emission run synchronously in the
     caller (they touch shared linker state); only the native compile
-    overlaps.  Callers that submit many units up front (the §6.1
-    auto-tuner) get them compiled concurrently by the :mod:`repro.buildd`
-    pool.
+    overlaps, so callers that submit many units up front (the §6.1
+    auto-tuner) get them built concurrently by the :mod:`repro.buildd`
+    pool.  None of the three runs when the structural memo knows the
+    artifact; ``REPRO_TERRA_DUMP_IR`` wants to watch them and bypasses it.
     """
-    component = pipelined_component(fn, backend)
-    return backend.compile_unit_async(fn, component)
+    outcome = ticket = memo = None
+    if fn.typed is None and not config.get("REPRO_TERRA_DUMP_IR"):
+        outcome, ticket, memo = backend.memoized_unit(fn)
+    if outcome is not None:
+        registry().add("spec.memo." + {"hit": "hits", "miss": "misses"}.get(
+            outcome, outcome.replace(":", ".")))
+    if outcome == "hit":
+        return ticket if asynchronous else ticket.result()
+    component = pipelined_component(
+        fn, backend, **({"memo": outcome} if outcome else {}))
+    compile_unit = backend.compile_unit_async if asynchronous \
+        else backend.compile_unit
+    return compile_unit(fn, component, memo)

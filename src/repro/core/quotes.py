@@ -44,13 +44,12 @@ class Quote:
 
     # -- splicing support ---------------------------------------------------
     def as_expression(self) -> sast.SExpr:
-        """The tree to splice in expression position."""
+        """The tree to splice in expression position — shared, not copied:
+        specialized trees are read-only (see :mod:`repro.core.sast`)."""
         if self.kind == self.EXPRESSION:
-            return sast.copy_tree(self.tree)
-        if self.in_exprs is not None and len(self.in_exprs) >= 1:
-            block = sast.copy_tree(self.tree)
-            exprs = [sast.copy_tree(e) for e in self.in_exprs]
-            return sast.SLetIn(block, exprs)
+            return self.tree
+        if self.in_exprs:
+            return sast.SLetIn(self.tree, self.in_exprs)
         raise SpecializeError(
             "cannot splice a statements-quote (with no 'in' expression) "
             "into expression position")
@@ -58,14 +57,11 @@ class Quote:
     def as_statements(self) -> list[sast.SStat]:
         """The statements to splice in statement position."""
         if self.kind == self.EXPRESSION:
-            return [sast.SExprStat(sast.copy_tree(self.tree))]
-        block = sast.copy_tree(self.tree)
-        stmts = list(block.statements)
-        if self.in_exprs:
-            # 'in' expressions used in statement position are evaluated for
-            # effect (they are usually calls)
-            stmts.extend(sast.SExprStat(sast.copy_tree(e)) for e in self.in_exprs)
-        return stmts
+            return [sast.SExprStat(self.tree)]
+        # 'in' expressions used in statement position are evaluated for
+        # effect (they are usually calls)
+        return [*self.tree.statements,
+                *(sast.SExprStat(e) for e in self.in_exprs or ())]
 
     # -- programmatic construction -------------------------------------------
     @staticmethod

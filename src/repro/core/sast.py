@@ -12,13 +12,25 @@ by the lazy typechecker.  In a specialized tree:
 Specialized trees are still untyped: types appear on ``SCast``/``SVarDecl``
 annotations only where the programmer wrote them; the typechecker computes
 the rest when the function is first called (paper §4.1, lazy typechecking).
+
+**Specialized trees are read-only after construction** (as
+:mod:`repro.core.ast` trees are).  The typechecker builds ``tast`` nodes
+and annotates nothing in place, so a quote's tree is *shared* by every
+splice of it (:class:`~repro.core.quotes.Quote` copies nothing) and a
+definition's :class:`Fingerprint`, taken once in ``define()``, stays true.
+Whoever needs a variant builds new nodes — ``exec/respec.py`` substitutes
+into its own :func:`copy_tree` — and never assigns to a node's attribute
+or mutates one of its lists (``tests/core/test_sast.py`` snapshots every
+quote and body of a corpus, typechecks, runs and emits, and compares).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import functools
+import hashlib
+from typing import NamedTuple, Optional, Sequence
 
-from ..errors import SourceLocation
+from ..errors import SourceLocation, TypeCheckError
 from . import types as T
 from .symbols import Symbol
 
@@ -354,169 +366,170 @@ class SDefer(SStat):
         self.call = call
 
 
-# -- the frontend contract ----------------------------------------------------
+# -- the frontend contract and the structural fingerprint ---------------------
 #
-# Every frontend (the string parser, the @terra decorator, respec's
-# variant builder) hands TerraFunction.define a specialized definition.
-# ``validate_definition`` checks the structural invariants that the
-# typechecker, passes and backends silently assume — the executable half
-# of docs/FRONTENDS.md.  Violations are frontend bugs, never user errors.
+# Every frontend (the string parser, the @terra decorator, respec's variant
+# builder) hands TerraFunction.define a specialized definition.  One walk
+# checks the structural invariants the typechecker, passes and backends
+# silently assume (docs/FRONTENDS.md; a violation is a frontend bug, never
+# a user error) and hashes what it saw into the definition's Fingerprint,
+# which the linker's structural memo is keyed by (docs/INTERNALS.md).
 
-def _contract(cond: bool, message: str, location=None) -> None:
-    if not cond:
-        from ..errors import FrontendContractError
-        raise FrontendContractError(message, location)
+def _broken(node, message: str):
+    from ..errors import FrontendContractError
+    where = f"{type(node).__name__} " if isinstance(node, SNode) else ""
+    raise FrontendContractError(where + message,
+                                getattr(node, "location", None))
 
 
-def validate_definition(param_symbols, param_types, rettype, body) -> None:
-    """Check a ``(param_symbols, param_types, rettype, body)`` definition
-    against the frontend↔IR contract (docs/FRONTENDS.md):
+class Fingerprint(NamedTuple):
+    digest: bytes           # hash of the alpha-normalized definition
+    why: Optional[str]      # why no memo may stand in for typechecking it
+    symbols: tuple          # its Symbols, in first-occurrence order
+    refs: tuple             # the functions it references, likewise
 
-    * parameters are :class:`Symbol` objects paired 1:1 with concrete
-      :class:`~repro.core.types.Type` values, with no duplicate symbols
-      (hygiene: the specializer renames every binder freshly);
-    * ``rettype`` is a Type or None (None = infer during typechecking);
-    * the body is an :class:`SBlock` of fully specialized statements —
-      no leftover escapes, unresolved names or meta values: every leaf
-      is an ``S*`` node, every binder a Symbol, every annotation a Type.
-    """
-    _contract(len(list(param_symbols)) == len(list(param_types)),
-              f"parameter symbols ({len(list(param_symbols))}) and types "
-              f"({len(list(param_types))}) must pair 1:1")
-    seen_ids = set()
+
+#: one letter per entry of ``_fields``: e expression, b block, s statement,
+#: t type, y binder Symbol; o/B/T the optional e/b/t; E/S/Y/U a list of
+#: e/s/y/T, O of e or None, I of p (condition, block) pairs, F of k
+#: ``SCtorField``s; a atom (operator, field or method name), c constant
+#: value, f function, x a reference into this process (global, callback)
+_SHAPES = {
+    SConst: "cT", SString: "a", SNull: "", SVar: "y", SGlobal: "x",
+    SFuncRef: "f", STypeRef: "t", SCast: "te", SApply: "eE",
+    SMethodCall: "eaE", SSelect: "ea", SIndex: "ee", SUnOp: "ae",
+    SBinOp: "aee", SCtor: "TF", SLetIn: "bE", SIntrinsic: "aE",
+    SPyCallback: "x", SBlock: "S", SVarDecl: "YUO", SAssign: "EE",
+    SIf: "IB", SWhile: "eb", SRepeat: "be", SForNum: "yeeob", SDoStat: "b",
+    SReturn: "E", SBreak: "", SExprStat: "e", SDefer: "e",
+}
+_SHAPES = {cls: tuple(zip(shape, cls._fields)) for cls, shape in _SHAPES.items()}
+_ELEMENT = dict(zip("EOSYUIF", "eesyTpk"))
+_POSITION = {"e": SExpr, "o": SExpr, "b": SBlock, "B": SBlock, "s": SStat}
+_RULES = {      # what a node's shape alone does not say
+    SVarDecl: (lambda n: len(n.symbols) == len(n.types),
+               "symbols/types must pair 1:1"),
+    SAssign: (lambda n: n.lhs and n.rhs, "needs at least one lhs and one rhs"),
+    SIf: (lambda n: n.branches, "needs at least one branch"),
+}
+
+
+@functools.lru_cache(maxsize=4096)
+def type_token(ty: T.Type) -> Optional[str]:
+    """``ty`` spelled structurally (:func:`repro.core.types.encode`), or
+    None for a nominal type."""
+    try:
+        return repr(T.encode(ty))
+    except TypeCheckError:
+        return None
+
+
+class _Walk:
+    """One pass over a definition: checks the contract and appends to
+    ``out`` what identifies the tree up to alpha-renaming — node kinds and
+    operators, constants as Python values (``1``/``True``/``1.0`` and
+    ``0.0``/``-0.0`` spell differently, NaN like no number), symbols as
+    first-occurrence index plus display name and declared type, types
+    structurally, callees as first-occurrence index — and notes in ``why``
+    what makes typechecking it depend on state outside the tree."""
+
+    def __init__(self):
+        self.out: list = []
+        self.symbols: dict = {}
+        self.refs: dict = {}
+        self.why: Optional[str] = None
+
+    def node(self, n, base) -> None:
+        cls = type(n)
+        if not (isinstance(n, base) and cls in _SHAPES):
+            _broken(n, f"{base.__name__[1:].lower()} position holds "
+                    f"{cls.__name__} (unresolved meta value or untyped-AST "
+                    f"leak?)")
+        if cls in _RULES and not _RULES[cls][0](n):
+            _broken(n, _RULES[cls][1])
+        self.out.append(cls.__name__)
+        for kind, field in _SHAPES[cls]:
+            if kind == "e":     # half of all fields: spare them the call
+                self.node(getattr(n, field), SExpr)
+            else:
+                self.field(kind, getattr(n, field), n, field)
+
+    def field(self, kind: str, value, n=None, field: str = "") -> None:
+        out = self.out
+        if kind in _POSITION and value is not None:
+            self.node(value, _POSITION[kind])
+        elif value is None and kind in "oBTO":
+            out.append(None)
+        elif kind in _ELEMENT:
+            out.append(len(value))
+            for item in value:
+                self.field(_ELEMENT[kind], item, n, field)
+        elif kind in "tT":
+            if not isinstance(value, T.Type):
+                _broken(n, f"{field} {value!r} is not a Terra type")
+            out.append(type_token(value))
+            if out[-1] is None:
+                self.why = self.why or "struct"
+        elif kind == "y":
+            if not isinstance(value, Symbol):
+                _broken(n, f"{field} {value!r} is not a Symbol")
+            index = self.symbols.setdefault(value, len(self.symbols))
+            out.append(index)
+            if index == len(self.symbols) - 1:      # first occurrence
+                out.append(value.displayname)
+                self.field("T", value.type, n, field)
+        elif kind == "a":
+            if not isinstance(value, str):
+                _broken(n, f"{field} {value!r} is not resolved to a string")
+            out.append(value)
+        elif kind == "c":
+            flat = value if isinstance(value, (list, tuple)) else (value,)
+            if all(type(v) in (bool, int, float, str) for v in flat):
+                out.append(value)
+            else:
+                self.why = self.why or "constant"
+        elif kind == "f":
+            out.append(self.refs.setdefault(value, len(self.refs)))
+        elif kind == "x":           # SGlobal -> "global", SPyCallback -> ...
+            self.why = self.why or type(n).__name__[1:].lower()
+        elif kind == "p":
+            self.node(value[0], SExpr)
+            self.node(value[1], SBlock)
+        elif kind == "k":
+            if value.name is not None and n.type is None:
+                self.why = self.why or "struct"   # a fresh nominal struct
+            out.append(value.name)
+            self.node(value.value, SExpr)
+
+
+def validate_definition(param_symbols, param_types, rettype,
+                        body) -> Fingerprint:
+    """Check a definition against the frontend↔IR contract
+    (docs/FRONTENDS.md) and return its :class:`Fingerprint`: parameters
+    are fresh :class:`Symbol` objects (hygiene: no duplicates) paired 1:1
+    with concrete Types; ``rettype`` is a Type or None (= infer); the body
+    is an :class:`SBlock` of fully specialized statements — every leaf an
+    ``S*`` node, every binder a Symbol, every annotation a Type."""
+    walk = _Walk()
+    if len(param_symbols) != len(param_types):
+        _broken(None, f"parameter symbols ({len(param_symbols)}) and types "
+                f"({len(param_types)}) must pair 1:1")
     for sym, ty in zip(param_symbols, param_types):
-        _contract(isinstance(sym, Symbol),
-                  f"parameter {sym!r} is not a Symbol")
-        _contract(isinstance(ty, T.Type),
-                  f"parameter {sym!r} has non-Type annotation {ty!r}")
-        _contract(id(sym) not in seen_ids,
-                  f"parameter symbol {sym!r} appears twice (hygiene "
-                  f"requires fresh symbols per binder)")
-        seen_ids.add(id(sym))
-    _contract(rettype is None or isinstance(rettype, T.Type),
-              f"return annotation {rettype!r} is not a Terra type")
-    _contract(isinstance(body, SBlock),
-              f"function body must be an SBlock, got {type(body).__name__}")
-    _validate_block(body)
-
-
-def _validate_block(block: SBlock) -> None:
-    _contract(isinstance(block, SBlock),
-              f"expected SBlock, got {type(block).__name__}",
-              getattr(block, "location", None))
-    for stat in block.statements:
-        _validate_stat(stat)
-
-
-def _validate_stat(s) -> None:
-    loc = getattr(s, "location", None)
-    _contract(isinstance(s, SStat),
-              f"statement position holds {type(s).__name__}", loc)
-    if isinstance(s, SVarDecl):
-        _contract(len(s.symbols) == len(s.types),
-                  "SVarDecl symbols/types must pair 1:1", loc)
-        for sym, ty in zip(s.symbols, s.types):
-            _contract(isinstance(sym, Symbol),
-                      f"SVarDecl binder {sym!r} is not a Symbol", loc)
-            _contract(ty is None or isinstance(ty, T.Type),
-                      f"SVarDecl annotation {ty!r} is not a Type", loc)
-        if s.inits is not None:
-            for e in s.inits:
-                _validate_expr(e)
-    elif isinstance(s, SAssign):
-        _contract(len(s.lhs) >= 1 and len(s.rhs) >= 1,
-                  "SAssign needs at least one lhs and one rhs", loc)
-        for e in s.lhs + s.rhs:
-            _validate_expr(e)
-    elif isinstance(s, SIf):
-        _contract(len(s.branches) >= 1, "SIf needs at least one branch", loc)
-        for cond, blk in s.branches:
-            _validate_expr(cond)
-            _validate_block(blk)
-        if s.orelse is not None:
-            _validate_block(s.orelse)
-    elif isinstance(s, SWhile):
-        _validate_expr(s.cond)
-        _validate_block(s.body)
-    elif isinstance(s, SRepeat):
-        _validate_block(s.body)
-        _validate_expr(s.cond)
-    elif isinstance(s, SForNum):
-        _contract(isinstance(s.symbol, Symbol),
-                  f"SForNum binder {s.symbol!r} is not a Symbol", loc)
-        _validate_expr(s.start)
-        _validate_expr(s.limit)
-        if s.step is not None:
-            _validate_expr(s.step)
-        _validate_block(s.body)
-    elif isinstance(s, SDoStat):
-        _validate_block(s.body)
-    elif isinstance(s, SReturn):
-        for e in s.exprs:
-            _validate_expr(e)
-    elif isinstance(s, (SExprStat,)):
-        _validate_expr(s.expr)
-    elif isinstance(s, SDefer):
-        _validate_expr(s.call)
-    # SBreak has no children
-
-
-def _validate_expr(e) -> None:
-    loc = getattr(e, "location", None)
-    _contract(isinstance(e, SExpr),
-              f"expression position holds {type(e).__name__} (unresolved "
-              f"meta value or untyped-AST leak?)", loc)
-    if isinstance(e, SVar):
-        _contract(isinstance(e.symbol, Symbol),
-                  f"SVar holds {e.symbol!r}, not a Symbol", loc)
-    elif isinstance(e, SConst):
-        _contract(e.type is None or isinstance(e.type, T.Type),
-                  f"SConst type annotation {e.type!r} is not a Type", loc)
-    elif isinstance(e, (STypeRef, SCast)):
-        _contract(isinstance(e.type, T.Type),
-                  f"{type(e).__name__} requires a Type, got {e.type!r}", loc)
-        if isinstance(e, SCast):
-            _validate_expr(e.expr)
-    elif isinstance(e, SApply):
-        _validate_expr(e.fn)
-        for a in e.args:
-            _validate_expr(a)
-    elif isinstance(e, (SMethodCall, SIntrinsic)):
-        if isinstance(e, SMethodCall):
-            _validate_expr(e.obj)
-        for a in e.args:
-            _validate_expr(a)
-    elif isinstance(e, SSelect):
-        _contract(isinstance(e.field, str),
-                  f"SSelect field {e.field!r} is not resolved to a string",
-                  loc)
-        _validate_expr(e.obj)
-    elif isinstance(e, SIndex):
-        _validate_expr(e.obj)
-        _validate_expr(e.index)
-    elif isinstance(e, SUnOp):
-        _validate_expr(e.operand)
-    elif isinstance(e, SBinOp):
-        _validate_expr(e.lhs)
-        _validate_expr(e.rhs)
-    elif isinstance(e, SCtor):
-        _contract(e.type is None or isinstance(e.type, T.Type),
-                  f"SCtor type {e.type!r} is not a Type", loc)
-        for f in e.fields:
-            _validate_expr(f.value)
-    elif isinstance(e, SLetIn):
-        _validate_block(e.block)
-        for x in e.exprs:
-            _validate_expr(x)
-    # SString / SNull / SGlobal / SFuncRef / SPyCallback are leaves
+        if sym in walk.symbols:
+            _broken(None, f"parameter symbol {sym!r} appears twice (hygiene "
+                    f"requires fresh symbols per binder)")
+        walk.field("y", sym, field="parameter")
+        walk.field("t", ty, field=f"annotation of parameter {sym!r}")
+    walk.field("T", rettype, field="return annotation")
+    walk.node(body, SBlock)
+    return Fingerprint(hashlib.sha256(repr(walk.out).encode()).digest(),
+                       walk.why, tuple(walk.symbols), tuple(walk.refs))
 
 
 def copy_tree(node):
-    """Deep-copy a specialized tree (symbols are shared, nodes are not).
-
-    Splicing the same quote into two places must not alias mutable nodes,
-    because the typechecker annotates trees in place.
-    """
+    """Deep-copy a specialized tree (symbols are shared, nodes are not)
+    for a caller about to build a variant of it: the original, like every
+    specialized tree, is read-only (module docstring)."""
     if isinstance(node, SNode):
         clone = object.__new__(type(node))
         clone.location = node.location

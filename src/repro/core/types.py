@@ -13,6 +13,7 @@ the gcc-compiled backend agree byte-for-byte on every type.
 
 from __future__ import annotations
 
+import zlib
 from typing import Iterable, Sequence
 
 from ..errors import TypeCheckError
@@ -550,8 +551,11 @@ class TupleType(StructType):
     def __init__(self, element_types: Sequence[Type]):
         if getattr(self, "_tuple_initialized", False):
             return
+        # crc32, not hash(): the name reaches the emitted C, which must not
+        # depend on the process (PYTHONHASHSEED) to be a cache hit elsewhere
         names = "_".join(str(t) for t in element_types)
-        super().__init__(f"tuple_{len(element_types)}_{abs(hash(names)) % 99991}")
+        super().__init__(f"tuple_{len(element_types)}_"
+                         f"{zlib.crc32(names.encode()) % 99991}")
         for i, t in enumerate(element_types):
             self.add_entry(f"_{i}", t)
         self.element_types = tuple(element_types)
@@ -638,6 +642,42 @@ def struct(name: str | None = None,
 
 #: ``rawstring`` — Terra's name for ``&int8`` (C ``char*``).
 rawstring = pointer(int8)
+
+
+def encode(ty: Type):
+    """A structural, JSON-able spelling of ``ty``; :func:`decode` inverts it
+    to the identical (interned) object.  Nominal types raise
+    ``TypeCheckError``: a named struct is its mutable method and metamethod
+    tables, not a shape."""
+    if isinstance(ty, PrimitiveType):
+        return ty.name
+    if isinstance(ty, PointerType):
+        return ["&", encode(ty.pointee)]
+    if isinstance(ty, (ArrayType, VectorType)):
+        return ["[]" if ty.isarray() else "vector", encode(ty.elem), ty.count]
+    if isinstance(ty, TupleType):
+        return ["{}", [encode(t) for t in ty.element_types]]
+    if isinstance(ty, FunctionType):
+        return ["->", [encode(t) for t in ty.parameters],
+                [encode(t) for t in ty.returns], ty.varargs]
+    raise TypeCheckError(f"type {ty} has no structural spelling")
+
+
+def decode(spelling) -> Type:
+    if isinstance(spelling, str):
+        return _PRIMITIVES_BY_NAME[spelling]
+    kind, *rest = spelling
+    if kind == "&":
+        return PointerType(decode(rest[0]))
+    if kind in ("[]", "vector"):
+        return (ArrayType if kind == "[]" else VectorType)(
+            decode(rest[0]), int(rest[1]))
+    if kind == "{}":
+        return TupleType(tuple(decode(t) for t in rest[0]))
+    if kind == "->":
+        return FunctionType([decode(t) for t in rest[0]],
+                            [decode(t) for t in rest[1]], bool(rest[2]))
+    raise ValueError(f"cannot decode type spelling {spelling!r}")
 
 
 def coerce_to_type(value) -> "Type | None":

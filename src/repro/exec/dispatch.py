@@ -129,8 +129,8 @@ class Dispatcher:
             return CompileTicket.completed(handle)
         ticket = self.pending.get(backend.name)
         if ticket is None:
-            from ..core.linker import ensure_compiled_async
-            inner = ensure_compiled_async(self.fn, backend)
+            from ..core.linker import ensure_compiled
+            inner = ensure_compiled(self.fn, backend, asynchronous=True)
             ticket = _InstallingTicket(self, backend.name, inner)
             self.pending[backend.name] = ticket
         return ticket

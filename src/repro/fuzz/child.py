@@ -107,6 +107,30 @@ def decode_args(encoded) -> tuple:
 
 
 def _run_program(source: str, entry: str, argsets, backend_name: str):
+    """:func:`_run_once` — and, on the C configurations, once more: staged
+    a second time in this process the program must bind from the linker's
+    structural memo (or be counted ineligible for it) and produce the same
+    outcomes bit for bit.  Anything else is ``fatal`` here, hence a
+    divergence in the parent; what the memo said rides along as ``"memo"``
+    (with ``REPRO_TERRA_VERIFY_IR`` a hit also re-derives and compares the
+    C)."""
+    result = _run_once(source, entry, argsets, backend_name)
+    if backend_name in ("c", "sched") and "outcomes" in result:
+        from repro.trace.metrics import registry
+        before = registry().counters("spec.memo.")
+        again = _run_once(source, entry, argsets, backend_name)
+        moved = [name[len("spec.memo."):] for name, count
+                 in registry().counters("spec.memo.").items()
+                 if count != before.get(name, 0)]
+        if again != result or len(moved) != 1 \
+                or not moved[0].startswith(("hits", "ineligible.")):
+            return {"fatal": ["MemoDivergence",
+                              f"second definition: {moved} {again}"]}
+        result["memo"] = moved[0]
+    return result
+
+
+def _run_once(source: str, entry: str, argsets, backend_name: str):
     """Compile ``entry`` on the selected backend and run every argset.
 
     Returns the program outcome: ``{"outcomes": [...]}`` with one entry

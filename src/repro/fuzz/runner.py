@@ -77,8 +77,11 @@ class Execution:
         return f"{self.backend}@{self.level}"
 
     def canon(self) -> str:
-        """Canonical form for cross-configuration comparison."""
-        return json.dumps(self.outcome, sort_keys=True)
+        """Canonical form for cross-configuration comparison (what the
+        structural memo told a C config is about the config, not the
+        program)."""
+        return json.dumps({k: v for k, v in self.outcome.items()
+                           if k != "memo"}, sort_keys=True)
 
 
 @dataclass
@@ -111,6 +114,8 @@ class FuzzReport:
     timeouts: int = 0
     traps: int = 0
     elapsed: float = 0.0
+    #: what the structural memo said to the C configs' second definitions
+    memo: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -124,6 +129,8 @@ class FuzzReport:
             f"  divergences: {len(self.divergences)}   "
             f"crashes: {self.crashes}   timeouts: {self.timeouts}   "
             f"trapping programs: {self.traps}",
+            "  structural memo, second definitions: " + (", ".join(
+                f"{k} {n}" for k, n in sorted(self.memo.items())) or "none"),
         ]
         for d in self.divergences:
             lines.append(d.describe())
@@ -258,6 +265,9 @@ def run_differential(seed: int, count: int, configs=None,
         for index in range(count):
             execs = [Execution(b, lv, per_config[(b, lv)].get(
                 index, {"missing": True})) for b, lv in configs]
+            for said in (e.outcome.get("memo") for e in execs):
+                if said is not None:
+                    report.memo[said] = report.memo.get(said, 0) + 1
             report.crashes += sum(1 for e in execs if "crash" in e.outcome)
             report.timeouts += sum(1 for e in execs if "timeout" in e.outcome)
             canons = {e.canon() for e in execs}

@@ -26,7 +26,7 @@ The rewrite of ``for i = start, limit do body end`` is::
     end
 
 Correctness rests on three facts checked here and enforced by the
-differential fuzzer (``make autovec-smoke``):
+differential fuzzer (``make fuzz-smoke``):
 
 * **Lane-exact memory model.**  Every memory access in a vectorized body
   is ``p[i]`` at exactly the loop index through a pointer-typed local, so

@@ -425,7 +425,11 @@ class ScheduledKernel:
         """The Parallel axis' (start, limit) for this call — recorded by
         the schedule pass as (expr, expr) and evaluated against the
         actual arguments (constants or whole parameters only)."""
-        self.fn.compile("c")  # runs the schedule pass if it hasn't yet
+        self.fn.compile("c")  # runs the schedule pass if it hasn't yet ...
+        if self.fn.typed is None:   # ... unless the structural memo bound it
+            from ..backend.base import get_backend
+            from ..core.linker import pipelined_component
+            pipelined_component(self.fn, get_backend("c"))
         typed = self.fn.typed
         bounds = getattr(typed, "_sched_parallel_bounds", None)
         if bounds is None:
@@ -471,7 +475,7 @@ def apply(fn, schedule) -> ScheduledKernel:
         raise ScheduleError(
             f"apply(): {fn.name!r} is external — there is no staged loop "
             f"nest to schedule")
-    if getattr(fn, "typed", None) is not None:
+    if getattr(fn, "typed", None) is not None or fn.dispatcher.handles:
         raise ScheduleError(
             f"apply(): {fn.name!r} is already typechecked; schedules "
             f"must be attached before the first compile or call")

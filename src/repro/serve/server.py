@@ -448,7 +448,8 @@ class ServeServer:
             "tenants": {name: t.summary()
                         for name, t in sorted(self._tenants.items())},
             "counters": {**reg.counters("serve."),
-                         **reg.counters("parse.cache.")},
+                         **reg.counters("parse.cache."),
+                         **reg.counters("spec.memo.")},
             "timings": reg.timings("serve."),
         }
 

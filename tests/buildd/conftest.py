@@ -51,23 +51,3 @@ def fake_cc_path(tmp_path):
 def fake_toolchain(fake_cc_path):
     return Toolchain(path=fake_cc_path, version="fakecc 1.0",
                      identity="fakecc-test")
-
-
-@pytest.fixture
-def swap_service():
-    """Temporarily replace the process-wide compile service (without
-    shutting down the real one, which later tests still need)."""
-    import repro.buildd.service as service_mod
-
-    saved = service_mod._service
-    installed = []
-
-    def install(svc):
-        service_mod._service = svc
-        installed.append(svc)
-        return svc
-
-    yield install
-    service_mod._service = saved
-    for svc in installed:
-        svc.shutdown()

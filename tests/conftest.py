@@ -19,3 +19,23 @@ def cbackend():
 @pytest.fixture
 def interp():
     return get_backend("interp")
+
+
+@pytest.fixture
+def swap_service():
+    """Temporarily replace the process-wide compile service (without
+    shutting down the real one, which later tests still need)."""
+    import repro.buildd.service as service_mod
+
+    saved = service_mod._service
+    installed = []
+
+    def install(svc):
+        service_mod._service = svc
+        installed.append(svc)
+        return svc
+
+    yield install
+    service_mod._service = saved
+    for svc in installed:
+        svc.shutdown()

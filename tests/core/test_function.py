@@ -1,6 +1,8 @@
 """TerraFunction lifecycle tests: declare/define, compile caching,
 cross-backend behaviour, globals and constants."""
 
+import uuid
+
 import pytest
 
 from repro import (Constant, GlobalVar, constant, declare, get_backend,
@@ -13,10 +15,14 @@ class TestLifecycle:
     def test_states(self):
         f = declare("st")
         assert not f.isdefined() and f.state == "undefined"
-        terra("terra st() : int return 1 end", env={"st": f})
+        # a body no process compiled before: its first call must typecheck
+        # (a repeat may bind from the structural memo with no typed IR at
+        # all — tests/core/test_spec_memo.py)
+        tag = uuid.uuid4().int % 10 ** 9
+        terra(f"terra st() : int return {tag} end", env={"st": f})
         assert f.isdefined()
         assert f.typed is None  # lazy: not typechecked yet
-        f()
+        assert f() == tag
         assert f.typed is not None
 
     def test_gettype_triggers_typecheck(self):

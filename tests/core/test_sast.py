@@ -72,3 +72,102 @@ class TestQuoteTyping:
         end
         """)
         assert f(5) == 10
+
+
+# -- specialized trees are read-only ------------------------------------------------
+
+def snapshot(node):
+    """A deep image of a specialized tree: every attribute of every node
+    (not just ``_fields`` — an annotation written in place would be a new
+    one), lists by value, symbols / types / functions by identity."""
+    if isinstance(node, sast.SNode):
+        return (type(node).__name__,
+                tuple((n, snapshot(v)) for n, v in sorted(vars(node).items())))
+    if isinstance(node, sast.SCtorField):
+        return ("SCtorField", node.name, snapshot(node.value))
+    if isinstance(node, (list, tuple)):
+        return (type(node).__name__, tuple(snapshot(x) for x in node))
+    if node is None or type(node) in (str, int, float, bool):
+        return (type(node).__name__, repr(node))
+    return ("identity", id(node))
+
+
+def test_specialized_trees_are_never_written(monkeypatch):
+    """Quotes share their trees with every splice and ``define()``
+    fingerprints a body once: both rest on nothing writing to an sast
+    node.  Stage the GEMM pool, the parity pairs in both frontends, an
+    Orion pipeline and a javalike hierarchy; snapshot every quote and
+    every body; typecheck, run, bring to levels 0-3 and emit; compare."""
+    import numpy as np
+    from repro.autotune.genkernel import genkernel
+    from repro.core.function import TerraFunction
+    from repro.core.quotes import Quote
+    from repro.orion import lang as L
+    from repro.orion.compile import compile_pipeline
+    from repro.schedule import Schedule, Vectorize
+    from repro import int64, struct
+    from repro.lib import javalike as J
+    from tests.frontend.kernels import PAIRS
+
+    quotes, functions = [], []
+    quote_init, define = Quote.__init__, TerraFunction.define
+
+    def recording_init(self, *args, **kwargs):
+        quote_init(self, *args, **kwargs)
+        quotes.append(self)
+
+    def recording_define(self, *args, **kwargs):
+        functions.append(self)
+        return define(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quote, "__init__", recording_init)
+    monkeypatch.setattr(TerraFunction, "define", recording_define)
+
+    runs = []
+    for nb in (32, 64):
+        a, b = np.ones((nb, nb)), np.ones((nb, nb))
+        for rm, rn in ((4, 2), (2, 4)):
+            for v in (2, 4):
+                kernel = genkernel(nb, rm, rn, v, 1.5)
+                runs.append(lambda k=kernel, a=a, b=b, nb=nb:
+                            k(a, b, np.zeros((nb, nb)), nb, nb, nb))
+    for _, factory in PAIRS:
+        string_fn, py_fn, run = factory()
+        runs += [lambda r=run, f=string_fn: r(f), lambda r=run, f=py_fn: r(f)]
+    f = L.image("f")
+    blur = L.stage((f(-1, 0) + f(0, 0) + f(1, 0)) / 3.0, "blur")
+    pipe = compile_pipeline(blur, 16,
+                            tile_schedule=Schedule([Vectorize("x", 4)]))
+    runs.append(lambda: pipe.run(np.ones((16, 16), dtype=np.float32)))
+    area = J.interface({"area": ([], int64)}, name="Area")
+    square = struct("struct Square { len : int64 }")
+    J.implements(square, area)
+    terra("terra Square:area() : int64 return self.len * self.len end",
+          env={"Square": square})
+    viaiface = terra("""
+    terra viaiface(d : &Iface) : int64 return d:area() end
+    terra run(n : int64) : int64
+      var s : Square
+      s:init()
+      s.len = n
+      var d : &Iface = &s
+      return viaiface(d)
+    end
+    """, env={"Square": square, "Iface": area.type}).run
+    runs.append(lambda: viaiface(3))
+    assert len(quotes) > 300 and len(functions) > 40
+    monkeypatch.undo()      # what typechecking builds later is not the corpus
+
+    def image():
+        return ([snapshot([q.kind, q.tree, q.in_exprs]) for q in quotes],
+                [snapshot(fn.body) for fn in functions])
+
+    before = image()
+    for run in runs:
+        run()
+    for fn in functions:
+        fn.ensure_typechecked()
+        for level in (0, 1, 2, 3):
+            fn.get_optimized_ir(level)
+        fn.get_c_source()
+    assert image() == before

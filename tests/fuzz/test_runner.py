@@ -49,6 +49,21 @@ class TestChildExecutor:
         out = _run_program("terra f( : int", "f", [(1,)], "interp")
         assert "fatal" in out
 
+    def test_c_configs_stage_twice_through_the_structural_memo(self):
+        src = "terra f(x : int) : int return x * 5 end"
+        for backend in ("c", "sched"):
+            out = _run_program(src, "f", [(2,)], backend)
+            assert out == {"outcomes": [{"ok": ["int", 10]}], "memo": "hits"}
+        assert "memo" not in _run_program(src, "f", [(2,)], "tiered")
+
+    def test_a_second_definition_that_misses_is_a_finding(self, monkeypatch):
+        from repro.backend.c.runtime import CBackend
+        monkeypatch.setattr(CBackend, "memoized_unit",
+                            lambda self, fn: ("miss", None, None))
+        out = _run_program("terra f(x : int) : int return x end", "f",
+                           [(2,)], "c")
+        assert out["fatal"][0] == "MemoDivergence"
+
 
 class TestRunProgram:
     """Single-program isolated execution (the minimizer/corpus path)."""
@@ -86,6 +101,12 @@ class TestDivergenceDetection:
         b = Execution("c", 1, {"outcomes": [{"trap": "x"}]})
         assert not executions_diverge([a, b])
 
+    def test_what_the_memo_said_is_not_part_of_the_outcome(self):
+        a = Execution("interp", 2, {"outcomes": [{"ok": ["int", 1]}]})
+        b = Execution("c", 1, {"outcomes": [{"ok": ["int", 1]}],
+                               "memo": "hits"})
+        assert not executions_diverge([a, b])
+
     def test_crash_counts_as_divergence_vs_value(self):
         a = Execution("interp", 2, {"outcomes": [{"ok": ["int", 1]}]})
         b = Execution("c", 1, {"crash": -8})
@@ -101,6 +122,7 @@ class TestRunDifferential:
         assert report.ok, report.summary()
         assert report.count == 4
         assert "OK" in report.summary()
+        assert report.memo == {"hits": 4}   # the one C config, every program
 
     def test_stats_wiring(self):
         from repro.buildd import get_service

@@ -92,6 +92,10 @@ class TestTenancy:
         assert "pool-a" in pools and "pool-b" in pools
         assert pools["pool-a"]["kernels"] >= 1
 
+    def test_stats_counts_the_structural_memo(self, server):
+        """pool-b staged the structure pool-a had just compiled."""
+        assert server.stats()["counters"]["spec.memo.hits"] >= 1
+
 
 class TestWarmPoolEviction:
     def test_quota_one_evicts_and_recompiles(self, tmp_path):

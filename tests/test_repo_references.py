@@ -4,9 +4,12 @@ Every ``make <target>``, ``benchmarks/<path>[::test]``, ``tests/<path>``
 and ``python -m repro.<module>`` written in the README, the design and
 experiment records, ``docs/``, the Makefile or the CI workflow must
 resolve in this checkout — so deleting a target, a test or a CLI fails
-here until the prose that sends readers to it is fixed too.
+here until the prose that sends readers to it is fixed too.  So must
+every ``make <target>`` in a module docstring under ``src/`` and every
+"CI `<job>` job" the prose names (against the workflow's job list).
 """
 
+import ast
 import glob
 import importlib.util
 import os
@@ -26,6 +29,8 @@ _MAKE = re.compile(r"\bmake ([a-z][a-z0-9-]*)")
 _PATH = re.compile(r"\b((?:benchmarks|tests)/[\w./-]*\w)((?:::\w+)*)")
 _MODULE = re.compile(r"python3? -m (repro(?:\.\w+)*)")
 _TARGET = re.compile(r"^([a-z][a-z0-9-]*):", re.M)
+_CI_JOB = re.compile(r"\bCI `([\w-]+)` job")
+_JOB = re.compile(r"^  ([\w-]+):\s*$", re.M)     # two-space keys under jobs:
 
 
 def _text(rel):
@@ -44,11 +49,22 @@ def _references():
             yield rel, "path", path + names
         for module in _MODULE.findall(text):
             yield rel, "module", module
+        for job in _CI_JOB.findall(text):
+            yield rel, "ci-job", job
+    for path in sorted(glob.glob(os.path.join(_ROOT, "src", "**", "*.py"),
+                                 recursive=True)):
+        rel = os.path.relpath(path, _ROOT)
+        docstring = ast.get_docstring(ast.parse(_text(rel))) or ""
+        for target in _MAKE.findall("\n".join(_CODE.findall(docstring))):
+            yield rel, "make", target
 
 
 def _missing(kind, ref):
     if kind == "make":
         return ref not in _TARGET.findall(_text("Makefile"))
+    if kind == "ci-job":
+        workflow = _text(".github/workflows/ci.yml")
+        return ref not in _JOB.findall(workflow[workflow.index("\njobs:"):])
     if kind == "module":
         spec = importlib.util.find_spec(ref)
         if spec is not None and spec.submodule_search_locations is not None:
@@ -74,6 +90,8 @@ def test_every_named_target_path_and_module_exists():
 
 @pytest.mark.parametrize("kind,ref", [
     ("make", "tier-smoke"),
+    ("make", "autovec-smoke"),           # src/repro/passes/vectorize.py said
+    ("ci-job", "schedule-smoke"),        # docs/SCHEDULES.md said
     ("path", "benchmarks/test_fig6_gemm.py"),
     ("path", "tests/test_config.py::test_no_such_test"),
     ("module", "repro.parallel"),        # a package without __main__
