@@ -6,7 +6,8 @@ Default mode binds the socket and serves until interrupted::
 
 ``--smoke`` instead starts an in-process server, drives a short
 multi-tenant load against it (cold and warm scalar calls per tenant,
-plus a coalesced chunked saxpy over server-resident buffers), verifies
+plus a coalesced chunked saxpy over server-resident buffers, then one
+tenant's warm phase that must reach the event loop), verifies
 the results and the serve counters, prints the stats snapshot, and exits
 nonzero on any failure (tier-1 runs exactly this load: ``tests/serve/
 test_server_basic.py::TestSmokeLoad``); ``--trace out.json`` additionally
@@ -24,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .. import trace as _trace
 from .protocol import ServeError
 from .server import ServeConfig, run_server
+from .state import INLINE_AFTER
 from .testing import ServerThread
 
 
@@ -151,8 +153,17 @@ def run_smoke(config: ServeConfig, tenants: int, trace_out=None) -> int:
                     for i in range(tenants)]
             for fut in futs:
                 failures.extend(fut.result())
+        # warm phase: one quiet connection, long enough to earn the loop
+        with srv.client(tenant="tenant-0") as c:
+            for x in range(2 * INLINE_AFTER):
+                if c.call(SQ_SOURCE, "sq", [float(x)]) != float(x * x):
+                    failures.append(f"warm phase: sq({x}) is wrong")
         stats = srv.stats()
         counters = stats.get("counters", {})
+        placed = {k: sum(t[k] for t in stats["tenants"].values())
+                  for k in ("inline", "offloaded", "demotions")}
+        if not placed["inline"] or placed["demotions"]:
+            failures.append(f"warm phase placement: {placed}")
         # every tenant's second sq call must have hit the warm pool
         if counters.get("serve.cache_hit", 0) < tenants:
             failures.append(
@@ -165,6 +176,8 @@ def run_smoke(config: ServeConfig, tenants: int, trace_out=None) -> int:
                 f"expected {tenants} tenants in stats, saw "
                 f"{len(stats.get('tenants', {}))}")
         print(json.dumps(stats, indent=2, default=str), flush=True)
+        print("serve.exec: inline={inline} offloaded={offloaded} "
+              "demoted={demotions}".format(**placed), flush=True)
     if trace_out:
         path = _trace.export_chrome(trace_out)
         print(f"serve-smoke: trace written to {path}", flush=True)

@@ -77,11 +77,11 @@ class ServeClient:
 
     # -- the request/response cycle ------------------------------------------
     def request(self, req: dict) -> dict:
-        """Send one request object, wait for its response object.  Raises
-        :class:`ServeError` when the server answers ``ok: false``, and
-        ``ConnectionError`` when the stream dies mid-cycle."""
+        """Send one request object (given an ``id`` in place if it has
+        none), wait for its response object.  Raises :class:`ServeError`
+        when the server answers ``ok: false``, and ``ConnectionError``
+        when the stream dies mid-cycle."""
         self.connect()
-        req = dict(req)
         req.setdefault("id", self._next_id)
         self._next_id += 1
         self._sock.sendall(protocol.encode(req))

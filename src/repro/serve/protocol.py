@@ -66,10 +66,13 @@ class ServeError(TerraError):
         self.message = message
 
 
+#: ``json.dumps`` with non-default separators builds an encoder per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode(obj: dict) -> bytes:
     """One protocol line: compact JSON plus the terminating newline."""
-    return (json.dumps(obj, separators=(",", ":"),
-                       sort_keys=False) + "\n").encode("utf-8")
+    return (_ENCODER.encode(obj) + "\n").encode("utf-8")
 
 
 def decode(line: bytes) -> dict:

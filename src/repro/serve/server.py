@@ -11,9 +11,12 @@ none of it is locked.  The two kinds of real work leave the loop:
   occupies an executor thread only for the Python-side staging, never for
   the compiler run;
 * **execution** (one ctypes call, GIL released) also runs on the
-  executor — a long kernel never stalls the accept loop, and because the
-  per-request spans are emitted on those named threads, the exported
-  trace renders one lane per serve worker (`python -m repro.trace view`).
+  executor, so a long kernel never stalls the accept loop; only a plain
+  call whose kernel was just observed short, inside the arguments it was
+  observed with (:meth:`~repro.serve.state.WarmKernel.fits_inline`), runs
+  on the loop, where it skips a hand-off costing many times the kernel.
+  Spans are emitted on the thread that did the work, so the exported trace
+  renders one lane per serve worker (`python -m repro.trace view`).
 
 Tenant source is specialized against an **empty environment** (Terra
 primitives and Python builtins only): a request's escapes cannot see the
@@ -41,6 +44,7 @@ from .. import config as _config
 from .. import trace as _trace
 from ..buildd import service as _buildd_service
 from ..errors import FFIError, TerraError, TrapError
+from ..exec import current_policy
 from ..trace.metrics import registry
 from . import protocol
 from .admission import Admission
@@ -84,7 +88,7 @@ class ServeServer:
         self._tenants: dict[str, TenantState] = {}
         self._admission = Admission(self.config.queue_limit,
                                     self.config.tenant_concurrency)
-        self._compiling: dict[tuple[str, str], asyncio.Future] = {}
+        self._compiling: dict[tuple, asyncio.Future] = {}
         self._exec = ThreadPoolExecutor(
             max_workers=self.config.resolved_workers(),
             thread_name_prefix="repro-serve")
@@ -273,15 +277,35 @@ class ServeServer:
 
     async def _call_plain(self, tenant: TenantState, kernel: WarmKernel,
                           args: list, t_admit: float):
-        def job():
-            registry().record_time("serve.queue_wait",
-                                   time.perf_counter() - t_admit)
-            with _trace.span(f"serve.exec:{kernel.entry}", cat="serve",
-                             tenant=tenant.name, key=kernel.key):
-                return kernel.handle(*args)
+        inline = kernel.fits_inline(args)
 
-        result = await self._loop.run_in_executor(self._exec, job)
-        return protocol.jsonable_result(result, kernel.entry)
+        def run():
+            """The call, on either thread; an error is timed, then carried."""
+            if not inline:
+                registry().record_time("serve.queue_wait",
+                                       time.perf_counter() - t_admit)
+            with _trace.span(f"serve.exec:{kernel.entry}", cat="serve",
+                             tenant=tenant.name, key=kernel.key,
+                             inline=inline) as span:
+                t0 = time.perf_counter()
+                try:
+                    out = kernel.handle(*args)
+                except Exception as exc:
+                    out = exc
+                    span.set(error=type(exc).__name__)
+                return out, time.perf_counter() - t0
+
+        where = "inline" if inline else "offloaded"
+        registry().add(f"serve.exec.{where}")
+        tenant.placed[where] += 1
+        out, seconds = run() if inline else \
+            await self._loop.run_in_executor(self._exec, run)
+        if kernel.observe(args, seconds, inline):
+            registry().add("serve.inline.demoted")
+            tenant.placed["demotions"] += 1
+        if isinstance(out, Exception):
+            raise out
+        return protocol.jsonable_result(out, kernel.entry)
 
     async def _call_chunked(self, tenant: TenantState, kernel: WarmKernel,
                             args: list, rng: tuple[int, int], raw_args: list,
@@ -306,20 +330,19 @@ class ServeServer:
         backend = self.config.backend
         if chunked:
             backend = "c"  # chunked entries exist only on the C backend
-        key_backend = backend or "default"
-        if not chunked and self._tiered_policy():
-            # tiered kernels carry live tier state; keep them apart from
-            # any ahead-of-time compile of the same source
-            key_backend = "tiered"
-        key = kernel_key(source, entry, chunked, key_backend)
-        kernel = tenant.kernels.get(key)
+        # tiered kernels carry live tier state; keep them apart from any
+        # ahead-of-time compile of the same source
+        tiered = not chunked and current_policy().name == "tiered"
+        ident = ("tiered" if tiered else (backend or "default"), entry,
+                 chunked, source)
+        kernel = tenant.kernels.get(ident)
         reg = registry()
         if kernel is not None:
             reg.add("serve.cache_hit")
             _trace.instant("serve.cache_hit", cat="serve",
-                           tenant=tenant.name, key=key)
+                           tenant=tenant.name, key=kernel.key)
             return kernel
-        compile_key = (tenant.name, key)
+        compile_key = (tenant.name, ident)
         pending = self._compiling.get(compile_key)
         if pending is not None:
             reg.add("serve.compile_dedup")
@@ -327,9 +350,8 @@ class ServeServer:
         fut = self._loop.create_future()
         self._compiling[compile_key] = fut
         try:
-            kernel = await self._compile(tenant, source, entry, chunked,
-                                         backend, key)
-            evicted = tenant.kernels.put(kernel)
+            kernel = await self._compile(tenant, ident, backend)
+            evicted = tenant.kernels.put(ident, kernel)
             if evicted:
                 reg.add("serve.evicted", len(evicted))
             fut.set_result(kernel)
@@ -342,11 +364,6 @@ class ServeServer:
             raise
         finally:
             self._compiling.pop(compile_key, None)
-
-    @staticmethod
-    def _tiered_policy() -> bool:
-        from ..exec import current_policy
-        return current_policy().name == "tiered"
 
     def _tier_up_hook(self, tenant: TenantState):
         """The dispatcher's on_tier_up hook for one tenant's kernels:
@@ -363,13 +380,14 @@ class ServeServer:
 
         return hook
 
-    async def _compile(self, tenant: TenantState, source: str, entry: str,
-                       chunked: bool, backend: Optional[str],
-                       key: str) -> WarmKernel:
+    async def _compile(self, tenant: TenantState, ident: tuple,
+                       backend: Optional[str]) -> WarmKernel:
+        key_backend, entry, chunked, source = ident
+        key = kernel_key(source, entry, chunked, key_backend)
+        tiered = key_backend == "tiered"
         reg = registry()
         reg.add("serve.compile")
         t0 = time.perf_counter()
-        tiered = not chunked and self._tiered_policy()
 
         def stage():
             """Executor-thread half: everything up to the buildd submit."""
@@ -406,7 +424,7 @@ class ServeServer:
                                                           ticket.result)
         dt = time.perf_counter() - t0
         reg.record_time("serve.compile", dt)
-        return WarmKernel(key, entry, fn, handle, chunked, dt, tiered=tiered)
+        return WarmKernel(key, entry, fn, handle, chunked, tiered=tiered)
 
     @staticmethod
     def _resolve_entry(source: str, entry: str):

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import time
 from collections import OrderedDict
-from typing import Optional
+from typing import Hashable, Optional
 
 from ..core import types as T
 from .protocol import ServeError
@@ -53,8 +52,20 @@ DTYPES = {
 MAX_BUFFER_BYTES = 1 << 28  # 256 MiB
 
 
+#: A plain call runs on the event loop while its kernel's last INLINE_AFTER
+#: runs each took under INLINE_BUDGET_S: what the executor hand-off it
+#: replaces costs the request (a no-op ``run_in_executor`` round trip is
+#: ~50 us bare on one pinned CPU, ~65 us in the server; EXPERIMENTS.md E13).
+#: Eight runs put a kernel's first calls (lazy binding, cold pages) behind
+#: it.  An overrun on the loop doubles the streak to earn, up to the bound:
+#: a kernel slow whenever it is trusted runs there once in 513 calls.
+INLINE_BUDGET_S = 100e-6
+INLINE_AFTER = 8
+_INLINE_AFTER_MAX = INLINE_AFTER << 6
+
+
 def kernel_key(source: str, entry: str, chunked: bool, backend: str) -> str:
-    """Identity of one servable kernel: the full staging input."""
+    """A kernel's name in spans: a digest of its full staging input."""
     h = hashlib.sha256()
     for part in (backend, entry, "chunk" if chunked else "plain", source):
         h.update(part.encode())
@@ -70,23 +81,27 @@ class WarmKernel:
     :class:`~repro.exec.dispatch.Dispatcher` under the ``tiered``
     execution policy (``tiered=True``), in which case calls start
     interpreted and the kernel climbs tiers in place while staying
-    resident in the pool."""
+    resident in the pool.
+
+    ``streak``, ``need`` and ``envelope`` are its cost record (loop thread
+    only): consecutive runs seen under ``INLINE_BUDGET_S``, how many earn
+    the loop, and the largest ``|int|`` per argument position among them."""
 
     __slots__ = ("key", "entry", "fn", "handle", "chunked", "tiered",
-                 "hits", "compile_s", "created", "last_use")
+                 "hits", "streak", "need", "envelope")
 
     def __init__(self, key: str, entry: str, fn, handle, chunked: bool,
-                 compile_s: float, tiered: bool = False):
+                 tiered: bool = False):
         self.key = key
         self.entry = entry
         self.fn = fn            # the TerraFunction (kept alive with the lib)
         self.handle = handle    # backend callable handle, or the dispatcher
         self.chunked = chunked
         self.tiered = tiered
-        self.compile_s = compile_s
         self.hits = 0
-        self.created = time.time()
-        self.last_use = self.created
+        self.streak = 0
+        self.need = INLINE_AFTER
+        self.envelope: list[int] = []
 
     def tier_info(self) -> Optional[dict]:
         """Tiering snapshot for stats, or None for ahead-of-time kernels."""
@@ -94,27 +109,62 @@ class WarmKernel:
             return None
         return self.fn.dispatcher.tier_info()
 
+    @property
+    def eligible(self) -> bool:
+        """Streak earned, and compiled: a tier-0 call interprets, and may
+        run the tier-up compile itself."""
+        return self.streak >= self.need and not (
+            self.tiered and self.tier_info()["tier"] == 0)
+
+    def fits_inline(self, args: list) -> bool:
+        """Whether this call may run on the loop: the kernel is eligible
+        and every ``int`` argument (what a loop bound is; not ``bool``)
+        lies inside the envelope.  Other types never gate."""
+        if not self.eligible or len(args) != len(self.envelope):
+            return False
+        for a, bound in zip(args, self.envelope):
+            if type(a) is int and abs(a) > bound:
+                return False
+        return True
+
+    def observe(self, args: list, seconds: float, inline: bool) -> bool:
+        """Record one run; True when it demoted the kernel.  A fast run
+        extends the streak and widens the envelope; an overrun clears
+        both, and one that held the loop doubles the streak to earn."""
+        if seconds > INLINE_BUDGET_S:
+            self.streak, self.envelope = 0, []
+            if inline:
+                self.need = min(2 * self.need, _INLINE_AFTER_MAX)
+            return inline
+        if len(args) != len(self.envelope):
+            self.streak, self.envelope = 0, [0] * len(args)
+        self.streak += 1
+        for i, a in enumerate(args):
+            if type(a) is int and abs(a) > self.envelope[i]:
+                self.envelope[i] = abs(a)
+        return False
+
 
 class KernelPool:
     """An LRU pool of :class:`WarmKernel`, bounded by ``quota``."""
 
     def __init__(self, quota: int):
         self.quota = max(1, int(quota))
-        self._kernels: OrderedDict[str, WarmKernel] = OrderedDict()
+        self._kernels: OrderedDict[Hashable, WarmKernel] = OrderedDict()
         self.evictions = 0
 
-    def get(self, key: str) -> Optional[WarmKernel]:
-        kernel = self._kernels.get(key)
+    def get(self, ident: Hashable) -> Optional[WarmKernel]:
+        kernel = self._kernels.get(ident)
         if kernel is not None:
-            self._kernels.move_to_end(key)
+            self._kernels.move_to_end(ident)
             kernel.hits += 1
-            kernel.last_use = time.time()
         return kernel
 
-    def put(self, kernel: WarmKernel) -> list[WarmKernel]:
-        """Insert (or refresh) a kernel; returns any evicted ones."""
-        self._kernels[kernel.key] = kernel
-        self._kernels.move_to_end(kernel.key)
+    def put(self, ident: Hashable, kernel: WarmKernel) -> list[WarmKernel]:
+        """Insert (or refresh) a kernel under its identity, the staging
+        input ``(backend, entry, chunked, source)``; returns evicted ones."""
+        self._kernels[ident] = kernel
+        self._kernels.move_to_end(ident)
         evicted = []
         while len(self._kernels) > self.quota:
             _, old = self._kernels.popitem(last=False)
@@ -125,7 +175,7 @@ class KernelPool:
     def __len__(self) -> int:
         return len(self._kernels)
 
-    def keys(self) -> list[str]:
+    def keys(self) -> list:
         return list(self._kernels)
 
     def values(self) -> list[WarmKernel]:
@@ -160,6 +210,8 @@ class TenantState:
         self._next_buf = 1
         self.inflight = 0          # admission-controlled concurrent requests
         self.requests = 0
+        #: where plain calls ran; demotions are overruns on the loop
+        self.placed = {"inline": 0, "offloaded": 0, "demotions": 0}
 
     # -- buffers ------------------------------------------------------------
     def alloc(self, dtype: str, count: int) -> Buffer:
@@ -248,7 +300,8 @@ class TenantState:
 
     def summary(self) -> dict:
         tiers = {"tier0": 0, "tier1": 0, "respecialized": 0}
-        for kernel in self.kernels.values():
+        kernels = self.kernels.values()
+        for kernel in kernels:
             info = kernel.tier_info()
             if info is None:
                 continue
@@ -261,6 +314,9 @@ class TenantState:
         return {
             "kernels": len(self.kernels),
             "kernel_evictions": self.kernels.evictions,
+            "kernel_hits": sum(k.hits for k in kernels),
+            **self.placed,
+            "inline_eligible": sum(k.eligible for k in kernels),
             "buffers": len(self.buffers),
             "buffer_bytes": sum(b.nbytes for b in self.buffers.values()),
             "inflight": self.inflight,

@@ -8,7 +8,8 @@ executor → ctypes, the real thing); tests that need special knobs
 
 import pytest
 
-from repro.serve import ServeConfig, ServerThread
+from repro.serve import ServeConfig, ServeError, ServerThread
+from repro.serve.state import INLINE_AFTER
 
 SQ = """
 terra sq(x : double) : double
@@ -32,6 +33,23 @@ terra poison(n : int64, out : &int64) : {}
   end
 end
 """
+
+
+def earn_the_loop(client, source, entry, args, limit=1000):
+    """Call a kernel until its tenant has one that may run on the event
+    loop: eight fast runs, or more on a noisy host, where one slow run
+    starts the count again.  Returns the calls made."""
+    for calls in range(INLINE_AFTER, limit, INLINE_AFTER):
+        for _ in range(INLINE_AFTER):
+            try:
+                client.call(source, entry, args)
+            except ServeError as exc:       # a result JSON cannot carry
+                if exc.code != "unsupported":
+                    raise
+        summary = client.stats()["tenants"][client.tenant]
+        if summary["inline_eligible"]:
+            return calls
+    raise AssertionError(f"{entry} never earned the loop in {limit} calls")
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,15 @@ class TestFraming:
         assert line.endswith(b"\n") and b"\n" not in line[:-1]
         assert protocol.decode(line) == obj
 
+    def test_encode_is_compact_json_byte_for_byte(self):
+        import json
+        for obj in ({"op": "call", "args": [1, 2.5, None, "s"], "id": 9},
+                    {"b": {"float": "nan"}, "a": [True, [], {}], "é": "\u2603\n"},
+                    {"ok": False, "error": {"code": "trap", "message": "x / 0"}},
+                    {"result": [1e300, -0.0, 12345678901234567890]}):
+            assert protocol.encode(obj) == (json.dumps(
+                obj, separators=(",", ":")) + "\n").encode("utf-8")
+
     def test_non_json_is_bad_json(self):
         with pytest.raises(ServeError) as ei:
             protocol.decode(b"{nope\n")

@@ -7,9 +7,10 @@ import threading
 
 import pytest
 
-from repro.serve import ServeConfig, ServeError, ServerThread
+from repro.serve import ServeConfig, ServeError, ServerThread, protocol
+from repro.trace.metrics import registry
 
-from .conftest import SQ
+from .conftest import SQ, earn_the_loop
 
 
 def call_code(client, *args, **kwargs):
@@ -172,6 +173,55 @@ class TestRuntimeTraps:
                 assert got[8:] == [1000 // (i - 7) for i in range(8, 16)]
                 # the pool is not wedged: another call still works
                 assert c.call(SQ, "sq", [5.0]) == 25.0
+
+
+DIV = "terra div(a : int, b : int) : int return a / b end"
+RATIO = "terra ratio(a : double, b : double) : double return a / b end"
+IDENTITY = "terra identity(p : &double) : &double return p end"
+
+
+class TestSameAnswerFromEitherThread:
+    """A warm kernel's calls run on the event loop (test_inline.py); what
+    goes wrong there must read exactly as it does from an executor
+    thread, and leave the connection as usable."""
+
+    @pytest.mark.parametrize("name,source,entry,good,odd,code", [
+        ("trap", DIV, "div", [10, 2], [1, 0], "trap"),
+        ("ffi-error", SQ, "sq", [3.0], ["three"], "bad-request"),
+        ("unsupported", IDENTITY, "identity", ["buf"], ["buf"],
+         "unsupported"),
+        ("nan", RATIO, "ratio", [1.0, 2.0], [0.0, 0.0], None),
+        ("inf", RATIO, "ratio", [1.0, 2.0], [-1.0, 0.0], None),
+    ])
+    def test_cold_and_warm_responses_are_identical(
+            self, server, name, source, entry, good, odd, code):
+        reg = registry()
+        with server.client(tenant=f"either-{name}") as c:
+            buf = {"buf": c.alloc("double", 2)}
+            good, odd = ([buf if a == "buf" else a for a in args]
+                         for args in (good, odd))
+            line = protocol.encode({
+                "op": "call", "tenant": c.tenant, "source": source,
+                "entry": entry, "args": odd, "id": 1})
+            traps = reg.get("serve.traps")
+            offloaded = reg.get("serve.exec.offloaded")
+            cold = c.send_raw(line)              # first call: the executor
+            assert reg.get("serve.exec.offloaded") == offloaded + 1
+            earn_the_loop(c, source, entry, good)
+            inline = reg.get("serve.exec.inline")
+            warm = c.send_raw(line)              # the same call: the loop
+            assert reg.get("serve.exec.inline") == inline + 1
+            assert protocol.encode(warm) == protocol.encode(cold)
+            if code is None:
+                assert warm["ok"] and warm["result"] == {
+                    "float": "nan" if name == "nan" else "-inf"}
+            else:
+                assert warm["error"]["code"] == code
+            assert reg.get("serve.traps") - traps == \
+                (2 if name == "trap" else 0)
+            assert c.ping()                      # the connection survives
+            if name != "unsupported":
+                c.call(source, entry, good)
 
 
 class TestAdmissionOverTheWire:

@@ -8,6 +8,8 @@ from repro.exec import TieredPolicy, policy_override
 from repro.serve import ServeConfig, ServerThread
 from repro.trace.metrics import registry
 
+from .conftest import earn_the_loop
+
 SQ = """
 terra sq(x : double) : double
   return x * x
@@ -56,6 +58,30 @@ class TestTieredServing:
             summary = c.stats()["tenants"]["t-a"]
         assert summary["tiers"]["tier1"] == 1
         assert registry().get("serve.tier_up") >= before + 1
+
+    @pytest.mark.parametrize("threshold,eligible", [(1000, 0), (2, 1)])
+    def test_the_loop_runs_compiled_tiers_only(self, tmp_path, threshold,
+                                               eligible):
+        """A tier-0 call interprets (and the one that crosses the
+        threshold may compile): it stays on the executor however short it
+        was observed; the same traffic after tier-up earns the loop."""
+        sock = str(tmp_path / "serve-tiers.sock")
+        with policy_override(TieredPolicy(threshold=threshold, sync=True)):
+            with ServerThread(ServeConfig(socket_path=sock,
+                                          workers=2)) as srv:
+                with srv.client(tenant="t-tier") as c:
+                    calls = 40
+                    for _ in range(calls):
+                        assert c.call(SQ, "sq", [3.0]) == 9.0
+                    if eligible:
+                        calls += earn_the_loop(c, SQ, "sq", [3.0])
+                        assert c.call(SQ, "sq", [3.0]) == 9.0
+                        calls += 1
+                    summary = c.stats()["tenants"]["t-tier"]
+        assert summary["tiers"]["tier1"] == eligible
+        assert summary["inline_eligible"] == eligible
+        assert (summary["inline"] > 0) == bool(eligible)
+        assert summary["inline"] + summary["offloaded"] == calls
 
     def test_cold_kernel_reports_tier0(self, tiered_server):
         with tiered_server.client(tenant="t-cold") as c:

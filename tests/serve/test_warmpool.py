@@ -8,8 +8,7 @@ from repro.serve.state import (KernelPool, TenantState, WarmKernel,
 
 
 def fake_kernel(key):
-    return WarmKernel(key, "f", fn=None, handle=None, chunked=False,
-                      compile_s=0.0)
+    return WarmKernel(key, "f", fn=None, handle=None, chunked=False)
 
 
 class TestKernelKey:
@@ -26,22 +25,22 @@ class TestKernelPool:
     def test_lru_eviction_beyond_quota(self):
         pool = KernelPool(2)
         for k in ("a", "b", "c"):
-            evicted = pool.put(fake_kernel(k))
+            evicted = pool.put(k, fake_kernel(k))
         assert [e.key for e in evicted] == ["a"]
         assert pool.keys() == ["b", "c"]
         assert pool.evictions == 1
 
     def test_get_refreshes_recency(self):
         pool = KernelPool(2)
-        pool.put(fake_kernel("a"))
-        pool.put(fake_kernel("b"))
+        pool.put("a", fake_kernel("a"))
+        pool.put("b", fake_kernel("b"))
         assert pool.get("a").key == "a"
-        evicted = pool.put(fake_kernel("c"))
+        evicted = pool.put("c", fake_kernel("c"))
         assert [e.key for e in evicted] == ["b"]
 
     def test_get_counts_hits(self):
         pool = KernelPool(2)
-        pool.put(fake_kernel("a"))
+        pool.put("a", fake_kernel("a"))
         pool.get("a")
         pool.get("a")
         assert pool.get("missing") is None
