@@ -355,7 +355,7 @@ def sort(full=False):
 def passes(full=False):
     """The mid-level pipeline must never emit a larger C unit than
     unoptimized lowering of the same blocked-GEMM tuner kernel."""
-    def c_bytes():  # a fresh function each time: passes mutate the tree
+    def c_bytes():
         return len(make_gemm(NB=16, RM=2, RN=2, V=2,
                              fma=False).get_c_source())
     table = Table("emitted C, blocked GEMM NB=16 RM=2 RN=2 V=2",

@@ -24,12 +24,13 @@ from .. import trace as _trace
 
 
 class CompileTicket:
-    """A future-like handle to an in-progress unit compilation.
+    """A future-like handle to one unit compilation — what every compile
+    returns, whether or not anything is still running.
 
     ``result()`` blocks until the underlying build finishes, applies the
-    (memoized) binding step exactly once, and returns the callable handle.
-    Backends without real async compilation return already-resolved
-    tickets via :meth:`completed`.
+    (memoized) binding step exactly once however many callers join, and
+    returns the callable handle.  Backends with nothing to wait for return
+    already-bound tickets via :meth:`completed`.
     """
 
     def __init__(self, future=None, mapper: Optional[Callable] = None):
@@ -38,6 +39,9 @@ class CompileTicket:
         self._lock = threading.Lock()
         self._resolved = False
         self._value = None
+        #: called once, when :meth:`result` first binds the handle or raises
+        #: the build's failure: the sharing dispatcher forgets the ticket
+        self.on_settled: Optional[Callable] = None
 
     @classmethod
     def completed(cls, value) -> "CompileTicket":
@@ -53,9 +57,14 @@ class CompileTicket:
     def result(self, timeout: Optional[float] = None):
         with self._lock:
             if not self._resolved:
-                raw = self._future.result(timeout)
-                self._value = self._mapper(raw) if self._mapper else raw
-                self._resolved = True
+                try:
+                    raw = self._future.result(timeout)
+                    self._value = self._mapper(raw) if self._mapper else raw
+                    self._resolved = True
+                finally:    # (a timeout leaves the build running: unsettled)
+                    if self.on_settled is not None and self._future.done():
+                        settled, self.on_settled = self.on_settled, None
+                        settled()
             return self._value
 
     async def await_built(self) -> None:
@@ -105,35 +114,30 @@ class Backend:
 
     name: str = "abstract"
 
-    #: the :mod:`repro.passes` pipeline level this backend wants the typed
-    #: IR brought to before it compiles (0 = raw typechecker output,
-    #: 1 = canonicalized, 2 = full optimization — see
-    #: :data:`repro.passes.LEVEL_PASSES`).  The linker runs the pipeline
-    #: once per function and caches the result on the TypedFunction, so
-    #: two backends requesting the same level share the work.
+    #: the :mod:`repro.passes` pipeline level this backend reads every body
+    #: at (0 = raw typechecker output, 1 = canonicalized, 2 = full
+    #: optimization, 3 = full plus auto-vectorization — see
+    #: :data:`repro.passes.LEVEL_PASSES`), unless ``REPRO_TERRA_PIPELINE``
+    #: or ``pipeline_override`` forces another.  A level is built once per
+    #: function, so two backends requesting the same level share the work.
     pipeline_level: int = 2
 
     def memoized_unit(self, fn) -> tuple:
         """What this backend's structural memo knows of ``fn``'s component
         before anything typechecks it: ``(outcome, ticket, memo)`` — the
         ticket binds a previously compiled artifact when the outcome is
-        ``"hit"``; ``memo`` is what :meth:`compile_unit` should remember the
+        ``"hit"``; ``memo`` is what :meth:`submit_unit` should remember the
         unit under otherwise.  All None (the default): no memo, or nothing
         left for one to skip."""
         return None, None, None
 
-    def compile_unit(self, fn, component, memo=None):
-        """Compile ``fn``'s connected ``component`` (a list of
-        TerraFunctions, fn first) and return a Python-callable handle for
-        ``fn``."""
+    def submit_unit(self, fn, component, memo=None) -> CompileTicket:
+        """Start compiling ``fn``'s connected ``component`` (a list of
+        TerraFunctions, fn first) without waiting for it; the returned
+        ticket's ``result()`` yields ``fn``'s Python-callable handle.  The
+        C backend runs gcc on the buildd pool; the interpreter, whose
+        "compilation" is cheap, returns a completed ticket."""
         raise NotImplementedError
-
-    def compile_unit_async(self, fn, component, memo=None) -> CompileTicket:
-        """Start compiling the unit without waiting for it; the returned
-        ticket's ``result()`` yields the callable handle.  The default
-        compiles synchronously (interpreter "compilation" is cheap); the C
-        backend overrides this to run gcc on the buildd pool."""
-        return CompileTicket.completed(self.compile_unit(fn, component, memo))
 
     # -- globals ------------------------------------------------------------
     def materialize_global(self, glob):

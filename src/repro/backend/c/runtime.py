@@ -9,8 +9,8 @@ Compilation itself is owned by :mod:`repro.buildd` — the in-process
 compile service with a thread pool, a content-addressed artifact cache
 (keyed on source, flags, *and* compiler identity), in-flight request
 dedup, and telemetry.  This module is the ctypes binding layer, plus
-:meth:`CBackend.compile_unit_async` so callers (the auto-tuner, Orion)
-can overlap compilation with other work.
+:meth:`CBackend.submit_unit`, whose ticket lets callers (the auto-tuner,
+Orion) overlap compilation with other work.
 """
 
 from __future__ import annotations
@@ -95,12 +95,26 @@ class CompiledFunction(ExecutableHandle):
             result = self.centry(*cargs, ctypes.byref(trapcode))
             del keep
             if trapcode.value:
-                raise TrapError(TRAP_MESSAGES.get(
-                    trapcode.value, f"runtime trap {trapcode.value}"))
+                self._trap(trapcode.value)
         else:
             result = self.cfn(*cargs)
             del keep
         return self._from_c(result, ftype.returntype)
+
+    @staticmethod
+    def _trap(code: int):
+        raise TrapError(TRAP_MESSAGES.get(code, f"runtime trap {code}"))
+
+    def _bind(self, args, params):
+        """``(cargs, keep)`` for the prepared callers: ``args`` converted
+        for ``params`` once, on the dispatching thread, with the keep-alives
+        the conversions created."""
+        if len(args) != len(params):
+            raise FFIError(f"{self.func.name}() takes {len(params)} "
+                           f"arguments, got {len(args)}")
+        keep: list = []
+        return [self._to_c(value, ty, keep)
+                for value, ty in zip(args, params)], keep
 
     # -- chunked dispatch (repro.parallel) -----------------------------------
     def chunk_caller(self, *args):
@@ -116,26 +130,17 @@ class CompiledFunction(ExecutableHandle):
             raise FFIError(
                 f"{self.func.name}() has no chunked entry; call "
                 f"fn.mark_chunked() before its first C compile")
-        ftype = self.type
-        nparams = len(ftype.parameters)
-        if len(args) != nparams:
-            raise FFIError(
-                f"{self.func.name}() takes {nparams} arguments, got {len(args)}")
-        keep: list = []
-        cargs = [self._to_c(value, ty, keep)
-                 for value, ty in zip(args, ftype.parameters)]
+        cargs, keep = self._bind(args, self.type.parameters)
         cchunk = self.cchunk
-        fname = self.func.name
 
         def run(lo: int, hi: int, _keep=keep):
             trapcode = ctypes.c_int32(0)
             cchunk(ctypes.c_int64(lo), ctypes.c_int64(hi), *cargs,
                    ctypes.byref(trapcode))
             if trapcode.value:
-                raise TrapError(TRAP_MESSAGES.get(
-                    trapcode.value, f"runtime trap {trapcode.value}"))
+                self._trap(trapcode.value)
 
-        run.kernel_name = fname
+        run.kernel_name = self.func.name
         return run
 
     def tail_caller(self, nlead: int, *tailargs):
@@ -146,16 +151,9 @@ class CompiledFunction(ExecutableHandle):
         pointers once per pipeline call, and each per-worker strip call
         is then one plain ctypes foreign call (GIL released) with only
         the ``gsel/wid/ylo/yhi`` scalars built per call."""
-        ftype = self.type
-        params = ftype.parameters
-        if len(tailargs) != len(params) - nlead:
-            raise FFIError(
-                f"{self.func.name}() takes {len(params) - nlead} bound "
-                f"arguments after {nlead} leading ones, got {len(tailargs)}")
-        keep: list = []
+        params = self.type.parameters
+        cargs, keep = self._bind(tailargs, params[nlead:])
         lead_tys = params[:nlead]
-        cargs = [self._to_c(value, ty, keep)
-                 for value, ty in zip(tailargs, params[nlead:])]
         centry = self.centry
         cfn = self.cfn
         to_c = self._to_c
@@ -168,8 +166,7 @@ class CompiledFunction(ExecutableHandle):
                 trapcode = ctypes.c_int32(0)
                 centry(*lc, *cargs, ctypes.byref(trapcode))
                 if trapcode.value:
-                    raise TrapError(TRAP_MESSAGES.get(
-                        trapcode.value, f"runtime trap {trapcode.value}"))
+                    self._trap(trapcode.value)
             else:
                 cfn(*lc, *cargs)
 
@@ -224,7 +221,7 @@ class CBackend(Backend):
     name = "c"
 
     #: the linker brings the typed IR to this pipeline level before
-    #: calling compile_unit (see repro.passes).  CANON (fold/simplify/dce)
+    #: calling submit_unit (see repro.passes).  CANON (fold/simplify/dce)
     #: shrinks the emitted C and makes equivalent stagings hit the buildd
     #: artifact cache; LICM is deliberately left to gcc -O3, whose own
     #: loop optimizer subsumes ours — pre-hoisted temps only enlarge the
@@ -248,7 +245,7 @@ class CBackend(Backend):
         from ...passes import resolve_level
         return resolve_level(self.pipeline_level)
 
-    def _emit(self, fn, component, **span_args):
+    def _emit(self, fn, component):
         """``(source, names)`` of ``fn``'s component — the C text and each
         member's C name (``uid -> name``) — emitted once and remembered, so
         ``get_c_source()`` shows the text that was compiled.  Only the
@@ -257,28 +254,21 @@ class CBackend(Backend):
         unit = self._units.get(fn)
         if unit is None or unit[0] != key:
             with _trace.span(f"emit:{fn.name}", cat="emit", backend="c",
-                             component_size=len(component), **span_args) as sp:
+                             component_size=len(component)) as sp:
                 emitter = CEmitter(component, self)
                 source = emitter.emit_unit()
                 sp.set(c_bytes=len(source))
             unit = self._units[fn] = (key, source, emitter.fn_names)
         return unit[1], unit[2]
 
-    def compile_unit(self, fn, component, memo=None):
-        return self._submit(fn, component, memo).result()
-
-    def compile_unit_async(self, fn, component, memo=None):
-        """Submit the unit to the buildd pool; returns a
-        :class:`~repro.backend.base.CompileTicket` whose ``result()``
+    def submit_unit(self, fn, component, memo=None):
+        """Submit the unit to the buildd pool; the ticket's ``result()``
         binds the shared object and yields ``fn``'s callable handle.
 
         Source emission and flag capture happen synchronously (in the
         caller's thread, so :func:`extra_cflags` blocks behave), only the
         compiler run overlaps."""
-        return self._submit(fn, component, memo, mode="async")
-
-    def _submit(self, fn, component, memo, **span_args):
-        source, names = self._emit(fn, component, **span_args)
+        source, names = self._emit(fn, component)
         bound = [(f, names[f.uid], f.typed.type)
                  for f in component if not f.is_external]
         future = get_service().compile_async(

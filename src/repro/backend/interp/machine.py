@@ -27,7 +27,8 @@ from ...ffi import convert
 from ...memory.allocator import Allocator
 from ...memory.flatmem import Memory
 from ...memory.layout import TypedMemory, pack_value, unpack_value, zero_value
-from ..base import Backend, ExecutableHandle
+from ...passes import pipelined_body, resolve_level
+from ..base import Backend, CompileTicket, ExecutableHandle
 from . import values as V
 from .builtins import BUILTINS
 
@@ -44,8 +45,9 @@ class _ReturnSignal(Exception):
 class Frame:
     """One activation: symbol -> (address, type) slots in flat memory."""
 
-    def __init__(self, machine: "Machine"):
+    def __init__(self, machine: "Machine", level: int):
         self.machine = machine
+        self.level = level      # the pipeline level this activation reads
         self.slots: dict[Symbol, tuple[int, T.Type]] = {}
         self.regions = []
 
@@ -120,8 +122,11 @@ class Machine:
     # ==================================================================
     # calls
     # ==================================================================
-    def call_function(self, fn: TerraFunction, args: list):
-        """Call with interpreter-convention values (see layout module)."""
+    def call_function(self, fn: TerraFunction, args: list, level: int):
+        """Call with interpreter-convention values (see layout module);
+        ``level`` is the calling handle's pipeline level, at which every
+        body — entry, callee, function-pointer target — is read, whatever
+        other levels were built first."""
         if fn.is_external:
             return self.call_external(fn, args)
         if fn.typed is None:
@@ -131,14 +136,14 @@ class Machine:
         if self._depth >= self.max_call_depth:
             raise TrapError(f"interpreter call depth exceeded in {fn.name}")
         self._depth += 1
-        frame = Frame(self)
+        frame = Frame(self, level)
         try:
             for sym, ty, value in zip(typed.param_symbols,
                                       typed.type.parameters, args):
                 addr = frame.declare(sym, ty)
                 self.typed.store(addr, value, ty)
             try:
-                self.exec_block(typed.body, frame)
+                self.exec_block(pipelined_body(typed, level), frame)
             except _ReturnSignal as ret:
                 return ret.value
             rettype = typed.type.returntype
@@ -388,14 +393,14 @@ class Machine:
         args = [self.eval_expr(a, frame) for a in e.args]
         fn = e.fn
         if isinstance(fn, tast.TFuncLit):
-            return self.call_function(fn.func, args)
+            return self.call_function(fn.func, args, frame.level)
         if isinstance(fn, tast.TCallback):
             return self.call_callback(fn.callback, args)
         addr = self.eval_expr(fn, frame)
         target = self.resolve_funcptr(addr)
         if isinstance(target, PyCallback):
             return self.call_callback(target, args)
-        return self.call_function(target, args)
+        return self.call_function(target, args, frame.level)
 
     def _eval_unop(self, e: tast.TUnOp, frame):
         value = self.eval_expr(e.operand, frame)
@@ -516,6 +521,7 @@ class InterpFunction(ExecutableHandle):
         self.func = func
         self.machine = machine
         self.type = func.typed.type if func.typed else func.gettype()
+        self.level = resolve_level(machine.backend.pipeline_level)
 
     # __call__ (with the shared observability hook) comes from
     # ExecutableHandle — see repro.backend.base
@@ -531,7 +537,8 @@ class InterpFunction(ExecutableHandle):
         for value, ty in zip(args, ftype.parameters):
             machine_args.append(self._to_machine(value, ty, keep))
         try:
-            result = self.machine.call_function(self.func, machine_args)
+            result = self.machine.call_function(self.func, machine_args,
+                                                self.level)
         finally:
             for item in keep:
                 if isinstance(item, _CopyBack):
@@ -652,7 +659,7 @@ class InterpBackend(Backend):
     name = "interp"
 
     #: the linker brings the typed IR to this pipeline level before
-    #: calling compile_unit (see repro.passes); the interpreter has no
+    #: calling submit_unit (see repro.passes); the interpreter has no
     #: private optimizer of its own, so it wants the FULL pipeline —
     #: including LICM, which no downstream compiler would do for it
     pipeline_level = 2
@@ -663,12 +670,12 @@ class InterpBackend(Backend):
         self.machine = Machine(self)
         self._global_slots: dict[int, int] = {}
 
-    def compile_unit(self, fn, component, memo=None):
+    def submit_unit(self, fn, component, memo=None):
         with _trace.span(f"emit:{fn.name}", cat="emit", backend="interp",
                          component_size=len(component)):
             handle = fn.dispatcher.install(
                 self.name, InterpFunction(fn, self.machine))
-        return handle
+        return CompileTicket.completed(handle)
 
     # -- globals ----------------------------------------------------------------
     def global_slot(self, glob) -> int:

@@ -156,15 +156,6 @@ class CompileService:
             self._inflight[key] = fut
             return fut
 
-    def compile_asyncio(self, source: str, flags: Iterable[str] = ()):
-        """The asyncio submission hook: schedule a compile from a running
-        event loop and get an *awaitable* resolving to the artifact path.
-        The build itself still runs on the buildd pool; only the waiting
-        moves onto the loop (this is how :mod:`repro.serve` overlaps gcc
-        runs with request handling without tying up a thread)."""
-        import asyncio
-        return asyncio.wrap_future(self.compile_async(source, flags))
-
     # -- the worker ---------------------------------------------------------
     def _build(self, key: str, source: str, flags: tuple[str, ...],
                namespace: Optional[str] = None,
@@ -237,8 +228,7 @@ class CompileService:
         trace.instant("buildd.tier_up", cat="buildd", fn=label)
 
         def job():
-            with trace.span(f"exec.tier_up:{label}", cat="exec",
-                            mode="async"):
+            with trace.span(f"exec.tier_up:{label}", cat="exec"):
                 return thunk()
 
         return pool.submit(job)

@@ -191,9 +191,6 @@ class TerraFunction:
         self.emit_chunk = True
         return self
 
-    def getdefinitions(self):
-        return [self]
-
     # -- inspection (Terra's printpretty / disas) -----------------------------
     def printpretty(self, typed: bool = False) -> str:
         """Render the specialized (or, with ``typed=True``, the typed)
@@ -218,8 +215,7 @@ class TerraFunction:
         """The typed IR after the :mod:`repro.passes` pipeline — what both
         backends actually compile.  ``level`` picks a pipeline level
         (default: the full pipeline); the tree is returned at exactly
-        that level even when an earlier compile already advanced the
-        in-place tree further (served from the per-level snapshots)."""
+        that level, whatever other levels were built before it."""
         from ..passes import pipelined_body
         from .prettyprint import format_typed_ir
         self.ensure_typechecked()

@@ -104,15 +104,13 @@ def ensure_typechecked(fn: TerraFunction) -> None:
 
 def pipelined_component(fn: TerraFunction, backend,
                         **span_args) -> list[TerraFunction]:
-    """Typecheck ``fn``'s connected component and bring every member's
-    typed IR to the backend's requested pipeline level.
+    """Typecheck ``fn``'s connected component and build every member's
+    typed IR at the backend's requested pipeline level.
 
-    This is the single point where the :mod:`repro.passes` pipeline runs:
-    backends receive the component *after* it, each at its declared level
-    regardless of compile order (``repro.passes.pipelined_body`` serves
-    lower levels from snapshots), and a function shared by two compiles
-    is only transformed once (``TypedFunction.pipeline_level`` caches the
-    level reached).
+    Backends receive the component *after* it and read each body through
+    ``repro.passes.pipelined_body``, which builds a level once per
+    function — so a function shared by two compiles is only transformed
+    once, and what a backend reads never depends on compile order.
     """
     from ..passes import run_function_pipeline
     level = getattr(backend, "pipeline_level", None)
@@ -158,11 +156,11 @@ def structural_digest(fn: TerraFunction, context: str) -> tuple:
     return members, hashlib.sha256(repr(parts).encode()).hexdigest()[:32]
 
 
-def ensure_compiled(fn: TerraFunction, backend, asynchronous: bool = False):
-    """Compile ``fn``'s connected component on ``backend`` and return a
-    callable handle for ``fn`` — or, ``asynchronous``, *submit* it to the
-    backend's compile service and return a :class:`~repro.backend.base.
-    CompileTicket` whose ``result()`` yields the handle.
+def ensure_compiled(fn: TerraFunction, backend):
+    """Submit ``fn``'s connected component to ``backend`` and return the
+    :class:`~repro.backend.base.CompileTicket` whose ``result()`` binds it
+    and yields ``fn``'s callable handle — the one compile path: a caller
+    that wants the handle now calls ``result()`` at once.
 
     Typechecking, the IR pipeline and emission run synchronously in the
     caller (they touch shared linker state); only the native compile
@@ -178,9 +176,7 @@ def ensure_compiled(fn: TerraFunction, backend, asynchronous: bool = False):
         registry().add("spec.memo." + {"hit": "hits", "miss": "misses"}.get(
             outcome, outcome.replace(":", ".")))
     if outcome == "hit":
-        return ticket if asynchronous else ticket.result()
+        return ticket
     component = pipelined_component(
         fn, backend, **({"memo": outcome} if outcome else {}))
-    compile_unit = backend.compile_unit_async if asynchronous \
-        else backend.compile_unit
-    return compile_unit(fn, component, memo)
+    return backend.submit_unit(fn, component, memo)

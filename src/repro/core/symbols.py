@@ -78,21 +78,3 @@ def symmat(name: str, *dims: int, type: Optional[T.Type] = None):  # noqa: A002
         return symbol(type, name)
     head, *rest = dims
     return [symmat(f"{name}{i}", *rest, type=type) for i in range(head)]
-
-
-class Label:
-    """A unique label identity for ``goto``-style control flow (used by
-    lowered constructs; not exposed in the surface syntax)."""
-
-    __slots__ = ("id", "displayname")
-
-    def __init__(self, displayname: Optional[str] = None):
-        self.id = next(_counter)
-        self.displayname = displayname
-
-    @property
-    def name(self) -> str:
-        return f"{self.displayname or 'L'}_{self.id}"
-
-    def __repr__(self) -> str:
-        return f"@{self.name}"

@@ -408,16 +408,11 @@ class TypedFunction:
         self.referenced_globals: list = []
         self.referenced_callbacks: list = []
         self.string_constants: list[str] = []
-        #: highest :mod:`repro.passes` pipeline level already applied to
-        #: ``body`` (0 = raw typechecker output).  Guarded by
-        #: ``_pipeline_lock`` so concurrent compiles can neither
-        #: double-transform the tree nor observe it half-rewritten.
-        self.pipeline_level: int = 0
+        #: ``body`` is read-only once typechecked (the schedule pass, which
+        #: runs before any level exists, is its one other writer).  Pipeline
+        #: levels are per-level trees derived from it, built once each under
+        #: the lock: see :func:`repro.passes.pipelined_body`.
         self._pipeline_lock = threading.Lock()
-        #: per-level body snapshots, cloned by the pipeline just before it
-        #: advances ``body`` past a level; a backend that requests a level
-        #: the in-place tree has already moved beyond is served from these
-        #: (see :func:`repro.passes.pipelined_body`).
         self._pipeline_bodies: dict[int, TBlock] = {}
 
     @property
@@ -443,8 +438,8 @@ def clone(node):
 
     TNodes are duplicated; symbols, types, globals, functions, and source
     locations are shared by reference, so identity-based facts (interned
-    types, symbol scoping) survive the copy.  The pass pipeline uses this
-    to snapshot a function body before transforming it further.
+    types, symbol scoping) survive the copy.  The pass pipeline runs every
+    level over a clone, so the typechecked tree is never written.
     """
     if isinstance(node, TNode):
         new = object.__new__(type(node))

@@ -75,14 +75,6 @@ class Type:
     def isaggregate(self) -> bool:
         return self.isarray() or self.isstruct()
 
-    def iscomplete(self) -> bool:
-        """A type is complete when its layout can be computed."""
-        try:
-            self.layout()
-            return True
-        except TypeCheckError:
-            return False
-
     # -- layout ------------------------------------------------------------
     def layout(self) -> tuple[int, int]:
         """Return ``(sizeof, alignof)`` in bytes."""
@@ -183,10 +175,6 @@ _PRIMITIVES_BY_NAME = {
 _PRIMITIVES_BY_NAME.update({
     "int": int32, "uint": uint32, "long": int64, "ulong": uint64,
 })
-
-
-def primitive_by_name(name: str) -> PrimitiveType | None:
-    return _PRIMITIVES_BY_NAME.get(name)
 
 
 class PointerType(Type):

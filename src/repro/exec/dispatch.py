@@ -1,13 +1,9 @@
 """The per-function call dispatcher — one object that owns *how* a
 Terra function executes from Python.
 
-Before :mod:`repro.exec`, the compiled-handle cache, the pending-ticket
-table and the backend-selection logic lived directly on
-:class:`~repro.core.function.TerraFunction` (and both backends poked at
-them).  They now live here: every ``TerraFunction`` creates one
-:class:`Dispatcher` at construction, ``fn(...)``/``fn.compile()`` /
-``fn.compile_async()`` delegate to it, and backends install the handles
-they bind through :meth:`Dispatcher.install`.
+Every ``TerraFunction`` creates one :class:`Dispatcher` at construction;
+``fn(...)``/``fn.compile()``/``fn.compile_async()`` delegate to it, and
+backends install the handles they bind through :meth:`Dispatcher.install`.
 
 What to run on a call is decided by the process-wide
 :class:`~repro.exec.policy.ExecutionPolicy` (see :mod:`repro.exec`):
@@ -21,29 +17,6 @@ from __future__ import annotations
 
 import threading
 from typing import Callable, Optional
-
-
-class _InstallingTicket:
-    """A CompileTicket wrapper that installs the resolved handle in the
-    dispatcher's per-backend cache (so later ``compile()`` calls and
-    direct calls reuse it instead of recompiling)."""
-
-    def __init__(self, dispatcher: "Dispatcher", backend_name: str, inner):
-        self._dispatcher = dispatcher
-        self._name = backend_name
-        self._inner = inner
-
-    def done(self) -> bool:
-        return self._inner.done()
-
-    def result(self, timeout=None):
-        handle = self._inner.result(timeout)
-        handle = self._dispatcher.install(self._name, handle)
-        self._dispatcher.pending.pop(self._name, None)
-        return handle
-
-    async def await_built(self) -> None:
-        await self._inner.await_built()
 
 
 class TierState:
@@ -102,37 +75,33 @@ class Dispatcher:
 
     def compiled_handle(self, backend=None):
         """The callable handle for ``backend`` (default backend if None),
-        compiling on demand.  Joins a pending async compile instead of
-        compiling twice."""
+        compiling on demand — ``compile_async(backend).result()``."""
         from ..backend.base import resolve_backend
         backend = resolve_backend(backend)
         handle = self.handles.get(backend.name)
         if handle is None:
-            ticket = self.pending.pop(backend.name, None)
-            if ticket is not None:
-                handle = ticket.result()
-            else:
-                from ..core.linker import ensure_compiled
-                handle = ensure_compiled(self.fn, backend)
-            handle = self.handles.setdefault(backend.name, handle)
+            handle = self.compile_async(backend).result()
         return handle
 
     def compile_async(self, backend=None):
-        """Start compiling on ``backend`` without waiting; returns a
-        ``CompileTicket`` whose ``result()`` yields (and installs) the
-        callable handle.  A later :meth:`compiled_handle` or direct call
-        joins the pending build."""
+        """Start compiling on ``backend`` without waiting; returns the
+        ``CompileTicket`` whose ``result()`` binds — once, however many
+        callers join — and yields the installed handle.  Until it settles
+        it is :attr:`pending`, shared by every compile and call; a failed
+        one is forgotten with the rest, so the next compile retries."""
         from ..backend.base import CompileTicket, resolve_backend
         backend = resolve_backend(backend)
-        handle = self.handles.get(backend.name)
+        name = backend.name
+        handle = self.handles.get(name)
         if handle is not None:
             return CompileTicket.completed(handle)
-        ticket = self.pending.get(backend.name)
+        ticket = self.pending.get(name)
         if ticket is None:
             from ..core.linker import ensure_compiled
-            inner = ensure_compiled(self.fn, backend, asynchronous=True)
-            ticket = _InstallingTicket(self, backend.name, inner)
-            self.pending[backend.name] = ticket
+            ticket = ensure_compiled(self.fn, backend)
+            if name not in self.handles:    # interp binds at once: none pends
+                ticket.on_settled = lambda: self.pending.pop(name, None)
+                ticket = self.pending.setdefault(name, ticket)
         return ticket
 
     # -- calling ------------------------------------------------------------

@@ -12,7 +12,8 @@ every Python-level call:
   generic C entry — and, when the profile shows stable scalar arguments,
   a guarded respecialized variant with those values spliced as constants
   (:mod:`repro.exec.respec`).  Calls never block on the compiler (unless
-  ``sync`` is set, which tests and the fuzzer use for determinism); a
+  ``sync`` is set — the crossing call then waits for the same job —
+  which tests and the fuzzer use for determinism); a
   guard miss at tier 1 is a counted deoptimization that runs the generic
   entry, so observable behavior is identical at every tier.
 """
@@ -61,8 +62,8 @@ class TieredPolicy(ExecutionPolicy):
                  respec: bool = True, min_observations: int = 1) -> None:
         #: tier-0 calls before a tier-up is scheduled
         self.threshold = max(1, int(threshold))
-        #: complete tier-ups inline instead of in the background — used
-        #: by tests/fuzzing, where determinism beats latency
+        #: the call that schedules a tier-up waits for it — used by
+        #: tests/fuzzing, where determinism beats latency
         self.sync = bool(sync)
         #: build guarded constant-spliced variants from stable profiles
         self.respec = bool(respec)
@@ -116,7 +117,7 @@ class TieredPolicy(ExecutionPolicy):
     def _stage(self, dispatcher):
         """The tier-up job: compile the generic C entry and, if the value
         profile supports it, a guarded respecialized variant.  Runs on
-        buildd's tier-up thread (or inline under ``sync``)."""
+        buildd's tier-up thread."""
         from . import respec as _respec
         fn = dispatcher.fn
         generic = dispatcher.compiled_handle("c")
@@ -136,28 +137,17 @@ class TieredPolicy(ExecutionPolicy):
         return generic, specialized
 
     def _begin_tier_up(self, dispatcher, st) -> None:
-        """Schedule (or, under ``sync``, run) the tier-up.  Called with
-        ``st.lock`` held and ``st.ticket`` None."""
-        fn = dispatcher.fn
+        """Schedule the tier-up — and, under ``sync``, wait for it.  Called
+        with ``st.lock`` held and ``st.ticket`` None."""
         from ..buildd import get_service
-        if self.sync:
-            with _trace.span(f"exec.tier_up:{fn.name}", cat="exec",
-                             mode="sync", calls=st.calls):
-                get_service().stats.record_tier_up()
-                try:
-                    st.generic, st.respec = self._stage(dispatcher)
-                except Exception:
-                    st.failed = True
-                    _registry().add("exec.tier_up_failed")
-                    return
-            self._announce(dispatcher, st)
-            return
         st.ticket = get_service().tier_up(
-            fn.name, lambda: self._stage(dispatcher))
+            dispatcher.fn.name, lambda: self._stage(dispatcher))
+        if self.sync:
+            self._finish_tier_up(dispatcher, st)
 
     def _finish_tier_up(self, dispatcher, st) -> None:
-        """Install a completed background tier-up.  Called with
-        ``st.lock`` held; a failed build parks the function at tier 0
+        """Install a tier-up, waiting for it if it still runs.  Called
+        with ``st.lock`` held; a failed build parks the function at tier 0
         permanently (calls stay interpreted, semantics unchanged)."""
         ticket = st.ticket
         if ticket is None or st.tier != 0:

@@ -125,7 +125,3 @@ class Memory:
         if nul < 0:
             raise TrapError(f"unterminated string at {addr:#x}")
         return bytes(chunk[:nul])
-
-    def live_regions(self, kind: str | None = None) -> list[Region]:
-        return [r for r in self._regions
-                if r.live and (kind is None or r.kind == kind)]

@@ -12,7 +12,7 @@ representation (IR) suitable for optimization."
 The IR is a DAG of :class:`Expr` nodes.  *Stages* (inputs and expressions
 the user names or shifts) are the schedulable units: each can be
 ``materialize``d, ``inline``d, or ``linebuffer``ed (see
-:mod:`repro.orion.schedule`).
+:mod:`repro.orion.compile`).
 """
 
 from __future__ import annotations

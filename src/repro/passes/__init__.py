@@ -1,10 +1,12 @@
 """The pass-managed mid-level IR pipeline.
 
-Every backend obtains its IR through this package: the linker runs
-:func:`run_function_pipeline` over each member of a connected component
-before handing the component to a backend, and the result is cached per
-function (``TypedFunction.pipeline_level``), so the C emitter and the
-reference interpreter always compile the *same* optimized tree.
+Every backend obtains its IR through this package: a typechecked tree is
+read-only, and :func:`pipelined_body` derives each pipeline level from it
+once per function — a clone run through that level's passes — so the C
+emitter and the reference interpreter each read exactly the level they
+declare, in any compile order.  The linker builds the level a compile is
+about to read (:func:`run_function_pipeline`) over each member of a
+connected component before handing the component to a backend.
 
 See :mod:`repro.passes.manager` for the environment switches
 (``REPRO_TERRA_PIPELINE``, ``REPRO_TERRA_DISABLE_PASSES``,
@@ -26,7 +28,6 @@ from .manager import (  # noqa: F401
     register_pass,
     resolve_level,
     run_function_pipeline,
-    run_pipeline,
 )
 from .verify import verify_function  # noqa: F401
 
@@ -45,6 +46,5 @@ __all__ = [
     "register_pass",
     "resolve_level",
     "run_function_pipeline",
-    "run_pipeline",
     "verify_function",
 ]

@@ -3,12 +3,11 @@
 Terra separates *staging* (Lua builds the program) from *execution* (LLVM
 optimizes and runs it).  Our reproduction's analog of the optimizer is
 this pipeline: an ordered list of individually-switchable passes that
-every backend consumes, run **once per function** and cached on the
-:class:`~repro.core.tast.TypedFunction` (``pipeline_level``).  Each
-backend reads the tree at *exactly* its declared level through
-:func:`pipelined_body` — levels already passed by the in-place tree are
-served from per-level snapshots — so what a backend compiles never
-depends on which backend compiled first.
+every backend consumes through :func:`pipelined_body`.  A typechecked
+tree is read-only; a pipeline level is a pure function of it — a clone
+run through ``LEVEL_PASSES[level]``, built **once per function and
+level** — so what a backend compiles never depends on which backend
+compiled first.
 
 Environment switches (docs/ENVIRONMENT.md): ``REPRO_TERRA_PIPELINE``
 forces a level process-wide, ``REPRO_TERRA_DISABLE_PASSES`` drops passes,
@@ -30,6 +29,7 @@ from typing import Optional, Sequence
 
 from ..errors import CompileError, ConfigError
 from .. import config, trace
+from ..trace.metrics import registry
 
 # -- pipeline levels --------------------------------------------------------------
 
@@ -56,8 +56,10 @@ LEVEL_PASSES: dict[int, tuple[str, ...]] = {
 class Pass:
     """One transformation (or analysis) over a typed function body.
 
-    Subclasses set ``name`` and implement :meth:`run`, which transforms
-    the function in place and returns True when anything changed.
+    Subclasses set ``name`` and implement :meth:`run`, which rewrites the
+    ``body`` of what it is handed — from :func:`pipelined_body` a level's
+    own view, never the typechecked tree — and returns True when anything
+    changed.
     """
 
     name: str = "abstract"
@@ -148,8 +150,7 @@ class PassManager:
     """
 
     def __init__(self, passes: Optional[Sequence] = None, *,
-                 verify: Optional[bool] = None, dump: Optional[str] = None,
-                 record_stats: bool = True):
+                 verify: Optional[bool] = None, dump: Optional[str] = None):
         if passes is None:
             passes = LEVEL_PASSES[PIPELINE_FULL]
         resolved = [create_pass(p) if isinstance(p, str) else p
@@ -163,7 +164,6 @@ class PassManager:
         if dump is None and (dump := config.get("REPRO_TERRA_DUMP_IR")):
             _registered("REPRO_TERRA_DUMP_IR", (dump,), also=("all",))
         self.dump = dump
-        self.record_stats = record_stats
         #: per-pass records of the most recent :meth:`run`
         self.last_run: list[dict] = []
 
@@ -197,8 +197,8 @@ class PassManager:
                 verify_function(typed, where=f"after pass {p.name!r}")
             records.append(
                 {"pass": p.name, "seconds": seconds, "changed": changed})
-            if self.record_stats:
-                _record_pass_time(p.name, seconds)
+            # the series ``repro.buildd.stats()["passes"]`` reports
+            registry().record_time(f"pass.{p.name}", seconds)
         self.last_run = records
         return records
 
@@ -211,20 +211,12 @@ class PassManager:
         print(format_typed_ir(typed), file=sys.stderr)
 
 
-def _record_pass_time(name: str, seconds: float) -> None:
-    """Merge pass timing into the process metrics registry — the same
-    series ``repro.buildd.stats()["passes"]`` reports, without needing a
-    compile service to exist (see :mod:`repro.trace.metrics`)."""
-    from ..trace.metrics import registry
-    registry().record_time(f"pass.{name}", seconds)
-
-
 # -- per-function pipeline entry points -------------------------------------------
 
 class _LevelView:
-    """A TypedFunction facade exposing an alternate ``body`` (the same
-    function at a different pipeline level), so passes and the verifier
-    can run over a snapshot without touching the in-place tree."""
+    """A TypedFunction facade with a ``body`` of its own — what a level's
+    passes (and the verifier between them) run over, so the function's
+    typechecked tree is never written."""
 
     def __init__(self, typed, body):
         self._typed = typed
@@ -234,95 +226,41 @@ class _LevelView:
         return getattr(self._typed, name)
 
 
-def _ensure_scheduled(typed) -> None:
-    """Lower an attached :mod:`repro.schedule` Schedule exactly once,
-    *before* any level logic touches the tree (pipeline lock held).
-
-    Runs ahead of the first level snapshot so that every pipeline level
-    — including level 0, which runs no passes — sees the scheduled
-    loops, keeping the per-level snapshot machinery and the scheduled
-    rewrite orthogonal.
-    """
-    if getattr(typed, "_sched_lowered", False):
-        return
-    func = getattr(typed, "func", None)
-    if getattr(func, "schedule", None):
-        PassManager(("schedule",)).run(typed)
-    typed._sched_lowered = True
-
-
-def _advance_locked(typed, level: int) -> None:
-    """Advance ``typed.body`` in place to ``level`` (pipeline lock held).
-
-    The body is snapshotted (cloned) at its current level first, so a
-    later request for a lower level — e.g. the C backend compiling after
-    the interpreter already ran LICM — still gets exactly the tree it
-    asked for via :func:`pipelined_body`."""
-    from ..core.tast import clone
-    if typed.pipeline_level not in typed._pipeline_bodies:
-        typed._pipeline_bodies[typed.pipeline_level] = clone(typed.body)
-    with trace.span(f"pipeline:{typed.name}", cat="passes",
-                    level=level, from_level=typed.pipeline_level):
-        PassManager(LEVEL_PASSES[level]).run(typed)
-    typed.pipeline_level = level
-
-
-def run_pipeline(typed, level: Optional[int] = None) -> bool:
-    """Run the level's pipeline over one TypedFunction, exactly once.
-
-    The result is cached via ``typed.pipeline_level`` under the
-    function's pipeline lock, so concurrent compiles (two backends, two
-    threads racing through the linker) can neither double-transform the
-    tree nor observe it half-rewritten.  Re-entry at the same or a lower
-    level is a no-op for the in-place tree (use :func:`pipelined_body`
-    to *read* the tree at an exact level); a higher level runs the
-    higher pipeline (every transform pass is idempotent).  Returns True
-    if passes ran.
-    """
-    level = resolve_level(level)
-    with typed._pipeline_lock:
-        _ensure_scheduled(typed)
-        if typed.pipeline_level >= level:
-            return False
-        _advance_locked(typed, level)
-    return True
-
-
 def pipelined_body(typed, level: Optional[int] = None):
-    """The function body at *exactly* the resolved ``level``.
+    """The function body at *exactly* the resolved ``level`` — read-only,
+    and the only way anyone gets IR.
 
-    If the in-place tree is below the level, it is advanced as in
-    :func:`run_pipeline`.  If another backend already advanced it
-    further (pipeline levels are monotonic per function), the requested
-    level is rebuilt from the snapshot taken before that advance and
-    cached per level — so the C emitter sees the CANON tree whether it
-    compiles before or after the interpreter ran LICM, and equivalent
-    stagings emit byte-identical C in any compile order.
+    Level 0 is the typechecked tree itself, with an attached
+    :mod:`repro.schedule` Schedule lowered onto it by the first request
+    (so every level sees the scheduled loops); level *k* is a clone of it
+    run through ``LEVEL_PASSES[k]``.  Each is built once, under the
+    function's pipeline lock, and a level never depends on which others
+    were asked for first — so concurrent compiles neither repeat a pass
+    nor see a half-rewritten tree, and equivalent stagings emit
+    byte-identical C in any compile order.
     """
     level = resolve_level(level)
     with typed._pipeline_lock:
-        _ensure_scheduled(typed)
-        if typed.pipeline_level < level:
-            _advance_locked(typed, level)
-        if typed.pipeline_level == level:
-            return typed.body
-        body = typed._pipeline_bodies.get(level)
+        bodies = typed._pipeline_bodies
+        if not bodies:
+            if getattr(typed.func, "schedule", None):
+                PassManager(("schedule",)).run(typed)
+            bodies[PIPELINE_NONE] = typed.body
+        body = bodies.get(level)
         if body is None:
             from ..core.tast import clone
-            base = max(lv for lv in typed._pipeline_bodies if lv <= level)
-            body = clone(typed._pipeline_bodies[base])
-            if LEVEL_PASSES[level]:
-                view = _LevelView(typed, body)
+            view = _LevelView(typed, clone(typed.body))
+            with trace.span(f"pipeline:{typed.name}", cat="passes",
+                            level=level):
                 PassManager(LEVEL_PASSES[level]).run(view)
-                body = view.body
-            typed._pipeline_bodies[level] = body
+            body = bodies[level] = view.body
         return body
 
 
-def run_function_pipeline(fn, level: Optional[int] = None) -> bool:
-    """Pipeline entry point for a TerraFunction (no-op for externals and
-    functions that have not been typechecked yet)."""
+def run_function_pipeline(fn, level: Optional[int] = None) -> None:
+    """:func:`pipelined_body` for a TerraFunction, result dropped: build
+    (once) the level a compile is about to read.  No-op for externals and
+    functions that have not been typechecked yet."""
     typed = getattr(fn, "typed", None)
-    if typed is None or getattr(fn, "is_external", False):
-        return False
-    return run_pipeline(typed, level)
+    if typed is not None and not getattr(fn, "is_external", False):
+        pipelined_body(typed, level)

@@ -1,11 +1,12 @@
 """The ``schedule`` pass: lower attached Schedule directives onto typed IR.
 
-Runs once per function *before* any pipeline level (the manager calls it
-through ``_ensure_scheduled`` under the pipeline lock), so every level —
-including level 0, which runs no optimization passes — sees the
-scheduled tree and the per-level snapshots stay consistent.  Registered
-as a normal pass so it gets IR dumping (``REPRO_TERRA_DUMP_IR=schedule``),
-verifier integration, and ``pass.schedule`` timing for free.
+:func:`repro.passes.pipelined_body` runs it on a function's first
+request, under the pipeline lock and *before* any level exists, so every
+level — including level 0, which runs no optimization passes — is built
+from the scheduled tree.  It is the one pass handed the typechecked tree
+itself.  Registered as a normal pass so it gets IR dumping
+(``REPRO_TERRA_DUMP_IR=schedule``), verifier integration, and
+``pass.schedule`` timing for free.
 """
 
 from __future__ import annotations
@@ -20,12 +21,5 @@ class SchedulePass(Pass):
     name = "schedule"
 
     def run(self, typed) -> bool:
-        if getattr(typed, "_sched_lowered", False):
-            return False
-        typed._sched_lowered = True
-        func = getattr(typed, "func", None)
-        schedule = getattr(func, "schedule", None)
-        if not schedule:
-            return False
         from ..schedule.lower import lower_schedule
-        return lower_schedule(typed, schedule)
+        return lower_schedule(typed, typed.func.schedule)

@@ -40,9 +40,9 @@ def verify_function(typed, where: str = "", body=None) -> None:
     """Check one TypedFunction; raises IRVerifyError on the first
     violation, annotated with ``where`` (e.g. "after pass 'fold'").
 
-    ``body`` checks an alternate body for the same function — the C
-    emitter passes the per-level snapshot it is about to emit, which may
-    differ from the in-place ``typed.body``."""
+    ``body`` checks another tree of the same function — the C emitter
+    passes the pipeline level it is about to emit, where ``typed.body``
+    is the typechecked tree that level was derived from."""
     _Verifier(typed, where, body).run()
 
 

@@ -6,10 +6,9 @@ none of it is locked.  The two kinds of real work leave the loop:
 
 * **compilation** (parse → specialize → typecheck → emit) runs on the
   ``repro-serve-<i>`` executor threads; the gcc stage is then *awaited*
-  on the loop through buildd's async submission hook
-  (:meth:`~repro.backend.base.CompileTicket.aresult`), so a cold request
-  occupies an executor thread only for the Python-side staging, never for
-  the compiler run;
+  on the loop (:meth:`~repro.backend.base.CompileTicket.await_built`), so
+  a cold request occupies an executor thread only for the Python-side
+  staging, never for the compiler run;
 * **execution** (one ctypes call, GIL released) also runs on the
   executor, so a long kernel never stalls the accept loop; only a plain
   call whose kernel was just observed short, inside the arguments it was

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from repro import get_backend, terra
 from repro.core import tast
 from repro.core import types as T
-from repro.passes import PIPELINE_CANON, run_pipeline
+from repro.passes import PIPELINE_CANON, PIPELINE_FULL, pipelined_body
 
 
 def folded_body(source, env=None):
     fn = terra(source, env=env or {})
     fn.ensure_typechecked()
-    run_pipeline(fn.typed, PIPELINE_CANON)
-    return fn.typed.body
+    return pipelined_body(fn.typed, PIPELINE_CANON)
 
 
 def count_nodes(tree, kind):
@@ -152,5 +151,8 @@ class TestSemanticsPreserved:
         end
         """)
         assert fn.compile("interp")(10) == 16
-        # the linker ran the full pipeline before the backend compiled
-        assert fn.typed.pipeline_level == 2
+        # the linker built the full pipeline before the backend compiled:
+        # the dead branch is gone from the tree the interpreter walks
+        body = pipelined_body(fn.typed, PIPELINE_FULL)
+        assert count_nodes(body, tast.TIf) == 0
+        assert count_nodes(fn.typed.body, tast.TIf) == 1

@@ -1,7 +1,7 @@
 """Specialized-tree utilities: copy_tree isolation and node basics."""
 
 from repro import expr, int_, quote_, symbol, terra
-from repro.core import sast
+from repro.core import sast, tast
 
 
 class TestCopyTree:
@@ -77,10 +77,10 @@ class TestQuoteTyping:
 # -- specialized trees are read-only ------------------------------------------------
 
 def snapshot(node):
-    """A deep image of a specialized tree: every attribute of every node
-    (not just ``_fields`` — an annotation written in place would be a new
-    one), lists by value, symbols / types / functions by identity."""
-    if isinstance(node, sast.SNode):
+    """A deep image of a specialized (or typed) tree: every attribute of
+    every node (not just ``_fields`` — an annotation written in place would
+    be a new one), lists by value, symbols / types / functions by identity."""
+    if isinstance(node, (sast.SNode, tast.TNode)):
         return (type(node).__name__,
                 tuple((n, snapshot(v)) for n, v in sorted(vars(node).items())))
     if isinstance(node, sast.SCtorField):

@@ -7,9 +7,9 @@ Each program below is compiled three ways:
 * the C backend (full pipeline).
 
 All three must agree on every input.  A fresh TerraFunction is built per
-configuration because the passes mutate the typed tree in place — reusing
-one function would silently hand the "no passes" run an already-optimized
-tree.
+configuration because a function keeps one handle per backend, at the
+level it was first compiled at — reusing one function would silently hand
+the "no passes" run the handle the full-pipeline run built.
 
 Trap behaviour is compared interp-with vs interp-without only: the C
 build of a dividing kernel would SIGFPE the test process rather than
@@ -106,7 +106,7 @@ PROGRAMS = [
 
 
 def compile_config(source, backend, passes_on):
-    """Fresh function per configuration: passes mutate the tree in place."""
+    """Fresh function per configuration: one handle per backend."""
     fn = terra(source, env={})
     if passes_on:
         return fn.compile(backend)

@@ -3,12 +3,17 @@ on TerraFunction (compiled handles, pending tickets, backend choice) now
 lives on one per-function Dispatcher, consulted through a process-wide
 execution policy."""
 
+import sys
+import threading
+
 import pytest
 
 from repro import terra
 from repro.errors import ConfigError
 from repro.exec import (AheadOfTimePolicy, TieredPolicy, current_policy,
                         make_policy, policy_override, set_policy)
+
+from tests.buildd.conftest import fake_cc_path, fake_toolchain  # noqa: F401
 
 ADD = """
 terra add(a : int32, b : int32) : int32
@@ -54,6 +59,92 @@ def test_compile_async_joins_pending(cbackend):
     assert handle is t1.result()
     assert "c" not in fn.dispatcher.pending   # resolved tickets are popped
     assert handle(20, 22) == 42
+
+
+@pytest.fixture
+def cold_service(tmp_path, swap_service):
+    """A compile service over an empty private cache: every unit is a
+    real compiler run.  Call it with a toolchain for one that uses it."""
+    from repro.buildd.cache import ArtifactCache
+    from repro.buildd.service import CompileService
+
+    def fresh(tc=None):
+        return swap_service(CompileService(
+            jobs=2, tc=tc, cache=ArtifactCache(root=str(tmp_path / "cache"))))
+    fresh()
+    return fresh
+
+
+def _join(fn, nthreads=4):
+    """``fn.compile("c")`` from ``nthreads`` threads released together;
+    returns what each got — a handle or the exception it raised."""
+    barrier, got = threading.Barrier(nthreads), []
+
+    def joiner():
+        barrier.wait(10)
+        try:
+            got.append(fn.compile("c"))
+        except Exception as exc:
+            got.append(exc)
+
+    threads = [threading.Thread(target=joiner) for _ in range(nthreads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)         # more switches inside the join
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == nthreads
+    return got
+
+
+def test_four_threads_joining_one_compile_async_share_it(cold_service,
+                                                         cbackend):
+    """One route from a function to its code, and everyone who asks shares
+    it: one link, one buildd submit, one bind, one CDLL."""
+    from repro import trace
+    from repro.buildd import get_service
+    fn = _fresh()
+    stats, libs = get_service().stats, len(cbackend._libs)
+    trace.clear()
+    trace.enable()
+    try:
+        ticket = fn.compile_async(cbackend)
+        handles = _join(fn)
+        names = [e.name for e in trace.events()]
+    finally:
+        trace.disable()
+        trace.clear()
+    assert all(h is handles[0] for h in handles) and handles[0](20, 22) == 42
+    assert ticket.result() is handles[0]
+    assert names.count(f"link:{fn.name}") == 1
+    assert names.count(f"bind:{fn.name}") == 1
+    assert stats.submitted == 1
+    assert len(cbackend._libs) == libs + 1
+    assert not fn.dispatcher.pending
+
+
+def test_a_failed_compile_raises_from_every_joiner_and_is_retried(
+        cold_service, cbackend, fake_toolchain, monkeypatch):
+    """A failed ticket is nobody's cached answer: every joiner sees the
+    failure, no ticket stays behind, the next compile starts over."""
+    from repro.errors import CompileError
+    monkeypatch.setenv("FAKECC_FAIL", "1")      # the compiler exits 1
+    cold_service(fake_toolchain)
+    fn = _fresh()
+    ticket = fn.compile_async(cbackend)
+    failures = _join(fn)
+    assert all(isinstance(f, CompileError) and "induced failure" in str(f)
+               for f in failures)
+    with pytest.raises(CompileError, match="induced failure"):
+        ticket.result()
+    assert not fn.dispatcher.pending and not fn.dispatcher.handles
+    cold_service()                      # a compiler that works
+    assert fn.compile(cbackend)(20, 22) == 42
+    assert not fn.dispatcher.pending
 
 
 def test_function_facade_delegates():

@@ -1,8 +1,8 @@
 """The paired string/decorator kernel corpus for frontend parity.
 
 Each entry is a *factory*: calling it builds a fresh ``(string_fn,
-py_fn, run)`` triple — fresh because the pass pipeline mutates typed
-trees in place, so every (level, backend) configuration needs its own
+py_fn, run)`` triple — fresh because a function keeps one handle per
+backend, so every (level, backend) configuration needs its own
 functions.  ``run(fn)`` executes the kernel on deterministic inputs and
 returns a list of ``bytes`` capturing every observable result
 bit-exactly (scalar returns via struct packing, buffers via

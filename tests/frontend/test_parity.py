@@ -9,7 +9,7 @@ Two assertions per corpus kernel (see :mod:`tests.frontend.kernels`):
   counter; nothing else may).
 * **Result parity** — both produce bit-identical results on the interp
   and C backends at pipeline levels 0–3 (fresh functions per
-  configuration: passes mutate typed trees in place).
+  configuration: a function keeps one handle per backend).
 """
 
 import re

@@ -5,7 +5,7 @@ import pytest
 from repro import terra
 from repro.core import tast
 from repro.errors import TrapError
-from repro.passes import PIPELINE_CANON, pipeline_override, run_pipeline
+from repro.passes import PIPELINE_CANON, pipelined_body
 from repro.passes.dce import DeadCodePass
 from repro.passes.fold import FoldPass
 
@@ -124,9 +124,7 @@ class TestElimination:
           return x
         end
         """)
-        with pipeline_override(PIPELINE_CANON):
-            run_pipeline(fn.typed)
-        assert decls(fn.typed.body) == []
+        assert decls(pipelined_body(fn.typed, PIPELINE_CANON)) == []
 
     def test_partially_dead_multi_assign_keeps_declaration(self):
         """x, y = ... with x dead and y live is removed all-or-nothing,

@@ -15,8 +15,8 @@ from repro.passes import (
     available_passes,
     create_pass,
     pipeline_override,
+    pipelined_body,
     resolve_level,
-    run_pipeline,
 )
 
 
@@ -157,54 +157,53 @@ class TestLevels:
         assert resolve_level(None) == PIPELINE_FULL
 
 
+def count(tree):
+    return sum(1 for _ in tast.walk(tree))
+
+
 class TestCaching:
     def test_pipeline_runs_once(self):
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        assert fn.typed.pipeline_level == 0
-        assert run_pipeline(fn.typed, PIPELINE_FULL) is True
-        assert fn.typed.pipeline_level == PIPELINE_FULL
-        # re-entry at the same or lower level is a no-op
-        assert run_pipeline(fn.typed, PIPELINE_FULL) is False
-        assert run_pipeline(fn.typed, PIPELINE_CANON) is False
+        body = pipelined_body(fn.typed, PIPELINE_FULL)
+        assert count(body) < count(fn.typed.body)
+        # re-entry at the same level is the same tree; a lower one its own
+        assert pipelined_body(fn.typed, PIPELINE_FULL) is body
+        assert pipelined_body(fn.typed, PIPELINE_CANON) is not body
 
     def test_level_upgrades(self):
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        assert run_pipeline(fn.typed, PIPELINE_CANON) is True
-        assert fn.typed.pipeline_level == PIPELINE_CANON
-        assert run_pipeline(fn.typed, PIPELINE_FULL) is True
-        assert fn.typed.pipeline_level == PIPELINE_FULL
+        canon = pipelined_body(fn.typed, PIPELINE_CANON)
+        full = pipelined_body(fn.typed, PIPELINE_FULL)
+        assert canon is not full
+        assert count(canon) == count(full) < count(fn.typed.body)
 
     def test_level_zero_is_identity(self):
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        before = sum(1 for _ in tast.walk(fn.typed.body))
+        before = count(fn.typed.body)
         with pipeline_override(PIPELINE_NONE):
-            assert run_pipeline(fn.typed) is False
-        assert sum(1 for _ in tast.walk(fn.typed.body)) == before
-        assert fn.typed.pipeline_level == 0
+            body = pipelined_body(fn.typed)
+        assert body is fn.typed.body
+        assert count(fn.typed.body) == before
 
     def test_compile_shares_pipelined_tree(self):
-        """Both backends see the same canonicalized tree: compiling on the
-        interpreter first and gcc second does not re-run the passes."""
+        """Both backends read the same trees: compiling on the interpreter
+        first and gcc second does not re-run the passes."""
         fn = typed_fn("terra f(x : int) : int return x + 2 * 3 end")
         assert fn.compile("interp")(1) == 7
-        level_after_interp = fn.typed.pipeline_level
-        body_ids = [id(s) for s in fn.typed.body.statements]
+        full = pipelined_body(fn.typed, PIPELINE_FULL)
+        body_ids = [id(s) for s in full.statements]
         assert fn.compile("c")(1) == 7
-        assert fn.typed.pipeline_level == level_after_interp == PIPELINE_FULL
-        assert [id(s) for s in fn.typed.body.statements] == body_ids
+        assert pipelined_body(fn.typed, PIPELINE_FULL) is full
+        assert [id(s) for s in full.statements] == body_ids
 
     def test_pipelined_body_serves_lower_levels_after_full(self):
-        """Once the in-place tree is at FULL, a lower-level request is
-        rebuilt from the pre-advance snapshot, not served the FULL tree."""
-        from repro.passes import pipelined_body
+        """Once FULL is built, a lower-level request is derived from the
+        typechecked tree, not served the FULL tree."""
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        raw_count = sum(1 for _ in tast.walk(fn.typed.body))
-        assert run_pipeline(fn.typed, PIPELINE_FULL) is True
-        assert sum(1 for _ in tast.walk(fn.typed.body)) < raw_count
+        raw_count = count(fn.typed.body)
+        assert count(pipelined_body(fn.typed, PIPELINE_FULL)) < raw_count
         raw = pipelined_body(fn.typed, PIPELINE_NONE)
-        assert sum(1 for _ in tast.walk(raw)) == raw_count
-        # the in-place tree and its level are untouched by the read
-        assert fn.typed.pipeline_level == PIPELINE_FULL
+        assert count(raw) == raw_count
 
 
 class TestBackendsUsePipeline:
@@ -240,8 +239,50 @@ class TestBackendsUsePipeline:
         c_first = typed_fn(src).get_c_source()
         fn = typed_fn(src)
         assert fn.compile("interp")(2, 4) == 24
-        assert fn.typed.pipeline_level == PIPELINE_FULL
         assert fn.get_c_source() == c_first
+
+    @pytest.mark.parametrize("door", ["get_optimized_ir", "c compile"])
+    def test_interp_walks_its_own_level_whatever_was_built_first(
+            self, door, monkeypatch):
+        """The interpreter declares FULL and reads FULL — entry and callee
+        — even after something else asked for the vectorized tree."""
+        import numpy as np
+        from repro.backend.interp.machine import Machine
+        from repro.core import types as T
+        fns = terra("""
+        terra axpy(n : int64, a : float, x : &float, y : &float) : {}
+          for i = 0, n do y[i] = a * x[i] + y[i] end
+        end
+        terra f(n : int64, x : &float, y : &float) : {}
+          for i = 0, n do x[i] = x[i] + 1.0f end
+          axpy(n, 2.0f, x, y)
+        end
+        """, env={})
+        f, axpy = fns["f"], fns["axpy"]
+        if door == "get_optimized_ir":
+            for fn in (f, axpy):
+                assert "vload" in fn.get_optimized_ir(PIPELINE_VEC)
+        else:
+            f.ensure_typechecked()      # no structural-memo hit: link it
+            with pipeline_override(PIPELINE_VEC):
+                f.compile("c")
+        walked, exec_block = [], Machine.exec_block
+
+        def recording(self, block, frame):
+            walked.append(block)
+            exec_block(self, block, frame)
+
+        monkeypatch.setattr(Machine, "exec_block", recording)
+        x, y = np.ones(19, np.float32), np.ones(19, np.float32)
+        f.compile("interp")(19, x, y)
+        assert y.tolist() == [5.0] * 19
+        for fn in (f, axpy):
+            body = pipelined_body(fn.typed, PIPELINE_FULL)
+            assert any(block is body for block in walked)
+        for block in walked:
+            assert not any(
+                isinstance(getattr(node, "type", None), T.VectorType)
+                for node in tast.walk(block))
 
     def test_emitted_c_reflects_pipeline(self):
         fn = typed_fn("terra f(x : int) : int return x + 2 * 3 end",

@@ -57,7 +57,7 @@ def test_wellformed_accepted(source):
 
 
 def test_accepts_after_every_level():
-    from repro.passes import PIPELINE_FULL, run_pipeline
+    from repro.passes import LEVEL_PASSES, pipelined_body
     typed = typed_fn("""
     terra f(n : int) : int
       var acc = 0
@@ -66,8 +66,8 @@ def test_accepts_after_every_level():
       return acc + (3 - 3)
     end
     """)
-    run_pipeline(typed, PIPELINE_FULL)
-    verify_function(typed)
+    for level in LEVEL_PASSES:
+        verify_function(typed, body=pipelined_body(typed, level))
 
 
 class TestSabotage:

@@ -9,7 +9,7 @@ import pytest
 from repro import get_backend, terra
 from repro.core import tast
 from repro.errors import ScheduleError
-from repro.passes.manager import run_pipeline
+from repro.passes import pipelined_body
 from repro.passes.vectorize import VectorizePass
 from repro.schedule import (Block, Pack, Parallel, Schedule, Tile, Unroll,
                             Vectorize, apply, fuzz_schedule)
@@ -60,7 +60,7 @@ def lower(kernel):
     """Typecheck and run only the schedule stage (level 0 = no other
     passes); returns the typed function for shape inspection."""
     kernel.ensure_typechecked()
-    run_pipeline(kernel.typed, 0)
+    pipelined_body(kernel.typed, 0)
     return kernel.typed
 
 
@@ -105,7 +105,7 @@ class TestRewriteShape:
         k = build(SAXPY, Schedule([Block("i", 8)]))
         typed = lower(k)
         shape = loop_names(typed.body)
-        run_pipeline(typed, 0)  # second entry must not re-lower
+        pipelined_body(typed, 0)  # second entry must not re-lower
         assert loop_names(typed.body) == shape
 
 
@@ -165,6 +165,14 @@ class TestStrictRejection:
 
     def test_unknown_axis(self):
         self.expect(SAXPY, Schedule([Block("k", 8)]), "not found")
+
+    def test_a_rejected_schedule_stays_rejected(self):
+        """No request records a lowering that raised: a second compile
+        may not quietly build the unscheduled kernel."""
+        k = build(SAXPY, Schedule([Block("k", 8)]))
+        for backend in ("interp", "c"):
+            with pytest.raises(ScheduleError, match="not found"):
+                k.compile(backend)
 
     def test_ambiguous_axis(self):
         two_i = """

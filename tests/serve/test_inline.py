@@ -171,7 +171,9 @@ def long_call_leaves_the_loop_free(tmp_path):
         with srv.client(tenant="hot") as c:
             for _ in range(200):
                 c.call(SPIN, "spin", [1])
-            assert delta(before)["exec.inline"] > 150
+            placed = delta(before)
+            assert placed["exec.inline"] + placed["exec.offloaded"] == 200
+            assert placed["exec.inline"] > 100     # hiccup demotions cost tens
             earn_the_loop(c, SPIN, "spin", [1])    # still trusted right now
         with srv.client(tenant="other") as c:
             c.call(SQ, "sq", [1.0])            # compile outside the timing

@@ -5,12 +5,16 @@ and ``python -m repro.<module>`` written in the README, the design and
 experiment records, ``docs/``, the Makefile or the CI workflow must
 resolve in this checkout — so deleting a target, a test or a CLI fails
 here until the prose that sends readers to it is fixed too.  So must
-every ``make <target>`` in a module docstring under ``src/`` and every
-"CI `<job>` job" the prose names (against the workflow's job list).
+every ``make <target>`` in a module docstring under ``src/``, every
+"CI `<job>` job" the prose names (against the workflow's job list), and
+every fully-qualified Sphinx role in ``src/`` (``:class:`~repro.x.Y```:
+resolved by import, then attribute by attribute) — so a deleted function
+cannot live on in a docstring's cross-reference.
 """
 
 import ast
 import glob
+import importlib
 import importlib.util
 import os
 import re
@@ -31,6 +35,9 @@ _MODULE = re.compile(r"python3? -m (repro(?:\.\w+)*)")
 _TARGET = re.compile(r"^([a-z][a-z0-9-]*):", re.M)
 _CI_JOB = re.compile(r"\bCI `([\w-]+)` job")
 _JOB = re.compile(r"^  ([\w-]+):\s*$", re.M)     # two-space keys under jobs:
+#: a role may break its dotted name across lines after a dot
+_ROLE = re.compile(r":(?:mod|class|func|meth|data|attr):"
+                   r"`~?(repro(?:\.\s*\w+)*)`")
 
 
 def _text(rel):
@@ -57,6 +64,8 @@ def _references():
         docstring = ast.get_docstring(ast.parse(_text(rel))) or ""
         for target in _MAKE.findall("\n".join(_CODE.findall(docstring))):
             yield rel, "make", target
+        for name in _ROLE.findall(_text(rel)):
+            yield rel, "role", re.sub(r"\s+", "", name)
 
 
 def _missing(kind, ref):
@@ -65,6 +74,8 @@ def _missing(kind, ref):
     if kind == "ci-job":
         workflow = _text(".github/workflows/ci.yml")
         return ref not in _JOB.findall(workflow[workflow.index("\njobs:"):])
+    if kind == "role":
+        return _unresolved(ref)
     if kind == "module":
         spec = importlib.util.find_spec(ref)
         if spec is not None and spec.submodule_search_locations is not None:
@@ -81,9 +92,28 @@ def _missing(kind, ref):
                for name in names)
 
 
+def _unresolved(dotted):
+    """Import the longest module prefix of ``dotted``, then walk the rest
+    with getattr."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[cut:]:
+                obj = getattr(obj, name)
+        except AttributeError:
+            return True
+        return False
+    return True
+
+
 def test_every_named_target_path_and_module_exists():
     refs = sorted(set(_references()))
     assert len(refs) > 50  # the scan itself still finds things
+    assert sum(kind == "role" for _, kind, _ in refs) > 100
     dangling = [r for r in refs if _missing(r[1], r[2])]
     assert not dangling, "\n".join(map(str, dangling))
 
@@ -96,6 +126,8 @@ def test_every_named_target_path_and_module_exists():
     ("path", "tests/test_config.py::test_no_such_test"),
     ("module", "repro.parallel"),        # a package without __main__
     ("module", "repro.no_such_module"),
+    ("role", "repro.orion.schedule"),    # src/repro/orion/lang.py said
+    ("role", "repro.backend.base.CompileTicket.aresult"),   # serve/server.py
 ])
 def test_a_removed_reference_is_reported(kind, ref):
     assert _missing(kind, ref)
