@@ -187,6 +187,8 @@ def set_default_backend(name: str) -> None:
     global _default_name
     get_backend(name)  # validate
     _default_name = name
+    from ..exec.dispatch import reset_slots
+    reset_slots()   # warm functions re-resolve on the new default
 
 
 def resolve_backend(backend) -> Backend:

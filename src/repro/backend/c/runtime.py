@@ -26,7 +26,6 @@ from ...core import types as T
 from ...errors import CompileError, FFIError, TrapError, TypeCheckError
 from ...trace.metrics import registry
 from ...ffi import convert
-from ...memory import layout
 from ..base import Backend, CompileTicket, ExecutableHandle
 from . import abi
 from .emit import CEmitter, TRAP_MESSAGES
@@ -83,14 +82,14 @@ class CompiledFunction(ExecutableHandle):
     def _invoke(self, args):
         ftype = self.type
         nparams = len(ftype.parameters)
-        if len(args) != nparams and not ftype.varargs:
+        if len(args) != nparams:
             raise FFIError(
                 f"{self.func.name}() takes {nparams} arguments, got {len(args)}")
         keep: list = []
         cargs = []
         for value, ty in zip(args, ftype.parameters):
             cargs.append(self._to_c(value, ty, keep))
-        if self.centry is not None and not ftype.varargs:
+        if self.centry is not None:
             trapcode = ctypes.c_int32(0)
             result = self.centry(*cargs, ctypes.byref(trapcode))
             del keep

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
+
+import numpy as np
 
 from ... import trace as _trace
 from ...core import tast
@@ -88,6 +91,9 @@ class Machine:
         # safely under CPython's recursion limit
         self.max_call_depth = 200
         self._depth = 0
+        #: one flat memory, one stack: calls from Python threads take turns
+        #: (reentrant — a Python callback may call back into Terra)
+        self.lock = threading.RLock()
         import sys
         if sys.getrecursionlimit() < 10000:
             sys.setrecursionlimit(10000)
@@ -533,17 +539,17 @@ class InterpFunction(ExecutableHandle):
                 f"{self.func.name}() takes {len(ftype.parameters)} "
                 f"arguments, got {len(args)}")
         keep: list = []
-        machine_args = []
-        for value, ty in zip(args, ftype.parameters):
-            machine_args.append(self._to_machine(value, ty, keep))
-        try:
-            result = self.machine.call_function(self.func, machine_args,
-                                                self.level)
-        finally:
-            for item in keep:
-                if isinstance(item, _CopyBack):
-                    item.copy_back()
-        return self._to_python(result, ftype.returntype)
+        with self.machine.lock:
+            try:
+                machine_args = [self._to_machine(value, ty, keep)
+                                for value, ty in zip(args, ftype.parameters)]
+                result = self.machine.call_function(self.func, machine_args,
+                                                    self.level)
+            finally:
+                for item in keep:
+                    if isinstance(item, _CopyBack):
+                        item.copy_back()
+            return self._to_python(result, ftype.returntype)
 
     def _to_machine(self, value, ty: T.Type, keep: list):
         if isinstance(ty, T.PrimitiveType):
@@ -558,7 +564,6 @@ class InterpFunction(ExecutableHandle):
         """Pointers in the interpreter live in flat memory: copy Python
         buffers in, and arrange copy-out for numpy arrays (so kernels that
         write through pointers behave as with the C backend)."""
-        np = _numpy()
         machine = self.machine
         if value is None:
             return 0
@@ -567,42 +572,26 @@ class InterpFunction(ExecutableHandle):
         from ...ffi.cdata import CPointer
         if isinstance(value, CPointer):
             return value.address
-        if np is not None and isinstance(value, np.ndarray):
-            if not value.flags["C_CONTIGUOUS"]:
-                raise FFIError(
-                    "numpy arrays passed to Terra must be C-contiguous")
-            pointee = ty.pointee if isinstance(ty, T.PointerType) else None
-            if isinstance(pointee, T.PrimitiveType):
-                expected = convert.numpy_elem_type(value)
-                if expected is not pointee:
-                    raise FFIError(
-                        f"numpy array of dtype {value.dtype} passed where "
-                        f"&{pointee} expected")
-            raw = value.tobytes()
-            region = machine.memory.map_region(max(len(raw), 1), "foreign")
-            machine.memory.write(region.start, raw)
-            keep.append(_CopyBack(machine, region, value))
-            return region.start
-        if isinstance(value, ctypes.Array):
+        if isinstance(value, np.ndarray):
+            convert.pointer_address(value, ty)  # the C backend's validation
+            raw, mirror = value.tobytes(), _CopyBack
+        elif isinstance(value, ctypes.Array):
             # server-resident buffers (repro.serve) and other ctypes
             # storage: copy in, mirror writes back out after the call —
             # same observable behavior as handing the C backend the
             # array's real address
-            raw = bytes(memoryview(value).cast("B"))
-            region = machine.memory.map_region(max(len(raw), 1), "foreign")
-            machine.memory.write(region.start, raw)
-            keep.append(_CtypesCopyBack(machine, region, value))
-            return region.start
-        if isinstance(value, (bytes, bytearray)):
-            raw = bytes(value) + b"\x00"
-            region = machine.memory.map_region(len(raw), "foreign")
-            machine.memory.write(region.start, raw)
-            keep.append(region)
-            return region.start
-        if isinstance(value, str):
+            raw, mirror = bytes(memoryview(value).cast("B")), _CtypesCopyBack
+        elif isinstance(value, (bytes, bytearray)):
+            raw, mirror = bytes(value) + b"\x00", None
+        elif isinstance(value, str):
             return machine.intern_string(value)
-        raise FFIError(f"interp: cannot convert {type(value).__name__} "
-                       f"to pointer")
+        else:
+            raise FFIError(f"interp: cannot convert {type(value).__name__} "
+                           f"to pointer")
+        region = machine.memory.map_region(max(len(raw), 1), "foreign")
+        machine.memory.write(region.start, raw)
+        keep.append(mirror(machine, region, value) if mirror else region)
+        return region.start
 
     def _to_python(self, result, ty: T.Type):
         if isinstance(ty, T.TupleType) and ty.isunit():
@@ -632,7 +621,6 @@ class _CopyBack:
         self.array = array
 
     def copy_back(self) -> None:
-        import numpy as np
         raw = self.machine.memory.read_unchecked(
             self.region.start, self.array.nbytes)
         flat = np.frombuffer(raw, dtype=self.array.dtype)
@@ -648,11 +636,6 @@ class _CtypesCopyBack(_CopyBack):
         raw = self.machine.memory.read_unchecked(self.region.start, size)
         ctypes.memmove(self.array, raw, size)
         self.machine.memory.unmap_region(self.region)
-
-
-def _numpy():
-    import numpy
-    return numpy
 
 
 class InterpBackend(Backend):

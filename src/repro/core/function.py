@@ -158,11 +158,11 @@ class TerraFunction:
         return self.dispatcher.compile_async(backend)
 
     def __call__(self, *args):
-        """Calling from Python routes through the per-function dispatcher,
-        which consults the process execution policy (:mod:`repro.exec`) —
-        by default: JIT-compile on the default backend and convert
-        arguments via the FFI (the paper's LTAPP rule)."""
-        return self.dispatcher(*args)
+        """Calling from Python runs the dispatcher's call slot — whatever
+        the process execution policy (:mod:`repro.exec`) installed there;
+        by default the handle JIT-compiled on the default backend, which
+        converts arguments via the FFI (the paper's LTAPP rule)."""
+        return self.dispatcher.target(*args)
 
     # -- parallel dispatch (repro.parallel) ---------------------------------------
     def mark_chunked(self) -> "TerraFunction":

@@ -1,8 +1,9 @@
 """repro.exec — the execution-policy layer.
 
-Every :class:`~repro.core.function.TerraFunction` call from Python routes
-through its per-function :class:`~repro.exec.dispatch.Dispatcher`, which
-consults the *process-wide execution policy* chosen here:
+Every :class:`~repro.core.function.TerraFunction` call from Python runs
+the call slot of its per-function :class:`~repro.exec.dispatch.Dispatcher`,
+into which the *process-wide execution policy* chosen here installs — on
+the first call, and on the first after any switch — what to run:
 
 =========== =================================================================
 ``aot``     compile on first call on the default backend (historical
@@ -16,10 +17,12 @@ consults the *process-wide execution policy* chosen here:
 
 Select with ``REPRO_TERRA_EXEC_POLICY`` (read once, at first use), or at
 runtime with :func:`set_policy` / the :func:`policy_override` context
-manager.  Tiered knobs: ``REPRO_TERRA_TIER_THRESHOLD`` (tier-0 calls
-before tier-up, default 10) and ``REPRO_TERRA_TIER_SYNC`` (complete
-tier-ups inline — determinism for tests/fuzzing), read when ``tiered``
-is built by name; ``TieredPolicy(respec=False)`` turns respecialization off.
+manager; a switch resets every installed slot, so warm functions follow
+it from their next call.  Tiered knobs: ``REPRO_TERRA_TIER_THRESHOLD``
+(tier-0 calls before tier-up, default 10) and ``REPRO_TERRA_TIER_SYNC``
+(complete tier-ups inline — determinism for tests/fuzzing), read when
+``tiered`` is built by name; ``TieredPolicy(respec=False)`` turns
+respecialization off.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from contextlib import contextmanager
 from typing import Optional, Union
 
 from .. import config
-from .dispatch import Dispatcher, TierState
+from .dispatch import Dispatcher, TierState, reset_slots
 from .policy import AheadOfTimePolicy, ExecutionPolicy, TieredPolicy
 
 __all__ = [
@@ -72,6 +75,7 @@ def set_policy(policy: Union[str, ExecutionPolicy]) -> ExecutionPolicy:
     if not isinstance(policy, ExecutionPolicy):
         raise TypeError(f"not an execution policy: {policy!r}")
     _current = policy
+    reset_slots()
     return policy
 
 
@@ -91,3 +95,4 @@ def policy_override(policy: Union[str, ExecutionPolicy]):
         yield active
     finally:
         _current = prev
+        reset_slots()

@@ -2,21 +2,41 @@
 Terra function executes from Python.
 
 Every ``TerraFunction`` creates one :class:`Dispatcher` at construction;
-``fn(...)``/``fn.compile()``/``fn.compile_async()`` delegate to it, and
-backends install the handles they bind through :meth:`Dispatcher.install`.
+``fn(...)`` runs its **call slot** (:attr:`Dispatcher.target`),
+``fn.compile()``/``fn.compile_async()`` delegate to it, and backends
+install the handles they bind through :meth:`Dispatcher.install`.
 
-What to run on a call is decided by the process-wide
-:class:`~repro.exec.policy.ExecutionPolicy` (see :mod:`repro.exec`):
-ahead-of-time policies resolve a backend handle and call it; the tiered
-policy additionally keeps per-dispatcher tier state (interpreted tier-0,
-background tier-up to C, optional respecialized variant guarded on
-observed argument values) in :class:`TierState`.
+The slot starts as the dispatcher's resolver, which has the process-wide
+:class:`~repro.exec.policy.ExecutionPolicy` (see :mod:`repro.exec`)
+*install* what later calls run — a bound backend handle, or the tiered
+policy's trampoline, which overwrites the slot again at tier-up — so a warm
+call consults nothing.  What could change the answer (a policy or
+default-backend switch) calls :func:`reset_slots` instead.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Optional
+
+from ..errors import FFIError
+
+#: taken only to install into a slot and to reset the slots, never by a call
+_slots_lock = threading.Lock()
+_epoch = 0      # bumped by a reset; an install decided before one is refused
+_installed: "weakref.WeakSet[Dispatcher]" = weakref.WeakSet()
+
+
+def reset_slots() -> None:
+    """Point every installed call slot back at its resolver: each function's
+    next call asks the policy (and default backend) current *then*."""
+    global _epoch
+    with _slots_lock:
+        _epoch += 1
+        for dispatcher in _installed:
+            dispatcher.target = dispatcher._resolve
+        _installed.clear()
 
 
 class TierState:
@@ -44,18 +64,22 @@ class TierState:
 
 
 class Dispatcher:
-    """Owns one function's execution state: compiled handles per backend,
-    pending compile tickets, and (under the tiered policy) tier state.
+    """Owns one function's execution state: the call slot, compiled
+    handles per backend, pending compile tickets, and (under the tiered
+    policy) tier state.
 
-    Calls route ``Dispatcher.__call__ -> current policy -> backend
-    handle``; the policy is consulted per call, so flipping the policy
-    (tests, ``REPRO_TERRA_EXEC_POLICY``) affects already-built functions.
+    Calls are ``fn(...) -> dispatcher.target(...)``; flipping the policy
+    (tests, ``REPRO_TERRA_EXEC_POLICY``) still affects already-built
+    functions: it resets their slots and the next call re-resolves.
     """
 
-    __slots__ = ("fn", "handles", "pending", "tier", "on_tier_up")
+    __slots__ = ("fn", "target", "handles", "pending", "tier", "on_tier_up",
+                 "__weakref__")
 
     def __init__(self, fn) -> None:
         self.fn = fn
+        #: the call slot: the resolver, or what a policy installed over it
+        self.target: Callable = self._resolve
         #: backend name -> callable handle (ExecutableHandle)
         self.handles: dict[str, object] = {}
         #: backend name -> CompileTicket for an in-flight compile
@@ -76,12 +100,7 @@ class Dispatcher:
     def compiled_handle(self, backend=None):
         """The callable handle for ``backend`` (default backend if None),
         compiling on demand — ``compile_async(backend).result()``."""
-        from ..backend.base import resolve_backend
-        backend = resolve_backend(backend)
-        handle = self.handles.get(backend.name)
-        if handle is None:
-            handle = self.compile_async(backend).result()
-        return handle
+        return self.compile_async(backend).result()
 
     def compile_async(self, backend=None):
         """Start compiling on ``backend`` without waiting; returns the
@@ -106,31 +125,42 @@ class Dispatcher:
 
     # -- calling ------------------------------------------------------------
     def __call__(self, *args):
+        return self.target(*args)
+
+    def _resolve(self, *args):
+        """The slot's resting state: install the current policy's target,
+        then run it.  A failed compile raises from here with nothing
+        installed, so the next call retries."""
+        if self.fn.is_external:
+            raise FFIError(
+                f"{self.fn.name}() is an external C function: externals are "
+                f"called from Terra code, not from Python")
         from . import current_policy
-        return current_policy().call(self, args)
+        epoch = _epoch      # read before the policy: a flip in between shows
+        target = current_policy().target_for(self, epoch)
+        return self.set_target(target, epoch)(*args)
+
+    def set_target(self, target: Callable, epoch: int) -> Callable:
+        """Install ``target`` for the resolve that read ``epoch`` — unless
+        a reset since then has given the slot to a newer policy — and
+        return it."""
+        with _slots_lock:
+            if epoch == _epoch:
+                self.target = target
+                _installed.add(self)
+        return target
 
     # -- introspection -------------------------------------------------------
-    def tier_state(self) -> TierState:
-        """The tier state, creating it on first use (tiered policy only)."""
-        st = self.tier
-        if st is None:
-            st = self.tier = TierState()
-        return st
-
     def tier_info(self) -> dict:
         """A snapshot of tiering state: ``{"tier", "calls",
         "respecialized", "deopts"}``.  ``tier`` is 0 until a tier-up has
         completed, even under ahead-of-time policies (where it simply
         never advances)."""
-        st = self.tier
-        if st is None:
-            return {"tier": 0, "calls": 0, "respecialized": False,
-                    "deopts": 0}
-        respec = st.respec
+        st = self.tier or TierState()
         return {
             "tier": st.tier,
             "calls": st.calls,
-            "respecialized": respec is not None and respec.ready(),
+            "respecialized": st.respec is not None,
             "deopts": st.deopts,
         }
 

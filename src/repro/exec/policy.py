@@ -1,38 +1,46 @@
 """Execution policies — *what runs* when a Terra function is called.
 
-A policy is consulted by :class:`~repro.exec.dispatch.Dispatcher` on
-every Python-level call:
+A policy is asked by the resolver in a :class:`~repro.exec.dispatch.
+Dispatcher`'s call slot what to *install* there for the function's calls
+to run, and not again until a policy or default-backend switch resets it:
 
 * :class:`AheadOfTimePolicy` — the historical behavior: resolve one
-  backend (the default, or a pinned one) and call its compiled handle.
-* :class:`TieredPolicy` — start interpreted (tier 0) while the value
-  profiler watches arguments; once a function crosses the call-count
-  threshold, schedule a background tier-up through
+  backend (the default, or a pinned one) and install its compiled handle.
+* :class:`TieredPolicy` — install a tier-0 trampoline that interprets
+  while the value profiler watches arguments; once a function crosses the
+  call-count threshold, schedule a background tier-up through
   :meth:`repro.buildd.service.CompileService.tier_up` that compiles the
   generic C entry — and, when the profile shows stable scalar arguments,
   a guarded respecialized variant with those values spliced as constants
   (:mod:`repro.exec.respec`).  Calls never block on the compiler (unless
   ``sync`` is set — the crossing call then waits for the same job —
-  which tests and the fuzzer use for determinism); a
-  guard miss at tier 1 is a counted deoptimization that runs the generic
-  entry, so observable behavior is identical at every tier.
+  which tests and the fuzzer use for determinism).  The first trampoline
+  call to find the build done — a calling thread, never the tier-up
+  thread, so a late build cannot undo a policy switch — overwrites the
+  slot with the generic handle or the variant's guard; a guard miss is a
+  counted deoptimization that runs the generic entry, so observable
+  behavior is identical at every tier.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .. import trace as _trace
 from ..trace import profile as _profile
 from ..trace.metrics import registry as _registry
+from .dispatch import TierState
 
 
 class ExecutionPolicy:
-    """Decides how one call of ``dispatcher.fn`` executes."""
+    """Decides what occupies the call slot of ``dispatcher.fn``."""
 
     name = "abstract"
 
-    def call(self, dispatcher, args):
+    def target_for(self, dispatcher, epoch: int) -> Callable:
+        """What the resolver installs into ``dispatcher``'s slot; a target
+        that replaces itself later does so with
+        ``dispatcher.set_target(next, epoch)``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -49,8 +57,8 @@ class AheadOfTimePolicy(ExecutionPolicy):
         self.backend_name = backend_name
         self.name = name or (backend_name or "aot")
 
-    def call(self, dispatcher, args):
-        return dispatcher.compiled_handle(self.backend_name)(*args)
+    def target_for(self, dispatcher, epoch):
+        return dispatcher.compiled_handle(self.backend_name)
 
 
 class TieredPolicy(ExecutionPolicy):
@@ -68,52 +76,61 @@ class TieredPolicy(ExecutionPolicy):
         #: build guarded constant-spliced variants from stable profiles
         self.respec = bool(respec)
         self.min_observations = max(1, int(min_observations))
-        self._cc_checked = False
-        self._cc_ok = False
 
-    # -- the per-call decision ----------------------------------------------
-    def call(self, dispatcher, args):
+    # -- what the slot holds -------------------------------------------------
+    def target_for(self, dispatcher, epoch):
         fn = dispatcher.fn
-        if fn.is_external:
-            # externals have no interpretable body worth tiering; use the
-            # ahead-of-time path on the default backend
-            return dispatcher.compiled_handle(None)(*args)
-        st = dispatcher.tier_state()
-        if st.tier == 0:
+        st = dispatcher.tier = dispatcher.tier or TierState()
+        if st.tier:     # tiered up before an earlier policy switch
+            return self._tier1(fn, st)
+        interp = dispatcher.compiled_handle("interp")
+
+        def tier0(*args):
+            # count and observe the call, start the tier-up at the
+            # threshold and, once it has landed, hand the slot to tier 1
+            # (to the interpreter, if it failed)
             if not st.failed and st.ticket is None:
                 with st.lock:
                     if st.tier == 0 and st.ticket is None and not st.failed:
                         st.calls += 1
                         _profile.note_args(fn, args)
-                        if st.calls >= self.threshold and self._compiler_ok():
+                        if st.calls >= self.threshold:
                             self._begin_tier_up(dispatcher, st)
             ticket = st.ticket
             if st.tier == 0 and ticket is not None and ticket.done():
                 with st.lock:
                     self._finish_tier_up(dispatcher, st)
-            if st.tier == 0:
-                return dispatcher.compiled_handle("interp")(*args)
-        # tier >= 1: guarded respecialized entry when it applies, else the
-        # generic compiled entry
-        rs = st.respec
-        if rs is not None and rs.ready():
-            if rs.matches(args):
+            if st.tier:
+                return dispatcher.set_target(self._tier1(fn, st),
+                                             epoch)(*args)
+            if st.failed:
+                dispatcher.set_target(interp, epoch)
+            return interp(*args)
+
+        return tier0
+
+    @staticmethod
+    def _tier1(fn, st) -> Callable:
+        """The slot at tier 1: the generic compiled entry or, with a
+        respecialized variant, its entry guard."""
+        generic, rs = st.generic, st.respec
+        if rs is None:
+            return generic
+        matches, specialized = rs.matches, rs.handle
+
+        def guarded(*args):
+            if matches(args):
                 rs.hits += 1
-                return rs.handle(*args)
+                return specialized(*args)
             with st.lock:
                 st.deopts += 1
             _registry().add("exec.deopt")
             _trace.instant("exec.deopt", cat="exec", fn=fn.name)
-        return st.generic(*args)
+            return generic(*args)
+
+        return guarded
 
     # -- tier-up machinery ---------------------------------------------------
-    def _compiler_ok(self) -> bool:
-        if not self._cc_checked:
-            from ..buildd import toolchain
-            self._cc_ok = toolchain.cc_available()
-            self._cc_checked = True
-        return self._cc_ok
-
     def _stage(self, dispatcher):
         """The tier-up job: compile the generic C entry and, if the value
         profile supports it, a guarded respecialized variant.  Runs on
@@ -128,7 +145,7 @@ class TieredPolicy(ExecutionPolicy):
             if variant is not None:
                 handle = variant.dispatcher.compiled_handle("c")
                 specialized = _respec.Respecialized(fn, variant, consts,
-                                                    handle=handle)
+                                                    handle)
                 _registry().add("exec.respecialize")
                 _trace.instant("exec.respecialize", cat="exec", fn=fn.name,
                                variant=variant.name,
@@ -137,9 +154,12 @@ class TieredPolicy(ExecutionPolicy):
         return generic, specialized
 
     def _begin_tier_up(self, dispatcher, st) -> None:
-        """Schedule the tier-up — and, under ``sync``, wait for it.  Called
-        with ``st.lock`` held and ``st.ticket`` None."""
-        from ..buildd import get_service
+        """Schedule the tier-up, if there is a compiler to run it — and,
+        under ``sync``, wait for it.  Called with ``st.lock`` held and
+        ``st.ticket`` None."""
+        from ..buildd import get_service, toolchain
+        if not toolchain.cc_available():    # probed once per process
+            return
         st.ticket = get_service().tier_up(
             dispatcher.fn.name, lambda: self._stage(dispatcher))
         if self.sync:
@@ -160,9 +180,6 @@ class TieredPolicy(ExecutionPolicy):
             _registry().add("exec.tier_up_failed")
             return
         st.ticket = None
-        self._announce(dispatcher, st)
-
-    def _announce(self, dispatcher, st) -> None:
         st.tier = 1
         _registry().add("exec.tier_up")
         _trace.instant("exec.tier_up", cat="exec", fn=dispatcher.fn.name,

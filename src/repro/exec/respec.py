@@ -152,36 +152,16 @@ def specialize_variant(fn, consts: dict[int, object]):
 
 class Respecialized:
     """A guarded specialized variant: the variant function, the guard
-    values, and (once compiled) its handle."""
+    values, and its compiled handle."""
 
-    __slots__ = ("fn", "variant", "consts", "param_types", "ticket",
-                 "handle", "hits")
+    __slots__ = ("variant", "consts", "param_types", "handle", "hits")
 
-    def __init__(self, fn, variant, consts: dict[int, object],
-                 ticket=None, handle=None) -> None:
-        self.fn = fn
+    def __init__(self, fn, variant, consts: dict[int, object], handle) -> None:
         self.variant = variant
         self.consts = consts
         self.param_types = fn.param_types
-        self.ticket = ticket      # in-flight compile of the variant
-        self.handle = handle      # compiled handle once ready
+        self.handle = handle
         self.hits = 0
-
-    def ready(self) -> bool:
-        """True once the variant's compiled handle is available (resolves
-        a finished ticket on the way)."""
-        if self.handle is not None:
-            return True
-        ticket = self.ticket
-        if ticket is not None and ticket.done():
-            try:
-                self.handle = ticket.result()
-            except Exception:
-                self.ticket = None  # variant failed to build; stay generic
-                return False
-            self.ticket = None
-            return True
-        return False
 
     def matches(self, args) -> bool:
         """The entry guard: do ``args`` convert to exactly the machine
@@ -200,9 +180,8 @@ class Respecialized:
         return True
 
     def __repr__(self) -> str:
-        state = "ready" if self.handle is not None else "building"
         return (f"<Respecialized {self.variant.name!r} "
-                f"consts={self.consts} {state} hits={self.hits}>")
+                f"consts={self.consts} hits={self.hits}>")
 
 
 def respecialize(fn, arg_stats, min_observations: int = 1):

@@ -74,7 +74,7 @@ class CStruct:
             raise FFIError(f"struct {ty} has no field {name!r}")
         off = ty.offsetof(name)
         raw = self.blob[off:off + ftype.sizeof()]
-        return _unwrap(raw, ftype)
+        return blob_to_python(raw, ftype)
 
     def element(self, index: int):
         ty = self.type
@@ -84,7 +84,7 @@ class CStruct:
             raise FFIError(f"index {index} out of bounds for {ty}")
         esize = ty.elem.sizeof()
         raw = self.blob[index * esize:(index + 1) * esize]
-        return _unwrap(raw, ty.elem)
+        return blob_to_python(raw, ty.elem)
 
     def totuple(self):
         ty = self.type
@@ -108,7 +108,8 @@ class CStruct:
         return f"<cdata {self.type} ({self.type.sizeof()} bytes)>"
 
 
-def _unwrap(raw: bytes, ty: T.Type):
+def blob_to_python(raw: bytes, ty: T.Type):
+    """The Python value of the bytes ``raw`` read as Terra type ``ty``."""
     if ty.isaggregate():
         return CStruct(ty, raw)
     value = layout.unpack_value(raw, ty)

@@ -9,7 +9,8 @@ function call boundaries and during specialization."  Here:
 * ``str``/``bytes`` convert to ``rawstring`` (NUL-terminated buffers kept
   alive for the duration of the call),
 * NumPy arrays convert to pointers to their element type — the main way
-  benchmark data reaches Terra kernels,
+  benchmark data reaches Terra kernels (what else a pointer parameter
+  takes is one table keyed by the value's type: :func:`pointer_address`),
 * dicts/tuples convert to structs when they provide the required fields
   (the paper: "Lua tables can be converted into structs when they contain
   the required fields"),
@@ -19,27 +20,25 @@ function call boundaries and during specialization."  Here:
 from __future__ import annotations
 
 import ctypes
+import weakref
 
 import numpy as np
 
 from ..core import types as T
 from ..errors import FFIError
 from ..memory import layout
-from .cdata import CPointer, CStruct
+from .cdata import CPointer, CStruct, blob_to_python  # noqa: F401
 
-_NUMPY_DTYPES = {
+_NUMPY_NAMES = {
     "int8": T.int8, "int16": T.int16, "int32": T.int32, "int64": T.int64,
     "uint8": T.uint8, "uint16": T.uint16, "uint32": T.uint32,
     "uint64": T.uint64, "float32": T.float32, "float64": T.float64,
     "bool": T.bool_,
 }
-
-
-def numpy_elem_type(arr: np.ndarray) -> T.Type:
-    ty = _NUMPY_DTYPES.get(arr.dtype.name)
-    if ty is None:
-        raise FFIError(f"no Terra type for numpy dtype {arr.dtype}")
-    return ty
+#: by ``dtype.num`` (``.name`` builds a string per lookup), one row per type
+#: code: C integer types that share a name (``l``, ``q``) each have a number
+_NUMPY_TYPES = {np.dtype(code).num: _NUMPY_NAMES[np.dtype(code).name]
+                for code in np.typecodes["AllInteger"] + "fd?"}
 
 
 def python_to_blob(value, ty: T.Type) -> bytes:
@@ -88,47 +87,72 @@ def python_to_blob(value, ty: T.Type) -> bytes:
     return layout.pack_value(value, ty)
 
 
-def blob_to_python(blob: bytes, ty: T.Type):
-    if ty.isaggregate():
-        return CStruct(ty, blob)
-    value = layout.unpack_value(blob, ty)
-    if ty.ispointer():
-        return CPointer(ty, value)
-    return value
+# -- pointer parameters: entry(value, ty) -> (address, keepalive), by type ---
+
+_NO_BYTES = ctypes.c_char * 0
 
 
-def pointer_address(value, ty: T.Type) -> tuple[int, object]:
-    """Resolve ``value`` to (address, keepalive) for a pointer parameter."""
-    if value is None:
-        return 0, None
-    if isinstance(value, CPointer):
-        return value.address, value.keepalive
-    if isinstance(value, (int, np.integer)):
-        return int(value), None
-    if isinstance(value, np.ndarray):
-        if not value.flags["C_CONTIGUOUS"]:
-            raise FFIError("numpy arrays passed to Terra must be C-contiguous")
-        pointee = ty.pointee if isinstance(ty, T.PointerType) else None
-        if isinstance(pointee, T.PrimitiveType):
-            expected = numpy_elem_type(value)
-            if expected is not pointee:
-                raise FFIError(
-                    f"numpy array of dtype {value.dtype} passed where "
-                    f"&{pointee} expected")
-        return value.ctypes.data, value
-    if isinstance(value, (bytes, bytearray)):
-        buf = ctypes.create_string_buffer(bytes(value), len(value) + 1)
-        return ctypes.addressof(buf), buf
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        buf = ctypes.create_string_buffer(raw, len(raw) + 1)
-        return ctypes.addressof(buf), buf
-    if isinstance(value, ctypes.Array) or isinstance(value, ctypes.Structure):
-        return ctypes.addressof(value), value
+def _ndarray_pointer(arr, ty):
+    """The one validation of an ndarray bound to a pointer parameter
+    (C-contiguous; for ``&primitive``, that element type in native byte
+    order), then its address; the interpreter's copy-in wants the checks."""
+    flags = arr.flags
+    if not flags.c_contiguous:
+        raise FFIError("numpy arrays passed to Terra must be C-contiguous")
+    pointee = ty.pointee
+    if isinstance(pointee, T.PrimitiveType):
+        dtype = arr.dtype
+        expected = _NUMPY_TYPES.get(dtype.num)
+        if expected is None:
+            raise FFIError(f"no Terra type for numpy dtype {dtype}")
+        if expected is not pointee or not dtype.isnative:
+            raise FFIError(
+                f"numpy array of dtype {dtype} passed where "
+                f"&{pointee} expected")
+    if flags.writeable:     # from_buffer refuses a read-only exporter
+        return ctypes.addressof(_NO_BYTES.from_buffer(arr)), arr
+    return arr.ctypes.data, arr
+
+
+def _bytes_pointer(value, ty):
+    buf = ctypes.create_string_buffer(bytes(value), len(value) + 1)
+    return ctypes.addressof(buf), buf
+
+
+def _duck_pointer(value, ty):
+    """The last resort, for a type no entry covers: ctypes' own duck type."""
     if hasattr(value, "_as_parameter_"):
         return int(value._as_parameter_), value
     raise FFIError(
         f"cannot convert {type(value).__name__} to pointer type {ty}")
+
+
+_POINTER_ENTRIES = {
+    type(None): lambda value, ty: (0, None),
+    CPointer: lambda value, ty: (value.address, value.keepalive),
+    int: lambda value, ty: (int(value), None),
+    np.integer: lambda value, ty: (int(value), None),
+    np.ndarray: _ndarray_pointer,
+    bytes: _bytes_pointer,
+    bytearray: _bytes_pointer,
+    str: lambda value, ty: _bytes_pointer(value.encode("utf-8"), ty),
+    ctypes.Array: lambda value, ty: (ctypes.addressof(value), value),
+    ctypes.Structure: lambda value, ty: (ctypes.addressof(value), value),
+}
+#: subclass -> entry of its first base in the table (the MRO, walked once);
+#: weak, because ctypes makes and frees an array class per length
+_DERIVED_ENTRIES = weakref.WeakKeyDictionary()
+
+
+def pointer_address(value, ty: T.Type) -> tuple[int, object]:
+    """Resolve ``value`` to (address, keepalive) for a pointer parameter."""
+    cls = type(value)
+    entry = _POINTER_ENTRIES.get(cls) or _DERIVED_ENTRIES.get(cls)
+    if entry is None:
+        entry = _DERIVED_ENTRIES[cls] = next(
+            (_POINTER_ENTRIES[base] for base in cls.__mro__
+             if base in _POINTER_ENTRIES), _duck_pointer)
+    return entry(value, ty)
 
 
 def python_to_primitive(value, ty: T.PrimitiveType):

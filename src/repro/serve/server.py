@@ -366,8 +366,8 @@ class ServeServer:
 
     def _tier_up_hook(self, tenant: TenantState):
         """The dispatcher's on_tier_up hook for one tenant's kernels:
-        count and trace each background tier-up (runs on buildd's
-        tier-up thread)."""
+        count and trace each background tier-up (runs on the thread
+        whose call finds the build done)."""
         tenant_name = tenant.name
 
         def hook(dispatcher):

@@ -5,15 +5,20 @@ import pytest
 from repro import get_backend
 
 
+@pytest.fixture
+def cbackend():
+    from repro.buildd import toolchain
+    if not toolchain.cc_available():
+        pytest.skip("no C compiler on this host")
+    return get_backend("c")
+
+
 @pytest.fixture(params=["c", "interp"])
 def backend(request):
     """Both execution backends; differential tests run everything twice."""
+    if request.param == "c":
+        return request.getfixturevalue("cbackend")
     return get_backend(request.param)
-
-
-@pytest.fixture
-def cbackend():
-    return get_backend("c")
 
 
 @pytest.fixture

@@ -13,8 +13,6 @@ from repro.errors import ConfigError
 from repro.exec import (AheadOfTimePolicy, TieredPolicy, current_policy,
                         make_policy, policy_override, set_policy)
 
-from tests.buildd.conftest import fake_cc_path, fake_toolchain  # noqa: F401
-
 ADD = """
 terra add(a : int32, b : int32) : int32
   return a + b
@@ -59,20 +57,6 @@ def test_compile_async_joins_pending(cbackend):
     assert handle is t1.result()
     assert "c" not in fn.dispatcher.pending   # resolved tickets are popped
     assert handle(20, 22) == 42
-
-
-@pytest.fixture
-def cold_service(tmp_path, swap_service):
-    """A compile service over an empty private cache: every unit is a
-    real compiler run.  Call it with a toolchain for one that uses it."""
-    from repro.buildd.cache import ArtifactCache
-    from repro.buildd.service import CompileService
-
-    def fresh(tc=None):
-        return swap_service(CompileService(
-            jobs=2, tc=tc, cache=ArtifactCache(root=str(tmp_path / "cache"))))
-    fresh()
-    return fresh
 
 
 def _join(fn, nthreads=4):

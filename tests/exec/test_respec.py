@@ -87,7 +87,6 @@ def test_guard_compares_converted_machine_values():
     fn = terra(SCALE)
     variant = respec.specialize_variant(fn, {0: 6})
     rs = respec.Respecialized(fn, variant, {0: 6}, handle=lambda *a: None)
-    assert rs.ready()
     assert rs.matches((6, 99))
     assert not rs.matches((7, 99))
     assert not rs.matches((6,))                 # arity mismatch

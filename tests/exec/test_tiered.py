@@ -154,21 +154,3 @@ def test_on_tier_up_hook_fires_and_cannot_break_execution():
         assert fn(2, 2) == 4            # tier-up: hook fires, raise ignored
     assert seen == [fn.dispatcher]
     assert fn.dispatcher.tier_info()["tier"] == 1
-
-
-def test_externals_bypass_tiering():
-    """Externals have no interpretable body: the tiered policy routes
-    them straight to the ahead-of-time path, bit-for-bit — including the
-    (historical) error for direct Python calls of a bare external."""
-    from repro.cinterop import libc
-    from repro.core import types as T
-    ext = libc.external("floor", [T.float64], T.float64)
-    with policy_override("aot"):
-        with pytest.raises(Exception) as via_aot:
-            ext(2.9)
-    with policy_override(TieredPolicy(threshold=1, sync=True)):
-        with pytest.raises(Exception) as via_tiered:
-            ext(2.9)
-    assert type(via_tiered.value) is type(via_aot.value)
-    assert str(via_tiered.value) == str(via_aot.value)
-    assert ext.dispatcher.tier is None      # no tier state ever created

@@ -1,5 +1,8 @@
 """FFI conversion tests — Python↔Terra value translation (paper §4.2)."""
 
+import ctypes
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -100,9 +103,133 @@ class TestPointers:
 
     def test_str_nul_terminated(self):
         addr, keep = convert.pointer_address("hi", T.rawstring)
-        import ctypes
         assert ctypes.string_at(addr) == b"hi"
         del keep
+
+
+SUM = """
+terra sum(x : &double, n : int) : double
+  var s = 0.0
+  for i = 0, n do s = s + x[i] end
+  return s
+end
+"""
+STRLEN = """
+terra strlen(s : rawstring) : int
+  var n = 0
+  while s[n] ~= 0 do n = n + 1 end
+  return n
+end
+"""
+
+
+class TestPointerTable:
+    """``pointer_address`` is one table keyed by ``type(value)``; a subclass
+    finds its base's entry through the MRO, once."""
+
+    PD = T.pointer(T.float64)
+
+    def test_ndarray_subclass_resolves_through_the_mro(self, tmp_path):
+        arr = np.memmap(tmp_path / "m", dtype=np.float64, mode="w+", shape=4)
+        assert type(arr) not in convert._POINTER_ENTRIES
+        addr, keep = convert.pointer_address(arr, self.PD)
+        assert addr == arr.ctypes.data and keep is arr
+        assert convert._DERIVED_ENTRIES[np.memmap] \
+            is convert._POINTER_ENTRIES[np.ndarray]
+        with pytest.raises(FFIError, match="dtype float64 passed where "
+                           "&float expected"):    # same entry, same checks
+            convert.pointer_address(arr, T.pointer(T.float32))
+
+    def test_int_subclasses_are_addresses(self):
+        class Reg(enum.IntEnum):
+            BASE = 0x4000
+        assert convert.pointer_address(Reg.BASE, self.PD) == (0x4000, None)
+        assert convert.pointer_address(np.int64(64), self.PD) == (64, None)
+        assert convert.pointer_address(True, self.PD) == (1, None)
+
+    def test_ctypes_array_subclass(self):
+        buf = (ctypes.c_double * 4)(1.0, 2.0, 3.0, 4.0)
+        assert type(buf) is not ctypes.Array
+        addr, keep = convert.pointer_address(buf, self.PD)
+        assert addr == ctypes.addressof(buf) and keep is buf
+
+    def test_as_parameter_is_the_last_resort(self):
+        class Handle:
+            def __init__(self, address):
+                self._as_parameter_ = address   # on the instance, as ctypes
+        h = Handle(0x1000)                      # itself looks it up
+        assert convert.pointer_address(h, self.PD) == (0x1000, h)
+        with pytest.raises(FFIError, match="cannot convert object to "
+                           "pointer type &double"):
+            convert.pointer_address(object(), self.PD)
+
+    def test_read_only_array_is_accepted(self, cbackend):
+        arr = np.arange(4, dtype=np.float64)
+        arr.flags.writeable = False         # from_buffer would refuse it
+        addr, keep = convert.pointer_address(arr, self.PD)
+        assert addr == arr.ctypes.data and keep is arr
+        assert terra(SUM).compile(cbackend)(arr, 4) == 6.0
+
+    def test_zero_length_array(self, backend):
+        arr = np.zeros(0)
+        assert convert.pointer_address(arr, self.PD) == (arr.ctypes.data, arr)
+        assert terra(SUM).compile(backend)(arr, 0) == 0.0
+
+    def test_error_messages_are_exact(self, backend):
+        h = terra(SUM).compile(backend)
+        cases = [
+            ((np.zeros((4, 4))[:, ::2], 2),
+             "numpy arrays passed to Terra must be C-contiguous"),
+            ((np.zeros(4, dtype=np.int32), 4),
+             "numpy array of dtype int32 passed where &double expected"),
+            ((np.zeros(4, dtype=np.float16), 4),
+             "no Terra type for numpy dtype float16"),
+            ((np.zeros(4),), "sum() takes 2 arguments, got 1"),
+        ]
+        for args, message in cases:
+            with pytest.raises(FFIError) as exc:
+                h(*args)
+            assert str(exc.value) == message
+
+    def test_byte_swapped_array_is_rejected(self, backend):
+        """np.dtype('>f8').name is 'float64' too: a swapped array used to
+        pass the dtype check and be read as native (6.0 came back as
+        3.1e-319)."""
+        h = terra(SUM).compile(backend)
+        assert h(np.arange(4, dtype="=f8"), 4) == 6.0
+        with pytest.raises(FFIError) as exc:
+            h(np.arange(4, dtype=">f8"), 4)
+        assert str(exc.value) == \
+            "numpy array of dtype >f8 passed where &double expected"
+
+    def test_string_temporaries_live_through_the_call(self, backend):
+        h = terra(STRLEN).compile(backend)
+        assert h("héllo") == 6                  # utf-8 bytes
+        assert h(b"abc") == 3
+        assert h(bytearray(b"abcd")) == 4
+
+    def test_prepared_callers_convert_through_the_same_entries(
+            self, cbackend, monkeypatch):
+        seen = []
+        entry = convert._POINTER_ENTRIES[np.ndarray]
+        monkeypatch.setitem(
+            convert._POINTER_ENTRIES, np.ndarray,
+            lambda value, ty: seen.append(value) or entry(value, ty))
+        fn = terra("""
+        terra scale(n : int, a : double, x : &double, y : &double) : {}
+          for i = 0, n do y[i] = a * x[i] end
+        end
+        """).mark_chunked()
+        h = fn.compile(cbackend)
+        x, y = np.arange(4.0), np.zeros(4)
+        h(4, 2.0, x, y)                         # _invoke
+        h.tail_caller(2, x, y)(4, 3.0)          # _bind, Orion's strip form
+        h.chunk_caller(4, 4.0, x, y)(0, 4)      # _bind, parallel_for's
+        assert [v is x for v in seen] == [True, False] * 3
+        assert list(y) == [0.0, 4.0, 8.0, 12.0]
+        with pytest.raises(FFIError, match=r"scale\(\) takes 2 arguments, "
+                           "got 1"):
+            h.tail_caller(2, x)
 
 
 class TestStructArgsEndToEnd:
