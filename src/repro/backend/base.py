@@ -88,12 +88,12 @@ class ExecutableHandle:
     A handle pairs one Terra function (``self.func``) with one backend's
     executable form of it (``self.type`` is the function's
     ``FunctionType``); subclasses implement :meth:`_invoke` over
-    already-supplied argument tuples.  ``__call__`` is shared so the
+    already-supplied argument tuples.  ``__call__`` puts it behind the
     observability hook — one module-attribute check when tracing and
-    profiling are off, spans + profile samples when on — behaves
-    identically on every backend, and so :class:`repro.exec.dispatch.
-    Dispatcher` can treat handles interchangeably when tiering between
-    backends."""
+    profiling are off, spans + profile samples when on (the C handle's
+    puts its call plan there too) — so that it behaves identically on
+    every backend and :class:`repro.exec.dispatch.Dispatcher` can treat
+    handles interchangeably when tiering between backends."""
 
     func = None          # the TerraFunction this handle executes
     type = None          # its FunctionType

@@ -18,6 +18,8 @@ from __future__ import annotations
 import ctypes
 import weakref
 from concurrent.futures import Future
+from contextlib import contextmanager
+from functools import cache, cached_property
 
 from ... import config
 from ... import trace as _trace
@@ -26,6 +28,7 @@ from ...core import types as T
 from ...errors import CompileError, FFIError, TrapError, TypeCheckError
 from ...trace.metrics import registry
 from ...ffi import convert
+from ...ffi.cdata import CPointer, CStruct
 from ..base import Backend, CompileTicket, ExecutableHandle
 from . import abi
 from .emit import CEmitter, TRAP_MESSAGES
@@ -33,9 +36,6 @@ from .emit import CEmitter, TRAP_MESSAGES
 
 #: extra flags applied to subsequently-compiled units (see extra_cflags)
 _EXTRA_CFLAGS: list[str] = []
-
-
-from contextlib import contextmanager
 
 
 @contextmanager
@@ -58,15 +58,45 @@ def extra_cflags(*flags: str):
         del _EXTRA_CFLAGS[len(_EXTRA_CFLAGS) - len(flags):]
 
 
+#: trap-code cells at rest: a guarded call pops one (or makes one) and puts it
+#: back zeroed, so nested calls (a pycallback calling Terra) and threads never
+#: find one in use
+_TRAP_CELLS: list = []
+
+
+def _guarded(centry, from_c=None):
+    """A guarded C entry (``*_tentry`` / ``*_chunk``: trailing ``int32_t *``
+    trap code) as ``run(*cargs)``: a nonzero code raises :class:`TrapError`,
+    as in the interpreter, where bare C would SIGFPE/SIGILL the process."""
+    def run(*cargs):
+        try:
+            cell = _TRAP_CELLS.pop()
+        except IndexError:
+            cell = ctypes.c_int32()
+        try:    # POINTER(c_int32) takes the cell by reference
+            result = centry(*cargs, cell)
+        finally:
+            code = cell.value
+            if code:
+                cell.value = 0
+            _TRAP_CELLS.append(cell)
+        if code:
+            raise TrapError(TRAP_MESSAGES.get(code, f"runtime trap {code}"))
+        return result if from_c is None else from_c(result)
+
+    return run
+
+
 class CompiledFunction(ExecutableHandle):
     """A Python-callable handle to one compiled Terra function.
 
-    When the unit contains guarded (trappable) operations, ``centry`` is
-    the function's ``*_tentry`` twin: same signature plus a trailing
-    ``int32_t *`` trap-code out-param.  Calls then go through the guarded
-    entry, and a nonzero trap code is raised as :class:`TrapError` —
-    runtime traps behave exactly like the interpreter's instead of
-    SIGFPE/SIGILL-killing the host process."""
+    Its **call plan** is made from the ``FunctionType`` at the first call
+    from Python (most of a unit's functions only have Terra callers): a
+    checked converter per parameter, a return converter and — ``centry``,
+    when the unit has trappable operations, is the ``*_tentry`` twin — the
+    trap cell.  ``cfn.argtypes`` wrap, round and type-check numbers as the
+    converters do, so the plan hands ctypes a non-``bool`` scalar as it is;
+    :meth:`_invoke` decides what ctypes refuses."""
 
     def __init__(self, func, cfn, ftype: T.FunctionType, centry=None,
                  cchunk=None):
@@ -76,44 +106,60 @@ class CompiledFunction(ExecutableHandle):
         self.cchunk = cchunk   # chunked entry (mark_chunked), or None
         self.type = ftype
 
-    # __call__ (with the shared observability hook) comes from
-    # ExecutableHandle — see repro.backend.base
+    @cached_property
+    def converters(self):
+        return [self._converter(ty) for ty in self.type.parameters]
+
+    @cached_property
+    def _run(self):     # C arguments -> Python result
+        cfn, from_c = self.cfn, self._returner(self.type.returntype)
+        if self.centry is not None:
+            return _guarded(self.centry, from_c)
+        return cfn if from_c is None else lambda *cargs: from_c(cfn(*cargs))
+
+    @cached_property
+    def _plan(self):    # Python arguments -> result, where ctypes takes them
+        run = self._run
+        rest = [None if isinstance(ty, T.PrimitiveType)
+                and not ty.islogical() else conv
+                for ty, conv in zip(self.type.parameters, self.converters)]
+
+        def plan(*args):
+            keep: list = []
+            try:
+                cargs = [value if conv is None else conv(value, keep)
+                         for conv, value in zip(rest, args)]
+            except FFIError as refused:     # _invoke reports the leftmost one
+                raise ctypes.ArgumentError(str(refused)) from None
+            return run(*cargs)
+
+        return plan if any(rest) else run
+
+    def __call__(self, *args):
+        if _trace._runtime_active:
+            return _trace.timed_call(self.func, lambda: self._invoke(args))
+        if len(args) == len(self.converters):
+            try:
+                return self._plan(*args)
+            except ctypes.ArgumentError:
+                pass    # not a value ctypes takes natively
+        registry().add("exec.call.checked")
+        return self._invoke(args)
 
     def _invoke(self, args):
-        ftype = self.type
-        nparams = len(ftype.parameters)
-        if len(args) != nparams:
-            raise FFIError(
-                f"{self.func.name}() takes {nparams} arguments, got {len(args)}")
-        keep: list = []
-        cargs = []
-        for value, ty in zip(args, ftype.parameters):
-            cargs.append(self._to_c(value, ty, keep))
-        if self.centry is not None:
-            trapcode = ctypes.c_int32(0)
-            result = self.centry(*cargs, ctypes.byref(trapcode))
-            del keep
-            if trapcode.value:
-                self._trap(trapcode.value)
-        else:
-            result = self.cfn(*cargs)
-            del keep
-        return self._from_c(result, ftype.returntype)
+        """The checked call: every argument through its converter."""
+        cargs, keep = self._bind(args, self.converters)
+        return self._run(*cargs)
 
-    @staticmethod
-    def _trap(code: int):
-        raise TrapError(TRAP_MESSAGES.get(code, f"runtime trap {code}"))
-
-    def _bind(self, args, params):
-        """``(cargs, keep)`` for the prepared callers: ``args`` converted
-        for ``params`` once, on the dispatching thread, with the keep-alives
-        the conversions created."""
-        if len(args) != len(params):
-            raise FFIError(f"{self.func.name}() takes {len(params)} "
+    def _bind(self, args, converters):
+        """``(cargs, keep)``: ``args`` through ``converters`` once, on the
+        calling thread, with the keep-alives the conversions created."""
+        if len(args) != len(converters):
+            raise FFIError(f"{self.func.name}() takes {len(converters)} "
                            f"arguments, got {len(args)}")
         keep: list = []
-        return [self._to_c(value, ty, keep)
-                for value, ty in zip(args, params)], keep
+        return [conv(value, keep)
+                for conv, value in zip(converters, args)], keep
 
     # -- chunked dispatch (repro.parallel) -----------------------------------
     def chunk_caller(self, *args):
@@ -129,15 +175,11 @@ class CompiledFunction(ExecutableHandle):
             raise FFIError(
                 f"{self.func.name}() has no chunked entry; call "
                 f"fn.mark_chunked() before its first C compile")
-        cargs, keep = self._bind(args, self.type.parameters)
-        cchunk = self.cchunk
+        cargs, keep = self._bind(args, self.converters)
+        cchunk = _guarded(self.cchunk)
 
         def run(lo: int, hi: int, _keep=keep):
-            trapcode = ctypes.c_int32(0)
-            cchunk(ctypes.c_int64(lo), ctypes.c_int64(hi), *cargs,
-                   ctypes.byref(trapcode))
-            if trapcode.value:
-                self._trap(trapcode.value)
+            cchunk(lo, hi, *cargs)
 
         run.kernel_name = self.func.name
         return run
@@ -150,24 +192,12 @@ class CompiledFunction(ExecutableHandle):
         pointers once per pipeline call, and each per-worker strip call
         is then one plain ctypes foreign call (GIL released) with only
         the ``gsel/wid/ylo/yhi`` scalars built per call."""
-        params = self.type.parameters
-        cargs, keep = self._bind(tailargs, params[nlead:])
-        lead_tys = params[:nlead]
-        centry = self.centry
-        cfn = self.cfn
-        to_c = self._to_c
+        cargs, keep = self._bind(tailargs, self.converters[nlead:])
+        leading, entry = self.converters[:nlead], self._run
 
         def run(*lead, _keep=keep):
-            lkeep: list = []
-            lc = [to_c(value, ty, lkeep)
-                  for value, ty in zip(lead, lead_tys)]
-            if centry is not None:
-                trapcode = ctypes.c_int32(0)
-                centry(*lc, *cargs, ctypes.byref(trapcode))
-                if trapcode.value:
-                    self._trap(trapcode.value)
-            else:
-                cfn(*lc, *cargs)
+            lc, lkeep = self._bind(lead, leading)
+            entry(*lc, *cargs)
 
         run.kernel_name = self.func.name
         return run
@@ -177,42 +207,37 @@ class CompiledFunction(ExecutableHandle):
         self.chunk_caller(*args)(lo, hi)
 
     @staticmethod
-    def _to_c(value, ty: T.Type, keep: list):
+    @cache      # per type (as immortal as its FunctionTypes), not per handle
+    def _converter(ty: T.Type):
+        """``convert(value, keep) -> C argument`` for a ``ty`` parameter."""
         if isinstance(ty, T.PrimitiveType):
-            return convert.python_to_primitive(value, ty)
+            return lambda value, keep: convert.python_to_primitive(value, ty)
         if ty.ispointer():
-            addr, keepalive = convert.pointer_address(value, ty)
-            if keepalive is not None:
+            def to_pointer(value, keep):
+                addr, keepalive = convert.pointer_address(value, ty)
                 keep.append(keepalive)
-            return ctypes.c_uint64(addr)
+                return ctypes.c_uint64(addr)
+            return to_pointer
         if ty.isaggregate():
-            blob = convert.python_to_blob(value, ty)
             cls = abi.ctype_for(ty)
-            return cls.from_buffer_copy(blob)
+            return lambda value, keep: cls.from_buffer_copy(
+                convert.python_to_blob(value, ty))
         raise FFIError(f"cannot pass {ty} from Python")
 
     @staticmethod
-    def _from_c(result, ty: T.Type):
-        if isinstance(ty, T.TupleType) and ty.isunit():
-            return None
+    @cache
+    def _returner(ty: T.Type):
+        """``from_c(result) -> Python value`` for a C value of type ``ty``;
+        None where ctypes already hands that back (numbers, unit)."""
         if isinstance(ty, T.PrimitiveType):
-            if ty.islogical():
-                return bool(result)
-            return result
+            return bool if ty.islogical() else None     # c_uint8 reads an int
         if ty.ispointer():
-            from ...ffi.cdata import CPointer
-            return CPointer(ty, int(result))
+            return lambda result: CPointer(ty, int(result))
         if isinstance(ty, T.TupleType):
-            blob = bytes(result)
-            values = tuple(
-                convert.blob_to_python(
-                    blob[ty.offsetof(e.field):
-                         ty.offsetof(e.field) + e.type.sizeof()], e.type)
-                for e in ty.entries)
-            return values
+            return None if ty.isunit() else \
+                lambda result: CStruct(ty, bytes(result)).totuple()
         if ty.isaggregate():
-            from ...ffi.cdata import CStruct
-            return CStruct(ty, bytes(result))
+            return lambda result: CStruct(ty, bytes(result))
         raise FFIError(f"cannot return {ty} to Python")
 
 
@@ -442,11 +467,11 @@ class CBackend(Backend):
                     "Python callbacks cannot return aggregates by value")
             argtypes = [abi.ctype_for(p) for p in ftype.parameters]
             cfunctype = ctypes.CFUNCTYPE(restype, *argtypes)
+            from_c = [CompiledFunction._returner(p) for p in ftype.parameters]
 
             def trampoline(*raw_args, _cb=callback, _ftype=ftype):
-                args = [CompiledFunction._from_c(a, p)
-                        for a, p in zip(raw_args, _ftype.parameters)]
-                result = _cb.fn(*args)
+                result = _cb.fn(*[a if conv is None else conv(a)
+                                  for conv, a in zip(from_c, raw_args)])
                 if isinstance(_ftype.returntype, T.TupleType) \
                         and _ftype.returntype.isunit():
                     return None

@@ -165,17 +165,20 @@ class Respecialized:
 
     def matches(self, args) -> bool:
         """The entry guard: do ``args`` convert to exactly the machine
-        values that were spliced?  Conversion errors guard as a miss (the
-        generic entry then raises the identical FFI error)."""
+        values that were spliced?  An ``int`` equal to one converts to
+        itself, so passes on the compare.  Conversion errors guard as a
+        miss (the generic entry then raises the identical FFI error)."""
         if len(args) != len(self.param_types):
             return False
         for i, machine in self.consts.items():
+            arg = args[i]
+            if type(arg) is int and arg == machine:
+                continue
             try:
-                got = convert.python_to_primitive(args[i],
-                                                  self.param_types[i])
+                if convert.python_to_primitive(
+                        arg, self.param_types[i]) != machine:
+                    return False
             except Exception:
-                return False
-            if got != machine:
                 return False
         return True
 

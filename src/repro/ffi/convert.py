@@ -20,6 +20,7 @@ function call boundaries and during specialization."  Here:
 from __future__ import annotations
 
 import ctypes
+import operator
 import weakref
 
 import numpy as np
@@ -156,14 +157,25 @@ def pointer_address(value, ty: T.Type) -> tuple[int, object]:
 
 
 def python_to_primitive(value, ty: T.PrimitiveType):
+    """``value`` as a scalar parameter's machine value — the one accepted
+    set, which ctypes' ``argtypes`` (the C call plan's native arguments)
+    share: truthiness for ``bool``; for an integer type ``__index__`` or a
+    whole float, wrapped; for a float type ``__float__`` or ``__index__``
+    (not ``str``, which ``float()`` parses), rounded.  A ctypes scalar
+    stands for its ``.value``, ``_as_parameter_`` for its owner."""
     if ty.islogical():
         return bool(value)
-    if ty.isintegral():
-        if isinstance(value, (bool, int, np.integer)):
-            return layout.wrap_int(int(value), ty)
-        if isinstance(value, float) and value.is_integer():
-            return layout.wrap_int(int(value), ty)
-        raise FFIError(f"cannot convert {value!r} to {ty}")
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return layout.round_float(float(value), ty)
+    try:
+        if ty.isintegral():
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            return layout.wrap_int(operator.index(value), ty)
+        if hasattr(value, "__float__") or hasattr(value, "__index__"):
+            return layout.round_float(float(value), ty)
+    except (TypeError, OverflowError):      # no __index__; 10**400 to double
+        pass
+    inner = value.value if isinstance(value, ctypes._SimpleCData) \
+        else getattr(value, "_as_parameter_", value)
+    if inner is not value:
+        return python_to_primitive(inner, ty)
     raise FFIError(f"cannot convert {value!r} to {ty}")

@@ -13,6 +13,18 @@ def cbackend():
     return get_backend("c")
 
 
+@pytest.fixture
+def c_default(cbackend):
+    """C as the default backend for this test, whatever
+    ``REPRO_TERRA_BACKEND`` says: for tests that call ``fn(...)`` and then
+    assert C-backend state (``dispatcher.handles["c"]``, memo rows)."""
+    import repro
+    saved = repro.default_backend().name
+    repro.set_default_backend("c")
+    yield cbackend
+    repro.set_default_backend(saved)
+
+
 @pytest.fixture(params=["c", "interp"])
 def backend(request):
     """Both execution backends; differential tests run everything twice."""

@@ -105,6 +105,7 @@ class TestGlobals:
 
 
 class TestLinking:
+    @pytest.mark.usefixtures("c_default")
     def test_component_compiled_together(self):
         fns = terra("""
         terra a1(x : int) : int return x + 1 end

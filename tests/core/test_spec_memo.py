@@ -31,6 +31,9 @@ from repro.trace.metrics import registry
 
 from tests.frontend.kernels import PAIRS
 
+#: every test here stages, calls and then reads the C backend's memo state
+pytestmark = pytest.mark.usefixtures("c_default")
+
 GEMM_POOL = [(nb, rm, rn, v) for nb in (32, 64)
              for rm, rn in ((4, 2), (2, 4)) for v in (2, 4)]
 
@@ -463,6 +466,7 @@ print(json.dumps({
 
 def test_second_process_hits_without_typechecking(tmp_path):
     env = {**os.environ, "REPRO_TERRA_CACHE": str(tmp_path / "cache"),
+           "REPRO_TERRA_BACKEND": "c",      # c_default, for the children
            "PYTHONPATH": os.pathsep.join(sys.path)}
     env.pop("REPRO_TERRA_VERIFY_IR", None)   # it re-derives on purpose
     first, second = (json.loads(subprocess.run(

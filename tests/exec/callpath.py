@@ -5,7 +5,10 @@ Python frames one call pushes.
 ``make check``; ``tests/exec/test_call_slot.py`` holds the two counts to
 a budget.  The counts are taken under the ``c`` policy — the slot then
 holds the bound C handle, as it does under ``aot`` wherever a C compiler
-exists — so they do not move with ``REPRO_TERRA_BACKEND``.
+exists — so they do not move with ``REPRO_TERRA_BACKEND``; the second
+line is the tiered policy's entry guard (:mod:`repro.exec.respec`) on a
+hit and on a miss, which the ledger's ``exec.tiered_call_us`` cannot tell
+apart (it times a miss on every call).
 """
 
 import sys
@@ -13,7 +16,7 @@ import sys
 import numpy as np
 
 from repro import terra
-from repro.exec import policy_override
+from repro.exec import TieredPolicy, policy_override
 
 ADD = "terra add(a : int, b : int) : int return a + b end"
 AXPY = """
@@ -53,6 +56,21 @@ def warm_call_frames() -> tuple[int, int]:
                 frames(lambda: axpy(8, 0.5, x, y)))
 
 
+def guard_frames() -> tuple[int, int]:
+    """``(hit, miss)``: the frames of one warm ``add(i, 1)`` once tier-up
+    has spliced the stable ``b = 1`` behind an entry guard, and of one
+    ``add(i, 2)``, which the guard sends to the generic entry."""
+    add = terra(ADD)
+    with policy_override(TieredPolicy(threshold=3, sync=True)):
+        for i in range(8):
+            add(i, 1)
+        assert add.dispatcher.tier.respec.consts == {1: 1}
+        add(5, 2)       # (the generic entry makes its call plan here)
+        return frames(lambda: add(5, 1)), frames(lambda: add(5, 2))
+
+
 if __name__ == "__main__":
     print("call path: %d frames per warm scalar call, %d per pointer call "
-          "(budget 18 / 26)" % warm_call_frames())
+          "(budget 6 / 16)" % warm_call_frames())
+    print("call path: %d frames per tiered call on a guard hit, %d on a "
+          "miss" % guard_frames())

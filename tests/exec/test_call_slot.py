@@ -18,7 +18,7 @@ from repro.exec import (TieredPolicy, current_policy, policy_override,
 from repro.trace import profile
 from repro.trace.metrics import registry
 
-from tests.exec.callpath import warm_call_frames
+from tests.exec.callpath import guard_frames, warm_call_frames
 
 ADD = """
 terra add(a : int32, b : int32) : int32
@@ -287,6 +287,9 @@ def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
 def test_warm_call_frame_budget(cbackend):
     """No clock: Python frames per warm call, counted by sys.setprofile.
     With the policy consulted per call and the pointer ladder these were
-    27 and 51; scalar marshalling (10 of the 17) is the next PR's."""
+    27 and 51, with scalars converted in Python 17 and 25; what is left of
+    the pointer call is ``pointer_address`` and its keep-alive list."""
     scalar, pointer = warm_call_frames()
-    assert scalar <= 18 and pointer <= 26, (scalar, pointer)
+    assert scalar <= 6 and pointer <= 16, (scalar, pointer)
+    hit, miss = guard_frames()      # the tiered entry guard: 23 / 26 before
+    assert hit <= 8 and miss <= 16, (hit, miss)

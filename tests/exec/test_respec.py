@@ -96,6 +96,41 @@ def test_guard_compares_converted_machine_values():
     assert not rs.matches(("6", 99))            # conversion error = miss
 
 
+def test_guard_tries_a_compare_before_it_converts(monkeypatch):
+    """An ``int`` equal to the spliced value never pays
+    ``python_to_primitive``; everything else does, so out-of-range ints,
+    bools and numpy ints guard exactly as the generic entry wraps them."""
+    import numpy as np
+    fn = terra(MIXED)
+    rs = respec.Respecialized(fn, None, {0: 6, 2: True},
+                              handle=lambda *a: None)
+    converted = []
+    convert = respec.convert.python_to_primitive
+    monkeypatch.setattr(
+        respec.convert, "python_to_primitive",
+        lambda value, ty: converted.append(value) or convert(value, ty))
+    rows = [                       # args, matches, what had to convert
+        ((6, 0.5, 1), True, []),                    # 1 == True: a compare
+        ((6, 0.5, True), True, [True]),
+        ((6, 0.5, 2), True, [2]),                   # bool(2) is True
+        ((6, 0.5, 0), False, [0]),
+        ((2 ** 32 + 6, 0.5, 1), True, [2 ** 32 + 6]),
+        ((6 - 2 ** 32, 0.5, 1), True, [6 - 2 ** 32]),
+        ((np.int64(6), 0.5, 1), True, [np.int64(6)]),
+        ((np.int8(6), 0.5, np.True_), True, [np.int8(6), np.True_]),
+        ((6.0, 0.5, 1), True, [6.0]),               # a whole float wraps too
+        ((True, 0.5, 1), False, [True]),            # int32(True) is 1, not 6
+        ((7, 0.5, 1), False, [7]),
+        ((6.5, 0.5, 1), False, [6.5]),              # FFIError: a miss
+        ((None, 0.5, 1), False, [None]),
+    ]
+    for args, matches, paid in rows:
+        del converted[:]
+        assert rs.matches(args) is matches, args
+        assert converted == paid and \
+            [type(v) for v in converted] == [type(v) for v in paid], args
+
+
 def test_varying_args_produce_no_variant():
     fn = terra(SCALE)
     stats = _profiled(fn, [(1, 1), (2, 2), (3, 3)])
