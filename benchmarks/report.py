@@ -51,7 +51,6 @@ from repro.lib.sort import Sort
 from repro.orion import lang as L
 from repro.passes import (PIPELINE_CANON, PIPELINE_NONE, PIPELINE_VEC,
                           pipeline_override)
-from repro.trace import profile
 
 #: Figure 8's two compiler modes: modern gcc auto-vectorizes the scalar
 #: baseline; `-fno-tree-vectorize` restores what 2013 compilers emitted
@@ -410,9 +409,7 @@ def tiering(full=False):
     big = np.arange(big_n, dtype=np.int64)
 
     def fresh():
-        fn = terra(MODSUM)
-        profile.clear_args(fn)
-        return fn
+        return terra(MODSUM)
 
     def first_call(policy):
         fn = fresh()

@@ -30,8 +30,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .cache import ArtifactCache
-from .service import (CompileService, DEFAULT_CFLAGS, configure,
-                      get_service)
+from .service import CompileService, DEFAULT_CFLAGS, get_service
 from .stats import BuildStats
 from .toolchain import (Toolchain, cc_available, cc_identity, find_cc,
                         require_toolchain)
@@ -39,8 +38,7 @@ from .toolchain import (Toolchain, cc_available, cc_identity, find_cc,
 __all__ = [
     "ArtifactCache", "BuildStats", "CompileService", "Toolchain",
     "DEFAULT_CFLAGS", "cc_available", "cc_identity", "compile",
-    "compile_async", "configure", "find_cc", "get_service",
-    "require_toolchain", "stats",
+    "compile_async", "find_cc", "get_service", "require_toolchain", "stats",
 ]
 
 

@@ -9,13 +9,12 @@ code never rebuilds, and a compiler upgrade can never serve stale objects.
 Publication is atomic and race-free across processes: builders write to a
 ``tempfile.mkstemp`` unique name in the cache root and ``os.replace`` it
 over the final path, so a concurrent reader sees either nothing or a
-complete artifact — never a half-written one.  (The pre-buildd runtime
-wrote a *shared* ``<path>.tmp`` name, which two racing processes could
-interleave; that race is gone by construction.)
+complete artifact — never a half-written one.
 
 A JSON index (``buildd-index.json``) records per-artifact metadata (size,
-flags, compile time, last use) and drives LRU eviction against a byte cap
-(``REPRO_BUILDD_CACHE_BYTES``, default 1 GiB).  The index is advisory: if
+flags, compile time, last use, submitting namespace) and drives LRU
+eviction against an entry cap (``REPRO_BUILDD_CACHE_ENTRIES``) and a byte
+cap (``REPRO_BUILDD_CACHE_BYTES``, default 1 GiB).  The index is advisory: if
 it is missing, stale, or corrupted, it is rebuilt by scanning the cache
 directory, so a pre-populated or damaged cache dir degrades to a rebuild,
 never to an error.
@@ -23,7 +22,7 @@ never to an error.
 A row may also carry ``memo``: *structural digest → bind record* for every
 specialized component known to compile to this artifact (the linker's
 structural memo, docs/INTERNALS.md).  It lives and dies with the row, so
-eviction, quotas, ``clear`` and index recovery need no code of their own;
+eviction, ``clear`` and index recovery need no code of their own;
 :meth:`ArtifactCache.memo` finds a row by digest.
 """
 
@@ -46,8 +45,7 @@ INDEX_VERSION = 1
 #: build (possibly in another process) and is left alone by :meth:`gc`.
 DEFAULT_TEMP_TTL_S = 3600.0
 
-#: length of the hex key used in artifact file names (matches the
-#: pre-buildd runtime so old cache dirs stay recognizable)
+#: length of the hex key used in artifact file names
 KEY_LEN = 24
 
 
@@ -71,8 +69,7 @@ class ArtifactCache:
     def __init__(self, root: Optional[str] = None,
                  max_bytes: Optional[int] = None,
                  temp_ttl_s: Optional[float] = None,
-                 max_entries: Optional[int] = None,
-                 namespace_quota: Optional[int] = None) -> None:
+                 max_entries: Optional[int] = None) -> None:
         self.root = os.path.abspath(root or default_root())
         self.max_bytes = config.get("REPRO_BUILDD_CACHE_BYTES") \
             if max_bytes is None else max_bytes
@@ -81,10 +78,6 @@ class ArtifactCache:
         #: entry-count LRU cap across all namespaces (0 = unbounded)
         self.max_entries = config.get("REPRO_BUILDD_CACHE_ENTRIES") \
             if max_entries is None else max(0, max_entries)
-        #: per-namespace entry quota (0/None = unbounded); namespaces come
-        #: from publish(..., namespace=...) — repro.serve passes tenant ids
-        self.namespace_quota = 0 if namespace_quota is None \
-            else max(0, namespace_quota)
         os.makedirs(self.root, exist_ok=True)
         self._lock = threading.Lock()
         self._index: Optional[dict] = None  # key -> metadata dict
@@ -254,8 +247,8 @@ class ArtifactCache:
         """Atomically install ``built_path`` (a unique temp file, consumed)
         as the artifact for ``key``; returns the final path.
 
-        ``namespace`` attributes the entry for the per-namespace quota
-        (multi-tenant churn control); None files it under ``"default"``.
+        ``namespace`` attributes the entry (``summary()["namespaces"]``:
+        repro.serve passes tenant ids); None files it under ``"default"``.
         ``memo`` is the ``(digest, record)`` of the specialized tree the
         source was emitted from (see :meth:`lookup`).
         """
@@ -298,21 +291,9 @@ class ArtifactCache:
     # -- eviction / maintenance ---------------------------------------------
     def _evict_locked(self) -> list[str]:
         """Apply every configured limit, oldest-``last_use`` first within
-        each: per-namespace entry quotas, then the global entry-count cap,
-        then the byte cap."""
+        each: the entry-count cap, then the byte cap."""
         entries = self._load_index_locked()
         evicted: list[str] = []
-        if self.namespace_quota > 0:
-            by_ns: dict[str, list] = {}
-            for key, entry in entries.items():
-                by_ns.setdefault(entry.get("ns", "default"), []).append(key)
-            for ns_keys in by_ns.values():
-                over = len(ns_keys) - self.namespace_quota
-                if over <= 0:
-                    continue
-                ns_keys.sort(key=lambda k: entries[k].get("last_use", 0.0))
-                for key in ns_keys[:over]:
-                    self._drop_locked(key, entries, evicted)
         if self.max_entries > 0 and len(entries) > self.max_entries:
             by_age = sorted(entries,
                             key=lambda k: entries[k].get("last_use", 0.0))
@@ -400,5 +381,4 @@ class ArtifactCache:
             return {"root": self.root, "artifacts": len(entries),
                     "bytes_cached": total, "max_bytes": self.max_bytes,
                     "max_entries": self.max_entries,
-                    "namespace_quota": self.namespace_quota,
                     "namespaces": namespaces}

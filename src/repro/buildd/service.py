@@ -18,8 +18,7 @@ Guarantees:
   stats.BuildStats` (hits, misses, dedups, per-unit wall time, queue
   depth).
 
-The module-level :func:`get_service` singleton is what the backends use;
-:func:`configure` rebuilds it with explicit settings (tests, servers).
+The module-level :func:`get_service` singleton is what the backends use.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ def cache_namespace(namespace: Optional[str]):
     """Attribute builds submitted inside the block to ``namespace``.
 
     The namespace travels to :meth:`ArtifactCache.publish`, where it is
-    recorded on the entry and drives the per-namespace entry quota —
+    recorded on the entry and counted in ``summary()["namespaces"]`` —
     :mod:`repro.serve` wraps each tenant's compile in
-    ``cache_namespace(tenant_id)`` so one tenant's churn evicts that
-    tenant's artifacts first.  Attribution is advisory: the cache stays
+    ``cache_namespace(tenant_id)``, so the cache can say which tenant
+    fills it.  Attribution is advisory: the cache stays
     content-addressed, so identical source from two namespaces still
     builds once (owned by whichever submitted first)."""
     prev = getattr(_ns_ctx, "namespace", None)
@@ -96,7 +95,6 @@ class CompileService:
         self._inflight: dict[str, Future] = {}
         self._pool = ThreadPoolExecutor(max_workers=self.jobs,
                                         thread_name_prefix="buildd")
-        self._tier_pool: Optional[ThreadPoolExecutor] = None
 
     # -- toolchain ----------------------------------------------------------
     def toolchain(self) -> _toolchain.Toolchain:
@@ -207,32 +205,6 @@ class CompileService:
             with self._lock:
                 self._inflight.pop(key, None)
 
-    # -- tier-up scheduling (repro.exec tiered policy) -----------------------
-    def tier_up(self, label: str, thunk) -> Future:
-        """Schedule a tier-up *staging* job — emit + compile + bind a hot
-        function's C entry (and possibly a respecialized variant) — and
-        return its Future.
-
-        Staging runs on a dedicated single worker (``repro-tierup``), NOT
-        on the compile pool: the job itself blocks on :meth:`compile`
-        futures, so running it on the pool would deadlock at
-        ``REPRO_BUILDD_JOBS=1`` (the job would hold the only worker while
-        waiting for its own gcc run).  One lane also keeps tier-ups from
-        starving interactive compiles."""
-        with self._lock:
-            if self._tier_pool is None:
-                self._tier_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-tierup")
-            pool = self._tier_pool
-        self.stats.record_tier_up()
-        trace.instant("buildd.tier_up", cat="buildd", fn=label)
-
-        def job():
-            with trace.span(f"exec.tier_up:{label}", cat="exec"):
-                return thunk()
-
-        return pool.submit(job)
-
     # -- one-off builds to a caller-chosen path (saveobj) --------------------
     def compile_to(self, out_path: str, source: str,
                    flags: Iterable[str]) -> str:
@@ -290,10 +262,6 @@ class CompileService:
         return out
 
     def shutdown(self, wait: bool = True) -> None:
-        with self._lock:
-            tier_pool, self._tier_pool = self._tier_pool, None
-        if tier_pool is not None:
-            tier_pool.shutdown(wait=wait)
         self._pool.shutdown(wait=wait)
 
 
@@ -309,20 +277,3 @@ def get_service() -> CompileService:
             if _service is None:
                 _service = CompileService()
     return _service
-
-
-def configure(jobs: Optional[int] = None, cache_root: Optional[str] = None,
-              max_bytes: Optional[int] = None,
-              max_entries: Optional[int] = None,
-              namespace_quota: Optional[int] = None) -> CompileService:
-    """Replace the process-wide service (tests, servers).  The old pool is
-    drained first; its cache directory is untouched."""
-    global _service
-    with _service_lock:
-        if _service is not None:
-            _service.shutdown(wait=True)
-        _service = CompileService(
-            jobs=jobs, cache=ArtifactCache(cache_root, max_bytes,
-                                           max_entries=max_entries,
-                                           namespace_quota=namespace_quota))
-        return _service

@@ -8,22 +8,16 @@ ask *after the fact* where its compile time went:
 * per-unit compile wall time (a bounded ring of recent builds plus totals),
 * cache hit rate (hits / misses / in-flight dedups),
 * queue depth (builds submitted but not yet finished, and the high-water
-  mark),
-* bytes cached (reported by the artifact cache at snapshot time).
+  mark).
 
-The numbers themselves live in metrics registries
-(:mod:`repro.trace.metrics`); this class records into them and reports
-them as one ``snapshot()`` dict:
-
-* per-service counters (submitted / hits / misses / compiles / queue)
-  live in a registry private to this instance, so independently-built
-  services (tests, a reconfigured singleton) stay isolated;
-* cross-cutting series — per-IR-pass timings (``pass.*``, fed by the
-  :mod:`repro.passes` manager) and differential-fuzzing totals
-  (``fuzz.*``, fed by :mod:`repro.fuzz.runner`) — live in the
-  **process-wide** registry, because they are properties of the process,
-  not of one compile service.  ``snapshot()`` merges both, so one report
-  still covers IR time, gcc time, and what the fuzzer did with them.
+The counters (submitted / hits / misses / compiles / queue) live in a
+metrics registry private to this instance, so independently-built
+services stay isolated.  ``snapshot()`` reports them as one dict and, so
+that one report covers IR time, gcc time and what the fuzzer did with
+them, reads two series of the **process-wide** registry beside them:
+per-IR-pass timings (``pass.*``, written by the :mod:`repro.passes`
+manager) and differential-fuzzing totals (``fuzz.*``, written by
+:mod:`repro.fuzz.runner`).
 """
 
 from __future__ import annotations
@@ -92,41 +86,19 @@ class BuildStats:
             self.registry.add(_P + "compile_seconds", seconds)
             self.registry.add(_P + "queue_depth", -1)
 
-    def record_fuzz(self, programs: int, divergences: int,
-                    traps: int = 0, crashes: int = 0) -> None:
-        """One differential-fuzzing run finished (called by
-        :func:`repro.fuzz.runner.run_differential`; recorded
-        process-wide)."""
-        reg = _global_registry()
-        with reg.locked():
-            reg.add("fuzz.programs", programs)
-            reg.add("fuzz.divergences", divergences)
-            reg.add("fuzz.traps", traps)
-            reg.add("fuzz.crashes", crashes)
-
-    def record_tier_up(self) -> None:
-        """One tiered-execution tier-up was scheduled (called by
-        :meth:`~repro.buildd.service.CompileService.tier_up` and the
-        sync path of :class:`repro.exec.policy.TieredPolicy`)."""
-        self.registry.add(_P + "tier_ups")
-
     def record_already_built(self) -> None:
         """A scheduled build found the artifact already published (by
         another process) — not a compile, not a failure."""
         self.registry.add(_P + "queue_depth", -1)
 
     # -- reporting ----------------------------------------------------------
-    def hit_rate(self) -> Optional[float]:
-        """Cache hit rate over all requests, or None before any request."""
-        return self.snapshot()["hit_rate"]
-
     def snapshot(self) -> dict:
         reg, glob = self.registry, _global_registry()
         with reg.locked():
             out = {name: int(reg.get(_P + name)) for name in (
                 "submitted", "cache_hits", "cache_misses", "inflight_dedup",
                 "compiles", "failures", "compile_seconds", "queue_depth",
-                "max_queue_depth", "tier_ups")}
+                "max_queue_depth")}
             out["compile_seconds"] = round(
                 float(reg.get(_P + "compile_seconds")), 4)
             total = (out["cache_hits"] + out["cache_misses"]

@@ -1,8 +1,7 @@
 """Compiler discovery — the single source of truth for "which cc?".
 
-Previously both ``backend.base`` (for backend selection) and
-``backend.c.runtime`` (for the actual compile) probed ``PATH``
-independently; they now both ask this module.  Besides the path, the
+``backend.base`` (backend selection) and ``backend.c.runtime`` (the
+compile) both ask this module.  Besides the path, the
 toolchain records the compiler's *identity* — a short hash of its resolved
 path and ``--version`` output — which the artifact cache folds into every
 cache key, so upgrading gcc can never silently reuse stale ``.so``

@@ -126,7 +126,8 @@ VARS = {
     "REPRO_TERRA_TIER_SYNC": (
         FLAG, False, "`0`",
         "exec (tiered policy)", "first use",
-        "Complete tier-ups inline (determinism for tests and fuzzing)."),
+        "The call that stages a tier-up waits for gcc (determinism for "
+        "tests and fuzzing)."),
     "REPRO_TERRA_FRONTEND_DEBUG": (
         FLAG, False, "`0`",
         "frontend (pyast)", "every use",

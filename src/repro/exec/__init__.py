@@ -6,13 +6,14 @@ into which the *process-wide execution policy* chosen here installs — on
 the first call, and on the first after any switch — what to run:
 
 =========== =================================================================
-``aot``     compile on first call on the default backend (historical
-            behavior; the default policy)
+``aot``     compile on first call on the default backend (the default
+            policy)
 ``c``       ahead-of-time on the C backend, regardless of the default
 ``interp``  ahead-of-time on the reference interpreter
-``tiered``  start interpreted, profile values, tier hot functions up to C
-            in the background, respecialize on observed-stable arguments
-            (guarded, with counted deoptimization)
+``tiered``  start interpreted, profile values; the call that crosses the
+            threshold stages the C compile (gcc runs on the buildd pool),
+            respecialized on observed-stable arguments (guarded, with
+            counted deoptimization)
 =========== =================================================================
 
 Select with ``REPRO_TERRA_EXEC_POLICY`` (read once, at first use), or at
@@ -20,7 +21,7 @@ runtime with :func:`set_policy` / the :func:`policy_override` context
 manager; a switch resets every installed slot, so warm functions follow
 it from their next call.  Tiered knobs: ``REPRO_TERRA_TIER_THRESHOLD``
 (tier-0 calls before tier-up, default 10) and ``REPRO_TERRA_TIER_SYNC``
-(complete tier-ups inline — determinism for tests/fuzzing), read when
+(the crossing call waits for gcc — determinism for tests/fuzzing), read when
 ``tiered`` is built by name; ``TieredPolicy(respec=False)`` turns
 respecialization off.
 """

@@ -39,28 +39,51 @@ def reset_slots() -> None:
         _installed.clear()
 
 
+#: a profile slot's value once its position has held two distinct ones
+VARYING = object()
+
+
 class TierState:
     """Mutable tiering state for one dispatcher under the tiered policy.
 
     ``tier`` is 0 while calls run interpreted, 1 once the generic C entry
-    is installed.  ``respec`` (a :class:`repro.exec.respec.Respecialized`)
-    appears when stable tier-0 argument observations produced a guarded,
-    constant-spliced variant.  ``deopts`` counts guard failures that fell
-    back to the generic entry.
+    is installed.  ``profile`` is the tier-0 value profile, one
+    ``[observations, value | VARYING]`` slot per parameter: an exact
+    ``int`` / ``bool`` while every observed call passed that one value,
+    :data:`VARYING` otherwise.  ``respec`` (a
+    :class:`repro.exec.respec.Respecialized`) appears when stable slots
+    produced a guarded, constant-spliced variant.  ``deopts`` counts guard
+    failures that fell back to the generic entry.
     """
 
-    __slots__ = ("lock", "calls", "tier", "ticket", "generic", "respec",
-                 "deopts", "failed")
+    __slots__ = ("lock", "calls", "profile", "tier", "ticket", "generic",
+                 "respec", "deopts", "failed")
 
-    def __init__(self) -> None:
+    def __init__(self, nparams: int) -> None:
         self.lock = threading.Lock()
         self.calls = 0          # tier-0 calls observed so far
+        self.profile = [[0, None] for _ in range(nparams)]
         self.tier = 0
-        self.ticket = None      # in-flight tier-up (Future-like), if any
+        #: the tier-up's CompileTickets — generic entry, then the variant's
+        #: if there is one; () while the crossing call is staging them
+        self.ticket = None
         self.generic = None     # compiled C handle once tier >= 1
         self.respec = None      # Respecialized variant, if any
         self.deopts = 0         # guard failures -> generic fallback
-        self.failed = False     # tier-up failed; stay interpreted
+        self.failed = False     # parked at tier 0: failed, or no compiler
+
+    def observe(self, args) -> None:
+        """Fold one call's arguments (as many as parameters) into the
+        profile.  Called with ``lock`` held."""
+        for slot, arg in zip(self.profile, args):
+            if type(arg) not in (int, bool):    # nothing a guard could hold
+                slot[1] = VARYING
+            elif slot[0] == 0:
+                slot[1] = arg
+            elif slot[1] is not VARYING and (
+                    type(arg) is not type(slot[1]) or arg != slot[1]):
+                slot[1] = VARYING
+            slot[0] += 1
 
 
 class Dispatcher:
@@ -73,8 +96,7 @@ class Dispatcher:
     functions: it resets their slots and the next call re-resolves.
     """
 
-    __slots__ = ("fn", "target", "handles", "pending", "tier", "on_tier_up",
-                 "__weakref__")
+    __slots__ = ("fn", "target", "handles", "pending", "tier", "__weakref__")
 
     def __init__(self, fn) -> None:
         self.fn = fn
@@ -86,9 +108,6 @@ class Dispatcher:
         self.pending: dict[str, object] = {}
         #: TierState, lazily created by the tiered policy
         self.tier: Optional[TierState] = None
-        #: hook fired (with this dispatcher) when a tier-up completes —
-        #: repro.serve uses it to count/trace per-tenant tier-ups
-        self.on_tier_up: Optional[Callable[["Dispatcher"], None]] = None
 
     # -- handle management --------------------------------------------------
     def install(self, backend_name: str, handle):
@@ -156,7 +175,7 @@ class Dispatcher:
         "respecialized", "deopts"}``.  ``tier`` is 0 until a tier-up has
         completed, even under ahead-of-time policies (where it simply
         never advances)."""
-        st = self.tier or TierState()
+        st = self.tier or TierState(0)
         return {
             "tier": st.tier,
             "calls": st.calls,

@@ -4,22 +4,23 @@ A policy is asked by the resolver in a :class:`~repro.exec.dispatch.
 Dispatcher`'s call slot what to *install* there for the function's calls
 to run, and not again until a policy or default-backend switch resets it:
 
-* :class:`AheadOfTimePolicy` — the historical behavior: resolve one
-  backend (the default, or a pinned one) and install its compiled handle.
+* :class:`AheadOfTimePolicy` — resolve one backend (the default, or a
+  pinned one) and install its compiled handle.
 * :class:`TieredPolicy` — install a tier-0 trampoline that interprets
-  while the value profiler watches arguments; once a function crosses the
-  call-count threshold, schedule a background tier-up through
-  :meth:`repro.buildd.service.CompileService.tier_up` that compiles the
-  generic C entry — and, when the profile shows stable scalar arguments,
-  a guarded respecialized variant with those values spliced as constants
-  (:mod:`repro.exec.respec`).  Calls never block on the compiler (unless
-  ``sync`` is set — the crossing call then waits for the same job —
-  which tests and the fuzzer use for determinism).  The first trampoline
-  call to find the build done — a calling thread, never the tier-up
-  thread, so a late build cannot undo a policy switch — overwrites the
-  slot with the generic handle or the variant's guard; a guard miss is a
-  counted deoptimization that runs the generic entry, so observable
-  behavior is identical at every tier.
+  while the function's :class:`~repro.exec.dispatch.TierState` profiles
+  argument values.  The call that crosses the threshold stages the
+  tier-up itself: ``dispatcher.compile_async("c")`` for the generic
+  entry and — when the profile shows stable scalar arguments — the same
+  for a variant with those values spliced as constants
+  (:mod:`repro.exec.respec`); typecheck, passes and emission run on that
+  call, gcc on the buildd pool like every other compile.  Calls never
+  wait for gcc (unless ``sync`` is set — the crossing call then joins
+  its own tickets — which tests and the fuzzer use for determinism).
+  The first trampoline call to find the tickets done binds them and
+  overwrites the slot with the generic handle or the variant's guard,
+  carrying the trampoline's epoch, so a late build cannot undo a policy
+  switch; a guard miss is a counted deoptimization that runs the generic
+  entry, so observable behavior is identical at every tier.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .. import trace as _trace
-from ..trace import profile as _profile
 from ..trace.metrics import registry as _registry
+from . import respec as _respec
 from .dispatch import TierState
 
 
@@ -49,8 +50,8 @@ class ExecutionPolicy:
 
 class AheadOfTimePolicy(ExecutionPolicy):
     """Compile on first call, on one backend, and keep calling that
-    handle — the pre-tiering behavior.  ``backend_name=None`` means the
-    process default backend (``REPRO_TERRA_BACKEND`` / autodetect)."""
+    handle.  ``backend_name=None`` means the process default backend
+    (``REPRO_TERRA_BACKEND`` / autodetect)."""
 
     def __init__(self, backend_name: Optional[str] = None,
                  name: Optional[str] = None) -> None:
@@ -68,9 +69,9 @@ class TieredPolicy(ExecutionPolicy):
 
     def __init__(self, threshold: int = 10, sync: bool = False,
                  respec: bool = True, min_observations: int = 1) -> None:
-        #: tier-0 calls before a tier-up is scheduled
+        #: tier-0 calls before the tier-up is staged
         self.threshold = max(1, int(threshold))
-        #: the call that schedules a tier-up waits for it — used by
+        #: the call that stages a tier-up waits for it — used by
         #: tests/fuzzing, where determinism beats latency
         self.sync = bool(sync)
         #: build guarded constant-spliced variants from stable profiles
@@ -80,24 +81,27 @@ class TieredPolicy(ExecutionPolicy):
     # -- what the slot holds -------------------------------------------------
     def target_for(self, dispatcher, epoch):
         fn = dispatcher.fn
-        st = dispatcher.tier = dispatcher.tier or TierState()
+        st = dispatcher.tier = dispatcher.tier or TierState(
+            len(fn.param_types))
         if st.tier:     # tiered up before an earlier policy switch
             return self._tier1(fn, st)
         interp = dispatcher.compiled_handle("interp")
 
         def tier0(*args):
-            # count and observe the call, start the tier-up at the
-            # threshold and, once it has landed, hand the slot to tier 1
-            # (to the interpreter, if it failed)
-            if not st.failed and st.ticket is None:
+            # count and observe a call that will run (one of the wrong
+            # arity raises below), stage the tier-up at the threshold and,
+            # once it is built, hand the slot to tier 1 (to the
+            # interpreter, if the function is parked)
+            if st.ticket is None and not st.failed:
                 with st.lock:
-                    if st.tier == 0 and st.ticket is None and not st.failed:
+                    if (st.tier == 0 and st.ticket is None and not st.failed
+                            and len(args) == len(st.profile)):
                         st.calls += 1
-                        _profile.note_args(fn, args)
+                        st.observe(args)
                         if st.calls >= self.threshold:
                             self._begin_tier_up(dispatcher, st)
-            ticket = st.ticket
-            if st.tier == 0 and ticket is not None and ticket.done():
+            tickets = st.ticket
+            if tickets and all(t.done() for t in tickets):
                 with st.lock:
                     self._finish_tier_up(dispatcher, st)
             if st.tier:
@@ -130,64 +134,52 @@ class TieredPolicy(ExecutionPolicy):
 
         return guarded
 
-    # -- tier-up machinery ---------------------------------------------------
-    def _stage(self, dispatcher):
-        """The tier-up job: compile the generic C entry and, if the value
-        profile supports it, a guarded respecialized variant.  Runs on
-        buildd's tier-up thread."""
-        from . import respec as _respec
-        fn = dispatcher.fn
-        generic = dispatcher.compiled_handle("c")
-        specialized = None
-        if self.respec:
-            variant, consts = _respec.respecialize(
-                fn, _profile.arg_stats(fn), self.min_observations)
-            if variant is not None:
-                handle = variant.dispatcher.compiled_handle("c")
-                specialized = _respec.Respecialized(fn, variant, consts,
-                                                    handle)
-                _registry().add("exec.respecialize")
-                _trace.instant("exec.respecialize", cat="exec", fn=fn.name,
-                               variant=variant.name,
-                               consts={str(k): v
-                                       for k, v in consts.items()})
-        return generic, specialized
-
+    # -- the tier-up: two ordinary compile tickets ---------------------------
     def _begin_tier_up(self, dispatcher, st) -> None:
-        """Schedule the tier-up, if there is a compiler to run it — and,
-        under ``sync``, wait for it.  Called with ``st.lock`` held and
-        ``st.ticket`` None."""
-        from ..buildd import get_service, toolchain
+        """Stage the tier-up on this, the crossing call — and, under
+        ``sync``, finish it.  Called with ``st.lock`` held and
+        ``st.ticket`` None.  Without a compiler there is nothing to tier
+        up to: the function is parked, and nothing has failed."""
+        from ..buildd import toolchain
         if not toolchain.cc_available():    # probed once per process
+            st.failed = True
             return
-        st.ticket = get_service().tier_up(
-            dispatcher.fn.name, lambda: self._stage(dispatcher))
+        # begun: a call of fn made while this one stages (another thread's,
+        # or Python the typechecker runs) interprets without taking the lock
+        st.ticket = ()
+        fn = dispatcher.fn
+        try:
+            with _trace.span(f"exec.tier_up:{fn.name}", cat="exec"):
+                generic = dispatcher.compile_async("c")
+                variant = self.respec and _respec.stage_variant(
+                    fn, st.profile, self.min_observations)
+        except Exception:
+            return self._park(st)
+        st.ticket = (generic, variant) if variant else (generic,)
         if self.sync:
             self._finish_tier_up(dispatcher, st)
 
+    @staticmethod
+    def _park(st) -> None:
+        """A failed tier-up: the function stays at tier 0 for good (calls
+        stay interpreted, semantics unchanged)."""
+        st.failed = True
+        st.ticket = None
+        _registry().add("exec.tier_up_failed")
+
     def _finish_tier_up(self, dispatcher, st) -> None:
-        """Install a tier-up, waiting for it if it still runs.  Called
-        with ``st.lock`` held; a failed build parks the function at tier 0
-        permanently (calls stay interpreted, semantics unchanged)."""
-        ticket = st.ticket
-        if ticket is None or st.tier != 0:
+        """Bind the tier-up's tickets — waiting for any that still build —
+        and enter tier 1.  Called with ``st.lock`` held."""
+        if not st.ticket or st.tier != 0:
             return
         try:
-            st.generic, st.respec = ticket.result()
+            built = [t.result() for t in st.ticket]
         except Exception:
-            st.failed = True
-            st.ticket = None
-            _registry().add("exec.tier_up_failed")
-            return
+            return self._park(st)
+        st.generic, st.respec = (*built, None)[:2]   # no variant: None
         st.ticket = None
         st.tier = 1
         _registry().add("exec.tier_up")
         _trace.instant("exec.tier_up", cat="exec", fn=dispatcher.fn.name,
                        calls=st.calls,
                        respecialized=st.respec is not None)
-        hook = dispatcher.on_tier_up
-        if hook is not None:
-            try:
-                hook(dispatcher)
-            except Exception:
-                pass  # observability hooks must not break execution

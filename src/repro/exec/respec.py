@@ -3,10 +3,10 @@ into a staged variant, guarded at entry.
 
 This is the paper's core claim ("staging *is* the optimization
 mechanism") exercised dynamically: tier-0 value profiling
-(:func:`repro.trace.profile.note_args`) finds scalar parameters that hold
-the same value on every observed call — loop trip counts, strides,
-radii — and we build a *variant* function whose specialized tree is the
-original's with those parameter reads replaced by literal
+(:meth:`repro.exec.dispatch.TierState.observe`) finds scalar parameters
+that hold the same value on every observed call — loop trip counts,
+strides, radii — and we build a *variant* function whose specialized
+tree is the original's with those parameter reads replaced by literal
 :class:`~repro.core.sast.SConst` nodes.  The variant compiles through the
 normal pipeline (fold/simplify see real constants, gcc sees fixed trip
 counts it can unroll and vectorize), and the dispatcher calls it only
@@ -26,11 +26,13 @@ Safety rules (a parameter is only spliced when all hold):
 
 from __future__ import annotations
 
-from typing import Optional
-
+from .. import trace
+from ..backend.base import CompileTicket
 from ..core import sast
 from ..core import types as T
 from ..ffi import convert
+from ..trace.metrics import registry
+from .dispatch import VARYING
 
 
 def guardable_type(ty) -> bool:
@@ -90,25 +92,18 @@ def _substitute(node, symbol, make_const):
 
 # -- constant selection ------------------------------------------------------
 
-def stable_consts(fn, arg_stats, min_observations: int = 1) -> dict[int, object]:
-    """Pick ``{param index: machine value}`` worth splicing from the value
-    profile (:func:`repro.trace.profile.arg_stats` output).  Only stable,
+def stable_consts(fn, profile, min_observations: int = 1) -> dict[int, object]:
+    """Pick ``{param index: machine value}`` worth splicing from a tier-0
+    value profile (:attr:`repro.exec.dispatch.TierState.profile`: one
+    ``[observations, value | VARYING]`` slot per parameter).  Only stable,
     guardable, never-mutated scalar parameters qualify."""
-    if not arg_stats or fn.body is None:
-        return {}
     consts: dict[int, object] = {}
-    for i, ty in enumerate(fn.param_types):
-        if i >= len(arg_stats):
-            break
-        st = arg_stats[i]
-        if st is None or not st["stable"]:
-            continue
-        if st["observations"] < min_observations:
+    if fn.body is None:
+        return consts
+    for i, (ty, (seen, value)) in enumerate(zip(fn.param_types, profile)):
+        if value is VARYING or seen < max(1, min_observations):
             continue
         if not guardable_type(ty):
-            continue
-        value = st["value"]
-        if not isinstance(value, (bool, int)):
             continue
         try:
             machine = convert.python_to_primitive(value, ty)
@@ -187,9 +182,19 @@ class Respecialized:
                 f"consts={self.consts} hits={self.hits}>")
 
 
-def respecialize(fn, arg_stats, min_observations: int = 1):
-    """Convenience: pick constants and build the variant in one step.
-    Returns ``(variant, consts)`` or ``(None, {})``."""
-    consts = stable_consts(fn, arg_stats, min_observations)
-    variant = specialize_variant(fn, consts) if consts else None
-    return (variant, consts) if variant is not None else (None, {})
+def stage_variant(fn, profile, min_observations: int = 1):
+    """The respecialized half of a tier-up: pick constants, build the
+    variant and start compiling it on the C backend.  Returns a
+    :class:`~repro.backend.base.CompileTicket` whose ``result()`` is the
+    bound :class:`Respecialized`, or None when nothing can be spliced."""
+    consts = stable_consts(fn, profile, min_observations)
+    variant = specialize_variant(fn, consts)
+    if variant is None:
+        return None
+    registry().add("exec.respecialize")
+    trace.instant("exec.respecialize", cat="exec", fn=fn.name,
+                  variant=variant.name,
+                  consts={str(k): v for k, v in consts.items()})
+    return CompileTicket(
+        variant.dispatcher.compile_async("c"),
+        lambda handle: Respecialized(fn, variant, consts, handle))

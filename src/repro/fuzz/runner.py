@@ -13,9 +13,8 @@ the parent merges their per-index outcomes and reports:
 * **timeout** — a program exceeded the per-program watchdog (generated
   loops are fuel-bounded, so this indicates a backend bug).
 
-Results are folded into the buildd telemetry
-(:meth:`repro.buildd.stats.BuildStats.record_fuzz`), so one
-``repro.buildd.stats()`` snapshot covers compiles *and* fuzzing.
+Totals go to the process-wide metrics registry as ``fuzz.*``, which the
+``repro.buildd.stats()`` snapshot reports beside its compile counters.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 from .. import trace
+from ..trace.metrics import registry
 from .child import encode_args
 from .gen import FuzzProgram, generate_program
 
@@ -284,10 +284,12 @@ def run_differential(seed: int, count: int, configs=None,
     report.elapsed = time.perf_counter() - t0
 
     if record_stats:
-        from ..buildd import get_service
-        get_service().stats.record_fuzz(
-            programs=count, divergences=len(report.divergences),
-            traps=report.traps, crashes=report.crashes)
+        reg = registry()
+        with reg.locked():
+            reg.add("fuzz.programs", count)
+            reg.add("fuzz.divergences", len(report.divergences))
+            reg.add("fuzz.traps", report.traps)
+            reg.add("fuzz.crashes", report.crashes)
     return report
 
 

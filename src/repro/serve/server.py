@@ -364,21 +364,6 @@ class ServeServer:
         finally:
             self._compiling.pop(compile_key, None)
 
-    def _tier_up_hook(self, tenant: TenantState):
-        """The dispatcher's on_tier_up hook for one tenant's kernels:
-        count and trace each background tier-up (runs on the thread
-        whose call finds the build done)."""
-        tenant_name = tenant.name
-
-        def hook(dispatcher):
-            registry().add("serve.tier_up")
-            _trace.instant("serve.tier_up", cat="serve", tenant=tenant_name,
-                           fn=dispatcher.fn.name,
-                           respecialized=dispatcher.tier_info()
-                           ["respecialized"])
-
-        return hook
-
     async def _compile(self, tenant: TenantState, ident: tuple,
                        backend: Optional[str]) -> WarmKernel:
         key_backend, entry, chunked, source = ident
@@ -399,12 +384,10 @@ class ServeServer:
                         fn.mark_chunked()
                     if tiered:
                         # tier 0: the warm "handle" is the dispatcher
-                        # itself — calls start interpreted, the tiered
-                        # policy compiles C in the background, and the
-                        # pool entry speeds up in place
-                        dispatcher = fn.dispatcher
-                        dispatcher.on_tier_up = self._tier_up_hook(tenant)
-                        dispatcher.compiled_handle("interp")
+                        # itself — calls start interpreted, a hot one
+                        # stages its C compile, and the pool entry speeds
+                        # up in place (summary()["tiers"] says how far)
+                        fn.dispatcher.compiled_handle("interp")
                         return fn, "tiered", None
                     from ..backend.base import resolve_backend
                     be = resolve_backend(backend)

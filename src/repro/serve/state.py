@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 from collections import OrderedDict
 from typing import Hashable, Optional
 
 from ..core import types as T
-from .protocol import ServeError
+from .protocol import ServeError, jsonable_result
 
 #: JSON dtype name -> (Terra element type, ctypes element type)
 DTYPES = {
@@ -112,7 +113,7 @@ class WarmKernel:
     @property
     def eligible(self) -> bool:
         """Streak earned, and compiled: a tier-0 call interprets, and may
-        run the tier-up compile itself."""
+        be the one that stages the tier-up."""
         return self.streak >= self.need and not (
             self.tiered and self.tier_info()["tier"] == 0)
 
@@ -252,13 +253,14 @@ class TenantState:
             raise ServeError("bad-request",
                              f"write [{start}, {start + len(values)}) is out "
                              f"of bounds for buffer of {buf.count}")
-        integral = buf.elem.isintegral()
-        for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ServeError("bad-request",
-                                 f"buffer values must be numbers, got "
-                                 f"{type(v).__name__}")
-            buf.cdata[start + i] = int(v) if integral else float(v)
+        if not set(map(type, values)) <= {int, float}:  # a subclass, or:
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ServeError("bad-request",
+                                     f"buffer values must be numbers, got "
+                                     f"{type(v).__name__}")
+        cast = int if buf.elem.isintegral() else float
+        buf.cdata[start:start + len(values)] = list(map(cast, values))
         return len(values)
 
     def read(self, buf_id: int, start: int, count: int) -> list:
@@ -267,16 +269,11 @@ class TenantState:
             raise ServeError("bad-request",
                              f"read [{start}, {start + count}) is out of "
                              f"bounds for buffer of {buf.count}")
-        out = []
-        for i in range(start, start + count):
-            v = buf.cdata[i]
-            if isinstance(v, float) and (v != v or v in (float("inf"),
-                                                         float("-inf"))):
-                out.append({"float": "nan" if v != v
-                            else ("inf" if v > 0 else "-inf")})
-            else:
-                out.append(v)
-        return out
+        values = buf.cdata[start:start + count]
+        if buf.elem.isintegral():
+            return values
+        return [v if math.isfinite(v) else jsonable_result(v, "read")
+                for v in values]
 
     # -- argument resolution ------------------------------------------------
     def resolve_args(self, raw_args: list) -> list:

@@ -1,23 +1,17 @@
 """The process metrics registry — one home for every counter in repro.
 
-Before this module existed, counters were scattered: the buildd service
-kept private compile counters, the pass manager pushed per-pass timings
-into *buildd's* stats object, the fuzzer pushed its totals there too, and
-the runtime profiler had nowhere to live at all.  Now there is exactly
-one metrics substrate:
-
 * a :class:`MetricsRegistry` holds named **counters** (monotonic or
   signed numbers), **timings** (run count + cumulative seconds + min/max)
   and bounded **rings** (recent-item buffers), all behind one lock;
 * the process-wide registry (:func:`registry`) carries every
   cross-cutting series — per-pass pipeline time (``pass.*``),
-  differential-fuzz totals (``fuzz.*``) and compiled-function call
-  profiles (``call.*``);
+  differential-fuzz totals (``fuzz.*``), compiled-function call profiles
+  (``call.*``), the ``exec.*``, ``spec.memo.*`` and ``serve.*`` counters;
 * per-service counters (one :class:`~repro.buildd.stats.BuildStats` per
   :class:`~repro.buildd.service.CompileService`) live in a *private*
-  registry instance so tests can build isolated services, while
-  ``BuildStats.snapshot()`` stays a **view** that merges the service's
-  own registry with the process-wide series.
+  registry instance so tests can build isolated services;
+  ``BuildStats.snapshot()`` reports them beside the process-wide
+  ``pass.*`` and ``fuzz.*`` series.
 
 Increments are cheap (one lock, one dict op) relative to anything they
 measure — a gcc run, an IR pass, an FFI call — so contention and overhead

@@ -16,7 +16,6 @@ cumulative time).
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from .. import config
@@ -83,87 +82,6 @@ def all_stats() -> dict[str, dict]:
 
 def clear() -> None:
     registry().reset(_PREFIX)
-
-
-# -- value profiling (tier-0 argument observation) ---------------------------
-#
-# The tiered execution policy (repro.exec) watches the *values* flowing
-# into a function while it is still interpreted, looking for scalar
-# parameters that are the same on every call — respecialization
-# candidates.  This is separate from the timing profile above: it is fed
-# explicitly by the policy (not by the _runtime_active hook), costs one
-# locked list update per observed call, and keeps only a per-position
-# lattice (unseen -> one value -> varying), never a value history.
-
-#: lattice top: this position has held more than one distinct value
-VARYING = "<varying>"
-
-_args_lock = threading.Lock()
-#: fn.uid -> per-position slots; each slot is [observations, value|VARYING]
-_arg_profiles: dict[int, list] = {}
-
-
-def _observe(value):
-    """Project an argument to its profiled observation: scalars observe
-    their value, array-likes observe (dtype, shape) — so stable *shapes*
-    are visible even where values vary — everything else is VARYING."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    shape = getattr(value, "shape", None)
-    dtype = getattr(value, "dtype", None)
-    if shape is not None and dtype is not None:
-        return ("array", str(dtype), tuple(shape))
-    return VARYING
-
-
-def _same(a, b) -> bool:
-    return type(a) is type(b) and a == b
-
-
-def note_args(fn, args) -> None:
-    """Fold one call's argument tuple into ``fn``'s value profile."""
-    with _args_lock:
-        slots = _arg_profiles.get(fn.uid)
-        if slots is None:
-            slots = _arg_profiles[fn.uid] = [None] * len(args)
-        for i in range(min(len(args), len(slots))):
-            obs = _observe(args[i])
-            slot = slots[i]
-            if slot is None:
-                slots[i] = [1, obs]
-            else:
-                slot[0] += 1
-                if slot[1] is not VARYING and not _same(slot[1], obs):
-                    slot[1] = VARYING
-
-
-def arg_stats(fn) -> list:
-    """Per-position value profile for ``fn``: a list (one entry per
-    parameter position, None if never observed) of ``{"observations",
-    "stable", "value"}`` — ``value`` is None when unstable."""
-    with _args_lock:
-        slots = _arg_profiles.get(fn.uid)
-        if slots is None:
-            return []
-        out = []
-        for slot in slots:
-            if slot is None:
-                out.append(None)
-            else:
-                count, value = slot
-                stable = value is not VARYING
-                out.append({"observations": count, "stable": stable,
-                            "value": value if stable else None})
-        return out
-
-
-def clear_args(fn=None) -> None:
-    """Drop value profiles — for one function, or all of them."""
-    with _args_lock:
-        if fn is None:
-            _arg_profiles.clear()
-        else:
-            _arg_profiles.pop(fn.uid, None)
 
 
 def report(limit: int = 30) -> str:

@@ -3,7 +3,9 @@
 ``fake_toolchain`` provides a tiny Python "compiler" so cache/service/
 dedup behaviour can be tested deterministically (and without gcc): it
 copies the input source into the output artifact, optionally sleeping
-(``FAKECC_DELAY``) or failing (``FAKECC_FAIL``).
+(``FAKECC_DELAY``) or failing (``FAKECC_FAIL``).  With ``FAKECC_REAL`` set
+to a real compiler's path it sleeps / fails the same way and then becomes
+that compiler, so a held or broken build can be followed by a loadable one.
 """
 
 import os
@@ -28,6 +30,8 @@ FAKE_CC = textwrap.dedent("""\
     if os.environ.get("FAKECC_FAIL"):
         sys.stderr.write("fakecc: induced failure\\n")
         sys.exit(1)
+    if os.environ.get("FAKECC_REAL"):
+        os.execv(os.environ["FAKECC_REAL"], [os.environ["FAKECC_REAL"]] + args)
     out = args[args.index("-o") + 1]
     sources = [a for a in args if a.endswith(".c")]
     data = b""

@@ -187,8 +187,7 @@ class TestRecovery:
         assert cache.summary() == {"root": cache.root, "artifacts": 0,
                                    "bytes_cached": 0,
                                    "max_bytes": cache.max_bytes,
-                                   "max_entries": 0, "namespace_quota": 0,
-                                   "namespaces": {}}
+                                   "max_entries": 0, "namespaces": {}}
 
     def test_index_survives_reload(self, tmp_path):
         cache = make_cache(tmp_path)

@@ -1,9 +1,9 @@
-"""Entry-count caps and per-namespace quotas on the artifact cache.
+"""The entry-count cap and namespace attribution on the artifact cache.
 
-The byte cap predates multi-tenancy; these tests cover the two limits
-added for :mod:`repro.serve` — a global ``max_entries`` LRU bound and a
-per-namespace entry quota — plus the ``cache_namespace`` context that
-threads tenant attribution from a submitting thread into ``publish``.
+The byte cap predates multi-tenancy; these tests cover what was added for
+:mod:`repro.serve` — a global ``max_entries`` LRU bound — plus the
+``cache_namespace`` context that threads tenant attribution from a
+submitting thread into ``publish`` (``summary()["namespaces"]``).
 """
 
 import os
@@ -69,52 +69,12 @@ class TestMaxEntries:
             ArtifactCache(str(tmp_path / "c"))
 
 
-class TestNamespaceQuota:
-    def test_each_namespace_keeps_its_newest(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path / "c"), namespace_quota=2)
-        for i in range(4):
-            put(cache, f"a{i}", ns="alice")
-        for i in range(3):
-            put(cache, f"b{i}", ns="bob")
-        assert live_keys(cache) == {"a2", "a3", "b1", "b2"}
-
-    def test_churning_tenant_cannot_evict_another(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path / "c"), namespace_quota=2)
-        put(cache, "bob0", ns="bob")
-        put(cache, "bob1", ns="bob")
-        for i in range(20):  # alice churns far past her quota
-            put(cache, f"alice{i}", ns="alice", bump_clock=False)
-        survivors = live_keys(cache)
-        assert {"bob0", "bob1"} <= survivors
-        assert sum(1 for k in survivors if k.startswith("alice")) <= 2
-
-    def test_unattributed_publishes_share_the_default_namespace(
-            self, tmp_path):
-        cache = ArtifactCache(str(tmp_path / "c"), namespace_quota=1)
-        put(cache, "one")
-        put(cache, "two")
-        assert live_keys(cache) == {"two"}
-        assert cache.summary()["namespaces"] == {"default": 1}
-
-    def test_quota_composes_with_global_entry_cap(self, tmp_path):
-        # quota admits 2 per namespace, but the global cap holds the total
-        cache = ArtifactCache(str(tmp_path / "c"), namespace_quota=2,
-                              max_entries=3)
-        for ns in ("a", "b", "c"):
-            put(cache, f"{ns}0", ns=ns)
-            put(cache, f"{ns}1", ns=ns)
-        entries = live_keys(cache)
-        assert len(entries) == 3
-        assert entries == {"b1", "c0", "c1"}  # global LRU across namespaces
-
-
 class TestConcurrentMultiTenantChurn:
     def test_invariants_hold_under_concurrent_eviction(self, tmp_path):
-        """Many tenants publishing and looking up at once: quotas hold,
+        """Many tenants publishing and looking up at once: the cap holds,
         the index matches the files on disk, and nothing raises."""
-        quota, max_entries, tenants, per_tenant = 3, 12, 6, 15
-        cache = ArtifactCache(str(tmp_path / "c"), namespace_quota=quota,
-                              max_entries=max_entries)
+        max_entries, tenants, per_tenant = 12, 6, 15
+        cache = ArtifactCache(str(tmp_path / "c"), max_entries=max_entries)
         errors = []
         start = threading.Barrier(tenants)
 
@@ -138,11 +98,8 @@ class TestConcurrentMultiTenantChurn:
 
         with cache._lock:
             entries = dict(cache._load_index_locked())
-        assert len(entries) <= max_entries
-        by_ns = {}
-        for key, entry in entries.items():
-            by_ns.setdefault(entry["ns"], []).append(key)
-        assert all(len(keys) <= quota for keys in by_ns.values())
+        assert len(entries) == max_entries
+        assert sum(cache.summary()["namespaces"].values()) == max_entries
         # index ↔ disk agreement: every live key has its artifact, and no
         # evicted artifact lingers
         on_disk = {name[len("unit_"):-len(".so")]
@@ -154,7 +111,7 @@ class TestConcurrentMultiTenantChurn:
 class TestServiceNamespaceThreading:
     def test_cache_namespace_attributes_builds(self, tmp_path,
                                                fake_toolchain):
-        cache = ArtifactCache(str(tmp_path / "c"), namespace_quota=4)
+        cache = ArtifactCache(str(tmp_path / "c"))
         svc = CompileService(jobs=2, cache=cache, tc=fake_toolchain)
         try:
             with cache_namespace("alice"):
@@ -178,7 +135,7 @@ class TestServiceNamespaceThreading:
 
     def test_identical_source_across_namespaces_builds_once(
             self, tmp_path, fake_toolchain):
-        cache = ArtifactCache(str(tmp_path / "c"), namespace_quota=4)
+        cache = ArtifactCache(str(tmp_path / "c"))
         svc = CompileService(jobs=2, cache=cache, tc=fake_toolchain)
         try:
             src = "int shared(void) { return 7; }"

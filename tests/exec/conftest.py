@@ -17,3 +17,12 @@ def cold_service(tmp_path, swap_service):
             jobs=2, tc=tc, cache=ArtifactCache(root=str(tmp_path / "cache"))))
     fresh()
     return fresh
+
+
+@pytest.fixture
+def slow_cc(cold_service, cbackend, fake_toolchain, monkeypatch):
+    """A cold service whose compiler is the host's behind the fake one's
+    switches: ``FAKECC_DELAY`` holds a build that then loads and runs."""
+    from repro.buildd import toolchain
+    monkeypatch.setenv("FAKECC_REAL", toolchain.find_cc())
+    return cold_service(fake_toolchain)

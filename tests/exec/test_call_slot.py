@@ -15,7 +15,6 @@ from repro import terra
 from repro.errors import CompileError, FFIError
 from repro.exec import (TieredPolicy, current_policy, policy_override,
                         set_policy)
-from repro.trace import profile
 from repro.trace.metrics import registry
 
 from tests.exec.callpath import guard_frames, warm_call_frames
@@ -28,9 +27,7 @@ end
 
 
 def _fresh():
-    fn = terra(ADD)
-    profile.clear_args(fn)
-    return fn
+    return terra(ADD)
 
 
 def _slot(fn):
@@ -200,7 +197,8 @@ def test_externals_are_called_from_terra_not_from_python(policy):
 
 # -- threads ----------------------------------------------------------------------
 
-def test_eight_threads_across_an_asynchronous_tier_up(cbackend):
+def test_eight_threads_across_an_asynchronous_tier_up(slow_cc, monkeypatch):
+    monkeypatch.setenv("FAKECC_DELAY", "0.3")   # they call while gcc runs
     fn = _fresh()
     nthreads = 8
     barrier, results, errors = threading.Barrier(nthreads), [], []
@@ -243,43 +241,32 @@ def test_eight_threads_across_an_asynchronous_tier_up(cbackend):
 
 
 def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
-        cbackend, monkeypatch):
-    """The build lands after the policy changed.  Neither the tier-up
-    thread (it never touches a slot) nor a trampoline call that was already
+        slow_cc, monkeypatch):
+    """The build lands after the policy changed.  Neither the buildd
+    worker (it never touches a slot) nor a trampoline call that was already
     running (its install carries the epoch of a slot that was reset since)
     may put a tiered target back."""
-    gate = threading.Event()
-    stage = TieredPolicy._stage
-
-    def held(self, dispatcher):
-        assert gate.wait(60)
-        return stage(self, dispatcher)
-
-    monkeypatch.setattr(TieredPolicy, "_stage", held)
+    monkeypatch.setenv("FAKECC_DELAY", "0.5")   # the compiler holds the build
     fn = _fresh()
-    try:
-        with policy_override(TieredPolicy(threshold=1, sync=False,
-                                          respec=False)):
-            assert fn(20, 22) == 42             # schedules the held build
-            trampoline, ticket = _slot(fn), fn.dispatcher.tier.ticket
-            assert ticket is not None and not ticket.done()
-            with policy_override("interp"):
-                assert fn(20, 22) == 42
-                interp = fn.dispatcher.handles["interp"]
-                assert _slot(fn) is interp
-                gate.set()
-                ticket.result(60)               # the build has landed
-                assert fn(20, 22) == 42 and _slot(fn) is interp
-                # a call still inside the old trampoline finishes the
-                # tier-up, and is refused the slot
-                assert trampoline(20, 22) == 42
-                assert fn.dispatcher.tier.tier == 1
-                assert _slot(fn) is interp
-            # back under tiered: straight to tier 1
+    with policy_override(TieredPolicy(threshold=1, sync=False,
+                                      respec=False)):
+        assert fn(20, 22) == 42                 # stages the held build
+        trampoline, (ticket,) = _slot(fn), fn.dispatcher.tier.ticket
+        assert ticket is fn.dispatcher.pending["c"] and not ticket.done()
+        with policy_override("interp"):
             assert fn(20, 22) == 42
-            assert _slot(fn) is fn.dispatcher.tier.generic
-    finally:
-        gate.set()
+            interp = fn.dispatcher.handles["interp"]
+            assert _slot(fn) is interp
+            ticket.result(60)                   # the build has landed
+            assert fn(20, 22) == 42 and _slot(fn) is interp
+            # a call still inside the old trampoline finishes the
+            # tier-up, and is refused the slot
+            assert trampoline(20, 22) == 42
+            assert fn.dispatcher.tier.tier == 1
+            assert _slot(fn) is interp
+        # back under tiered: straight to tier 1
+        assert fn(20, 22) == 42
+        assert _slot(fn) is fn.dispatcher.tier.generic
 
 
 # -- the budget ----------------------------------------------------------------------

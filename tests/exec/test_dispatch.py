@@ -174,7 +174,7 @@ def test_set_policy_rejects_non_policies():
         set_policy(before)
 
 
-def test_pinned_policies_agree_bitwise():
+def test_pinned_policies_agree_bitwise(cbackend):
     fn = _fresh()
     with policy_override("interp"):
         via_interp = fn(7, -9)

@@ -2,8 +2,8 @@
 (safety rules), variant construction, and the entry guard."""
 
 from repro import terra
-from repro.exec import respec
-from repro.trace import profile
+from repro.exec import TierState, respec
+from repro.exec.dispatch import VARYING
 
 SCALE = """
 terra scale(n : int32, k : int32) : int32
@@ -27,10 +27,11 @@ end
 
 
 def _profiled(fn, calls):
-    profile.clear_args(fn)
+    """The value profile a tier-0 trampoline builds over ``calls``."""
+    st = TierState(len(fn.param_types))
     for args in calls:
-        profile.note_args(fn, args)
-    return profile.arg_stats(fn)
+        st.observe(args)
+    return st.profile
 
 
 def test_guardable_types():
@@ -41,12 +42,16 @@ def test_guardable_types():
     assert not respec.guardable_type(a_ty)     # double: -0.0/NaN hazards
 
 
-def test_arg_stats_stability():
-    fn = terra(SCALE)
-    stats = _profiled(fn, [(8, 3), (8, 4), (8, 5)])
-    assert stats[0] == {"observations": 3, "stable": True, "value": 8}
-    assert stats[1]["stable"] is False
-    assert stats[1]["value"] is None
+def test_profile_slots():
+    """One ``[observations, value | VARYING]`` slot per parameter; only an
+    exact int / bool seen on every call is a value (1 is not True)."""
+    fn = terra(MIXED)
+    assert _profiled(fn, []) == [[0, None]] * 3
+    assert _profiled(fn, [(8, 0.5, True), (8, 0.5, True), (8, 0.25, 1)]) == \
+        [[3, 8], [3, VARYING], [3, VARYING]]
+    assert _profiled(fn, [(None, 2, False), (8, 2, False)]) == \
+        [[2, VARYING], [2, 2], [2, False]]
+    assert respec.stable_consts(fn, _profiled(fn, [])) == {}
 
 
 def test_stable_consts_picks_only_safe_params():
@@ -134,8 +139,8 @@ def test_guard_tries_a_compare_before_it_converts(monkeypatch):
 def test_varying_args_produce_no_variant():
     fn = terra(SCALE)
     stats = _profiled(fn, [(1, 1), (2, 2), (3, 3)])
-    variant, consts = respec.respecialize(fn, stats)
-    assert variant is None and consts == {}
+    assert respec.stable_consts(fn, stats) == {}
+    assert respec.stage_variant(fn, stats) is None
 
 
 EXTREME = """

@@ -125,10 +125,13 @@ class TestRunDifferential:
         assert report.memo == {"hits": 4}   # the one C config, every program
 
     def test_stats_wiring(self):
+        """The runner writes its totals to the process registry, which the
+        buildd snapshot reports beside its own counters."""
         from repro.buildd import get_service
         stats = get_service().stats
-        before = stats.snapshot()["fuzz"]["programs"]
-        stats.record_fuzz(programs=7, divergences=1, traps=2, crashes=0)
-        snap = stats.snapshot()["fuzz"]
-        assert snap["programs"] == before + 7
-        assert snap["divergences"] >= 1
+        before = stats.snapshot()["fuzz"]
+        report = run_differential(11, 1, configs=[("interp", 0)])
+        assert report.ok, report.summary()
+        after = stats.snapshot()["fuzz"]
+        assert after["programs"] == before["programs"] + 1
+        assert after["divergences"] == before["divergences"]

@@ -19,7 +19,6 @@ from repro.exec import TieredPolicy, policy_override
 from repro.passes import pipeline_override
 from repro.passes.tileschedule import SchedulePass
 from repro.schedule import Block, Schedule, Vectorize, apply
-from repro.trace import profile
 
 from tests.core.test_sast import snapshot
 from tests.core.test_spec_memo import GEMM_POOL
@@ -117,7 +116,6 @@ def test_typed_trees_are_never_written(monkeypatch):
       return acc
     end
     """, env={})
-    profile.clear_args(hot)
     with policy_override(TieredPolicy(threshold=3, sync=True)):
         assert [hot(n, 7) for n in range(10, 16)] == \
             [sum(i % 7 for i in range(n)) for n in range(10, 16)]

@@ -115,6 +115,38 @@ class TestBuffers:
         assert t.read(buf.id, 0, 2) == [{"float": "nan"}, {"float": "-inf"}]
 
 
+    def test_a_float_into_an_int_buffer_truncates(self):
+        t = self.make()
+        buf = t.alloc("int16", 4)
+        assert t.write(buf.id, 1, [2.9, -2.9, 7]) == 3
+        assert t.read(buf.id, 0, 4) == [0, 2, -2, 7]
+        assert [type(v) for v in t.read(buf.id, 0, 4)] == [int] * 4
+
+    def test_non_finite_values_round_trip_among_finite_ones(self):
+        t = self.make()
+        for dtype in ("float32", "float64"):
+            buf = t.alloc(dtype, 5)
+            t.write(buf.id, 0, [1.5, float("-inf"), 2, float("inf"),
+                                float("nan")])
+            assert t.read(buf.id, 0, 5) == [
+                1.5, {"float": "-inf"}, 2.0, {"float": "inf"},
+                {"float": "nan"}]
+            assert t.read(buf.id, 2, 0) == []
+
+    def test_a_rejected_write_writes_nothing(self):
+        """Values are validated before any is stored — no prefix is left
+        behind — with the message of the first offender; number subclasses
+        are numbers."""
+        import numpy as np
+        t = self.make()
+        buf = t.alloc("double", 3)
+        with pytest.raises(ServeError, match="must be numbers, got bool"):
+            t.write(buf.id, 0, [1.0, True, "x"])
+        assert t.read(buf.id, 0, 3) == [0.0, 0.0, 0.0]
+        assert t.write(buf.id, 0, [np.float64(2.5), 1]) == 2
+        assert t.read(buf.id, 0, 3) == [2.5, 1.0, 0.0]
+
+
 class TestResolveArgs:
     def test_numbers_strings_none_pass_through(self):
         t = TenantState("t", 4)

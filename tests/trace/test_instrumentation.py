@@ -10,7 +10,6 @@ from repro import trace
 from repro.buildd.cache import ArtifactCache
 from repro.buildd.service import CompileService
 from repro.exec import TieredPolicy, policy_override
-from repro.trace import profile
 from repro.trace.export import validate_chrome
 
 
@@ -179,7 +178,6 @@ def test_tiered_run_traces_tier_up_respecialize_and_deopt(tmp_path):
       return acc
     end
     """)
-    profile.clear_args(fn)
     trace.enable()
     with policy_override(TieredPolicy(threshold=4, sync=True)):
         for n in range(10, 16):
