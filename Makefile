@@ -18,8 +18,8 @@ check:  # the tier-1 gate: full test suite + buildd CLI and serve smokes
 	@$(PYTHON) -m repro.buildd --stats | grep '^spec\.memo'
 	@$(PYTHON) -m repro.serve --smoke | grep '^serve\.exec: inline=[1-9][0-9]* .* demoted=0$$'
 	@$(PYTHON) -m tests.exec.callpath
-	@echo "src lines: $$(find src -name '*.py' | xargs cat | wc -l)"
-	@echo "REPRO_* knobs: $$(grep -c '^| `REPRO_' docs/ENVIRONMENT.md)"
+	@echo "src: $$(find src -name '*.py' | xargs cat | wc -l) lines," \
+		"$$($(PYTHON) -c 'from repro import config; print(len(config.VARS))') REPRO_* variables"
 	@echo "src files touching os.environ:" $$(grep -rl 'os\.environ' src --include='*.py')
 
 env-doc:  # docs/ENVIRONMENT.md is generated from the table in src/repro/config.py

@@ -11,21 +11,25 @@ First the paper's Section 6 (Figure 6 GFLOPS with the E8 naive-vs-tuned
 factor, Figure 8 schedule speedups in both compiler modes, the §6.2
 inlining table, the §6.3.1 dispatch ratio, Figure 9 GB/s), then the
 shapes this repository claims for its own machinery.  Trend numbers
-(per-layer times, call overhead, serve latency) live in
-``benchmarks/ledger``, not here.
+(per-layer times, call overhead, serve latency of plain calls) live in
+``benchmarks/ledger``, not here; ``serve_chunked`` is the chunked
+traffic the ledger has no workload for.
 """
 
 import argparse
 import os
+import signal
+import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
 
 # run from a checkout (`python benchmarks/report.py`) without installing
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 from repro import double, float_, terra
 from repro.apps import attention, dequant, scan
@@ -51,6 +55,8 @@ from repro.lib.sort import Sort
 from repro.orion import lang as L
 from repro.passes import (PIPELINE_CANON, PIPELINE_NONE, PIPELINE_VEC,
                           pipeline_override)
+from repro.serve import ServeClient, ServeError, wait_until_ready
+from repro.serve.__main__ import SAXPY_SOURCE
 
 #: Figure 8's two compiler modes: modern gcc auto-vectorizes the scalar
 #: baseline; `-fno-tree-vectorize` restores what 2013 compilers emitted
@@ -462,12 +468,88 @@ def parallel_fluid(full=False):
     return [table]
 
 
+def _chunked_load(sock, K, n, seconds):
+    """K closed-loop connections, each sending its 1/K range of one
+    ``saxpy(n)`` over resident buffers for ``seconds``; returns the sorted
+    latencies and the failures (error responses, then wrong sums)."""
+    ranges = [(i * n // K, (i + 1) * n // K) for i in range(K)]
+    tenant = f"k{K}-n{n}"
+    with ServeClient(socket_path=sock, tenant=tenant) as c:
+        xs, ys = c.alloc("double", n), c.alloc("double", n)
+        for start in range(0, n, 1 << 15):      # under the 1 MiB line cap
+            count = min(1 << 15, n - start)
+            c.write(xs, [1.0] * count, start)
+            c.write(ys, [0.0] * count, start)
+        args = [n, 1.0, {"buf": xs}, {"buf": ys}]
+        lat = [[] for _ in ranges]
+        failed = [0] * K
+        barrier = threading.Barrier(K)
+
+        def client(i):
+            with ServeClient(socket_path=sock, tenant=tenant) as cc:
+                cc.call(SAXPY_SOURCE, "saxpy", args, chunk=ranges[i])
+                barrier.wait()
+                deadline = time.perf_counter() + seconds
+                while (t0 := time.perf_counter()) < deadline:
+                    try:
+                        cc.call(SAXPY_SOURCE, "saxpy", args, chunk=ranges[i])
+                        lat[i].append(time.perf_counter() - t0)
+                    except ServeError:
+                        failed[i] += 1
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(K)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        # y[j] counts the calls that covered j: ones added, exactly
+        wrong = sum(c.read(ys, 1, at) != [float(len(done) + 1)]
+                    for (lo, hi), done in zip(ranges, lat)
+                    for at in (lo, hi - 1))
+        c.free(xs)
+        c.free(ys)
+    return sorted(t for done in lat for t in done), sum(failed) + wrong
+
+
+def serve_chunked(full=False):
+    """Chunked requests against a real ``python -m repro.serve --workers
+    4`` child: the traffic a batching layer would be for, from ranges the
+    hand-off dwarfs (4 x 16 elements) to ranges worth a core (4 x 2**18).
+    Clients are threads of this process."""
+    seconds = 10.0 if full else 3.0
+    table = Table(f"chunked serve requests, K closed-loop clients x 1/K of "
+                  f"saxpy(n), {seconds:g} s each",
+                  ["K x n", "req/s", "p50 ms", "p99 ms", "failed"])
+    with tempfile.TemporaryDirectory() as tmp:
+        sock = os.path.join(tmp, "s.sock")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--socket", sock,
+             "--workers", "4"], stdout=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": SRC})
+        try:
+            wait_until_ready(socket_path=sock, timeout=60.0)
+            for K, n in [(4, 64), (4, 1 << 20), (8, 1 << 16)]:
+                lat, failed = _chunked_load(sock, K, n, seconds)
+                table.add(f"{K} x {n}", len(lat) / seconds,
+                          lat[len(lat) // 2] * 1e3,
+                          lat[len(lat) * 99 // 100] * 1e3, failed)
+        finally:
+            server.send_signal(signal.SIGINT)
+            try:
+                server.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                server.wait()
+    return [table]
+
+
 EXPERIMENTS = {
     "fig6": fig6, "fluid": fig8_fluid, "area": fig8_area,
     "pointwise": pointwise, "dispatch": dispatch, "fig9": fig9,
     "autovec": autovec, "schedules": schedules, "sort": sort,
     "passes": passes, "compile": compile_pool, "tiering": tiering,
-    "parallel": parallel_fluid,
+    "parallel": parallel_fluid, "serve_chunked": serve_chunked,
 }
 
 

@@ -27,6 +27,7 @@ schedule using Terra's vector instructions".
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,9 +186,7 @@ class CompiledStencil:
     _BIG = 1 << 30
 
     def _run_parallel(self, buffers) -> None:
-        from ..parallel import in_worker, raise_aggregated, run_tasks, \
-            split_range
-        from ..trace.metrics import registry
+        from ..parallel import _account, in_worker, run_tasks, split_range
         plan = self.parallel_plan
         nt = plan["nthreads"]
         BIG = self._BIG
@@ -242,14 +241,13 @@ class CompiledStencil:
                     raise err
             return task
 
+        t0 = time.perf_counter()
         with trace.span("orion.parallel", cat="orion", nthreads=nt,
                         groups=len(groups)):
-            reg = registry()
-            reg.add("parallel.dispatches")
-            reg.add("parallel.chunks", sum(len(s) for s in per_group))
             errors = run_tasks([worker(w) for w in range(nworkers)],
                                nthreads=nworkers)
-            raise_aggregated("orion", errors, reg)
+        _account(sum(len(s) for s in per_group), time.perf_counter() - t0,
+                 errors)
 
 
 def _loop_directives(tile_schedule) -> tuple[int, int]:

@@ -13,7 +13,10 @@ This package is the runtime half of that story:
   GIL during each C call, so the workers genuinely occupy N cores;
 * a worker-side trap (``%0`` etc.) surfaces as **one**
   :class:`~repro.errors.TrapError` on the dispatching thread, and the
-  pool survives to run the next dispatch.
+  pool survives to run the next dispatch;
+* :func:`run_tasks` is the pool round-trip itself, for a dispatch that
+  is not one range of one kernel (Orion's strips with a barrier between
+  stage groups).
 
 Surfaced in three places: the ``Parallel`` schedule directive
 (:mod:`repro.schedule`; Orion takes it as ``Parallel("y", NT)``), the
@@ -48,7 +51,7 @@ from ..errors import TrapError
 from .pool import WorkerPool, get_pool, in_worker, shutdown_pool
 
 __all__ = [
-    "parallel_for", "dispatch_chunks", "run_tasks", "split_range",
+    "parallel_for", "run_tasks", "split_range",
     "default_nthreads", "WorkerPool", "get_pool", "shutdown_pool",
     "in_worker",
 ]
@@ -149,53 +152,7 @@ def parallel_for(kernel, lo: int, hi: int, *args,
         errors = run_tasks(
             [_traced_chunk(run, name, c0, c1) for c0, c1 in chunks],
             nthreads=n)
-    _account(name, len(chunks), time.perf_counter() - t0, errors)
-
-
-def dispatch_chunks(run, ranges: Sequence[tuple[int, int]],
-                    nthreads: int = 0, name: Optional[str] = None) \
-        -> list[Optional[BaseException]]:
-    """The **batched dispatch entry**: run ``run(lo, hi)`` once per range
-    in one pool round-trip; returns one error slot per range, in order.
-
-    Unlike :func:`parallel_for` (one half-open range, errors aggregated
-    and raised), this never raises for a worker failure: each range's
-    exception — a :class:`TrapError` for a defined runtime trap, anything
-    else for a bug — lands in that range's slot and the other ranges run
-    to completion.  :mod:`repro.serve` coalesces many concurrent requests
-    for the same kernel into one call of this function and maps the slots
-    back onto individual client responses, so a kernel that traps
-    mid-batch fails only the requests whose range trapped.
-    """
-    ranges = list(ranges)
-    if not ranges:
-        return []
-    name = name or getattr(run, "kernel_name", "kernel")
-    n = default_nthreads(nthreads)
-    t0 = time.perf_counter()
-    with _trace.span(f"parallel.batch:{name}", cat="exec", kernel=name,
-                     chunks=len(ranges), nthreads=n):
-        if n <= 1 or len(ranges) == 1 or in_worker():
-            errors: list[Optional[BaseException]] = []
-            for lo, hi in ranges:
-                try:
-                    run(lo, hi)
-                    errors.append(None)
-                except BaseException as exc:
-                    errors.append(exc)
-        else:
-            errors = run_tasks(
-                [_traced_chunk(run, name, lo, hi) for lo, hi in ranges],
-                nthreads=n)
-    from ..trace.metrics import registry
-    reg = registry()
-    reg.add("parallel.dispatches")
-    reg.add("parallel.chunks", len(ranges))
-    reg.record_time("parallel.batch", time.perf_counter() - t0)
-    ntraps = sum(1 for e in errors if isinstance(e, TrapError))
-    if ntraps:
-        reg.add("parallel.traps", ntraps)
-    return errors
+    _account(len(chunks), time.perf_counter() - t0, errors)
 
 
 def _traced_chunk(run, name, lo, hi):
@@ -215,31 +172,22 @@ def run_tasks(thunks: Sequence[Callable[[], None]],
     return get_pool(min(n, max(len(thunks), 1))).run(thunks)
 
 
-def _account(name: str, nchunks: int, seconds: float,
+def _account(nchunks: int, seconds: float,
              errors: Sequence[Optional[BaseException]]) -> None:
-    """Metrics + error aggregation for one dispatch."""
+    """Metrics for one dispatch, then one exception for its worker errors:
+    traps fold into a single :class:`TrapError`; any non-trap worker
+    exception (a bug, not a defined runtime trap) is re-raised as-is."""
     from ..trace.metrics import registry
     reg = registry()
     reg.add("parallel.dispatches")
     reg.add("parallel.chunks", nchunks)
     reg.record_time("parallel.for", seconds)
-    raise_aggregated(name, errors, reg)
-
-
-def raise_aggregated(name: str, errors: Sequence[Optional[BaseException]],
-                     reg=None) -> None:
-    """Raise one exception for a dispatch's worth of worker errors:
-    traps fold into a single :class:`TrapError`; any non-trap worker
-    exception (a bug, not a defined runtime trap) is re-raised as-is."""
     real = [e for e in errors if e is not None]
     if not real:
         return
     for exc in real:
         if not isinstance(exc, TrapError):
             raise exc
-    if reg is None:
-        from ..trace.metrics import registry
-        reg = registry()
     reg.add("parallel.traps", len(real))
     first = real[0]
     extra = f" (+{len(real) - 1} more worker traps)" if len(real) > 1 else ""

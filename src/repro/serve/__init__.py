@@ -16,9 +16,9 @@ The moving parts, one module each:
   server-resident typed buffers (pointers cannot cross JSON);
 * :mod:`.admission` — load shedding: a global in-flight bound and
   per-tenant concurrency caps, both fast-rejecting;
-* :mod:`.batch`   — request coalescing: concurrent calls to the same
-  chunk-marked kernel merge into one ``parallel.dispatch_chunks`` round;
-* :mod:`.server`  — the asyncio front door tying those together;
+* :mod:`.server`  — the asyncio front door tying those together: every
+  call, whole or one ``chunk: [lo, hi)`` range of a chunk-marked kernel,
+  is placed on the loop or the worker pool by what its kernel cost last;
 * :mod:`.client`  — a small blocking client (tests, load generator);
 * :mod:`.testing` — an in-process server-on-a-thread harness.
 

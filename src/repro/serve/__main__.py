@@ -6,12 +6,12 @@ Default mode binds the socket and serves until interrupted::
 
 ``--smoke`` instead starts an in-process server, drives a short
 multi-tenant load against it (cold and warm scalar calls per tenant,
-plus a coalesced chunked saxpy over server-resident buffers, then one
-tenant's warm phase that must reach the event loop), verifies
-the results and the serve counters, prints the stats snapshot, and exits
-nonzero on any failure (tier-1 runs exactly this load: ``tests/serve/
-test_server_basic.py::TestSmokeLoad``); ``--trace out.json`` additionally
-exports the Chrome trace of the run.
+plus a saxpy over server-resident buffers sent as four concurrent
+ranges, then one tenant's warm phase that must reach the event loop),
+verifies the results and the serve counters, prints the stats snapshot,
+and exits nonzero on any failure (tier-1 runs exactly this load:
+``tests/serve/test_server_basic.py::TestSmokeLoad``); ``--trace
+out.json`` additionally exports the Chrome trace of the run.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="per-tenant in-flight request cap")
     p.add_argument("--tenant-kernels", type=int,
                    help="warm-kernel pool quota per tenant")
-    p.add_argument("--batch-window-ms", type=float,
-                   help="coalescing window for chunked requests")
     p.add_argument("--backend", choices=["c", "interp"],
                    help="execution backend (default: process default)")
     p.add_argument("--smoke", action="store_true",
@@ -74,8 +72,6 @@ def _config_from(ns: argparse.Namespace) -> ServeConfig:
         cfg.tenant_concurrency = max(1, ns.tenant_concurrency)
     if ns.tenant_kernels is not None:
         cfg.tenant_kernels = max(1, ns.tenant_kernels)
-    if ns.batch_window_ms is not None:
-        cfg.batch_window_s = max(0.0, ns.batch_window_ms / 1000.0)
     return cfg
 
 
@@ -105,7 +101,7 @@ def _smoke_tenant(srv: ServerThread, tenant: str, n: int) -> list[str]:
             got = c.call(SQ_SOURCE, "sq", [x])
             if got != x * x:
                 bad.append(f"{tenant}: sq({x}) returned {got!r}")
-        # server-resident buffers + coalesced chunked dispatch
+        # server-resident buffers + one saxpy as four concurrent ranges
         xs = c.alloc("double", n)
         ys = c.alloc("double", n)
         c.write(xs, [float(i) for i in range(n)])

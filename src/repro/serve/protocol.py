@@ -130,9 +130,10 @@ def chunk_range(req: dict) -> Optional[tuple[int, int]]:
         return None
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool)
+                       and -1 << 63 <= v < 1 << 63   # the entry takes int64
                        for v in raw)):
         raise ServeError("bad-request",
-                         "field 'chunk' must be [lo, hi] with integer bounds")
+                         "field 'chunk' must be [lo, hi] with int64 bounds")
     lo, hi = raw
     if hi < lo:
         raise ServeError("bad-request", f"empty chunk range [{lo}, {hi})")

@@ -1,7 +1,7 @@
 """The asyncio front door: accept, admit, compile, execute, respond.
 
-One event loop owns all bookkeeping (tenants, warm pools, admission,
-batches) — every mutation of that state happens on the loop thread, so
+One event loop owns all bookkeeping (tenants, warm pools, admission)
+— every mutation of that state happens on the loop thread, so
 none of it is locked.  The two kinds of real work leave the loop:
 
 * **compilation** (parse → specialize → typecheck → emit) runs on the
@@ -10,10 +10,11 @@ none of it is locked.  The two kinds of real work leave the loop:
   a cold request occupies an executor thread only for the Python-side
   staging, never for the compiler run;
 * **execution** (one ctypes call, GIL released) also runs on the
-  executor, so a long kernel never stalls the accept loop; only a plain
-  call whose kernel was just observed short, inside the arguments it was
-  observed with (:meth:`~repro.serve.state.WarmKernel.fits_inline`), runs
-  on the loop, where it skips a hand-off costing many times the kernel.
+  executor, so a long kernel never stalls the accept loop; only a call
+  whose kernel was just observed short, inside the arguments (and, for a
+  chunked request, the range) it was observed with
+  (:meth:`~repro.serve.state.WarmKernel.fits_inline`), runs on the loop,
+  where it skips a hand-off costing many times the kernel.
   Spans are emitted on the thread that did the work, so the exported trace
   renders one lane per serve worker (`python -m repro.trace view`).
 
@@ -47,7 +48,6 @@ from ..exec import current_policy
 from ..trace.metrics import registry
 from . import protocol
 from .admission import Admission
-from .batch import Coalescer
 from .protocol import ServeError
 from .state import TenantState, WarmKernel, kernel_key
 
@@ -72,7 +72,6 @@ class ServeConfig:
     tenant_concurrency: int = 64          # per-tenant in-flight cap
     tenant_kernels: int = 32              # warm-pool quota per tenant
     max_request_bytes: int = 1 << 20      # per-line framing cap
-    batch_window_s: float = 0.0           # 0: same-tick coalescing only
     backend: Optional[str] = None         # None: the process default
 
     def resolved_workers(self) -> int:
@@ -93,7 +92,6 @@ class ServeServer:
             thread_name_prefix="repro-serve")
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._batcher: Optional[Coalescer] = None
         self._started = time.time()
         self._connections = 0
 
@@ -102,8 +100,6 @@ class ServeServer:
         """Bind and start serving; returns the bound address (socket path,
         or ``host:port``)."""
         self._loop = asyncio.get_running_loop()
-        self._batcher = Coalescer(self._loop, self._exec,
-                                  self.config.batch_window_s)
         limit = self.config.max_request_bytes
         if self.config.port is not None:
             self._server = await asyncio.start_server(
@@ -253,9 +249,10 @@ class ServeServer:
             args = tenant.resolve_args(raw_args)
             if rng is not None:
                 result = await self._call_chunked(tenant, kernel, args, rng,
-                                                  raw_args, t_admit)
+                                                  t_admit)
             else:
-                result = await self._call_plain(tenant, kernel, args, t_admit)
+                result = await self._call_plain(tenant, kernel, kernel.handle,
+                                                args, t_admit)
             reg.record_time("serve.request", time.perf_counter() - t_admit)
             return protocol.ok_response(req_id, result)
         except TrapError as exc:
@@ -275,7 +272,9 @@ class ServeServer:
             self._admission.release(tenant)
 
     async def _call_plain(self, tenant: TenantState, kernel: WarmKernel,
-                          args: list, t_admit: float):
+                          call, args: list, t_admit: float):
+        """Place and run ``call(*args)``: on the loop if ``kernel`` was
+        just observed short inside these arguments, else on the executor."""
         inline = kernel.fits_inline(args)
 
         def run():
@@ -288,7 +287,7 @@ class ServeServer:
                              inline=inline) as span:
                 t0 = time.perf_counter()
                 try:
-                    out = kernel.handle(*args)
+                    out = call(*args)
                 except Exception as exc:
                     out = exc
                     span.set(error=type(exc).__name__)
@@ -307,21 +306,16 @@ class ServeServer:
         return protocol.jsonable_result(out, kernel.entry)
 
     async def _call_chunked(self, tenant: TenantState, kernel: WarmKernel,
-                            args: list, rng: tuple[int, int], raw_args: list,
-                            t_admit: float):
-        if not kernel.chunked or getattr(kernel.handle, "chunk_caller",
-                                         None) is None:
+                            args: list, rng: tuple[int, int], t_admit: float):
+        """A chunked request is a call with a range: ``[lo, hi)`` leads the
+        arguments the cost record sees, so the envelope bounds it too."""
+        call = getattr(kernel.handle, "call_chunk", None)
+        if not kernel.chunked or call is None:
             raise ServeError("unsupported",
                              f"{kernel.entry} has no chunked entry on this "
                              f"backend")
-        registry().record_time("serve.queue_wait",
-                               time.perf_counter() - t_admit)
-        batch_key = (tenant.name, kernel.key,
-                     protocol.encode({"args": raw_args}))
-        err = await self._batcher.submit(batch_key, kernel, args, rng)
-        if err is None:
-            return None
-        raise err
+        return await self._call_plain(tenant, kernel, call, [*rng, *args],
+                                      t_admit)
 
     # -- compilation (warm pool miss) ---------------------------------------
     async def _warm_kernel(self, tenant: TenantState, source: str,

@@ -53,7 +53,7 @@ DTYPES = {
 MAX_BUFFER_BYTES = 1 << 28  # 256 MiB
 
 
-#: A plain call runs on the event loop while its kernel's last INLINE_AFTER
+#: A call runs on the event loop while its kernel's last INLINE_AFTER
 #: runs each took under INLINE_BUDGET_S: what the executor hand-off it
 #: replaces costs the request (a no-op ``run_in_executor`` round trip is
 #: ~50 us bare on one pinned CPU, ~65 us in the server; EXPERIMENTS.md E13).
@@ -211,7 +211,7 @@ class TenantState:
         self._next_buf = 1
         self.inflight = 0          # admission-controlled concurrent requests
         self.requests = 0
-        #: where plain calls ran; demotions are overruns on the loop
+        #: where calls ran; demotions are overruns on the loop
         self.placed = {"inline": 0, "offloaded": 0, "demotions": 0}
 
     # -- buffers ------------------------------------------------------------

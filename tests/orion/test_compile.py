@@ -311,6 +311,20 @@ class TestTileSchedule:
         plain = compile_pipeline(self.blur(), N)
         assert np.array_equal(pipe.run(img), plain.run(img))
 
+    def test_parallel_dispatch_is_accounted_like_parallel_for(
+            self, img, monkeypatch):
+        from repro.trace.metrics import registry
+        monkeypatch.delenv("REPRO_TERRA_THREADS", raising=False)
+        pipe = compile_pipeline(
+            self.blur(), N, tile_schedule=Schedule([Parallel("y", 2)]))
+        reg = registry()
+        before = (reg.get("parallel.dispatches"), reg.get("parallel.chunks"),
+                  (reg.timing("parallel.for") or {"runs": 0})["runs"])
+        pipe.run(img)
+        assert (reg.get("parallel.dispatches"), reg.get("parallel.chunks"),
+                reg.timing("parallel.for")["runs"]) == \
+            (before[0] + 1, before[1] + 2, before[2] + 1)
+
     def test_schedule_recorded_on_the_stencil(self):
         s = compile_pipeline(self.blur(), N, tile_schedule=vec(8))
         assert s.tile_schedule.of_kind(Vectorize) == [Vectorize("x", 8)]

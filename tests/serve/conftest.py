@@ -2,7 +2,7 @@
 
 ``server`` is one module-scoped live server (socket → asyncio →
 executor → ctypes, the real thing); tests that need special knobs
-(tiny admission caps, batch windows, one-kernel pools) start their own
+(tiny admission caps, one-kernel pools) start their own
 :class:`~repro.serve.testing.ServerThread` with a custom config.
 """
 
@@ -35,14 +35,22 @@ end
 """
 
 
-def earn_the_loop(client, source, entry, args, limit=1000):
+def saxpy_buffers(client, n, x=1.0):
+    """Resident ``xs[i] = x * i`` and ``ys = 0`` for a :data:`SAXPY` call."""
+    xs, ys = client.alloc("double", n), client.alloc("double", n)
+    client.write(xs, [x * i for i in range(n)])
+    client.write(ys, [0.0] * n)
+    return xs, ys
+
+
+def earn_the_loop(client, source, entry, args, limit=1000, chunk=None):
     """Call a kernel until its tenant has one that may run on the event
     loop: eight fast runs, or more on a noisy host, where one slow run
     starts the count again.  Returns the calls made."""
     for calls in range(INLINE_AFTER, limit, INLINE_AFTER):
         for _ in range(INLINE_AFTER):
             try:
-                client.call(source, entry, args)
+                client.call(source, entry, args, chunk=chunk)
             except ServeError as exc:       # a result JSON cannot carry
                 if exc.code != "unsupported":
                     raise

@@ -1,5 +1,5 @@
-"""Where a warm plain call runs: on the event loop once its kernel has
-been observed short, on the executor otherwise — the record as a state
+"""Where a warm call runs: on the event loop once its kernel has been
+observed short, on the executor otherwise — the record as a state
 machine, then the guarantee it buys over a live socket."""
 
 import asyncio
@@ -18,7 +18,7 @@ from repro.serve.state import (_INLINE_AFTER_MAX, INLINE_AFTER,
                                INLINE_BUDGET_S, TenantState, WarmKernel)
 from repro.trace.metrics import registry
 
-from .conftest import SAXPY, SQ, earn_the_loop
+from .conftest import SAXPY, SQ, earn_the_loop, saxpy_buffers
 
 FAST, SLOW = INLINE_BUDGET_S / 10, INLINE_BUDGET_S * 10
 
@@ -144,6 +144,10 @@ def counters():
              "traps")}
 
 
+def queue_waits():
+    return (registry().timing("serve.queue_wait") or {"runs": 0})["runs"]
+
+
 def delta(before):
     now = counters()
     return {name: now[name] - before[name] for name in now}
@@ -230,13 +234,10 @@ class TestLoopIsolation:
 
 
 class TestPlacementAccounting:
-    def test_every_plain_request_is_placed_once_and_chunks_never_inline(
-            self, server):
+    def test_every_request_plain_or_chunked_is_placed_once(self, server):
         n = 8
         with server.client(tenant="acct") as c:
-            xs, ys = c.alloc("double", n), c.alloc("double", n)
-            c.write(xs, [1.0] * n)
-            c.write(ys, [0.0] * n)
+            xs, ys = saxpy_buffers(c, n)
             args = [n, 2.0, {"buf": xs}, {"buf": ys}]
             before = counters()
             for _ in range(5 * INLINE_AFTER):
@@ -248,14 +249,44 @@ class TestPlacementAccounting:
             assert plain["exec.inline"] + plain["exec.offloaded"] == \
                 plain["requests"] == 5 * INLINE_AFTER + 1
             before = counters()
-            for _ in range(3 * INLINE_AFTER):
+            for _ in range(5 * INLINE_AFTER):
                 c.call(SAXPY, "saxpy", args, chunk=(0, n))
             chunked = delta(before)
-            assert chunked["requests"] == 3 * INLINE_AFTER
-            assert chunked["exec.inline"] == chunked["exec.offloaded"] == 0
+            assert chunked["exec.inline"] >= 1
+            assert chunked["exec.inline"] + chunked["exec.offloaded"] == \
+                chunked["requests"] == 5 * INLINE_AFTER
             summary = c.stats()["tenants"]["acct"]
-        assert summary["inline"] == plain["exec.inline"]
-        assert summary["offloaded"] == plain["exec.offloaded"]
+        assert summary["inline"] == plain["exec.inline"] + \
+            chunked["exec.inline"]
+        assert summary["offloaded"] == plain["exec.offloaded"] + \
+            chunked["exec.offloaded"]
+
+    def test_a_range_is_bounded_by_the_envelope_like_any_int(self, server):
+        """``[lo, hi)`` leads the arguments the cost record sees: short
+        ranges earn the loop, a range beyond the ones observed leaves it."""
+        n = 4096
+        with server.client(tenant="ranges") as c:
+            xs, ys = saxpy_buffers(c, n)
+            args = [n, 2.0, {"buf": xs}, {"buf": ys}]
+            before, waits = counters(), queue_waits()
+            calls = earn_the_loop(c, SAXPY, "saxpy", args, chunk=(8, 16))
+            earning = delta(before)
+            assert earning["exec.offloaded"] >= INLINE_AFTER
+            assert earning["exec.inline"] + earning["exec.offloaded"] == calls
+            # queue_wait is the wait for an executor thread: offloaded only
+            assert queue_waits() - waits == earning["exec.offloaded"]
+
+            def placed(chunk):
+                before, waits = counters(), queue_waits()
+                c.call(SAXPY, "saxpy", args, chunk=chunk)
+                now = delta(before)
+                assert queue_waits() - waits == now["exec.offloaded"]
+                return now["exec.inline"], now["exec.offloaded"]
+
+            assert placed((8, 16)) == (1, 0)
+            assert placed((0, 16)) == (1, 0)        # inside what was seen
+            assert placed((0, n)) == (0, 1)         # hi beyond the envelope
+            assert c.read(ys, 1, n - 1) == [2.0 * (n - 1)]
 
 
 class TestPlacementInTheTrace:
@@ -299,7 +330,7 @@ class TestOverrunsAreObserved:
             for args in calls:
                 try:
                     outcomes.append(await server._call_plain(
-                        tenant, k, args, time.perf_counter()))
+                        tenant, k, k.handle, args, time.perf_counter()))
                 except TrapError as exc:
                     outcomes.append(exc)
 

@@ -69,7 +69,10 @@ class TestFieldValidation:
     def test_chunk_range_validation(self):
         assert protocol.chunk_range({}) is None
         assert protocol.chunk_range({"chunk": [0, 8]}) == (0, 8)
-        for bad in ([0], [0, 1, 2], [0, "x"], [0, True], "0..8", [8, 0]):
+        assert protocol.chunk_range({"chunk": [-2 ** 63, 2 ** 63 - 1]}) == \
+            (-2 ** 63, 2 ** 63 - 1)
+        for bad in ([0], [0, 1, 2], [0, "x"], [0, True], "0..8", [8, 0],
+                    [0, 2 ** 64 + 8], [-2 ** 63 - 1, 0]):  # c_int64 would wrap
             with pytest.raises(ServeError):
                 protocol.chunk_range({"chunk": bad})
 

@@ -10,7 +10,7 @@ import pytest
 from repro.serve import ServeConfig, ServeError, ServerThread, protocol
 from repro.trace.metrics import registry
 
-from .conftest import SQ, earn_the_loop
+from .conftest import SAXPY, SQ, earn_the_loop
 
 
 def call_code(client, *args, **kwargs):
@@ -81,6 +81,19 @@ class TestRequestValidation:
                            "args": [1.0], "chunk": [0]})
             assert ei.value.code == "bad-request"
 
+    def test_chunk_bound_outside_int64_does_not_wrap(self, client):
+        # c_int64 would read 2**64 + 8 as 8 and run [0, 8)
+        n = 16
+        xs, ys = client.alloc("double", n), client.alloc("double", n)
+        client.write(xs, [1.0] * n)
+        client.write(ys, [0.0] * n)
+        assert call_code(client, SAXPY, "saxpy",
+                         [n, 2.0, {"buf": xs}, {"buf": ys}],
+                         chunk=(0, 2 ** 64 + 8)) == "bad-request"
+        assert client.read(ys, n) == [0.0] * n
+        client.free(xs)
+        client.free(ys)
+
 
 class TestCompileAndEntryErrors:
     def test_syntax_error_is_compile_error(self, client):
@@ -135,12 +148,11 @@ class TestRuntimeTraps:
         assert client.call(src, "div", [10, 2]) == 5
         assert call_code(client, src, "div", [1, 0]) == "trap"
 
-    def test_trap_mid_batch_fails_only_the_affected_request(self, tmp_path):
-        """Two coalesced chunked requests: the range covering the poison
+    def test_trapping_range_fails_only_its_own_request(self, tmp_path):
+        """Two concurrent chunked requests: the range covering the poison
         iterate gets ``trap``; the other completes with its writes."""
         from .conftest import POISON
-        cfg = ServeConfig(socket_path=str(tmp_path / "p.sock"), workers=4,
-                          batch_window_s=0.1)
+        cfg = ServeConfig(socket_path=str(tmp_path / "p.sock"), workers=4)
         n = 16
         with ServerThread(cfg) as srv:
             with srv.client(tenant="traps") as c:
