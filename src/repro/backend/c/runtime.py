@@ -21,6 +21,8 @@ from concurrent.futures import Future
 from contextlib import contextmanager
 from functools import cache, cached_property
 
+import numpy as np
+
 from ... import config
 from ... import trace as _trace
 from ...buildd import get_service, toolchain
@@ -95,8 +97,12 @@ class CompiledFunction(ExecutableHandle):
     checked converter per parameter, a return converter and — ``centry``,
     when the unit has trappable operations, is the ``*_tentry`` twin — the
     trap cell.  ``cfn.argtypes`` wrap, round and type-check numbers as the
-    converters do, so the plan hands ctypes a non-``bool`` scalar as it is;
-    :meth:`_invoke` decides what ctypes refuses."""
+    converters do, so the plan hands ctypes a non-``bool`` scalar as it is
+    and converts only the other positions; :meth:`_invoke` decides what
+    ctypes refuses.  Every caller — the plan, :meth:`_invoke` and the
+    prepared callers — converts through the same per-type converters, which
+    put what they converted in ``keep``: a prepared caller outlives the
+    argument tuple it was made from."""
 
     def __init__(self, func, cfn, ftype: T.FunctionType, centry=None,
                  cchunk=None):
@@ -120,20 +126,20 @@ class CompiledFunction(ExecutableHandle):
     @cached_property
     def _plan(self):    # Python arguments -> result, where ctypes takes them
         run = self._run
-        rest = [None if isinstance(ty, T.PrimitiveType)
-                and not ty.islogical() else conv
-                for ty, conv in zip(self.type.parameters, self.converters)]
+        convert_at = [(i, conv) for i, (ty, conv) in enumerate(
+                          zip(self.type.parameters, self.converters))
+                      if not isinstance(ty, T.PrimitiveType) or ty.islogical()]
 
         def plan(*args):
-            keep: list = []
+            cargs, keep = list(args), []
             try:
-                cargs = [value if conv is None else conv(value, keep)
-                         for conv, value in zip(rest, args)]
+                for i, conv in convert_at:
+                    cargs[i] = conv(cargs[i], keep)
             except FFIError as refused:     # _invoke reports the leftmost one
                 raise ctypes.ArgumentError(str(refused)) from None
             return run(*cargs)
 
-        return plan if any(rest) else run
+        return plan if convert_at else run
 
     def __call__(self, *args):
         if _trace._runtime_active:
@@ -212,11 +218,24 @@ class CompiledFunction(ExecutableHandle):
         """``convert(value, keep) -> C argument`` for a ``ty`` parameter."""
         if isinstance(ty, T.PrimitiveType):
             return lambda value, keep: convert.python_to_primitive(value, ty)
-        if ty.ispointer():
+        if ty.ispointer():     # argtypes is c_uint64: an int is the argument
+            dtype = convert.NATIVE_DTYPES.get(ty.pointee)   # None: no fast way
+            # (bound here: a cell read is cheaper than a global's attribute)
+            ndarray, addressof = np.ndarray, ctypes.addressof
+            from_buffer = convert.NO_BYTES.from_buffer
+
             def to_pointer(value, keep):
+                if type(value) is ndarray and value.dtype is dtype:
+                    try:
+                        addr = addressof(from_buffer(value))
+                    except TypeError:
+                        pass    # read-only or not C-contiguous
+                    else:
+                        keep.append(value)
+                        return addr
                 addr, keepalive = convert.pointer_address(value, ty)
                 keep.append(keepalive)
-                return ctypes.c_uint64(addr)
+                return addr
             return to_pointer
         if ty.isaggregate():
             cls = abi.ctype_for(ty)

@@ -565,17 +565,10 @@ class InterpFunction(ExecutableHandle):
         buffers in, and arrange copy-out for numpy arrays (so kernels that
         write through pointers behave as with the C backend)."""
         machine = self.machine
-        if value is None:
-            return 0
-        if isinstance(value, int):
-            return value
-        from ...ffi.cdata import CPointer
-        if isinstance(value, CPointer):
-            return value.address
         if isinstance(value, np.ndarray):
             convert.pointer_address(value, ty)  # the C backend's validation
             raw, mirror = value.tobytes(), _CopyBack
-        elif isinstance(value, ctypes.Array):
+        elif isinstance(value, (ctypes.Array, ctypes.Structure)):
             # server-resident buffers (repro.serve) and other ctypes
             # storage: copy in, mirror writes back out after the call —
             # same observable behavior as handing the C backend the
@@ -585,9 +578,8 @@ class InterpFunction(ExecutableHandle):
             raw, mirror = bytes(value) + b"\x00", None
         elif isinstance(value, str):
             return machine.intern_string(value)
-        else:
-            raise FFIError(f"interp: cannot convert {type(value).__name__} "
-                           f"to pointer")
+        else:   # an address: None, int, CPointer, ... — the C backend's table
+            return convert.pointer_address(value, ty)[0]
         region = machine.memory.map_region(max(len(raw), 1), "foreign")
         machine.memory.write(region.start, raw)
         keep.append(mirror(machine, region, value) if mirror else region)
@@ -621,20 +613,20 @@ class _CopyBack:
         self.array = array
 
     def copy_back(self) -> None:
-        raw = self.machine.memory.read_unchecked(
-            self.region.start, self.array.nbytes)
-        flat = np.frombuffer(raw, dtype=self.array.dtype)
-        self.array.reshape(-1)[:] = flat
+        if self.array.flags.writeable:
+            raw = self.machine.memory.read_unchecked(
+                self.region.start, self.array.nbytes)
+            self.array.reshape(-1)[:] = np.frombuffer(raw, self.array.dtype)
         self.machine.memory.unmap_region(self.region)
 
 
 class _CtypesCopyBack(_CopyBack):
-    """Copy-out twin of :class:`_CopyBack` for ctypes arrays."""
+    """Copy-out twin of :class:`_CopyBack` for ctypes arrays and structs."""
 
     def copy_back(self) -> None:
         size = ctypes.sizeof(self.array)
         raw = self.machine.memory.read_unchecked(self.region.start, size)
-        ctypes.memmove(self.array, raw, size)
+        ctypes.memmove(ctypes.addressof(self.array), raw, size)
         self.machine.memory.unmap_region(self.region)
 
 

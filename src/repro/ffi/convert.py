@@ -9,8 +9,13 @@ function call boundaries and during specialization."  Here:
 * ``str``/``bytes`` convert to ``rawstring`` (NUL-terminated buffers kept
   alive for the duration of the call),
 * NumPy arrays convert to pointers to their element type — the main way
-  benchmark data reaches Terra kernels (what else a pointer parameter
-  takes is one table keyed by the value's type: :func:`pointer_address`),
+  benchmark data reaches Terra kernels.  Everything a pointer parameter
+  takes is one table keyed by the value's type (:func:`pointer_address`);
+  an integer is an address only in ``0 … 2**64-1``.  The C handle's
+  per-type converter (``CompiledFunction._converter``) takes the common
+  case — a writable, C-contiguous ``np.ndarray`` of the pointee's native
+  dtype — on two identity tests and one ``from_buffer``, and hands every
+  other value to this table,
 * dicts/tuples convert to structs when they provide the required fields
   (the paper: "Lua tables can be converted into structs when they contain
   the required fields"),
@@ -40,6 +45,9 @@ _NUMPY_NAMES = {
 #: code: C integer types that share a name (``l``, ``q``) each have a number
 _NUMPY_TYPES = {np.dtype(code).num: _NUMPY_NAMES[np.dtype(code).name]
                 for code in np.typecodes["AllInteger"] + "fd?"}
+#: primitive -> the dtype numpy gives its arrays by default (``int64`` is
+#: ``'l'`` here, not ``'q'``): the identity the C converter's fast path tests
+NATIVE_DTYPES = {ty: np.dtype(name) for name, ty in _NUMPY_NAMES.items()}
 
 
 def python_to_blob(value, ty: T.Type) -> bytes:
@@ -90,7 +98,14 @@ def python_to_blob(value, ty: T.Type) -> bytes:
 
 # -- pointer parameters: entry(value, ty) -> (address, keepalive), by type ---
 
-_NO_BYTES = ctypes.c_char * 0
+NO_BYTES = ctypes.c_char * 0
+
+
+def _int_pointer(value, ty):
+    address = int(value)
+    if not 0 <= address < 1 << 64:
+        raise FFIError(f"address {address} out of range for pointer type {ty}")
+    return address, None
 
 
 def _ndarray_pointer(arr, ty):
@@ -111,7 +126,7 @@ def _ndarray_pointer(arr, ty):
                 f"numpy array of dtype {dtype} passed where "
                 f"&{pointee} expected")
     if flags.writeable:     # from_buffer refuses a read-only exporter
-        return ctypes.addressof(_NO_BYTES.from_buffer(arr)), arr
+        return ctypes.addressof(NO_BYTES.from_buffer(arr)), arr
     return arr.ctypes.data, arr
 
 
@@ -123,7 +138,7 @@ def _bytes_pointer(value, ty):
 def _duck_pointer(value, ty):
     """The last resort, for a type no entry covers: ctypes' own duck type."""
     if hasattr(value, "_as_parameter_"):
-        return int(value._as_parameter_), value
+        return _int_pointer(value._as_parameter_, ty)[0], value
     raise FFIError(
         f"cannot convert {type(value).__name__} to pointer type {ty}")
 
@@ -131,8 +146,8 @@ def _duck_pointer(value, ty):
 _POINTER_ENTRIES = {
     type(None): lambda value, ty: (0, None),
     CPointer: lambda value, ty: (value.address, value.keepalive),
-    int: lambda value, ty: (int(value), None),
-    np.integer: lambda value, ty: (int(value), None),
+    int: _int_pointer,
+    np.integer: _int_pointer,
     np.ndarray: _ndarray_pointer,
     bytes: _bytes_pointer,
     bytearray: _bytes_pointer,

@@ -38,7 +38,7 @@ class TestLifecycle:
         f2 = terra("terra g3(x : int) : int return x end")
         assert f2.peektype() is not None  # annotated: type known eagerly
 
-    def test_compile_caches_handle(self):
+    def test_compile_caches_handle(self, cbackend):
         f = terra("terra h() : int return 1 end")
         assert f.compile("c") is f.compile("c")
 
@@ -46,7 +46,7 @@ class TestLifecycle:
         f = terra("terra h2() : int return 5 end")
         assert f() == 5
 
-    def test_both_backends_from_one_function(self):
+    def test_both_backends_from_one_function(self, cbackend):
         f = terra("terra h3(x : int) : int return x + 1 end")
         assert f.compile("c")(1) == f.compile("interp")(1) == 2
 

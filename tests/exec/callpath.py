@@ -71,6 +71,6 @@ def guard_frames() -> tuple[int, int]:
 
 if __name__ == "__main__":
     print("call path: %d frames per warm scalar call, %d per pointer call "
-          "(budget 6 / 16)" % warm_call_frames())
+          "(budget 4 / 8)" % warm_call_frames())
     print("call path: %d frames per tiered call on a guard hit, %d on a "
           "miss" % guard_frames())

@@ -2,12 +2,15 @@
 
 import ctypes
 import enum
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import struct, terra
+from repro.backend.c.runtime import CompiledFunction
 from repro.core import types as T
 from repro.errors import FFIError
 from repro.ffi import convert
@@ -208,28 +211,53 @@ class TestPointerTable:
         assert h(b"abc") == 3
         assert h(bytearray(b"abcd")) == 4
 
-    def test_prepared_callers_convert_through_the_same_entries(
+    SCALE = """
+    terra scale(n : int, a : double, x : &double, y : &double) : {}
+      for i = 0, n do y[i] = a * x[i] end
+    end
+    """
+
+    def test_every_caller_converts_through_the_per_type_converter(
             self, cbackend, monkeypatch):
+        """The plan, ``_invoke`` and both prepared callers use
+        ``CompiledFunction._converter(ty)``: a native array never reaches
+        the table, anything else (here a read-only array) still does."""
         seen = []
         entry = convert._POINTER_ENTRIES[np.ndarray]
         monkeypatch.setitem(
             convert._POINTER_ENTRIES, np.ndarray,
             lambda value, ty: seen.append(value) or entry(value, ty))
-        fn = terra("""
-        terra scale(n : int, a : double, x : &double, y : &double) : {}
-          for i = 0, n do y[i] = a * x[i] end
-        end
-        """).mark_chunked()
-        h = fn.compile(cbackend)
+        h = terra(self.SCALE).mark_chunked().compile(cbackend)
+        assert h.converters[2:] == [CompiledFunction._converter(self.PD)] * 2
         x, y = np.arange(4.0), np.zeros(4)
-        h(4, 2.0, x, y)                         # _invoke
-        h.tail_caller(2, x, y)(4, 3.0)          # _bind, Orion's strip form
-        h.chunk_caller(4, 4.0, x, y)(0, 4)      # _bind, parallel_for's
-        assert [v is x for v in seen] == [True, False] * 3
+        x.flags.writeable = False
+        h(4, 1.0, x, y)                         # the plan
+        h._invoke((4, 2.0, x, y))               # the checked call
+        h.tail_caller(2, x, y)(4, 3.0)          # Orion's strip form
+        h.chunk_caller(4, 4.0, x, y)(0, 4)      # parallel_for's
+        assert len(seen) == 4 and all(v is x for v in seen)
         assert list(y) == [0.0, 4.0, 8.0, 12.0]
         with pytest.raises(FFIError, match=r"scale\(\) takes 2 arguments, "
                            "got 1"):
             h.tail_caller(2, x)
+
+    def test_prepared_callers_keep_their_arrays_alive(self, cbackend):
+        h = terra(self.SCALE).mark_chunked().compile(cbackend)
+        y = np.zeros(4)
+        for prepare, run in [
+                (lambda x: h.chunk_caller(4, 2.0, x, y), lambda r: r(0, 4)),
+                (lambda x: h.tail_caller(2, x, y), lambda r: r(4, 2.0))]:
+            x = np.arange(4.0) + 1
+            caller, ref = prepare(x), weakref.ref(x)
+            del x
+            gc.collect()
+            assert ref() is not None
+            y[:] = 0
+            run(caller)
+            assert list(y) == [2.0, 4.0, 6.0, 8.0]
+            del caller
+            gc.collect()
+            assert ref() is None
 
 
 class TestStructArgsEndToEnd:
