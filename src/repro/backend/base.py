@@ -90,13 +90,15 @@ class ExecutableHandle:
     ``FunctionType``); subclasses implement :meth:`_invoke` over
     already-supplied argument tuples.  ``__call__`` puts it behind the
     observability hook — one module-attribute check when tracing and
-    profiling are off, spans + profile samples when on (the C handle's
-    puts its call plan there too) — so that it behaves identically on
-    every backend and :class:`repro.exec.dispatch.Dispatcher` can treat
-    handles interchangeably when tiering between backends."""
+    profiling are off, spans + profile samples when on — so that it
+    behaves identically on every backend.  :attr:`entry` is what a call
+    slot installs: the handle itself, or (the C handle's) its call plan,
+    which makes the same check per call."""
 
     func = None          # the TerraFunction this handle executes
     type = None          # its FunctionType
+
+    entry = property(lambda self: self)
 
     def __call__(self, *args):
         # one module-attribute check when observability is off; spans and

@@ -20,6 +20,7 @@ import weakref
 from concurrent.futures import Future
 from contextlib import contextmanager
 from functools import cache, cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def extra_cflags(*flags: str):
 _TRAP_CELLS: list = []
 
 
-def _guarded(centry, from_c=None):
+def _guarded(centry):
     """A guarded C entry (``*_tentry`` / ``*_chunk``: trailing ``int32_t *``
     trap code) as ``run(*cargs)``: a nonzero code raises :class:`TrapError`,
     as in the interpreter, where bare C would SIGFPE/SIGILL the process."""
@@ -84,7 +85,7 @@ def _guarded(centry, from_c=None):
             _TRAP_CELLS.append(cell)
         if code:
             raise TrapError(TRAP_MESSAGES.get(code, f"runtime trap {code}"))
-        return result if from_c is None else from_c(result)
+        return result
 
     return run
 
@@ -92,17 +93,16 @@ def _guarded(centry, from_c=None):
 class CompiledFunction(ExecutableHandle):
     """A Python-callable handle to one compiled Terra function.
 
-    Its **call plan** is made from the ``FunctionType`` at the first call
-    from Python (most of a unit's functions only have Terra callers): a
-    checked converter per parameter, a return converter and — ``centry``,
-    when the unit has trappable operations, is the ``*_tentry`` twin — the
-    trap cell.  ``cfn.argtypes`` wrap, round and type-check numbers as the
-    converters do, so the plan hands ctypes a non-``bool`` scalar as it is
-    and converts only the other positions; :meth:`_invoke` decides what
-    ctypes refuses.  Every caller — the plan, :meth:`_invoke` and the
-    prepared callers — converts through the same per-type converters, which
-    put what they converted in ``keep``: a prepared caller outlives the
-    argument tuple it was made from."""
+    Calling it runs :attr:`entry`, its **call plan**, made from the
+    ``FunctionType`` at the first call from Python (most of a unit's
+    functions only have Terra callers) and installed in the function's
+    call slot as it is.  ``cfn.argtypes`` wrap, round and type-check
+    numbers as the converters do, so the plan hands ctypes a non-``bool``
+    scalar as it is and converts only the other positions; :meth:`_invoke`
+    decides what either refuses.  Every other caller — :meth:`_invoke` and
+    the prepared callers — converts through the same per-type converters,
+    which put what they converted in ``keep``: a prepared caller outlives
+    the argument tuple it was made from."""
 
     def __init__(self, func, cfn, ftype: T.FunctionType, centry=None,
                  cchunk=None):
@@ -118,39 +118,55 @@ class CompiledFunction(ExecutableHandle):
 
     @cached_property
     def _run(self):     # C arguments -> Python result
-        cfn, from_c = self.cfn, self._returner(self.type.returntype)
-        if self.centry is not None:
-            return _guarded(self.centry, from_c)
-        return cfn if from_c is None else lambda *cargs: from_c(cfn(*cargs))
+        run = self.cfn if self.centry is None else _guarded(self.centry)
+        from_c = self._returner(self.type.returntype)
+        return run if from_c is None else lambda *cargs: from_c(run(*cargs))
 
     @cached_property
-    def _plan(self):    # Python arguments -> result, where ctypes takes them
-        run = self._run
-        convert_at = [(i, conv) for i, (ty, conv) in enumerate(
-                          zip(self.type.parameters, self.converters))
-                      if not isinstance(ty, T.PrimitiveType) or ty.islogical()]
+    def entry(self):
+        """Python arguments -> result in one frame: the arity and trace
+        checks (per call: a trace switch resets no slot), a native ndarray
+        by its address (the argument tuple keeps it alive), the converters
+        of the other positions.  What is refused — a read-only or strided
+        array too — re-runs on the checked path."""
+        nargs = len(self.converters)
+        run = self.cfn if self.centry is None else _guarded(self.centry)
+        from_c = self._returner(self.type.returntype)
+        steps = [(i, convert.NATIVE_DTYPES.get(getattr(ty, "pointee", None)),
+                  conv)
+                 for i, (ty, conv) in enumerate(
+                     zip(self.type.parameters, self.converters))
+                 if not isinstance(ty, T.PrimitiveType) or ty.islogical()]
+        ndarray, addressof = np.ndarray, ctypes.addressof
+        from_buffer = convert.NO_BYTES.from_buffer
+        refused = (FFIError, ctypes.ArgumentError, TypeError)
 
-        def plan(*args):
-            cargs, keep = list(args), []
+        def checked(args):      # _invoke behind the trace hook
+            if not _trace._runtime_active:
+                registry().add("exec.call.checked")
+            return ExecutableHandle.__call__(self, *args)
+
+        def entry(*args):
+            if len(args) != nargs or _trace._runtime_active:
+                return checked(args)
             try:
-                for i, conv in convert_at:
-                    cargs[i] = conv(cargs[i], keep)
-            except FFIError as refused:     # _invoke reports the leftmost one
-                raise ctypes.ArgumentError(str(refused)) from None
-            return run(*cargs)
+                cargs = args
+                if steps:
+                    cargs, keep = list(args), []
+                    for i, dtype, conv in steps:
+                        value = cargs[i]
+                        if type(value) is ndarray and value.dtype is dtype:
+                            cargs[i] = addressof(from_buffer(value))
+                        else:
+                            cargs[i] = conv(value, keep)
+                result = run(*cargs)
+            except refused:
+                return checked(args)
+            return result if from_c is None else from_c(result)
 
-        return plan if convert_at else run
+        return entry
 
-    def __call__(self, *args):
-        if _trace._runtime_active:
-            return _trace.timed_call(self.func, lambda: self._invoke(args))
-        if len(args) == len(self.converters):
-            try:
-                return self._plan(*args)
-            except ctypes.ArgumentError:
-                pass    # not a value ctypes takes natively
-        registry().add("exec.call.checked")
-        return self._invoke(args)
+    __call__ = property(attrgetter("entry"))    # tp_call: no frame of its own
 
     def _invoke(self, args):
         """The checked call: every argument through its converter."""
@@ -219,20 +235,7 @@ class CompiledFunction(ExecutableHandle):
         if isinstance(ty, T.PrimitiveType):
             return lambda value, keep: convert.python_to_primitive(value, ty)
         if ty.ispointer():     # argtypes is c_uint64: an int is the argument
-            dtype = convert.NATIVE_DTYPES.get(ty.pointee)   # None: no fast way
-            # (bound here: a cell read is cheaper than a global's attribute)
-            ndarray, addressof = np.ndarray, ctypes.addressof
-            from_buffer = convert.NO_BYTES.from_buffer
-
             def to_pointer(value, keep):
-                if type(value) is ndarray and value.dtype is dtype:
-                    try:
-                        addr = addressof(from_buffer(value))
-                    except TypeError:
-                        pass    # read-only or not C-contiguous
-                    else:
-                        keep.append(value)
-                        return addr
                 addr, keepalive = convert.pointer_address(value, ty)
                 keep.append(keepalive)
                 return addr

@@ -16,6 +16,7 @@ The lifecycle follows the paper exactly:
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional, Sequence
 
 from ..errors import SpecializeError, TypeCheckError
@@ -157,12 +158,10 @@ class TerraFunction:
         """
         return self.dispatcher.compile_async(backend)
 
-    def __call__(self, *args):
-        """Calling from Python runs the dispatcher's call slot — whatever
-        the process execution policy (:mod:`repro.exec`) installed there;
-        by default the handle JIT-compiled on the default backend, which
-        converts arguments via the FFI (the paper's LTAPP rule)."""
-        return self.dispatcher.target(*args)
+    #: Calling from Python runs the dispatcher's call slot, read in C (no
+    #: frame of its own): by default the entry of the handle JIT-compiled on
+    #: the default backend, which converts via the FFI (the LTAPP rule).
+    __call__ = property(operator.attrgetter("dispatcher.target"))
 
     # -- parallel dispatch (repro.parallel) ---------------------------------------
     def mark_chunked(self) -> "TerraFunction":

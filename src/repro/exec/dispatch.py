@@ -8,10 +8,10 @@ install the handles they bind through :meth:`Dispatcher.install`.
 
 The slot starts as the dispatcher's resolver, which has the process-wide
 :class:`~repro.exec.policy.ExecutionPolicy` (see :mod:`repro.exec`)
-*install* what later calls run — a bound backend handle, or the tiered
-policy's trampoline, which overwrites the slot again at tier-up — so a warm
-call consults nothing.  What could change the answer (a policy or
-default-backend switch) calls :func:`reset_slots` instead.
+*install* what later calls run — a bound backend handle's ``entry``, or
+the tiered policy's trampoline, which overwrites the slot again at
+tier-up — so a warm call consults nothing.  What could change the answer
+(a policy or default-backend switch) calls :func:`reset_slots` instead.
 """
 
 from __future__ import annotations
@@ -143,9 +143,6 @@ class Dispatcher:
         return ticket
 
     # -- calling ------------------------------------------------------------
-    def __call__(self, *args):
-        return self.target(*args)
-
     def _resolve(self, *args):
         """The slot's resting state: install the current policy's target,
         then run it.  A failed compile raises from here with nothing

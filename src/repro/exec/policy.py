@@ -59,7 +59,7 @@ class AheadOfTimePolicy(ExecutionPolicy):
         self.name = name or (backend_name or "aot")
 
     def target_for(self, dispatcher, epoch):
-        return dispatcher.compiled_handle(self.backend_name)
+        return dispatcher.compiled_handle(self.backend_name).entry
 
 
 class TieredPolicy(ExecutionPolicy):
@@ -117,10 +117,10 @@ class TieredPolicy(ExecutionPolicy):
     def _tier1(fn, st) -> Callable:
         """The slot at tier 1: the generic compiled entry or, with a
         respecialized variant, its entry guard."""
-        generic, rs = st.generic, st.respec
+        generic, rs = st.generic.entry, st.respec
         if rs is None:
             return generic
-        matches, specialized = rs.matches, rs.handle
+        matches, specialized = rs.matches, rs.handle.entry
 
         def guarded(*args):
             if matches(args):

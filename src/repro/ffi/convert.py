@@ -11,11 +11,11 @@ function call boundaries and during specialization."  Here:
 * NumPy arrays convert to pointers to their element type — the main way
   benchmark data reaches Terra kernels.  Everything a pointer parameter
   takes is one table keyed by the value's type (:func:`pointer_address`);
-  an integer is an address only in ``0 … 2**64-1``.  The C handle's
-  per-type converter (``CompiledFunction._converter``) takes the common
-  case — a writable, C-contiguous ``np.ndarray`` of the pointee's native
-  dtype — on two identity tests and one ``from_buffer``, and hands every
-  other value to this table,
+  an integer is an address only in ``0 … 2**64-1``.  A call from Python
+  takes the common case — a writable, C-contiguous ``np.ndarray`` of the
+  pointee's native dtype — inside the C handle's ``entry``, the one frame
+  between the caller and ctypes, on two identity tests and one
+  ``from_buffer``, and hands every other value to this table,
 * dicts/tuples convert to structs when they provide the required fields
   (the paper: "Lua tables can be converted into structs when they contain
   the required fields"),
@@ -46,7 +46,7 @@ _NUMPY_NAMES = {
 _NUMPY_TYPES = {np.dtype(code).num: _NUMPY_NAMES[np.dtype(code).name]
                 for code in np.typecodes["AllInteger"] + "fd?"}
 #: primitive -> the dtype numpy gives its arrays by default (``int64`` is
-#: ``'l'`` here, not ``'q'``): the identity the C converter's fast path tests
+#: ``'l'`` here, not ``'q'``): the identity the C handle's ``entry`` tests
 NATIVE_DTYPES = {ty: np.dtype(name) for name, ty in _NUMPY_NAMES.items()}
 
 

@@ -48,6 +48,7 @@ import ast as pyast
 import inspect
 import sys
 import textwrap
+import weakref
 from typing import Optional
 
 from .. import config, trace
@@ -418,17 +419,29 @@ class _Lowerer:
                           [self.expr(a) for a in node.args], loc)
 
 
+#: id(code object) -> what _function_source read, while that object lives
+#: (a kernel factory decorates one ``def`` per call; code objects of two
+#: files can compare equal, so identity is the key)
+_SOURCES: dict = {}
+
+
 def _function_source(pyfn):
     """The dedented source of ``pyfn`` and the file line it starts on."""
+    code = pyfn.__code__
+    read = _SOURCES.get(id(code))
+    if read is not None:
+        return read
     try:
         srclines, first_line = inspect.getsourcelines(pyfn)
     except (OSError, TypeError) as exc:
         raise TerraSyntaxError(
             f"@terra cannot read the source of {pyfn.__name__!r} "
-            f"({pyfn.__code__.co_filename}): the decorator frontend "
+            f"({code.co_filename}): the decorator frontend "
             f"re-parses the function body, so it needs the defining file"
         ) from exc
-    return textwrap.dedent("".join(srclines)), first_line
+    read = _SOURCES[id(code)] = textwrap.dedent("".join(srclines)), first_line
+    weakref.finalize(code, _SOURCES.pop, id(code), None)
+    return read
 
 
 def _lower_def(source: str, filename: str, first_line: int) -> tast.FunctionDef:

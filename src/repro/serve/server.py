@@ -377,8 +377,8 @@ class ServeServer:
                     if chunked:
                         fn.mark_chunked()
                     if tiered:
-                        # tier 0: the warm "handle" is the dispatcher
-                        # itself — calls start interpreted, a hot one
+                        # tier 0: the warm "handle" is the function, whose
+                        # call slot starts interpreted, a hot call
                         # stages its C compile, and the pool entry speeds
                         # up in place (summary()["tiers"] says how far)
                         fn.dispatcher.compiled_handle("interp")
@@ -390,7 +390,7 @@ class ServeServer:
         fn, backend_name, ticket = await self._loop.run_in_executor(
             self._exec, stage)
         if ticket is None:
-            handle = fn.dispatcher
+            handle = fn
         else:
             # the gcc run is awaited on the loop (buildd's async hook),
             # then the dlopen/ctypes binding goes back to the executor

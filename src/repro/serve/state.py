@@ -96,7 +96,7 @@ class WarmKernel:
         self.key = key
         self.entry = entry
         self.fn = fn            # the TerraFunction (kept alive with the lib)
-        self.handle = handle    # backend callable handle, or the dispatcher
+        self.handle = handle    # backend callable handle, or fn (tiered)
         self.chunked = chunked
         self.tiered = tiered
         self.hits = 0

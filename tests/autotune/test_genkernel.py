@@ -135,7 +135,7 @@ class TestFullGemm:
 
 
 class TestTuner:
-    def test_small_search(self):
+    def test_small_search(self, c_default):     # not minutes on the interp
         from repro.autotune.tuner import candidates, tune
         cands = candidates(double, NBs=(32,), RMs=(2, 4), RNs=(1,), Vs=(4,))
         result = tune(test_size=128, candidate_list=cands, repeats=1)

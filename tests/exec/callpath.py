@@ -4,11 +4,11 @@ Python frames one call pushes.
 ``python -m tests.exec.callpath`` prints the ``call path:`` line of
 ``make check``; ``tests/exec/test_call_slot.py`` holds the two counts to
 a budget.  The counts are taken under the ``c`` policy — the slot then
-holds the bound C handle, as it does under ``aot`` wherever a C compiler
-exists — so they do not move with ``REPRO_TERRA_BACKEND``; the second
-line is the tiered policy's entry guard (:mod:`repro.exec.respec`) on a
-hit and on a miss, which the ledger's ``exec.tiered_call_us`` cannot tell
-apart (it times a miss on every call).
+holds the bound C handle's ``entry``, as it does under ``aot`` wherever a
+C compiler exists — so they do not move with ``REPRO_TERRA_BACKEND``; the
+second line is the tiered policy's entry guard (:mod:`repro.exec.respec`)
+on a hit and on a miss, which the ledger's ``exec.tiered_call_us`` cannot
+tell apart (it times a miss on every call).
 """
 
 import sys
@@ -71,6 +71,6 @@ def guard_frames() -> tuple[int, int]:
 
 if __name__ == "__main__":
     print("call path: %d frames per warm scalar call, %d per pointer call "
-          "(budget 4 / 8)" % warm_call_frames())
+          "(budget 2 / 2)" % warm_call_frames())
     print("call path: %d frames per tiered call on a guard hit, %d on a "
           "miss" % guard_frames())

@@ -50,9 +50,11 @@ def test_first_call_installs_the_bound_handle(policy, request):
     with policy_override(policy):
         backend = repro.default_backend().name if policy == "aot" else policy
         assert fn(20, 22) == 42
-        assert _slot(fn) is fn.dispatcher.handles[backend]
+        handle = fn.dispatcher.handles[backend]
+        assert _slot(fn) is handle.entry        # the C handle's call plan;
+        assert (handle.entry is handle) == (backend == "interp")  # interp's
         assert fn(1, 2) == 3                    # ... and stays: nothing
-        assert _slot(fn) is fn.dispatcher.handles[backend]  # is re-decided
+        assert _slot(fn) is handle.entry        # is re-decided
 
 
 def test_tiered_slot_goes_from_trampoline_to_the_generic_handle(cbackend):
@@ -63,8 +65,8 @@ def test_tiered_slot_goes_from_trampoline_to_the_generic_handle(cbackend):
         assert not _resting(fn)
         assert trampoline not in fn.dispatcher.handles.values()
         assert fn(20, 22) == 42                 # crosses the threshold
-        assert _slot(fn) is fn.dispatcher.tier.generic
-        assert _slot(fn) is fn.dispatcher.handles["c"]
+        assert _slot(fn) is fn.dispatcher.tier.generic.entry
+        assert _slot(fn) is fn.dispatcher.handles["c"].entry
         assert fn.dispatcher.tier_info()["tier"] == 1
 
 
@@ -92,7 +94,7 @@ def test_a_later_tiered_policy_installs_tier_1_directly(cbackend):
     assert _resting(fn)
     with policy_override(TieredPolicy(threshold=50)):
         assert fn(1, 2) == 3
-        assert _slot(fn) is fn.dispatcher.tier.generic
+        assert _slot(fn) is fn.dispatcher.tier.generic.entry
 
 
 # -- every switch reaches a warm function ---------------------------------------
@@ -122,18 +124,18 @@ def test_nested_policy_override_resets_on_enter_and_on_every_exit(cbackend):
         with policy_override("c"):
             assert fn(20, 22) == 42
             handles = fn.dispatcher.handles
-            assert _slot(fn) is handles["c"]
+            assert _slot(fn) is handles["c"].entry
             with policy_override("interp"):
                 assert _resting(fn)
                 assert fn(20, 22) == 42
                 assert _slot(fn) is handles["interp"]
             assert _resting(fn)
             assert fn(20, 22) == 42
-            assert _slot(fn) is handles["c"]
+            assert _slot(fn) is handles["c"].entry
             raise RuntimeError("leave by exception")
     assert _resting(fn)
     assert fn(20, 22) == 42
-    assert _slot(fn) is handles[repro.default_backend().name]
+    assert _slot(fn) is handles[repro.default_backend().name].entry
 
 
 def test_set_default_backend_resets_a_warm_slot(request):
@@ -144,11 +146,11 @@ def test_set_default_backend_resets_a_warm_slot(request):
     with policy_override("aot"):
         try:
             assert fn(20, 22) == 42
-            assert _slot(fn) is fn.dispatcher.handles[before]
+            assert _slot(fn) is fn.dispatcher.handles[before].entry
             repro.set_default_backend(other)
             assert _resting(fn)
             assert fn(20, 22) == 42
-            assert _slot(fn) is fn.dispatcher.handles[other]
+            assert _slot(fn) is fn.dispatcher.handles[other].entry
         finally:
             repro.set_default_backend(before)
         assert _resting(fn)
@@ -182,7 +184,7 @@ def test_a_failed_compile_installs_nothing_and_the_next_call_retries(
         assert _resting(fn) and not fn.dispatcher.handles
         cold_service()                          # a compiler that works
         assert fn(20, 22) == 42
-        assert _slot(fn) is fn.dispatcher.handles["c"]
+        assert _slot(fn) is fn.dispatcher.handles["c"].entry
 
 
 @pytest.mark.parametrize("policy", ["aot", "interp", "tiered"])
@@ -234,7 +236,7 @@ def test_eight_threads_across_an_asynchronous_tier_up(slow_cc, monkeypatch):
             st = fn.dispatcher.tier
             assert st.tier == 1 and st.calls == 5
             assert fn(1, 2) == 3
-            assert _slot(fn) is st.generic or st.respec is not None
+            assert _slot(fn) is st.generic.entry or st.respec is not None
             assert not _resting(fn)
     finally:
         sys.setswitchinterval(interval)
@@ -266,18 +268,16 @@ def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
             assert _slot(fn) is interp
         # back under tiered: straight to tier 1
         assert fn(20, 22) == 42
-        assert _slot(fn) is fn.dispatcher.tier.generic
+        assert _slot(fn) is fn.dispatcher.tier.generic.entry
 
 
 # -- the budget ----------------------------------------------------------------------
 
 def test_warm_call_frame_budget(cbackend):
-    """No clock: Python frames per warm call, counted by sys.setprofile.
-    With the policy consulted per call and the pointer ladder these were
-    27 and 51, with scalars converted in Python 17 and 25, with every
-    array through ``pointer_address`` 3 and 11; what is left of the
-    pointer call is the plan and one converter frame per array."""
+    """No clock: Python frames per warm call, counted by sys.setprofile —
+    a timing test would be noise on a shared host, a frame count is not.
+    A warm call is the measuring lambda and the C handle's ``entry``."""
     scalar, pointer = warm_call_frames()
-    assert scalar <= 4 and pointer <= 8, (scalar, pointer)
-    hit, miss = guard_frames()      # the tiered entry guard: 23 / 26 before
-    assert hit <= 8 and miss <= 16, (hit, miss)
+    assert scalar <= 2 and pointer <= 2, (scalar, pointer)
+    hit, miss = guard_frames()      # the tiered entry guard
+    assert hit <= 4 and miss <= 11, (hit, miss)

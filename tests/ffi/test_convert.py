@@ -219,9 +219,11 @@ class TestPointerTable:
 
     def test_every_caller_converts_through_the_per_type_converter(
             self, cbackend, monkeypatch):
-        """The plan, ``_invoke`` and both prepared callers use
-        ``CompiledFunction._converter(ty)``: a native array never reaches
-        the table, anything else (here a read-only array) still does."""
+        """``_invoke`` and both prepared callers use
+        ``CompiledFunction._converter(ty)``, which hands every array to the
+        table; only the handle's ``entry`` keeps a native array from it,
+        and what it refuses (here a read-only array) re-runs on
+        ``_invoke``."""
         seen = []
         entry = convert._POINTER_ENTRIES[np.ndarray]
         monkeypatch.setitem(
@@ -231,12 +233,15 @@ class TestPointerTable:
         assert h.converters[2:] == [CompiledFunction._converter(self.PD)] * 2
         x, y = np.arange(4.0), np.zeros(4)
         x.flags.writeable = False
-        h(4, 1.0, x, y)                         # the plan
+        h(4, 1.0, x, y)                         # entry, then the checked call
         h._invoke((4, 2.0, x, y))               # the checked call
         h.tail_caller(2, x, y)(4, 3.0)          # Orion's strip form
         h.chunk_caller(4, 4.0, x, y)(0, 4)      # parallel_for's
-        assert len(seen) == 4 and all(v is x for v in seen)
+        assert [v is x for v in seen] == [True, False] * 4
         assert list(y) == [0.0, 4.0, 8.0, 12.0]
+        seen.clear()
+        h(4, 1.0, np.arange(4.0), y)            # entry's own fast path
+        assert seen == [] and list(y) == [0.0, 1.0, 2.0, 3.0]
         with pytest.raises(FFIError, match=r"scale\(\) takes 2 arguments, "
                            "got 1"):
             h.tail_caller(2, x)

@@ -1,13 +1,15 @@
-"""One accepted set for pointer arguments, four callers.
+"""One accepted set for pointer arguments, every caller.
 
-A value bound to a pointer parameter reaches a Terra function four ways:
-the C handle's call plan, which takes a writable, C-contiguous ndarray of
-the pointee's native dtype on a fast path and hands everything else to
-``convert.pointer_address``; the C handle's checked path (``_invoke``); a
-prepared caller (``tail_caller``), which converts once and runs later; and
-the interpreter, which copies buffers into its own memory.  For every
-value below all four must read the same machine value or raise
-``FFIError`` with the same message — the twin of
+A value bound to a pointer parameter reaches a Terra function five ways:
+through the function's call slot and through a direct call of its C
+handle — both run the handle's ``entry``, which takes a writable,
+C-contiguous ndarray of the pointee's native dtype on a fast path and
+hands everything else to the per-type converter and so to
+``convert.pointer_address``; through the C handle's checked path
+(``_invoke``); through a prepared caller (``tail_caller``), which converts
+once and runs later; and through the interpreter, which copies buffers
+into its own memory.  For every value below all five must read the same
+machine value or raise ``FFIError`` with the same message — the twin of
 ``test_scalar_differential.py``.
 """
 
@@ -20,6 +22,7 @@ from repro import terra
 from repro.buildd import toolchain
 from repro.core import types as T
 from repro.errors import FFIError
+from repro.exec import policy_override
 from repro.ffi.cdata import CPointer
 
 pytestmark = pytest.mark.skipif(not toolchain.cc_available(),
@@ -130,29 +133,49 @@ def outcome(call):
         return str(exc)
 
 
-def four_ways(pointee, value, n):
+def callers(pointee):
+    """Every route of a call of ``probe``, as ``name -> call(*args)``; the
+    prepared caller reads its result from ``out``."""
     c, interp = handles(pointee)
 
-    def prepared():
-        out = np.zeros(1, np.uint64)
-        c.tail_caller(1, out, value)(n)
+    def slot(*args):
+        with policy_override("c"):      # whatever REPRO_TERRA_BACKEND says
+            return c.func(*args)
+
+    def prepared(n, out, *rest):
+        c.tail_caller(1, out, *rest)(n)
         return int(out[0])
 
-    ways = {
-        "plan": lambda: c(n, np.zeros(1, np.uint64), value),
-        "checked": lambda: c._invoke((n, np.zeros(1, np.uint64), value)),
-        "prepared": prepared,
-        "interp": lambda: interp(n, np.zeros(1, np.uint64), value),
-    }
-    return {way: outcome(call) for way, call in ways.items()}
+    return {"slot": slot, "handle": c,
+            "checked": lambda *args: c._invoke(args),
+            "prepared": prepared, "interp": interp}
+
+
+def every_way(pointee, value, n):
+    return {way: outcome(lambda: call(n, np.zeros(1, np.uint64), value))
+            for way, call in callers(pointee).items()}
 
 
 @pytest.mark.parametrize("pointee, value, n, want", ROWS,
                          ids=[f"{i}-{type(r[1]).__name__}"
                               for i, r in enumerate(ROWS)])
 def test_every_caller_reads_the_same(pointee, value, n, want):
-    assert four_ways(pointee, value, n) == dict.fromkeys(
-        ("plan", "checked", "prepared", "interp"), want)
+    assert every_way(pointee, value, n) == dict.fromkeys(
+        ("slot", "handle", "checked", "prepared", "interp"), want)
+
+
+@pytest.mark.parametrize("args", [(), (-1, np.zeros(1, np.uint64)),
+                                  (-1, np.zeros(1, np.uint64), None, None)],
+                         ids=["none", "too-few", "too-many"])
+def test_too_few_and_too_many_arguments(args):
+    """The arity check is the entry's own (ctypes lets the symbol take
+    surplus arguments).  The prepared caller binds the trailing
+    parameters only, so it is not a route here."""
+    ways = callers("double")
+    del ways["prepared"]
+    want = f"probe() takes 3 arguments, got {len(args)}"
+    assert {way: outcome(lambda: call(*args)) for way, call in ways.items()} \
+        == dict.fromkeys(ways, want)
 
 
 def test_the_fast_path_hands_over_the_array_itself(cbackend):

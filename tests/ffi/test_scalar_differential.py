@@ -1,13 +1,16 @@
-"""One accepted set for scalar arguments, three implementations.
+"""One accepted set for scalar arguments, every route a call can take.
 
-A scalar reaches a Terra function three ways: the C handle's call plan,
-which hands a number to ctypes' ``argtypes`` unconverted; the C handle's
-checked path (``_invoke``: every argument through
-``convert.python_to_primitive``), which the plan falls back to when ctypes
-refuses; and the interpreter, which converts the same way.  For every
-primitive type and every value below they must return the same machine
-value or raise ``FFIError`` with the same message — ``python_to_primitive``
-is written to accept what ctypes accepts, and this is what holds it there.
+A scalar reaches a Terra function through the function's call slot and
+through a direct call of its C handle — both run the handle's ``entry``,
+which hands a number to ctypes' ``argtypes`` unconverted; through the C
+handle's checked path (``_invoke``: every argument through
+``convert.python_to_primitive``), which ``entry`` falls back to when ctypes
+refuses; and through the interpreter, which converts the same way.  For
+every primitive type and every value below they must return the same
+machine value or raise ``FFIError`` with the same message —
+``python_to_primitive`` is written to accept what ctypes accepts, and this
+is what holds it there.  A call with too few or too many arguments raises
+one message on every route too.
 """
 
 import ctypes
@@ -24,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro import terra
 from repro.buildd import toolchain
 from repro.errors import FFIError
+from repro.exec import policy_override
 from repro.trace.metrics import registry
 
 pytestmark = pytest.mark.skipif(not toolchain.cc_available(),
@@ -98,17 +102,28 @@ def outcome(call, *args):
     return type(result).__name__, result
 
 
-def three_ways(ty, value):
-    c, interp = handles(ty)
-    fast = outcome(c, value)
-    assert fast == outcome(c._invoke, (value,)) == outcome(interp, value), \
-        (ty, value)
-    return fast
+def callers(c, interp):
+    """Every route of a call from Python, as ``name -> call(*args)``: the
+    function's call slot, its C handle called directly, that handle's
+    checked path and the interpreter."""
+    def slot(*args):
+        with policy_override("c"):      # whatever REPRO_TERRA_BACKEND says
+            return c.func(*args)
+
+    return {"slot": slot, "handle": c,
+            "checked": lambda *args: c._invoke(args), "interp": interp}
+
+
+def every_way(ty, *args):
+    got = {way: outcome(call, *args)
+           for way, call in callers(*handles(ty)).items()}
+    assert got == dict.fromkeys(got, got["slot"]), (ty, args)
+    return got["slot"]
 
 
 @pytest.mark.parametrize("ty", TYPES)
 def test_adversarial_values_agree(ty):
-    results = [three_ways(ty, value) for value in ADVERSARIAL]
+    results = [every_way(ty, value) for value in ADVERSARIAL]
     # the matrix is not vacuous: values are accepted and refused
     assert 30 < sum(kind != "FFIError" for kind, _ in results)
     if ty != "bool":                        # (truthiness takes anything)
@@ -128,35 +143,35 @@ def test_adversarial_values_agree(ty):
     st.booleans(),
 ))
 def test_generated_values_agree(ty, value):
-    three_ways(ty, value)
+    every_way(ty, value)
 
 
 def test_what_the_values_read_as():
-    """The documented readings, pinned on one side (the other two agree)."""
-    assert three_ways("int8", 300) == ("int", 44)
-    assert three_ways("uint64", -1) == ("int", 2 ** 64 - 1)
-    assert three_ways("int32", 2 ** 64 + 5) == ("int", 5)
-    assert three_ways("int32", 4.0) == ("int", 4)
-    assert three_ways("int32", True) == ("int", 1)
-    assert three_ways("int16", OnlyIndex()) == ("int", 300)
-    assert three_ways("float", 1e39) == ("float", struct.pack("<d", math.inf))
-    assert three_ways("float", 0.1) == (
+    """The documented readings, pinned on one route (the others agree)."""
+    assert every_way("int8", 300) == ("int", 44)
+    assert every_way("uint64", -1) == ("int", 2 ** 64 - 1)
+    assert every_way("int32", 2 ** 64 + 5) == ("int", 5)
+    assert every_way("int32", 4.0) == ("int", 4)
+    assert every_way("int32", True) == ("int", 1)
+    assert every_way("int16", OnlyIndex()) == ("int", 300)
+    assert every_way("float", 1e39) == ("float", struct.pack("<d", math.inf))
+    assert every_way("float", 0.1) == (
         "float", struct.pack("<d", float(np.float32(0.1))))
-    assert three_ways("double", -0.0) == ("float", struct.pack("<d", -0.0))
-    assert three_ways("double", OnlyFloat()) == (
+    assert every_way("double", -0.0) == ("float", struct.pack("<d", -0.0))
+    assert every_way("double", OnlyFloat()) == (
         "float", struct.pack("<d", 2.5))
-    assert three_ways("double", np.bool_(True)) == (
+    assert every_way("double", np.bool_(True)) == (
         "float", struct.pack("<d", 1.0))
-    assert three_ways("bool", "no") == ("bool", True)
-    assert three_ways("bool", 256) == ("bool", True)    # not (uint8)256
-    assert three_ways("int32", 4.5) == (
+    assert every_way("bool", "no") == ("bool", True)
+    assert every_way("bool", 256) == ("bool", True)    # not (uint8)256
+    assert every_way("int32", 4.5) == (
         "FFIError", "cannot convert 4.5 to int32")
-    assert three_ways("int32", np.bool_(True)) == (
+    assert every_way("int32", np.bool_(True)) == (
         "FFIError", f"cannot convert {np.True_!r} to int32")
-    assert three_ways("double", 10 ** 400)[0] == "FFIError"
-    assert three_ways("double", "1.5") == (
+    assert every_way("double", 10 ** 400)[0] == "FFIError"
+    assert every_way("double", "1.5") == (
         "FFIError", "cannot convert '1.5' to double")
-    assert three_ways("double", None) == (
+    assert every_way("double", None) == (
         "FFIError", "cannot convert None to double")
 
 
@@ -164,19 +179,28 @@ def test_bool_results_are_bools():
     """``abi.ctype_for(bool)`` is ``c_uint8``: ctypes hands back an int."""
     lt = terra("terra lt(a : int, b : int) : bool return a < b end")
     c, interp = lt.compile("c"), lt.compile("interp")
-    for call in (c, lambda *args: c._invoke(args), interp):
-        assert call(-1, 0) is True and call(0, -1) is False
+    for way, call in callers(c, interp).items():
+        assert call(-1, 0) is True and call(0, -1) is False, way
+
+
+@pytest.mark.parametrize("ty", TYPES)
+def test_too_few_and_too_many_arguments(ty):
+    for args in [(), (1, 2), (None, None, None)]:
+        assert every_way(ty, *args) == (
+            "FFIError", f"same() takes 1 arguments, got {len(args)}")
 
 
 def test_surplus_and_missing_arguments():
     """ctypes itself lets a cdecl function with ``argtypes`` take surplus
-    arguments: the arity check is the plan's own."""
+    arguments — the symbol returns the sum of the first two — so the
+    arity check is the entry's own, made on every call."""
     add = terra("terra add(a : int, b : int) : int return a + b end")
     c, interp = add.compile("c"), add.compile("interp")
+    assert c.cfn(1, 2, 3) == 3
     for args in [(), (1,), (1, 2, 3), (1, 2, None)]:
         want = "FFIError", f"add() takes 2 arguments, got {len(args)}"
-        assert outcome(c, *args) == outcome(c._invoke, args) \
-            == outcome(interp, *args) == want
+        for way, call in callers(c, interp).items():
+            assert outcome(call, *args) == want, way
 
 
 def test_the_leftmost_refusal_is_the_error():

@@ -152,6 +152,38 @@ def test_closure_cells_resolve():
     assert make_scaler(-2)(10) == -20
 
 
+def test_a_def_is_read_once_per_code_object(tmp_path, monkeypatch):
+    """A kernel factory decorates one ``def`` per call: its source is read
+    once.  The same ``def`` executed again from an edited file is another
+    code object at the same file and line, and is read again."""
+    import inspect
+    reads, real = [], inspect.getsourcelines
+    monkeypatch.setattr(inspect, "getsourcelines",
+                        lambda obj: reads.append(obj) or real(obj))
+    path = tmp_path / "kernel_factory.py"
+
+    def load(body):
+        path.write_text(textwrap.dedent(f"""
+            from repro import terra, int32
+
+            def make(k):
+                @terra
+                def scale(x: int32) -> int32:
+                    return {body}
+                return scale
+        """))
+        ns = {}
+        exec(compile(path.read_text(), str(path), "exec"), ns)
+        return ns["make"]
+
+    make = load("x * k")
+    assert make(3)(10) == 30 and make(-2)(10) == -20
+    assert len(reads) == 1
+    make = load("x * k + 1000")
+    assert make(3)(10) == 1030
+    assert len(reads) == 2
+
+
 def test_multi_value_return():
     @terra
     def divmod_(a: int32, b: int32):
