@@ -115,15 +115,13 @@ def test_parallel_compile_not_slower_than_serial():
         assert pooled < serial * 1.10, table.rows
 
 
-def test_tiering_costs_nothing_warm_or_cold_and_respec_pays():
-    (table,) = report.tiering()
+def test_tiering_costs_nothing_warm_or_cold():
+    _, table = report.tiering()
     ms = table.column("ms")
     # small absolute slack absorbs timer noise on the sub-ms comparisons
-    assert ms["warm tiered (respecialized)"] <= \
-        1.2 * ms["warm AOT C"] + 1.0, ms
+    assert ms["warm tiered (tier 1)"] <= 1.2 * ms["warm AOT C"] + 1.0, ms
     assert ms["first call, tiered (tier 0)"] <= \
         2.0 * ms["first call, pure interp"] + 10.0, ms
-    assert ms["respecialized entry"] < ms["generic C entry"], ms
 
 
 def test_parallel_fluid_is_pure_speedup():

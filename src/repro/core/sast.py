@@ -18,10 +18,10 @@ the rest when the function is first called (paper §4.1, lazy typechecking).
 and annotates nothing in place, so a quote's tree is *shared* by every
 splice of it (:class:`~repro.core.quotes.Quote` copies nothing) and a
 definition's :class:`Fingerprint`, taken once in ``define()``, stays true.
-Whoever needs a variant builds new nodes — ``exec/respec.py`` substitutes
-into its own :func:`copy_tree` — and never assigns to a node's attribute
-or mutates one of its lists (``tests/core/test_sast.py`` snapshots every
-quote and body of a corpus, typechecks, runs and emits, and compares).
+Whoever needs a variant builds new nodes and never assigns to a node's
+attribute or mutates one of its lists (``tests/core/test_sast.py``
+snapshots every quote and body of a corpus, typechecks, runs and emits,
+and compares).
 """
 
 from __future__ import annotations
@@ -368,8 +368,8 @@ class SDefer(SStat):
 
 # -- the frontend contract and the structural fingerprint ---------------------
 #
-# Every frontend (the string parser, the @terra decorator, respec's variant
-# builder) hands TerraFunction.define a specialized definition.  One walk
+# Every frontend (the string parser, the @terra decorator) hands
+# TerraFunction.define a specialized definition.  One walk
 # checks the structural invariants the typechecker, passes and backends
 # silently assume (docs/FRONTENDS.md; a violation is a frontend bug, never
 # a user error) and hashes what it saw into the definition's Fingerprint,
@@ -524,22 +524,3 @@ def validate_definition(param_symbols, param_types, rettype,
     walk.node(body, SBlock)
     return Fingerprint(hashlib.sha256(repr(walk.out).encode()).digest(),
                        walk.why, tuple(walk.symbols), tuple(walk.refs))
-
-
-def copy_tree(node):
-    """Deep-copy a specialized tree (symbols are shared, nodes are not)
-    for a caller about to build a variant of it: the original, like every
-    specialized tree, is read-only (module docstring)."""
-    if isinstance(node, SNode):
-        clone = object.__new__(type(node))
-        clone.location = node.location
-        for field in node._fields:
-            setattr(clone, field, copy_tree(getattr(node, field)))
-        return clone
-    if isinstance(node, list):
-        return [copy_tree(x) for x in node]
-    if isinstance(node, tuple):
-        return tuple(copy_tree(x) for x in node)
-    if isinstance(node, SCtorField):
-        return SCtorField(node.name, copy_tree(node.value))
-    return node  # symbols, types, constants, functions are shared

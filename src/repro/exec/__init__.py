@@ -10,10 +10,9 @@ the first call, and on the first after any switch — what to run:
             policy)
 ``c``       ahead-of-time on the C backend, regardless of the default
 ``interp``  ahead-of-time on the reference interpreter
-``tiered``  start interpreted, profile values; the call that crosses the
+``tiered``  start interpreted, count calls; the call that crosses the
             threshold stages the C compile (gcc runs on the buildd pool),
-            respecialized on observed-stable arguments (guarded, with
-            counted deoptimization)
+            and the slot then holds the handle ``c`` would install
 =========== =================================================================
 
 Select with ``REPRO_TERRA_EXEC_POLICY`` (read once, at first use), or at
@@ -22,8 +21,7 @@ manager; a switch resets every installed slot, so warm functions follow
 it from their next call.  Tiered knobs: ``REPRO_TERRA_TIER_THRESHOLD``
 (tier-0 calls before tier-up, default 10) and ``REPRO_TERRA_TIER_SYNC``
 (the crossing call waits for gcc — determinism for tests/fuzzing), read when
-``tiered`` is built by name; ``TieredPolicy(respec=False)`` turns
-respecialization off.
+``tiered`` is built by name.
 """
 
 from __future__ import annotations

@@ -39,51 +39,24 @@ def reset_slots() -> None:
         _installed.clear()
 
 
-#: a profile slot's value once its position has held two distinct ones
-VARYING = object()
-
-
 class TierState:
     """Mutable tiering state for one dispatcher under the tiered policy.
 
-    ``tier`` is 0 while calls run interpreted, 1 once the generic C entry
-    is installed.  ``profile`` is the tier-0 value profile, one
-    ``[observations, value | VARYING]`` slot per parameter: an exact
-    ``int`` / ``bool`` while every observed call passed that one value,
-    :data:`VARYING` otherwise.  ``respec`` (a
-    :class:`repro.exec.respec.Respecialized`) appears when stable slots
-    produced a guarded, constant-spliced variant.  ``deopts`` counts guard
-    failures that fell back to the generic entry.
+    ``tier`` is 0 while calls run interpreted, 1 once the C handle — the
+    one ahead-of-time policies install — has been bound.  ``calls``
+    counts the tier-0 calls that ran.
     """
 
-    __slots__ = ("lock", "calls", "profile", "tier", "ticket", "generic",
-                 "respec", "deopts", "failed")
+    __slots__ = ("lock", "calls", "tier", "ticket", "failed")
 
-    def __init__(self, nparams: int) -> None:
+    def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.calls = 0          # tier-0 calls observed so far
-        self.profile = [[0, None] for _ in range(nparams)]
+        self.calls = 0          # tier-0 calls counted so far
         self.tier = 0
-        #: the tier-up's CompileTickets — generic entry, then the variant's
-        #: if there is one; () while the crossing call is staging them
+        #: the tier-up's CompileTicket for the C handle; () while the
+        #: crossing call is staging it
         self.ticket = None
-        self.generic = None     # compiled C handle once tier >= 1
-        self.respec = None      # Respecialized variant, if any
-        self.deopts = 0         # guard failures -> generic fallback
         self.failed = False     # parked at tier 0: failed, or no compiler
-
-    def observe(self, args) -> None:
-        """Fold one call's arguments (as many as parameters) into the
-        profile.  Called with ``lock`` held."""
-        for slot, arg in zip(self.profile, args):
-            if type(arg) not in (int, bool):    # nothing a guard could hold
-                slot[1] = VARYING
-            elif slot[0] == 0:
-                slot[1] = arg
-            elif slot[1] is not VARYING and (
-                    type(arg) is not type(slot[1]) or arg != slot[1]):
-                slot[1] = VARYING
-            slot[0] += 1
 
 
 class Dispatcher:
@@ -168,17 +141,11 @@ class Dispatcher:
 
     # -- introspection -------------------------------------------------------
     def tier_info(self) -> dict:
-        """A snapshot of tiering state: ``{"tier", "calls",
-        "respecialized", "deopts"}``.  ``tier`` is 0 until a tier-up has
-        completed, even under ahead-of-time policies (where it simply
-        never advances)."""
-        st = self.tier or TierState(0)
-        return {
-            "tier": st.tier,
-            "calls": st.calls,
-            "respecialized": st.respec is not None,
-            "deopts": st.deopts,
-        }
+        """A snapshot of tiering state: ``{"tier", "calls"}``.  ``tier`` is
+        0 until a tier-up has completed, even under ahead-of-time policies
+        (where it simply never advances)."""
+        st = self.tier or TierState()
+        return {"tier": st.tier, "calls": st.calls}
 
     def __repr__(self) -> str:
         tiers = f", tier={self.tier.tier}" if self.tier is not None else ""

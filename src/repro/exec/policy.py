@@ -6,21 +6,19 @@ to run, and not again until a policy or default-backend switch resets it:
 
 * :class:`AheadOfTimePolicy` — resolve one backend (the default, or a
   pinned one) and install its compiled handle.
-* :class:`TieredPolicy` — install a tier-0 trampoline that interprets
-  while the function's :class:`~repro.exec.dispatch.TierState` profiles
-  argument values.  The call that crosses the threshold stages the
-  tier-up itself: ``dispatcher.compile_async("c")`` for the generic
-  entry and — when the profile shows stable scalar arguments — the same
-  for a variant with those values spliced as constants
-  (:mod:`repro.exec.respec`); typecheck, passes and emission run on that
+* :class:`TieredPolicy` — install a tier-0 trampoline that interprets and
+  counts calls.  The call that crosses the threshold stages the tier-up
+  itself: one ``dispatcher.compile_async("c")`` ticket, the same one an
+  ahead-of-time compile takes; the pipeline and emission run on that
   call, gcc on the buildd pool like every other compile.  Calls never
-  wait for gcc (unless ``sync`` is set — the crossing call then joins
-  its own tickets — which tests and the fuzzer use for determinism).
-  The first trampoline call to find the tickets done binds them and
-  overwrites the slot with the generic handle or the variant's guard,
-  carrying the trampoline's epoch, so a late build cannot undo a policy
-  switch; a guard miss is a counted deoptimization that runs the generic
-  entry, so observable behavior is identical at every tier.
+  wait for gcc (unless ``sync`` is set — the crossing call then joins its
+  own ticket — which tests and the fuzzer use for determinism).  The
+  first trampoline call to find the ticket done binds it and overwrites
+  the slot with ``handles["c"].entry`` — the object the ``c`` policy
+  installs — carrying the trampoline's epoch, so a late build cannot undo
+  a policy switch.  There is one compiled tier, so observable behavior is
+  identical at every tier.  A value the program wants specialized it
+  splices when it defines the function (an escape or ``constant()``).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from typing import Callable, Optional
 
 from .. import trace as _trace
 from ..trace.metrics import registry as _registry
-from . import respec as _respec
 from .dispatch import TierState
 
 
@@ -63,78 +60,50 @@ class AheadOfTimePolicy(ExecutionPolicy):
 
 
 class TieredPolicy(ExecutionPolicy):
-    """Interp first, C when hot, respecialized when predictable."""
+    """Interp first, C when hot."""
 
     name = "tiered"
 
-    def __init__(self, threshold: int = 10, sync: bool = False,
-                 respec: bool = True, min_observations: int = 1) -> None:
+    def __init__(self, threshold: int = 10, sync: bool = False) -> None:
         #: tier-0 calls before the tier-up is staged
         self.threshold = max(1, int(threshold))
         #: the call that stages a tier-up waits for it — used by
         #: tests/fuzzing, where determinism beats latency
         self.sync = bool(sync)
-        #: build guarded constant-spliced variants from stable profiles
-        self.respec = bool(respec)
-        self.min_observations = max(1, int(min_observations))
 
     # -- what the slot holds -------------------------------------------------
     def target_for(self, dispatcher, epoch):
-        fn = dispatcher.fn
-        st = dispatcher.tier = dispatcher.tier or TierState(
-            len(fn.param_types))
+        st = dispatcher.tier = dispatcher.tier or TierState()
         if st.tier:     # tiered up before an earlier policy switch
-            return self._tier1(fn, st)
+            return dispatcher.handles["c"].entry
         interp = dispatcher.compiled_handle("interp")
+        nparams = len(dispatcher.fn.param_types)
 
         def tier0(*args):
-            # count and observe a call that will run (one of the wrong
-            # arity raises below), stage the tier-up at the threshold and,
-            # once it is built, hand the slot to tier 1 (to the
-            # interpreter, if the function is parked)
+            # count a call that will run (one of the wrong arity raises
+            # below), stage the tier-up at the threshold and, once it is
+            # built, hand the slot to tier 1 (to the interpreter, if the
+            # function is parked)
             if st.ticket is None and not st.failed:
                 with st.lock:
                     if (st.tier == 0 and st.ticket is None and not st.failed
-                            and len(args) == len(st.profile)):
+                            and len(args) == nparams):
                         st.calls += 1
-                        st.observe(args)
                         if st.calls >= self.threshold:
                             self._begin_tier_up(dispatcher, st)
-            tickets = st.ticket
-            if tickets and all(t.done() for t in tickets):
+            if st.ticket and st.ticket.done():
                 with st.lock:
                     self._finish_tier_up(dispatcher, st)
             if st.tier:
-                return dispatcher.set_target(self._tier1(fn, st),
-                                             epoch)(*args)
+                return dispatcher.set_target(
+                    dispatcher.handles["c"].entry, epoch)(*args)
             if st.failed:
                 dispatcher.set_target(interp, epoch)
             return interp(*args)
 
         return tier0
 
-    @staticmethod
-    def _tier1(fn, st) -> Callable:
-        """The slot at tier 1: the generic compiled entry or, with a
-        respecialized variant, its entry guard."""
-        generic, rs = st.generic.entry, st.respec
-        if rs is None:
-            return generic
-        matches, specialized = rs.matches, rs.handle.entry
-
-        def guarded(*args):
-            if matches(args):
-                rs.hits += 1
-                return specialized(*args)
-            with st.lock:
-                st.deopts += 1
-            _registry().add("exec.deopt")
-            _trace.instant("exec.deopt", cat="exec", fn=fn.name)
-            return generic(*args)
-
-        return guarded
-
-    # -- the tier-up: two ordinary compile tickets ---------------------------
+    # -- the tier-up: one ordinary compile ticket ----------------------------
     def _begin_tier_up(self, dispatcher, st) -> None:
         """Stage the tier-up on this, the crossing call — and, under
         ``sync``, finish it.  Called with ``st.lock`` held and
@@ -147,15 +116,12 @@ class TieredPolicy(ExecutionPolicy):
         # begun: a call of fn made while this one stages (another thread's,
         # or Python the typechecker runs) interprets without taking the lock
         st.ticket = ()
-        fn = dispatcher.fn
         try:
-            with _trace.span(f"exec.tier_up:{fn.name}", cat="exec"):
-                generic = dispatcher.compile_async("c")
-                variant = self.respec and _respec.stage_variant(
-                    fn, st.profile, self.min_observations)
+            with _trace.span(f"exec.tier_up:{dispatcher.fn.name}",
+                             cat="exec"):
+                st.ticket = dispatcher.compile_async("c")
         except Exception:
             return self._park(st)
-        st.ticket = (generic, variant) if variant else (generic,)
         if self.sync:
             self._finish_tier_up(dispatcher, st)
 
@@ -168,18 +134,16 @@ class TieredPolicy(ExecutionPolicy):
         _registry().add("exec.tier_up_failed")
 
     def _finish_tier_up(self, dispatcher, st) -> None:
-        """Bind the tier-up's tickets — waiting for any that still build —
+        """Bind the tier-up's ticket — waiting for it if it still builds —
         and enter tier 1.  Called with ``st.lock`` held."""
         if not st.ticket or st.tier != 0:
             return
         try:
-            built = [t.result() for t in st.ticket]
+            st.ticket.result()      # installs handles["c"]
         except Exception:
             return self._park(st)
-        st.generic, st.respec = (*built, None)[:2]   # no variant: None
         st.ticket = None
         st.tier = 1
         _registry().add("exec.tier_up")
         _trace.instant("exec.tier_up", cat="exec", fn=dispatcher.fn.name,
-                       calls=st.calls,
-                       respecialized=st.respec is not None)
+                       calls=st.calls)

@@ -10,9 +10,8 @@
 
 ``--tiered`` (or ``--backends tiered``) adds the tiered execution
 policy to the matrix: children run with a low synchronous tier-up
-threshold so every program crosses the interp→C tier transition — and
-its respecialization guards — mid-run, checked bitwise against the
-plain backends.
+threshold so every program crosses the interp→C tier transition
+mid-run, checked bitwise against the plain backends.
 
 Exit status is 0 when every program agreed across the whole
 backend × pipeline-level matrix, 1 when any divergence, crash, or

@@ -30,11 +30,10 @@ Besides the two real backends, ``--backend tiered`` runs programs
 through the **tiered execution policy** with a deliberately low tier-up
 threshold (``REPRO_TERRA_TIER_THRESHOLD=2`` unless the caller already
 pinned it) and synchronous tier-ups: the first calls of every program
-interpret, then the child tiers up to C — and usually respecializes on
-the profiled constants — *in the middle of the argset loop*.  The
-differential contract is unchanged (bitwise result equality against the
-plain configs), so this config fuzzes exactly the tier-transition and
-guard-fallback seams that no single backend exercises.
+interpret, then the child tiers up to C *in the middle of the argset
+loop*.  The differential contract is unchanged (bitwise result equality
+against the plain configs), so this config fuzzes exactly the
+tier-transition seam that no single backend exercises.
 
 ``--backend sched`` runs the C backend with the deterministic *lenient*
 tile schedule (:func:`repro.schedule.fuzz_schedule`) applied to every

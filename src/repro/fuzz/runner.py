@@ -38,9 +38,8 @@ DEFAULT_CONFIGS = [("interp", 0), ("interp", 1), ("interp", 2),
 
 #: ride-along configurations running the *tiered execution policy* at
 #: every pipeline level: a low synchronous tier-up threshold (see
-#: repro.fuzz.child) makes every program cross the interp→C transition —
-#: usually through a respecialized, guarded variant — mid-argset-loop,
-#: so tier transitions and guard fallbacks are differentially checked
+#: repro.fuzz.child) makes every program cross the interp→C transition
+#: mid-argset-loop, so tier transitions are differentially checked
 #: against both plain backends.  Opt-in via ``--tiered`` / these consts.
 TIERED_CONFIGS = [("tiered", 0), ("tiered", 1), ("tiered", 2)]
 

@@ -296,18 +296,12 @@ class TenantState:
         return out
 
     def summary(self) -> dict:
-        tiers = {"tier0": 0, "tier1": 0, "respecialized": 0}
+        tiers = {"tier0": 0, "tier1": 0}
         kernels = self.kernels.values()
         for kernel in kernels:
             info = kernel.tier_info()
-            if info is None:
-                continue
-            if info["tier"] == 0:
-                tiers["tier0"] += 1
-            else:
-                tiers["tier1"] += 1
-                if info["respecialized"]:
-                    tiers["respecialized"] += 1
+            if info is not None:
+                tiers["tier1" if info["tier"] else "tier0"] += 1
         return {
             "kernels": len(self.kernels),
             "kernel_evictions": self.kernels.evictions,

@@ -1,43 +1,7 @@
-"""Specialized-tree utilities: copy_tree isolation and node basics."""
+"""Specialized-tree utilities: node basics and read-only trees."""
 
-from repro import expr, int_, quote_, symbol, terra
+from repro import quote_, symbol, terra
 from repro.core import sast, tast
-
-
-class TestCopyTree:
-    def test_nodes_fresh_symbols_shared(self):
-        s = symbol(int_, "s")
-        tree = sast.SBinOp("+", sast.SVar(s), sast.SConst(1, None))
-        clone = sast.copy_tree(tree)
-        assert clone is not tree
-        assert clone.lhs is not tree.lhs
-        assert clone.lhs.symbol is s  # symbols keep identity
-
-    def test_nested_lists_copied(self):
-        call = sast.SApply(sast.SConst(0, None),
-                           [sast.SConst(1, None), sast.SConst(2, None)])
-        clone = sast.copy_tree(call)
-        assert clone.args is not call.args
-        assert clone.args[0] is not call.args[0]
-
-    def test_blocks_and_branch_tuples(self):
-        body = sast.SBlock([sast.SBreak()])
-        stmt = sast.SIf([(sast.SConst(True, None), body)], None)
-        clone = sast.copy_tree(stmt)
-        assert clone.branches[0][1] is not body
-        assert isinstance(clone.branches[0][1].statements[0], sast.SBreak)
-
-    def test_ctor_fields_copied(self):
-        ctor = sast.SCtor(None, [sast.SCtorField("x", sast.SConst(1, None))])
-        clone = sast.copy_tree(ctor)
-        assert clone.fields[0] is not ctor.fields[0]
-        assert clone.fields[0].name == "x"
-
-    def test_locations_preserved(self):
-        from repro.errors import SourceLocation
-        loc = SourceLocation("f.t", 3, 1)
-        node = sast.SConst(5, None, loc)
-        assert sast.copy_tree(node).location is loc
 
 
 class TestQuoteTyping:

@@ -5,10 +5,13 @@ specialization vs. meta-level mutation, hygiene, shared lexical
 environment, separate evaluation) against the real implementation.
 """
 
+import math
+
 import pytest
 
-from repro import (Quote, expr, global_, int_, macro, quote_, symbol, terra,
-                   float_)
+from repro import (Quote, constant, expr, float32, float64, global_, int16,
+                   int32, int64, int8, int_, macro, quote_, symbol, terra,
+                   float_, uint16, uint32, uint64, uint8)
 from repro.core import sast
 from repro.errors import SpecializeError
 
@@ -340,3 +343,87 @@ class TestEscapeBlocks:
         end
         ''')
         assert f() == len("the end marker")
+
+
+class TestSplicedConstants:
+    """Extreme and boolean Python values spliced into Terra code: each
+    becomes a literal that both backends take, spelled as valid C."""
+
+    def test_splice_int64_min_compiles_and_runs(self, backend):
+        # INT64_MIN as a bare C literal overflows long long (the grammar is
+        # unary minus applied to 9223372036854775808LL); the emitter must
+        # spell it (min+1) - 1
+        lo = -(2 ** 63)
+        low = terra("""
+        terra low(y : int64) : int64
+          if [lo] < y then return [lo] end
+          return y
+        end
+        """).compile(backend)
+        assert low(5) == lo and low(lo) == lo
+
+    def test_splice_int32_min_compiles_and_runs(self, backend):
+        lo = constant(int_, -(2 ** 31))
+        low32 = terra("""
+        terra low32(y : int) : int
+          if lo < y then return lo end
+          return y
+        end
+        """).compile(backend)
+        assert low32(7) == -(2 ** 31)
+
+    def test_splice_bool_as_zero_one(self, backend):
+        for flag in (True, False):
+            sel = terra("""
+            terra sel(a : int, b : int) : int
+              if [flag] then return a end
+              return b
+            end
+            """).compile(backend)
+            assert sel(10, 20) == (10 if flag else 20)
+
+    def test_emitted_c_spells_extreme_constants(self):
+        from repro import get_backend
+        c = get_backend("c")
+        lo = -(2 ** 63)
+        src = c.emit_source(terra("""
+        terra low(y : int64) : int64
+          if [lo] < y then return [lo] end
+          return y
+        end
+        """))
+        assert "-9223372036854775808" not in src
+        assert "-9223372036854775807LL - 1" in src
+        src = c.emit_source(terra("terra flagged() : bool return [True] end"))
+        assert "True" not in src
+
+    @pytest.mark.parametrize("ty,value", [
+        pytest.param(ty, value, id=f"{ty.name}-{'min' if value < 0 else 'max'}")
+        for ty, value in [
+            (int8, -2 ** 7), (int16, -2 ** 15), (int32, -2 ** 31),
+            (int64, -2 ** 63), (uint8, 2 ** 8 - 1), (uint16, 2 ** 16 - 1),
+            (uint32, 2 ** 32 - 1), (uint64, 2 ** 64 - 1)]])
+    def test_splice_integer_edge_round_trips(self, backend, ty, value):
+        """Each width's edge value, spliced as a ``constant()``, is the
+        same machine value coming back and in a comparison."""
+        env = {"T": ty, "k": constant(ty, value)}
+        edge = terra("terra edge() : T return k end", env=env)
+        is_edge = terra("terra is_edge(y : T) : bool return y == k end",
+                        env=env)
+        assert edge.compile(backend)() == value
+        assert is_edge.compile(backend)(value) is True
+        assert is_edge.compile(backend)(0) is False
+
+    @pytest.mark.parametrize("ty", [float32, float64], ids=["float", "double"])
+    def test_splice_float_specials(self, backend, ty):
+        """-0.0 keeps its sign, infinities and NaN are spelled as C
+        builtins, on both backends."""
+        for value in (-0.0, math.inf, -math.inf, math.nan):
+            special = terra("terra special() : T return k end",
+                            env={"T": ty, "k": constant(ty, value)})
+            got = special.compile(backend)()
+            if math.isnan(value):
+                assert math.isnan(got)
+            else:
+                assert got == value
+                assert math.copysign(1.0, got) == math.copysign(1.0, value)

@@ -1,14 +1,13 @@
 """The warm Python->Terra call path measured without a clock: how many
 Python frames one call pushes.
 
-``python -m tests.exec.callpath`` prints the ``call path:`` line of
-``make check``; ``tests/exec/test_call_slot.py`` holds the two counts to
-a budget.  The counts are taken under the ``c`` policy — the slot then
+``python -m tests.exec.callpath`` prints the ``call path:`` lines of
+``make check``; ``tests/exec/test_call_slot.py`` holds the counts to a
+budget.  The counts are taken under the ``c`` policy — the slot then
 holds the bound C handle's ``entry``, as it does under ``aot`` wherever a
 C compiler exists — so they do not move with ``REPRO_TERRA_BACKEND``; the
-second line is the tiered policy's entry guard (:mod:`repro.exec.respec`)
-on a hit and on a miss, which the ledger's ``exec.tiered_call_us`` cannot
-tell apart (it times a miss on every call).
+second line is a warm call under the tiered policy at tier 1, where the
+slot holds that same ``entry``.
 """
 
 import sys
@@ -56,21 +55,19 @@ def warm_call_frames() -> tuple[int, int]:
                 frames(lambda: axpy(8, 0.5, x, y)))
 
 
-def guard_frames() -> tuple[int, int]:
-    """``(hit, miss)``: the frames of one warm ``add(i, 1)`` once tier-up
-    has spliced the stable ``b = 1`` behind an entry guard, and of one
-    ``add(i, 2)``, which the guard sends to the generic entry."""
+def tiered_frames() -> int:
+    """The frames of one warm ``add(5, 1)`` once the tiered policy has
+    tiered ``add`` up, counted with the lambda that makes it."""
     add = terra(ADD)
     with policy_override(TieredPolicy(threshold=3, sync=True)):
         for i in range(8):
             add(i, 1)
-        assert add.dispatcher.tier.respec.consts == {1: 1}
-        add(5, 2)       # (the generic entry makes its call plan here)
-        return frames(lambda: add(5, 1)), frames(lambda: add(5, 2))
+        assert add.dispatcher.tier.tier == 1
+        return frames(lambda: add(5, 1))
 
 
 if __name__ == "__main__":
     print("call path: %d frames per warm scalar call, %d per pointer call "
           "(budget 2 / 2)" % warm_call_frames())
-    print("call path: %d frames per tiered call on a guard hit, %d on a "
-          "miss" % guard_frames())
+    print("call path: %d frames per warm tiered call at tier 1 (budget 2)"
+          % tiered_frames())

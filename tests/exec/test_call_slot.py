@@ -15,9 +15,8 @@ from repro import terra
 from repro.errors import CompileError, FFIError
 from repro.exec import (TieredPolicy, current_policy, policy_override,
                         set_policy)
-from repro.trace.metrics import registry
 
-from tests.exec.callpath import guard_frames, warm_call_frames
+from tests.exec.callpath import tiered_frames, warm_call_frames
 
 ADD = """
 terra add(a : int32, b : int32) : int32
@@ -57,44 +56,33 @@ def test_first_call_installs_the_bound_handle(policy, request):
         assert _slot(fn) is handle.entry        # is re-decided
 
 
-def test_tiered_slot_goes_from_trampoline_to_the_generic_handle(cbackend):
+def test_tiered_slot_goes_from_trampoline_to_the_c_handle(cbackend):
+    """Three states: the resolver, the tier-0 trampoline, and the very
+    ``entry`` the ``c`` policy installs."""
     fn = _fresh()
-    with policy_override(TieredPolicy(threshold=2, sync=True, respec=False)):
+    with policy_override(TieredPolicy(threshold=2, sync=True)):
         assert fn(20, 22) == 42
         trampoline = _slot(fn)
         assert not _resting(fn)
         assert trampoline not in fn.dispatcher.handles.values()
         assert fn(20, 22) == 42                 # crosses the threshold
-        assert _slot(fn) is fn.dispatcher.tier.generic.entry
         assert _slot(fn) is fn.dispatcher.handles["c"].entry
         assert fn.dispatcher.tier_info()["tier"] == 1
-
-
-def test_tiered_slot_goes_from_trampoline_to_one_guard(cbackend):
-    fn = _fresh()
-    with policy_override(TieredPolicy(threshold=2, sync=True)):
-        assert fn(40, 2) == 42
-        assert fn(40, 2) == 42                  # tier-up + respecialization
-        st = fn.dispatcher.tier
-        guard = _slot(fn)
-        assert st.respec is not None and guard is not st.generic
-        assert st.respec.hits == 1              # the crossing call's own
-        assert fn(40, 2) == 42 and st.respec.hits == 2
-        before = registry().get("exec.deopt")
-        assert fn(1, 2) == 3                    # a deliberate guard miss
-        assert fn.dispatcher.tier_info()["deopts"] == 1
-        assert registry().get("exec.deopt") == before + 1
-        assert _slot(fn) is guard               # a miss does not unseat it
+        assert fn(1, 2) == 3                    # any arguments: no guard
+        assert _slot(fn) is fn.dispatcher.handles["c"].entry
+    with policy_override("c"):
+        assert fn(1, 2) == 3
+        assert _slot(fn) is fn.dispatcher.handles["c"].entry
 
 
 def test_a_later_tiered_policy_installs_tier_1_directly(cbackend):
     fn = _fresh()
-    with policy_override(TieredPolicy(threshold=1, sync=True, respec=False)):
+    with policy_override(TieredPolicy(threshold=1, sync=True)):
         assert fn(1, 2) == 3
     assert _resting(fn)
     with policy_override(TieredPolicy(threshold=50)):
         assert fn(1, 2) == 3
-        assert _slot(fn) is fn.dispatcher.tier.generic.entry
+        assert _slot(fn) is fn.dispatcher.handles["c"].entry
 
 
 # -- every switch reaches a warm function ---------------------------------------
@@ -236,7 +224,7 @@ def test_eight_threads_across_an_asynchronous_tier_up(slow_cc, monkeypatch):
             st = fn.dispatcher.tier
             assert st.tier == 1 and st.calls == 5
             assert fn(1, 2) == 3
-            assert _slot(fn) is st.generic.entry or st.respec is not None
+            assert _slot(fn) is fn.dispatcher.handles["c"].entry
             assert not _resting(fn)
     finally:
         sys.setswitchinterval(interval)
@@ -250,10 +238,9 @@ def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
     may put a tiered target back."""
     monkeypatch.setenv("FAKECC_DELAY", "0.5")   # the compiler holds the build
     fn = _fresh()
-    with policy_override(TieredPolicy(threshold=1, sync=False,
-                                      respec=False)):
+    with policy_override(TieredPolicy(threshold=1, sync=False)):
         assert fn(20, 22) == 42                 # stages the held build
-        trampoline, (ticket,) = _slot(fn), fn.dispatcher.tier.ticket
+        trampoline, ticket = _slot(fn), fn.dispatcher.tier.ticket
         assert ticket is fn.dispatcher.pending["c"] and not ticket.done()
         with policy_override("interp"):
             assert fn(20, 22) == 42
@@ -268,7 +255,7 @@ def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
             assert _slot(fn) is interp
         # back under tiered: straight to tier 1
         assert fn(20, 22) == 42
-        assert _slot(fn) is fn.dispatcher.tier.generic.entry
+        assert _slot(fn) is fn.dispatcher.handles["c"].entry
 
 
 # -- the budget ----------------------------------------------------------------------
@@ -279,5 +266,4 @@ def test_warm_call_frame_budget(cbackend):
     A warm call is the measuring lambda and the C handle's ``entry``."""
     scalar, pointer = warm_call_frames()
     assert scalar <= 2 and pointer <= 2, (scalar, pointer)
-    hit, miss = guard_frames()      # the tiered entry guard
-    assert hit <= 4 and miss <= 11, (hit, miss)
+    assert tiered_frames() <= 2     # tier 1 is that same entry

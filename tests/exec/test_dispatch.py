@@ -141,8 +141,7 @@ def test_function_facade_delegates():
 
 def test_tier_info_defaults_without_tier_state():
     fn = _fresh()
-    assert fn.dispatcher.tier_info() == {
-        "tier": 0, "calls": 0, "respecialized": False, "deopts": 0}
+    assert fn.dispatcher.tier_info() == {"tier": 0, "calls": 0}
 
 
 # -- the policy registry ------------------------------------------------------
@@ -187,8 +186,7 @@ def test_tiered_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_TERRA_TIER_THRESHOLD", "3")
     monkeypatch.setenv("REPRO_TERRA_TIER_SYNC", "1")
     p = make_policy("tiered")
-    assert (p.threshold, p.sync, p.respec) == (3, True, True)
-    assert TieredPolicy(respec=False).respec is False
+    assert (p.threshold, p.sync) == (3, True)
     monkeypatch.setenv("REPRO_TERRA_TIER_SYNC", "false")  # one convention:
     assert make_policy("tiered").sync is True             # only "0" is off
     monkeypatch.setenv("REPRO_TERRA_TIER_THRESHOLD", "many")

@@ -1,7 +1,8 @@
 """Tiered-policy behavior tests, centered on the correctness contract:
-whatever tier a call lands on — interp tier 0, generic C, respecialized
-variant, or a guard-miss deoptimization — the observable result is
-bit-identical to the reference interpreter, traps included."""
+whatever tier a call lands on — interp tier 0 or the C handle the ``c``
+policy would install — the observable result is bit-identical to the
+reference interpreter (and at tier 1 to ahead-of-time C), traps
+included."""
 
 import pytest
 
@@ -56,27 +57,124 @@ def test_results_bit_identical_across_the_transition(cbackend):
     assert fn.dispatcher.tier_info()["tier"] == 1
 
 
-def test_respecialization_hit_then_guarded_deopt(cbackend):
+def test_tier_one_runs_the_aot_build_bit_for_bit(cbackend):
+    """Tier 1 is the handle ``c`` installs, built with the flags its
+    definer chose (``make_gemm_packed`` contracts FMAs): a packed GEMM
+    under tiered equals the ahead-of-time result bit for bit."""
+    import numpy as np
+    from repro.autotune.matmul import make_gemm_packed
+    N = 96
+    rng = np.random.RandomState(N)
+    A, B = rng.rand(N, N), rng.rand(N, N)
+    gemm = make_gemm_packed(32, 4, 2, 4)
+    aot, tiered = np.zeros((N, N)), np.zeros((N, N))
+    with policy_override("c"):
+        gemm(aot, A, B, N)
+    with policy_override(TieredPolicy(threshold=1, sync=True)):
+        gemm(tiered, A, B, N)
+        assert gemm.dispatcher.tier_info()["tier"] == 1
+        assert gemm.dispatcher.target is gemm.dispatcher.handles["c"].entry
+    assert tiered.tobytes() == aot.tobytes()
+
+
+MODSUM = """
+terra modsum(n : int64, d : int64, x : &int64) : int64
+  var acc : int64 = 0
+  for i = 0, n do
+    acc = acc + x[i] % d
+  end
+  return acc
+end
+"""
+
+AXPY = """
+terra axpy(n : int, a : double, x : &double, y : &double) : {}
+  for i = 0, n do
+    y[i] = a * x[i] + y[i] * 1.5
+  end
+end
+"""
+
+DOT = """
+terra dot(n : int, x : &double, y : &double) : double
+  var acc = 0.0
+  for i = 0, n do
+    acc = acc + x[i] * y[i]
+  end
+  return acc
+end
+"""
+
+
+def _modsum_run(fn):
+    import numpy as np
+    x = np.arange(-50, 250, dtype=np.int64) * 7919
+    return fn(len(x), 7, x)
+
+
+def _axpy_run(fn):
+    import numpy as np
+    rng = np.random.RandomState(8)
+    x, y = rng.rand(300), rng.rand(300)
+    fn(len(x), 0.1, x, y)
+    return y.tobytes()
+
+
+def _dot_run(fn):
+    import numpy as np
+    rng = np.random.RandomState(9)
+    x, y = rng.rand(300), rng.rand(300)
+    return fn(len(x), x, y).hex()
+
+
+@pytest.mark.parametrize("src,run", [
+    pytest.param(MODSUM, _modsum_run, id="modsum"),
+    pytest.param(AXPY, _axpy_run, id="axpy"),
+    pytest.param(DOT, _dot_run, id="dot"),
+])
+def test_every_tier_equals_aot_bit_for_bit(cbackend, src, run):
+    """The same inputs on a function defined once for ``c`` and once for
+    ``tiered``: tier 0, the crossing call and tier 1 each return what the
+    ahead-of-time build returns, and tier 1 runs the ``c`` handle."""
+    aot_fn, fn = _fresh(src), _fresh(src)
+    with policy_override("c"):
+        expected = run(aot_fn)
+    with policy_override(TieredPolicy(threshold=2, sync=True)):
+        got = [run(fn) for _ in range(3)]
+        assert fn.dispatcher.target is fn.dispatcher.handles["c"].entry
+    assert got == [expected] * 3
+    assert fn.dispatcher.tier_info() == {"tier": 1, "calls": 2}
+
+
+def test_stable_then_changed_arguments_run_one_entry(cbackend):
+    """Repeating the same arguments until the tier-up and then changing
+    them runs the one C entry throughout: no guard, no deoptimization."""
     fn = _fresh(ADD)
     with policy_override(TieredPolicy(threshold=2, sync=True)):
         assert fn(40, 2) == 42
-        assert fn(40, 2) == 42          # crosses the threshold, respecs
-        info = fn.dispatcher.tier_info()
-        assert info["tier"] == 1 and info["respecialized"]
-        st = fn.dispatcher.tier
-        assert st.respec.consts == {0: 40, 1: 2}
-        assert fn(40, 2) == 42          # guard hit -> specialized entry
-        assert st.respec.hits >= 1
-        before = registry().get("exec.deopt")
-        assert fn(1, 2) == 3            # guard miss -> generic entry
-        assert fn.dispatcher.tier_info()["deopts"] == 1
-        assert registry().get("exec.deopt") == before + 1
+        assert fn(40, 2) == 42          # crosses the threshold
+        entry = fn.dispatcher.handles["c"].entry
+        assert fn.dispatcher.target is entry
+        assert fn(40, 2) == 42
+        assert fn(1, 2) == 3            # other arguments, same entry
+        assert fn(-7, 2) == -5
+        assert fn.dispatcher.target is entry
+    assert fn.dispatcher.tier_info() == {"tier": 1, "calls": 2}
+
+
+@pytest.mark.parametrize("option", ["respec", "min_observations"])
+def test_tiered_policy_takes_only_threshold_and_sync(option):
+    """There is one compiled tier, so there is nothing to configure about
+    a second one."""
+    with pytest.raises(TypeError):
+        TieredPolicy(threshold=2, sync=True, **{option: 1})
+    policy = TieredPolicy(threshold=0, sync=1)
+    assert (policy.threshold, policy.sync) == (1, True)
 
 
 def test_trap_parity_at_every_tier(cbackend):
-    """The trap cases: tier-0 interp, the respecialized variant's guard
-    miss, and the generic C entry must all trap with the identical
-    message the reference interpreter produces."""
+    """The trap cases: tier-0 interp and the C entry must both trap with
+    the identical message the reference interpreter produces."""
     ref = _fresh(DIV)
     with policy_override("interp"):
         with pytest.raises(TrapError) as ref_exc:
@@ -88,24 +186,13 @@ def test_trap_parity_at_every_tier(cbackend):
             fn(100, 0)
         assert str(t0.value) == str(ref_exc.value)
         assert fn(100, 5) == 20
-        assert fn(100, 5) == 20         # tier-up; b profiled as varying/5
+        assert fn(100, 5) == 20         # the tier-up
         assert fn.dispatcher.tier_info()["tier"] == 1
-        # a trap at tier 1: guard miss (or no respec) -> generic C entry
+        # a trap at tier 1, in the C entry
         with pytest.raises(TrapError) as t1:
             fn(100, 0)
         assert str(t1.value) == str(ref_exc.value)
         assert fn(100, 5) == 20         # the pool survives the trap
-
-
-def test_respec_disabled_by_knob(cbackend):
-    fn = _fresh(ADD)
-    with policy_override(TieredPolicy(threshold=2, sync=True,
-                                      respec=False)):
-        for _ in range(3):
-            assert fn(20, 22) == 42
-        info = fn.dispatcher.tier_info()
-        assert info["tier"] == 1 and not info["respecialized"]
-        assert fn.dispatcher.tier.respec is None
 
 
 def test_background_tier_up_eventually_lands(slow_cc, monkeypatch):
@@ -116,7 +203,7 @@ def test_background_tier_up_eventually_lands(slow_cc, monkeypatch):
         assert fn(21, 21) == 42
         assert fn(21, 21) == 42         # ... when the crossing call returns
         st = fn.dispatcher.tier
-        assert st.tier == 0 and st.ticket and not st.ticket[0].done()
+        assert st.tier == 0 and st.ticket and not st.ticket.done()
         deadline = time.time() + 30.0
         while (fn.dispatcher.tier_info()["tier"] == 0
                and time.time() < deadline):
@@ -171,21 +258,19 @@ end
 """
 
 
-def test_the_profile_is_sized_from_the_signature(cbackend):
-    """A call that does not run is not observed: a wrong-arity first call
-    neither sizes the profile (``c`` must still be seen, and spliced) nor
-    counts toward the threshold."""
+def test_a_call_that_does_not_run_is_not_counted(cbackend):
+    """A wrong-arity call raises at tier 0 and does not count toward the
+    threshold."""
     from repro.errors import FFIError
     fn = _fresh(ADD3)
     with policy_override(TieredPolicy(threshold=4, sync=True)):
         with pytest.raises(FFIError):
             fn(1, 2)
         st = fn.dispatcher.tier
-        assert st.calls == 0 and st.profile == [[0, None]] * 3
+        assert st.calls == 0
         for i in range(6):
             assert fn(i, 2, 7) == i + 9
         assert st.tier == 1 and st.calls == 4
-        assert st.respec.consts == {1: 2, 2: 7}
 
 
 def test_a_tiered_run_starts_no_thread_but_buildd_workers(cold_service,
@@ -197,51 +282,48 @@ def test_a_tiered_run_starts_no_thread_but_buildd_workers(cold_service,
     with policy_override(TieredPolicy(threshold=2, sync=False)):
         while fn.dispatcher.tier_info()["tier"] == 0:
             assert fn(40, 2) == 42
-        assert fn.dispatcher.tier_info()["respecialized"]
     started = {t.name for t in set(threading.enumerate()) - before}
     assert started and all(n.startswith("buildd_") for n in started), started
 
 
 def test_a_tier_up_joins_the_ticket_the_user_holds(cold_service, cbackend):
-    """The generic half of a tier-up is ``fn.compile_async("c")``: one
-    link, one bind, one handle, whoever asked first."""
+    """A tier-up is ``fn.compile_async("c")``: one link, one bind, one
+    handle, whoever asked first."""
     from repro import trace
     fn = _fresh(ADD)
     trace.clear()
     trace.enable()
     try:
         held = fn.compile_async("c")
-        with policy_override(TieredPolicy(threshold=2, sync=True,
-                                          respec=False)):
+        with policy_override(TieredPolicy(threshold=2, sync=True)):
             assert fn(20, 22) == 42 and fn(20, 22) == 42
         names = [e.name for e in trace.events()
                  if e.args.get("backend") != "interp"]      # tier 0's own
     finally:
         trace.disable()
         trace.clear()
-    st = fn.dispatcher.tier
-    assert st.tier == 1 and st.generic is held.result()
+    assert fn.dispatcher.tier.tier == 1
+    assert fn.dispatcher.handles["c"] is held.result()
     assert names.count(f"link:{fn.name}") == 1
     assert names.count(f"bind:{fn.name}") == 1
     assert names.count(f"exec.tier_up:{fn.name}") == 1
 
 
-def test_calls_made_while_the_tier_up_is_staged_interpret(cbackend):
+def test_calls_made_while_the_tier_up_is_staged_interpret(cbackend,
+                                                         monkeypatch):
     """The crossing call publishes "begun" before it stages, so a call of
-    the same function from Python that staging runs (the variant's
-    typecheck calls this ``__cast``) — on the same thread or another —
-    never waits for the lock the crossing call holds."""
+    the same function made while it stages — from Python that staging
+    runs, on the same thread, or from another thread — never waits for
+    the lock the crossing call holds."""
     import faulthandler
     import threading
-    from repro import expr, struct
-    from repro.core import types as T
+    from repro.exec import Dispatcher
 
-    Box = struct("Box")
-    Box.add_entry("v", T.int32)
     armed, seen = [], []
+    compile_async = Dispatcher.compile_async
 
-    def cast(fromtype, totype, e):
-        if armed:
+    def staging(dispatcher, backend=None):
+        if armed and backend == "c":
             del armed[:]
             st = fn.dispatcher.tier
             seen.append(("staging", st.ticket, st.lock.locked()))
@@ -251,23 +333,17 @@ def test_calls_made_while_the_tier_up_is_staged_interpret(cbackend):
             other.start()
             other.join(20)
             assert not other.is_alive()
-        return expr("Box { e }", env={"Box": Box, "e": e})
+        return compile_async(dispatcher, backend)
 
-    Box.metamethods["__cast"] = cast
-    fn = terra("""
-    terra boxed(a : int32, b : int32) : int32
-      var box : Box = a
-      return box.v + b
-    end
-    """, env={"Box": Box})
+    monkeypatch.setattr(Dispatcher, "compile_async", staging)
+    fn = _fresh(ADD)
     faulthandler.dump_traceback_later(30, exit=True)
     try:
         with policy_override(TieredPolicy(threshold=3, sync=True)):
             assert fn(1, 2) == 3 and fn(1, 2) == 3
             armed.append(True)
             assert fn(1, 2) == 3            # the crossing call
-            assert fn.dispatcher.tier_info() == {
-                "tier": 1, "calls": 3, "respecialized": True, "deopts": 0}
+            assert fn.dispatcher.tier_info() == {"tier": 1, "calls": 3}
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert seen == [("staging", (), True), ("same thread", 11),

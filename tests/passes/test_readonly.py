@@ -119,7 +119,6 @@ def test_typed_trees_are_never_written(monkeypatch):
     with policy_override(TieredPolicy(threshold=3, sync=True)):
         assert [hot(n, 7) for n in range(10, 16)] == \
             [sum(i % 7 for i in range(n)) for n in range(10, 16)]
-    assert hot.dispatcher.tier_info()["respecialized"]
     request(hot, (2, 3, 1, 0))
 
     assert len(typeds) > 400
