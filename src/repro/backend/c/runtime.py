@@ -278,7 +278,7 @@ class CBackend(Backend):
     pipeline_level = 1
 
     def __init__(self):
-        self._libs: list[ctypes.CDLL] = []
+        self._libs: dict[str, ctypes.CDLL] = {}     # .so path -> its CDLL
         #: entry fn -> (key, C source, C names): see _emit; a unit bound from
         #: the structural memo is (("memo", level), artifact key, None) — its
         #: text is the artifact's unit_<key>.c: see emit_source
@@ -335,7 +335,7 @@ class CBackend(Backend):
         # what outside the trees can move the C or the .so: the level, the
         # pass knobs and — the key of the empty unit — every flag + compiler
         members, digest = structural_digest(fn, repr((
-            self._level(), service.key_for("", tuple(_EXTRA_CFLAGS)),
+            self._level(), service.flags_key(tuple(_EXTRA_CFLAGS)),
             [config.get("REPRO_TERRA_" + name)
              for name in ("DISABLE_PASSES", "FMA", "VEC_BYTES")])))
         if members is None:
@@ -401,15 +401,17 @@ class CBackend(Backend):
             return self._bind_unit_traced(fn, bound, so_path)
 
     def _bind_unit_traced(self, fn, bound, so_path):
-        lib = ctypes.CDLL(so_path)
-        self._libs.append(lib)
+        # one CDLL per path; lib[name] makes this bind its own function
+        lib = self._libs.get(so_path)
+        if lib is None:
+            lib = self._libs.setdefault(so_path, ctypes.CDLL(so_path))
         entry_handle = None
         for f, cname, ftype in bound:
-            cfn = getattr(lib, cname)
+            cfn = lib[cname]
             cfn.restype = abi.ctype_for(ftype.returntype)
             cfn.argtypes = [abi.ctype_for(p) for p in ftype.parameters]
             try:
-                centry = getattr(lib, cname + "_tentry")
+                centry = lib[cname + "_tentry"]
             except AttributeError:
                 centry = None  # unit has no trappable operations
             if centry is not None:
@@ -418,7 +420,7 @@ class CBackend(Backend):
                     [ctypes.POINTER(ctypes.c_int32)]
             cchunk = None
             if getattr(f, "emit_chunk", False):
-                cchunk = getattr(lib, cname + "_chunk")
+                cchunk = lib[cname + "_chunk"]
                 cchunk.restype = None
                 cchunk.argtypes = [ctypes.c_int64, ctypes.c_int64] + \
                     list(cfn.argtypes) + [ctypes.POINTER(ctypes.c_int32)]

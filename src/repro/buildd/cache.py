@@ -12,10 +12,14 @@ over the final path, so a concurrent reader sees either nothing or a
 complete artifact — never a half-written one.
 
 A JSON index (``buildd-index.json``) records per-artifact metadata (size,
-flags, compile time, last use, submitting namespace) and drives LRU
-eviction against an entry cap (``REPRO_BUILDD_CACHE_ENTRIES``) and a byte
-cap (``REPRO_BUILDD_CACHE_BYTES``, default 1 GiB).  The index is advisory: if
-it is missing, stale, or corrupted, it is rebuilt by scanning the cache
+flags, compile time, submitting namespace) and drives LRU eviction against
+an entry cap (``REPRO_BUILDD_CACHE_ENTRIES``) and a byte cap
+(``REPRO_BUILDD_CACHE_BYTES``, default 1 GiB).  The LRU clock is each
+artifact's mtime: a hit touches it (``os.utime``) and eviction reads it, so
+a hit costs one system call whatever the cache's size, is seen by every
+process at once, and never rewrites the index — only a publish, a new memo
+record (below) and maintenance do.  The index is advisory: if it is
+missing, stale, or corrupted, it is rebuilt by scanning the cache
 directory, so a pre-populated or damaged cache dir degrades to a rebuild,
 never to an error.
 
@@ -60,12 +64,6 @@ def default_root() -> str:
 class ArtifactCache:
     """Content-addressed store of compiled shared objects."""
 
-    #: throttle for persisting pure-hit ``last_use`` bumps: save at most
-    #: every this many seconds ...
-    HIT_SAVE_INTERVAL_S = 5.0
-    #: ... unless this many bumps are already pending.
-    HIT_SAVE_MAX_PENDING = 64
-
     def __init__(self, root: Optional[str] = None,
                  max_bytes: Optional[int] = None,
                  temp_ttl_s: Optional[float] = None,
@@ -82,8 +80,6 @@ class ArtifactCache:
         self._lock = threading.Lock()
         self._index: Optional[dict] = None  # key -> metadata dict
         self._by_digest: dict[str, str] = {}  # memo digest -> key (advisory)
-        self._pending_hits = 0      # last_use bumps not yet on disk
-        self._last_hit_save = 0.0   # monotonic-ish wall time of last save
 
     # -- keys and paths -----------------------------------------------------
     @staticmethod
@@ -127,7 +123,7 @@ class ArtifactCache:
             if not (name.startswith("unit_") and name.endswith(".so")):
                 continue
             key = name[len("unit_"):-len(".so")]
-            if key in entries:
+            if isinstance(entries.get(key), dict):
                 continue
             path = os.path.join(self.root, name)
             try:
@@ -135,8 +131,7 @@ class ArtifactCache:
             except OSError:
                 continue
             entries[key] = {"size": st.st_size, "flags": [],
-                            "compile_s": None, "created": st.st_mtime,
-                            "last_use": st.st_mtime}
+                            "compile_s": None, "created": st.st_mtime}
         # drop index entries that are not rows or whose artifact vanished
         entries = {k: v for k, v in entries.items() if isinstance(v, dict)
                    and os.path.exists(self.artifact_path(k))}
@@ -157,8 +152,6 @@ class ArtifactCache:
             with os.fdopen(fd, "w") as f:
                 json.dump(payload, f, indent=0, sort_keys=True)
             os.replace(tmp, self._index_path())
-            self._pending_hits = 0
-            self._last_hit_save = time.time()
         except OSError:
             try:
                 os.unlink(tmp)
@@ -182,62 +175,46 @@ class ArtifactCache:
             return len(entries.keys() & self._by_digest.values())
 
     def lookup(self, key: str, memo: Optional[tuple] = None) -> Optional[str]:
-        """Path of a cached artifact, or None.  Bumps the LRU clock.
-
-        The bump is persisted (throttled — see :meth:`_maybe_save_hits_locked`)
-        so that a warm-cache process, which never publishes, still refreshes
-        ``last_use`` on disk; otherwise a later ``gc()`` in any process would
-        LRU-evict the hottest artifacts as if they were never used.
+        """Path of a cached artifact, or None.  A hit sets the artifact's
+        mtime — the LRU clock every process's eviction reads — and that is
+        all it writes.
 
         ``memo`` is a ``(digest, record)`` to note on the row — another
         specialized tree found to compile to this artifact — and reaches
-        the disk with the bump.
+        the disk at once when the row did not hold it yet.
         """
         path = self.artifact_path(key)
-        with self._lock:
-            entries = self._load_index_locked()
-            if not os.path.exists(path):
-                entries.pop(key, None)
-                return None
-            entry = entries.get(key)
-            if entry is None:
-                try:
-                    size = os.path.getsize(path)
-                except OSError:
-                    return None
-                entry = {"size": size, "flags": [], "compile_s": None,
-                         "created": time.time()}
-                entries[key] = entry
-            entry["last_use"] = time.time()
-            self._pending_hits += 1
-            if memo is not None:
-                self._note_memo_locked(key, entry, memo)
-            self._maybe_save_hits_locked()
+        try:
+            os.utime(path)
+        except FileNotFoundError:
+            with self._lock:
+                if self._index is not None:
+                    self._index.pop(key, None)
+            return None
+        except OSError:
+            pass        # an artifact this process may read, not touch
+        if memo is None:
             return path
+        with self._lock:
+            entry = self._load_index_locked().get(key)
+            if entry is None:   # published since the load: what disk says
+                self._index = None      # (no change here is unsaved)
+                entry = self._load_index_locked().get(key)
+            if entry is not None and self._note_memo_locked(key, entry, memo):
+                self._save_index_locked()
+        return path
 
-    def _note_memo_locked(self, key: str, entry: dict, memo: tuple) -> None:
+    def _note_memo_locked(self, key: str, entry: dict, memo: tuple) -> bool:
+        """Note ``memo`` on ``entry``; whether that changed the index."""
         digest, record = memo
         moved_from = self._index.get(self._by_digest.get(digest))
+        if moved_from is entry and entry.get("memo", {}).get(digest) == record:
+            return False
         if moved_from is not None and moved_from is not entry:
             moved_from.get("memo", {}).pop(digest, None)    # its C changed
         entry.setdefault("memo", {})[digest] = record
         self._by_digest[digest] = key
-
-    def _maybe_save_hits_locked(self) -> None:
-        """Persist pending pure-hit ``last_use`` bumps, batched: the first
-        bump after a load saves immediately, later ones at most every
-        ``HIT_SAVE_INTERVAL_S`` seconds or ``HIT_SAVE_MAX_PENDING`` bumps."""
-        if not self._pending_hits:
-            return
-        if (self._pending_hits >= self.HIT_SAVE_MAX_PENDING
-                or time.time() - self._last_hit_save >= self.HIT_SAVE_INTERVAL_S):
-            self._save_index_locked()
-
-    def flush(self) -> None:
-        """Persist any pending hit-path ``last_use`` bumps right now."""
-        with self._lock:
-            if self._index is not None and self._pending_hits:
-                self._save_index_locked()
+        return True
 
     def publish(self, key: str, built_path: str, *, source: str = "",
                 flags: Iterable[str] = (),
@@ -255,18 +232,17 @@ class ArtifactCache:
         final = self.artifact_path(key)
         if source:
             self._write_atomic(self.source_path(key), source)
+        os.utime(built_path)    # its mtime is its LRU clock: the newest
         # stat before the rename, and rename under the lock: once the final
         # name exists, a concurrent first-load dir scan would adopt it into
-        # the index (with its temp-file mtime) where eviction could delete
-        # it before *this* thread records the entry
+        # the index, where eviction could delete it before *this* thread
+        # records the entry
         size = os.path.getsize(built_path)
-        now = time.time()
         with self._lock:
             entries = self._load_index_locked()
             os.replace(built_path, final)
             entries[key] = {"size": size, "flags": list(flags),
-                            "compile_s": compile_s, "created": now,
-                            "last_use": now,
+                            "compile_s": compile_s, "created": time.time(),
                             "ns": namespace or "default"}
             if memo is not None:
                 self._note_memo_locked(key, entries[key], memo)
@@ -290,25 +266,30 @@ class ArtifactCache:
 
     # -- eviction / maintenance ---------------------------------------------
     def _evict_locked(self) -> list[str]:
-        """Apply every configured limit, oldest-``last_use`` first within
-        each: the entry-count cap, then the byte cap."""
+        """Apply every configured limit (0 = none): drop the least recently
+        used artifact — the oldest mtime — while the entry count or the
+        bytes are over their cap."""
         entries = self._load_index_locked()
         evicted: list[str] = []
-        if self.max_entries > 0 and len(entries) > self.max_entries:
-            by_age = sorted(entries,
-                            key=lambda k: entries[k].get("last_use", 0.0))
-            for key in by_age[:len(entries) - self.max_entries]:
-                self._drop_locked(key, entries, evicted)
         total = sum(e.get("size", 0) for e in entries.values())
-        if self.max_bytes > 0 and total > self.max_bytes:
-            by_age = sorted(entries.items(),
-                            key=lambda kv: kv[1].get("last_use", 0.0))
-            for key, entry in by_age:
-                if total <= self.max_bytes:
-                    break
-                total -= entry.get("size", 0)
+
+        def over() -> bool:
+            return 0 < self.max_entries < len(entries) \
+                or 0 < self.max_bytes < total
+
+        if over():
+            for key in sorted(entries, key=self._last_use):
+                total -= entries[key].get("size", 0)
                 self._drop_locked(key, entries, evicted)
+                if not over():
+                    break
         return evicted
+
+    def _last_use(self, key: str) -> int:
+        try:
+            return os.stat(self.artifact_path(key)).st_mtime_ns
+        except OSError:
+            return 0
 
     def _drop_locked(self, key: str, entries: dict,
                      evicted: list[str]) -> None:
@@ -332,8 +313,6 @@ class ArtifactCache:
         removed_tmp = 0
         now = time.time()
         with self._lock:
-            if self._index is not None and self._pending_hits:
-                self._save_index_locked()  # don't drop unsaved LRU bumps
             self._index = None  # force a fresh scan
             entries = self._load_index_locked()
             evicted = self._evict_locked()

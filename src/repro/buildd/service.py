@@ -93,6 +93,7 @@ class CompileService:
         self.stats = BuildStats()
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
+        self._flag_keys: dict[tuple, str] = {}  # see flags_key
         self._pool = ThreadPoolExecutor(max_workers=self.jobs,
                                         thread_name_prefix="buildd")
 
@@ -111,6 +112,15 @@ class CompileService:
     def key_for(self, source: str, flags: Iterable[str] = ()) -> str:
         all_flags = (*self.base_flags, *flags)
         return self.cache.key_for(source, all_flags, self._cc_identity())
+
+    def flags_key(self, flags: tuple[str, ...]) -> str:
+        """The key of the empty unit: what the flags and the compiler put
+        into every key — hashed once per both."""
+        cc = self._cc_identity()
+        key = self._flag_keys.get((flags, cc))
+        if key is None:
+            key = self._flag_keys[flags, cc] = self.key_for("", flags)
+        return key
 
     def compile(self, source: str, flags: Iterable[str] = ()) -> str:
         """Compile (or fetch) ``source``; blocks; returns the .so path."""

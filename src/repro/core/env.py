@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import builtins
 import sys
-from collections import ChainMap
 from typing import Mapping, Optional
 
 from ..errors import SpecializeError
@@ -60,11 +59,12 @@ def _terra_globals() -> dict:
 
 
 class Environment:
-    """A captured meta-language environment plus the Terra scope overlay."""
+    """A captured meta-language environment plus the Terra scope overlay.
+    It owns ``locals_map``: whoever builds one hands over a fresh dict."""
 
-    def __init__(self, locals_map: Mapping, globals_map: dict,
+    def __init__(self, locals_map: dict, globals_map: dict,
                  description: str = "<environment>"):
-        self.locals = dict(locals_map)
+        self.locals = locals_map
         self.globals = globals_map
         self.description = description
 
@@ -99,8 +99,9 @@ class Environment:
         symbol references; it shadows the captured meta bindings, exactly
         as lexical scoping demands.
         """
-        # {} takes the escape's own bindings ([(k := 3)]); the view is shared
-        local_view = ChainMap({}, terra_scope, self.locals) if terra_scope \
+        # a new dict takes the escape's own bindings ([(k := 3)]): a dict,
+        # not a ChainMap, which eval would search through Python calls
+        local_view = {**self.locals, **terra_scope} if terra_scope \
             else self.locals
         try:
             value = eval(escape.code_object(), self.globals,  # noqa: S307
@@ -168,4 +169,4 @@ def from_mapping(mapping: Optional[Mapping]) -> Environment:
         return Environment({}, {}, "<empty environment>")
     if isinstance(mapping, Environment):
         return mapping
-    return Environment(mapping, {}, "<explicit environment>")
+    return Environment(dict(mapping), {}, "<explicit environment>")

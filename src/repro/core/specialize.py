@@ -297,76 +297,51 @@ class Specializer:
 
     # -- expression specialization ----------------------------------------------
     def spec_expr(self, e: ast.Expr) -> sast.SExpr:
-        result = self._spec(e)
-        if isinstance(result, _Meta):
+        if type(e) is ast.Escape:   # a term: no meta-value detour
+            return embed_value(self.eval_escape(e), e.location)
+        result = _SPEC.get(type(e), _unspecializable)(self, e)
+        if type(result) is _Meta:
             return embed_value(result.value, e.location)
         return result
 
     def _spec(self, e: ast.Expr):
         """Specialize an expression; may return a :class:`_Meta` when the
         expression is (so far) a pure meta-namespace path."""
+        return _SPEC.get(type(e), _unspecializable)(self, e)
+
+    def _spec_name(self, e: ast.Name):
+        sym = self.lookup_terra(e.name)
+        if sym is not None:
+            return sast.SVar(sym, e.location)
+        try:
+            return _Meta(self.env.lookup(e.name))
+        except SpecializeError as exc:
+            if exc.location is None:
+                raise SpecializeError(exc.raw_message, e.location) from None
+            raise
+
+    def _spec_index(self, e: ast.Index):
+        obj = self._spec(e.obj)
+        if isinstance(obj, _Meta):
+            if isinstance(obj.value, T.Type):
+                # T[N] in expression position: an array type value
+                return _Meta(T.array(obj.value, self._const_int(e.index)))
+            obj = embed_value(obj.value, e.location)
+        return sast.SIndex(obj, self.spec_expr(e.index), e.location)
+
+    def _spec_unop(self, e: ast.UnOp):
         loc = e.location
-        if isinstance(e, ast.Number):
-            return self._spec_number(e)
-        if isinstance(e, ast.String):
-            return sast.SString(e.value, loc)
-        if isinstance(e, ast.Bool):
-            return sast.SConst(e.value, T.bool_, loc)
-        if isinstance(e, ast.Nil):
-            return sast.SNull(loc)
-        if isinstance(e, ast.Name):
-            sym = self.lookup_terra(e.name)
-            if sym is not None:
-                return sast.SVar(sym, loc)
-            try:
-                return _Meta(self.env.lookup(e.name))
-            except SpecializeError as exc:
-                if exc.location is None:
-                    raise SpecializeError(exc.raw_message, loc) from None
-                raise
-        if isinstance(e, ast.Escape):
-            # escape results behave like meta values so that e.g.
-            # [table].field, [intrinsic](...) and [T](...) work
-            return _Meta(self.eval_escape(e))
-        if isinstance(e, ast.Select):
-            return self._spec_select(e)
-        if isinstance(e, ast.Index):
-            obj = self._spec(e.obj)
-            if isinstance(obj, _Meta):
-                if isinstance(obj.value, T.Type):
-                    # T[N] in expression position: an array type value
-                    return _Meta(T.array(obj.value, self._const_int(e.index)))
-                obj = embed_value(obj.value, loc)
-            return sast.SIndex(obj, self.spec_expr(e.index), loc)
-        if isinstance(e, ast.Apply):
-            return self._spec_apply(e)
-        if isinstance(e, ast.MethodCall):
-            obj = self.spec_expr(e.obj)
-            args = self._spec_args(e.args)
-            return sast.SMethodCall(obj, e.name, args, loc)
-        if isinstance(e, ast.UnOp):
-            if e.op == "&":
-                # could be a pointer-type expression (&T) or address-of
-                operand = self._spec(e.operand)
-                if isinstance(operand, _Meta) and isinstance(operand.value, T.Type):
-                    return _Meta(T.pointer(operand.value))
-                if isinstance(operand, _Meta):
-                    operand = embed_value(operand.value, loc)
-                if isinstance(operand, sast.STypeRef):
-                    return _Meta(T.pointer(operand.type))
-                return sast.SUnOp("&", operand, loc)
+        if e.op != "&":
             return sast.SUnOp(e.op, self.spec_expr(e.operand), loc)
-        if isinstance(e, ast.BinOp):
-            return sast.SBinOp(e.op, self.spec_expr(e.lhs),
-                               self.spec_expr(e.rhs), loc)
-        if isinstance(e, ast.Constructor):
-            return self._spec_constructor(e)
-        if isinstance(e, (ast.FunctionTypeExpr, ast.TupleTypeExpr)):
-            return _Meta(self.meta_eval(e))
-        if isinstance(e, ast.TreeRef):
-            return e.tree
-        raise SpecializeError(
-            f"cannot specialize {type(e).__name__}", loc)
+        # could be a pointer-type expression (&T) or address-of
+        operand = self._spec(e.operand)
+        if isinstance(operand, _Meta) and isinstance(operand.value, T.Type):
+            return _Meta(T.pointer(operand.value))
+        if isinstance(operand, _Meta):
+            operand = embed_value(operand.value, loc)
+        if isinstance(operand, sast.STypeRef):
+            return _Meta(T.pointer(operand.type))
+        return sast.SUnOp("&", operand, loc)
 
     def _spec_number(self, e: ast.Number) -> sast.SConst:
         if e.is_float:
@@ -702,6 +677,36 @@ class Specializer:
             return Quote.from_statements(block, in_exprs)
         finally:
             self.pop_scope()
+
+
+def _unspecializable(spec: Specializer, e):
+    raise SpecializeError(f"cannot specialize {type(e).__name__}",
+                          getattr(e, "location", None))
+
+
+#: ``Specializer._spec`` by the expression's class
+_SPEC = {
+    ast.Number: Specializer._spec_number,
+    ast.String: lambda spec, e: sast.SString(e.value, e.location),
+    ast.Bool: lambda spec, e: sast.SConst(e.value, T.bool_, e.location),
+    ast.Nil: lambda spec, e: sast.SNull(e.location),
+    ast.Name: Specializer._spec_name,
+    # escape results behave like meta values so that e.g. [table].field,
+    # [intrinsic](...) and [T](...) work
+    ast.Escape: lambda spec, e: _Meta(spec.eval_escape(e)),
+    ast.Select: Specializer._spec_select,
+    ast.Index: Specializer._spec_index,
+    ast.Apply: Specializer._spec_apply,
+    ast.MethodCall: lambda spec, e: sast.SMethodCall(
+        spec.spec_expr(e.obj), e.name, spec._spec_args(e.args), e.location),
+    ast.UnOp: Specializer._spec_unop,
+    ast.BinOp: lambda spec, e: sast.SBinOp(
+        e.op, spec.spec_expr(e.lhs), spec.spec_expr(e.rhs), e.location),
+    ast.Constructor: Specializer._spec_constructor,
+    ast.FunctionTypeExpr: lambda spec, e: _Meta(spec.meta_eval(e)),
+    ast.TupleTypeExpr: lambda spec, e: _Meta(spec.meta_eval(e)),
+    ast.TreeRef: lambda spec, e: e.tree,
+}
 
 
 def _is_namespace(value) -> bool:

@@ -81,20 +81,22 @@ class TestEviction:
 
 
 class TestHitPersistence:
-    def _disk_last_use(self, cache, key):
-        return json.load(open(cache._index_path()))["entries"][key]["last_use"]
-
-    def test_warm_process_hits_reach_disk(self, tmp_path):
-        """Regression: lookup() bumped last_use only in memory, so a
-        warm-cache process (all hits, zero publishes) persisted nothing —
-        a later gc() evicted the hottest artifacts as if they were cold."""
+    def test_a_pure_hit_touches_the_artifact_not_the_index(self, tmp_path):
+        """The LRU clock is the artifact's mtime, so a warm-cache process
+        (all hits, zero publishes) leaves what every later ``gc()`` reads —
+        and rewrites no index, whatever its size."""
         writer = make_cache(tmp_path)
-        publish(writer, "hot", b"x")
-        stamped = self._disk_last_use(writer, "hot")
-        time.sleep(0.05)
+        path = publish(writer, "hot", b"x")
+        old = time.time() - 60
+        os.utime(path, (old, old))
+        index = open(writer._index_path(), "rb").read()
         warm = ArtifactCache(root=writer.root)  # a second, warm process
-        assert warm.lookup("hot") is not None   # pure hit, never publishes
-        assert self._disk_last_use(warm, "hot") > stamped
+        for _ in range(3):
+            assert warm.lookup("hot") == path   # pure hit, never publishes
+        assert os.stat(path).st_mtime > old + 30
+        assert open(writer._index_path(), "rb").read() == index
+        assert not [n for n in os.listdir(writer.root)
+                    if n.startswith(".index-")]
 
     def test_cross_process_lru_respects_warm_hits(self, tmp_path):
         writer = make_cache(tmp_path, max_bytes=250)
@@ -109,16 +111,20 @@ class TestHitPersistence:
         assert evictor.lookup("cold") is None
         assert evictor.lookup("hot") is not None
 
-    def test_hit_saves_are_throttled_and_flushable(self, tmp_path):
-        cache = make_cache(tmp_path)
-        publish(cache, "k1", b"x")
-        first = self._disk_last_use(cache, "k1")
-        cache.lookup("k1")                     # publish just saved: throttled
-        time.sleep(0.05)
-        cache.lookup("k1")                     # still within the window
-        assert self._disk_last_use(cache, "k1") == first
-        cache.flush()
-        assert self._disk_last_use(cache, "k1") > first
+    def test_a_new_memo_record_is_saved_at_once(self, tmp_path):
+        """... on the row another process published after this one read
+        the index, which the save keeps."""
+        writer = make_cache(tmp_path)
+        cache = ArtifactCache(root=writer.root)
+        assert cache.summary()["artifacts"] == 0    # the index, read
+        publish(writer, "k1", b"x", flags=("-O1",))
+        record = ["sources", [["tfn1_f", []]]]
+        assert cache.lookup("k1", ("d1", record)) is not None
+        index = open(cache._index_path(), "rb").read()
+        row = json.loads(index)["entries"]["k1"]
+        assert row["memo"] == {"d1": record} and row["flags"] == ["-O1"]
+        assert cache.lookup("k1", ("d1", record)) is not None   # known
+        assert open(cache._index_path(), "rb").read() == index
 
 
 class TestRecovery:

@@ -24,7 +24,7 @@ def put(cache, key, ns=None, size=16, bump_clock=True):
         f.write(b"x" * size)
     path = cache.publish(key, tmp, namespace=ns)
     if bump_clock:
-        time.sleep(0.002)  # distinct last_use for deterministic LRU order
+        time.sleep(0.002)  # distinct mtimes for deterministic LRU order
     return path
 
 

@@ -128,6 +128,7 @@ class TestFolding:
 
 
 class TestSemanticsPreserved:
+    @pytest.mark.usefixtures("cbackend")
     @settings(max_examples=30, deadline=None)
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
     def test_differential_after_optimization(self, a, b):

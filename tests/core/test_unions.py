@@ -58,8 +58,7 @@ class TestUnionLayout:
 
 
 class TestUnionSemantics:
-    @pytest.mark.parametrize("backend_name", ["c", "interp"])
-    def test_members_alias(self, backend_name):
+    def test_members_alias(self, backend):
         V = make_value()
         f = terra("""
         terra f(x : int64) : int64
@@ -72,10 +71,9 @@ class TestUnionSemantics:
           return v.i
         end
         """, env={"Value": V})
-        assert f.compile(backend_name)(0x12345678) == 0x12345678
+        assert f.compile(backend)(0x12345678) == 0x12345678
 
-    @pytest.mark.parametrize("backend_name", ["c", "interp"])
-    def test_type_punning_float_bits(self, backend_name):
+    def test_type_punning_float_bits(self, backend):
         S = struct("struct Pun { union { f : float, bits : uint32 } }")
         f = terra("""
         terra f() : uint32
@@ -84,7 +82,7 @@ class TestUnionSemantics:
           return p.bits
         end
         """, env={"Pun": S})
-        assert f.compile(backend_name)() == 0x3F800000  # IEEE 754 for 1.0f
+        assert f.compile(backend)() == 0x3F800000  # IEEE 754 for 1.0f
 
     def test_ffi_struct_with_union(self):
         V = make_value()

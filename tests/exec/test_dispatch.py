@@ -111,6 +111,17 @@ def test_four_threads_joining_one_compile_async_share_it(cold_service,
     assert not fn.dispatcher.pending
 
 
+def test_two_definitions_of_one_artifact_share_its_cdll(cold_service,
+                                                        cbackend):
+    """The second definition binds the first one's artifact: one CDLL per
+    path, and a function object of its own."""
+    libs = len(cbackend._libs)
+    first, second = (_fresh().compile(cbackend) for _ in range(2))
+    assert first(20, 22) == second(20, 22) == 42
+    assert len(cbackend._libs) == libs + 1
+    assert first.cfn is not second.cfn
+
+
 def test_a_failed_compile_raises_from_every_joiner_and_is_retried(
         cold_service, cbackend, fake_toolchain, monkeypatch):
     """A failed ticket is nobody's cached answer: every joiner sees the
