@@ -29,8 +29,8 @@ verify-ir:  # full suite with the IR verifier re-checking after every pass
 	REPRO_TERRA_VERIFY_IR=1 $(PYTHON) -m pytest tests/ -x -q
 
 fuzz-smoke:  # the differential gate, verifier on: corpus replay, then 300
-	# fixed-seed programs, over interp/c/tiered x levels 0/1/2 plus the
-	# vectorizing level 3 and the lenient tile-schedule configs
+	# fixed-seed programs, over interp/c/tiered x levels 0/1 plus the
+	# vectorizing level 2 and the lenient tile-schedule configs
 	REPRO_TERRA_VERIFY_IR=1 $(PYTHON) -m repro.fuzz --replay tests/fuzz/corpus --tiered --autovec --schedule
 	REPRO_TERRA_VERIFY_IR=1 $(PYTHON) -m repro.fuzz --seed 20260806 --count 300 --tiered --autovec --schedule
 

@@ -258,7 +258,7 @@ def autovec(full=False):
     n, reps = (4096, 400) if full else (2048, 200)
     rng = np.random.RandomState(12345)
     table = Table(f"auto-vectorizer, n={n} x {reps} reps (ms)",
-                  ["elem", "scalar (level 1)", "vector (level 3)", "speedup"])
+                  ["elem", "scalar (level 1)", "vector (level 2)", "speedup"])
     for elem, dt in [("float", np.float32), ("double", np.float64)]:
         bufs = [rng.rand(n).astype(dt) for _ in range(4)] + \
                [np.zeros(n, dt) for _ in range(4)]

@@ -81,7 +81,7 @@ def test_autovec_beats_scalar():
     """>=1.3x at float32 (16 lanes); double (8 lanes) has a softer floor."""
     (table,) = report.autovec()
     scalar, vector = table.column("scalar (level 1)"), \
-        table.column("vector (level 3)")
+        table.column("vector (level 2)")
     assert scalar["float"] > 1.3 * vector["float"], (scalar, vector)
     assert scalar["double"] > 1.1 * vector["double"], (scalar, vector)
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from ..errors import CompileError
 from .. import config
 from .. import trace as _trace
+from ..passes.manager import PIPELINE_CANON
 
 
 class CompileTicket:
@@ -116,13 +117,12 @@ class Backend:
 
     name: str = "abstract"
 
-    #: the :mod:`repro.passes` pipeline level this backend reads every body
-    #: at (0 = raw typechecker output, 1 = canonicalized, 2 = full
-    #: optimization, 3 = full plus auto-vectorization — see
-    #: :data:`repro.passes.LEVEL_PASSES`), unless ``REPRO_TERRA_PIPELINE``
-    #: or ``pipeline_override`` forces another.  A level is built once per
-    #: function, so two backends requesting the same level share the work.
-    pipeline_level: int = 2
+    #: the :mod:`repro.passes` pipeline level both backends read every body
+    #: at — CANON, what ships (see :data:`repro.passes.LEVEL_PASSES`) —
+    #: unless ``REPRO_TERRA_PIPELINE`` or ``pipeline_override`` forces
+    #: another.  One level, so the interpreter checks the IR the C backend
+    #: compiles, and whichever backend compiles second reuses the body.
+    pipeline_level: int = PIPELINE_CANON
 
     def memoized_unit(self, fn) -> tuple:
         """What this backend's structural memo knows of ``fn``'s component

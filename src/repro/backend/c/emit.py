@@ -186,8 +186,7 @@ class CEmitter:
         """``fn``'s body at this backend's pipeline level.
 
         Served through the per-level cache in :mod:`repro.passes`, so the
-        emitted C does not depend on whether another backend that wants a
-        higher level (the interpreter runs LICM) compiled first."""
+        emitted C does not depend on which backend compiled first."""
         from ...passes import pipelined_body
         return pipelined_body(fn.typed,
                               getattr(self.backend, "pipeline_level", None))
@@ -1124,11 +1123,6 @@ class CEmitter:
             value = self._ev(e.args[1])
             return (f"({{ {cty} _v = ({value}); __builtin_memcpy("
                     f"(void*)({addr}), &_v, sizeof _v); (void)0; }})")
-        if name == "fma":
-            ty = e.type
-            a, b, c = (self._ev(x) for x in e.args)
-            suffix = "f" if ty is T.float32 else ""
-            return f"__builtin_fma{suffix}({a}, {b}, {c})"
         if name in ("fmin", "fmax"):
             ty = e.type
             a, b = self._ev(e.args[0]), self._ev(e.args[1])

@@ -266,17 +266,6 @@ class CompiledFunction(ExecutableHandle):
 class CBackend(Backend):
     name = "c"
 
-    #: the linker brings the typed IR to this pipeline level before
-    #: calling submit_unit (see repro.passes).  CANON (fold/simplify/dce)
-    #: shrinks the emitted C and makes equivalent stagings hit the buildd
-    #: artifact cache; LICM is deliberately left to gcc -O3, whose own
-    #: loop optimizer subsumes ours — pre-hoisted temps only enlarge the
-    #: unit (and the cache key space).  ``REPRO_TERRA_PIPELINE=3`` asks
-    #: for the auto-vectorizing pipeline instead (gcc's own vectorizer
-    #: stops at 256-bit vectors where ours emits the full register width;
-    #: see passes/vectorize.py).
-    pipeline_level = 1
-
     def __init__(self):
         self._libs: dict[str, ctypes.CDLL] = {}     # .so path -> its CDLL
         #: entry fn -> (key, C source, C names): see _emit; a unit bound from
@@ -337,7 +326,7 @@ class CBackend(Backend):
         members, digest = structural_digest(fn, repr((
             self._level(), service.flags_key(tuple(_EXTRA_CFLAGS)),
             [config.get("REPRO_TERRA_" + name)
-             for name in ("DISABLE_PASSES", "FMA", "VEC_BYTES")])))
+             for name in ("DISABLE_PASSES", "VEC_BYTES")])))
         if members is None:
             return f"ineligible:{digest}", None, None
         memo = (digest, members)

@@ -495,10 +495,6 @@ class Machine:
             return None
         args = [self.eval_expr(a, frame) for a in e.args]
         ty = e.type
-        if name == "fma":
-            a, b, c = args
-            assert isinstance(ty, T.PrimitiveType)
-            return V.fused_multiply_add(a, b, c, ty)
         if name == "select":
             cond, a, b = args
             if isinstance(ty, T.VectorType):
@@ -541,15 +537,30 @@ class InterpFunction(ExecutableHandle):
         keep: list = []
         with self.machine.lock:
             try:
-                machine_args = [self._to_machine(value, ty, keep)
-                                for value, ty in zip(args, ftype.parameters)]
+                machine_args = self._arguments(args, keep)
                 result = self.machine.call_function(self.func, machine_args,
                                                     self.level)
             finally:
                 for item in keep:
-                    if isinstance(item, _CopyBack):
+                    if isinstance(item, (_CopyBack, _CtypesCopyBack)):
                         item.copy_back()
             return self._to_python(result, ftype.returntype)
+
+    def _arguments(self, args, keep: list) -> list:
+        machine_args: list = []
+        arrays: list = []
+        for value, ty in zip(args, self.type.parameters):
+            if isinstance(value, np.ndarray) and ty.ispointer():
+                # the C backend's validation, in argument order; mapped
+                # once every array is known
+                address = convert.pointer_address(value, ty)[0]
+                arrays.append((address, value.nbytes, len(machine_args),
+                               value))
+                machine_args.append(None)
+            else:
+                machine_args.append(self._to_machine(value, ty, keep))
+        self._map_arrays(arrays, machine_args, keep)
+        return machine_args
 
     def _to_machine(self, value, ty: T.Type, keep: list):
         if isinstance(ty, T.PrimitiveType):
@@ -560,15 +571,35 @@ class InterpFunction(ExecutableHandle):
             return convert.python_to_blob(value, ty)
         raise FFIError(f"interp: cannot pass {ty} from Python")
 
+    def _map_arrays(self, arrays: list, machine_args: list,
+                    keep: list) -> None:
+        """Map the numpy arguments (``(address, nbytes, position, array)``)
+        into interpreter memory and fill in their positions.  Arrays that
+        share process memory share interpreter memory too, as under C:
+        each run of overlapping arrays is one region, copied in from the
+        bytes they span and back out to each array after the call (so
+        ``f(buf, buf)`` reads through one pointer what it wrote through
+        the other)."""
+        runs: list = []
+        for span in sorted(arrays, key=lambda span: span[:3]):
+            if runs and span[0] < max(a + n for a, n, _, _ in runs[-1]):
+                runs[-1].append(span)
+            else:
+                runs.append([span])
+        for run in runs:
+            mirror = _CopyBack(self.machine, run)
+            keep.append(mirror)
+            for address, _, i, _ in run:
+                machine_args[i] = mirror.region.start + address \
+                    - mirror.address
+
     def _pointer_to_machine(self, value, ty: T.Type, keep: list) -> int:
         """Pointers in the interpreter live in flat memory: copy Python
-        buffers in, and arrange copy-out for numpy arrays (so kernels that
-        write through pointers behave as with the C backend)."""
+        buffers in, and arrange copy-out for ctypes storage (so kernels
+        that write through pointers behave as with the C backend).  Numpy
+        arrays are mapped together, by :meth:`_map_arrays`."""
         machine = self.machine
-        if isinstance(value, np.ndarray):
-            convert.pointer_address(value, ty)  # the C backend's validation
-            raw, mirror = value.tobytes(), _CopyBack
-        elif isinstance(value, (ctypes.Array, ctypes.Structure)):
+        if isinstance(value, (ctypes.Array, ctypes.Structure)):
             # server-resident buffers (repro.serve) and other ctypes
             # storage: copy in, mirror writes back out after the call —
             # same observable behavior as handing the C backend the
@@ -603,25 +634,39 @@ class InterpFunction(ExecutableHandle):
 
 
 class _CopyBack:
-    """Copies interpreter memory back into the originating numpy array
-    after the call (the interpreter's address space is distinct from the
-    process heap, so pointer writes must be mirrored out)."""
+    """One region of interpreter memory mirroring a run of overlapping
+    numpy arrays (``(address, nbytes, position, array)`` spans, sorted by
+    address): filled from the process bytes they span, and copied back
+    into each writable array after the call (the interpreter's address
+    space is distinct from the process heap, so pointer writes must be
+    mirrored out)."""
+
+    def __init__(self, machine: Machine, run: list):
+        self.machine = machine
+        self.address = run[0][0]
+        size = max(a + n for a, n, _, _ in run) - self.address
+        self.region = machine.memory.map_region(max(size, 1), "foreign")
+        machine.memory.write(self.region.start,
+                             ctypes.string_at(self.address, size))
+        self.arrays = [(a - self.address, array) for a, _, _, array in run]
+
+    def copy_back(self) -> None:
+        for offset, array in self.arrays:
+            if array.flags.writeable:
+                raw = self.machine.memory.read_unchecked(
+                    self.region.start + offset, array.nbytes)
+                array.reshape(-1)[:] = np.frombuffer(raw, array.dtype)
+        self.machine.memory.unmap_region(self.region)
+
+
+class _CtypesCopyBack:
+    """Copies interpreter memory back into ctypes arrays and structs after
+    the call, as :class:`_CopyBack` does for numpy arrays."""
 
     def __init__(self, machine: Machine, region, array):
         self.machine = machine
         self.region = region
         self.array = array
-
-    def copy_back(self) -> None:
-        if self.array.flags.writeable:
-            raw = self.machine.memory.read_unchecked(
-                self.region.start, self.array.nbytes)
-            self.array.reshape(-1)[:] = np.frombuffer(raw, self.array.dtype)
-        self.machine.memory.unmap_region(self.region)
-
-
-class _CtypesCopyBack(_CopyBack):
-    """Copy-out twin of :class:`_CopyBack` for ctypes arrays and structs."""
 
     def copy_back(self) -> None:
         size = ctypes.sizeof(self.array)
@@ -632,12 +677,6 @@ class _CtypesCopyBack(_CopyBack):
 
 class InterpBackend(Backend):
     name = "interp"
-
-    #: the linker brings the typed IR to this pipeline level before
-    #: calling submit_unit (see repro.passes); the interpreter has no
-    #: private optimizer of its own, so it wants the FULL pipeline —
-    #: including LICM, which no downstream compiler would do for it
-    pipeline_level = 2
 
     def __init__(self):
         self.memory = Memory()

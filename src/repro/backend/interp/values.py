@@ -168,42 +168,3 @@ def scalar_cast(value, source: T.Type, target: T.PrimitiveType):
     if isinstance(value, bool):
         value = int(value)
     return round_float(float(value), target)
-
-
-#: lazily-bound libm fma/fmaf (Python 3.11 has no math.fma); False once
-#: binding failed, so saveobj-style minimal environments degrade to the
-#: doubly-rounded a*b+c instead of crashing
-_LIBM_FMA = None
-
-
-def _libm_fma():
-    global _LIBM_FMA
-    if _LIBM_FMA is None:
-        try:
-            import ctypes
-            import ctypes.util
-            lib = ctypes.CDLL(ctypes.util.find_library("m") or "libm.so.6")
-            fma64 = lib.fma
-            fma64.restype = ctypes.c_double
-            fma64.argtypes = [ctypes.c_double] * 3
-            fma32 = lib.fmaf
-            fma32.restype = ctypes.c_float
-            fma32.argtypes = [ctypes.c_float] * 3
-            _LIBM_FMA = (fma64, fma32)
-        except (OSError, AttributeError):
-            _LIBM_FMA = False
-    return _LIBM_FMA
-
-
-def fused_multiply_add(a: float, b: float, c: float,
-                       ty: T.PrimitiveType) -> float:
-    """``a*b + c`` with a single rounding, in ``ty``'s precision —
-    matching the C backend's ``__builtin_fma``/``__builtin_fmaf``.
-    Only reachable when ``REPRO_TERRA_FMA=1`` opted into contraction."""
-    fns = _libm_fma()
-    if not fns:
-        return round_float(float(a) * float(b) + float(c), ty)
-    fma64, fma32 = fns
-    if ty is T.float32:
-        return round_float(fma32(a, b, c), ty)
-    return float(fma64(a, b, c))

@@ -80,24 +80,19 @@ VARS = {
         "buildd (artifact cache)", "first use",
         "Entry-count LRU bound on top of the byte cap."),
     "REPRO_TERRA_PIPELINE": (
-        integer(0, 3), None, "the backend's declared level",
+        integer(0, 2), None, "`1` (what ships)",
         "passes", "every use",
-        "Pass-pipeline level of *every* compile (`3` adds the vectorizer); "
+        "Pass-pipeline level of *every* compile (`2` adds the vectorizer); "
         "`passes.pipeline_override(level)` wins over it."),
     "REPRO_TERRA_VEC_BYTES": (
         integer(4, pow2=True), 64, "`64`",
         "passes (vectorizer)", "every use",
         "Vector register width in bytes; lanes = bytes / widest element."),
-    "REPRO_TERRA_FMA": (
-        FLAG, False, "`0`",
-        "passes (simplify)", "every use",
-        "Contract float `a*b+c` to `fma`: changes results (one rounding), "
-        "so it is excluded from differential fuzzing."),
     "REPRO_TERRA_DISABLE_PASSES": (
         NAMES, (), "none",
         "passes", "every use",
-        "Registered passes to drop (`licm,dce`); `schedule` ignores attached "
-        "tile schedules (naive kernel, serial dispatch)."),
+        "Registered passes to drop (`simplify,dce`); `schedule` ignores "
+        "attached tile schedules (naive kernel, serial dispatch)."),
     "REPRO_TERRA_DUMP_IR": (
         (str, "a registered pass name, or `all`"), None, "none",
         "passes", "every use",

@@ -213,7 +213,7 @@ class TerraFunction:
     def get_optimized_ir(self, level: Optional[int] = None) -> str:
         """The typed IR after the :mod:`repro.passes` pipeline — what both
         backends actually compile.  ``level`` picks a pipeline level
-        (default: the full pipeline); the tree is returned at exactly
+        (default: the one both backends read); the tree is returned at exactly
         that level, whatever other levels were built before it."""
         from ..passes import pipelined_body
         from .prettyprint import format_typed_ir

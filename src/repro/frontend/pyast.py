@@ -16,7 +16,7 @@ re-read through Python's :mod:`ast` module and lowered into the same
 untyped Terra AST (:mod:`repro.core.ast`) the string parser produces;
 from there it flows through the one shared path: eager specialization
 (:class:`repro.core.specialize.Specializer`), lazy typechecking, the
-pass pipeline (levels 0–3 including the vectorizer), both backends, and
+pass pipeline (levels 0–2 including the vectorizer), both backends, and
 the tiered dispatcher.  Nothing downstream of ``TerraFunction.define``
 knows which frontend produced a function — that boundary is the
 frontend↔IR contract documented in ``docs/FRONTENDS.md``.

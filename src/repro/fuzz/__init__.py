@@ -13,7 +13,7 @@ differential testing):
   the generated programs on one backend at one pipeline level, streaming
   machine-readable results;
 * :mod:`repro.fuzz.runner` — the differential executor: runs every
-  program on the interp and C backends at pipeline levels NONE/CANON/FULL
+  program on the interp and C backends at pipeline levels NONE/CANON
   in crash-isolated subprocesses, so a trapping or crashing program is
   recorded as a *finding* instead of killing the harness;
 * :mod:`repro.fuzz.minimize` — a delta-debugging minimizer that shrinks a

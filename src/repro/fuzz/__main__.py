@@ -26,8 +26,8 @@ import sys
 from .corpus import load_corpus, replay_entry, save_entry
 from .gen import generate_program
 from .minimize import minimize
-from .runner import (DEFAULT_CONFIGS, DEFAULT_TIMEOUT, executions_diverge,
-                     run_differential, run_program)
+from .runner import (AUTOVEC_CONFIGS, DEFAULT_TIMEOUT, SCHEDULE_CONFIGS,
+                     executions_diverge, run_differential, run_program)
 
 
 def _parse_configs(backends: str, levels: str, tiered: bool,
@@ -40,21 +40,20 @@ def _parse_configs(backends: str, levels: str, tiered: bool,
         if b not in ("interp", "c", "tiered", "sched"):
             raise SystemExit(f"unknown backend {b!r}")
     for lv in lvls:
-        if lv not in (0, 1, 2, 3):
-            raise SystemExit(f"pipeline level must be 0..3, got {lv}")
+        if lv not in (0, 1, 2):
+            raise SystemExit(f"pipeline level must be 0..2, got {lv}")
     configs = [(b, lv) for b in bs for lv in lvls]
     if autovec:
         # the autovec matrix: both real backends at the vectorizing
         # level, on top of whatever the caller selected, so vectorized
         # executions are compared bitwise against every scalar config
-        for cfg in [("interp", 3), ("c", 3)]:
+        for cfg in AUTOVEC_CONFIGS:
             if cfg not in configs:
                 configs.append(cfg)
     if schedule:
         # the tile-schedule matrix: C with the lenient fuzz schedule
         # applied, at a scalar and the vectorizing level, compared
         # bitwise against every unscheduled config
-        from .runner import SCHEDULE_CONFIGS
         for cfg in SCHEDULE_CONFIGS:
             if cfg not in configs:
                 configs.append(cfg)
@@ -74,10 +73,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tiered", action="store_true",
                         help="also run the tiered execution policy "
                              "(low-threshold sync tier-up) at each level")
-    parser.add_argument("--levels", default="0,1,2",
-                        help="comma list of pipeline levels (default 0,1,2)")
+    parser.add_argument("--levels", default="0,1",
+                        help="comma list of pipeline levels (default 0,1)")
     parser.add_argument("--autovec", action="store_true",
-                        help="also run interp and c at level 3 (the "
+                        help="also run interp and c at level 2 (the "
                              "auto-vectorizing pipeline), compared "
                              "bitwise against the scalar configs")
     parser.add_argument("--schedule", action="store_true",

@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", required=True,
                         choices=["interp", "c", "tiered", "sched"])
     parser.add_argument("--level", required=True, type=int,
-                        choices=[0, 1, 2, 3])
+                        choices=[0, 1, 2])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=0)
     parser.add_argument("--start", type=int, default=0)

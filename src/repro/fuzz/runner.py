@@ -1,6 +1,6 @@
-"""The differential executor: every program runs on both backends at all
-three pipeline levels, in crash-isolated child processes, and any
-disagreement is a finding.
+"""The differential executor: every program runs on both backends at the
+raw (0) and shipped (1) pipeline levels, in crash-isolated child
+processes, and any disagreement is a finding.
 
 One child process per (backend, level) configuration walks the same
 deterministic (seed, index) program sequence (see :mod:`repro.fuzz.gen`);
@@ -32,23 +32,23 @@ from ..trace.metrics import registry
 from .child import encode_args
 from .gen import FuzzProgram, generate_program
 
-#: the full differential matrix: both backends at every pipeline level
-DEFAULT_CONFIGS = [("interp", 0), ("interp", 1), ("interp", 2),
-                   ("c", 0), ("c", 1), ("c", 2)]
+#: the default differential matrix: both backends at the raw and the
+#: shipped pipeline level (the vectorizing level is ``AUTOVEC_CONFIGS``)
+DEFAULT_CONFIGS = [("interp", 0), ("interp", 1), ("c", 0), ("c", 1)]
 
 #: ride-along configurations running the *tiered execution policy* at
-#: every pipeline level: a low synchronous tier-up threshold (see
+#: both scalar pipeline levels: a low synchronous tier-up threshold (see
 #: repro.fuzz.child) makes every program cross the interp→C transition
 #: mid-argset-loop, so tier transitions are differentially checked
 #: against both plain backends.  Opt-in via ``--tiered`` / these consts.
-TIERED_CONFIGS = [("tiered", 0), ("tiered", 1), ("tiered", 2)]
+TIERED_CONFIGS = [("tiered", 0), ("tiered", 1)]
 
 #: ride-along configurations for the auto-vectorizer: both real backends
-#: at pipeline level 3 (fold/simplify/licm/vectorize/dce).  Vectorized
+#: at pipeline level 2 (fold/simplify/vectorize/dce).  Vectorized
 #: executions must agree *bitwise* with every scalar config — traps,
 #: NaNs, signed zeros, and sub-int wrapping included.  Opt-in via
 #: ``--autovec`` / these consts.
-AUTOVEC_CONFIGS = [("interp", 3), ("c", 3)]
+AUTOVEC_CONFIGS = [("interp", 2), ("c", 2)]
 
 #: ride-along configurations for the tile-schedule lowering: the C
 #: backend with the deterministic lenient :func:`repro.schedule
@@ -57,7 +57,7 @@ AUTOVEC_CONFIGS = [("interp", 3), ("c", 3)]
 #: skipped), at a scalar and the vectorizing level.  Blocking is
 #: order-preserving, so scheduled executions must agree bitwise with
 #: every unscheduled config.  Opt-in via ``--schedule`` / these consts.
-SCHEDULE_CONFIGS = [("sched", 1), ("sched", 3)]
+SCHEDULE_CONFIGS = [("sched", 1), ("sched", 2)]
 
 #: seconds a child may spend on one program before the watchdog kills it
 DEFAULT_TIMEOUT = 60.0

@@ -68,9 +68,9 @@ def has_side_effects(e: tast.TExpr) -> bool:
     (which may fence or prefetch), and statement-carrying ``TLetIn``
     blocks can write.  Anything unrecognized is conservatively effectful.
     Traps are deliberately NOT side effects here — use
-    :func:`expr_may_trap` for those; LICM and the vectorizer need the
-    two questions separately (a trapping-but-effect-free expression may
-    be *sunk* or *guarded*, never *hoisted*).
+    :func:`expr_may_trap` for those; the vectorizer and the schedule
+    lowering need the two questions separately (a trapping-but-effect-free
+    expression may be *sunk* or *guarded*, never *hoisted*).
     """
     if isinstance(e, _LEAF_EXPRS):
         return False
@@ -100,7 +100,7 @@ def expr_may_trap(e: tast.TExpr) -> bool:
     both backends, and the differential suite asserts they are preserved.
     A pass must never hoist a possibly-trapping expression past a branch
     or out of a loop whose trip count can be zero — that would introduce
-    a trap the program never executed (see ``passes/licm.py``).
+    a trap the program never executed.
     """
     if isinstance(e, _LEAF_EXPRS):
         return False

@@ -3,11 +3,14 @@
 Terra separates *staging* (Lua builds the program) from *execution* (LLVM
 optimizes and runs it).  Our reproduction's analog of the optimizer is
 this pipeline: an ordered list of individually-switchable passes that
-every backend consumes through :func:`pipelined_body`.  A typechecked
-tree is read-only; a pipeline level is a pure function of it — a clone
-run through ``LEVEL_PASSES[level]``, built **once per function and
-level** — so what a backend compiles never depends on which backend
-compiled first.
+every backend consumes through :func:`pipelined_body`.  It only
+canonicalizes: scalar optimization such as loop-invariant hoisting is
+left to gcc ``-O3``, and both backends read the level C ships
+(``PIPELINE_CANON``), so the interpreter checks the IR that is compiled.
+Vectorization (level 2) is opt-in.  A typechecked tree is read-only; a
+pipeline level is a pure function of it — a clone run through
+``LEVEL_PASSES[level]``, built **once per function and level** — so what
+a backend compiles never depends on which backend compiled first.
 
 Environment switches (docs/ENVIRONMENT.md): ``REPRO_TERRA_PIPELINE``
 forces a level process-wide, ``REPRO_TERRA_DISABLE_PASSES`` drops passes,
@@ -37,19 +40,17 @@ from ..trace.metrics import registry
 PIPELINE_NONE = 0
 #: canonicalizing cleanups: constant folding, algebraic simplification,
 #: dead-local elimination — enough to make equivalent stagings emit
-#: byte-identical C (and hit the buildd artifact cache)
+#: byte-identical C (and hit the buildd artifact cache).  What ships: both
+#: backends read this level
 PIPELINE_CANON = 1
-#: the full pipeline: canonicalization plus loop-invariant hoisting
-PIPELINE_FULL = 2
-#: the vectorizing pipeline: full, plus auto-vectorization of innermost
+#: opt-in: canonicalization plus auto-vectorization of innermost
 #: countable loops (vector IR + scalar epilogue; see passes/vectorize.py)
-PIPELINE_VEC = 3
+PIPELINE_VEC = 2
 
 LEVEL_PASSES: dict[int, tuple[str, ...]] = {
     PIPELINE_NONE: (),
     PIPELINE_CANON: ("fold", "simplify", "dce"),
-    PIPELINE_FULL: ("fold", "simplify", "licm", "dce"),
-    PIPELINE_VEC: ("fold", "simplify", "licm", "vectorize", "dce"),
+    PIPELINE_VEC: ("fold", "simplify", "vectorize", "dce"),
 }
 
 
@@ -97,7 +98,7 @@ def create_pass(name: str) -> Pass:
 
 def _ensure_registered() -> None:
     """Import the pass modules (each registers itself on import)."""
-    from . import (dce, fold, licm, simplify, tileschedule,  # noqa: F401
+    from . import (dce, fold, simplify, tileschedule,  # noqa: F401
                    vectorize, verify)
 
 
@@ -136,7 +137,7 @@ def resolve_level(level: Optional[int] = None) -> int:
     env = config.get("REPRO_TERRA_PIPELINE")
     if env is not None:
         return env
-    return PIPELINE_FULL if level is None else level
+    return PIPELINE_CANON if level is None else level
 
 
 # -- the manager ------------------------------------------------------------------
@@ -152,7 +153,7 @@ class PassManager:
     def __init__(self, passes: Optional[Sequence] = None, *,
                  verify: Optional[bool] = None, dump: Optional[str] = None):
         if passes is None:
-            passes = LEVEL_PASSES[PIPELINE_FULL]
+            passes = LEVEL_PASSES[PIPELINE_CANON]
         resolved = [create_pass(p) if isinstance(p, str) else p
                     for p in passes]
         disabled = _registered("REPRO_TERRA_DISABLE_PASSES",

@@ -16,12 +16,6 @@ since the operand's side effects and traps must be preserved):
   rounds toward zero while arithmetic shift rounds toward −∞, so the
   signed forms are NOT equivalent and are left alone.
 
-One opt-in, *result-changing* rewrite: with ``REPRO_TERRA_FMA=1``, a
-float ``a*b + c`` whose left operand is the multiply contracts to the
-``fma`` intrinsic (single rounding, like ``-ffp-contract=fast``).  It is
-off by default because contraction changes bits; the differential fuzzer
-never enables it.
-
 Canonicalizing these shapes matters beyond speed: tuner-generated kernels
 that differ only in how constants were staged fold to identical trees,
 emit byte-identical C, and therefore hit the buildd artifact cache.
@@ -29,7 +23,6 @@ emit byte-identical C, and therefore hit the buildd artifact cache.
 
 from __future__ import annotations
 
-from .. import config
 from ..backend.interp import values as V
 from ..core import tast
 from ..core import types as T
@@ -68,8 +61,6 @@ def _binop(e: tast.TBinOp) -> tast.TExpr:
     lhs, rhs = e.lhs, e.rhs
     ty = e.type
     if not (isinstance(ty, T.PrimitiveType) and ty.isintegral()):
-        if isinstance(ty, T.PrimitiveType) and ty.isfloat():
-            return _contract_fma(e)
         return e
     if is_const(rhs):
         if e.op in ("+", "-", "|", "^", "<<", ">>") and rhs.value == 0:
@@ -136,22 +127,6 @@ def _binop(e: tast.TBinOp) -> tast.TExpr:
             return tast.TBinOp("&", lhs,
                                tast.TConst(rhs.value - 1, ty, e.location),
                                ty, e.location)
-    return e
-
-
-def _contract_fma(e: tast.TBinOp) -> tast.TExpr:
-    """Opt-in (``REPRO_TERRA_FMA=1``) float ``a*b + c → fma(a, b, c)``.
-
-    Only the left-operand-multiply form contracts, so a, b, c keep their
-    original evaluation order.  Result-changing (single rounding), hence
-    off by default and excluded from differential fuzzing."""
-    if e.op != "+" or not config.get("REPRO_TERRA_FMA"):
-        return e
-    mul = e.lhs
-    if isinstance(mul, tast.TBinOp) and mul.op == "*" \
-            and mul.type is e.type and not isinstance(e.type, T.VectorType):
-        return tast.TIntrinsic("fma", [mul.lhs, mul.rhs, e.rhs], e.type,
-                               e.location)
     return e
 
 

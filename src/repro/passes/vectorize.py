@@ -44,7 +44,7 @@ differential fuzzer (``make fuzz-smoke``):
 
 Environment knobs (see docs/ENVIRONMENT.md):
 
-* ``REPRO_TERRA_PIPELINE=3`` / ``pipeline_override(3)`` — level 3 (this
+* ``REPRO_TERRA_PIPELINE=2`` / ``pipeline_override(2)`` — level 2 (this
   pass) only runs when requested explicitly.
 * ``REPRO_TERRA_VEC_BYTES`` — vector register width in bytes (default
   64: on AVX-512 hardware gcc's own autovectorizer stops at 256-bit

@@ -17,7 +17,7 @@ composing into a :class:`Schedule` applied to *any* staged loop nest with
 :func:`apply`.  Axes are named by their loop variable (``for i = ...`` is
 axis ``"i"``); lowering happens in the ``schedule`` IR pass
 (:mod:`repro.passes.tileschedule`), which runs once per function before
-any pipeline level — so levels 0–3, both backends, the tiered
+any pipeline level — so levels 0–2, both backends, the tiered
 dispatcher, tracing, and the buildd artifact cache all see the scheduled
 tree with no special cases.  Invalid schedules raise a typed
 :class:`~repro.errors.ScheduleError` naming the offending directive, at
@@ -157,7 +157,7 @@ class Unroll(Directive):
 @dataclass(frozen=True)
 class Vectorize(Directive):
     """Vectorize ``axis`` with ``width`` lanes (0 = derive from
-    ``REPRO_TERRA_VEC_BYTES``).  Unlike pipeline level 3 — which silently
+    ``REPRO_TERRA_VEC_BYTES``).  Unlike pipeline level 2 — which silently
     bails on unsupported loops — an explicit Vectorize that cannot be
     honored is a :class:`ScheduleError` naming the reason: the axis must
     be innermost (after any Tile/Block) with unit stride and a

@@ -27,6 +27,25 @@ class TestL1Kernel:
         k(A, B, C, NB, NB, NB)
         assert np.allclose(C, A @ B)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.25])
+    @pytest.mark.parametrize("V", [2, 4])
+    @pytest.mark.parametrize("RM,RN", [(4, 2), (2, 4)])
+    def test_interp_matches_c_bitwise(self, RM, RN, V, alpha, cbackend):
+        """The interpreter walks the tree the C backend emits (vector
+        loads, prefetches, the unrolled register block) and agrees with
+        it bit for bit, for the register blockings the tuner pools."""
+        from repro import get_backend
+        NB = 16
+        k = genkernel(NB, RM, RN, V, alpha)
+        A, B, C0 = _abc(NB, np.float64, seed=3)
+        C0[:] = A
+        C = C0.copy()
+        k.compile(cbackend)(A, B, C, NB, NB, NB)
+        C2 = C0.copy()
+        k.compile(get_backend("interp"))(A, B, C2, NB, NB, NB)
+        assert np.array_equal(C2, C)
+        assert np.allclose(C, alpha * C0 + A @ B)
+
     def test_alpha1_accumulates(self):
         NB = 8
         k0 = genkernel(NB, 2, 1, 4, 0.0)

@@ -316,6 +316,30 @@ class TestNumpyInterop:
         with pytest.raises(FFIError, match="dtype"):
             run(f, backend, np.zeros(4, dtype=np.float32))
 
+    def test_one_array_through_two_pointers(self, backend):
+        """A write through ``p`` is read through ``q`` when both are the
+        same array, as in C's flat address space."""
+        f = terra("""
+        terra f(p : &int, q : &int, n : int) : {}
+          for i = 0, n - 1 do p[i] = q[i + 1] * 2 + p[i] end
+        end
+        """)
+        buf = np.arange(8, dtype=np.int32)
+        run(f, backend, buf, buf, 8)
+        assert buf.tolist() == [3 * i + 2 for i in range(7)] + [7]
+
+    def test_overlapping_views(self, backend):
+        """Two views one element apart: each store feeds the next load,
+        so the value carries down the whole array."""
+        f = terra("""
+        terra f(dst : &double, src : &double, n : int) : {}
+          for i = 0, n do dst[i] = src[i] + 1.0 end
+        end
+        """)
+        buf = np.zeros(9)
+        run(f, backend, buf[1:], buf[:-1], 8)
+        assert buf.tolist() == [float(i) for i in range(9)]
+
 
 class TestBackendAgreement:
     """Differential: identical results from gcc and the interpreter."""
@@ -348,6 +372,163 @@ class TestBackendAgreement:
         hi = f.compile(get_backend("interp"))
         for args in argsets:
             assert hc(*args) == hi(*args), args
+
+    #: loops with invariant subexpressions: gcc -O3 hoists them out of the
+    #: C loop, the interpreter evaluates them where they stand, and both
+    #: give the expected value — including where hoisting would be wrong
+    #: (a value the loop mutates, a divide a zero-trip loop never runs, a
+    #: call, a variable whose address escapes)
+    LOOP_PROGRAMS = [
+        pytest.param("""
+        terra f(a : int, b : int, n : int) : int
+          var acc = 0
+          for i = 0, n do acc = acc + a * b + i end
+          return acc
+        end""", [((3, 7, 4), 90), ((3, 7, 0), 0)], id="invariant_multiply"),
+        pytest.param("""
+        terra f(a : int, n : int) : int
+          var acc = 0
+          for i = 0, n do
+            for j = 0, n do acc = acc + a * 13 end
+          end
+          return acc
+        end""", [((2, 3), 234), ((-5, 4), -1040)], id="nested_loops"),
+        pytest.param("""
+        terra f(n : int) : int
+          var acc = 0
+          for i = 0, n do acc = acc + i * 3 end
+          return acc
+        end""", [((5,), 30), ((0,), 0)], id="loop_var_dependent"),
+        pytest.param("""
+        terra f(a : int, n : int) : int
+          var acc = 0
+          for i = 0, n do
+            a = a + 1
+            acc = acc + a * 2
+          end
+          return acc
+        end""", [((1, 3), 18), ((10, 2), 46)], id="mutated_in_loop"),
+        pytest.param("""
+        terra f(a : int, b : int, n : int) : int
+          var acc = 0
+          for i = 0, n do acc = acc + a / b end
+          return acc
+        end""", [((1, 0, 0), 0), ((7, 2, 3), 9), ((-7, 2, 2), -6)],
+            id="zero_trip_divide"),
+        pytest.param("""
+        terra f(a : int, b : int, n : int) : int
+          var acc = 0
+          for i = 0, n do
+            if b ~= 0 then acc = acc + a / b end
+          end
+          return acc
+        end""", [((5, 0, 3), 0), ((5, 2, 3), 6)], id="guarded_divide"),
+        pytest.param("""
+        terra g(x : int) : int return x + 1 end
+        terra f(a : int, n : int) : int
+          var acc = 0
+          for i = 0, n do acc = acc + g(a) end
+          return acc
+        end""", [((4, 3), 15), ((4, 0), 0)], id="call_in_loop"),
+        pytest.param("""
+        terra bump(p : &int) : int p[0] = p[0] + 1 return 0 end
+        terra f(a : int, n : int) : int
+          var acc = 0
+          for i = 0, n do
+            var t = bump(&a)
+            acc = acc + t + a * 2
+          end
+          return acc
+        end""", [((1, 3), 18), ((0, 1), 2)], id="address_taken"),
+        pytest.param("""
+        terra f(a : int, b : int, n : int) : int
+          var acc = 0
+          for i = 0, n do acc = acc + a * b + a * b end
+          return acc
+        end""", [((2, 5, 3), 60)], id="repeated_subexpression"),
+        pytest.param("""
+        terra f(a : int, b : int) : int
+          var acc = 0
+          var i = 0
+          while i < b do
+            acc = acc + a * 3
+            i = i + 1
+          end
+          repeat
+            acc = acc + a * 5
+            i = i - 1
+          until i == 0
+          return acc
+        end""", [((2, 4), 64), ((3, 1), 24)], id="while_and_repeat"),
+        pytest.param("""
+        terra f(x : double, n : int) : double
+          var acc = 0.0
+          for i = 0, n do acc = acc + (x * 0.1 + 1.0) end
+          return acc
+        end""", [((0.3, 5), 5 * (0.3 * 0.1 + 1.0)), ((-2.5, 0), 0.0)],
+            id="float_invariant"),
+    ]
+
+    @pytest.mark.parametrize("source,cases", LOOP_PROGRAMS)
+    def test_loop_invariants(self, source, cases, cbackend):
+        staged = terra(source, env={})
+        fn = staged["f"] if isinstance(staged, dict) else staged
+        hc, hi = fn.compile(cbackend), fn.compile("interp")
+        for args, expected in cases:
+            if isinstance(expected, float):     # summed in loop order
+                expected = 0.0
+                for _ in range(args[1]):
+                    expected += args[0] * 0.1 + 1.0
+            assert hc(*args) == hi(*args) == expected, args
+
+    def test_load_aliased_by_a_store_in_the_loop(self, cbackend):
+        """``p[0]`` looks loop invariant, but the store through ``q`` may
+        write it: with ``p`` and ``q`` one array, each iteration reads
+        the value the last one stored."""
+        src = """
+        terra f(p : &int, q : &int, n : int) : int
+          var acc = 0
+          for i = 0, n do
+            q[0] = q[0] + 1
+            acc = acc + p[0] * 2
+          end
+          return acc
+        end
+        """
+        fn = terra(src, env={})
+        results = []
+        for handle in (fn.compile(cbackend), fn.compile("interp")):
+            buf = np.zeros(1, dtype=np.int32)
+            results.append((handle(buf, buf, 4), buf.tolist()))
+        assert results == [(2 * (1 + 2 + 3 + 4), [4])] * 2
+
+    def test_differential_gemm_kernel(self, cbackend):
+        """A blocked-GEMM-shaped kernel, whose index arithmetic is loop
+        invariant, computes the same on both backends."""
+        src = """
+        terra kernel(C : &double, A : &double, B : &double, n : int) : {}
+          for i = 0, n do
+            for j = 0, n do
+              var sum = 0.0
+              for k = 0, n do
+                sum = sum + A[i * n + k] * B[k * n + j]
+              end
+              C[i * n + j] = sum
+            end
+          end
+        end
+        """
+        n = 8
+        rng = np.random.RandomState(7)
+        A = rng.rand(n, n)
+        B = rng.rand(n, n)
+        fn = terra(src, env={})
+        C = np.zeros((n, n))
+        fn.compile(cbackend)(C, A, B, n)
+        assert np.allclose(C, A @ B)
+        C2 = np.zeros((n, n))
+        fn.compile("interp")(C2, A, B, n)
+        assert np.array_equal(C2, C)
 
 
 class TestSignednessSemantics:

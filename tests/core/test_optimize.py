@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro import get_backend, terra
 from repro.core import tast
 from repro.core import types as T
-from repro.passes import PIPELINE_CANON, PIPELINE_FULL, pipelined_body
+from repro.passes import PIPELINE_CANON, pipelined_body
 
 
 def folded_body(source, env=None):
@@ -152,8 +152,8 @@ class TestSemanticsPreserved:
         end
         """)
         assert fn.compile("interp")(10) == 16
-        # the linker built the full pipeline before the backend compiled:
+        # the linker built the shipped level before the backend compiled:
         # the dead branch is gone from the tree the interpreter walks
-        body = pipelined_body(fn.typed, PIPELINE_FULL)
+        body = pipelined_body(fn.typed, PIPELINE_CANON)
         assert count_nodes(body, tast.TIf) == 0
         assert count_nodes(fn.typed.body, tast.TIf) == 1

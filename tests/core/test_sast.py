@@ -94,7 +94,7 @@ def test_specialized_trees_are_never_written(monkeypatch):
     fingerprints a body once: both rest on nothing writing to an sast
     node.  Stage the GEMM pool, the parity pairs in both frontends, an
     Orion pipeline and a javalike hierarchy; snapshot every quote and
-    every body; typecheck, run, bring to levels 0-3 and emit; compare."""
+    every body; typecheck, run, bring to levels 0-2 and emit; compare."""
     import numpy as np
     from repro.autotune.genkernel import genkernel
     from repro.core.function import TerraFunction
@@ -164,7 +164,7 @@ def test_specialized_trees_are_never_written(monkeypatch):
         run()
     for fn in functions:
         fn.ensure_typechecked()
-        for level in (0, 1, 2, 3):
+        for level in (0, 1, 2):
             fn.get_optimized_ir(level)
         fn.get_c_source()
     assert image() == before

@@ -278,7 +278,6 @@ MUST_MISS = [
      lambda monkeypatch, stack: stack.enter_context(
          extra_cflags("-DMEMO_TEST"))),
     ("pipeline-level", fma_body, fma_body, setenv("REPRO_TERRA_PIPELINE", "0")),
-    ("fma", fma_body, fma_body, setenv("REPRO_TERRA_FMA", "1")),
     ("vec-bytes", fma_body, fma_body, setenv("REPRO_TERRA_VEC_BYTES", "16")),
     ("disable-passes", fma_body, fma_body,
      setenv("REPRO_TERRA_DISABLE_PASSES", "fold")),

@@ -2,14 +2,14 @@
 
 Each program below is compiled three ways:
 
-* interpreter with the full pipeline (the default),
+* interpreter with the pipeline at the level that ships (the default),
 * interpreter with the pipeline forced off (``pipeline_override(0)``),
-* the C backend (full pipeline).
+* the C backend (the same level as the interpreter's default).
 
 All three must agree on every input.  A fresh TerraFunction is built per
 configuration because a function keeps one handle per backend, at the
 level it was first compiled at — reusing one function would silently hand
-the "no passes" run the handle the full-pipeline run built.
+the "no passes" run the handle the pipelined run built.
 
 Trap behaviour is compared interp-with vs interp-without only: the C
 build of a dividing kernel would SIGFPE the test process rather than

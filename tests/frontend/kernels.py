@@ -110,7 +110,7 @@ def make_blur3():
 
 @pair
 def make_sum_sq():
-    # an integer reduction (vectorizable at level 3)
+    # an integer reduction (vectorizable at level 2)
     s = terra("""
     terra sum_sq(p : &int, n : int) : int
       var acc = 0

@@ -8,21 +8,26 @@ Two assertions per corpus kernel (see :mod:`tests.frontend.kernels`):
   normalization (symbols are globally unique, so raw names differ by a
   counter; nothing else may).
 * **Result parity** — both produce bit-identical results on the interp
-  and C backends at pipeline levels 0–3 (fresh functions per
+  and C backends at pipeline levels 0–2 (fresh functions per
   configuration: a function keeps one handle per backend).
+
+Both backends read the level that ships, so each twin is also checked
+against itself across backends: the interpreter and gcc run one
+pipelined tree and agree bit for bit.
 """
 
 import re
 
 import pytest
 
-from repro.passes import pipeline_override
+from repro.buildd import get_service
+from repro.passes import PIPELINE_VEC, pipeline_override
 
 from .kernels import PAIRS
 
 IDS = [name for name, _ in PAIRS]
 
-LEVELS = [0, 1, 2, 3]
+LEVELS = [0, 1, 2]
 BACKENDS = ["interp", "c"]
 
 
@@ -75,6 +80,40 @@ def test_byte_identical_c_source(name, factory):
     twin (or a previous run) compiled first."""
     string_fn, py_fn, _run = factory()
     assert string_fn.get_c_source() == py_fn.get_c_source()
+
+
+def pass_runs():
+    return {name: row["runs"]
+            for name, row in get_service().stats.snapshot()["passes"].items()}
+
+
+@pytest.mark.parametrize("frontend", ["string", "pyast"])
+@pytest.mark.parametrize("name,factory", PAIRS, ids=IDS)
+def test_interp_checks_the_tree_c_ships(name, factory, frontend, cbackend):
+    """The interpreter is the oracle for the C that ships: compiled after
+    it, C runs no pass (it reads the tree the interpreter walked) and
+    gives the interpreter's bits."""
+    string_fn, py_fn, run = factory()
+    fn = string_fn if frontend == "string" else py_fn
+    oracle = run(fn.compile("interp"))
+    runs = pass_runs()
+    shipped = run(fn.compile(cbackend))
+    assert pass_runs() == runs, f"{name}: C re-ran the pipeline"
+    assert shipped == oracle, (
+        f"{name}: {frontend} twin diverges between interp and C")
+
+
+@pytest.mark.parametrize("name,factory", PAIRS, ids=IDS)
+def test_c_source_independent_of_what_was_built_first(name, factory):
+    """The emitted C is a function of the staged code alone: building the
+    vectorized level and running the interpreter first changes no byte,
+    so the buildd artifact cache hits whatever ran before."""
+    fresh, _, _ = factory()
+    c_first = fresh.get_c_source()
+    fn, _, run = factory()
+    fn.get_optimized_ir(PIPELINE_VEC)
+    run(fn.compile("interp"))
+    assert fn.get_c_source() == c_first
 
 
 def test_corpus_is_large_enough():

@@ -8,7 +8,7 @@ from repro.fuzz.child import (decode_args, encode_args, encode_result,
                               _run_program)
 from repro.fuzz.runner import Execution, executions_diverge, run_program
 
-SMALL_CONFIGS = [("interp", 2), ("c", 1)]
+SMALL_CONFIGS = [("interp", 1), ("c", 1)]
 
 
 class TestEncoding:

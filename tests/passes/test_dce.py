@@ -96,7 +96,7 @@ class TestElimination:
         with pytest.raises(TrapError):
             fn.compile("interp")(3)
 
-    def test_call_initializer_survives(self):
+    def test_call_initializer_survives(self, cbackend):
         fns = terra("""
         terra tick(p : &int) : int p[0] = p[0] + 1 return p[0] end
         terra f(p : &int) : int
@@ -113,7 +113,7 @@ class TestElimination:
         # the side effect still happens: tick increments before the read
         import numpy as np
         buf = np.array([5], dtype=np.int32)
-        assert fn.compile("c")(buf) == 6
+        assert fn.compile(cbackend)(buf) == 6
 
     def test_folding_creates_dce_fodder(self):
         """After folding `if false` away, its would-be inputs die too."""
@@ -126,7 +126,7 @@ class TestElimination:
         """)
         assert decls(pipelined_body(fn.typed, PIPELINE_CANON)) == []
 
-    def test_partially_dead_multi_assign_keeps_declaration(self):
+    def test_partially_dead_multi_assign_keeps_declaration(self, cbackend):
         """x, y = ... with x dead and y live is removed all-or-nothing,
         so `var x` must survive alongside the retained store (regression:
         the declaration was once dropped while the assignment stayed,
@@ -141,7 +141,7 @@ class TestElimination:
         """)
         assert DeadCodePass().run(fn.typed) is False
         assert len(decls(fn.typed.body)) == 2
-        assert fn.compile("c")(3) == 5
+        assert fn.compile(cbackend)(3) == 5
         assert fn.compile("interp")(3) == 5
 
     def test_loop_counter_not_removed(self):

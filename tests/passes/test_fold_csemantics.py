@@ -31,12 +31,16 @@ def folded_const(src):
     return ret.expr.value
 
 
-def runtime(src, *argsets):
-    """Compile on both backends and return [(interp, c), ...] results."""
-    fn = terra(src, env={})
-    interp = fn.compile("interp")
-    cfn = fn.compile("c")
-    return [(interp(*a), cfn(*a)) for a in argsets]
+@pytest.fixture
+def runtime(cbackend):
+    """``runtime(src, *argsets)``: compile on both backends and return
+    [(interp, c), ...] results."""
+    def run(src, *argsets):
+        fn = terra(src, env={})
+        interp = fn.compile("interp")
+        cfn = fn.compile(cbackend)
+        return [(interp(*a), cfn(*a)) for a in argsets]
+    return run
 
 
 def f32(x):
@@ -44,7 +48,7 @@ def f32(x):
 
 
 class TestWrappingOverflow:
-    def test_add_wraps_at_int32(self):
+    def test_add_wraps_at_int32(self, runtime):
         const = folded_const(
             "terra f() : int return 2147483647 + 1 end")
         assert const == -2147483648
@@ -52,7 +56,7 @@ class TestWrappingOverflow:
                            (2147483647, 1))
         assert const == i == c
 
-    def test_sub_wraps_at_int32(self):
+    def test_sub_wraps_at_int32(self, runtime):
         const = folded_const(
             "terra f() : int return (0 - 2147483647) - 2 end")
         assert const == 2147483647
@@ -60,7 +64,7 @@ class TestWrappingOverflow:
                            (-2147483647, 2))
         assert const == i == c
 
-    def test_mul_wraps_at_int32(self):
+    def test_mul_wraps_at_int32(self, runtime):
         const = folded_const(
             "terra f() : int return 100000 * 100000 end")
         assert const == (100000 * 100000) % 2**32  # happens to be positive
@@ -68,14 +72,14 @@ class TestWrappingOverflow:
                            (100000, 100000))
         assert const == i == c
 
-    def test_shift_into_sign_bit(self):
+    def test_shift_into_sign_bit(self, runtime):
         const = folded_const("terra f() : int return 1 << 31 end")
         assert const == -2147483648
         [(i, c)] = runtime(
             "terra f(x : int, s : int) : int return x << s end", (1, 31))
         assert const == i == c
 
-    def test_int8_cast_truncates(self):
+    def test_int8_cast_truncates(self, runtime):
         const = folded_const("terra f() : int8 return [int8](300) end")
         assert const == 300 - 256
         [(i, c)] = runtime(
@@ -87,7 +91,7 @@ class TestTruncatingDivision:
     @pytest.mark.parametrize("a,b", [
         (7, 2), (-7, 2), (7, -2), (-7, -2), (-9, 4), (9, -4),
     ])
-    def test_division_truncates_toward_zero(self, a, b):
+    def test_division_truncates_toward_zero(self, a, b, runtime):
         const = folded_const(
             "terra f() : int return %d / %d end" % (a, b))
         assert const == math.trunc(a / b)  # C99 semantics, not Lua floor
@@ -98,7 +102,7 @@ class TestTruncatingDivision:
     @pytest.mark.parametrize("a,b", [
         (7, 2), (-7, 2), (7, -2), (-7, -2),
     ])
-    def test_modulo_sign_follows_dividend(self, a, b):
+    def test_modulo_sign_follows_dividend(self, a, b, runtime):
         const = folded_const(
             "terra f() : int return %d %% %d end" % (a, b))
         assert const == a - math.trunc(a / b) * b
@@ -119,7 +123,7 @@ class TestTruncatingDivision:
 
 
 class TestFloat32Rounding:
-    def test_sum_rounds_at_float32(self):
+    def test_sum_rounds_at_float32(self, runtime):
         const = folded_const(
             "terra f() : float return [float](0.1) + [float](0.2) end")
         assert const == f32(f32(0.1) + f32(0.2))
@@ -129,7 +133,7 @@ class TestFloat32Rounding:
             (f32(0.1), f32(0.2)))
         assert const == i == c
 
-    def test_mul_rounds_at_float32(self):
+    def test_mul_rounds_at_float32(self, runtime):
         const = folded_const(
             "terra f() : float return [float](1.1) * [float](1.3) end")
         assert const == f32(f32(1.1) * f32(1.3))
@@ -138,7 +142,7 @@ class TestFloat32Rounding:
             (f32(1.1), f32(1.3)))
         assert const == i == c
 
-    def test_double_to_float_cast_rounds(self):
+    def test_double_to_float_cast_rounds(self, runtime):
         const = folded_const(
             "terra f() : float return [float](0.1) end")
         assert const == f32(0.1)
@@ -147,7 +151,7 @@ class TestFloat32Rounding:
             "terra f(x : double) : float return [float](x) end", (0.1,))
         assert const == i == c
 
-    def test_float_division_never_traps_and_folds(self):
+    def test_float_division_never_traps_and_folds(self, runtime):
         """Float division by zero is inf in C, not a trap — it folds."""
         const = folded_const(
             "terra f() : double return 1.0 / 0.0 end")
@@ -176,7 +180,7 @@ class TestZeroTripLoopPrune:
         """)
         assert loops == 0
 
-    def test_nonconst_step_not_pruned(self):
+    def test_nonconst_step_not_pruned(self, cbackend):
         """`for i = 5, 0, s` runs when s is negative at runtime; the
         folder used to assume step=1 for any non-constant step and
         deleted the loop."""
@@ -189,7 +193,7 @@ class TestZeroTripLoopPrune:
         """)
         assert loops == 1
         interp = fn.compile("interp")
-        cfn = fn.compile("c")
+        cfn = fn.compile(cbackend)
         for s in (-1, -2, 1):
             assert interp(s) == cfn(s)
         assert interp(-1) == 5 + 4 + 3 + 2 + 1

@@ -8,7 +8,6 @@ from repro.errors import CompileError, ConfigError
 from repro.passes import (
     LEVEL_PASSES,
     PIPELINE_CANON,
-    PIPELINE_FULL,
     PIPELINE_NONE,
     PIPELINE_VEC,
     PassManager,
@@ -29,8 +28,9 @@ def typed_fn(source, env=None):
 class TestRegistry:
     def test_all_passes_registered(self):
         names = available_passes()
-        for expected in ("fold", "simplify", "dce", "licm", "verify"):
+        for expected in ("fold", "simplify", "dce", "vectorize", "verify"):
             assert expected in names
+        assert "licm" not in names     # gcc -O3 hoists invariants
 
     def test_unknown_pass_rejected(self):
         with pytest.raises(CompileError, match="unknown IR pass"):
@@ -88,18 +88,18 @@ class TestManager:
         assert manager.pass_names() == ["fold", "dce"]
 
     def test_disable_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_DISABLE_PASSES", "licm, dce")
-        manager = PassManager(["fold", "simplify", "licm", "dce"])
-        assert manager.pass_names() == ["fold", "simplify"]
+        monkeypatch.setenv("REPRO_TERRA_DISABLE_PASSES", "simplify, dce")
+        manager = PassManager(["fold", "simplify", "dce"])
+        assert manager.pass_names() == ["fold"]
 
     @pytest.mark.parametrize("var, value", [
         ("REPRO_TERRA_DISABLE_PASSES", "lcim"),
-        ("REPRO_TERRA_DISABLE_PASSES", "licm,all"),
+        ("REPRO_TERRA_DISABLE_PASSES", "dce,all"),
         ("REPRO_TERRA_DUMP_IR", "nosuchpass"),
     ])
     def test_unknown_pass_name_is_an_error(self, monkeypatch, var, value):
         monkeypatch.setenv(var, value)
-        with pytest.raises(ConfigError, match=f"{var}.*registered:.*licm"):
+        with pytest.raises(ConfigError, match=f"{var}.*registered:.*dce"):
             PassManager(["fold"])
 
     def test_dump_all_is_valid(self, monkeypatch):
@@ -125,13 +125,22 @@ class TestManager:
 
 
 class TestLevels:
-    def test_resolve_default_is_full(self):
-        assert resolve_level(None) == PIPELINE_FULL
+    def test_three_levels(self):
+        """0 is raw, 1 is what ships, 2 adds the opt-in vectorizer."""
+        assert LEVEL_PASSES == {
+            PIPELINE_NONE: (),
+            PIPELINE_CANON: ("fold", "simplify", "dce"),
+            PIPELINE_VEC: ("fold", "simplify", "vectorize", "dce"),
+        }
+
+    def test_resolve_default_is_canon(self):
+        assert resolve_level(None) == PIPELINE_CANON
+        assert PassManager().pass_names() == ["fold", "simplify", "dce"]
 
     def test_resolve_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_PIPELINE", "1")
-        assert resolve_level(None) == PIPELINE_CANON
-        assert resolve_level(PIPELINE_FULL) == PIPELINE_CANON
+        monkeypatch.setenv("REPRO_TERRA_PIPELINE", "0")
+        assert resolve_level(None) == PIPELINE_NONE
+        assert resolve_level(PIPELINE_CANON) == PIPELINE_NONE
 
     def test_resolve_env_invalid(self, monkeypatch):
         monkeypatch.setenv("REPRO_TERRA_PIPELINE", "fast")
@@ -139,10 +148,10 @@ class TestLevels:
             resolve_level(None)
 
     def test_resolve_env_vec_level(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_PIPELINE", "3")
+        monkeypatch.setenv("REPRO_TERRA_PIPELINE", "2")
         assert resolve_level(None) == PIPELINE_VEC
 
-    @pytest.mark.parametrize("value", ["5", "-1", "4"])
+    @pytest.mark.parametrize("value", ["3", "-1", "4"])
     def test_resolve_env_out_of_range(self, monkeypatch, value):
         """Out-of-range levels raise like non-integers do, instead of
         silently clamping a typo'd configuration."""
@@ -154,28 +163,27 @@ class TestLevels:
         monkeypatch.setenv("REPRO_TERRA_PIPELINE", "2")
         with pipeline_override(PIPELINE_NONE):
             assert resolve_level(None) == PIPELINE_NONE
-        assert resolve_level(None) == PIPELINE_FULL
+        assert resolve_level(None) == PIPELINE_VEC
 
 
 def count(tree):
     return sum(1 for _ in tast.walk(tree))
 
 
+def pass_runs():
+    from repro.buildd import get_service
+    return {name: row["runs"]
+            for name, row in get_service().stats.snapshot()["passes"].items()}
+
+
 class TestCaching:
     def test_pipeline_runs_once(self):
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        body = pipelined_body(fn.typed, PIPELINE_FULL)
+        body = pipelined_body(fn.typed, PIPELINE_CANON)
         assert count(body) < count(fn.typed.body)
-        # re-entry at the same level is the same tree; a lower one its own
-        assert pipelined_body(fn.typed, PIPELINE_FULL) is body
-        assert pipelined_body(fn.typed, PIPELINE_CANON) is not body
-
-    def test_level_upgrades(self):
-        fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        canon = pipelined_body(fn.typed, PIPELINE_CANON)
-        full = pipelined_body(fn.typed, PIPELINE_FULL)
-        assert canon is not full
-        assert count(canon) == count(full) < count(fn.typed.body)
+        # re-entry at the same level is the same tree; another its own
+        assert pipelined_body(fn.typed, PIPELINE_CANON) is body
+        assert pipelined_body(fn.typed, PIPELINE_VEC) is not body
 
     def test_level_zero_is_identity(self):
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
@@ -185,23 +193,39 @@ class TestCaching:
         assert body is fn.typed.body
         assert count(fn.typed.body) == before
 
-    def test_compile_shares_pipelined_tree(self):
-        """Both backends read the same trees: compiling on the interpreter
-        first and gcc second does not re-run the passes."""
+    def test_second_backend_runs_no_pass(self, cbackend, monkeypatch):
+        """Both backends read the level that ships: compiling on the
+        interpreter first and gcc second runs no pass the second time, and
+        the C emitter reads the very body the interpreter walked."""
+        from repro.backend.c.emit import CEmitter
+        from repro.backend.interp.machine import Machine
         fn = typed_fn("terra f(x : int) : int return x + 2 * 3 end")
-        assert fn.compile("interp")(1) == 7
-        full = pipelined_body(fn.typed, PIPELINE_FULL)
-        body_ids = [id(s) for s in full.statements]
-        assert fn.compile("c")(1) == 7
-        assert pipelined_body(fn.typed, PIPELINE_FULL) is full
-        assert [id(s) for s in full.statements] == body_ids
+        walked, emitted = [], []
+        exec_block, fn_body = Machine.exec_block, CEmitter._fn_body
 
-    def test_pipelined_body_serves_lower_levels_after_full(self):
-        """Once FULL is built, a lower-level request is derived from the
-        typechecked tree, not served the FULL tree."""
+        def walking(self, block, frame):
+            walked.append(block)
+            exec_block(self, block, frame)
+
+        def emitting(self, f):
+            emitted.append(fn_body(self, f))
+            return emitted[-1]
+
+        monkeypatch.setattr(Machine, "exec_block", walking)
+        monkeypatch.setattr(CEmitter, "_fn_body", emitting)
+        assert fn.compile("interp")(1) == 7
+        runs = pass_runs()
+        assert fn.compile(cbackend)(1) == 7
+        assert pass_runs() == runs
+        body = pipelined_body(fn.typed, PIPELINE_CANON)
+        assert emitted and all(b is body for b in [walked[0], *emitted])
+
+    def test_pipelined_body_serves_lower_levels_after_higher(self):
+        """Once a level is built, a lower-level request is derived from
+        the typechecked tree, not served the higher level's tree."""
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
         raw_count = count(fn.typed.body)
-        assert count(pipelined_body(fn.typed, PIPELINE_FULL)) < raw_count
+        assert count(pipelined_body(fn.typed, PIPELINE_CANON)) < raw_count
         raw = pipelined_body(fn.typed, PIPELINE_NONE)
         assert count(raw) == raw_count
 
@@ -216,19 +240,22 @@ class TestBackendsUsePipeline:
             source = f.read()
         assert "optimize_function" not in source
 
-    def test_backends_declare_pipeline_level(self):
-        """The interpreter wants the FULL pipeline (nothing optimizes
-        downstream of it); the C backend stops at CANON because gcc -O3
-        subsumes LICM and pre-hoisted temps only enlarge the unit."""
-        from repro.backend.base import get_backend
-        assert get_backend("interp").pipeline_level == PIPELINE_FULL
-        assert get_backend("c").pipeline_level == PIPELINE_CANON
+    def test_backends_read_the_shipped_level(self):
+        """One level for both: the oracle checks the IR that C ships, and
+        scalar optimization is gcc -O3's job.  Neither backend overrides
+        ``Backend.pipeline_level``."""
+        from repro.backend.base import Backend, get_backend
+        assert get_backend("interp").pipeline_level \
+            == get_backend("c").pipeline_level == PIPELINE_CANON
+        for name in ("interp", "c"):
+            assert "pipeline_level" not in vars(type(get_backend(name)))
+        assert Backend.pipeline_level == PIPELINE_CANON
 
     def test_emitted_c_independent_of_compile_order(self):
         """The C backend gets the CANON tree even when the interpreter
-        (FULL, including LICM) compiled the function first: equivalent
-        stagings emit byte-identical C in any compile order, so the
-        buildd artifact cache hits deterministically."""
+        compiled the function first and the vectorized level was built:
+        equivalent stagings emit byte-identical C in any compile order,
+        so the buildd artifact cache hits deterministically."""
         src = """
         terra f(a : int, n : int) : int
           var s = 0
@@ -238,14 +265,15 @@ class TestBackendsUsePipeline:
         """
         c_first = typed_fn(src).get_c_source()
         fn = typed_fn(src)
+        fn.get_optimized_ir(PIPELINE_VEC)
         assert fn.compile("interp")(2, 4) == 24
         assert fn.get_c_source() == c_first
 
     @pytest.mark.parametrize("door", ["get_optimized_ir", "c compile"])
     def test_interp_walks_its_own_level_whatever_was_built_first(
-            self, door, monkeypatch):
-        """The interpreter declares FULL and reads FULL — entry and callee
-        — even after something else asked for the vectorized tree."""
+            self, door, monkeypatch, request):
+        """The interpreter reads CANON — entry and callee — even after
+        something else asked for the vectorized tree."""
         import numpy as np
         from repro.backend.interp.machine import Machine
         from repro.core import types as T
@@ -263,9 +291,10 @@ class TestBackendsUsePipeline:
             for fn in (f, axpy):
                 assert "vload" in fn.get_optimized_ir(PIPELINE_VEC)
         else:
+            cbackend = request.getfixturevalue("cbackend")
             f.ensure_typechecked()      # no structural-memo hit: link it
             with pipeline_override(PIPELINE_VEC):
-                f.compile("c")
+                f.compile(cbackend)
         walked, exec_block = [], Machine.exec_block
 
         def recording(self, block, frame):
@@ -277,7 +306,7 @@ class TestBackendsUsePipeline:
         f.compile("interp")(19, x, y)
         assert y.tolist() == [5.0] * 19
         for fn in (f, axpy):
-            body = pipelined_body(fn.typed, PIPELINE_FULL)
+            body = pipelined_body(fn.typed, PIPELINE_CANON)
             assert any(block is body for block in walked)
         for block in walked:
             assert not any(

@@ -25,7 +25,7 @@ from tests.core.test_spec_memo import GEMM_POOL
 from tests.frontend.kernels import PAIRS
 from tests.frontend.test_parity import normalize_ir
 
-LEVELS = (0, 1, 2, 3)
+LEVELS = (0, 1, 2)
 ORDERS = list(itertools.permutations(LEVELS))
 
 SAXPY = """
@@ -92,18 +92,13 @@ def test_typed_trees_are_never_written(monkeypatch):
     monkeypatch.setattr(TypeChecker, "run", recording_typecheck)
     monkeypatch.setattr(SchedulePass, "run", recording_schedule)
 
-    orders = itertools.cycle(ORDERS)
     for name, make in corpus():
         fresh = {level: request(make(), (level,))[level] for level in LEVELS}
-        # every member in a few orders, every order on some members ...
-        for order in itertools.islice(orders, 5):
+        for order in ORDERS:    # three levels: every member in all six
             assert request(make(), order) == fresh, (name, order)
-    for order in ORDERS:    # ... and one member in all twenty-four
-        assert request(terra(SAXPY, env={}), order) == \
-            request(terra(SAXPY, env={}), LEVELS), order
 
     pipe = orion_pipeline()
-    request(pipe.fn, (3, 0, 2, 1))
+    request(pipe.fn, (2, 0, 1))
     image = np.arange(256, dtype=np.float32).reshape(16, 16)
     assert np.allclose(pipe.run(image)[1:-1, 1:-1],
                        ((image[:, :-2] + image[:, 1:-1] + image[:, 2:])
@@ -119,9 +114,9 @@ def test_typed_trees_are_never_written(monkeypatch):
     with policy_override(TieredPolicy(threshold=3, sync=True)):
         assert [hot(n, 7) for n in range(10, 16)] == \
             [sum(i % 7 for i in range(n)) for n in range(10, 16)]
-    request(hot, (2, 3, 1, 0))
+    request(hot, (1, 2, 0))
 
-    assert len(typeds) > 400
+    assert len(typeds) > 350
     written = [typed.name for typed, image in typeds.items()
                if snapshot(typed.body) != image]
     assert not written

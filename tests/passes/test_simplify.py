@@ -221,42 +221,6 @@ class TestStrengthReduction:
         assert raw.compile(backend)(x, u) == opt.compile(backend)(x, u)
 
 
-class TestFMAContraction:
-    def test_off_by_default(self):
-        fn = typed_fn(
-            "terra f(a : double, b : double, c : double) : double "
-            "return a * b + c end")
-        assert SimplifyPass().run(fn.typed) is False
-        assert not any(isinstance(n, tast.TIntrinsic)
-                       for n in tast.walk(fn.typed.body))
-
-    def test_contracts_when_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_FMA", "1")
-        fn = typed_fn(
-            "terra f(a : double, b : double, c : double) : double "
-            "return a * b + c end")
-        assert SimplifyPass().run(fn.typed) is True
-        intrinsics = [n for n in tast.walk(fn.typed.body)
-                      if isinstance(n, tast.TIntrinsic)]
-        assert len(intrinsics) == 1 and intrinsics[0].name == "fma"
-
-    def test_single_rounding_matches_c(self, monkeypatch, backend):
-        """Contracted fma must agree bitwise between interp (libm fma via
-        ctypes) and C (__builtin_fma)."""
-        monkeypatch.setenv("REPRO_TERRA_FMA", "1")
-        fn = terra(
-            "terra f(a : double, b : double, c : double) : double "
-            "return a * b + c end", env={})
-        a = 1.0 + 2.0 ** -52
-        got = fn.compile(backend)(a, a, -1.0)
-        import ctypes
-        import ctypes.util
-        libm = ctypes.CDLL(ctypes.util.find_library("m") or "libm.so.6")
-        libm.fma.restype = ctypes.c_double
-        libm.fma.argtypes = [ctypes.c_double] * 3
-        assert got == libm.fma(a, a, -1.0)
-
-
 class TestFloatExpressionTreesPinned:
     """Float expression trees must survive every pipeline level bit-for-bit:
     no float identity, reassociation, or strength reduction may fire."""
@@ -270,7 +234,18 @@ class TestFloatExpressionTreesPinned:
     end
     """
 
-    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_multiply_add_is_not_contracted(self):
+        """``a*b + c`` keeps its two roundings: contraction to a fused
+        multiply-add is gcc's call under ``-ffp-contract``, never a
+        pass's."""
+        fn = typed_fn(
+            "terra f(a : double, b : double, c : double) : double "
+            "return a * b + c end")
+        assert SimplifyPass().run(fn.typed) is False
+        assert not any(isinstance(n, tast.TIntrinsic)
+                       for n in tast.walk(fn.typed.body))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
     @pytest.mark.parametrize("x,y", [
         (1.0, 2.0), (-0.0, 0.0), (1e-300, -1e300),
         (float("inf"), 1.0), (0.1, 0.2),

@@ -1,7 +1,7 @@
 """Auto-vectorizer: rewrite shape, the bailout matrix, and bitwise
 scalar/vector output equality.
 
-Every equality test compares the level-3 (vectorizing) pipeline against
+Every equality test compares the level-2 (vectorizing) pipeline against
 the scalar interpretation of the same source — the same contract the
 differential fuzzer enforces, pinned here on the named hazard cases.
 """
@@ -149,15 +149,16 @@ class TestBailouts:
         """)
 
 
+@pytest.mark.usefixtures("cbackend")
 class TestScalarVectorEquality:
-    """Level-3 output must be bit-identical to scalar level-1 output."""
+    """Level-2 output must be bit-identical to scalar level-1 output."""
 
     W = 16  # float32 lanes at the default 64-byte vector width
 
     def run_both(self, src, setup, monkeypatch):
         monkeypatch.delenv("REPRO_TERRA_PIPELINE", raising=False)
         scalar = setup(terra(src, env={}).compile(get_backend("interp")))
-        monkeypatch.setenv("REPRO_TERRA_PIPELINE", "3")
+        monkeypatch.setenv("REPRO_TERRA_PIPELINE", "2")
         vec_i = setup(terra(src, env={}).compile(get_backend("interp")))
         vec_c = setup(terra(src, env={}).compile(get_backend("c")))
         return scalar, vec_i, vec_c

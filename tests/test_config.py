@@ -70,10 +70,10 @@ SAMPLES = {
     "REPRO_BUILDD_JOBS": ("0", 1, "abc"),
     "REPRO_BUILDD_CACHE_BYTES": ("4096", 4096, "1G"),
     "REPRO_BUILDD_CACHE_ENTRIES": ("-3", 0, "junk"),
-    "REPRO_TERRA_PIPELINE": ("3", 3, "9"),
+    "REPRO_TERRA_PIPELINE": ("2", 2, "3"),
     "REPRO_TERRA_VEC_BYTES": ("16", 16, "48"),
-    "REPRO_TERRA_FMA": ("1", True, None),
-    "REPRO_TERRA_DISABLE_PASSES": ("licm, dce", ("licm", "dce"), None),
+    "REPRO_TERRA_DISABLE_PASSES": ("simplify, dce", ("simplify", "dce"),
+                                   None),
     "REPRO_TERRA_DUMP_IR": ("all", "all", None),
     "REPRO_TERRA_VERIFY_IR": ("false", True, None),
     "REPRO_TERRA_THREADS": ("0", 1, "two"),
