@@ -37,7 +37,8 @@ from repro.apps import attention, dequant, scan
 from repro.apps.areafilter import CAreaFilter, build_area_filter
 from repro.apps.dispatch import (build_c_dispatch, build_fatptr_dispatch,
                                  build_terra_dispatch)
-from repro.apps.fluid import (FluidParams, initial_conditions, make_c_fluid,
+from repro.apps.fluid import (_C_SOURCE_TEMPLATE, FluidParams,
+                              initial_conditions, make_c_fluid,
                               make_orion_fluid)
 from repro.apps.mesh import build_mesh_kernels, random_mesh
 from repro.apps.pointwise import build_pipeline
@@ -144,6 +145,44 @@ def fig8_fluid(full=False):
         lambda flags: step_ms(make_c_fluid(params, flags=flags)),
         lambda vec, lb: step_ms(make_orion_fluid(params, vectorize=vec,
                                                  linebuffer=lb)), 4)
+
+
+def fluid_parts(full=False):
+    """ROADMAP 5(a)'s attribution: each part of the fluid step on the
+    ledger's schedule (vectorized + line-buffered) against the matching
+    function of the C reference, both on a live state.  The C parts come
+    from a copy of ``_C_SOURCE_TEMPLATE`` with ``static`` dropped,
+    compiled on its own, so the floor's unit is untouched."""
+    N = 1024 if full else 512
+    p = FluidParams(N)
+    parts = compile_c(
+        _C_SOURCE_TEMPLATE.format(N=N).replace("static void ", "void "), {
+            "jacobi": (["ptr", "ptr", "float", "float", "int"], "void"),
+            "project": (["ptr"] * 4 + ["int"], "void"),
+            "advect": (["ptr"] * 4 + ["float"], "void")})
+    o = make_orion_fluid(p, vectorize=4, linebuffer=True)
+    c = make_c_fluid(p)
+    for sim in (o, c):
+        sim.set_state(*initial_conditions(N))
+        for _ in range(2):
+            sim.step()
+    a = p.dt * p.visc * N * N
+    rows = [
+        ("diffuse chain", lambda: o.diffuse_visc(o._u1, o.u),
+         lambda: parts.jacobi(c._u1, c.u, a, 1 + 4 * a, p.diffuse_iters)),
+        ("fused projection",
+         lambda: o.project_pipe(o._u1, o._v1, o.u, o.v),
+         lambda: parts.project(c._u1, c._v1, c._p, c._div,
+                               p.project_iters)),
+        ("advect", lambda: o._advect_into(o._u1, o.u, o.u, o.v),
+         lambda: parts.advect(c._u1, c.u, c.u, c.v, p.dt))]
+    table = Table(f"fluid step parts at {N}², vectorized + line-buffered "
+                  "vs the C reference's functions",
+                  ["part", "Orion ms", "C ms", "Orion / C"])
+    for name, orion_part, c_part in rows:
+        to, tc = best_interleaved([orion_part, c_part], 21)
+        table.add(name, to * 1000, tc * 1000, f"{to / tc:.2f}x")
+    return [table]
 
 
 def fig8_area(full=False):
@@ -615,7 +654,8 @@ def serve_chunked(full=False):
 
 
 EXPERIMENTS = {
-    "fig6": fig6, "fluid": fig8_fluid, "area": fig8_area,
+    "fig6": fig6, "fluid": fig8_fluid, "fluid_parts": fluid_parts,
+    "area": fig8_area,
     "pointwise": pointwise, "dispatch": dispatch, "fig9": fig9,
     "autovec": autovec, "schedules": schedules, "sort": sort,
     "passes": passes, "compile": compile_pool, "tiering": tiering,

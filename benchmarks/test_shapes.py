@@ -133,3 +133,12 @@ def test_parallel_fluid_is_pure_speedup():
         assert serial >= 1.5 * parallel, table.rows
     else:
         assert parallel <= 1.3 * serial + 1.0, table.rows
+
+
+def test_fluid_advect_keeps_up_with_the_c_reference():
+    """ROADMAP 5(a): advect, staged on its grid as the C reference's
+    ``#define``s are, stays within 1.3x of the C advect (about 1.5x while
+    the grid was three runtime arguments)."""
+    (table,) = report.fluid_parts()
+    orion, c = table.column("Orion ms"), table.column("C ms")
+    assert orion["advect"] <= 1.3 * c["advect"], table.rows

@@ -16,7 +16,10 @@ Two implementations with identical numerics:
   same gcc flags as generated Terra code);
 * :func:`make_orion_fluid` — diffuse and project as Orion pipelines
   (schedulable: scalar / vectorized / line-buffered), advection as a plain
-  Terra function interleaved with the generated stencil code.
+  Terra function interleaved with the generated stencil code.  Like the
+  pipelines, advection is staged on its grid: ``N``, ``W`` and ``P`` are
+  constants in the generated code, as the C reference's ``#define``s
+  are.
 
 Both operate on velocity fields (u, v) and a density field d over an N×N
 grid with zero boundaries, running Stam's step:
@@ -70,21 +73,17 @@ def _jacobi_chain(x0: L.Stage, a: float, iters: int,
     return x
 
 
-def _advect_terra(chunked: bool = False):
+def _advect_terra(N: int, W: int, P: int, chunked: bool = False):
     """Semi-Lagrangian advection as a plain Terra function (not a stencil):
-    trace velocity backwards, bilinearly sample.  With ``chunked=True``
-    the C backend also emits a chunked entry so rows can be dispatched
-    across workers (each output row is independent)."""
-    fn = _make_advect()
-    if chunked:
-        fn.mark_chunked()
-    return fn
-
-
-def _make_advect():
-    return terra("""
+    trace velocity backwards, bilinearly sample.  It is staged on its grid:
+    ``N``, ``W`` and ``P`` are spliced in as ``int32`` constants, as the C
+    reference's ``#define``s are, so only ``dt`` and the buffers stay
+    runtime values.  With ``chunked=True`` the C backend also emits a
+    chunked entry so rows can be dispatched across workers (each output
+    row is independent)."""
+    fn = terra("""
     terra advect(dst : &float, src : &float, u : &float, v : &float,
-                 N : int, W : int, P : int, dt : float) : {}
+                 dt : float) : {}
       var dt0 = dt * [float](N)
       for i = 0, N do
         for j = 0, N do
@@ -108,7 +107,10 @@ def _make_advect():
         end
       end
     end
-    """)
+    """, env=dict(N=N, W=W, P=P))
+    if chunked:
+        fn.mark_chunked()
+    return fn
 
 
 class OrionFluid:
@@ -160,14 +162,14 @@ class OrionFluid:
         self.project_pipe = compile_pipeline([u_out, v_out], N,
                                              tile_schedule=loops)
 
-        self.advect = _advect_terra(chunked=self._nt > 1)
-
         # every pipeline shares geometry (P=1 footprint), so buffers are
         # interchangeable as long as W matches
         self.P = self.project_pipe.P
         self.W = self.project_pipe.W
         for pipe in (self.diffuse_visc, self.diffuse_diff):
             assert pipe.W == self.W and pipe.P == self.P
+        self.advect = _advect_terra(N, self.W, self.P,
+                                    chunked=self._nt > 1)
 
         z = lambda: np.zeros((N, self.W), dtype=np.float32)  # noqa: E731
         self.u, self.v, self.d = z(), z(), z()
@@ -187,14 +189,13 @@ class OrionFluid:
 
     # -- one solver step ------------------------------------------------------------
     def _advect_into(self, dst, src, u, v) -> None:
-        p = self.params
-        N, W, P = self.N, self.W, self.P
+        dt = self.params.dt
         if self._nt > 1:
             # rows are independent: chunk the outer i loop across workers
-            parallel_for(self.advect, 0, N, dst, src, u, v, N, W, P, p.dt,
+            parallel_for(self.advect, 0, self.N, dst, src, u, v, dt,
                          nthreads=self._nt)
         else:
-            self.advect(dst, src, u, v, N, W, P, p.dt)
+            self.advect(dst, src, u, v, dt)
 
     def step(self) -> None:
         # diffuse velocities (CompiledStencil.__call__ dispatches worker

@@ -22,6 +22,8 @@ Lowering notes:
 from __future__ import annotations
 
 import itertools
+import math
+import struct
 from typing import Optional
 
 from ... import config
@@ -492,37 +494,37 @@ class CEmitter:
             self._helper_defs[name] = lines
         return name
 
-    def _sat_helper(self, ty: T.PrimitiveType) -> str:
-        """A saturating float→int conversion helper targeting ``ty``:
-        NaN → 0, out-of-range truncations clamp to the type's min/max
-        (LLVM ``fptosi.sat``; both backends implement exactly this).
-        float32 sources promote to double exactly, so one helper per
-        target type suffices."""
-        suffix = f"{'i' if ty.signed else 'u'}{ty.bytes * 8}"
-        name = f"trepro_f2{suffix}"
+    def _sat_helper(self, src: T.PrimitiveType, ty: T.PrimitiveType) -> str:
+        """A saturating conversion helper from float type ``src`` to integer
+        type ``ty``: NaN → 0, out-of-range truncations clamp to the type's
+        min/max (LLVM ``fptosi.sat``; both backends implement exactly this).
+        ``x`` is read at its own width, and the in-range path is one
+        integer test on its bits: ``|x| < 2^(w-1)`` for a signed target,
+        ``+0 <= x < 2^w`` for an unsigned one (a set sign bit compares above
+        every positive float).  The cold path returns 0 for NaN and the
+        bound on ``x``'s side otherwise, which is also what truncation gives
+        the few in-range values it sees (``-2^(w-1)``; ``(-1, -0]``)."""
+        sbits, w = src.bytes * 8, ty.bytes * 8
+        name = f"trepro_f{sbits}_{'i' if ty.signed else 'u'}{w}"
         if name not in self._helper_defs:
+            fmt, sfx = ("<f", "U") if sbits == 32 else ("<d", "ULL")
+
+            def bits(v: float) -> str:
+                word = int.from_bytes(struct.pack(fmt, v), "little")
+                return f"0x{word:x}{sfx}"
+            mag = f"(b & 0x{(1 << (sbits - 1)) - 1:x}{sfx})"
+            fast = (f"{mag} < {bits(2.0 ** (w - 1))}" if ty.signed
+                    else f"b < {bits(2.0 ** w)}")
             cty = self.ctype(ty)
-            bits = ty.bytes * 8
-            if ty.signed:
-                lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-                # float(2^(bits-1)) and float(-2^(bits-1)) are exact;
-                # every x in (lo-1, lo) truncates to lo anyway, so the
-                # simple `x < lo` guard is value-preserving
-                # spell INT_MIN as (INT_MIN+1) - 1: the bare literal
-                # overflows C's long long grammar
-                low_guard = (f"  if (x < {float(lo)!r}) "
-                             f"return {self._scalar_const(lo + 1, ty)} - 1;")
-            else:
-                lo, hi = 0, (1 << bits) - 1
-                low_guard = "  if (x <= -1.0) return 0;"
-            lines = [f"static inline {cty} {name}(double x) {{",
-                     "  if (x != x) return 0;",
-                     f"  if (x >= {float(hi + 1)!r}) "
-                     f"return {self._scalar_const(hi, ty)};",
-                     low_guard,
-                     f"  return ({cty})x;",
-                     "}"]
-            self._helper_defs[name] = lines
+            lo = self._scalar_const(ty.min_value(), ty)
+            hi = self._scalar_const(ty.max_value(), ty)
+            self._helper_defs[name] = [
+                f"static inline {cty} {name}({self.ctype(src)} x) {{",
+                f"  uint{sbits}_t b; __builtin_memcpy(&b, &x, sizeof b);",
+                f"  if (__builtin_expect({fast}, 1)) return ({cty})x;",
+                f"  if ({mag} > {bits(math.inf)}) return 0;",
+                f"  return (b >> {sbits - 1}) ? {lo} : {hi};",
+                "}"]
         return name
 
     def _narrow(self, expr: str, ty: T.Type) -> str:
@@ -907,7 +909,6 @@ class CEmitter:
                 # (min+1) - 1 so the same form works at any width.
                 return f"(({self.ctype(ty)})({value + 1}{suffix} - 1))"
             return f"(({self.ctype(ty)}){value}{suffix})"
-        import math
         fv = float(value)
         if math.isnan(fv):
             return "__builtin_nanf(\"\")" if ty is T.float32 else "__builtin_nan(\"\")"
@@ -948,7 +949,7 @@ class CEmitter:
                     and ty.elem.isintegral():
                 # defined float->int: saturating, elementwise (a raw
                 # __builtin_convertvector is UB out of range)
-                helper = self._sat_helper(ty.elem)
+                helper = self._sat_helper(src.elem, ty.elem)
                 sty, dty = self.ctype(src), self.ctype(ty)
                 return (f"({{ {sty} _s = ({inner}); {dty} _d; "
                         f"for (int _i = 0; _i < {ty.count}; _i++) "
@@ -966,7 +967,7 @@ class CEmitter:
                 return f"((uint8_t)(({inner}) != 0))"
             if isinstance(ty, T.PrimitiveType) and ty.isintegral() \
                     and isinstance(src, T.PrimitiveType) and src.isfloat():
-                return f"{self._sat_helper(ty)}({inner})"
+                return f"{self._sat_helper(src, ty)}({inner})"
             return f"(({self.ctype(ty)})({inner}))"
         if e.kind in ("pointer", "ptr-int", "int-ptr"):
             return f"(({self.ctype(ty)})({inner}))"

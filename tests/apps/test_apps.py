@@ -1,5 +1,7 @@
 """Application-level correctness tests (the benchmark subjects)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.apps.pointwise import build_pipeline, reference_numpy as pw_ref
 class TestFluid:
     N = 48
 
-    def test_orion_matches_c_all_schedules(self):
+    def test_orion_matches_c_all_schedules(self, cbackend):
         params = FluidParams(self.N)
         u, v, d = initial_conditions(self.N)
         ref = make_c_fluid(params)
@@ -44,6 +46,18 @@ class TestFluid:
             for p, o in zip(par.get_state(), (ou, ov, od)):
                 assert p.tobytes() == o.tobytes(), (vec, lb)
 
+    def test_advect_is_staged_on_its_grid(self):
+        # N, W and P are constants in the emitted C, as the C reference's
+        # #defines are; only the buffers and dt are parameters
+        sim = make_orion_fluid(FluidParams(self.N))
+        src = sim.advect.get_c_source()
+        proto = re.search(r"void tfn\d+_advect\(([^)]*)\);", src).group(1)
+        params = [p.rsplit(" ", 1) for p in proto.split(", ")]
+        assert [ty for ty, _ in params] == ["float *"] * 4 + ["float"]
+        assert [name.split("_", 1)[1] for _, name in params] == \
+            ["dst", "src", "u", "v", "dt"]
+        assert f"((int32_t){sim.W})" in src
+
     def test_density_is_conserved_roughly(self):
         params = FluidParams(self.N, diff=0.0)
         u, v, d = initial_conditions(self.N)
@@ -67,7 +81,7 @@ class TestFluid:
 class TestAreaFilter:
     N = 64
 
-    def test_c_matches_numpy(self):
+    def test_c_matches_numpy(self, cbackend):
         img = np.random.RandomState(0).rand(self.N, self.N).astype(np.float32)
         assert np.allclose(CAreaFilter(self.N).run(img), area_ref(img),
                            atol=1e-5)
@@ -133,7 +147,7 @@ class TestMesh:
 
 
 class TestDispatch:
-    def test_terra_and_c_agree(self):
+    def test_terra_and_c_agree(self, cbackend):
         tk = build_terra_dispatch()
         ck = build_c_dispatch()
         obj = tk.make(1.0001, 0.5)

@@ -301,7 +301,7 @@ class TestTileSchedule:
         plain = compile_pipeline(self.blur(), N)
         assert np.array_equal(pipe.run(img), plain.run(img))
 
-    def test_parallel_golden_c(self, img, monkeypatch):
+    def test_parallel_golden_c(self, img, monkeypatch, cbackend):
         monkeypatch.delenv("REPRO_TERRA_THREADS", raising=False)
         pipe = compile_pipeline(
             self.blur(), N,
@@ -312,7 +312,7 @@ class TestTileSchedule:
         assert np.array_equal(pipe.run(img), plain.run(img))
 
     def test_parallel_dispatch_is_accounted_like_parallel_for(
-            self, img, monkeypatch):
+            self, img, monkeypatch, cbackend):
         from repro.trace.metrics import registry
         monkeypatch.delenv("REPRO_TERRA_THREADS", raising=False)
         pipe = compile_pipeline(
