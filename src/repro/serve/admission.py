@@ -15,8 +15,8 @@ every mutation happens on the loop thread):
   floor.
 
 Both rejections are counted (``serve.rejected.overloaded`` /
-``serve.rejected.tenant``) and traced as instants, so a load generator
-can verify fast-reject behaviour from the metrics alone.
+``serve.rejected.tenant`` in ``rejected``) and traced as instants, so a
+load generator can verify fast-reject behaviour from the metrics alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .. import trace as _trace
-from ..trace.metrics import registry
 from .state import TenantState
 
 
@@ -36,20 +35,21 @@ class Admission:
         self.tenant_limit = max(1, int(tenant_limit))
         self.inflight = 0
         self.peak = 0
+        self.rejected = dict.fromkeys(("serve.rejected.overloaded",
+                                       "serve.rejected.tenant"), 0)
 
     def try_admit(self, tenant: TenantState) -> Optional[tuple[str, str]]:
         """Admit the request (returns None) or return a fast-reject
         ``(code, message)`` without mutating any state."""
-        reg = registry()
         if self.inflight >= self.queue_limit:
-            reg.add("serve.rejected.overloaded")
+            self.rejected["serve.rejected.overloaded"] += 1
             _trace.instant("serve.reject", cat="serve", code="overloaded",
                            inflight=self.inflight)
             return ("overloaded",
                     f"server at queue limit ({self.queue_limit} requests "
                     f"in flight); retry with backoff")
         if tenant.inflight >= self.tenant_limit:
-            reg.add("serve.rejected.tenant")
+            self.rejected["serve.rejected.tenant"] += 1
             _trace.instant("serve.reject", cat="serve",
                            code="tenant-over-quota", tenant=tenant.name)
             return ("tenant-over-quota",
@@ -59,7 +59,6 @@ class Admission:
         tenant.inflight += 1
         if self.inflight > self.peak:
             self.peak = self.inflight
-            reg.track_max("serve.inflight_peak", self.peak)
         return None
 
     def release(self, tenant: TenantState) -> None:

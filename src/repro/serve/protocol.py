@@ -110,6 +110,8 @@ def field(req: dict, name: str, types, default=None, required: bool = False):
     missing/ill-typed values (``bool`` is not accepted where a number is
     expected, despite being an ``int`` subclass)."""
     value = req.get(name, None)
+    if type(value) is types:    # exactly the one type asked for
+        return value
     if value is None:
         if required:
             raise ServeError("bad-request", f"missing field {name!r}")

@@ -1,8 +1,10 @@
 """The asyncio front door: accept, admit, compile, execute, respond.
 
-One event loop owns all bookkeeping (tenants, warm pools, admission)
-— every mutation of that state happens on the loop thread, so
-none of it is locked.  The two kinds of real work leave the loop:
+One event loop owns all bookkeeping (tenants, warm pools, admission, the
+``serve.*`` counts ``stats`` publishes) — all of it mutated on the loop
+thread only, so none of it is locked, and a request that waits for no
+compile or executor is answered in the frame that decoded it.  The two
+kinds of real work leave the loop:
 
 * **compilation** (parse → specialize → typecheck → emit) runs on the
   ``repro-serve-<i>`` executor threads; the gcc stage is then *awaited*
@@ -36,8 +38,10 @@ import asyncio
 import os
 import tempfile
 import time
+from time import perf_counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import CoroutineType
 from typing import Optional
 
 from .. import config as _config
@@ -45,7 +49,7 @@ from .. import trace as _trace
 from ..buildd import service as _buildd_service
 from ..errors import FFIError, TerraError, TrapError
 from ..exec import current_policy
-from ..trace.metrics import registry
+from ..trace.metrics import fold_time, registry
 from . import protocol
 from .admission import Admission
 from .protocol import ServeError
@@ -93,7 +97,10 @@ class ServeServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = time.time()
-        self._connections = 0
+        self._counts = dict.fromkeys((
+            "serve.connections", "serve.compile", "serve.compile_dedup",
+            "serve.traps", "serve.errors"), 0)
+        self._timings: dict[str, dict] = {}
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> str:
@@ -139,8 +146,7 @@ class ServeServer:
     # -- per-connection loop ------------------------------------------------
     async def _client_loop(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
-        self._connections += 1
-        registry().add("serve.connections")
+        self._counts["serve.connections"] += 1
         try:
             while True:
                 try:
@@ -158,7 +164,9 @@ class ServeServer:
                     return
                 if line.strip() == b"":
                     continue
-                response = await self._handle_line(line)
+                response = self._handle_line(line)
+                if type(response) is CoroutineType:   # the request waits
+                    response = await response
                 writer.write(protocol.encode(response))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -175,53 +183,60 @@ class ServeServer:
                     asyncio.CancelledError):
                 pass
 
-    async def _handle_line(self, line: bytes) -> dict:
+    # -- request dispatch ---------------------------------------------------
+    def _handle_line(self, line: bytes):
+        """One request line's response, or the coroutine of one that waits."""
         req_id = None
         try:
             req = protocol.decode(line)
             req_id = req.get("id")
-            return await self._dispatch(req, req_id)
-        except ServeError as exc:
-            registry().add("serve.errors")
-            return protocol.error_response(req_id, exc.code, exc.message)
+            op = protocol.field(req, "op", str, required=True)
+            if op == "ping":
+                return protocol.ok_response(req_id, "pong")
+            if op == "stats":
+                return protocol.ok_response(req_id, self.stats())
+            tenant = self._tenant(protocol.field(req, "tenant", str,
+                                                 default="default"))
+            if op == "call":
+                return self._op_call(req, req_id, tenant)
+            if op == "alloc":
+                buf = tenant.alloc(
+                    protocol.field(req, "dtype", str, required=True),
+                    protocol.field(req, "count", int, required=True))
+                return protocol.ok_response(req_id, {"buf": buf.id,
+                                                     "nbytes": buf.nbytes})
+            if op == "write":
+                n = tenant.write(
+                    protocol.field(req, "buf", int, required=True),
+                    protocol.field(req, "start", int, default=0),
+                    protocol.field(req, "values", list, required=True))
+                return protocol.ok_response(req_id, n)
+            if op == "read":
+                values = tenant.read(
+                    protocol.field(req, "buf", int, required=True),
+                    protocol.field(req, "start", int, default=0),
+                    protocol.field(req, "count", int, required=True))
+                return protocol.ok_response(req_id, values)
+            if op == "free":
+                tenant.free(protocol.field(req, "buf", int, required=True))
+                return protocol.ok_response(req_id, True)
+            raise ServeError("unknown-op", f"unknown op {op!r}")
         except Exception as exc:  # never kill the connection loop
-            registry().add("serve.errors")
-            return protocol.error_response(
-                req_id, "internal", f"{type(exc).__name__}: {exc}")
+            return self._failed(req_id, exc)
 
-    # -- request dispatch ---------------------------------------------------
-    async def _dispatch(self, req: dict, req_id) -> dict:
-        op = protocol.field(req, "op", str, required=True)
-        if op == "ping":
-            return protocol.ok_response(req_id, "pong")
-        if op == "stats":
-            return protocol.ok_response(req_id, self.stats())
-        tenant = self._tenant(protocol.field(req, "tenant", str,
-                                             default="default"))
-        if op == "call":
-            return await self._op_call(req, req_id, tenant)
-        if op == "alloc":
-            buf = tenant.alloc(
-                protocol.field(req, "dtype", str, required=True),
-                protocol.field(req, "count", int, required=True))
-            return protocol.ok_response(req_id, {"buf": buf.id,
-                                                 "nbytes": buf.nbytes})
-        if op == "write":
-            n = tenant.write(
-                protocol.field(req, "buf", int, required=True),
-                protocol.field(req, "start", int, default=0),
-                protocol.field(req, "values", list, required=True))
-            return protocol.ok_response(req_id, n)
-        if op == "read":
-            values = tenant.read(
-                protocol.field(req, "buf", int, required=True),
-                protocol.field(req, "start", int, default=0),
-                protocol.field(req, "count", int, required=True))
-            return protocol.ok_response(req_id, values)
-        if op == "free":
-            tenant.free(protocol.field(req, "buf", int, required=True))
-            return protocol.ok_response(req_id, True)
-        raise ServeError("unknown-op", f"unknown op {op!r}")
+    def _failed(self, req_id, exc: Exception) -> dict:
+        """The error-code mapping, for every op on either path."""
+        if isinstance(exc, TrapError):
+            self._counts["serve.traps"] += 1
+            return protocol.error_response(req_id, "trap", str(exc))
+        self._counts["serve.errors"] += 1
+        if isinstance(exc, ServeError):
+            return protocol.error_response(req_id, exc.code, exc.message)
+        if isinstance(exc, FFIError):
+            return protocol.error_response(req_id, "bad-request", str(exc))
+        code = "compile-error" if isinstance(exc, TerraError) else "internal"
+        return protocol.error_response(req_id, code,
+                                       f"{type(exc).__name__}: {exc}")
 
     def _tenant(self, name: str) -> TenantState:
         state = self._tenants.get(name)
@@ -231,7 +246,7 @@ class ServeServer:
         return state
 
     # -- the call op --------------------------------------------------------
-    async def _op_call(self, req: dict, req_id, tenant: TenantState) -> dict:
+    def _op_call(self, req: dict, req_id, tenant: TenantState):
         source = protocol.field(req, "source", str, required=True)
         entry = protocol.field(req, "entry", str, required=True)
         raw_args = protocol.field(req, "args", list, default=[])
@@ -239,87 +254,101 @@ class ServeServer:
         rejection = self._admission.try_admit(tenant)
         if rejection is not None:
             return protocol.error_response(req_id, *rejection)
-        reg = registry()
-        reg.add("serve.requests")
         tenant.requests += 1
-        t_admit = time.perf_counter()
+        t_admit = perf_counter()
+        waits = False
         try:
-            kernel = await self._warm_kernel(tenant, source, entry,
-                                             chunked=rng is not None)
-            args = tenant.resolve_args(raw_args)
-            if rng is not None:
-                result = await self._call_chunked(tenant, kernel, args, rng,
-                                                  t_admit)
-            else:
-                result = await self._call_plain(tenant, kernel, kernel.handle,
-                                                args, t_admit)
-            reg.record_time("serve.request", time.perf_counter() - t_admit)
+            kernel = self._warm_kernel(tenant, source, entry, rng is not None)
+            result = self._call_kernel(tenant, kernel, raw_args, rng, t_admit)
+            if type(result) is CoroutineType:
+                waits = True
+                return self._answer_later(req_id, tenant, result)
             return protocol.ok_response(req_id, result)
-        except TrapError as exc:
-            reg.add("serve.traps")
-            return protocol.error_response(req_id, "trap", str(exc))
-        except ServeError as exc:
-            reg.add("serve.errors")
-            return protocol.error_response(req_id, exc.code, exc.message)
-        except FFIError as exc:
-            reg.add("serve.errors")
-            return protocol.error_response(req_id, "bad-request", str(exc))
-        except TerraError as exc:
-            reg.add("serve.errors")
-            return protocol.error_response(
-                req_id, "compile-error", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:
+            return self._failed(req_id, exc)
+        finally:
+            if not waits:
+                self._admission.release(tenant)
+
+    async def _answer_later(self, req_id, tenant: TenantState, pending):
+        try:
+            return protocol.ok_response(req_id, await pending)
+        except Exception as exc:
+            return self._failed(req_id, exc)
         finally:
             self._admission.release(tenant)
 
-    async def _call_plain(self, tenant: TenantState, kernel: WarmKernel,
-                          call, args: list, t_admit: float):
-        """Place and run ``call(*args)``: on the loop if ``kernel`` was
-        just observed short inside these arguments, else on the executor."""
-        inline = kernel.fits_inline(args)
+    async def _call_compiled(self, tenant, miss, raw_args, rng, t_admit):
+        result = self._call_kernel(tenant, await miss, raw_args, rng, t_admit)
+        return await result if type(result) is CoroutineType else result
 
-        def run():
-            """The call, on either thread; an error is timed, then carried."""
-            if not inline:
-                registry().record_time("serve.queue_wait",
-                                       time.perf_counter() - t_admit)
-            with _trace.span(f"serve.exec:{kernel.entry}", cat="serve",
-                             tenant=tenant.name, key=kernel.key,
-                             inline=inline) as span:
-                t0 = time.perf_counter()
-                try:
-                    out = call(*args)
-                except Exception as exc:
-                    out = exc
-                    span.set(error=type(exc).__name__)
-                return out, time.perf_counter() - t0
+    def _call_kernel(self, tenant: TenantState, kernel: WarmKernel,
+                     raw_args: list, rng, t_admit: float):
+        """Place and run the call: on the loop, answered here, if ``kernel``
+        was just observed short inside these arguments; else on the
+        executor, through the coroutine returned.  A chunked request is a
+        call with a range: ``[lo, hi)`` leads the arguments the cost record
+        sees, so the envelope bounds it too."""
+        if type(kernel) is not WarmKernel:   # a miss: call once it is warm
+            return self._call_compiled(tenant, kernel, raw_args, rng, t_admit)
+        args = tenant.resolve_args(raw_args)
+        call = kernel.handle
+        if rng is not None:
+            call = getattr(call, "call_chunk", None)
+            if not kernel.chunked or call is None:
+                raise ServeError("unsupported",
+                                 f"{kernel.entry} has no chunked entry on "
+                                 f"this backend")
+            args = [*rng, *args]
+        if not kernel.fits_inline(args):
+            tenant.placed["offloaded"] += 1
+            return self._call_offloaded(tenant, kernel, call, args, t_admit)
+        tenant.placed["inline"] += 1
+        return self._ran(tenant, kernel, args, True, t_admit,
+                         *self._run(tenant, kernel, call, args, True, t_admit))
 
-        where = "inline" if inline else "offloaded"
-        registry().add(f"serve.exec.{where}")
-        tenant.placed[where] += 1
-        out, seconds = run() if inline else \
-            await self._loop.run_in_executor(self._exec, run)
+    async def _call_offloaded(self, tenant, kernel, call, args, t_admit):
+        ran = await self._loop.run_in_executor(
+            self._exec, self._run, tenant, kernel, call, args, False, t_admit)
+        return self._ran(tenant, kernel, args, False, t_admit, *ran)
+
+    @staticmethod
+    def _run(tenant: TenantState, kernel: WarmKernel, call, args: list,
+             inline: bool, t_admit: float):
+        """The call on either thread, in a ``serve.exec`` span if tracing:
+        its outcome (an error is carried), seconds and wait since admission."""
+        span = _trace.span(kernel.span_name, cat="serve", tenant=tenant.name,
+                           key=kernel.key, inline=inline) \
+            if _trace._enabled else None
+        t0 = perf_counter()
+        try:
+            out = call(*args)
+        except Exception as exc:
+            out = exc
+        t1 = perf_counter()
+        if span is not None:
+            if isinstance(out, Exception):
+                span.set(error=type(out).__name__)
+            span.__exit__(None, None, None)
+        return out, t1 - t0, t0 - t_admit
+
+    def _ran(self, tenant: TenantState, kernel: WarmKernel, args: list,
+             inline: bool, t_admit: float, out, seconds: float, queued: float):
+        """Back on the loop: record the run, then answer or raise."""
+        if not inline:
+            fold_time(self._timings, "serve.queue_wait", queued)
         if kernel.observe(args, seconds, inline):
-            registry().add("serve.inline.demoted")
             tenant.placed["demotions"] += 1
         if isinstance(out, Exception):
             raise out
-        return protocol.jsonable_result(out, kernel.entry)
-
-    async def _call_chunked(self, tenant: TenantState, kernel: WarmKernel,
-                            args: list, rng: tuple[int, int], t_admit: float):
-        """A chunked request is a call with a range: ``[lo, hi)`` leads the
-        arguments the cost record sees, so the envelope bounds it too."""
-        call = getattr(kernel.handle, "call_chunk", None)
-        if not kernel.chunked or call is None:
-            raise ServeError("unsupported",
-                             f"{kernel.entry} has no chunked entry on this "
-                             f"backend")
-        return await self._call_plain(tenant, kernel, call, [*rng, *args],
-                                      t_admit)
+        result = protocol.jsonable_result(out, kernel.entry)
+        fold_time(self._timings, "serve.request", perf_counter() - t_admit)
+        return result
 
     # -- compilation (warm pool miss) ---------------------------------------
-    async def _warm_kernel(self, tenant: TenantState, source: str,
-                           entry: str, chunked: bool) -> WarmKernel:
+    def _warm_kernel(self, tenant: TenantState, source: str, entry: str,
+                     chunked: bool):
+        """The resident kernel, or on a miss the compile to await."""
         backend = self.config.backend
         if chunked:
             backend = "c"  # chunked entries exist only on the C backend
@@ -329,43 +358,27 @@ class ServeServer:
         ident = ("tiered" if tiered else (backend or "default"), entry,
                  chunked, source)
         kernel = tenant.kernels.get(ident)
-        reg = registry()
         if kernel is not None:
-            reg.add("serve.cache_hit")
-            _trace.instant("serve.cache_hit", cat="serve",
-                           tenant=tenant.name, key=kernel.key)
+            if _trace._enabled:
+                _trace.instant("serve.cache_hit", cat="serve",
+                               tenant=tenant.name, key=kernel.key)
             return kernel
         compile_key = (tenant.name, ident)
         pending = self._compiling.get(compile_key)
         if pending is not None:
-            reg.add("serve.compile_dedup")
-            return await asyncio.shield(pending)
-        fut = self._loop.create_future()
-        self._compiling[compile_key] = fut
-        try:
-            kernel = await self._compile(tenant, ident, backend)
-            evicted = tenant.kernels.put(ident, kernel)
-            if evicted:
-                reg.add("serve.evicted", len(evicted))
-            fut.set_result(kernel)
-            return kernel
-        except BaseException as exc:
-            fut.set_exception(exc)
-            # mark the exception retrieved: if no dedup waiter ever awaits
-            # this future, its GC must not log a spurious traceback
-            fut.exception()
-            raise
-        finally:
-            self._compiling.pop(compile_key, None)
+            self._counts["serve.compile_dedup"] += 1
+            return asyncio.shield(pending)
+        fut = self._compiling[compile_key] = self._loop.create_future()
+        return self._compile(tenant, ident, backend, fut)
 
     async def _compile(self, tenant: TenantState, ident: tuple,
-                       backend: Optional[str]) -> WarmKernel:
+                       backend: Optional[str], fut) -> WarmKernel:
+        """Stage a missed kernel, make it resident and resolve ``fut``."""
         key_backend, entry, chunked, source = ident
         key = kernel_key(source, entry, chunked, key_backend)
         tiered = key_backend == "tiered"
-        reg = registry()
-        reg.add("serve.compile")
-        t0 = time.perf_counter()
+        self._counts["serve.compile"] += 1
+        t0 = perf_counter()
 
         def stage():
             """Executor-thread half: everything up to the buildd submit."""
@@ -387,20 +400,31 @@ class ServeServer:
                     be = resolve_backend(backend)
                     return fn, be.name, fn.compile_async(be)
 
-        fn, backend_name, ticket = await self._loop.run_in_executor(
-            self._exec, stage)
-        if ticket is None:
-            handle = fn
-        else:
-            # the gcc run is awaited on the loop (buildd's async hook),
-            # then the dlopen/ctypes binding goes back to the executor
-            await ticket.await_built()
-            with _buildd_service.cache_namespace(tenant.name):
-                handle = await self._loop.run_in_executor(self._exec,
-                                                          ticket.result)
-        dt = time.perf_counter() - t0
-        reg.record_time("serve.compile", dt)
-        return WarmKernel(key, entry, fn, handle, chunked, tiered=tiered)
+        try:
+            fn, backend_name, ticket = await self._loop.run_in_executor(
+                self._exec, stage)
+            if ticket is None:
+                handle = fn
+            else:
+                # the gcc run is awaited on the loop (buildd's async hook),
+                # then the dlopen/ctypes binding goes back to the executor
+                await ticket.await_built()
+                with _buildd_service.cache_namespace(tenant.name):
+                    handle = await self._loop.run_in_executor(self._exec,
+                                                              ticket.result)
+            kernel = WarmKernel(key, entry, fn, handle, chunked, tiered=tiered)
+            tenant.kernels.put(ident, kernel)
+        except BaseException as exc:
+            fut.set_exception(exc)
+            # mark the exception retrieved: if no dedup waiter ever awaits
+            # this future, its GC must not log a spurious traceback
+            fut.exception()
+            raise
+        finally:
+            del self._compiling[(tenant.name, ident)]
+        fold_time(self._timings, "serve.compile", perf_counter() - t0)
+        fut.set_result(kernel)
+        return kernel
 
     @staticmethod
     def _resolve_entry(source: str, entry: str):
@@ -431,20 +455,30 @@ class ServeServer:
 
     # -- reporting ----------------------------------------------------------
     def stats(self) -> dict:
-        reg = registry()
+        tenants = {name: t.summary()
+                   for name, t in sorted(self._tenants.items())}
         return {
             "uptime_s": round(time.time() - self._started, 3),
             "address": getattr(self, "address", None),
-            "connections": self._connections,
+            "connections": self._counts["serve.connections"],
             "inflight": self._admission.inflight,
             "inflight_peak": self._admission.peak,
             "workers": self.config.resolved_workers(),
-            "tenants": {name: t.summary()
-                        for name, t in sorted(self._tenants.items())},
-            "counters": {**reg.counters("serve."),
-                         **reg.counters("parse.cache."),
-                         **reg.counters("spec.memo.")},
-            "timings": reg.timings("serve."),
+            "tenants": tenants,
+            "counters": {
+                "serve.inflight_peak": self._admission.peak,
+                **self._admission.rejected,
+                **self._counts,
+                **{name: sum(t[k] for t in tenants.values()) for name, k in (
+                    ("serve.requests", "requests"),
+                    ("serve.cache_hit", "kernel_hits"),
+                    ("serve.evicted", "kernel_evictions"),
+                    ("serve.exec.inline", "inline"),
+                    ("serve.exec.offloaded", "offloaded"),
+                    ("serve.inline.demoted", "demotions"))},
+                **registry().counters("parse.cache."),
+                **registry().counters("spec.memo.")},
+            "timings": {name: dict(t) for name, t in self._timings.items()},
         }
 
 

@@ -88,18 +88,18 @@ class WarmKernel:
     only): consecutive runs seen under ``INLINE_BUDGET_S``, how many earn
     the loop, and the largest ``|int|`` per argument position among them."""
 
-    __slots__ = ("key", "entry", "fn", "handle", "chunked", "tiered",
-                 "hits", "streak", "need", "envelope")
+    __slots__ = ("key", "entry", "span_name", "fn", "handle", "chunked",
+                 "tiered", "streak", "need", "envelope")
 
     def __init__(self, key: str, entry: str, fn, handle, chunked: bool,
                  tiered: bool = False):
         self.key = key
         self.entry = entry
+        self.span_name = f"serve.exec:{entry}"
         self.fn = fn            # the TerraFunction (kept alive with the lib)
         self.handle = handle    # backend callable handle, or fn (tiered)
         self.chunked = chunked
         self.tiered = tiered
-        self.hits = 0
         self.streak = 0
         self.need = INLINE_AFTER
         self.envelope: list[int] = []
@@ -121,7 +121,8 @@ class WarmKernel:
         """Whether this call may run on the loop: the kernel is eligible
         and every ``int`` argument (what a loop bound is; not ``bool``)
         lies inside the envelope.  Other types never gate."""
-        if not self.eligible or len(args) != len(self.envelope):
+        if self.streak < self.need or len(args) != len(self.envelope) or (
+                self.tiered and not self.eligible):
             return False
         for a, bound in zip(args, self.envelope):
             if type(a) is int and abs(a) > bound:
@@ -137,6 +138,9 @@ class WarmKernel:
             if inline:
                 self.need = min(2 * self.need, _INLINE_AFTER_MAX)
             return inline
+        if inline:      # fits_inline held: the envelope covers args
+            self.streak += 1
+            return False
         if len(args) != len(self.envelope):
             self.streak, self.envelope = 0, [0] * len(args)
         self.streak += 1
@@ -152,13 +156,14 @@ class KernelPool:
     def __init__(self, quota: int):
         self.quota = max(1, int(quota))
         self._kernels: OrderedDict[Hashable, WarmKernel] = OrderedDict()
-        self.evictions = 0
+        self.hits = 0           # both over the pool's life: evicted
+        self.evictions = 0      # kernels' hits stay counted
 
     def get(self, ident: Hashable) -> Optional[WarmKernel]:
         kernel = self._kernels.get(ident)
         if kernel is not None:
             self._kernels.move_to_end(ident)
-            kernel.hits += 1
+            self.hits += 1
         return kernel
 
     def put(self, ident: Hashable, kernel: WarmKernel) -> list[WarmKernel]:
@@ -305,7 +310,7 @@ class TenantState:
         return {
             "kernels": len(self.kernels),
             "kernel_evictions": self.kernels.evictions,
-            "kernel_hits": sum(k.hits for k in kernels),
+            "kernel_hits": self.kernels.hits,
             **self.placed,
             "inline_eligible": sum(k.eligible for k in kernels),
             "buffers": len(self.buffers),

@@ -1,4 +1,4 @@
-"""The process metrics registry — one home for every counter in repro.
+"""The process metrics registry — the home for repro's shared counters.
 
 * a :class:`MetricsRegistry` holds named **counters** (monotonic or
   signed numbers), **timings** (run count + cumulative seconds + min/max)
@@ -6,16 +6,19 @@
 * the process-wide registry (:func:`registry`) carries every
   cross-cutting series — per-pass pipeline time (``pass.*``),
   differential-fuzz totals (``fuzz.*``), compiled-function call profiles
-  (``call.*``), the ``exec.*``, ``spec.memo.*`` and ``serve.*`` counters;
+  (``call.*``), the ``exec.*`` and ``spec.memo.*`` counters;
 * per-service counters (one :class:`~repro.buildd.stats.BuildStats` per
   :class:`~repro.buildd.service.CompileService`) live in a *private*
   registry instance so tests can build isolated services;
   ``BuildStats.snapshot()`` reports them beside the process-wide
   ``pass.*`` and ``fuzz.*`` series.
 
-Increments are cheap (one lock, one dict op) relative to anything they
-measure — a gcc run, an IR pass, an FFI call — so contention and overhead
-are irrelevant in practice.
+The registry is the home for series written from several threads: one
+lock and one dict op per update, cheap beside a gcc run or an IR pass.  A
+service whose state is confined to one thread keeps its own plain counts
+instead (:class:`~repro.serve.server.ServeServer` counts on its event
+loop and publishes through its ``stats``), and can share
+:func:`fold_time` for the timing shape.
 """
 
 from __future__ import annotations
@@ -24,6 +27,21 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, Optional
+
+
+def fold_time(timings: dict[str, dict], name: str, seconds: float) -> None:
+    """Fold one run of ``seconds`` into ``timings[name]`` (run count,
+    cumulative seconds, min, max); the caller owns ``timings``."""
+    entry = timings.get(name)
+    if entry is None:
+        entry = {"runs": 0, "seconds": 0.0, "min": seconds, "max": seconds}
+        timings[name] = entry
+    entry["runs"] += 1
+    entry["seconds"] += seconds
+    if seconds < entry["min"]:
+        entry["min"] = seconds
+    if seconds > entry["max"]:
+        entry["max"] = seconds
 
 
 class MetricsRegistry:
@@ -68,17 +86,7 @@ class MetricsRegistry:
     def record_time(self, name: str, seconds: float) -> None:
         """Fold one run of ``seconds`` into timing ``name``."""
         with self._lock:
-            entry = self._timings.get(name)
-            if entry is None:
-                entry = {"runs": 0, "seconds": 0.0,
-                         "min": seconds, "max": seconds}
-                self._timings[name] = entry
-            entry["runs"] += 1
-            entry["seconds"] += seconds
-            if seconds < entry["min"]:
-                entry["min"] = seconds
-            if seconds > entry["max"]:
-                entry["max"] = seconds
+            fold_time(self._timings, name, seconds)
 
     def timing(self, name: str) -> Optional[dict]:
         with self._lock:

@@ -2,7 +2,6 @@
 
 from repro.serve.admission import Admission
 from repro.serve.state import TenantState
-from repro.trace.metrics import registry
 
 
 def tenants(n):
@@ -34,12 +33,14 @@ class TestGlobalBound:
         assert adm.inflight == 1 and b.inflight == 0
 
     def test_rejections_are_counted(self):
-        before = registry().get("serve.rejected.overloaded")
-        adm = Admission(queue_limit=1, tenant_limit=10)
-        a, b = tenants(2)
+        adm = Admission(queue_limit=2, tenant_limit=1)
+        a, b, c = tenants(3)
         adm.try_admit(a)
+        adm.try_admit(a)        # a at its cap
         adm.try_admit(b)
-        assert registry().get("serve.rejected.overloaded") == before + 1
+        adm.try_admit(c)        # the queue at its limit
+        assert adm.rejected == {"serve.rejected.overloaded": 1,
+                                "serve.rejected.tenant": 1}
 
 
 class TestTenantCap:

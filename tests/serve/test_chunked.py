@@ -2,7 +2,6 @@
 kernel are independent calls over the tenant's own buffers (where each
 runs is test_inline.py's subject; per-range traps, test_server_errors.py's)."""
 
-import asyncio
 import threading
 
 import pytest
@@ -34,6 +33,7 @@ def run_concurrent(n_threads, fn):
     assert not errors
 
 
+@pytest.mark.usefixtures("cbackend")   # chunked entries are C only
 class TestConcurrentRanges:
     def test_ranges_compose_to_the_full_range_call(self, server):
         n, parts, rounds = 64, 4, 5
@@ -97,8 +97,7 @@ def test_a_handle_with_no_chunked_entry_is_unsupported():
                         chunked=True)
     try:
         with pytest.raises(ServeError) as ei:
-            asyncio.run(server._call_chunked(TenantState("t", 4), kernel,
-                                             [], (0, 1), 0.0))
+            server._call_kernel(TenantState("t", 4), kernel, [], (0, 1), 0.0)
     finally:
         server._exec.shutdown(wait=True)
     assert ei.value.code == "unsupported"

@@ -16,7 +16,6 @@ from repro.serve import ServeConfig, ServeError, ServerThread
 from repro.serve.server import ServeServer
 from repro.serve.state import (_INLINE_AFTER_MAX, INLINE_AFTER,
                                INLINE_BUDGET_S, TenantState, WarmKernel)
-from repro.trace.metrics import registry
 
 from .conftest import SAXPY, SQ, earn_the_loop, saxpy_buffers
 
@@ -137,19 +136,22 @@ class TestCostRecord:
                 summary["demotions"]) == (0, 0, 0)
 
 
-def counters():
-    reg = registry()
-    return {name: reg.get(f"serve.{name}") for name in
+def counters(source):
+    """The placement counters of the server behind ``source`` (a client
+    or a :class:`ServerThread`), as its ``stats`` publishes them."""
+    published = source.stats()["counters"]
+    return {name: published[f"serve.{name}"] for name in
             ("requests", "exec.inline", "exec.offloaded", "inline.demoted",
              "traps")}
 
 
-def queue_waits():
-    return (registry().timing("serve.queue_wait") or {"runs": 0})["runs"]
+def queue_waits(source):
+    timings = source.stats()["timings"]
+    return timings.get("serve.queue_wait", {"runs": 0})["runs"]
 
 
-def delta(before):
-    now = counters()
+def delta(source, before):
+    now = counters(source)
     return {name: now[name] - before[name] for name in now}
 
 
@@ -171,11 +173,11 @@ def long_call_leaves_the_loop_free(tmp_path):
     cfg = ServeConfig(socket_path=str(tmp_path / "i.sock"), workers=4,
                       tenant_concurrency=1, queue_limit=64)
     with ServerThread(cfg) as srv:
-        before = counters()
+        before = counters(srv)
         with srv.client(tenant="hot") as c:
             for _ in range(200):
                 c.call(SPIN, "spin", [1])
-            placed = delta(before)
+            placed = delta(srv, before)
             assert placed["exec.inline"] + placed["exec.offloaded"] == 200
             assert placed["exec.inline"] > 100     # hiccup demotions cost tens
             earn_the_loop(c, SPIN, "spin", [1])    # still trusted right now
@@ -220,6 +222,7 @@ def long_call_leaves_the_loop_free(tmp_path):
         assert not t.is_alive() and done and done[0] > 0
 
 
+@pytest.mark.usefixtures("cbackend")   # spin(SPIN_N) takes 0.5 s in C
 class TestLoopIsolation:
     def test_long_call_outside_the_envelope_leaves_the_loop_free(
             self, tmp_path):
@@ -233,25 +236,26 @@ class TestLoopIsolation:
         long_call_leaves_the_loop_free(tmp_path)
 
 
+@pytest.mark.usefixtures("cbackend")   # chunked entries are C only
 class TestPlacementAccounting:
     def test_every_request_plain_or_chunked_is_placed_once(self, server):
         n = 8
         with server.client(tenant="acct") as c:
             xs, ys = saxpy_buffers(c, n)
             args = [n, 2.0, {"buf": xs}, {"buf": ys}]
-            before = counters()
+            before = counters(c)
             for _ in range(5 * INLINE_AFTER):
                 c.call(SAXPY, "saxpy", args)
             with pytest.raises(ServeError):
                 c.call(SQ, "sq", [1.0, 2.0])           # failed runs count too
-            plain = delta(before)
+            plain = delta(c, before)
             assert plain["exec.inline"] >= 1
             assert plain["exec.inline"] + plain["exec.offloaded"] == \
                 plain["requests"] == 5 * INLINE_AFTER + 1
-            before = counters()
+            before = counters(c)
             for _ in range(5 * INLINE_AFTER):
                 c.call(SAXPY, "saxpy", args, chunk=(0, n))
-            chunked = delta(before)
+            chunked = delta(c, before)
             assert chunked["exec.inline"] >= 1
             assert chunked["exec.inline"] + chunked["exec.offloaded"] == \
                 chunked["requests"] == 5 * INLINE_AFTER
@@ -268,19 +272,19 @@ class TestPlacementAccounting:
         with server.client(tenant="ranges") as c:
             xs, ys = saxpy_buffers(c, n)
             args = [n, 2.0, {"buf": xs}, {"buf": ys}]
-            before, waits = counters(), queue_waits()
+            before, waits = counters(c), queue_waits(c)
             calls = earn_the_loop(c, SAXPY, "saxpy", args, chunk=(8, 16))
-            earning = delta(before)
+            earning = delta(c, before)
             assert earning["exec.offloaded"] >= INLINE_AFTER
             assert earning["exec.inline"] + earning["exec.offloaded"] == calls
             # queue_wait is the wait for an executor thread: offloaded only
-            assert queue_waits() - waits == earning["exec.offloaded"]
+            assert queue_waits(c) - waits == earning["exec.offloaded"]
 
             def placed(chunk):
-                before, waits = counters(), queue_waits()
+                before, waits = counters(c), queue_waits(c)
                 c.call(SAXPY, "saxpy", args, chunk=chunk)
-                now = delta(before)
-                assert queue_waits() - waits == now["exec.offloaded"]
+                now = delta(c, before)
+                assert queue_waits(c) - waits == now["exec.offloaded"]
                 return now["exec.inline"], now["exec.offloaded"]
 
             assert placed((8, 16)) == (1, 0)
@@ -329,8 +333,10 @@ class TestOverrunsAreObserved:
             server._loop = asyncio.get_running_loop()
             for args in calls:
                 try:
-                    outcomes.append(await server._call_plain(
-                        tenant, k, k.handle, args, time.perf_counter()))
+                    out = server._call_kernel(tenant, k, args, None,
+                                              time.perf_counter())
+                    outcomes.append(await out if asyncio.iscoroutine(out)
+                                    else out)
                 except TrapError as exc:
                     outcomes.append(exc)
 
@@ -377,7 +383,7 @@ class TestManyClientsOneHotKernel:
         sys.setswitchinterval(1e-4)
         try:
             with ServerThread(cfg) as srv:
-                before = counters()
+                before = counters(srv)
                 pool = [threading.Thread(target=worker, args=(i,))
                         for i in range(threads)]
                 for t in pool:
@@ -386,7 +392,7 @@ class TestManyClientsOneHotKernel:
                     t.join(60)
                 assert not any(t.is_alive() for t in pool)
                 stats = srv.stats()
-                placed = delta(before)
+                placed = delta(srv, before)
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors[:3]

@@ -3,9 +3,14 @@
 import threading
 
 from repro.serve import ServeConfig, ServerThread
-from repro.trace.metrics import registry
 
 from .conftest import SAXPY, SQ
+
+
+def counter(source, name):
+    """One ``serve.*`` counter of the server behind ``source`` (a client
+    or a :class:`ServerThread`), as its ``stats`` publishes it."""
+    return source.stats()["counters"][name]
 
 
 class TestCalls:
@@ -16,10 +21,10 @@ class TestCalls:
         assert "counters" in stats and "tenants" in stats
 
     def test_cold_then_warm_scalar_call(self, client):
-        before = registry().get("serve.cache_hit")
+        before = counter(client, "serve.cache_hit")
         assert client.call(SQ, "sq", [3.0], tenant="warmth") == 9.0
         assert client.call(SQ, "sq", [4.0], tenant="warmth") == 16.0
-        assert registry().get("serve.cache_hit") == before + 1
+        assert counter(client, "serve.cache_hit") == before + 1
 
     def test_multi_definition_source_selects_the_entry(self, client):
         src = """
@@ -44,7 +49,7 @@ class TestCalls:
         client.free(xs)
         client.free(ys)
 
-    def test_chunked_call_covers_exactly_the_range(self, client):
+    def test_chunked_call_covers_exactly_the_range(self, client, cbackend):
         n = 32
         xs = client.alloc("double", n)
         ys = client.alloc("double", n)
@@ -77,14 +82,14 @@ class TestTenancy:
           return x + x
         end
         """
-        before = registry().get("serve.compile")
+        before = counter(server, "serve.compile")
         with server.client(tenant="pool-a") as a:
             assert a.call(src, "twice", [21]) == 42
         with server.client(tenant="pool-b") as b:
             assert b.call(src, "twice", [21]) == 42
         # both tenants staged their own kernel (buildd dedups the gcc run
         # one layer down, but the warm pools are private by design)
-        assert registry().get("serve.compile") == before + 2
+        assert counter(server, "serve.compile") == before + 2
 
     def test_stats_reports_per_tenant_summaries(self, server):
         stats = server.stats()
@@ -92,7 +97,7 @@ class TestTenancy:
         assert "pool-a" in pools and "pool-b" in pools
         assert pools["pool-a"]["kernels"] >= 1
 
-    def test_stats_counts_the_structural_memo(self, server):
+    def test_stats_counts_the_structural_memo(self, server, cbackend):
         """pool-b staged the structure pool-a had just compiled."""
         assert server.stats()["counters"]["spec.memo.hits"] >= 1
 
@@ -105,11 +110,11 @@ class TestWarmPoolEviction:
         k2 = "terra two(x : int) : int return x + 2 end"
         with ServerThread(cfg) as srv:
             with srv.client(tenant="evictee") as c:
-                before = registry().get("serve.compile")
+                before = counter(c, "serve.compile")
                 assert c.call(k1, "one", [0]) == 1
                 assert c.call(k2, "two", [0]) == 2   # evicts one
                 assert c.call(k1, "one", [0]) == 1   # recompile (staging)
-                assert registry().get("serve.compile") == before + 3
+                assert counter(c, "serve.compile") == before + 3
                 summary = c.stats()["tenants"]["evictee"]
                 assert summary["kernels"] == 1
                 assert summary["kernel_evictions"] == 2
@@ -143,7 +148,7 @@ class TestConcurrentClients:
         end
         """
         with ServerThread(cfg) as srv:
-            before = registry().get("serve.compile_dedup")
+            before = counter(srv, "serve.compile_dedup")
             barrier = threading.Barrier(4)
             results = []
 
@@ -159,11 +164,12 @@ class TestConcurrentClients:
                 t.join()
             assert results == [1.5] * 4
             # at least one of the four racers joined an in-flight staging
-            assert registry().get("serve.compile_dedup") > before
+            assert counter(srv, "serve.compile_dedup") > before
 
 
 class TestSmokeLoad:
-    def test_smoke_load_passes_and_writes_a_valid_trace(self, tmp_path):
+    def test_smoke_load_passes_and_writes_a_valid_trace(self, tmp_path,
+                                                        cbackend):
         """What ``python -m repro.serve --smoke --trace OUT`` runs."""
         from repro import trace
         from repro.serve.__main__ import run_smoke

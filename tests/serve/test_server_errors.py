@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro.serve import ServeConfig, ServeError, ServerThread, protocol
-from repro.trace.metrics import registry
 
 from .conftest import SAXPY, SQ, earn_the_loop
 
@@ -148,7 +147,8 @@ class TestRuntimeTraps:
         assert client.call(src, "div", [10, 2]) == 5
         assert call_code(client, src, "div", [1, 0]) == "trap"
 
-    def test_trapping_range_fails_only_its_own_request(self, tmp_path):
+    def test_trapping_range_fails_only_its_own_request(self, tmp_path,
+                                                        cbackend):
         """Two concurrent chunked requests: the range covering the poison
         iterate gets ``trap``; the other completes with its writes."""
         from .conftest import POISON
@@ -207,35 +207,38 @@ class TestSameAnswerFromEitherThread:
     ])
     def test_cold_and_warm_responses_are_identical(
             self, server, name, source, entry, good, odd, code):
-        reg = registry()
         with server.client(tenant=f"either-{name}") as c:
+            def get(counter):
+                return c.stats()["counters"][f"serve.{counter}"]
+
             buf = {"buf": c.alloc("double", 2)}
             good, odd = ([buf if a == "buf" else a for a in args]
                          for args in (good, odd))
             line = protocol.encode({
                 "op": "call", "tenant": c.tenant, "source": source,
                 "entry": entry, "args": odd, "id": 1})
-            traps = reg.get("serve.traps")
-            offloaded = reg.get("serve.exec.offloaded")
+            traps = get("traps")
+            offloaded = get("exec.offloaded")
             cold = c.send_raw(line)              # first call: the executor
-            assert reg.get("serve.exec.offloaded") == offloaded + 1
+            assert get("exec.offloaded") == offloaded + 1
             earn_the_loop(c, source, entry, good)
-            inline = reg.get("serve.exec.inline")
+            inline = get("exec.inline")
             warm = c.send_raw(line)              # the same call: the loop
-            assert reg.get("serve.exec.inline") == inline + 1
+            assert get("exec.inline") == inline + 1
             assert protocol.encode(warm) == protocol.encode(cold)
             if code is None:
                 assert warm["ok"] and warm["result"] == {
                     "float": "nan" if name == "nan" else "-inf"}
             else:
                 assert warm["error"]["code"] == code
-            assert reg.get("serve.traps") - traps == \
+            assert get("traps") - traps == \
                 (2 if name == "trap" else 0)
             assert c.ping()                      # the connection survives
             if name != "unsupported":
                 c.call(source, entry, good)
 
 
+@pytest.mark.usefixtures("cbackend")   # spin(N) takes 0.5 s in C
 class TestAdmissionOverTheWire:
     SPIN = """
     terra spin(n : int64) : double

@@ -44,7 +44,10 @@ class TestKernelPool:
         pool.get("a")
         pool.get("a")
         assert pool.get("missing") is None
-        assert pool.get("a").hits == 3
+        assert pool.get("a") is not None and pool.hits == 3
+        pool.put("b", fake_kernel("b"))
+        pool.put("c", fake_kernel("c"))     # evicts a: its hits stay counted
+        assert pool.keys() == ["b", "c"] and pool.hits == 3
 
 
 class TestBuffers:
