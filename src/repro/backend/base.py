@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from ..errors import CompileError
+from ..errors import CompileError, unexpected_keyword
 from .. import config
 from .. import trace as _trace
 from ..passes.manager import PIPELINE_CANON
@@ -101,9 +101,11 @@ class ExecutableHandle:
 
     entry = property(lambda self: self)
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         # one module-attribute check when observability is off; spans and
         # profile samples only on the slow path (see repro.trace)
+        if kwargs:
+            raise unexpected_keyword(self.func.name, kwargs)
         if _trace._runtime_active:
             return _trace.timed_call(self.func, lambda: self._invoke(args))
         return self._invoke(args)

@@ -1,8 +1,9 @@
 """ctypes ABI construction for compiled Terra functions.
 
 Maps Terra types onto ctypes so that compiled functions can be called from
-Python: primitives map directly, pointers are passed as 64-bit addresses,
-and aggregates passed/returned by value get mirrored ctypes.Structure
+Python: primitives map directly, pointers are 64-bit addresses (a pointer
+*parameter* is a ``c_void_p``, which also takes a ctypes buffer object as
+it is), and aggregates passed/returned by value get mirrored ctypes.Structure
 classes whose layout matches :mod:`repro.core.types` (natural alignment).
 
 Vector types never cross the Python boundary (raise FFIError); they exist
@@ -45,6 +46,14 @@ def ctype_for(ty: T.Type):
     if isinstance(ty, T.ArrayType):
         return _array_ctype(ty)
     raise FFIError(f"no ctypes mapping for {ty}")
+
+
+def argtype_for(ty: T.Type):
+    """The ctypes type of a ``ty`` parameter: :func:`ctype_for`, except that
+    a pointer is a ``c_void_p``, which takes an ``int`` address or a
+    ``(c_char * 0).from_buffer`` object — results and callback arguments
+    keep ``c_uint64``, so Python sees every pointer as an ``int``."""
+    return ctypes.c_void_p if ty.ispointer() else ctype_for(ty)
 
 
 def _struct_ctype(ty: T.StructType):

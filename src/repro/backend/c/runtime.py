@@ -67,10 +67,15 @@ def extra_cflags(*flags: str):
 _TRAP_CELLS: list = []
 
 
+def _trap(code: int) -> TrapError:
+    return TrapError(TRAP_MESSAGES.get(code, f"runtime trap {code}"))
+
+
 def _guarded(centry):
     """A guarded C entry (``*_tentry`` / ``*_chunk``: trailing ``int32_t *``
     trap code) as ``run(*cargs)``: a nonzero code raises :class:`TrapError`,
-    as in the interpreter, where bare C would SIGFPE/SIGILL the process."""
+    as in the interpreter, where bare C would SIGFPE/SIGILL the process.
+    A call plan lends the cell inline, in the same protocol."""
     def run(*cargs):
         try:
             cell = _TRAP_CELLS.pop()
@@ -84,25 +89,93 @@ def _guarded(centry):
                 cell.value = 0
             _TRAP_CELLS.append(cell)
         if code:
-            raise TrapError(TRAP_MESSAGES.get(code, f"runtime trap {code}"))
+            raise _trap(code)
         return result
 
     return run
 
 
+#: what the generated plans read as globals
+_PLAN_SCOPE = {
+    "_trace": _trace, "ndarray": np.ndarray,
+    "from_buffer": convert.NO_BYTES.from_buffer,
+    "refused": (FFIError, ctypes.ArgumentError, TypeError),
+    "cells": _TRAP_CELLS, "c_int32": ctypes.c_int32, "trap": _trap,
+}
+
+
+@cache      # per shape and process: a bind instantiates, never compiles
+def _plan_factory(kinds: str, guarded: bool, returns: bool):
+    """``make(run, from_c, checked, *converted)`` for a signature of this
+    shape, written out a line per parameter, as ``sast._walker`` writes a
+    walker.  ``kinds`` has a letter per parameter: ``s``
+    a non-``bool`` scalar, handed to ctypes as it is; ``p`` a pointer,
+    whose native ndarray goes to ctypes as its ``from_buffer`` object;
+    ``c`` any other, through its converter.  ``converted`` is a converter
+    per ``p``/``c`` position, then a dtype per ``p`` position."""
+    names = [f"a{i}" for i in range(len(kinds))]
+    convs = [f"conv{i}" for i, kind in enumerate(kinds) if kind != "s"]
+    dtypes = [f"d{i}" for i, kind in enumerate(kinds) if kind == "p"]
+    cargs = ", ".join(names + ["cell"] * guarded)
+    params = ", ".join(["run", "from_c", "checked"] + convs + dtypes)
+    code = [f"def make({params}):",
+            "  def entry(*args):",
+            f"    if len(args) != {len(kinds)} or _trace._runtime_active:",
+            "        return checked(args)"]
+    if names:
+        code.append(f"    {', '.join(names)}, = args")
+    code.append("    try:")
+    for i, kind in enumerate(kinds):
+        if kind == "p":     # keep{i}: the converter's keep-alives
+            code += [f"        if type(a{i}) is ndarray and a{i}.dtype is d{i}:",
+                     f"            a{i} = from_buffer(a{i})",
+                     "        else:",
+                     f"            keep{i} = []",
+                     f"            a{i} = conv{i}(a{i}, keep{i})"]
+        elif kind == "c":
+            code.append(f"        a{i} = conv{i}(a{i}, None)")
+    if guarded:
+        code += ["        try:",
+                 "            cell = cells.pop()",
+                 "        except IndexError:",
+                 "            cell = c_int32()",
+                 "        try:",
+                 f"            result = run({cargs})",
+                 "        finally:",
+                 "            code = cell.value",
+                 "            if code:",
+                 "                cell.value = 0",
+                 "            cells.append(cell)"]
+    else:
+        code.append(f"        result = run({cargs})")
+    code += ["    except refused:",
+             "        return checked(args)"]
+    if guarded:
+        code += ["    if code:",
+                 "        raise trap(code)"]
+    code += [f"    return {'from_c(result)' if returns else 'result'}",
+             "  return entry"]
+    scope = dict(_PLAN_SCOPE)
+    exec("\n".join(code), scope)     # noqa: S102
+    return scope["make"]
+
+
 class CompiledFunction(ExecutableHandle):
     """A Python-callable handle to one compiled Terra function.
 
-    Calling it runs :attr:`entry`, its **call plan**, made from the
-    ``FunctionType`` at the first call from Python (most of a unit's
-    functions only have Terra callers) and installed in the function's
-    call slot as it is.  ``cfn.argtypes`` wrap, round and type-check
-    numbers as the converters do, so the plan hands ctypes a non-``bool``
-    scalar as it is and converts only the other positions; :meth:`_invoke`
-    decides what either refuses.  Every other caller — :meth:`_invoke` and
-    the prepared callers — converts through the same per-type converters,
-    which put what they converted in ``keep``: a prepared caller outlives
-    the argument tuple it was made from."""
+    Calling it runs :attr:`entry`, its **call plan**, made at the first
+    call from Python (most of a unit's functions only have Terra callers)
+    and installed in the function's call slot as it is: the plan generated
+    for its signature's shape (:func:`_plan_factory`), instantiated with
+    this handle's C entry and converters.  ``cfn.argtypes`` wrap, round and
+    type-check numbers as the converters do, so the plan hands ctypes a
+    non-``bool`` scalar as it is, a native ndarray as its ``from_buffer``
+    object (a pointer parameter is a ``c_void_p``), and converts only the
+    other positions; :meth:`_invoke` decides what either refuses.  Every
+    other caller — :meth:`_invoke` and the prepared callers — converts
+    through the same per-type converters, which put what they converted in
+    ``keep``: a prepared caller outlives the argument tuple it was made
+    from."""
 
     def __init__(self, func, cfn, ftype: T.FunctionType, centry=None,
                  cchunk=None):
@@ -124,47 +197,34 @@ class CompiledFunction(ExecutableHandle):
 
     @cached_property
     def entry(self):
-        """Python arguments -> result in one frame: the arity and trace
-        checks (per call: a trace switch resets no slot), a native ndarray
-        by its address (the argument tuple keeps it alive), the converters
-        of the other positions.  What is refused — a read-only or strided
-        array too — re-runs on the checked path."""
-        nargs = len(self.converters)
-        run = self.cfn if self.centry is None else _guarded(self.centry)
+        """Python arguments -> result in one frame: this signature's shape's
+        plan (:func:`_plan_factory`), instantiated with this handle's C
+        entry, converters and dtypes and named after the function, so a
+        keyword argument's ``TypeError`` names it too.  What the plan
+        refuses — a read-only or strided array too — re-runs on the checked
+        path."""
+        kinds, converted, dtypes = [], [], []
+        for ty, conv in zip(self.type.parameters, self.converters):
+            if isinstance(ty, T.PrimitiveType) and not ty.islogical():
+                kinds.append("s")
+                continue
+            kinds.append("p" if ty.ispointer() else "c")
+            converted.append(conv)
+            if ty.ispointer():
+                dtypes.append(convert.NATIVE_DTYPES.get(ty.pointee))
         from_c = self._returner(self.type.returntype)
-        steps = [(i, convert.NATIVE_DTYPES.get(getattr(ty, "pointee", None)),
-                  conv)
-                 for i, (ty, conv) in enumerate(
-                     zip(self.type.parameters, self.converters))
-                 if not isinstance(ty, T.PrimitiveType) or ty.islogical()]
-        ndarray, addressof = np.ndarray, ctypes.addressof
-        from_buffer = convert.NO_BYTES.from_buffer
-        refused = (FFIError, ctypes.ArgumentError, TypeError)
-
-        def checked(args):      # _invoke behind the trace hook
-            if not _trace._runtime_active:
-                registry().add("exec.call.checked")
-            return ExecutableHandle.__call__(self, *args)
-
-        def entry(*args):
-            if len(args) != nargs or _trace._runtime_active:
-                return checked(args)
-            try:
-                cargs = args
-                if steps:
-                    cargs, keep = list(args), []
-                    for i, dtype, conv in steps:
-                        value = cargs[i]
-                        if type(value) is ndarray and value.dtype is dtype:
-                            cargs[i] = addressof(from_buffer(value))
-                        else:
-                            cargs[i] = conv(value, keep)
-                result = run(*cargs)
-            except refused:
-                return checked(args)
-            return result if from_c is None else from_c(result)
-
+        make = _plan_factory("".join(kinds), self.centry is not None,
+                             from_c is not None)
+        entry = make(self.cfn if self.centry is None else self.centry,
+                     from_c, self._checked, *converted, *dtypes)
+        entry.__name__ = entry.__qualname__ = self.func.name
         return entry
+
+    def _checked(self, args):
+        """The plan's fallback: :meth:`_invoke` behind the trace hook."""
+        if not _trace._runtime_active:
+            registry().add("exec.call.checked")
+        return ExecutableHandle.__call__(self, *args)
 
     __call__ = property(attrgetter("entry"))    # tp_call: no frame of its own
 
@@ -234,7 +294,7 @@ class CompiledFunction(ExecutableHandle):
         """``convert(value, keep) -> C argument`` for a ``ty`` parameter."""
         if isinstance(ty, T.PrimitiveType):
             return lambda value, keep: convert.python_to_primitive(value, ty)
-        if ty.ispointer():     # argtypes is c_uint64: an int is the argument
+        if ty.ispointer():     # argtypes is c_void_p: an int is the argument
             def to_pointer(value, keep):
                 addr, keepalive = convert.pointer_address(value, ty)
                 keep.append(keepalive)
@@ -398,7 +458,7 @@ class CBackend(Backend):
         for f, cname, ftype in bound:
             cfn = lib[cname]
             cfn.restype = abi.ctype_for(ftype.returntype)
-            cfn.argtypes = [abi.ctype_for(p) for p in ftype.parameters]
+            cfn.argtypes = [abi.argtype_for(p) for p in ftype.parameters]
             try:
                 centry = lib[cname + "_tentry"]
             except AttributeError:

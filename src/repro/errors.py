@@ -96,6 +96,14 @@ class FFIError(TerraError):
     """A Python value could not be converted to/from a Terra value."""
 
 
+def unexpected_keyword(name: str, kwargs: dict) -> TypeError:
+    """What calling Terra function ``name`` with keyword arguments raises on
+    every route: Python's own text for a function of that name (Terra
+    parameters are positional only)."""
+    return TypeError(f"{name}() got an unexpected keyword argument "
+                     f"{next(iter(kwargs))!r}")
+
+
 class SourceLocation:
     """A point in Terra source text, carried on AST nodes and errors.
 

@@ -20,7 +20,7 @@ import threading
 import weakref
 from typing import Callable, Optional
 
-from ..errors import FFIError
+from ..errors import FFIError, unexpected_keyword
 
 #: taken only to install into a slot and to reset the slots, never by a call
 _slots_lock = threading.Lock()
@@ -116,7 +116,7 @@ class Dispatcher:
         return ticket
 
     # -- calling ------------------------------------------------------------
-    def _resolve(self, *args):
+    def _resolve(self, *args, **kwargs):
         """The slot's resting state: install the current policy's target,
         then run it.  A failed compile raises from here with nothing
         installed, so the next call retries."""
@@ -124,6 +124,8 @@ class Dispatcher:
             raise FFIError(
                 f"{self.fn.name}() is an external C function: externals are "
                 f"called from Terra code, not from Python")
+        if kwargs:
+            raise unexpected_keyword(self.fn.name, kwargs)
         from . import current_policy
         epoch = _epoch      # read before the policy: a flip in between shows
         target = current_policy().target_for(self, epoch)

@@ -101,6 +101,7 @@ class TieredPolicy(ExecutionPolicy):
                 dispatcher.set_target(interp, epoch)
             return interp(*args)
 
+        tier0.__name__ = tier0.__qualname__ = dispatcher.fn.name
         return tier0
 
     # -- the tier-up: one ordinary compile ticket ----------------------------

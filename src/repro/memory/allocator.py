@@ -16,6 +16,12 @@ from ..errors import TrapError
 from .flatmem import Memory, Region
 
 
+#: unmapped bytes after every heap block: an access up to this far past a
+#: block's end traps as unmapped, not as a read of whatever block a recycled
+#: address happens to sit next to (live, or freed)
+HEAP_REDZONE = 64
+
+
 class Allocator:
     """A checking allocator over a :class:`Memory`."""
 
@@ -37,7 +43,8 @@ class Allocator:
             region = bucket.pop()
             region.live = True
         else:
-            region = self.memory.map_region(size, "heap")
+            region = self.memory.map_region(size, "heap",
+                                            redzone=HEAP_REDZONE)
         self._by_addr[region.start] = region
         self.total_allocated += size
         self.live_bytes += size

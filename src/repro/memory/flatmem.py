@@ -52,15 +52,17 @@ class Memory:
         self._regions: list[Region] = []
 
     # -- region management --------------------------------------------------
-    def map_region(self, size: int, kind: str, align: int = 16) -> Region:
-        """Carve a fresh region of ``size`` bytes out of the address space."""
+    def map_region(self, size: int, kind: str, align: int = 16,
+                   redzone: int = 0) -> Region:
+        """Carve a fresh region of ``size`` bytes out of the address space,
+        followed by ``redzone`` unmapped bytes no later region takes."""
         if size < 0:
             raise TrapError(f"cannot map region of negative size {size}")
         start = (self._limit + align - 1) & ~(align - 1)
         end = start + max(size, 1)  # zero-size regions still get an address
         while end > len(self._data):
             self._data.extend(bytearray(len(self._data)))
-        self._limit = end
+        self._limit = end + redzone
         region = Region(start, size, kind)
         idx = bisect.bisect_left(self._starts, start)
         self._starts.insert(idx, start)

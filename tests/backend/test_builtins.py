@@ -56,17 +56,15 @@ class TestPrintf:
 
 
 class TestStrings:
-    @pytest.mark.parametrize("backend_name", ["c", "interp"])
-    def test_strcmp(self, backend_name):
+    def test_strcmp(self, backend):
         f = terra("""
         terra f() : int
           return strh.strcmp('abc', 'abc')
         end
         """, env={"strh": strh})
-        assert f.compile(backend_name)() == 0
+        assert f.compile(backend)() == 0
 
-    @pytest.mark.parametrize("backend_name", ["c", "interp"])
-    def test_strcpy_strlen(self, backend_name):
+    def test_strcpy_strlen(self, backend):
         f = terra("""
         terra f() : int64
           var buf = [&int8](std.malloc(32))
@@ -76,10 +74,9 @@ class TestStrings:
           return n
         end
         """, env={"strh": strh, "std": std})
-        assert f.compile(backend_name)() == 5
+        assert f.compile(backend)() == 5
 
-    @pytest.mark.parametrize("backend_name", ["c", "interp"])
-    def test_memcmp_memcpy(self, backend_name):
+    def test_memcmp_memcpy(self, backend):
         f = terra("""
         terra f() : int
           var a = [&int8](std.malloc(8))
@@ -91,13 +88,12 @@ class TestStrings:
           return r
         end
         """, env={"strh": strh, "std": std})
-        assert f.compile(backend_name)() == 0
+        assert f.compile(backend)() == 0
 
 
 class TestFiles:
-    @pytest.mark.parametrize("backend_name", ["c", "interp"])
-    def test_write_read_roundtrip(self, backend_name, tmp_path):
-        path = str(tmp_path / f"io_{backend_name}.bin")
+    def test_write_read_roundtrip(self, backend, tmp_path):
+        path = str(tmp_path / f"io_{backend.name}.bin")
         f = terra("""
         terra wr(path : rawstring) : bool
           var fh = stdio.fopen(path, 'wb')
@@ -117,8 +113,8 @@ class TestFiles:
           return data[0] + data[1] + data[2] + data[3]
         end
         """, env={"stdio": stdio})
-        assert f.wr.compile(backend_name)(path) is True
-        assert f.rd.compile(backend_name)(path) == 0 + 11 + 22 + 33
+        assert f.wr.compile(backend)(path) is True
+        assert f.rd.compile(backend)(path) == 0 + 11 + 22 + 33
 
     def test_fopen_missing(self):
         f = terra("""
@@ -135,26 +131,26 @@ class TestMath:
              ("fabs", -3.5)]
 
     @pytest.mark.parametrize("name,arg", CASES)
-    def test_double_agree(self, name, arg):
+    def test_double_agree(self, name, arg, cbackend):
         f = terra(f"""
         terra f(x : double) : double
           return mathh.{name}(x)
         end
         """, env={"mathh": mathh})
-        c_val = f.compile("c")(arg)
+        c_val = f.compile(cbackend)(arg)
         i_val = f.compile("interp")(arg)
         assert c_val == pytest.approx(i_val, rel=1e-15)
         assert c_val == pytest.approx(getattr(math, name.replace("fabs", "fabs"), abs)(arg)
                                       if name != "fabs" else abs(arg))
 
-    def test_pow_fmod(self):
+    def test_pow_fmod(self, cbackend):
         f = terra("""
         terra f(a : double, b : double) : double
           return mathh.pow(a, b) + mathh.fmod(a, b)
         end
         """, env={"mathh": mathh})
         expected = math.pow(2.5, 1.5) + math.fmod(2.5, 1.5)
-        assert f.compile("c")(2.5, 1.5) == pytest.approx(expected)
+        assert f.compile(cbackend)(2.5, 1.5) == pytest.approx(expected)
         assert f.compile("interp")(2.5, 1.5) == pytest.approx(expected)
 
 

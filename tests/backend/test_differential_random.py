@@ -86,6 +86,7 @@ end
 """
 
 
+@pytest.mark.usefixtures("cbackend")     # skips where there is no gcc
 class TestRandomIntPrograms:
     @settings(max_examples=60, deadline=None)
     @given(int_program(),
@@ -126,6 +127,7 @@ end
 """
 
 
+@pytest.mark.usefixtures("cbackend")     # skips where there is no gcc
 class TestRandomFloatPrograms:
     @settings(max_examples=40, deadline=None)
     @given(float_program(),
@@ -173,6 +175,7 @@ class TestSignedOverflowWraps:
         assert f.compile(backend)() == 5
 
 
+@pytest.mark.usefixtures("cbackend")     # skips where there is no gcc
 class TestRandomFloat32Programs:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from(["+", "-", "*"]), min_size=1,

@@ -365,10 +365,10 @@ class TestBackendAgreement:
     ]
 
     @pytest.mark.parametrize("source,argsets", PROGRAMS)
-    def test_agreement(self, source, argsets):
+    def test_agreement(self, source, argsets, cbackend):
         from repro import get_backend
         f = terra(source)
-        hc = f.compile(get_backend("c"))
+        hc = f.compile(cbackend)
         hi = f.compile(get_backend("interp"))
         for args in argsets:
             assert hc(*args) == hi(*args), args

@@ -36,14 +36,14 @@ class TestSaveObj:
         saveobj(path, {"addmul": addmul.addmul})
         assert "int32_t addmul(int32_t, int32_t);" in open(path).read()
 
-    def test_save_shared_and_load(self, addmul, tmp_path):
+    def test_save_shared_and_load(self, addmul, tmp_path, cbackend):
         path = str(tmp_path / "libout.so")
         saveobj(path, {"addmul": addmul.addmul})
         lib = ctypes.CDLL(path)
         lib.addmul.restype = ctypes.c_int32
         assert lib.addmul(10, 1) == 21
 
-    def test_save_object_links_against_c(self, addmul, tmp_path):
+    def test_save_object_links_against_c(self, addmul, tmp_path, cbackend):
         """The paper: 'we can save the Terra function to a .o file which
         can be linked to a normal C executable'."""
         obj = str(tmp_path / "out.o")
@@ -68,7 +68,7 @@ class TestSaveObj:
         with pytest.raises(CompileError):
             saveobj(str(tmp_path / "out.c"), {"f": 42})
 
-    def test_multiple_exports(self, tmp_path):
+    def test_multiple_exports(self, tmp_path, cbackend):
         fns = terra("""
         terra inc(x : int) : int return x + 1 end
         terra dec(x : int) : int return x - 1 end
@@ -80,7 +80,7 @@ class TestSaveObj:
 
 
 class TestFreestanding:
-    def test_globals_become_c_globals(self, tmp_path):
+    def test_globals_become_c_globals(self, tmp_path, cbackend):
         """Saved objects must not reference the Python process: Terra
         globals are emitted as real C globals with their initializers."""
         import ctypes
@@ -104,7 +104,7 @@ class TestFreestanding:
         saveobj(src_path, {"bump": fn})
         assert "0x7f" not in open(src_path).read().lower()
 
-    def test_aggregate_global_initializer(self, tmp_path):
+    def test_aggregate_global_initializer(self, tmp_path, cbackend):
         import ctypes
         from repro import global_, terra
         from repro.core import types as T

@@ -6,8 +6,9 @@ Python frames one call pushes.
 budget.  The counts are taken under the ``c`` policy — the slot then
 holds the bound C handle's ``entry``, as it does under ``aot`` wherever a
 C compiler exists — so they do not move with ``REPRO_TERRA_BACKEND``; the
-second line is a warm call under the tiered policy at tier 1, where the
-slot holds that same ``entry``.
+second line is a warm call of a unit with trappable operations, whose
+plan lends the trap cell in its own frame; the third is a warm call under
+the tiered policy at tier 1, where the slot holds that same ``entry``.
 """
 
 import sys
@@ -18,6 +19,7 @@ from repro import terra
 from repro.exec import TieredPolicy, policy_override
 
 ADD = "terra add(a : int, b : int) : int return a + b end"
+DIV = "terra div(a : int, b : int) : int return a / b end"
 AXPY = """
 terra axpy(n : int, a : double, x : &double, y : &double) : {}
   for i = 0, n do y[i] = a * x[i] + y[i] end
@@ -55,6 +57,15 @@ def warm_call_frames() -> tuple[int, int]:
                 frames(lambda: axpy(8, 0.5, x, y)))
 
 
+def guarded_frames() -> int:
+    """The frames of one warm ``div(7, 2)`` (a ``*_tentry`` unit),
+    counted with the lambda that makes it."""
+    div = terra(DIV)
+    with policy_override("c"):
+        div(7, 2)
+        return frames(lambda: div(7, 2))
+
+
 def tiered_frames() -> int:
     """The frames of one warm ``add(5, 1)`` once the tiered policy has
     tiered ``add`` up, counted with the lambda that makes it."""
@@ -69,5 +80,7 @@ def tiered_frames() -> int:
 if __name__ == "__main__":
     print("call path: %d frames per warm scalar call, %d per pointer call "
           "(budget 2 / 2)" % warm_call_frames())
+    print("call path: %d frames per warm guarded call (budget 2)"
+          % guarded_frames())
     print("call path: %d frames per warm tiered call at tier 1 (budget 2)"
           % tiered_frames())

@@ -16,7 +16,8 @@ from repro.errors import CompileError, FFIError
 from repro.exec import (TieredPolicy, current_policy, policy_override,
                         set_policy)
 
-from tests.exec.callpath import tiered_frames, warm_call_frames
+from tests.exec.callpath import (guarded_frames, tiered_frames,
+                                 warm_call_frames)
 
 ADD = """
 terra add(a : int32, b : int32) : int32
@@ -185,6 +186,37 @@ def test_externals_are_called_from_terra_not_from_python(policy):
     assert _resting(printf) and printf.dispatcher.tier is None
 
 
+@pytest.mark.parametrize("policy", ["c", "interp", "tiered"])
+def test_a_keyword_argument_names_the_function_on_every_route(policy,
+                                                              request):
+    """Terra parameters are positional: a keyword raises one ``TypeError``
+    naming the Terra function — from the resolver, from the installed
+    target (the C plan, the interpreter's handle, the tier-0 trampoline,
+    tier 1) and from the handle called directly."""
+    if policy != "interp":
+        request.getfixturevalue("cbackend")
+    fn = _fresh()
+    want = "add() got an unexpected keyword argument 'b'"
+
+    def refused(call):
+        with pytest.raises(TypeError) as exc:
+            call(1, b=2)
+        return str(exc.value)
+
+    with policy_override(TieredPolicy(threshold=3, sync=True)
+                         if policy == "tiered" else policy):
+        assert refused(fn) == want              # the resolver
+        assert _resting(fn)                     # ... installed nothing
+        assert fn(1, 2) == 3
+        assert refused(fn) == want              # the installed target
+        assert refused(_slot(fn)) == want
+        for _ in range(3):
+            fn(1, 2)
+        assert refused(fn) == want              # tier 1 under tiered
+        for handle in fn.dispatcher.handles.values():
+            assert refused(handle) == want
+
+
 # -- threads ----------------------------------------------------------------------
 
 def test_eight_threads_across_an_asynchronous_tier_up(slow_cc, monkeypatch):
@@ -263,7 +295,9 @@ def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
 def test_warm_call_frame_budget(cbackend):
     """No clock: Python frames per warm call, counted by sys.setprofile —
     a timing test would be noise on a shared host, a frame count is not.
-    A warm call is the measuring lambda and the C handle's ``entry``."""
+    A warm call is the measuring lambda and the C handle's ``entry`` —
+    which lends a trappable unit's trap cell itself."""
     scalar, pointer = warm_call_frames()
     assert scalar <= 2 and pointer <= 2, (scalar, pointer)
+    assert guarded_frames() <= 2
     assert tiered_frames() <= 2     # tier 1 is that same entry

@@ -10,7 +10,9 @@ hands everything else to the per-type converter and so to
 once and runs later; and through the interpreter, which copies buffers
 into its own memory.  For every value below all five must read the same
 machine value or raise ``FFIError`` with the same message — the twin of
-``test_scalar_differential.py``.
+``test_scalar_differential.py``.  The handle's ``entry`` is generated per
+signature shape, so a pointer alone, a pointer returned, and a pointer in a
+unit with trappable operations (whose plan lends a trap cell) are rows too.
 """
 
 import ctypes
@@ -21,7 +23,8 @@ import pytest
 from repro import terra
 from repro.buildd import toolchain
 from repro.core import types as T
-from repro.errors import FFIError
+from repro.backend.c import runtime
+from repro.errors import FFIError, TrapError
 from repro.exec import policy_override
 from repro.ffi.cdata import CPointer
 
@@ -129,26 +132,33 @@ def handles(pointee):
 def outcome(call):
     try:
         return call()
-    except FFIError as exc:
+    except (FFIError, TrapError) as exc:
         return str(exc)
 
 
-def callers(pointee):
-    """Every route of a call of ``probe``, as ``name -> call(*args)``; the
-    prepared caller reads its result from ``out``."""
-    c, interp = handles(pointee)
+def routes(fn):
+    """``fn``'s call slot, C handle, checked path and interpreter, as
+    ``name -> call(*args)``."""
+    c, interp = fn.compile("c"), fn.compile("interp")
 
     def slot(*args):
         with policy_override("c"):      # whatever REPRO_TERRA_BACKEND says
-            return c.func(*args)
+            return fn(*args)
+
+    return {"slot": slot, "handle": c,
+            "checked": lambda *args: c._invoke(args), "interp": interp}
+
+
+def callers(pointee):
+    """Every route of a call of ``probe``; the prepared caller reads its
+    result from ``out``."""
+    c, _ = handles(pointee)
 
     def prepared(n, out, *rest):
         c.tail_caller(1, out, *rest)(n)
         return int(out[0])
 
-    return {"slot": slot, "handle": c,
-            "checked": lambda *args: c._invoke(args),
-            "prepared": prepared, "interp": interp}
+    return {**routes(c.func), "prepared": prepared}
 
 
 def every_way(pointee, value, n):
@@ -188,3 +198,60 @@ def test_the_fast_path_hands_over_the_array_itself(cbackend):
     h(x)
     h._invoke((x,))
     assert list(x) == [2.0, 0.0]
+
+
+def one_outcome(fn, *args):
+    """``fn``'s outcome for ``args``, the same on every route."""
+    got = {way: outcome(lambda: call(*args))
+           for way, call in routes(fn).items()}
+    assert got == dict.fromkeys(got, got["slot"]), args
+    return got["slot"]
+
+
+@pytest.mark.parametrize("value, want", [
+    (np.arange(2.0, 5.0), 2.0), (read_only(np.arange(3.0, 5.0)), 3.0),
+    ((ctypes.c_double * 1)(4.5), 4.5),
+    (np.arange(8.0)[1::2], "numpy arrays passed to Terra must be C-contiguous"),
+    (np.zeros(2, np.float32),
+     "numpy array of dtype float32 passed where &double expected"),
+    (-8, out_of_range(-8))])
+def test_a_pointer_alone(value, want):
+    first = terra("terra first(x : &double) : double return x[0] end")
+    assert one_outcome(first, value) == want
+    assert one_outcome(first) == "first() takes 1 arguments, got 0"
+
+
+@pytest.mark.parametrize("value, address", [
+    (0x1000, 0x1010), (None, 0x10), (np.uint64(0x2000), 0x2010),
+    (CPointer(T.pointer(T.float64), 0x3000), 0x3010)])
+def test_a_pointer_returned(value, address):
+    """A pointer result is a ``CPointer`` of the return type on every route
+    (the result type stays ``c_uint64``: an int); addresses, not buffers,
+    so the interpreter's copy-in does not move them."""
+    shift = terra("terra shift(p : &double, k : int) : &double "
+                  "return p + k end")
+    got = {way: call(value, 2) for way, call in routes(shift).items()}
+    for way, result in got.items():
+        assert isinstance(result, CPointer), way
+        assert result.type == T.pointer(T.float64), way
+        assert result.address == address, way
+
+
+def test_a_pointer_in_a_guarded_unit():
+    """The plan converts pointers before it lends the trap cell: a pointer
+    it refuses, and a scalar ctypes refuses with the cell lent, both leave
+    every cell at rest and zeroed."""
+    idiv = terra("terra idiv(x : &int, d : int) : int return x[0] / d end")
+    assert idiv.compile("c").centry is not None
+    x = np.array([12], np.int32)
+    assert one_outcome(idiv, x, 4) == 3
+    rest = len(runtime._TRAP_CELLS)
+    for args, want in [
+            ((x, 0), "integer division by zero"),
+            ((np.zeros(1), 1),
+             "numpy array of dtype float64 passed where &int32 expected"),
+            ((x, "y"), "cannot convert 'y' to int32"),
+            ((x, 3), 4)]:
+        assert one_outcome(idiv, *args) == want, args
+        assert len(runtime._TRAP_CELLS) == rest, args
+        assert not any(cell.value for cell in runtime._TRAP_CELLS)

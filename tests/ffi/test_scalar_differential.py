@@ -11,22 +11,32 @@ machine value or raise ``FFIError`` with the same message —
 ``python_to_primitive`` is written to accept what ctypes accepts, and this
 is what holds it there.  A call with too few or too many arguments raises
 one message on every route too.
+
+The handle's ``entry`` is generated per signature shape, so the rows below
+also cover the shapes that matter to it: no arguments, one, a ``bool`` or a
+struct among other positions, and a unit with trappable operations, whose
+plan lends a trap cell inline and whose checked path lends it through
+``runtime._guarded``.
 """
 
 import ctypes
 import decimal
 import enum
 import fractions
+import itertools
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import terra
+from repro import functype, int_, pycallback, struct as terra_struct, terra
+from repro.backend.c import runtime
 from repro.buildd import toolchain
-from repro.errors import FFIError
+from repro.errors import FFIError, TrapError
 from repro.exec import policy_override
 from repro.trace.metrics import registry
 
@@ -91,12 +101,13 @@ def handles(ty):
 
 def outcome(call, *args):
     """What a call did, comparably: the result's type and bits (``nan``
-    and ``-0.0`` included), or the FFIError's text.  Anything else it
-    raises — OverflowError, ctypes.ArgumentError — fails the test."""
+    and ``-0.0`` included), or the FFIError's or TrapError's text.
+    Anything else it raises — OverflowError, ctypes.ArgumentError — fails
+    the test."""
     try:
         result = call(*args)
-    except FFIError as exc:
-        return "FFIError", str(exc)
+    except (FFIError, TrapError) as exc:
+        return type(exc).__name__, str(exc)
     if isinstance(result, float):
         return "float", struct.pack("<d", result)
     return type(result).__name__, result
@@ -114,11 +125,16 @@ def callers(c, interp):
             "checked": lambda *args: c._invoke(args), "interp": interp}
 
 
-def every_way(ty, *args):
+def agree(c, interp, *args):
+    """The outcome of ``args``, the same on every route."""
     got = {way: outcome(call, *args)
-           for way, call in callers(*handles(ty)).items()}
-    assert got == dict.fromkeys(got, got["slot"]), (ty, args)
+           for way, call in callers(c, interp).items()}
+    assert got == dict.fromkeys(got, got["slot"]), (c.func.name, args)
     return got["slot"]
+
+
+def every_way(ty, *args):
+    return agree(*handles(ty), *args)
 
 
 @pytest.mark.parametrize("ty", TYPES)
@@ -240,3 +256,151 @@ def test_checked_calls_are_counted():
     with pytest.raises(FFIError):
         c(1, 2)
     assert count() == before + 4
+
+
+# -- signature shapes ---------------------------------------------------------------
+
+def every_route(fn, *args):
+    return agree(fn.compile("c"), fn.compile("interp"), *args)
+
+
+def test_no_arguments():
+    zero = terra("terra zero() : int return 42 end")
+    assert every_route(zero) == ("int", 42)
+    for args in [(1,), (None, None)]:
+        assert every_route(zero, *args) == (
+            "FFIError", f"zero() takes 0 arguments, got {len(args)}")
+
+
+def test_a_bool_among_scalars():
+    """A ``bool`` is the one scalar the plan converts (truthiness): it sits
+    between two positions handed to ctypes as they are."""
+    pick = terra("""
+    terra pick(a : int, on : bool, b : double) : double
+      if on then return a end
+      return b
+    end""")
+    for on in [True, False, 0, 2, -1, 0.0, "", "no", None, [], [0],
+               np.bool_(False), np.int8(0), ctypes.c_bool(False)]:
+        want = ("float", struct.pack("<d", 3.0 if on else 0.5))
+        assert every_route(pick, 3, on, 0.5) == want, on
+    assert every_route(pick, 2.5, True, 0.5) == (
+        "FFIError", "cannot convert 2.5 to int32")
+    assert every_route(pick, 1, True, "x") == (
+        "FFIError", "cannot convert 'x' to double")
+
+
+def test_a_struct_by_value():
+    P = terra_struct("struct DiffP { a : int, b : double }")
+    fns = terra("""
+    terra make(a : int, b : double) : DiffP return DiffP { a, b } end
+    terra sx(k : int, p : DiffP) : double return k * p.a + p.b end
+    """, env={"DiffP": P})
+    made = fns.make.compile("c")(4, 0.25)
+    for value, want in [({"a": 2, "b": 0.5}, 4.5), ((3, 1.5), 7.5),
+                        ([1, 2.0], 4.0), (made, 8.25)]:
+        assert every_route(fns.sx, 2, value) == (
+            "float", struct.pack("<d", want)), value
+    for value in [{"a": 2}, (1, 2, 3), 5, None]:
+        assert every_route(fns.sx, 2, value)[0] == "FFIError", value
+
+
+# -- a unit with trappable operations: the guarded plan --------------------------
+
+DIV = "terra div(a : int, b : int) : int return a / b end"
+
+
+def cells_at_rest():
+    """The trap cells not lent out, each checked zeroed."""
+    assert not any(cell.value for cell in runtime._TRAP_CELLS)
+    return len(runtime._TRAP_CELLS)
+
+
+def test_a_guarded_unit_on_every_route():
+    """A trap raises ``TrapError`` and the cell comes back zeroed; an
+    argument refused mid-call — by ctypes, with the cell already lent —
+    re-runs on the checked path and leaves no cell lent out."""
+    div = terra(DIV)
+    assert div.compile("c").centry is not None      # the guarded plan
+    inv = terra("terra inv(a : int) : int return 100 / a end")
+    every_route(div, 7, 2), every_route(inv, 4)
+    rest = cells_at_rest()
+    for fn, args, want in [
+            (div, (7, 2), ("int", 3)),
+            (div, (-2 ** 31, -1), ("int", -2 ** 31)),
+            (div, (7, 0), ("TrapError", "integer division by zero")),
+            (div, (7.0, 0), ("TrapError", "integer division by zero")),
+            (div, (7, "x"), ("FFIError", "cannot convert 'x' to int32")),
+            (div, (7, 0.5), ("FFIError", "cannot convert 0.5 to int32")),
+            (div, (7,), ("FFIError", "div() takes 2 arguments, got 1")),
+            (inv, (0,), ("TrapError", "integer division by zero")),
+            (inv, (4,), ("int", 25)),
+            (inv, (), ("FFIError", "inv() takes 1 arguments, got 0"))]:
+        assert every_route(fn, *args) == want, args
+        assert cells_at_rest() == rest, args
+
+
+def c_routes(fn):
+    """The C routes of ``fn`` (the interpreter lends no cell)."""
+    ways = callers(fn.compile("c"), fn.compile("interp"))
+    del ways["interp"]
+    return ways
+
+
+def test_a_nested_guarded_call_gets_its_own_cell_on_every_route():
+    """A pycallback that calls a guarded function while the outer one's
+    call holds a cell, for every pairing of outer and inner route."""
+    inner = c_routes(terra(DIV))
+    for inner_way, outer_way in itertools.product(inner, repeat=2):
+        def reenter(b, _call=inner[inner_way]):
+            try:
+                return _call(12, b)
+            except TrapError:
+                return -1
+
+        cb = pycallback(functype([int_], int_), reenter)
+        outer = c_routes(terra(
+            "terra outer(b : int, c : int) : int return cb(b) / c end",
+            env={"cb": cb}))[outer_way]
+        assert outer(3, 2) == 2                 # clean inside clean
+        assert outer(0, 1) == -1                # a trap inside, caught inside
+        for args in [(3, 0), (0, 0)]:           # the outer one traps
+            with pytest.raises(TrapError, match="division by zero"):
+                outer(*args)
+        assert outer(4, 1) == 3
+        cells_at_rest()
+
+
+def test_eight_threads_on_every_route_never_share_a_cell():
+    div = c_routes(terra(DIV))
+    ways = list(div)
+    failures = []
+    barrier = threading.Barrier(8)
+
+    def work(k):
+        barrier.wait(30)
+        for i in range(1500):
+            call = div[ways[(i + k) % len(ways)]]
+            try:
+                if (i + k) % 3 == 0:
+                    call(i, 0)
+                    failures.append((k, i, "no trap"))
+                elif call(6 * i, 3) != 2 * i:
+                    failures.append((k, i, "wrong result"))
+            except TrapError as exc:
+                if (i + k) % 3 or "division by zero" not in str(exc):
+                    failures.append((k, i, f"stray trap: {exc}"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert cells_at_rest() <= 8 + 2

@@ -93,10 +93,10 @@ class TestPropertyBased:
         sort(data, len(data))
         assert np.array_equal(data, expected)
 
-    def test_interp_agrees_small(self):
+    def test_interp_agrees_small(self, cbackend):
         sort = Sort(T.int32)
         data_c = np.array([4, 2, 8, 6, 1], dtype=np.int32)
         data_i = data_c.copy()
-        sort.compile("c")(data_c, 5)
+        sort.compile(cbackend)(data_c, 5)
         sort.compile("interp")(data_i, 5)
         assert np.array_equal(data_c, data_i)

@@ -37,6 +37,18 @@ class TestBasics:
         with pytest.raises(TrapError):
             a.free(p)
 
+    def test_an_overrun_traps_whatever_the_neighbours(self):
+        """Blocks are recycled by size, so a block's neighbours depend on
+        what ran before; a red zone after every block makes a short
+        overrun trap as one, not read the next block, live or freed."""
+        a = make_alloc()
+        first, freed, live = a.malloc(16), a.malloc(16), a.malloc(16)
+        a.free(freed)
+        for offset in (16, 40, 16 + 60):
+            with pytest.raises(TrapError, match="unmapped|overrun"):
+                a.memory.read(first + offset, 4)
+        assert a.memory.read(live, 4) == bytes(4)
+
     def test_free_interior_pointer(self):
         a = make_alloc()
         p = a.malloc(16)
