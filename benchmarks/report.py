@@ -114,19 +114,35 @@ def fig6(full=False):
     return tables
 
 
-def _fig8(title, unit, c_ms, orion_ms, V):
-    """One table per compiler mode: reference C, then the Orion ladder."""
+#: rounds each Fig. 8 rung takes turns with its C run (EXPERIMENTS.md
+#: E27 times the area filter both ways)
+FIG8_ROUNDS = 11
+
+
+def _fig8(title, unit, c_run, orion_run, V):
+    """One table per compiler mode: reference C, then the Orion ladder.
+    ``c_run(flags)`` and ``orion_run(vec, lb)`` build a solver and return
+    one run of it.  Each rung takes turns with the C run in every round
+    (``best_interleaved``), so host drift lands on both sides of its
+    speedup, which is against the C time of its own rounds (``C
+    <unit>``); the reference row is the C run's best over all rungs."""
     tables = []
     for mode, flags in MODES.items():
-        tc = c_ms(flags)
-        table = Table(f"{title}, {mode}", ["schedule", unit, "speedup"])
-        table.add("reference C", tc, "1.00x")
+        c = c_run(flags)
+        rungs = []
         for label, vec, lb in [("matching Orion", 0, False),
                                ("+ vectorization", V, False),
                                ("+ line buffering", V, True)]:
             with extra_cflags(*flags):
-                t = orion_ms(vec, lb)
-            table.add(label, t, f"{tc / t:.2f}x")
+                orion = orion_run(vec, lb)
+            to, tc = best_interleaved([orion, c], FIG8_ROUNDS)
+            rungs.append((label, to, tc))
+        table = Table(f"{title}, {mode}",
+                      ["schedule", unit, f"C {unit}", "speedup"])
+        best_c = min(tc for _, _, tc in rungs) * 1000
+        table.add("reference C", best_c, best_c, "1.00x")
+        for label, to, tc in rungs:
+            table.add(label, to * 1000, tc * 1000, f"{tc / to:.2f}x")
         tables.append(table)
     return tables
 
@@ -136,15 +152,15 @@ def fig8_fluid(full=False):
     params = FluidParams(N)
     state = initial_conditions(N)
 
-    def step_ms(sim):
+    def step(sim):
         sim.set_state(*state)
-        return best_of(sim.step, 3) * 1000
+        return sim.step
 
     return _fig8(
         f"Figure 8 (top) — fluid at {N}²", "ms/step",
-        lambda flags: step_ms(make_c_fluid(params, flags=flags)),
-        lambda vec, lb: step_ms(make_orion_fluid(params, vectorize=vec,
-                                                 linebuffer=lb)), 4)
+        lambda flags: step(make_c_fluid(params, flags=flags)),
+        lambda vec, lb: step(make_orion_fluid(params, vectorize=vec,
+                                              linebuffer=lb)), 4)
 
 
 def fluid_parts(full=False):
@@ -174,8 +190,12 @@ def fluid_parts(full=False):
          lambda: o.project_pipe(o._u1, o._v1, o.u, o.v),
          lambda: parts.project(c._u1, c._v1, c._p, c._div,
                                p.project_iters)),
-        ("advect", lambda: o._advect_into(o._u1, o.u, o.u, o.v),
-         lambda: parts.advect(c._u1, c.u, c.u, c.v, p.dt))]
+        ("advect", lambda: o._advect(o.advect_d, o._u1, o.u, o.u, o.v),
+         lambda: parts.advect(c._u1, c.u, c.u, c.v, p.dt)),
+        ("velocity advect (u, v)",
+         lambda: o._advect(o.advect_uv, o._u1, o._v1, o.u, o.v, o.u, o.v),
+         lambda: (parts.advect(c._u1, c.u, c.u, c.v, p.dt),
+                  parts.advect(c._v1, c.v, c.u, c.v, p.dt)))]
     table = Table(f"fluid step parts at {N}², vectorized + line-buffered "
                   "vs the C reference's functions",
                   ["part", "Orion ms", "C ms", "Orion / C"])
@@ -189,18 +209,18 @@ def fig8_area(full=False):
     N = 1024 if full else 512
     img = np.random.RandomState(5).rand(N, N).astype(np.float32)
 
-    def c_ms(flags):
+    def c_run(flags):
         caf = CAreaFilter(N, flags=flags)
         src, out = caf.pad(img), caf.alloc_out()
-        return best_of(lambda: caf(src, out), 10) * 1000
+        return lambda: caf(src, out)
 
-    def orion_ms(vec, lb):
+    def orion_run(vec, lb):
         af = build_area_filter(N, vectorize=vec, linebuffer=lb)
         src, out = af.pad(img), af.alloc_out()
-        return best_of(lambda: af.fn(out, src), 10) * 1000
+        return lambda: af.fn(out, src)
 
     return _fig8(f"Figure 8 (bottom) — area filter at {N}²", "ms",
-                 c_ms, orion_ms, 8)
+                 c_run, orion_run, 8)
 
 
 def pointwise(full=False):

@@ -17,13 +17,17 @@ Two implementations with identical numerics:
 * :func:`make_orion_fluid` — diffuse and project as Orion pipelines
   (schedulable: scalar / vectorized / line-buffered), advection as a plain
   Terra function interleaved with the generated stencil code.  Like the
-  pipelines, advection is staged on its grid: ``N``, ``W`` and ``P`` are
-  constants in the generated code, as the C reference's ``#define``s
-  are.
+  pipelines, advection is staged on its grid (``N``, ``W`` and ``P`` are
+  constants in the generated code, as the C reference's ``#define``s are)
+  and on the solver's schedule: ``Vectorize("x", V)`` vectorizes it too,
+  and ``Parallel`` chunks its rows.
 
 Both operate on velocity fields (u, v) and a density field d over an N×N
 grid with zero boundaries, running Stam's step:
-``diffuse(u) diffuse(v) → project → advect(u,v,d) → project``.
+``diffuse(u) diffuse(v) → project → advect(u,v) → project →
+diffuse(d) → advect(d)``.  The C reference advects u and v one after the
+other; Orion advects them in one fused pass, since both trace back along
+the same velocities, and the state stays bit-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import terra
+from .. import expr, float_, int_, pointer, quote_, symbol, terra, vector
+from .. import select  # noqa: F401  (the advect quotes name it)
 from ..bench.cbaseline import compile_c
 from ..orion import lang as L
 from ..orion.compile import compile_pipeline
@@ -73,41 +78,116 @@ def _jacobi_chain(x0: L.Stage, a: float, iters: int,
     return x
 
 
-def _advect_terra(N: int, W: int, P: int, chunked: bool = False):
+def _advect_terra(N: int, W: int, P: int, fields: int = 1, V: int = 0,
+                  chunked: bool = False):
     """Semi-Lagrangian advection as a plain Terra function (not a stencil):
-    trace velocity backwards, bilinearly sample.  It is staged on its grid:
-    ``N``, ``W`` and ``P`` are spliced in as ``int32`` constants, as the C
-    reference's ``#define``s are, so only ``dt`` and the buffers stay
-    runtime values.  With ``chunked=True`` the C backend also emits a
-    chunked entry so rows can be dispatched across workers (each output
-    row is independent)."""
+    trace velocity backwards from every cell, bilinearly sample there.
+
+    ``advect(dst0, .., src0, .., u, v, dt)`` advects ``fields`` fields
+    along one (u, v): each back-trace feeds one sample per field.  It is
+    staged on its grid — ``N``, ``W`` and ``P`` are ``int32`` constants, as
+    the C reference's ``#define``s are — and on the solver's schedule:
+    with ``V`` >= 2 a row runs ``V`` cells at a time on ``vector(float,
+    V)``, then a scalar tail when ``N % V`` is not 0.  Every output element
+    gets the C reference's scalar operation sequence in either form, so
+    results are bit-identical.  With ``chunked=True`` the C backend also
+    emits a chunked entry so rows can be dispatched across workers (each
+    output row is independent)."""
+    fp = pointer(float_)
+    dsts = [symbol(fp, f"dst{k}") for k in range(fields)]
+    srcs = [symbol(fp, f"src{k}") for k in range(fields)]
+    u, v, i, j = (symbol(fp, "u"), symbol(fp, "v"), symbol(int_, "i"),
+                  symbol(int_, "j"))
+    dt0 = symbol(float_, "dt0")
+
+    # the cells (i, j .. j+width-1) of a row: one back-trace, then one
+    # bilinear sample per (dst, src) pair.  The names the samples share
+    # with the back-trace are symbols, because each quote resolves names in
+    # its own lexical scope.  Width 1 is the C reference's loop body;
+    # wider, the clamps are ``select``s, the cast is the defined vector
+    # cast, and the four taps load lane by lane.  Built in this frame, not
+    # in a nested function: a quote sees only its own frame's locals
+    cells = {}
+    for width in ((V, 1) if V >= 2 else (1,)):
+        T = float_ if width == 1 else vector(float_, width)
+        IT = int_ if width == 1 else vector(int_, width)
+        idx, o = symbol(int_, "idx"), symbol(IT, "o")
+        sx, sy = symbol(T, "sx"), symbol(T, "sy")
+        if width == 1:
+            back = quote_("""
+              var [idx] = i * W + P + j
+              var x = [float](j) - dt0 * u[idx]
+              var y = [float](i) - dt0 * v[idx]
+              if x < 0.0f then x = 0.0f end
+              if x > [float](N) - 1.001f then x = [float](N) - 1.001f end
+              if y < 0.0f then y = 0.0f end
+              if y > [float](N) - 1.001f then y = [float](N) - 1.001f end
+              var j0 = [int](x)
+              var i0 = [int](y)
+              var [sx] = x - [float](j0)
+              var [sy] = y - [float](i0)
+              var [o] = i0 * W + P + j0
+            """)
+        else:
+            # float(j) + k is exactly float(j + k) on any grid below 2^24
+            ramp = expr("vectorof(float, %s)"
+                        % ", ".join(f"{k}.0f" for k in range(width)))
+            back = quote_("""
+              var [idx] = i * W + P + j
+              var x = [float](j) + ramp - dt0 * @[&T](&u[idx])
+              var y = [float](i) - dt0 * @[&T](&v[idx])
+              var hi : T = [float](N) - 1.001f
+              x = select(x < 0.0f, [T](0.0f), x)
+              x = select(x > hi, hi, x)
+              y = select(y < 0.0f, [T](0.0f), y)
+              y = select(y > hi, hi, y)
+              var j0 = [IT](x)
+              var i0 = [IT](y)
+              var [sx] = x - [T](j0)
+              var [sy] = y - [T](i0)
+              var [o] = i0 * W + P + j0
+            """)
+        samples = []
+        for dst, src in zip(dsts, srcs):
+            if width == 1:
+                samples.append(quote_("""
+                  var r0, r1 = src[o], src[o + 1]
+                  var r2, r3 = src[o + W], src[o + W + 1]
+                  dst[idx] = (1.0f - sy) * ((1.0f - sx) * r0 + sx * r1)
+                           + sy * ((1.0f - sx) * r2 + sx * r3)
+                """))
+                continue
+            r0, r1, r2, r3 = (symbol(T, f"r{k}") for k in range(4))
+            lanes = [quote_("""
+                       r0[k] = src[o[k]]
+                       r1[k] = src[o[k] + 1]
+                       r2[k] = src[o[k] + W]
+                       r3[k] = src[o[k] + W + 1]
+                     """) for k in range(width)]
+            samples.append(quote_("""
+              var [r0] : T, [r1] : T, [r2] : T, [r3] : T
+              [lanes]
+              @[&T](&dst[idx]) = (1.0f - sy) * ((1.0f - sx) * r0 + sx * r1)
+                               + sy * ((1.0f - sx) * r2 + sx * r3)
+            """))
+        cells[width] = [back, *samples]
+
+    if V >= 2:
+        main = N - N % V
+        vector_cells, tail_cells = cells[V], cells[1]
+        row = quote_("""
+          for [j] = 0, main, V do [vector_cells] end
+          for [j] = main, N do [tail_cells] end
+        """)
+    else:
+        scalar_cells = cells[1]
+        row = quote_("for [j] = 0, N do [scalar_cells] end")
     fn = terra("""
-    terra advect(dst : &float, src : &float, u : &float, v : &float,
-                 dt : float) : {}
-      var dt0 = dt * [float](N)
-      for i = 0, N do
-        for j = 0, N do
-          var idx = i * W + P + j
-          var x = [float](j) - dt0 * u[idx]
-          var y = [float](i) - dt0 * v[idx]
-          if x < 0.0f then x = 0.0f end
-          if x > [float](N) - 1.001f then x = [float](N) - 1.001f end
-          if y < 0.0f then y = 0.0f end
-          if y > [float](N) - 1.001f then y = [float](N) - 1.001f end
-          var j0 = [int](x)
-          var i0 = [int](y)
-          var sx = x - [float](j0)
-          var sy = y - [float](i0)
-          var r0 = src[i0 * W + P + j0]
-          var r1 = src[i0 * W + P + j0 + 1]
-          var r2 = src[(i0 + 1) * W + P + j0]
-          var r3 = src[(i0 + 1) * W + P + j0 + 1]
-          dst[idx] = (1.0f - sy) * ((1.0f - sx) * r0 + sx * r1)
-                   + sy * ((1.0f - sx) * r2 + sx * r3)
-        end
-      end
+    terra advect([dsts], [srcs], [u], [v], dt : float) : {}
+      var [dt0] = dt * [float](N)
+      for [i] = 0, N do [row] end
     end
-    """, env=dict(N=N, W=W, P=P))
+    """)
     if chunked:
         fn.mark_chunked()
     return fn
@@ -130,6 +210,19 @@ class OrionFluid:
         if self._nt > 1:
             directives.append(Parallel("y", self._nt))
         loops = Schedule(directives)
+
+        # Orion's buffer layout (compile_pipeline) for stencils that read
+        # one cell away, as every stage below does: P = 1
+        self.P = 1
+        self.W = self.P + N + self.P + max(vectorize, 1)
+        # advection runs on the same schedule: both velocity fields in one
+        # pass (each reads the same projected u, v), then density alone.
+        # Staged first, so gcc builds it while the pipelines are staged
+        self.advect_uv, self.advect_d = (
+            _advect_terra(N, self.W, self.P, fields, vectorize,
+                          chunked=self._nt > 1) for fields in (2, 1))
+        for fn in (self.advect_uv, self.advect_d):
+            fn.compile_async()
 
         a_visc = p.dt * p.visc * N * N
         a_diff = p.dt * p.diff * N * N
@@ -162,14 +255,10 @@ class OrionFluid:
         self.project_pipe = compile_pipeline([u_out, v_out], N,
                                              tile_schedule=loops)
 
-        # every pipeline shares geometry (P=1 footprint), so buffers are
-        # interchangeable as long as W matches
-        self.P = self.project_pipe.P
-        self.W = self.project_pipe.W
-        for pipe in (self.diffuse_visc, self.diffuse_diff):
+        # every pipeline lays out its buffers as advection was staged for,
+        # so all of them are interchangeable
+        for pipe in (self.diffuse_visc, self.diffuse_diff, self.project_pipe):
             assert pipe.W == self.W and pipe.P == self.P
-        self.advect = _advect_terra(N, self.W, self.P,
-                                    chunked=self._nt > 1)
 
         z = lambda: np.zeros((N, self.W), dtype=np.float32)  # noqa: E731
         self.u, self.v, self.d = z(), z(), z()
@@ -188,14 +277,13 @@ class OrionFluid:
                 self.d[:, P:P + N].copy())
 
     # -- one solver step ------------------------------------------------------------
-    def _advect_into(self, dst, src, u, v) -> None:
+    def _advect(self, kernel, *buffers) -> None:
         dt = self.params.dt
         if self._nt > 1:
             # rows are independent: chunk the outer i loop across workers
-            parallel_for(self.advect, 0, self.N, dst, src, u, v, dt,
-                         nthreads=self._nt)
+            parallel_for(kernel, 0, self.N, *buffers, dt, nthreads=self._nt)
         else:
-            self.advect(dst, src, u, v, dt)
+            kernel(*buffers, dt)
 
     def step(self) -> None:
         # diffuse velocities (CompiledStencil.__call__ dispatches worker
@@ -209,9 +297,10 @@ class OrionFluid:
         self.project_pipe(self._u1, self._v1, self.u, self.v)
         self.u, self._u1 = self._u1, self.u
         self.v, self._v1 = self._v1, self.v
-        # advect velocities and density (semi-Lagrangian Terra function)
-        self._advect_into(self._u1, self.u, self.u, self.v)
-        self._advect_into(self._v1, self.v, self.u, self.v)
+        # advect both velocities in one pass (semi-Lagrangian Terra
+        # function): each field is sampled along the same projected u, v
+        self._advect(self.advect_uv, self._u1, self._v1, self.u, self.v,
+                     self.u, self.v)
         self.u, self._u1 = self._u1, self.u
         self.v, self._v1 = self._v1, self.v
         # final projection
@@ -221,7 +310,7 @@ class OrionFluid:
         # density: diffuse then advect
         self.diffuse_diff(self._d1, self.d)
         self.d, self._d1 = self._d1, self.d
-        self._advect_into(self._d1, self.d, self.u, self.v)
+        self._advect(self.advect_d, self._d1, self.d, self.u, self.v)
         self.d, self._d1 = self._d1, self.d
 
 

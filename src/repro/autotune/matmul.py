@@ -169,17 +169,22 @@ def make_gemm_from_schedule(schedule, elem: T.Type = double,
         """)
         if par is None:   # mb innermost: a packed B block is reused down it
             block = quote_("for [mb] = 0, N0, NB do [block] end")
+        # the panels start on a 64-byte line (stdlib.h has no
+        # aligned_alloc): wherever malloc put them, a vector row of a
+        # packed block would otherwise straddle two cache lines
         blocks = quote_("""
-          var [bufA] = [&elem](std.malloc(NB * NB * sizeof(elem)))
-          var [bufB] = [&elem](std.malloc(NB * NB * sizeof(elem)))
+          var rawA = std.malloc(NB * NB * sizeof(elem) + 64)
+          var rawB = std.malloc(NB * NB * sizeof(elem) + 64)
+          var [bufA] = [&elem](([int64](rawA) + 63) and -64)
+          var [bufB] = [&elem](([int64](rawB) + 63) and -64)
           for [nb] = 0, N0, NB do
             for [kb] = 0, N0, NB do
               [pack_b]
               [block]
             end
           end
-          std.free(bufA)
-          std.free(bufB)
+          std.free(rawA)
+          std.free(rawB)
         """)
         if par is not None:   # mb outermost: one writer + scratch per panel
             blocks = quote_("for [mb] = 0, N0, NB do [blocks] end")

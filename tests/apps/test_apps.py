@@ -9,7 +9,8 @@ from repro.apps.areafilter import CAreaFilter, build_area_filter, \
     reference_numpy as area_ref
 from repro.apps.dispatch import (build_c_dispatch, build_fatptr_dispatch,
                                  build_terra_dispatch)
-from repro.apps.fluid import (FluidParams, initial_conditions, make_c_fluid,
+from repro.apps.fluid import (FluidParams, _advect_terra,
+                              initial_conditions, make_c_fluid,
                               make_orion_fluid)
 from repro.apps.mesh import (build_mesh_kernels, normals_reference,
                              random_mesh)
@@ -19,44 +20,85 @@ from repro.apps.pointwise import build_pipeline, reference_numpy as pw_ref
 class TestFluid:
     N = 48
 
-    def test_orion_matches_c_all_schedules(self, cbackend):
+    def test_orion_matches_c_all_schedules(self, cbackend, monkeypatch):
+        monkeypatch.delenv("REPRO_TERRA_THREADS", raising=False)
         params = FluidParams(self.N)
         u, v, d = initial_conditions(self.N)
         ref = make_c_fluid(params)
         ref.set_state(u, v, d)
         for _ in range(2):
             ref.step()
-        ru, rv, rd = ref.get_state()
+        want = [f.tobytes() for f in ref.get_state()]
         for vec, lb in [(0, False), (4, False), (0, True), (4, True)]:
             sim = make_orion_fluid(params, vectorize=vec, linebuffer=lb)
             sim.set_state(u, v, d)
             for _ in range(2):
                 sim.step()
-            ou, ov, od = sim.get_state()
-            assert np.allclose(ou, ru, atol=1e-4), (vec, lb)
-            assert np.allclose(ov, rv, atol=1e-4), (vec, lb)
-            assert np.allclose(od, rd, atol=1e-4), (vec, lb)
+            # the same scalar operations per element, whatever the
+            # schedule: bit-identical to the hand-written C
+            got = sim.get_state()
+            assert [f.tobytes() for f in got] == want, (vec, lb)
             # chunking may never change results: the parallel twin of
-            # every schedule is BIT-identical to its serial version
+            # every schedule (advection through its chunked entries) is
+            # BIT-identical to its serial version
             par = make_orion_fluid(params, vectorize=vec, linebuffer=lb,
                                    parallel=3)
+            assert par.advect_uv.emit_chunk and par.advect_d.emit_chunk
             par.set_state(u, v, d)
             for _ in range(2):
                 par.step()
-            for p, o in zip(par.get_state(), (ou, ov, od)):
+            for p, o in zip(par.get_state(), got):
                 assert p.tobytes() == o.tobytes(), (vec, lb)
 
     def test_advect_is_staged_on_its_grid(self):
         # N, W and P are constants in the emitted C, as the C reference's
         # #defines are; only the buffers and dt are parameters
         sim = make_orion_fluid(FluidParams(self.N))
-        src = sim.advect.get_c_source()
-        proto = re.search(r"void tfn\d+_advect\(([^)]*)\);", src).group(1)
-        params = [p.rsplit(" ", 1) for p in proto.split(", ")]
-        assert [ty for ty, _ in params] == ["float *"] * 4 + ["float"]
-        assert [name.split("_", 1)[1] for _, name in params] == \
-            ["dst", "src", "u", "v", "dt"]
-        assert f"((int32_t){sim.W})" in src
+        for fn, names in (
+                (sim.advect_uv, ["dst0", "dst1", "src0", "src1", "u", "v",
+                                 "dt"]),
+                (sim.advect_d, ["dst0", "src0", "u", "v", "dt"])):
+            src = fn.get_c_source()
+            proto = re.search(r"void tfn\d+_advect\(([^)]*)\);", src).group(1)
+            params = [p.rsplit(" ", 1) for p in proto.split(", ")]
+            assert [ty for ty, _ in params] == \
+                ["float *"] * (len(names) - 1) + ["float"]
+            assert [name.split("_", 1)[1] for _, name in params] == names
+            assert f"((int32_t){sim.W})" in src
+
+    @staticmethod
+    def _advect_state(N, W, cold):
+        """Velocities and two fields on the padded (N, W) grid; with
+        ``cold`` the velocities also hold NaN, ±inf and |value| > N, so
+        every clamp and the defined cast's cold path run."""
+        rng = np.random.RandomState(11)
+        u, v, a, b = ((rng.randn(N, W) * 0.05).astype(np.float32)
+                      for _ in range(4))
+        if cold:
+            bad = np.float32([np.nan, np.inf, -np.inf, 3 * N, -3 * N])
+            bad = np.repeat(bad, 16)
+            for vel in (u, v):
+                flat = vel.reshape(-1)
+                flat[rng.choice(flat.size, bad.size, replace=False)] = bad
+        return u, v, a, b
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["smooth", "cold"])
+    @pytest.mark.parametrize("V", [1, 4, 8])
+    def test_fused_advect_equals_two_scalar_advects(self, backend, V, cold):
+        # neither 4 nor 8 divides N, so the scalar tail runs (the
+        # interpreter, ~1 s per call at N = 50, takes a smaller grid)
+        N, P = (50 if backend.name == "c" else 10), 1
+        W = P + N + P + V
+        fused = _advect_terra(N, W, P, fields=2, V=V).compile(backend)
+        single = _advect_terra(N, W, P).compile(backend)
+        u, v, a, b = self._advect_state(N, W, cold)
+        got = [np.zeros_like(u) for _ in range(2)]
+        want = [np.zeros_like(u) for _ in range(2)]
+        fused(*got, a, b, u, v, 0.1)
+        for dst, src in zip(want, (a, b)):
+            single(dst, src, u, v, 0.1)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_density_is_conserved_roughly(self):
         params = FluidParams(self.N, diff=0.0)

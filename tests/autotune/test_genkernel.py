@@ -239,8 +239,10 @@ class TestGoldenC:
     """sha256 prefix + byte length of ``get_c_source()`` captured at the
     commit *before* the three makers became presets of the one
     schedule-driven builder: the staged-from-shared-quotes drivers must
-    emit the C the hand-inlined text did.  (``fma=False`` only skips the
-    eager build; flags are not part of the source.)"""
+    emit the C the hand-inlined text did.  The packed pins were re-taken
+    once since, when the two scratch panels became 64-byte aligned (the
+    only lines that changed).  (``fma=False`` only skips the eager build;
+    flags are not part of the source.)"""
 
     @pytest.mark.parametrize("maker,args,kwargs,pin", [
         ("make_gemm", (16, 2, 1, 4), {}, ("bce7dcc6182703d1", 11528)),
@@ -248,11 +250,11 @@ class TestGoldenC:
          ("1782c05f07882277", 16227)),
         ("make_gemm", (32, 4, 2, 1), dict(elem=float_),  # Fig. 6: V=1
          ("15c32d2fd8537aa3", 15548)),
-        ("make_gemm_packed", (32, 4, 2, 4), {}, ("d9fb551e6094c372", 17815)),
+        ("make_gemm_packed", (32, 4, 2, 4), {}, ("fbd2a96499e0a684", 18006)),
         ("make_gemm_packed", (128, 4, 2, 4), {},
-         ("a7938f3c12a1d6b6", 17843)),
+         ("993b8873f409a4a0", 18034)),
         ("make_gemm_packed", (32, 4, 2, 4), dict(use_prefetch=False),
-         ("cc55d8d0f6034ed0", 17597)),
+         ("1ed91fea8c5560ab", 17788)),
     ])
     def test_serial_presets(self, maker, args, kwargs, pin):
         from repro.autotune import matmul
@@ -262,7 +264,7 @@ class TestGoldenC:
     def test_parallel_preset(self):
         from repro.autotune.matmul import make_gemm_packed_parallel
         gemm = make_gemm_packed_parallel(32, 2, 2, 4, fma=False)
-        assert _pin(gemm.panels.get_c_source()) == ("061d0f61acbd285c", 16204)
+        assert _pin(gemm.panels.get_c_source()) == ("0e97429b283a8718", 16604)
         assert _pin(gemm.edges.get_c_source()) == ("7b885422876a2fb9", 3698)
 
     def test_candidate_schedule_is_the_preset(self):
@@ -270,7 +272,7 @@ class TestGoldenC:
         from repro.autotune.tuner import Candidate
         gemm = make_gemm_from_schedule(
             Candidate(32, 4, 2, 4).schedule(packed=True), fma=False)
-        assert _pin(gemm.get_c_source()) == ("d9fb551e6094c372", 17815)
+        assert _pin(gemm.get_c_source()) == ("fbd2a96499e0a684", 18006)
 
 
 class TestScheduleMigration:

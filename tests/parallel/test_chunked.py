@@ -19,7 +19,7 @@ def make_saxpy():
 
 
 class TestChunkEntry:
-    def test_chunks_cover_exactly_the_serial_iterates(self):
+    def test_chunks_cover_exactly_the_serial_iterates(self, cbackend):
         fn = make_saxpy()
         n = 100
         x = np.arange(n, dtype=np.float32)
@@ -32,7 +32,7 @@ class TestChunkEntry:
             h.call_chunk(lo, hi, n, 2.0, x, got)
         assert got.tobytes() == ref.tobytes()
 
-    def test_out_of_range_chunk_is_a_noop(self):
+    def test_out_of_range_chunk_is_a_noop(self, cbackend):
         fn = make_saxpy()
         n = 10
         x = np.ones(n, dtype=np.float32)
@@ -40,7 +40,7 @@ class TestChunkEntry:
         fn.compile("c").call_chunk(50, 90, n, 1.0, x, y)
         assert not y.any()
 
-    def test_strided_loop_misaligned_cuts(self):
+    def test_strided_loop_misaligned_cuts(self, cbackend):
         # iterates are 0, 3, 6, ...; a cut not on a stride multiple must
         # not duplicate or skip any iterate
         fn = terra("""
@@ -68,7 +68,7 @@ class TestChunkEntry:
         with pytest.raises(CompileError, match="final statement|loop"):
             fn.compile("c")
 
-    def test_mark_chunked_after_compile_rejected(self):
+    def test_mark_chunked_after_compile_rejected(self, cbackend):
         fn = terra("""
         terra plain(n : int64, x : &float) : {}
           for i = 0, n do x[i] = 0.0f end
@@ -88,7 +88,7 @@ class TestChunkEntry:
 
 
 class TestParallelFor:
-    def test_bit_identical_to_serial(self):
+    def test_bit_identical_to_serial(self, cbackend):
         fn = make_saxpy()
         n = 1000
         x = np.random.RandomState(0).rand(n).astype(np.float32)
@@ -98,7 +98,7 @@ class TestParallelFor:
         parallel_for(fn, 0, n, n, 1.5, x, par, nthreads=4)
         assert par.tobytes() == ref.tobytes()
 
-    def test_grain_aligns_cuts(self):
+    def test_grain_aligns_cuts(self, cbackend):
         # with grain=n a single chunk runs inline — still correct
         fn = make_saxpy()
         n = 64
@@ -107,7 +107,7 @@ class TestParallelFor:
         parallel_for(fn, 0, n, n, 2.0, x, y, nthreads=4, grain=n)
         assert np.array_equal(y, np.full(n, 2.0, dtype=np.float32))
 
-    def test_empty_range_is_a_noop(self):
+    def test_empty_range_is_a_noop(self, cbackend):
         fn = make_saxpy()
         x = np.ones(4, dtype=np.float32)
         y = np.zeros(4, dtype=np.float32)
@@ -155,7 +155,7 @@ class TestParallelFor:
 
 
 class TestWorkerTraps:
-    def test_trap_surfaces_once_and_pool_survives(self):
+    def test_trap_surfaces_once_and_pool_survives(self, cbackend):
         # i == 7 divides by zero: only the chunk containing it traps
         fn = terra("""
         terra poison(n : int64, out : &int64) : {}
@@ -177,7 +177,7 @@ class TestWorkerTraps:
         parallel_for(make_saxpy(), 0, n, n, 2.0, x, ok, nthreads=4)
         assert np.array_equal(ok, np.full(n, 2.0, dtype=np.float32))
 
-    def test_traps_counted_in_metrics(self):
+    def test_traps_counted_in_metrics(self, cbackend):
         from repro.trace.metrics import registry
         fn = terra("""
         terra alltrap(n : int64, out : &int64) : {}

@@ -11,7 +11,7 @@ from repro.parallel import parallel_for
 
 
 class TestParallelBlockedloop:
-    def test_bit_identical_to_serial(self):
+    def test_bit_identical_to_serial(self, cbackend):
         N = 48
         out = symbol(None, "out")
         body = lambda i, j: quote_(  # noqa: E731
@@ -51,7 +51,7 @@ def _make_table(Table, n):
 
 class TestDataTableMapRows:
     @pytest.mark.parametrize("layout", ["AoS", "SoA", "AoSoA"])
-    def test_parallel_row_map(self, layout):
+    def test_parallel_row_map(self, layout, cbackend):
         Table = DataTable({"x": float_, "y": float_}, layout)
         get = terra("""
         terra get(t : &Tbl, i : int64) : float
@@ -69,7 +69,7 @@ class TestDataTableMapRows:
         for i in (0, 1, 250, n - 1):
             assert g(t, i) == 2.0 * i + 1.0
 
-    def test_serial_call_also_works(self):
+    def test_serial_call_also_works(self, cbackend):
         Table = DataTable({"x": float_, "y": float_}, "SoA")
         kernel = map_rows(Table, lambda row: quote_(
             "[row]:sety([row]:x())", env={"row": row}))
@@ -79,7 +79,7 @@ class TestDataTableMapRows:
 
 
 class TestParallelGemm:
-    def test_panels_bit_identical_to_serial_packed(self):
+    def test_panels_bit_identical_to_serial_packed(self, cbackend):
         from repro.autotune.matmul import (make_gemm_packed,
                                            make_gemm_packed_parallel)
         for n in (64, 70):  # multiple of NB, and with edge tails

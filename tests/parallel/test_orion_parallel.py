@@ -49,6 +49,7 @@ SCHEDULES = [
 ]
 
 
+@pytest.mark.usefixtures("cbackend")   # strip dispatch runs the C chunk entry
 class TestBitIdentity:
     @pytest.mark.parametrize("vec", [0, 4])
     @pytest.mark.parametrize("sched", SCHEDULES,
