@@ -13,6 +13,7 @@ test:
 
 check:  # the tier-1 gate: full test suite + buildd CLI and serve smokes
 	$(PYTHON) -m pytest tests/ -x -q
+	$(PYTHON) -c "import repro, sys; assert 'numpy' not in sys.modules"
 	$(PYTHON) -m repro.buildd --stats
 	$(PYTHON) -m repro.buildd --gc
 	@$(PYTHON) -m repro.buildd --stats | grep '^spec\.memo'

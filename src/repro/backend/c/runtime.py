@@ -22,8 +22,6 @@ from contextlib import contextmanager
 from functools import cache, cached_property
 from operator import attrgetter
 
-import numpy as np
-
 from ... import config
 from ... import trace as _trace
 from ...buildd import get_service, toolchain
@@ -97,7 +95,7 @@ def _guarded(centry):
 
 #: what the generated plans read as globals
 _PLAN_SCOPE = {
-    "_trace": _trace, "ndarray": np.ndarray,
+    "_trace": _trace,
     "from_buffer": convert.NO_BYTES.from_buffer,
     "refused": (FFIError, ctypes.ArgumentError, TypeError),
     "cells": _TRAP_CELLS, "c_int32": ctypes.c_int32, "trap": _trap,
@@ -156,6 +154,9 @@ def _plan_factory(kinds: str, guarded: bool, returns: bool):
     code += [f"    return {'from_c(result)' if returns else 'result'}",
              "  return entry"]
     scope = dict(_PLAN_SCOPE)
+    if "p" in kinds:    # its native-ndarray test: numpy loads with this shape
+        from numpy import ndarray
+        scope["ndarray"] = ndarray
     exec("\n".join(code), scope)     # noqa: S102
     return scope["make"]
 
@@ -211,7 +212,7 @@ class CompiledFunction(ExecutableHandle):
             kinds.append("p" if ty.ispointer() else "c")
             converted.append(conv)
             if ty.ispointer():
-                dtypes.append(convert.NATIVE_DTYPES.get(ty.pointee))
+                dtypes.append(convert.native_dtypes().get(ty.pointee))
         from_c = self._returner(self.type.returntype)
         make = _plan_factory("".join(kinds), self.centry is not None,
                              from_c is not None)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import ctypes
 import math
+import sys
 import threading
-
-import numpy as np
 
 from ... import trace as _trace
 from ...core import tast
@@ -549,8 +548,10 @@ class InterpFunction(ExecutableHandle):
     def _arguments(self, args, keep: list) -> list:
         machine_args: list = []
         arrays: list = []
+        np = sys.modules.get("numpy")   # an array implies a loaded numpy
         for value, ty in zip(args, self.type.parameters):
-            if isinstance(value, np.ndarray) and ty.ispointer():
+            if np is not None and isinstance(value, np.ndarray) \
+                    and ty.ispointer():
                 # the C backend's validation, in argument order; mapped
                 # once every array is known
                 address = convert.pointer_address(value, ty)[0]
@@ -651,11 +652,12 @@ class _CopyBack:
         self.arrays = [(a - self.address, array) for a, _, _, array in run]
 
     def copy_back(self) -> None:
+        from numpy import frombuffer
         for offset, array in self.arrays:
             if array.flags.writeable:
                 raw = self.machine.memory.read_unchecked(
                     self.region.start + offset, array.nbytes)
-                array.reshape(-1)[:] = np.frombuffer(raw, array.dtype)
+                array.reshape(-1)[:] = frombuffer(raw, array.dtype)
         self.machine.memory.unmap_region(self.region)
 
 

@@ -23,9 +23,8 @@ evaluation" of Terra code.
 from __future__ import annotations
 
 import numbers
+import sys
 from typing import Optional
-
-import numpy as np
 
 from ..errors import SpecializeError
 from . import ast, sast
@@ -96,6 +95,18 @@ def is_intrinsic(value) -> bool:
     return getattr(value, "is_terra_intrinsic", False)
 
 
+def _embed_int(value: int, location) -> sast.SConst:
+    """An integer as the narrowest of ``int32``, ``int64``, ``uint64``."""
+    if T.int32.min_value() <= value <= T.int32.max_value():
+        return sast.SConst(value, T.int32, location)
+    if T.int64.min_value() <= value <= T.int64.max_value():
+        return sast.SConst(value, T.int64, location)
+    if value <= T.uint64.max_value():
+        return sast.SConst(value, T.uint64, location)
+    raise SpecializeError(f"integer {value} does not fit any Terra type",
+                          location)
+
+
 def embed_value(value, location) -> sast.SExpr:
     """Convert a meta-language (Python) value into a specialized Terra term.
 
@@ -106,22 +117,21 @@ def embed_value(value, location) -> sast.SExpr:
         return value.as_expression()
     if isinstance(value, Symbol):
         return sast.SVar(value, location)
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return sast.SConst(bool(value), T.bool_, location)
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        if T.int32.min_value() <= value <= T.int32.max_value():
-            return sast.SConst(value, T.int32, location)
-        if T.int64.min_value() <= value <= T.int64.max_value():
-            return sast.SConst(value, T.int64, location)
-        if value <= T.uint64.max_value():
-            return sast.SConst(value, T.uint64, location)
-        raise SpecializeError(f"integer {value} does not fit any Terra type",
-                              location)
-    if isinstance(value, np.float32):
-        return sast.SConst(float(value), T.float32, location)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, bool):
+        return sast.SConst(value, T.bool_, location)
+    if isinstance(value, int):
+        return _embed_int(int(value), location)
+    if isinstance(value, float):
         return sast.SConst(float(value), T.float64, location)
+    np = sys.modules.get("numpy")   # no numpy scalar exists until it loads
+    if np is not None:
+        if isinstance(value, np.bool_):
+            return sast.SConst(bool(value), T.bool_, location)
+        if isinstance(value, np.integer):
+            return _embed_int(int(value), location)
+        if isinstance(value, np.floating):
+            ty = T.float32 if isinstance(value, np.float32) else T.float64
+            return sast.SConst(float(value), ty, location)
     if isinstance(value, str):
         return sast.SString(value, location)
     if isinstance(value, T.Type):

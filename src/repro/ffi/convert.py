@@ -16,6 +16,11 @@ function call boundaries and during specialization."  Here:
   pointee's native dtype — inside the C handle's ``entry``, the one frame
   between the caller and ctypes, on two identity tests and one
   ``from_buffer``, and hands every other value to this table,
+* importing this module does not import numpy: an array or a numpy
+  integer can only arrive from a process that has loaded it, so numpy's
+  types join the pointer table the first time it meets a type it does not
+  know while numpy is loaded, and the dtype tables (:func:`native_dtypes`)
+  import numpy at their first use,
 * dicts/tuples convert to structs when they provide the required fields
   (the paper: "Lua tables can be converted into structs when they contain
   the required fields"),
@@ -26,9 +31,9 @@ from __future__ import annotations
 
 import ctypes
 import operator
+import sys
 import weakref
-
-import numpy as np
+from functools import cache
 
 from ..core import types as T
 from ..errors import FFIError
@@ -41,13 +46,25 @@ _NUMPY_NAMES = {
     "uint64": T.uint64, "float32": T.float32, "float64": T.float64,
     "bool": T.bool_,
 }
-#: by ``dtype.num`` (``.name`` builds a string per lookup), one row per type
-#: code: C integer types that share a name (``l``, ``q``) each have a number
-_NUMPY_TYPES = {np.dtype(code).num: _NUMPY_NAMES[np.dtype(code).name]
-                for code in np.typecodes["AllInteger"] + "fd?"}
-#: primitive -> the dtype numpy gives its arrays by default (``int64`` is
-#: ``'l'`` here, not ``'q'``): the identity the C handle's ``entry`` tests
-NATIVE_DTYPES = {ty: np.dtype(name) for name, ty in _NUMPY_NAMES.items()}
+
+
+@cache
+def _numpy_types() -> dict:
+    """Primitive by ``dtype.num`` (``.name`` builds a string per lookup), one
+    row per type code: C integer types that share a name (``l``, ``q``) each
+    have a number."""
+    import numpy as np
+    return {np.dtype(code).num: _NUMPY_NAMES[np.dtype(code).name]
+            for code in np.typecodes["AllInteger"] + "fd?"}
+
+
+@cache
+def native_dtypes() -> dict:
+    """Primitive -> the dtype numpy gives its arrays by default (``int64`` is
+    ``'l'`` here, not ``'q'``): the identity the C handle's ``entry`` tests.
+    Built, and numpy imported, at the first call."""
+    import numpy as np
+    return {ty: np.dtype(name) for name, ty in _NUMPY_NAMES.items()}
 
 
 def python_to_blob(value, ty: T.Type) -> bytes:
@@ -118,7 +135,7 @@ def _ndarray_pointer(arr, ty):
     pointee = ty.pointee
     if isinstance(pointee, T.PrimitiveType):
         dtype = arr.dtype
-        expected = _NUMPY_TYPES.get(dtype.num)
+        expected = _numpy_types().get(dtype.num)
         if expected is None:
             raise FFIError(f"no Terra type for numpy dtype {dtype}")
         if expected is not pointee or not dtype.isnative:
@@ -147,8 +164,6 @@ _POINTER_ENTRIES = {
     type(None): lambda value, ty: (0, None),
     CPointer: lambda value, ty: (value.address, value.keepalive),
     int: _int_pointer,
-    np.integer: _int_pointer,
-    np.ndarray: _ndarray_pointer,
     bytes: _bytes_pointer,
     bytearray: _bytes_pointer,
     str: lambda value, ty: _bytes_pointer(value.encode("utf-8"), ty),
@@ -165,6 +180,13 @@ def pointer_address(value, ty: T.Type) -> tuple[int, object]:
     cls = type(value)
     entry = _POINTER_ENTRIES.get(cls) or _DERIVED_ENTRIES.get(cls)
     if entry is None:
+        np = sys.modules.get("numpy")
+        if np is not None and np.ndarray not in _POINTER_ENTRIES:
+            # the first type met since numpy loaded: numpy's types join the
+            # table, and no walk made without them stands
+            _POINTER_ENTRIES[np.integer] = _int_pointer
+            _POINTER_ENTRIES[np.ndarray] = _ndarray_pointer
+            _DERIVED_ENTRIES.clear()
         entry = _DERIVED_ENTRIES[cls] = next(
             (_POINTER_ENTRIES[base] for base in cls.__mro__
              if base in _POINTER_ENTRIES), _duck_pointer)

@@ -7,11 +7,12 @@ environment, separate evaluation) against the real implementation.
 
 import math
 
+import numpy as np
 import pytest
 
-from repro import (Quote, constant, expr, float32, float64, global_, int16,
-                   int32, int64, int8, int_, macro, quote_, symbol, terra,
-                   float_, uint16, uint32, uint64, uint8)
+from repro import (Quote, bool_, constant, expr, float32, float64, global_,
+                   int16, int32, int64, int8, int_, macro, quote_, symbol,
+                   terra, float_, uint16, uint32, uint64, uint8)
 from repro.core import sast
 from repro.errors import SpecializeError
 
@@ -381,6 +382,20 @@ class TestSplicedConstants:
             end
             """).compile(backend)
             assert sel(10, 20) == (10 if flag else 20)
+
+    @pytest.mark.parametrize("value,ty", [
+        pytest.param(np.float32(1.5), float32, id="float32"),
+        pytest.param(np.int64(2 ** 40), int64, id="int64"),
+        pytest.param(np.uint8(7), int32, id="uint8"),
+        pytest.param(np.bool_(True), bool_, id="bool_")])
+    def test_splice_numpy_scalar(self, backend, value, ty):
+        """A numpy scalar embeds as the constant its Python twin would,
+        except that ``float32`` keeps its width; an integer takes the
+        narrowest of int32/int64/uint64 by value, not its dtype."""
+        f = terra("terra f() return [value] end")
+        assert f.gettype().returntype is ty
+        got = f.compile(backend)()
+        assert got == value and type(got) is type(value.item())
 
     def test_emitted_c_spells_extreme_constants(self):
         from repro import get_backend

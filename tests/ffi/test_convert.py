@@ -225,6 +225,7 @@ class TestPointerTable:
         and what it refuses (here a read-only array) re-runs on
         ``_invoke``."""
         seen = []
+        convert.pointer_address(np.zeros(1), self.PD)  # numpy joins the table
         entry = convert._POINTER_ENTRIES[np.ndarray]
         monkeypatch.setitem(
             convert._POINTER_ENTRIES, np.ndarray,

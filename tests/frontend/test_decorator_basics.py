@@ -201,7 +201,7 @@ def test_tuple_first_assignment_declares_both():
     assert sumdiff(7, 3) == 40
 
 
-def test_dispatches_through_shared_exec_layer():
+def test_dispatches_through_shared_exec_layer(cbackend):
     from repro.exec import policy_override
 
     @terra

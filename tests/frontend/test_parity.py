@@ -62,7 +62,9 @@ def test_identical_typed_ir_at_every_level(name, factory):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("name,factory", PAIRS, ids=IDS)
-def test_bit_identical_results(name, factory, level, backend):
+def test_bit_identical_results(name, factory, level, backend, request):
+    if backend == "c":
+        request.getfixturevalue("cbackend")     # skips where there is no gcc
     string_fn, py_fn, run = factory()
     with pipeline_override(level):
         s_handle = string_fn.compile(backend)
