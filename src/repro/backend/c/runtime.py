@@ -26,7 +26,8 @@ from ... import config
 from ... import trace as _trace
 from ...buildd import get_service, toolchain
 from ...core import types as T
-from ...errors import CompileError, FFIError, TrapError, TypeCheckError
+from ...errors import (CompileError, FFIError, LinkError, TrapError,
+                       TypeCheckError)
 from ...trace.metrics import registry
 from ...ffi import convert
 from ...ffi.cdata import CPointer, CStruct
@@ -425,7 +426,7 @@ class CBackend(Backend):
             built, lambda so: self._bind_unit(fn, bound, so)), memo
 
     def _memo_record(self, digest, members, bound):
-        """``(digest, record)`` for the artifact's cache row — the sources'
+        """``(digest, record)`` for the artifact's memo file — the sources'
         fingerprint, then each defined member's C name and return types in
         the digest's order — or None, and nothing is remembered, when the
         digest's members are not the unit's or a type does not spell."""
@@ -454,7 +455,12 @@ class CBackend(Backend):
         # one CDLL per path; lib[name] makes this bind its own function
         lib = self._libs.get(so_path)
         if lib is None:
-            lib = self._libs.setdefault(so_path, ctypes.CDLL(so_path))
+            try:    # a unit's externals bind here, against this process
+                lib = ctypes.CDLL(so_path)
+            except OSError as exc:
+                raise LinkError(f"{fn.name}: its unit does not bind in this "
+                                f"process: {exc}") from None
+            lib = self._libs.setdefault(so_path, lib)
         entry_handle = None
         for f, cname, ftype in bound:
             cfn = lib[cname]

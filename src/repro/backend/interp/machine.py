@@ -606,8 +606,13 @@ class InterpFunction(ExecutableHandle):
             # same observable behavior as handing the C backend the
             # array's real address
             raw, mirror = bytes(memoryview(value).cast("B")), _CtypesCopyBack
-        elif isinstance(value, (bytes, bytearray)):
-            raw, mirror = bytes(value) + b"\x00", None
+        elif isinstance(value, bytearray):
+            # the same, through the view C is handed; CPython ends its
+            # storage in a NUL, which C can read, so the copy does too
+            raw, mirror = bytes(value) + b"\x00", _CtypesCopyBack
+            value = (ctypes.c_char * len(value)).from_buffer(value)
+        elif isinstance(value, bytes):
+            raw, mirror = value + b"\x00", None
         elif isinstance(value, str):
             return machine.intern_string(value)
         else:   # an address: None, int, CPointer, ... — the C backend's table

@@ -2,12 +2,12 @@
 
 * ``--stats`` (default): print the cache and service configuration —
   compiler identity, cache root, artifact count, bytes cached vs. the cap,
-  configured job count, and (``spec.memo``) how many index rows carry a
-  structural-memo record.  (Hit/miss counters are per-process, so a fresh
+  configured job count, and (``spec.memo``) how many artifacts a
+  structural-memo record names.  (Hit/miss counters are per-process, so a fresh
   CLI process reports zeros for them; they matter when queried in-process
   via ``repro.buildd.stats()``.)
-* ``--gc``: evict artifacts beyond the size cap (LRU), drop stale index
-  entries and orphaned temp files.
+* ``--gc``: evict artifacts beyond the size cap (LRU), drop memo records
+  whose artifact is gone and orphaned temp files.
 * ``--clear``: delete every cached artifact.
 """
 

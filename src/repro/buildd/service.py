@@ -18,6 +18,11 @@ Guarantees:
   stats.BuildStats` (hits, misses, dedups, per-unit wall time, queue
   depth).
 
+A unit is compiled (``cc -c``) and then linked by the toolchain's own
+``ld -shared`` with no C runtime and no ``DT_NEEDED``: its externals bind
+at ``dlopen`` against the process, as Terra's JIT binds them
+(docs/INTERNALS.md "How a unit is built").
+
 The module-level :func:`get_service` singleton is what the backends use.
 """
 
@@ -35,7 +40,7 @@ from ..errors import CompileError
 from .. import config, trace
 from ..trace.metrics import registry
 from . import toolchain as _toolchain
-from .cache import ArtifactCache
+from .cache import ArtifactCache, unlink_quietly, write_atomic
 from .stats import BuildStats
 
 # -fwrapv: Terra's integer semantics wrap at the type's width (LLVM adds
@@ -47,6 +52,9 @@ from .stats import BuildStats
 DEFAULT_CFLAGS = ["-O3", "-march=native", "-fPIC", "-shared",
                   "-fno-strict-aliasing", "-fno-semantic-interposition",
                   "-fwrapv", "-ffp-contract=off", "-w"]
+#: a cached unit's compile step: -shared is the driver's link (the ledger's
+#: floor still runs it), and a unit is linked by the linker itself
+CC_FLAGS = [f for f in DEFAULT_CFLAGS if f != "-shared"]
 
 
 #: thread-local holding the artifact-cache namespace for builds submitted
@@ -82,14 +90,11 @@ class CompileService:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ArtifactCache] = None,
-                 tc: Optional[_toolchain.Toolchain] = None,
-                 base_flags: Optional[list[str]] = None) -> None:
+                 tc: Optional[_toolchain.Toolchain] = None) -> None:
         self.jobs = jobs if jobs is not None \
             else config.get("REPRO_BUILDD_JOBS")
         self.cache = cache if cache is not None else ArtifactCache()
         self._tc = tc
-        self.base_flags = list(DEFAULT_CFLAGS if base_flags is None
-                               else base_flags)
         self.stats = BuildStats()
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
@@ -110,8 +115,8 @@ class CompileService:
 
     # -- the main entry points ----------------------------------------------
     def key_for(self, source: str, flags: Iterable[str] = ()) -> str:
-        all_flags = (*self.base_flags, *flags)
-        return self.cache.key_for(source, all_flags, self._cc_identity())
+        return self.cache.key_for(source, (*DEFAULT_CFLAGS, *flags),
+                                  self._cc_identity())
 
     def flags_key(self, flags: tuple[str, ...]) -> str:
         """The key of the empty unit: what the flags and the compiler put
@@ -142,7 +147,7 @@ class CompileService:
         Identical concurrent requests (same source, flags, and compiler)
         share a single build; cached keys resolve immediately.  ``memo``
         — ``(digest, record)`` of the specialized tree ``source`` was
-        emitted from — is noted on the artifact's cache row.
+        emitted from — is noted in its memo file.
         """
         flags = tuple(flags)
         key = self.key_for(source, flags)
@@ -168,52 +173,53 @@ class CompileService:
     def _build(self, key: str, source: str, flags: tuple[str, ...],
                namespace: Optional[str] = None,
                memo: Optional[tuple] = None) -> str:
-        with trace.span("buildd.compile", cat="buildd",
-                        key=key[:12], source_bytes=len(source)) as sp:
-            return self._build_traced(sp, key, source, flags, namespace, memo)
-
-    def _build_traced(self, sp, key: str, source: str,
-                      flags: tuple[str, ...],
-                      namespace: Optional[str] = None,
-                      memo: Optional[tuple] = None) -> str:
         t0 = time.perf_counter()
         try:
-            # another process may have published this key since lookup
-            existing = self.cache.lookup(key, memo)
-            if existing is not None:
-                self.stats.record_already_built()
-                sp.set(already_built=True)
-                return existing
-            tc = self.toolchain()
-            c_path = self.cache.source_path(key)
-            self.cache._write_atomic(c_path, source)
-            tmp = self.cache.make_temp()
-            cmd = [tc.path, *self.base_flags, *flags, c_path, "-o", tmp,
-                   "-lm"]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise CompileError(
-                    f"{os.path.basename(tc.path)} failed "
-                    f"({proc.returncode}):\n{proc.stderr}\n"
-                    f"--- generated C ({c_path}) ---\n{source}")
-            dt = time.perf_counter() - t0
-            size = os.path.getsize(tmp)
-            final = self.cache.publish(key, tmp, source=source, flags=flags,
-                                       compile_s=dt, namespace=namespace,
-                                       memo=memo)
-            self.stats.record_compile(key, dt, size)
-            sp.set(artifact_bytes=size)
-            return final
+            with trace.span("buildd.compile", cat="buildd", key=key[:12],
+                            source_bytes=len(source)) as sp:
+                # another process may have published this key since lookup
+                final = self.cache.lookup(key, memo)
+                if final is not None:
+                    self.stats.record_already_built()
+                    sp.set(already_built=True)
+                    return final
+                built = self._cc_and_link(key, source, flags)
+                dt, size = time.perf_counter() - t0, os.path.getsize(built)
+                final = self.cache.publish(
+                    key, built, flags=flags, compile_s=dt,
+                    namespace=namespace, memo=memo)
+                self.stats.record_compile(key, dt, size)
+                sp.set(artifact_bytes=size)
+                return final
         except BaseException:
             self.stats.record_failure(key, time.perf_counter() - t0)
             raise
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
+
+    def _cc_and_link(self, key: str, source: str,
+                     flags: tuple[str, ...]) -> str:
+        """A unit's two steps, each a span; returns the built temp file."""
+        tc = self.toolchain()
+        c_path = self.cache.source_path(key)
+        write_atomic(c_path, source)
+        obj, built = self.cache.make_temp(".o.tmp"), self.cache.make_temp()
+        try:
+            with trace.span("buildd.cc", cat="buildd"):
+                _run(tc.path, [*CC_FLAGS, *flags, "-c", c_path,
+                               "-o", obj],
+                     f"\n--- generated C ({c_path}) ---\n{source}")
+            with trace.span("buildd.link", cat="buildd"):
+                _run(tc.ld, ["-shared", obj,
+                             *([tc.libgcc] if tc.libgcc else []),
+                             "-o", built])
+        except BaseException:
+            unlink_quietly(built)
+            raise
+        finally:
+            unlink_quietly(obj)
+        return built
 
     # -- one-off builds to a caller-chosen path (saveobj) --------------------
     def compile_to(self, out_path: str, source: str,
@@ -224,27 +230,15 @@ class CompileService:
         cache root.  Used by ``saveobj`` for .o/.so outputs."""
 
         def job() -> str:
+            t0 = time.perf_counter()
+            tmp = out_path + f".{os.getpid()}.{threading.get_ident()}.tmp"
             with trace.span("buildd.compile_to", cat="buildd",
                             out=os.path.basename(out_path)):
-                return run_build()
-
-        def run_build() -> str:
-            t0 = time.perf_counter()
-            tc = self.toolchain()
-            tmp = out_path + f".{os.getpid()}.{threading.get_ident()}.tmp"
-            cmd = [tc.path, *flags, "-o", tmp]
-            try:
-                proc = subprocess.run(cmd, capture_output=True, text=True)
-                if proc.returncode != 0:
-                    raise CompileError(
-                        f"{os.path.basename(tc.path)} failed "
-                        f"({proc.returncode}):\n{proc.stderr}")
-                os.replace(tmp, out_path)
-            finally:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+                try:    # the driver's full link: the output leaves
+                    _run(self.toolchain().path, [*flags, "-o", tmp])
+                    os.replace(tmp, out_path)
+                finally:
+                    unlink_quietly(tmp)
             self.stats.record_compile(f"saveobj:{os.path.basename(out_path)}",
                                       time.perf_counter() - t0,
                                       os.path.getsize(out_path))
@@ -273,6 +267,18 @@ class CompileService:
 
     def shutdown(self, wait: bool = True) -> None:
         self._pool.shutdown(wait=wait)
+
+
+def _run(tool: str, args: list, context: str = "") -> None:
+    """Run one build step; its failure is a :class:`CompileError` naming
+    the tool, with its stderr and ``context``."""
+    try:
+        proc = subprocess.run([tool, *args], capture_output=True, text=True)
+    except OSError as exc:
+        raise CompileError(f"cannot run {tool}: {exc}") from None
+    if proc.returncode != 0:
+        raise CompileError(f"{os.path.basename(tool)} failed "
+                           f"({proc.returncode}):\n{proc.stderr}{context}")
 
 
 # -- the process-wide service ------------------------------------------------

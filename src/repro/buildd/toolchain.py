@@ -1,11 +1,15 @@
 """Compiler discovery — the single source of truth for "which cc?".
 
 ``backend.base`` (backend selection) and ``backend.c.runtime`` (the
-compile) both ask this module.  Besides the path, the
-toolchain records the compiler's *identity* — a short hash of its resolved
-path and ``--version`` output — which the artifact cache folds into every
-cache key, so upgrading gcc can never silently reuse stale ``.so``
-artifacts built by the old compiler.
+compile) both ask this module.  Besides the path, the toolchain records
+the linker and ``libgcc.a`` the compiler drives, which link a JIT unit
+(docs/INTERNALS.md "How a unit is built"), and its *identity* — a short
+hash of the compiler's path and version and of the linker — which the
+artifact cache folds into every cache key, so upgrading gcc or binutils
+can never silently reuse stale ``.so`` artifacts.  The probe's answer is
+kept in the artifact cache, keyed by the compiler binary's path,
+realpath, inode, size and mtime: a fresh process with a warm cache
+spawns no child before its first hit.
 
 Override discovery with ``REPRO_TERRA_CC=/path/to/cc`` (useful for tests
 and for pinning a specific compiler).
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -24,6 +29,7 @@ from typing import Optional
 
 from .. import config
 from ..errors import CompileError
+from .cache import default_root, write_atomic
 
 #: probed in order when REPRO_TERRA_CC is not set
 CC_CANDIDATES = ("gcc", "cc")
@@ -31,11 +37,14 @@ CC_CANDIDATES = ("gcc", "cc")
 
 @dataclass(frozen=True)
 class Toolchain:
-    """A resolved C compiler: absolute path, version banner, identity hash."""
+    """A resolved C compiler: absolute path, version banner, identity hash,
+    and the linker and ``libgcc.a`` that link a JIT unit."""
 
     path: str
     version: str
     identity: str
+    ld: str
+    libgcc: str         # "" when the compiler names none
 
     def __str__(self) -> str:
         first_line = self.version.splitlines()[0] if self.version else "?"
@@ -47,6 +56,46 @@ _cached: Optional[Toolchain] = None
 _probed = False
 
 
+def _signature(path: str) -> list:
+    """What must not change for a probe of ``path`` to stand."""
+    real = os.path.realpath(path)
+    st = os.stat(real)
+    return [path, real, st.st_ino, st.st_size, st.st_mtime_ns]
+
+
+def _ask(*cmd: str) -> str:
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    return proc.stdout.strip() or proc.stderr.strip()
+
+
+def _probe_cached(path: str) -> Toolchain:
+    """What the compiler says about itself and the linker it drives —
+    asked once per binary: the answer is kept in the artifact cache under
+    the compiler's signature, and stands while the linker's does."""
+    record = os.path.join(default_root(), "toolchain", hashlib.sha256(
+        repr(_signature(path)).encode()).hexdigest()[:24])
+    try:
+        with open(record) as f:
+            facts = json.load(f)
+        if facts.pop("ld_sig") == _signature(facts["ld"]):
+            return Toolchain(path=path, **facts)
+    except (OSError, ValueError, LookupError, TypeError):
+        pass
+    name = _ask(path, "-print-prog-name=ld") or "ld"
+    ld = shutil.which(name) or name
+    libgcc, ld_sig = _ask(path, "-print-libgcc-file-name"), _signature(ld)
+    facts = {"version": _ask(path, "--version"), "ld": ld,
+             "libgcc": libgcc if os.path.isabs(libgcc) else ""}
+    facts["identity"] = hashlib.sha256(
+        repr([path, facts, ld_sig]).encode()).hexdigest()[:12]
+    try:
+        os.makedirs(os.path.dirname(record), exist_ok=True)
+        write_atomic(record, json.dumps({**facts, "ld_sig": ld_sig}))
+    except OSError:
+        pass                # a read-only cache: probe again next process
+    return Toolchain(path=path, **facts)
+
+
 def _probe() -> Optional[Toolchain]:
     env_cc = config.get("REPRO_TERRA_CC")
     candidates = (env_cc,) if env_cc else CC_CANDIDATES
@@ -55,14 +104,9 @@ def _probe() -> Optional[Toolchain]:
         if path is None:
             continue
         try:
-            proc = subprocess.run([path, "--version"], capture_output=True,
-                                  text=True, timeout=30)
-            version = proc.stdout.strip() or proc.stderr.strip()
+            return _probe_cached(path)
         except OSError:
             continue
-        ident = hashlib.sha256(
-            f"{path}\0{version}".encode()).hexdigest()[:12]
-        return Toolchain(path=path, version=version, identity=ident)
     return None
 
 

@@ -58,7 +58,8 @@ class FrontendContractError(TerraError):
 class LinkError(TerraError):
     """A called function's connected component contains an undefined
     declaration (paper Figure 4 requires every reachable function to be
-    defined before execution)."""
+    defined before execution), or a compiled unit names an external
+    symbol the process does not define (it binds at load)."""
 
 
 class CompileError(TerraError):

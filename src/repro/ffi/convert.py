@@ -152,6 +152,12 @@ def _bytes_pointer(value, ty):
     return ctypes.addressof(buf), buf
 
 
+def _bytearray_pointer(value, ty):
+    """Its own storage, so a kernel's writes land in it (an ndarray's do)."""
+    buf = (ctypes.c_char * len(value)).from_buffer(value)
+    return ctypes.addressof(buf), buf
+
+
 def _duck_pointer(value, ty):
     """The last resort, for a type no entry covers: ctypes' own duck type."""
     if hasattr(value, "_as_parameter_"):
@@ -165,7 +171,7 @@ _POINTER_ENTRIES = {
     CPointer: lambda value, ty: (value.address, value.keepalive),
     int: _int_pointer,
     bytes: _bytes_pointer,
-    bytearray: _bytes_pointer,
+    bytearray: _bytearray_pointer,
     str: lambda value, ty: _bytes_pointer(value.encode("utf-8"), ty),
     ctypes.Array: lambda value, ty: (ctypes.addressof(value), value),
     ctypes.Structure: lambda value, ty: (ctypes.addressof(value), value),

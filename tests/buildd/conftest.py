@@ -1,11 +1,15 @@
 """Fixtures for the buildd test suite.
 
-``fake_toolchain`` provides a tiny Python "compiler" so cache/service/
-dedup behaviour can be tested deterministically (and without gcc): it
-copies the input source into the output artifact, optionally sleeping
-(``FAKECC_DELAY``) or failing (``FAKECC_FAIL``).  With ``FAKECC_REAL`` set
-to a real compiler's path it sleeps / fails the same way and then becomes
-that compiler, so a held or broken build can be followed by a loadable one.
+``fake_toolchain`` provides a tiny Python "compiler" and "linker" so
+cache/service/dedup behaviour can be tested deterministically (and without
+gcc): the compiler copies the input source into its output, optionally
+sleeping (``FAKECC_DELAY``) or failing (``FAKECC_FAIL``), and the linker
+copies its input object into the artifact.  With ``FAKECC_REAL`` set to a
+real compiler's path the compiler sleeps / fails the same way and then
+becomes that compiler, so a held or broken build can be followed by a
+loadable one (linked by the real linker: ``tests/exec/conftest.py``).
+The compiler answers the toolchain probe (``--version``,
+``-print-prog-name=ld``, ``-print-libgcc-file-name``) itself.
 """
 
 import os
@@ -23,6 +27,13 @@ FAKE_CC = textwrap.dedent("""\
     args = sys.argv[1:]
     if "--version" in args:
         print("fakecc 1.0")
+        sys.exit(0)
+    if "-print-prog-name=ld" in args:
+        print(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "fakeld"))
+        sys.exit(0)
+    if "-print-libgcc-file-name" in args:
+        print("libgcc.a")       # what gcc says when it has none
         sys.exit(0)
     delay = float(os.environ.get("FAKECC_DELAY", "0"))
     if delay:
@@ -42,16 +53,33 @@ FAKE_CC = textwrap.dedent("""\
         f.write(b"FAKESO\\0" + data)
 """)
 
+FAKE_LD = textwrap.dedent("""\
+    #!{python}
+    import sys
+    args = sys.argv[1:]
+    out = args[args.index("-o") + 1]
+    with open(args[args.index("-shared") + 1], "rb") as src:
+        data = src.read()
+    with open(out, "wb") as f:
+        f.write(data)
+""")
 
-@pytest.fixture
-def fake_cc_path(tmp_path):
-    path = tmp_path / "fakecc"
-    path.write_text(FAKE_CC.format(python=sys.executable))
+
+def _script(path, text):
+    path.write_text(text.format(python=sys.executable))
     path.chmod(path.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP)
     return str(path)
 
 
 @pytest.fixture
+def fake_cc_path(tmp_path):
+    _script(tmp_path / "fakeld", FAKE_LD)
+    return _script(tmp_path / "fakecc", FAKE_CC)
+
+
+@pytest.fixture
 def fake_toolchain(fake_cc_path):
     return Toolchain(path=fake_cc_path, version="fakecc 1.0",
-                     identity="fakecc-test")
+                     identity="fakecc-test",
+                     ld=os.path.join(os.path.dirname(fake_cc_path), "fakeld"),
+                     libgcc="")

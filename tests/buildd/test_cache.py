@@ -1,10 +1,14 @@
-"""The content-addressed artifact cache: keys, atomicity, LRU, recovery."""
+"""The content-addressed artifact cache: keys, atomicity, LRU, recovery —
+and the filesystem as its index."""
 
+import builtins
 import json
 import os
 import time
 
-from repro.buildd.cache import ArtifactCache, INDEX_NAME
+import pytest
+
+from repro.buildd.cache import ArtifactCache, LEGACY_INDEX
 
 
 def make_cache(tmp_path, **kw):
@@ -16,6 +20,17 @@ def publish(cache, key, data=b"artifact", **meta):
     with open(tmp, "wb") as f:
         f.write(data)
     return cache.publish(key, tmp, **meta)
+
+
+def files(root):
+    """name -> (inode, mtime) of everything under ``root``."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            st = os.stat(os.path.join(dirpath, name))
+            out[os.path.relpath(os.path.join(dirpath, name), root)] = \
+                (st.st_ino, st.st_mtime_ns)
+    return out
 
 
 class TestKeys:
@@ -37,12 +52,13 @@ class TestPublishLookup:
     def test_roundtrip(self, tmp_path):
         cache = make_cache(tmp_path)
         assert cache.lookup("deadbeef") is None
-        path = publish(cache, "deadbeef", b"hello", source="int x;")
+        path = publish(cache, "deadbeef", b"hello")
         assert path == cache.artifact_path("deadbeef")
         assert open(path, "rb").read() == b"hello"
         assert cache.lookup("deadbeef") == path
-        # the generated source is kept next to the artifact for debugging
-        assert open(cache.source_path("deadbeef")).read() == "int x;"
+        # what --stats reports of it is in a sidecar written at publish
+        assert json.load(open(cache.meta_path("deadbeef")))["ns"] \
+            == "default"
 
     def test_publish_is_atomic_rename(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -84,19 +100,19 @@ class TestHitPersistence:
     def test_a_pure_hit_touches_the_artifact_not_the_index(self, tmp_path):
         """The LRU clock is the artifact's mtime, so a warm-cache process
         (all hits, zero publishes) leaves what every later ``gc()`` reads —
-        and rewrites no index, whatever its size."""
+        and writes nothing else, whatever the cache's size."""
         writer = make_cache(tmp_path)
-        path = publish(writer, "hot", b"x")
+        path = publish(writer, "hot", b"x", memo=("d1", ["rec"]))
         old = time.time() - 60
         os.utime(path, (old, old))
-        index = open(writer._index_path(), "rb").read()
+        before = files(writer.root)
         warm = ArtifactCache(root=writer.root)  # a second, warm process
         for _ in range(3):
-            assert warm.lookup("hot") == path   # pure hit, never publishes
+            assert warm.lookup("hot", ("d1", ["rec"])) == path  # pure hits
         assert os.stat(path).st_mtime > old + 30
-        assert open(writer._index_path(), "rb").read() == index
-        assert not [n for n in os.listdir(writer.root)
-                    if n.startswith(".index-")]
+        after = files(writer.root)
+        del before["unit_hot.so"], after["unit_hot.so"]
+        assert after == before
 
     def test_cross_process_lru_respects_warm_hits(self, tmp_path):
         writer = make_cache(tmp_path, max_bytes=250)
@@ -112,28 +128,39 @@ class TestHitPersistence:
         assert evictor.lookup("hot") is not None
 
     def test_a_new_memo_record_is_saved_at_once(self, tmp_path):
-        """... on the row another process published after this one read
-        the index, which the save keeps."""
+        """... for an artifact another process published after this one
+        looked at the directory, and once: a known record is not
+        rewritten."""
         writer = make_cache(tmp_path)
         cache = ArtifactCache(root=writer.root)
-        assert cache.summary()["artifacts"] == 0    # the index, read
+        assert cache.summary()["artifacts"] == 0    # the directory, read
         publish(writer, "k1", b"x", flags=("-O1",))
         record = ["sources", [["tfn1_f", []]]]
         assert cache.lookup("k1", ("d1", record)) is not None
-        index = open(cache._index_path(), "rb").read()
-        row = json.loads(index)["entries"]["k1"]
-        assert row["memo"] == {"d1": record} and row["flags"] == ["-O1"]
+        assert json.load(open(cache.memo_path("d1"))) == ["k1", record]
+        assert ArtifactCache(root=writer.root).memo("d1") == ("k1", record)
+        saved = files(cache.root)["memo/d1"]
         assert cache.lookup("k1", ("d1", record)) is not None   # known
-        assert open(cache._index_path(), "rb").read() == index
+        assert files(cache.root)["memo/d1"] == saved
 
 
 class TestRecovery:
     def test_corrupted_index_is_rebuilt(self, tmp_path):
+        """A stray old index is not read; a memo file that does not decode
+        is a miss, and the next record replaces it."""
         cache = make_cache(tmp_path)
         path = publish(cache, "k1", b"data")
-        (tmp_path / "cache" / INDEX_NAME).write_text("{not json!!")
-        fresh = ArtifactCache(root=cache.root)
-        assert fresh.lookup("k1") == path
+        (tmp_path / "cache" / LEGACY_INDEX).write_text("{not json!!")
+        for garbage in ("{not json!!", "42", '["../k1", 1]', '{"k1": 1}',
+                        '["k1"]', "\udcff"):
+            with open(cache.memo_path("d1"), "w", errors="surrogateescape") \
+                    as f:
+                f.write(garbage)
+            fresh = ArtifactCache(root=cache.root)
+            assert fresh.memo("d1") is None, garbage
+            assert fresh.lookup("k1") == path
+        assert fresh.lookup("k1", ("d1", [1])) == path
+        assert fresh.memo("d1") == ("k1", [1])
 
     def test_prepopulated_dir_is_adopted(self, tmp_path):
         root = tmp_path / "cache"
@@ -186,10 +213,10 @@ class TestRecovery:
 
     def test_clear(self, tmp_path):
         cache = make_cache(tmp_path)
-        publish(cache, "k1", b"data", source="int x;")
+        publish(cache, "k1", b"data", memo=("d1", []))
         publish(cache, "k2", b"data")
         assert cache.clear() > 0
-        assert cache.lookup("k1") is None
+        assert cache.lookup("k1") is None and cache.memo("d1") is None
         assert cache.summary() == {"root": cache.root, "artifacts": 0,
                                    "bytes_cached": 0,
                                    "max_bytes": cache.max_bytes,
@@ -198,6 +225,76 @@ class TestRecovery:
     def test_index_survives_reload(self, tmp_path):
         cache = make_cache(tmp_path)
         publish(cache, "k1", b"data", flags=("-O3",), compile_s=0.5)
-        data = json.load(open(cache._index_path()))
-        assert data["entries"]["k1"]["flags"] == ["-O3"]
-        assert data["entries"]["k1"]["compile_s"] == 0.5
+        data = json.load(open(cache.meta_path("k1")))
+        assert data["flags"] == ["-O3"]
+        assert data["compile_s"] == 0.5
+
+
+class TestTheFilesystemIsTheIndex:
+    def test_an_old_index_dir_is_served(self, tmp_path):
+        """A directory an older version filled — artifacts beside a
+        ``buildd-index.json`` that holds their rows and memo records — is
+        served by key; the index is never read, and gc removes it."""
+        root = tmp_path / "cache"
+        root.mkdir()
+        for key in ("k1", "k2"):
+            (root / f"unit_{key}.so").write_bytes(b"old artifact")
+            (root / f"unit_{key}.c").write_text("int x;")
+        (root / LEGACY_INDEX).write_text(json.dumps({"version": 1, "entries": {
+            "k1": {"size": 12, "flags": [], "compile_s": 0.1, "created": 0,
+                   "ns": "alice", "memo": {"d1": ["sources", []]}}}}))
+        cache = ArtifactCache(root=str(root))
+        assert cache.lookup("k1") == cache.artifact_path("k1")
+        assert cache.lookup("k2") == cache.artifact_path("k2")
+        assert cache.memo("d1") is None         # a miss, then a new record
+        assert cache.summary()["namespaces"] == {"default": 2}
+        out = cache.gc()
+        assert out["artifacts"] == 2 and not (root / LEGACY_INDEX).exists()
+        assert cache.lookup("k1") is not None
+
+    @pytest.mark.parametrize("artifacts", [10, 1000])
+    def test_first_memo_lookup_reads_one_file(self, tmp_path, monkeypatch,
+                                              artifacts):
+        """A fresh process's first memo lookup costs the same at 10 and at
+        1000 artifacts: no directory listing, one file opened."""
+        writer = make_cache(tmp_path)
+        for i in range(artifacts):
+            publish(writer, f"k{i}", b"x", memo=(f"d{i}", ["rec", i]))
+        fresh = ArtifactCache(root=writer.root)
+        calls = []
+
+        def counted(name, real):
+            def call(*args, **kw):
+                calls.append(name)
+                return real(*args, **kw)
+            return call
+
+        for name in ("listdir", "scandir", "stat", "walk"):
+            monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+        monkeypatch.setattr(builtins, "open", counted("open", builtins.open))
+        found = fresh.memo(f"d{artifacts // 2}")
+        monkeypatch.undo()
+        assert found == (f"k{artifacts // 2}", ["rec", artifacts // 2])
+        assert calls == ["open"]
+
+    def test_gc_drops_what_belongs_to_no_artifact(self, tmp_path):
+        """An evicted artifact's memo file goes at the next gc; a source
+        or sidecar with no artifact goes once it is older than the temp
+        TTL (until then it may be an in-flight build's)."""
+        cache = make_cache(tmp_path)
+        publish(cache, "k1", b"x", memo=("d1", []))
+        publish(cache, "k2", b"x", memo=("d2", []))
+        os.unlink(cache.artifact_path("k1"))
+        with open(cache.source_path("k3"), "w") as f:
+            f.write("int building;")
+        cache.gc()
+        assert cache.memo("d1") is None and cache.memo("d2") == ("k2", [])
+        assert os.path.exists(cache.meta_path("k1"))
+        assert os.path.exists(cache.source_path("k3"))
+        old = time.time() - 2 * cache.temp_ttl_s
+        for path in (cache.meta_path("k1"), cache.source_path("k3")):
+            os.utime(path, (old, old))
+        cache.gc()
+        assert not os.path.exists(cache.meta_path("k1"))
+        assert not os.path.exists(cache.source_path("k3"))
+        assert cache.memo_rows() == 1 and cache.lookup("k2") is not None

@@ -1,5 +1,5 @@
 """The structural memo (``linker.ensure_compiled``): a specialized
-component whose digest is already on an artifact's cache row is bound
+component whose digest already has a memo file naming an artifact is bound
 from that artifact with no typed IR built — sound only while a hit is
 indistinguishable from the slow path, everything that can move the C
 moves the digest, and a damaged record is a miss."""
@@ -8,6 +8,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -364,9 +365,13 @@ def test_anonymous_named_ctor_is_a_fresh_struct():
 SEVEN = "terra seven(a : int) : int return a * 7 end"
 
 
+def memo_digests(cache) -> list:
+    return os.listdir(cache.memo_path(""))
+
+
 def stage_seven(service) -> str:
     assert terra(SEVEN)(3) == 21
-    (key,) = [k for k, row in service.cache._index.items() if row.get("memo")]
+    (key,) = {service.cache.memo(d)[0] for d in memo_digests(service.cache)}
     return key
 
 
@@ -383,8 +388,9 @@ def test_evicted_artifact(cold):
 def test_deleted_index(cold):
     service = cold()
     stage_seven(service)
-    os.unlink(service.cache._index_path())
-    service = cold()                  # a later process: no rows at all
+    for digest in memo_digests(service.cache):
+        os.unlink(service.cache.memo_path(digest))
+    service = cold()                  # a later process: no records at all
     assert memo_counts(lambda: terra(SEVEN)(3)) == {"misses": 1}
     assert service.stats.compiles == 0          # the artifact was adopted
     assert memo_counts(lambda: terra(SEVEN)(3)) == {"hits": 1}
@@ -402,13 +408,13 @@ def test_garbage_row(cold, garbage):
     service = cold()
     key = stage_seven(service)
     digest = digest_of(terra(SEVEN))[1]
-    text = json.dumps(garbage).replace("DIGEST", digest).replace(
-        "SOURCES", toolchain.package_fingerprint())
-    with open(service.cache._index_path()) as f:
-        index = json.load(f)
-    index["entries"][key] = json.loads(text)
-    with open(service.cache._index_path(), "w") as f:
-        json.dump(index, f)
+    row = json.loads(json.dumps(garbage).replace("DIGEST", digest).replace(
+        "SOURCES", toolchain.package_fingerprint()))
+    # the memo file: the key and the row's record, or the garbage itself
+    if isinstance(row, dict) and isinstance(row.get("memo"), dict):
+        row = [key, row["memo"][digest]]
+    with open(service.cache.memo_path(digest), "w") as f:
+        json.dump(row, f)
     service = cold()
     fn = terra(SEVEN)
     assert fn(3) == 21 and fn.typed is not None     # the slow path ran
@@ -580,9 +586,8 @@ def test_verify_ir_cross_checks_every_hit(cold, monkeypatch):
     other = "terra checked(a : int) : int return a * 3 + 2 end"
     terra(other).compile()
     digest, wrong = digest_of(terra(src))[1], digest_of(terra(other))[1]
-    with cache._lock:
-        key = cache._by_digest[digest] = cache._by_digest[wrong]
-        cache._index[key]["memo"][digest] = cache._index[key]["memo"][wrong]
+    shutil.copyfile(cache.memo_path(wrong), cache.memo_path(digest))
+    cache._memos.clear()        # read as a later process would read it
     with pytest.raises(repro.errors.CompileError, match="structural memo"):
         terra(src).compile()
 

@@ -22,7 +22,11 @@ def cold_service(tmp_path, swap_service):
 @pytest.fixture
 def slow_cc(cold_service, cbackend, fake_toolchain, monkeypatch):
     """A cold service whose compiler is the host's behind the fake one's
-    switches: ``FAKECC_DELAY`` holds a build that then loads and runs."""
+    switches, and whose linker is the host's: ``FAKECC_DELAY`` holds a
+    build that then loads and runs."""
+    import dataclasses
     from repro.buildd import toolchain
-    monkeypatch.setenv("FAKECC_REAL", toolchain.find_cc())
-    return cold_service(fake_toolchain)
+    real = toolchain.require_toolchain()
+    monkeypatch.setenv("FAKECC_REAL", real.path)
+    return cold_service(dataclasses.replace(fake_toolchain, ld=real.ld,
+                                            libgcc=real.libgcc))

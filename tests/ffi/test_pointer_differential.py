@@ -16,6 +16,7 @@ unit with trappable operations (whose plan lends a trap cell) are rows too.
 """
 
 import ctypes
+import struct
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.buildd import toolchain
 from repro.core import types as T
 from repro.backend.c import runtime
 from repro.errors import FFIError, TrapError
-from repro.exec import policy_override
+from repro.exec import TieredPolicy, policy_override
 from repro.ffi.cdata import CPointer
 
 pytestmark = pytest.mark.skipif(not toolchain.cc_available(),
@@ -255,3 +256,27 @@ def test_a_pointer_in_a_guarded_unit():
         assert one_outcome(idiv, *args) == want, args
         assert len(runtime._TRAP_CELLS) == rest, args
         assert not any(cell.value for cell in runtime._TRAP_CELLS)
+
+
+def test_a_bytearray_takes_the_kernels_writes():
+    """A ``bytearray`` is bound as a writable ndarray is, by its own
+    storage (the interpreter copies it back): ``scale`` doubles it in
+    place on every route, under ``tiered`` at both tiers.  ``bytes`` stay
+    a read-only copy."""
+    scale = terra("terra scale(p : &double, n : int, k : double) "
+                  "for i = 0, n do p[i] = p[i] * k end end")
+    tiered = TieredPolicy(threshold=2, sync=True)
+
+    def tiered_call(*args):
+        with policy_override(tiered):
+            scale(*args)
+
+    for way, call in {**routes(scale), "tiered 0": tiered_call,
+                      "tiered 1": tiered_call}.items():
+        buf = bytearray(struct.pack("4d", 1.0, 2.0, 3.0, 4.0))
+        call(buf, 4, 2.0)
+        assert struct.unpack("4d", buf) == (2.0, 4.0, 6.0, 8.0), way
+        frozen = bytes(buf)
+        call(frozen, 4, 2.0)
+        assert struct.unpack("4d", frozen) == (2.0, 4.0, 6.0, 8.0), way
+    assert scale.dispatcher.tier_info()["tier"] == 1

@@ -293,7 +293,8 @@ class TestPlacementAccounting:
             assert c.read(ys, 1, n - 1) == [2.0 * (n - 1)]
 
 
-class TestPlacementInTheTrace:
+@pytest.mark.usefixtures("cbackend")   # compiled kernels earn the loop; an
+class TestPlacementInTheTrace:          # interpreted, traced call rarely does
     def test_exec_spans_say_where_they_ran_and_sit_in_that_lane(
             self, tmp_path):
         src = "terra lane(a : int, b : int) : int return a / b end"
