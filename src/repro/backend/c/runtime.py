@@ -458,6 +458,8 @@ class CBackend(Backend):
             try:    # a unit's externals bind here, against this process
                 lib = ctypes.CDLL(so_path)
             except OSError as exc:
+                if "undefined symbol" not in str(exc):
+                    raise       # no file (evicted since), or a damaged one
                 raise LinkError(f"{fn.name}: its unit does not bind in this "
                                 f"process: {exc}") from None
             lib = self._libs.setdefault(so_path, lib)

@@ -15,7 +15,7 @@ The filesystem is the index.  The root holds, per artifact::
 
     unit_<key>.so     the artifact; its mtime is the LRU clock
     unit_<key>.c      the C it was built from, written before the build
-    unit_<key>.json   flags, compile seconds, namespace; written at publish
+    unit_<key>.json   its namespace, when not the default; written at publish
 
 and ``memo/<digest>``, one file per structural-memo record (docs/
 INTERNALS.md): the artifact key and the bind record, written with the same
@@ -49,6 +49,8 @@ DEFAULT_TEMP_TTL_S = 3600.0
 KEY_LEN = 24
 
 MEMO_DIR = "memo"
+#: where :mod:`repro.buildd.toolchain` keeps its probe of each compiler
+TOOLCHAIN_DIR = "toolchain"
 TEMP_PREFIXES = (".build-", ".src-", ".index-")
 #: the JSON index older versions kept beside the artifacts; gc removes it
 LEGACY_INDEX = "buildd-index.json"
@@ -200,8 +202,6 @@ class ArtifactCache:
                 pass    # a read-only cache: the record waits for a writer
 
     def publish(self, key: str, built_path: str, *,
-                flags: Iterable[str] = (),
-                compile_s: Optional[float] = None,
                 namespace: Optional[str] = None,
                 memo: Optional[tuple] = None) -> str:
         """Atomically install ``built_path`` (a unique temp file, consumed)
@@ -213,9 +213,8 @@ class ArtifactCache:
         source was emitted from (see :meth:`lookup`).
         """
         final = self.artifact_path(key)
-        write_atomic(self.meta_path(key), json.dumps(
-            {"flags": list(flags), "compile_s": compile_s,
-             "ns": namespace or "default"}))
+        if namespace not in (None, "default"):
+            write_atomic(self.meta_path(key), json.dumps({"ns": namespace}))
         os.utime(built_path)    # its mtime is its LRU clock: the newest
         size = os.path.getsize(built_path)
         with self._lock:        # so this process evicts only what it sees
@@ -245,7 +244,7 @@ class ArtifactCache:
         """Apply every configured limit (0 = none): when this process's
         view is over a cap, rescan the directory and drop the least
         recently used artifact — the oldest mtime — while the entry count
-        or the bytes are over."""
+        or the bytes are over, then the memo files that name one."""
         sizes = self._sizes
         if not self._over(len(sizes), sum(sizes.values())):
             return []
@@ -261,7 +260,19 @@ class ArtifactCache:
                          self.meta_path(key)):
                 unlink_quietly(path)
             evicted.append(key)
+        if evicted:
+            self._drop_memos(set(evicted).__contains__)
         return evicted
+
+    def _drop_memos(self, gone) -> None:
+        """Delete every memo file that does not decode or whose key is
+        ``gone``; a dot name is an in-flight write."""
+        for name in os.listdir(os.path.join(self.root, MEMO_DIR)):
+            if not name.startswith("."):
+                found = self.memo(name)
+                if found is None or gone(found[0]):
+                    unlink_quietly(self.memo_path(name))
+                    self._memos.pop(name, None)
 
     def gc(self) -> dict:
         """Evict over-cap artifacts, delete *orphaned* temp files, and drop
@@ -279,25 +290,24 @@ class ArtifactCache:
                            for k, st in self._artifacts().items()}
             evicted = self._evict_locked()
             kept = set(self._sizes)
-        for name in os.listdir(os.path.join(self.root, MEMO_DIR)):
-            found = self.memo(name)     # (a dot name: an in-flight write)
-            if not name.startswith(".") and (found is None
-                                             or found[0] not in kept):
-                unlink_quietly(self.memo_path(name))
+        self._drop_memos(lambda key: key not in kept)
         self._memos.clear()
         removed_tmp, now = 0, time.time()
-        for name in os.listdir(self.root):
-            path = os.path.join(self.root, name)
-            temp = name.startswith(TEMP_PREFIXES) or name.endswith(".so.tmp")
-            stray = name.startswith("unit_") \
-                and name[len("unit_"):].rsplit(".", 1)[0] not in kept
-            try:
-                if name == LEGACY_INDEX or (temp or stray) and \
-                        now - os.stat(path).st_mtime >= self.temp_ttl_s:
-                    os.unlink(path)
-                    removed_tmp += temp
-            except OSError:
-                pass
+        for sub in ("", MEMO_DIR, TOOLCHAIN_DIR):
+            folder = os.path.join(self.root, sub)
+            for name in os.listdir(folder) if os.path.isdir(folder) else ():
+                path = os.path.join(folder, name)
+                temp = name.startswith(TEMP_PREFIXES) \
+                    or name.endswith(".so.tmp")
+                stray = name.startswith("unit_") \
+                    and name[len("unit_"):].rsplit(".", 1)[0] not in kept
+                try:
+                    if name == LEGACY_INDEX or (temp or stray) and \
+                            now - os.stat(path).st_mtime >= self.temp_ttl_s:
+                        os.unlink(path)
+                        removed_tmp += temp
+                except OSError:
+                    pass
         return {"evicted": len(evicted), "temp_files_removed": removed_tmp,
                 "artifacts": len(kept)}
 

@@ -185,9 +185,8 @@ class CompileService:
                     return final
                 built = self._cc_and_link(key, source, flags)
                 dt, size = time.perf_counter() - t0, os.path.getsize(built)
-                final = self.cache.publish(
-                    key, built, flags=flags, compile_s=dt,
-                    namespace=namespace, memo=memo)
+                final = self.cache.publish(key, built, namespace=namespace,
+                                           memo=memo)
                 self.stats.record_compile(key, dt, size)
                 sp.set(artifact_bytes=size)
                 return final

@@ -8,8 +8,9 @@ hash of the compiler's path and version and of the linker — which the
 artifact cache folds into every cache key, so upgrading gcc or binutils
 can never silently reuse stale ``.so`` artifacts.  The probe's answer is
 kept in the artifact cache, keyed by the compiler binary's path,
-realpath, inode, size and mtime: a fresh process with a warm cache
-spawns no child before its first hit.
+realpath, inode, size and mtime and checked against those of the linker,
+``libgcc.a`` and ``cc1``: a fresh process with a warm cache spawns no
+child before its first hit.
 
 Override discovery with ``REPRO_TERRA_CC=/path/to/cc`` (useful for tests
 and for pinning a specific compiler).
@@ -23,13 +24,12 @@ import json
 import os
 import shutil
 import subprocess
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from .. import config
 from ..errors import CompileError
-from .cache import default_root, write_atomic
+from .cache import TOOLCHAIN_DIR, default_root, write_atomic
 
 #: probed in order when REPRO_TERRA_CC is not set
 CC_CANDIDATES = ("gcc", "cc")
@@ -51,11 +51,6 @@ class Toolchain:
         return f"{self.path} ({first_line})"
 
 
-_lock = threading.Lock()
-_cached: Optional[Toolchain] = None
-_probed = False
-
-
 def _signature(path: str) -> list:
     """What must not change for a probe of ``path`` to stand."""
     real = os.path.realpath(path)
@@ -63,40 +58,53 @@ def _signature(path: str) -> list:
     return [path, real, st.st_ino, st.st_size, st.st_mtime_ns]
 
 
-def _ask(*cmd: str) -> str:
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
-    return proc.stdout.strip() or proc.stderr.strip()
+def _ask(path: str, *options: str) -> list:
+    """The compiler's answer to each option, asked of concurrent children."""
+    procs = [subprocess.Popen([path, opt], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for opt in options]
+    return [out.strip() or err.strip() for out, err
+            in (proc.communicate(timeout=30) for proc in procs)]
 
 
 def _probe_cached(path: str) -> Toolchain:
     """What the compiler says about itself and the linker it drives —
     asked once per binary: the answer is kept in the artifact cache under
-    the compiler's signature, and stands while the linker's does."""
-    record = os.path.join(default_root(), "toolchain", hashlib.sha256(
+    the compiler's signature, and stands while the signatures of the
+    linker, ``libgcc.a`` and ``cc1`` do (behind a wrapper — ccache, a
+    script — the driver's own does not move when the compiler does)."""
+    record = os.path.join(default_root(), TOOLCHAIN_DIR, hashlib.sha256(
         repr(_signature(path)).encode()).hexdigest()[:24])
     try:
         with open(record) as f:
             facts = json.load(f)
-        if facts.pop("ld_sig") == _signature(facts["ld"]):
+        if all(sig == _signature(sig[0]) for sig in facts.pop("deps")):
             return Toolchain(path=path, **facts)
     except (OSError, ValueError, LookupError, TypeError):
         pass
-    name = _ask(path, "-print-prog-name=ld") or "ld"
-    ld = shutil.which(name) or name
-    libgcc, ld_sig = _ask(path, "-print-libgcc-file-name"), _signature(ld)
-    facts = {"version": _ask(path, "--version"), "ld": ld,
-             "libgcc": libgcc if os.path.isabs(libgcc) else ""}
+    name, cc1, libgcc, version = _ask(
+        path, "-print-prog-name=ld", "-print-prog-name=cc1",
+        "-print-libgcc-file-name", "--version")
+    ld = shutil.which(name or "ld") or name
+    libgcc = libgcc if os.path.isabs(libgcc) else ""
+    deps = [_signature(ld)] + [_signature(p) for p in (libgcc, cc1)
+                               if os.path.isabs(p)]
+    facts = {"version": version, "ld": ld, "libgcc": libgcc}
     facts["identity"] = hashlib.sha256(
-        repr([path, facts, ld_sig]).encode()).hexdigest()[:12]
+        repr([path, facts, deps]).encode()).hexdigest()[:12]
     try:
         os.makedirs(os.path.dirname(record), exist_ok=True)
-        write_atomic(record, json.dumps({**facts, "ld_sig": ld_sig}))
+        write_atomic(record, json.dumps({**facts, "deps": deps}))
     except OSError:
         pass                # a read-only cache: probe again next process
     return Toolchain(path=path, **facts)
 
 
-def _probe() -> Optional[Toolchain]:
+@functools.lru_cache(maxsize=None)
+def default_toolchain() -> Optional[Toolchain]:
+    """The host toolchain, or None when no C compiler is installed.
+    Probed once per process (two first callers at once may both probe);
+    :func:`reset` re-probes (tests)."""
     env_cc = config.get("REPRO_TERRA_CC")
     candidates = (env_cc,) if env_cc else CC_CANDIDATES
     for cc in candidates:
@@ -108,18 +116,6 @@ def _probe() -> Optional[Toolchain]:
         except OSError:
             continue
     return None
-
-
-def default_toolchain() -> Optional[Toolchain]:
-    """The host toolchain, or None when no C compiler is installed.
-    Probed once per process; :func:`reset` re-probes (tests)."""
-    global _cached, _probed
-    if not _probed:
-        with _lock:
-            if not _probed:
-                _cached = _probe()
-                _probed = True
-    return _cached
 
 
 def require_toolchain() -> Toolchain:
@@ -167,7 +163,4 @@ def package_fingerprint() -> str:
 
 def reset() -> None:
     """Forget the probed toolchain (tests change PATH / REPRO_TERRA_CC)."""
-    global _cached, _probed
-    with _lock:
-        _cached = None
-        _probed = False
+    default_toolchain.cache_clear()

@@ -9,7 +9,8 @@ real compiler's path the compiler sleeps / fails the same way and then
 becomes that compiler, so a held or broken build can be followed by a
 loadable one (linked by the real linker: ``tests/exec/conftest.py``).
 The compiler answers the toolchain probe (``--version``,
-``-print-prog-name=ld``, ``-print-libgcc-file-name``) itself.
+``-print-prog-name=ld``/``cc1``, ``-print-libgcc-file-name``) itself; its
+"cc1" is an empty file beside it, there to be stat'ed.
 """
 
 import os
@@ -28,10 +29,11 @@ FAKE_CC = textwrap.dedent("""\
     if "--version" in args:
         print("fakecc 1.0")
         sys.exit(0)
-    if "-print-prog-name=ld" in args:
-        print(os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "fakeld"))
-        sys.exit(0)
+    for prog in ("ld", "cc1"):
+        if "-print-prog-name=" + prog in args:
+            print(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "fake" + prog))
+            sys.exit(0)
     if "-print-libgcc-file-name" in args:
         print("libgcc.a")       # what gcc says when it has none
         sys.exit(0)
@@ -74,6 +76,7 @@ def _script(path, text):
 @pytest.fixture
 def fake_cc_path(tmp_path):
     _script(tmp_path / "fakeld", FAKE_LD)
+    (tmp_path / "fakecc1").write_text("")
     return _script(tmp_path / "fakecc", FAKE_CC)
 
 

@@ -56,9 +56,9 @@ class TestPublishLookup:
         assert path == cache.artifact_path("deadbeef")
         assert open(path, "rb").read() == b"hello"
         assert cache.lookup("deadbeef") == path
-        # what --stats reports of it is in a sidecar written at publish
-        assert json.load(open(cache.meta_path("deadbeef")))["ns"] \
-            == "default"
+        # the default namespace needs no sidecar: its absence says it
+        assert not os.path.exists(cache.meta_path("deadbeef"))
+        assert cache.summary()["namespaces"] == {"default": 1}
 
     def test_publish_is_atomic_rename(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -134,7 +134,7 @@ class TestHitPersistence:
         writer = make_cache(tmp_path)
         cache = ArtifactCache(root=writer.root)
         assert cache.summary()["artifacts"] == 0    # the directory, read
-        publish(writer, "k1", b"x", flags=("-O1",))
+        publish(writer, "k1", b"x")
         record = ["sources", [["tfn1_f", []]]]
         assert cache.lookup("k1", ("d1", record)) is not None
         assert json.load(open(cache.memo_path("d1"))) == ["k1", record]
@@ -224,10 +224,11 @@ class TestRecovery:
 
     def test_index_survives_reload(self, tmp_path):
         cache = make_cache(tmp_path)
-        publish(cache, "k1", b"data", flags=("-O3",), compile_s=0.5)
-        data = json.load(open(cache.meta_path("k1")))
-        assert data["flags"] == ["-O3"]
-        assert data["compile_s"] == 0.5
+        publish(cache, "k1", b"data", namespace="alice")
+        publish(cache, "k2", b"data")
+        assert json.load(open(cache.meta_path("k1"))) == {"ns": "alice"}
+        assert ArtifactCache(root=cache.root).summary()["namespaces"] \
+            == {"alice": 1, "default": 1}
 
 
 class TestTheFilesystemIsTheIndex:
@@ -282,7 +283,7 @@ class TestTheFilesystemIsTheIndex:
         or sidecar with no artifact goes once it is older than the temp
         TTL (until then it may be an in-flight build's)."""
         cache = make_cache(tmp_path)
-        publish(cache, "k1", b"x", memo=("d1", []))
+        publish(cache, "k1", b"x", memo=("d1", []), namespace="alice")
         publish(cache, "k2", b"x", memo=("d2", []))
         os.unlink(cache.artifact_path("k1"))
         with open(cache.source_path("k3"), "w") as f:
@@ -298,3 +299,30 @@ class TestTheFilesystemIsTheIndex:
         assert not os.path.exists(cache.meta_path("k1"))
         assert not os.path.exists(cache.source_path("k3"))
         assert cache.memo_rows() == 1 and cache.lookup("k2") is not None
+
+    def test_a_capped_caches_memo_files_stay_bounded(self, tmp_path):
+        """Eviction takes the memo files that name what it evicts: under
+        churn ``memo/`` holds no more records than the cap has artifacts."""
+        cache = make_cache(tmp_path, max_entries=3)
+        for i in range(20):
+            publish(cache, f"k{i}", b"x", memo=(f"d{i}", ["rec", i]))
+            os.utime(cache.artifact_path(f"k{i}"), ns=(i, i))
+        assert sorted(cache._artifacts()) == ["k17", "k18", "k19"]
+        assert sorted(os.listdir(cache.memo_path(""))) == \
+            ["d17", "d18", "d19"]
+        assert ArtifactCache(root=cache.root).memo("d5") is None
+
+    def test_gc_sweeps_old_temps_in_every_directory(self, tmp_path):
+        """A write the process died in leaves a temp in ``memo/`` or
+        ``toolchain/`` as well as in the root."""
+        cache = make_cache(tmp_path)
+        old = time.time() - 2 * cache.temp_ttl_s
+        temps = [os.path.join(cache.root, sub, ".src-dead")
+                 for sub in ("", "memo", "toolchain")]
+        os.makedirs(os.path.dirname(temps[-1]))
+        for path in temps:
+            with open(path, "w") as f:
+                f.write("half")
+            os.utime(path, (old, old))
+        assert cache.gc()["temp_files_removed"] == 3
+        assert not any(os.path.exists(path) for path in temps)

@@ -88,6 +88,19 @@ def test_a_symbol_the_process_lacks_is_a_link_error(cbackend, fresh):
         fn.compile(cbackend)
 
 
+@pytest.mark.parametrize("data", [None, b"\x7fELF"])
+def test_only_a_missing_symbol_is_a_link_error(cbackend, tmp_path, data):
+    """An artifact gone since its lookup (another process evicted it) or
+    a damaged one is the loader's ``OSError``, not a symbol to look for."""
+    fn = repro.terra("terra gone(a : int) : int return a end")
+    so = tmp_path / "unit_damaged.so"
+    if data is not None:
+        so.write_bytes(data)
+    with pytest.raises(OSError) as info:
+        cbackend._bind_unit(fn, [], str(so))
+    assert not isinstance(info.value, LinkError)
+
+
 def test_saveobj_keeps_the_driver_link(cbackend, tmp_path):
     fn = repro.terra("""
     terra exported(x : double) : &double

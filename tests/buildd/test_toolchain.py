@@ -81,8 +81,31 @@ class TestProbeCache:
 
         def refuse(*args, **kw):
             raise AssertionError(f"spawned {args}")
-        monkeypatch.setattr(subprocess, "run", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
         assert toolchain.default_toolchain() == first
+
+    def test_a_compiler_swapped_behind_a_wrapper_is_probed_again(
+            self, fake_cc_path, monkeypatch, tmp_path):
+        """A wrapper (ccache, a script) keeps its own signature when the
+        compiler it runs is upgraded; the probe's record also holds cc1's,
+        which the upgrade replaces."""
+        wrapper = tmp_path / "wrap" / "cc"
+        wrapper.parent.mkdir()
+        wrapper.write_text(f'#!/bin/sh\nexec {fake_cc_path} "$@"\n')
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("REPRO_TERRA_CC", str(wrapper))
+        first = toolchain.default_toolchain()
+        assert first.version == "fakecc 1.0"
+        text = open(fake_cc_path).read().replace("fakecc 1.0", "fakecc 2.0")
+        with open(fake_cc_path, "w") as f:
+            f.write(text)
+        cc1 = os.path.join(os.path.dirname(fake_cc_path), "fakecc1")
+        with open(cc1, "w") as f:       # the upgrade's new cc1
+            f.write("2.0")
+        toolchain.reset()
+        second = toolchain.default_toolchain()
+        assert second.version == "fakecc 2.0"
+        assert second.identity != first.identity
 
     def test_a_damaged_record_is_probed_again(self, fake_cc_path,
                                               monkeypatch, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 from repro import trace
 from repro.errors import TrapError
-from repro.serve import ServeConfig, ServeError, ServerThread
+from repro.serve import ServeConfig, ServeError, ServerThread, state
 from repro.serve.server import ServeServer
 from repro.serve.state import (_INLINE_AFTER_MAX, INLINE_AFTER,
                                INLINE_BUDGET_S, TenantState, WarmKernel)
@@ -293,10 +293,12 @@ class TestPlacementAccounting:
             assert c.read(ys, 1, n - 1) == [2.0 * (n - 1)]
 
 
-@pytest.mark.usefixtures("cbackend")   # compiled kernels earn the loop; an
-class TestPlacementInTheTrace:          # interpreted, traced call rarely does
+class TestPlacementInTheTrace:
     def test_exec_spans_say_where_they_ran_and_sit_in_that_lane(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        # a traced, interpreted call often overruns the real budget; this
+        # test is about where spans land, not what earns the loop
+        monkeypatch.setattr(state, "INLINE_BUDGET_S", 1.0)
         src = "terra lane(a : int, b : int) : int return a / b end"
         cfg = ServeConfig(socket_path=str(tmp_path / "t.sock"), workers=2)
         trace.enable()
