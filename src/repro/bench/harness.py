@@ -1,51 +1,11 @@
-"""Timing and reporting helpers shared by the benchmark suite.
-
-Reproduces the paper's reporting units: GFLOPS for the GEMM experiments
-(Figure 6), wall-clock speedup-over-reference-C for the Orion experiments
-(Figure 8), ns/call for the dispatch micro-benchmark (§6.3.1), and GB/s
-for the data-layout experiments (Figure 9).
-"""
+"""Reporting helpers shared by the benchmark suite: the paper's GFLOPS
+unit (Figure 6) and the fixed-width table every experiment prints."""
 
 from __future__ import annotations
-
-import time
-from dataclasses import dataclass
-from typing import Callable, Optional
-
-
-def time_call(fn: Callable[[], None], repeats: int = 5,
-              min_time: float = 0.0) -> float:
-    """Median wall-clock seconds of ``fn()`` over ``repeats`` runs (after
-    one warm-up run, which also absorbs JIT compilation)."""
-    fn()
-    times = []
-    for _ in range(max(repeats, 1)):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    return times[len(times) // 2]
 
 
 def gflops(flops: float, seconds: float) -> float:
     return flops / seconds / 1e9
-
-def gbps(nbytes: float, seconds: float) -> float:
-    return nbytes / seconds / 1e9
-
-
-@dataclass
-class Row:
-    label: str
-    value: float
-    unit: str
-    baseline: Optional[float] = None
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.baseline is None or self.value == 0:
-            return None
-        return self.baseline / self.value
 
 
 class Table:

@@ -21,23 +21,25 @@ import os
 from ..backend.base import get_backend
 from ..backend.c.emit import CEmitter
 from ..buildd import get_service
+from ..buildd.service import CC_FLAGS
 from ..core.linker import pipelined_component
 from ..errors import CompileError
+
+
+def _emitter(functions: dict) -> tuple[CEmitter, str]:
+    """The freestanding emitter of one unit holding every given function's
+    component, each member once, and that unit's text."""
+    backend = get_backend("c")
+    members = {member.uid: member for fn in functions.values()
+               for member in pipelined_component(fn, backend)}
+    emitter = CEmitter(list(members.values()), backend, freestanding=True)
+    return emitter, emitter.emit_unit()
 
 
 def emit_exported_source(functions: dict) -> str:
     """One translation unit defining all given functions, with an exported
     wrapper per requested name."""
-    backend = get_backend("c")
-    component: list = []
-    seen = set()
-    for fn in functions.values():
-        for member in pipelined_component(fn, backend):
-            if member.uid not in seen:
-                seen.add(member.uid)
-                component.append(member)
-    emitter = CEmitter(component, backend, freestanding=True)
-    source = emitter.emit_unit()
+    emitter, source = _emitter(functions)
     wrappers = ["/* exported names */"]
     for export_name, fn in functions.items():
         typed = fn.typed
@@ -54,16 +56,7 @@ def emit_exported_source(functions: dict) -> str:
 
 
 def emit_header(functions: dict) -> str:
-    backend = get_backend("c")
-    component: list = []
-    seen = set()
-    for fn in functions.values():
-        for member in pipelined_component(fn, backend):
-            if member.uid not in seen:
-                seen.add(member.uid)
-                component.append(member)
-    emitter = CEmitter(component, backend, freestanding=True)
-    emitter.emit_unit()  # populate type tables
+    emitter, _ = _emitter(functions)    # the unit fills the type tables
     lines = ["#include <stdint.h>", ""]
     for export_name, fn in functions.items():
         typed = fn.typed
@@ -91,11 +84,12 @@ def saveobj(path: str, functions: dict) -> None:
     c_path = path + ".gen.c"
     with open(c_path, "w") as f:
         f.write(source)
+    # the JIT's compile flags, so a saved unit means what it means JIT-ed
+    # (-fwrapv, -ffp-contract=off, ...); a .so keeps the driver's link
     if ext == ".o":
-        flags = ["-O3", "-march=native", "-fPIC", "-w", "-c", c_path]
+        flags = [*CC_FLAGS, "-c", c_path]
     elif ext == ".so":
-        flags = ["-O3", "-march=native", "-fPIC", "-w", "-shared", c_path,
-                 "-lm"]
+        flags = [*CC_FLAGS, "-shared", c_path, "-lm"]
     else:
         os.unlink(c_path)
         raise CompileError(

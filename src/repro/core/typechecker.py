@@ -29,6 +29,7 @@ from typing import Optional
 
 from .. import config
 from ..errors import LinkError, TypeCheckError
+from ..memory.layout import round_float
 from . import sast, tast
 from . import types as T
 from .function import PyCallback, TerraFunction
@@ -277,9 +278,13 @@ class TypeChecker:
         ty = e.type
         if ty is None:
             ty = T.int32 if isinstance(e.value, int) else T.float64
-        if isinstance(e.value, (list, tuple)) and isinstance(ty, T.VectorType):
-            return tast.TConst(list(e.value), ty, e.location)
-        return tast.TConst(e.value, ty, e.location)
+        value = e.value
+        if isinstance(value, (list, tuple)) and isinstance(ty, T.VectorType):
+            value = [round_float(v, ty.elem) for v in value] \
+                if ty.elem is T.float32 else list(value)
+        elif ty is T.float32:       # 0.1f holds the float nearest 0.1
+            value = round_float(value, ty)
+        return tast.TConst(value, ty, e.location)
 
     def _check_SString(self, e: sast.SString) -> tast.TExpr:
         return tast.TString(e.value, e.location)

@@ -1,8 +1,6 @@
-"""Benchmark-harness unit tests (timing helpers and table rendering)."""
+"""Benchmark-harness unit tests (rates and table rendering)."""
 
-import pytest
-
-from repro.bench.harness import Row, Table, gbps, gflops, time_call
+from repro.bench.harness import Table, gflops
 
 
 class TestTable:
@@ -28,17 +26,5 @@ class TestTable:
 
 
 class TestTiming:
-    def test_time_call_runs_warmup_plus_repeats(self):
-        calls = []
-        result = time_call(lambda: calls.append(1), repeats=3)
-        assert len(calls) == 4  # 1 warm-up + 3 timed
-        assert result >= 0
-
     def test_rates(self):
         assert gflops(2e9, 1.0) == 2.0
-        assert gbps(5e9, 2.0) == 2.5
-
-    def test_row_speedup(self):
-        r = Row("x", 2.0, "s", baseline=4.0)
-        assert r.speedup == 2.0
-        assert Row("y", 2.0, "s").speedup is None

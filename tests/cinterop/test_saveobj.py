@@ -43,6 +43,17 @@ class TestSaveObj:
         lib.addmul.restype = ctypes.c_int32
         assert lib.addmul(10, 1) == 21
 
+    def test_saved_unit_means_what_the_jit_means(self, tmp_path, cbackend):
+        """``saveobj`` compiles with the JIT's semantic flags: under
+        ``-fwrapv`` ``a + 1 > a`` wraps at ``INT32_MAX`` in both."""
+        fn = terra("terra f(a : int32) : bool return a + 1 > a end")
+        path = str(tmp_path / "libwrap.so")
+        saveobj(path, {"f": fn})
+        lib = ctypes.CDLL(path)
+        lib.f.restype = ctypes.c_uint8
+        assert fn.compile(cbackend)(2 ** 31 - 1) is False
+        assert lib.f(2 ** 31 - 1) == 0
+
     def test_save_object_links_against_c(self, addmul, tmp_path, cbackend):
         """The paper: 'we can save the Terra function to a .o file which
         can be linked to a normal C executable'."""

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import struct, terra
-from repro.backend.c.runtime import CompiledFunction
 from repro.core import types as T
 from repro.errors import FFIError
 from repro.ffi import convert
@@ -220,7 +219,7 @@ class TestPointerTable:
     def test_every_caller_converts_through_the_per_type_converter(
             self, cbackend, monkeypatch):
         """``_invoke`` and both prepared callers use
-        ``CompiledFunction._converter(ty)``, which hands every array to the
+        ``convert.converter(ty)``, which hands every array to the
         table; only the handle's ``entry`` keeps a native array from it,
         and what it refuses (here a read-only array) re-runs on
         ``_invoke``."""
@@ -231,7 +230,7 @@ class TestPointerTable:
             convert._POINTER_ENTRIES, np.ndarray,
             lambda value, ty: seen.append(value) or entry(value, ty))
         h = terra(self.SCALE).mark_chunked().compile(cbackend)
-        assert h.converters[2:] == [CompiledFunction._converter(self.PD)] * 2
+        assert h.converters[2:] == [convert.converter(self.PD)] * 2
         x, y = np.arange(4.0), np.zeros(4)
         x.flags.writeable = False
         h(4, 1.0, x, y)                         # entry, then the checked call

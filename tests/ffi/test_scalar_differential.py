@@ -17,6 +17,9 @@ also cover the shapes that matter to it: no arguments, one, a ``bool`` or a
 struct among other positions, and a unit with trappable operations, whose
 plan lends a trap cell inline and whose checked path lends it through
 ``runtime._guarded``.
+
+With no C compiler on the host the interpreter is the only route, and the
+rows check it alone; what only a C route has takes ``cbackend``.
 """
 
 import ctypes
@@ -40,8 +43,8 @@ from repro.errors import FFIError, TrapError
 from repro.exec import policy_override
 from repro.trace.metrics import registry
 
-pytestmark = pytest.mark.skipif(not toolchain.cc_available(),
-                                reason="no C compiler on this host")
+#: the backends a row runs on: the interpreter alone with no compiler
+BACKENDS = ("c", "interp") if toolchain.cc_available() else ("interp",)
 
 TYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32",
          "uint64", "float", "double", "bool"]
@@ -91,11 +94,17 @@ ADVERSARIAL = [
 _handles = {}
 
 
+def compiled(fn):
+    """``(C handle or None, interpreter handle)`` of ``fn``."""
+    return (fn.compile("c") if "c" in BACKENDS else None,
+            fn.compile("interp"))
+
+
 def handles(ty):
-    """``(C handle, interpreter handle)`` of the identity on ``ty``."""
+    """:func:`compiled` for the identity on ``ty``."""
     if ty not in _handles:
-        fn = terra(f"terra same(x : {ty}) : {ty} return x end")
-        _handles[ty] = fn.compile("c"), fn.compile("interp")
+        _handles[ty] = compiled(
+            terra(f"terra same(x : {ty}) : {ty} return x end"))
     return _handles[ty]
 
 
@@ -116,7 +125,10 @@ def outcome(call, *args):
 def callers(c, interp):
     """Every route of a call from Python, as ``name -> call(*args)``: the
     function's call slot, its C handle called directly, that handle's
-    checked path and the interpreter."""
+    checked path and the interpreter (alone when ``c`` is None)."""
+    if c is None:
+        return {"interp": interp}
+
     def slot(*args):
         with policy_override("c"):      # whatever REPRO_TERRA_BACKEND says
             return c.func(*args)
@@ -129,8 +141,8 @@ def agree(c, interp, *args):
     """The outcome of ``args``, the same on every route."""
     got = {way: outcome(call, *args)
            for way, call in callers(c, interp).items()}
-    assert got == dict.fromkeys(got, got["slot"]), (c.func.name, args)
-    return got["slot"]
+    assert got == dict.fromkeys(got, got["interp"]), (interp.func.name, args)
+    return got["interp"]
 
 
 def every_way(ty, *args):
@@ -194,8 +206,7 @@ def test_what_the_values_read_as():
 def test_bool_results_are_bools():
     """``abi.ctype_for(bool)`` is ``c_uint8``: ctypes hands back an int."""
     lt = terra("terra lt(a : int, b : int) : bool return a < b end")
-    c, interp = lt.compile("c"), lt.compile("interp")
-    for way, call in callers(c, interp).items():
+    for way, call in callers(*compiled(lt)).items():
         assert call(-1, 0) is True and call(0, -1) is False, way
 
 
@@ -211,8 +222,8 @@ def test_surplus_and_missing_arguments():
     arguments — the symbol returns the sum of the first two — so the
     arity check is the entry's own, made on every call."""
     add = terra("terra add(a : int, b : int) : int return a + b end")
-    c, interp = add.compile("c"), add.compile("interp")
-    assert c.cfn(1, 2, 3) == 3
+    c, interp = compiled(add)
+    assert c is None or c.cfn(1, 2, 3) == 3
     for args in [(), (1,), (1, 2, 3), (1, 2, None)]:
         want = "FFIError", f"add() takes 2 arguments, got {len(args)}"
         for way, call in callers(c, interp).items():
@@ -228,7 +239,7 @@ def test_the_leftmost_refusal_is_the_error():
     end
     """)
     y = np.ones(4)
-    for call in (axpy.compile("c"), axpy.compile("interp")):
+    for call in (axpy.compile(backend) for backend in BACKENDS):
         assert outcome(call, 2.5, 1.0, np.ones(4, np.float32), y) == (
             "FFIError", "cannot convert 2.5 to int32")
         assert outcome(call, 4, "a", np.ones((4, 4))[:, 0], y) == (
@@ -237,7 +248,7 @@ def test_the_leftmost_refusal_is_the_error():
             "FFIError", "numpy arrays passed to Terra must be C-contiguous")
 
 
-def test_checked_calls_are_counted():
+def test_checked_calls_are_counted(cbackend):
     """``exec.call.checked`` answers "why was this call slow": it moves
     when, and only when, the plan had to fall back."""
     c, _ = handles("int32")
@@ -261,7 +272,7 @@ def test_checked_calls_are_counted():
 # -- signature shapes ---------------------------------------------------------------
 
 def every_route(fn, *args):
-    return agree(fn.compile("c"), fn.compile("interp"), *args)
+    return agree(*compiled(fn), *args)
 
 
 def test_no_arguments():
@@ -296,7 +307,7 @@ def test_a_struct_by_value():
     terra make(a : int, b : double) : DiffP return DiffP { a, b } end
     terra sx(k : int, p : DiffP) : double return k * p.a + p.b end
     """, env={"DiffP": P})
-    made = fns.make.compile("c")(4, 0.25)
+    made = fns.make(4, 0.25)
     for value, want in [({"a": 2, "b": 0.5}, 4.5), ((3, 1.5), 7.5),
                         ([1, 2.0], 4.0), (made, 8.25)]:
         assert every_route(fns.sx, 2, value) == (
@@ -321,7 +332,8 @@ def test_a_guarded_unit_on_every_route():
     argument refused mid-call — by ctypes, with the cell already lent —
     re-runs on the checked path and leaves no cell lent out."""
     div = terra(DIV)
-    assert div.compile("c").centry is not None      # the guarded plan
+    c, _ = compiled(div)
+    assert c is None or c.centry is not None        # the guarded plan
     inv = terra("terra inv(a : int) : int return 100 / a end")
     every_route(div, 7, 2), every_route(inv, 4)
     rest = cells_at_rest()
@@ -342,12 +354,12 @@ def test_a_guarded_unit_on_every_route():
 
 def c_routes(fn):
     """The C routes of ``fn`` (the interpreter lends no cell)."""
-    ways = callers(fn.compile("c"), fn.compile("interp"))
+    ways = callers(*compiled(fn))
     del ways["interp"]
     return ways
 
 
-def test_a_nested_guarded_call_gets_its_own_cell_on_every_route():
+def test_a_nested_guarded_call_gets_its_own_cell_on_every_route(cbackend):
     """A pycallback that calls a guarded function while the outer one's
     call holds a cell, for every pairing of outer and inner route."""
     inner = c_routes(terra(DIV))
@@ -371,7 +383,7 @@ def test_a_nested_guarded_call_gets_its_own_cell_on_every_route():
         cells_at_rest()
 
 
-def test_eight_threads_on_every_route_never_share_a_cell():
+def test_eight_threads_on_every_route_never_share_a_cell(cbackend):
     div = c_routes(terra(DIV))
     ways = list(div)
     failures = []
