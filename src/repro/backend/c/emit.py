@@ -30,6 +30,7 @@ from ... import config
 from ...core import tast
 from ...core import types as T
 from ...errors import CompileError
+from ...memory.layout import round_float
 from ...passes.analysis import expr_may_trap, has_side_effects
 
 _unit_ids = itertools.count(1)
@@ -916,7 +917,11 @@ class CEmitter:
             base = "__builtin_inff()" if ty is T.float32 else "__builtin_inf()"
             return f"(-{base})" if fv < 0 else base
         if ty is T.float32:
-            return f"{fv!r}f"
+            # The shortest decimal that reads back as this float: 0.1f,
+            # not 0.10000000149011612f, for the float nearest 0.1.
+            return next(s for s in (repr(float(f"{fv:.{n}g}"))
+                                    for n in range(1, 10))
+                        if round_float(float(s), ty) == fv) + "f"
         return f"{fv!r}"
 
     @staticmethod
