@@ -175,16 +175,6 @@ class Backend:
         "compilation" is cheap, returns a completed ticket."""
         raise NotImplementedError
 
-    # -- globals ------------------------------------------------------------
-    def materialize_global(self, glob):
-        raise NotImplementedError
-
-    def read_global(self, glob):
-        raise NotImplementedError
-
-    def write_global(self, glob, value):
-        raise NotImplementedError
-
 
 _backends: dict[str, Backend] = {}
 _default_name: Optional[str] = None

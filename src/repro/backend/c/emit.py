@@ -825,8 +825,7 @@ class CEmitter:
         if isinstance(e, tast.TGlobal):
             if self.freestanding:
                 return self._freestanding_global(e.glob)
-            addr = self.backend.global_address(e.glob)
-            return f"(*({self.ctype(e.type)}*){addr:#x}UL)"
+            return f"(*({self.ctype(e.type)}*){e.glob.address:#x}UL)"
         if isinstance(e, tast.TFuncLit):
             return self.fn_name(e.func)
         if isinstance(e, tast.TCallback):

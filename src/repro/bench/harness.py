@@ -1,11 +1,7 @@
-"""Reporting helpers shared by the benchmark suite: the paper's GFLOPS
-unit (Figure 6) and the fixed-width table every experiment prints."""
+"""The fixed-width table every experiment of the benchmark suite
+prints."""
 
 from __future__ import annotations
-
-
-def gflops(flops: float, seconds: float) -> float:
-    return flops / seconds / 1e9
 
 
 class Table:

@@ -133,7 +133,7 @@ def _int_pointer(value, ty):
 def _ndarray_pointer(arr, ty):
     """The one validation of an ndarray bound to a pointer parameter
     (C-contiguous; for ``&primitive``, that element type in native byte
-    order), then its address; the interpreter's copy-in wants the checks."""
+    order), then its address; the interpreter maps its bytes on the checks."""
     flags = arr.flags
     if not flags.c_contiguous:
         raise FFIError("numpy arrays passed to Terra must be C-contiguous")
@@ -205,19 +205,18 @@ def pointer_address(value, ty: T.Type) -> tuple[int, object]:
 
 
 def buffer_span(value, kept):
-    """``(bytes in, bytes back)`` of the process buffer pointer argument
+    """``(bytes, writable)`` of the process buffer pointer argument
     ``value`` names, off ``kept``, its entry's keep-alive (the buffer, or a
     ``bytes``/``str``'s NUL-terminated copy); None for a machine address
     (None, ``int``, ``CPointer``, ``_as_parameter_``)."""
     if isinstance(value, CPointer):     # an address, whatever owns it
         return None
     if isinstance(kept, (ctypes.Array, ctypes.Structure)):
-        size = ctypes.sizeof(kept)
         # C can read the NUL CPython ends a bytearray's storage with
-        return size + isinstance(value, bytearray), size
+        return ctypes.sizeof(kept) + isinstance(value, bytearray), True
     np = sys.modules.get("numpy")       # an array implies a loaded numpy
     if np is not None and isinstance(kept, np.ndarray):
-        return kept.nbytes, kept.nbytes if kept.flags.writeable else 0
+        return kept.nbytes, kept.flags.writeable
     return None
 
 
@@ -294,8 +293,6 @@ def callback_runner(callback):
     ftype = callback.type
     rettype = ftype.returntype
     unit = isinstance(rettype, T.TupleType) and rettype.isunit()
-    if rettype.isaggregate() and not unit:
-        raise FFIError("Python callbacks cannot return aggregates by value")
     readers = [returner(ty) for ty in ftype.parameters]
     to_machine = None if unit else converter(rettype)
 

@@ -12,6 +12,7 @@ from repro import (bool_, constant, declare, global_, includec, pycallback,
                    struct, terra, functype, int_, float_, double, int64,
                    unit, pointer)
 from repro.core import types as T
+from repro.errors import FFIError
 from repro.ffi.cdata import CPointer, CStruct
 
 std = includec("stdlib.h")
@@ -344,6 +345,22 @@ class TestFunctions:
         assert seen[0][0] is True and seen[1][0] is False
         assert seen[0][1] == float(np.float32(0.1))
 
+    def test_an_aggregate_returning_callback_is_refused_when_declared(
+            self, backend):
+        """Refused by ``pycallback`` itself, so a function that calls it
+        only on a branch it never takes builds on no backend."""
+        P = struct("struct CbP { a : int }")
+        with pytest.raises(FFIError, match="Python callbacks cannot return "
+                                           "aggregates by value"):
+            cb = pycallback(functype([], P), lambda: {"a": 1})
+            f = terra("""
+            terra f(x : int) : int
+              if x > 100 then var p = cb() return p.a end
+              return x
+            end
+            """, env={"cb": cb})
+            run(f, backend, 1)
+
     def test_tuple_return_to_python(self, backend):
         f = terra("terra f() : {int, double} return 3, 2.5 end")
         assert run(f, backend) == (3, 2.5)
@@ -361,14 +378,14 @@ class TestGlobals:
         h = f.compile(backend)
         assert h() == 1
         assert h() == 2
-        assert g.get(backend) == 2
+        assert g.get() == 2
 
     def test_global_set_from_python(self, backend):
         g = global_(T.float64, 1.5, "setme")
         f = terra("terra f() : double return g * 2.0 end", env={"g": g})
         h = f.compile(backend)
         assert h() == 3.0
-        g.set(10.0, backend)
+        g.set(10.0)
         assert h() == 20.0
 
     def test_constant_embedding(self, backend):

@@ -5,8 +5,8 @@ import uuid
 
 import pytest
 
-from repro import (Constant, GlobalVar, constant, declare, get_backend,
-                   global_, terra)
+from repro import (Constant, GlobalVar, constant, declare, global_,
+                   terra)
 from repro.core import types as T
 from repro.errors import LinkError, SpecializeError, TypeCheckError
 
@@ -93,8 +93,7 @@ class TestGlobals:
 
     def test_read_global_aggregate_from_python(self):
         g = global_(T.array(T.int32, 2), [7, 8], "gr")
-        backend = get_backend("c")
-        value = g.get(backend)
+        value = g.get()
         assert value.totuple() == (7, 8)
 
     def test_constant_is_immutable_value(self):

@@ -1,5 +1,7 @@
 """Flat-memory substrate tests: region mapping, checked access, traps."""
 
+import ctypes
+
 import pytest
 
 from repro.errors import TrapError
@@ -92,3 +94,27 @@ class TestStrings:
         r = mem.map_region(16, "heap")
         assert mem.region_at(r.start) is r
         assert mem.region_at(r.start + 15) is r
+
+
+class TestHostRegions:
+    def test_process_bytes_are_read_and_written_in_place(self, mem):
+        buf = ctypes.create_string_buffer(b"ab\x00d", 4)
+        r = mem.map_host(ctypes.addressof(buf), 4, "foreign")
+        assert mem.read(r.start, 4) == b"ab\x00d"
+        assert mem.read_cstring(r.start) == b"ab"
+        mem.write(r.start + 2, b"c")
+        assert buf.raw == b"abcd"
+        assert len(mem._data) == 4096       # mapping one grows nothing
+        assert r.start % 4096 == ctypes.addressof(buf) % 4096
+
+    def test_host_regions_are_checked_like_any_other(self, mem):
+        buf = ctypes.create_string_buffer(8)
+        r = mem.map_host(ctypes.addressof(buf), 8, "foreign", readonly=True)
+        with pytest.raises(TrapError, match="overruns"):
+            mem.read(r.start + 4, 8)
+        with pytest.raises(TrapError, match="store to read-only memory"):
+            mem.write(r.start, b"x")
+        mem.unmap_region(r)
+        with pytest.raises(TrapError, match="freed"):
+            mem.read(r.start, 1)
+        assert buf.raw == bytes(8)
