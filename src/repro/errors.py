@@ -58,8 +58,9 @@ class FrontendContractError(TerraError):
 class LinkError(TerraError):
     """A called function's connected component contains an undefined
     declaration (paper Figure 4 requires every reachable function to be
-    defined before execution), or a compiled unit names an external
-    symbol the process does not define (it binds at load)."""
+    defined before execution), a compiled unit names an external symbol
+    the process does not define (it binds at load), or code reaches a
+    global holding an address that another backend's code fills."""
 
 
 class CompileError(TerraError):
