@@ -17,12 +17,6 @@ check:  # the tier-1 gate: full test suite + buildd CLI and serve smokes
 	$(PYTHON) -m repro.buildd --stats
 	$(PYTHON) -m repro.buildd --gc
 	@$(PYTHON) -m repro.buildd --stats | grep '^spec\.memo'
-	@# migration smoke: a cache an older version left, with its buildd-index.json
-	@d=$$(mktemp -d) && echo '{"version": 1, "entries": {"0": {"size": 1, "memo": {"d": ["s", []]}}}}' > $$d/buildd-index.json \
-		&& REPRO_TERRA_CACHE=$$d $(PYTHON) -c "import repro; assert repro.terra('terra inc(a : int) : int return a + 1 end')(1) == 2" \
-		&& REPRO_TERRA_CACHE=$$d $(PYTHON) -m repro.buildd --stats | grep '^artifacts' \
-		&& REPRO_TERRA_CACHE=$$d $(PYTHON) -m repro.buildd --gc | grep '^artifacts' \
-		&& test ! -e $$d/buildd-index.json && rm -rf $$d && echo "migration smoke: OK"
 	@$(PYTHON) -m repro.serve --smoke | grep '^serve\.exec: inline=[1-9][0-9]* .* demoted=0$$'
 	@$(PYTHON) -m tests.exec.callpath
 	@echo "src: $$(find src -name '*.py' | xargs cat | wc -l) lines," \

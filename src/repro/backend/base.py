@@ -4,9 +4,9 @@ Two backends reproduce Terra's LLVM JIT:
 
 * ``"c"`` — emits C, compiles with the system gcc at ``-O3 -march=native``,
   loads the shared object with ctypes.  This is the performance path.
-* ``"interp"`` — a reference interpreter over the typed IR with a checked
-  flat-memory substrate.  Used for differential testing and on hosts
-  without a C compiler.
+* ``"interp"`` — a reference interpreter over the typed IR with checked
+  access to the process's memory.  Used for differential testing and on
+  hosts without a C compiler.
 
 The default backend is ``"c"`` when a C compiler is present, else
 ``"interp"``; override with :func:`set_default_backend` or the

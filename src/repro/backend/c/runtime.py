@@ -280,7 +280,6 @@ class CBackend(Backend):
         #: the structural memo is (("memo", level), artifact key, None) — its
         #: text is the artifact's unit_<key>.c: see emit_source
         self._units = weakref.WeakKeyDictionary()
-        self._callbacks: dict[int, tuple] = {}  # cb.uid -> (wrapper, addr)
 
     # -- compilation -------------------------------------------------------------
     def _level(self) -> int:
@@ -397,9 +396,6 @@ class CBackend(Backend):
             return self._bind_unit_traced(fn, bound, so_path)
 
     def _bind_unit_traced(self, fn, bound, so_path):
-        for f, _, _ in bound:   # (a unit the memo bound touches no global)
-            for glob in f.typed.referenced_globals if f.typed else ():
-                glob.claim(self.name)
         # one CDLL per path; lib[name] makes this bind its own function
         lib = self._libs.get(so_path)
         if lib is None:
@@ -453,17 +449,3 @@ class CBackend(Backend):
                 pass    # evicted since: derive it
         from ...core.linker import pipelined_component
         return self._emit(fn, pipelined_component(fn, self))[0]
-
-    # -- Python callbacks --------------------------------------------------------
-    def callback_address(self, callback) -> int:
-        entry = self._callbacks.get(callback.uid)
-        if entry is None:
-            ftype, run = callback.type, convert.callback_runner(callback)
-            cfunctype = ctypes.CFUNCTYPE(
-                abi.ctype_for(ftype.returntype),
-                *[abi.ctype_for(p) for p in ftype.parameters])
-            wrapper = cfunctype(run)
-            addr = ctypes.cast(wrapper, ctypes.c_void_p).value
-            entry = (wrapper, addr)
-            self._callbacks[callback.uid] = entry
-        return entry[1]

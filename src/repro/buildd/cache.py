@@ -25,8 +25,8 @@ front: eviction against ``REPRO_BUILDD_CACHE_ENTRIES`` and
 ``REPRO_BUILDD_CACHE_BYTES`` (default 1 GiB) scans the directory when a
 publish puts this process's view over a cap; :meth:`summary`, :meth:`gc`
 and :meth:`memo_rows` scan it when asked.  A damaged or older directory
-(no sidecar, a memo file that does not decode, an old
-``buildd-index.json``) reads as a miss or a default, never as an error.
+(no sidecar, a memo file that does not decode) reads as a miss or a
+default, never as an error.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ MEMO_DIR = "memo"
 #: where :mod:`repro.buildd.toolchain` keeps its probe of each compiler
 TOOLCHAIN_DIR = "toolchain"
 TEMP_PREFIXES = (".build-", ".src-", ".index-")
-#: the JSON index older versions kept beside the artifacts; gc removes it
-LEGACY_INDEX = "buildd-index.json"
 
 
 def default_root() -> str:
@@ -302,7 +300,7 @@ class ArtifactCache:
                 stray = name.startswith("unit_") \
                     and name[len("unit_"):].rsplit(".", 1)[0] not in kept
                 try:
-                    if name == LEGACY_INDEX or (temp or stray) and \
+                    if (temp or stray) and \
                             now - os.stat(path).st_mtime >= self.temp_ttl_s:
                         os.unlink(path)
                         removed_tmp += temp
@@ -317,8 +315,7 @@ class ArtifactCache:
         memo_dir = os.path.join(self.root, MEMO_DIR)
         paths = [os.path.join(self.root, name)
                  for name in os.listdir(self.root)
-                 if name == LEGACY_INDEX or name.startswith("unit_")
-                 or name.startswith(TEMP_PREFIXES)]
+                 if name.startswith(("unit_", *TEMP_PREFIXES))]
         paths += [os.path.join(memo_dir, n) for n in os.listdir(memo_dir)]
         with self._lock:
             self._sizes = None

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-import threading
 from typing import Optional, Sequence
 
-from ..errors import FFIError, LinkError, SpecializeError, TypeCheckError
+from ..errors import FFIError, SpecializeError, TypeCheckError
 from ..exec.dispatch import Dispatcher
 from . import sast
 from . import types as T
@@ -260,21 +259,14 @@ class GlobalVar:
 
     Its storage is one aligned process buffer, made and initialized (zero
     without ``init``) here: the C backend compiles its :attr:`address`
-    into the code, the interpreter maps the same bytes into its flat
-    memory, and :meth:`get`/:meth:`set` read and write them from Python,
-    so every backend and tier sees one value.
-
-    An address is the exception: the interpreter's heap blocks, strings
-    and functions have addresses of their own, which mean nothing to C,
-    and C's mean nothing to the interpreter.  So a global whose type holds
-    one (:attr:`holds_address`) belongs to the first backend to reach it
-    (:meth:`claim`) — C when it binds a unit touching it, the interpreter
-    when it maps it — and the other refuses to.
+    into the code, the interpreter reads and writes the same bytes, and
+    :meth:`get`/:meth:`set` read and write them from Python, so every
+    backend and tier sees one value — an address too, as both backends
+    share the process's address space.
     """
 
     is_terra_global = True
     _ids = itertools.count(1)
-    _claim_lock = threading.Lock()
 
     def __init__(self, type: T.Type, init=None, name: str = "g"):  # noqa: A002
         if not isinstance(type, T.Type):
@@ -289,27 +281,8 @@ class GlobalVar:
         base = ctypes.addressof(self._storage)
         #: the process address of its bytes
         self.address = (base + align - 1) & ~(align - 1)
-        self.holds_address = _holds_address(type)
-        #: the backend whose code fills it, for a global holding an address
-        self.owner: Optional[str] = None
         if init is not None:
             self.set(init)
-
-    def claim(self, backend: str) -> None:
-        """Record that ``backend``'s code reaches this global; a
-        :class:`LinkError` if it holds an address another backend's code
-        has (or may have) put there."""
-        if not self.holds_address:
-            return
-        with self._claim_lock:
-            if self.owner is None:
-                self.owner = backend
-        if self.owner != backend:
-            raise LinkError(
-                f"global {self.name} : {self.type} holds an address the "
-                f"{self.owner!r} backend's code gives it, which means "
-                f"nothing to the {backend!r} backend: run the functions "
-                f"touching it on one backend")
 
     def get(self):
         import ctypes
@@ -329,12 +302,6 @@ class GlobalVar:
 
 def global_(type: T.Type, init=None, name: str = "g") -> GlobalVar:  # noqa: A002
     return GlobalVar(type, init, name)
-
-
-def _holds_address(ty: T.Type) -> bool:
-    if ty.isstruct():
-        return any(_holds_address(e.type) for e in ty.entries)
-    return ty.ispointer() or ty.isarray() and _holds_address(ty.elem)
 
 
 class Constant:

@@ -12,17 +12,15 @@ to run, and not again until a policy or default-backend switch resets it:
   ahead-of-time compile takes; the pipeline and emission run on that
   call, gcc on the buildd pool like every other compile.  Calls never
   wait for gcc (unless ``sync`` is set — the crossing call then joins its
-  own ticket — which tests and the fuzzer use for determinism), but for
-  the first call of a function that keeps an address in a global.  The
+  own ticket — which tests and the fuzzer use for determinism).  The
   first trampoline call to find the ticket done binds it and overwrites
   the slot with ``handles["c"].entry`` — the object the ``c`` policy
   installs — carrying the trampoline's epoch, so a late build cannot undo
   a policy switch.  There is one compiled tier, so observable behavior is
   identical at every tier.  A value the program wants specialized it
-  splices when it defines the function (an escape or ``constant()``).  A
-  function that keeps an address in a global skips tier 0, which it waits
-  out: the interpreter's addresses mean nothing to C, so such a global
-  belongs to one backend (:meth:`~repro.core.function.GlobalVar.claim`).
+  splices when it defines the function (an escape or ``constant()``).
+  The tiers share one address space, so the state a program keeps in
+  globals and on the heap carries across the tier-up.
 """
 
 from __future__ import annotations
@@ -80,15 +78,6 @@ class TieredPolicy(ExecutionPolicy):
         st = dispatcher.tier = dispatcher.tier or TierState()
         if st.tier:     # tiered up before an earlier policy switch
             return dispatcher.handles["c"].entry
-        if _keeps_addresses(dispatcher.fn):
-            # a global holding an address belongs to one backend: C from
-            # the first call, the interpreter only with no compiler
-            with st.lock:
-                if st.tier == 0 and st.ticket is None and not st.failed:
-                    self._begin_tier_up(dispatcher, st)
-                    self._finish_tier_up(dispatcher, st)
-            if st.tier:
-                return dispatcher.handles["c"].entry
         interp = dispatcher.compiled_handle("interp")
         nparams = len(dispatcher.fn.param_types)
 
@@ -161,11 +150,3 @@ class TieredPolicy(ExecutionPolicy):
         _registry().add("exec.tier_up")
         _trace.instant("exec.tier_up", cat="exec", fn=dispatcher.fn.name,
                        calls=st.calls)
-
-
-def _keeps_addresses(fn) -> bool:
-    """Whether ``fn``'s component touches a global whose type holds an
-    address."""
-    from ..core.linker import connected_component
-    return any(g.holds_address for f in connected_component(fn)
-               if not f.is_external for g in f.typed.referenced_globals)

@@ -6,8 +6,9 @@ backend uses the real libc allocator; this module gives the interpreter
 backend the same surface with full checking.
 
 The implementation favours checkability over speed: every block is its own
-:class:`~repro.memory.flatmem.Region`, and freed regions are recycled
-through a size-bucketed free list.
+:class:`~repro.memory.flatmem.Region` over bytes from the process's
+``calloc``, and freed regions are recycled through a size-bucketed free
+list, never handed back.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class Allocator:
         #: freed heap regions by exact size, reused LIFO.
         self._free_by_size: dict[int, list[Region]] = {}
         self._by_addr: dict[int, Region] = {}
-        self.total_allocated = 0
         self.live_bytes = 0
 
     def malloc(self, size: int) -> int:
@@ -46,7 +46,6 @@ class Allocator:
             region = self.memory.map_region(size, "heap",
                                             redzone=HEAP_REDZONE)
         self._by_addr[region.start] = region
-        self.total_allocated += size
         self.live_bytes += size
         return region.start
 

@@ -127,7 +127,7 @@ def zero_value(ty: T.Type):
 
 
 class TypedMemory:
-    """Convenience wrapper: typed load/store over a flat memory."""
+    """Convenience wrapper: typed load/store over a checked memory."""
 
     def __init__(self, memory):
         self.memory = memory

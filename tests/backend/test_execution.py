@@ -279,6 +279,20 @@ class TestFunctions:
         assert run(f.f, backend, True, 10) == 11
         assert run(f.f, backend, False, 10) == 20
 
+    def test_function_pointer_to_a_struct_result(self, backend):
+        """ctypes cannot make a C callback return a struct, so the
+        interpreter calls such a pointer it took without one."""
+        f = terra("""
+        struct P { a : int, b : int }
+        terra swap(p : P) : P return P { p.b, p.a } end
+        terra f(x : int) : int
+          var fn : {P} -> P = swap
+          var q = fn(P { x, 2 })
+          return q.a * 10 + q.b
+        end
+        """)
+        assert run(f.f, backend, 7) == 27
+
     def test_python_callback(self, backend):
         log = []
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.buildd.cache import ArtifactCache, LEGACY_INDEX
+from repro.buildd.cache import ArtifactCache
 
 
 def make_cache(tmp_path, **kw):
@@ -146,11 +146,10 @@ class TestHitPersistence:
 
 class TestRecovery:
     def test_corrupted_index_is_rebuilt(self, tmp_path):
-        """A stray old index is not read; a memo file that does not decode
-        is a miss, and the next record replaces it."""
+        """A memo file that does not decode is a miss, and the next record
+        replaces it."""
         cache = make_cache(tmp_path)
         path = publish(cache, "k1", b"data")
-        (tmp_path / "cache" / LEGACY_INDEX).write_text("{not json!!")
         for garbage in ("{not json!!", "42", '["../k1", 1]', '{"k1": 1}',
                         '["k1"]', "\udcff"):
             with open(cache.memo_path("d1"), "w", errors="surrogateescape") \
@@ -232,27 +231,6 @@ class TestRecovery:
 
 
 class TestTheFilesystemIsTheIndex:
-    def test_an_old_index_dir_is_served(self, tmp_path):
-        """A directory an older version filled — artifacts beside a
-        ``buildd-index.json`` that holds their rows and memo records — is
-        served by key; the index is never read, and gc removes it."""
-        root = tmp_path / "cache"
-        root.mkdir()
-        for key in ("k1", "k2"):
-            (root / f"unit_{key}.so").write_bytes(b"old artifact")
-            (root / f"unit_{key}.c").write_text("int x;")
-        (root / LEGACY_INDEX).write_text(json.dumps({"version": 1, "entries": {
-            "k1": {"size": 12, "flags": [], "compile_s": 0.1, "created": 0,
-                   "ns": "alice", "memo": {"d1": ["sources", []]}}}}))
-        cache = ArtifactCache(root=str(root))
-        assert cache.lookup("k1") == cache.artifact_path("k1")
-        assert cache.lookup("k2") == cache.artifact_path("k2")
-        assert cache.memo("d1") is None         # a miss, then a new record
-        assert cache.summary()["namespaces"] == {"default": 2}
-        out = cache.gc()
-        assert out["artifacts"] == 2 and not (root / LEGACY_INDEX).exists()
-        assert cache.lookup("k1") is not None
-
     @pytest.mark.parametrize("artifacts", [10, 1000])
     def test_first_memo_lookup_reads_one_file(self, tmp_path, monkeypatch,
                                               artifacts):

@@ -9,7 +9,7 @@ from repro.memory.flatmem import Memory
 
 
 def make_alloc():
-    return Allocator(Memory(1 << 16))
+    return Allocator(Memory())
 
 
 class TestBasics:
