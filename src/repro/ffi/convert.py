@@ -205,18 +205,23 @@ def pointer_address(value, ty: T.Type) -> tuple[int, object]:
 
 
 def buffer_span(value, kept):
-    """``(bytes, writable)`` of the process buffer pointer argument
+    """``(bytes, writable, owner)`` of the process buffer pointer argument
     ``value`` names, off ``kept``, its entry's keep-alive (the buffer, or a
-    ``bytes``/``str``'s NUL-terminated copy); None for a machine address
-    (None, ``int``, ``CPointer``, ``_as_parameter_``)."""
+    ``bytes``/``str``'s NUL-terminated copy); the bytes live while
+    ``owner`` does — for an ndarray view, the array whose bytes it shares,
+    which the view keeps alive.  None for a machine address (None,
+    ``int``, ``CPointer``, ``_as_parameter_``)."""
     if isinstance(value, CPointer):     # an address, whatever owns it
         return None
     if isinstance(kept, (ctypes.Array, ctypes.Structure)):
         # C can read the NUL CPython ends a bytearray's storage with
-        return ctypes.sizeof(kept) + isinstance(value, bytearray), True
+        return ctypes.sizeof(kept) + isinstance(value, bytearray), True, kept
     np = sys.modules.get("numpy")       # an array implies a loaded numpy
     if np is not None and isinstance(kept, np.ndarray):
-        return kept.nbytes, kept.flags.writeable
+        owner = kept
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        return kept.nbytes, kept.flags.writeable, owner
     return None
 
 
