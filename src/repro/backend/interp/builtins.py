@@ -2,18 +2,21 @@
 
 The C backend links external functions against the real libc; so does
 the interpreter, through ctypes, once it has checked the memory a call
-reads and writes (:func:`_libc`).  Python implements only what owns the
-interpreter's bookkeeping (``malloc``/``free``), what must trap
-(``abort``/``exit``), and the stdout family.
+reads and writes (:func:`_libc`): output goes through stdio's buffer and
+``exit`` ends the process on both backends.  Python implements only what
+owns the interpreter's bookkeeping (``malloc``/``free``) and ``abort``,
+whose trap is the interpreter's checked fault.
 
 Each implementation receives ``(machine, args)`` with machine-convention
-values (ints/floats/addresses) and returns a machine-convention result.
+values (ints/floats/addresses; a variadic argument is the ctypes value of
+its type at the call site, as C passes it) and returns a
+machine-convention result.
 """
 
 from __future__ import annotations
 
 import ctypes
-import sys
+import re
 
 from ...cinterop.libc import header_table, known_headers
 from ...errors import TrapError
@@ -30,27 +33,14 @@ def builtin(name: str):
     return register
 
 
-# -- stdlib.h ------------------------------------------------------------------
+# -- what Python owns: the heap's region bookkeeping, and abort's trap --------
 
-@builtin("malloc")
-def _malloc(machine, args):
-    return machine.allocator.malloc(int(args[0]))
-
-
-@builtin("calloc")
-def _calloc(machine, args):
-    return machine.allocator.calloc(int(args[0]), int(args[1]))
+def _heap(op: str):
+    return lambda machine, args: getattr(machine.allocator, op)(*args)
 
 
-@builtin("realloc")
-def _realloc(machine, args):
-    return machine.allocator.realloc(int(args[0]), int(args[1]))
-
-
-@builtin("free")
-def _free(machine, args):
-    machine.allocator.free(int(args[0]))
-    return None
+for _name in ("malloc", "calloc", "realloc", "free"):
+    BUILTINS[_name] = _heap(_name)
 
 
 @builtin("abort")
@@ -58,103 +48,7 @@ def _abort(machine, args):
     raise TrapError("abort() called")
 
 
-@builtin("exit")
-def _exit(machine, args):
-    raise TrapError(f"exit({int(args[0])}) called")
-
-
-# -- stdio.h ---------------------------------------------------------------------
-
-def _format_printf(machine, fmt: str, varargs: list) -> str:
-    out = []
-    i = 0
-    argi = 0
-    n = len(fmt)
-    while i < n:
-        ch = fmt[i]
-        if ch != "%":
-            out.append(ch)
-            i += 1
-            continue
-        j = i + 1
-        # flags, width, precision
-        while j < n and fmt[j] in "-+ #0123456789.*":
-            j += 1
-        # length modifiers
-        while j < n and fmt[j] in "hlLzjt":
-            j += 1
-        if j >= n:
-            out.append("%")
-            break
-        conv = fmt[j]
-        spec = fmt[i:j + 1]
-        # drop length modifiers: Python's % doesn't know them
-        pyspec = "%" + "".join(c for c in spec[1:-1] if c not in "hlLzjt") + conv
-        if conv == "%":
-            out.append("%")
-        elif conv in "diu":
-            out.append(pyspec.replace("u", "d") % int(varargs[argi]))
-            argi += 1
-        elif conv in "fFeEgG":
-            out.append(pyspec % float(varargs[argi]))
-            argi += 1
-        elif conv in "xXo":
-            out.append(pyspec % (int(varargs[argi]) & 0xFFFFFFFFFFFFFFFF))
-            argi += 1
-        elif conv == "c":
-            out.append(chr(int(varargs[argi]) & 0xFF))
-            argi += 1
-        elif conv == "s":
-            text = machine.memory.read_cstring(int(varargs[argi]))
-            out.append(pyspec % text.decode("utf-8", "replace"))
-            argi += 1
-        elif conv == "p":
-            out.append(f"{int(varargs[argi]):#x}")
-            argi += 1
-        else:
-            out.append(spec)
-        i = j + 1
-    return "".join(out)
-
-
-@builtin("printf")
-def _printf(machine, args):
-    fmt = machine.memory.read_cstring(int(args[0])).decode("utf-8", "replace")
-    text = _format_printf(machine, fmt, list(args[1:]))
-    machine.stdout_chunks.append(text)
-    sys.stdout.write(text)
-    return len(text)
-
-
-@builtin("snprintf")
-def _snprintf(machine, args):
-    dst, size = int(args[0]), int(args[1])
-    fmt = machine.memory.read_cstring(int(args[2])).decode("utf-8", "replace")
-    text = _format_printf(machine, fmt, list(args[3:]))
-    raw = text.encode("utf-8")
-    if size > 0:
-        clipped = raw[:size - 1]
-        machine.memory.write_cstring(dst, clipped)
-    return len(raw)
-
-
-@builtin("puts")
-def _puts(machine, args):
-    text = machine.memory.read_cstring(int(args[0])).decode("utf-8", "replace")
-    machine.stdout_chunks.append(text + "\n")
-    sys.stdout.write(text + "\n")
-    return len(text) + 1
-
-
-@builtin("putchar")
-def _putchar(machine, args):
-    ch = chr(int(args[0]) & 0xFF)
-    machine.stdout_chunks.append(ch)
-    sys.stdout.write(ch)
-    return int(args[0])
-
-
-# -- the rest: the process's C library, once the checks have passed ---------
+# -- the process's C library, once the checks have passed ----------------------
 
 #: every known C function's declared type, by name
 _DECLARED = {name: fn.external_type for header in known_headers()
@@ -197,6 +91,34 @@ def _file(memory, fh, *rest):
         raise TrapError(f"invalid FILE* {fh:#x}")
 
 
+#: one printf conversion: ``*`` width, ``*`` precision, length, conversion
+_CONVERSION = re.compile(rb"%[-+ #0']*(\*?)\d*(?:\.(\*?)\d*)?([hlLqjzt]*)(.)",
+                         re.S)
+
+
+def _format(memory, fmt, *varargs):
+    """Check a printf format and what it reads: the format and each ``%s``
+    argument is a string in a region, a ``*`` or a conversion has an
+    argument to read, and ``%n`` (a store) traps."""
+    args = iter(varargs)
+    for width, precision, length, conv in _CONVERSION.findall(
+            memory.read_cstring(fmt)):
+        if conv == b"%":
+            continue
+        if conv not in b"diouxXeEfFgGaAcsp" or conv == b"s" and length:
+            raise TrapError(f"printf conversion %{(length + conv).decode()} "
+                            f"is not supported")
+        for _ in range(len(width) + len(precision) + 1):
+            arg = next(args, None)
+            if arg is None:
+                raise TrapError("printf format reads more arguments than "
+                                "were passed")
+        if conv == b"s":
+            if not isinstance(arg, ctypes.c_uint64):
+                raise TrapError("printf %s argument is not a pointer")
+            memory.read_cstring(arg.value)
+
+
 def _transfer(write):
     def check(memory, ptr, size, count, fh):
         _file(memory, fh)
@@ -205,7 +127,8 @@ def _transfer(write):
 
 
 for _name, _check in {
-        "srand": None, "rand": None, "clock": None, "atoi": _strings,
+        **dict.fromkeys(["srand", "rand", "clock", "exit", "putchar"]),
+        "atoi": _strings, "puts": _strings, "printf": _format,
         "memset": lambda m, dst, c, n: m.check_access(dst, n, write=True),
         "memcpy": _copy, "memmove": _copy, "memcmp": _compare,
         "strlen": _strings, "strcmp": _strings,
@@ -232,3 +155,16 @@ def _fclose(machine, args, run=_libc("fclose", _file)):
     result = run(machine, args)
     _FILES.discard(args[0])
     return result
+
+
+@builtin("snprintf")
+def _snprintf(machine, args, run=_libc("snprintf")):
+    """Sized by ``snprintf(NULL, 0, ...)`` before the bytes it writes are
+    checked (all of ``size`` when the format cannot be sized)."""
+    dst, size, fmt, *varargs = args
+    _format(machine.memory, fmt, *varargs)
+    n = run(machine, [0, 0, fmt, *varargs])
+    if size:
+        machine.memory.check_access(dst, min(size, n + 1) if n >= 0 else size,
+                                    write=True)
+    return run(machine, args)

@@ -88,7 +88,6 @@ class Machine:
         #: alive), and back: the addresses this machine hands out
         self._code: dict[object, tuple[int, object]] = {}
         self._fn_at: dict[int, object] = {}
-        self.stdout_chunks: list[str] = []
         # each Terra frame costs ~20 Python frames; keep the product
         # safely under CPython's recursion limit
         self.max_call_depth = 200
@@ -125,8 +124,8 @@ class Machine:
         if self.memory.region_at(addr) is not None or not abi.is_code(addr):
             raise TrapError(f"call through invalid function pointer {addr:#x}")
         result = abi.prototype(ftype)(addr)(*[
-            abi.ctype_for(ty).from_buffer_copy(a) if ty.isaggregate() else a
-            for ty, a in zip(ftype.parameters, args)])
+            _c_argument(ty, a) for ty, a in zip(ftype.parameters, args)],
+            *args[len(ftype.parameters):])
         if ftype.returntype.isaggregate() and result is not None:
             return bytes(result)
         return bool(result) if ftype.returntype is T.bool_ else result
@@ -396,12 +395,16 @@ class Machine:
     def _eval_call(self, e: tast.TCall, frame):
         args = [self.eval_expr(a, frame) for a in e.args]
         fn = e.fn
+        ftype = fn.type.pointee
+        if ftype.varargs:   # each variadic argument as C passes it
+            for i in range(len(ftype.parameters), len(args)):
+                args[i] = _c_argument(e.args[i].type, args[i])
         if isinstance(fn, tast.TFuncLit):
             return self.call_function(fn.func, args, frame.level)
         if isinstance(fn, tast.TCallback):
             return convert.callback_runner(fn.callback)(*args)
-        return self.call_address(self.eval_expr(fn, frame), fn.type.pointee,
-                                 args, frame.level)
+        return self.call_address(self.eval_expr(fn, frame), ftype, args,
+                                 frame.level)
 
     def _eval_unop(self, e: tast.TUnOp, frame):
         value = self.eval_expr(e.operand, frame)
@@ -509,6 +512,12 @@ class Machine:
         assert isinstance(ty, T.PrimitiveType)
         result = fn(*args)
         return V.scalar_cast(result, ty, ty) if ty.isfloat() else result
+
+
+def _c_argument(ty: T.Type, value):
+    """``value`` as the ctypes object C receives for a ``ty`` argument."""
+    ctype = abi.ctype_for(ty)
+    return ctype.from_buffer_copy(value) if ty.isaggregate() else ctype(value)
 
 
 def _entry_of(fn) -> tuple:

@@ -3,7 +3,8 @@
 Gives ``includec("stdlib.h")`` etc. their contents: each known header maps
 to a set of external Terra functions.  Under the C backend these bind to
 the real libc at link time; under the interpreter they dispatch to
-:mod:`repro.backend.interp.builtins`.
+:mod:`repro.backend.interp.builtins`, which calls the same libc once the
+memory a call reads and writes has been checked.
 
 External function objects are cached so every ``includec`` call (and both
 backends) shares the same identity — linking works regardless of which

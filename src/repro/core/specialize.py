@@ -114,7 +114,12 @@ def embed_value(value, location) -> sast.SExpr:
     must lie in the subset of Lua values that are also Terra terms.
     """
     if isinstance(value, Quote):
-        return value.as_expression()
+        tree = value.as_expression()
+        if isinstance(tree, sast.SVar) and tree.location is None:
+            # a variable quoted in Python is located where it is spliced,
+            # so an extruded one is reported there
+            return sast.SVar(tree.symbol, location)
+        return tree
     if isinstance(value, Symbol):
         return sast.SVar(value, location)
     if isinstance(value, bool):

@@ -218,10 +218,6 @@ class Memory:
         offset = addr - region.start
         region.data[offset:offset + len(data)] = data
 
-    # -- string helpers (for rawstring interop) ------------------------------
-    def write_cstring(self, addr: int, text: bytes) -> None:
-        self.write(addr, text + b"\x00")
-
     def read_cstring(self, addr: int, limit: int = 1 << 20) -> bytes:
         """Read a NUL-terminated string, respecting region bounds."""
         region = self.check_access(addr, 1, write=False)

@@ -1,58 +1,234 @@
-"""Interpreter libc builtin tests (printf formatting, strings, files,
-math) and cross-backend libc agreement."""
+"""The built-in C library on both backends: one row per builtin, printf
+output compared at the file descriptor, and the interpreter's checks."""
 
+import ctypes
 import math
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro import get_backend, global_, includec, terra
+import repro
+from repro import global_, includec, terra
+from repro.cinterop.libc import header_table
+from repro.errors import TrapError
 
 std = includec("stdlib.h")
 stdio = includec("stdio.h")
 strh = includec("string.h")
 mathh = includec("math.h")
+LIBC = ctypes.CDLL(None)
 
 
-def interp_machine():
-    return get_backend("interp").machine
+def flushed(capfd) -> str:
+    """What reached file descriptor 1 since the last read, stdio's buffer
+    included."""
+    LIBC.fflush(None)
+    return capfd.readouterr().out
+
+
+def available_backends():
+    from repro.buildd import toolchain
+    return ["interp", "c"] if toolchain.cc_available() else ["interp"]
 
 
 class TestPrintf:
-    def run_printf(self, fmt, *terra_args_source):
-        machine = interp_machine()
-        machine.stdout_chunks.clear()
-        args = ", ".join(terra_args_source)
-        sep = ", " if args else ""
+    """``printf`` is the process's stdio on both backends: the bytes at the
+    file descriptor are the same."""
+
+    def printed(self, capfd, fmt, *terra_args_source):
+        args = "".join(", " + a for a in terra_args_source)
         f = terra(f"""
         terra f() : {{}}
-          stdio.printf('{fmt}'{sep}{args})
+          stdio.printf('{fmt}'{args})
         end
         """, env={"stdio": stdio})
-        f.compile("interp")()
-        return "".join(machine.stdout_chunks)
+        flushed(capfd)
+        out = {}
+        for name in available_backends():
+            f.compile(name)()
+            out[name] = flushed(capfd)
+        assert len(set(out.values())) == 1, out
+        return out["interp"]
 
-    def test_int(self, capsys):
-        assert self.run_printf("%d|%05d|%x", "42", "7", "255") \
+    def test_int(self, capfd):
+        assert self.printed(capfd, "%d|%05d|%x", "42", "7", "255") \
             == "42|00007|ff"
-        capsys.readouterr()
 
-    def test_float(self, capsys):
-        assert self.run_printf("%.2f|%g", "3.14159", "0.5") == "3.14|0.5"
-        capsys.readouterr()
+    def test_float(self, capfd):
+        assert self.printed(capfd, "%.2f|%g", "3.14159", "0.5") == "3.14|0.5"
 
-    def test_string_and_char(self, capsys):
-        assert self.run_printf("%s=%c", "'abc'", "65") == "abc=A"
-        capsys.readouterr()
+    def test_string_and_char(self, capfd):
+        assert self.printed(capfd, "%s=%c", "'abc'", "65") == "abc=A"
 
-    def test_percent_literal(self, capsys):
-        assert self.run_printf("100%%") == "100%"
-        capsys.readouterr()
+    def test_percent_literal(self, capfd):
+        assert self.printed(capfd, "100%%") == "100%"
 
-    def test_long_modifier(self, capsys):
-        out = self.run_printf("%ld", "[int64](1) << 40")
-        assert out == str(1 << 40)
-        capsys.readouterr()
+    def test_long_modifier(self, capfd):
+        assert self.printed(capfd, "%ld", "[int64](1) << 40") == str(1 << 40)
+
+    def test_unsigned_conversions_of_a_negative_int(self, capfd):
+        """An ``int`` argument is 32 bits wide on both backends."""
+        assert self.printed(capfd, "%u|%x|%o", "-1", "-1", "-1") \
+            == "4294967295|ffffffff|37777777777"
+
+    def test_star_width_and_precision(self, capfd):
+        assert self.printed(capfd, "[%*d|%-*.*s]", "5", "42", "6", "2",
+                            "'xyz'") == "[   42|xy    ]"
+
+    def test_snprintf_truncates(self, backend):
+        """The result is the length the format wanted; ``size - 1`` bytes
+        and a NUL are written, and nothing past them."""
+        f = terra("""
+        terra f(out : &int8) : int
+          return stdio.snprintf(out, 5, '%d-%s', 12345, 'abc')
+        end
+        """, env={"stdio": stdio})
+        out = np.full(8, 0x7F, dtype=np.int8)
+        assert f.compile(backend)(out) == 9
+        assert out.tobytes() == b"1234\x00\x7f\x7f\x7f"
+
+    @pytest.mark.parametrize("body", [
+        "var n : int stdio.printf('ab%n', &n)",
+        "var b : int8[2] b[0] = 65 b[1] = 66 stdio.printf('%s', &b[0])",
+        "stdio.printf('%d %d', 1)",
+        "var b : int8[4] stdio.snprintf(&b[0], 8, 'abcdefgh')",
+    ], ids=["percent-n", "unterminated-s", "too-few-arguments",
+            "snprintf-overrun"])
+    def test_traps_on_the_interpreter(self, body):
+        """``%n`` stores through its argument, so it traps; the others
+        read or write memory the call was not given."""
+        f = terra(f"terra f() : {{}} {body} end", env={"stdio": stdio})
+        with pytest.raises(TrapError):
+            f.compile("interp")()
+
+
+#: every builtin but ``exit`` and ``abort`` (:class:`TestProcessEnd`) ->
+#: (the body of ``terra f(path : rawstring) : double``, its result or a
+#: predicate on it, what it prints)
+ROWS = {
+    "malloc": ("var p = [&int64](std.malloc(16)) p[1] = 7 var r = p[1] "
+               "std.free(p) return r", 7, ""),
+    "calloc": ("var p = [&int64](std.calloc(4, 8)) var r = p[3] std.free(p) "
+               "return r", 0, ""),
+    "realloc": ("var p = [&int64](std.malloc(8)) p[0] = 9 "
+                "p = [&int64](std.realloc(p, 64)) p[7] = 1 "
+                "var r = p[0] + p[7] std.free(p) return r", 10, ""),
+    "free": ("std.free(std.malloc(8)) std.free(nil) return 1", 1, ""),
+    "srand": ("std.srand(7) var a = std.rand() std.srand(7) "
+              "return a - std.rand()", 0, ""),
+    "rand": ("std.srand(7) return std.rand()", lambda r: 0 <= r < 2**31, ""),
+    "atoi": ("return std.atoi('-42')", -42, ""),
+    "memset": ("var b : int8[4] strh.memset(&b[0], 65, 4) return b[3]",
+               65, ""),
+    "memcpy": ("var a : int32[2] var b : int32[2] a[0] = 3 a[1] = 4 "
+               "strh.memcpy(&b[0], &a[0], 8) return b[0] * 10 + b[1]",
+               34, ""),
+    "memmove": ("var b : int8[8] strh.strcpy(&b[0], 'abcdef') "
+                "strh.memmove(&b[1], &b[0], 5) return b[3]", ord("c"), ""),
+    "memcmp": ("return strh.memcmp('abc', 'abd', 3)", lambda r: r < 0, ""),
+    "strlen": ("return strh.strlen('hello')", 5, ""),
+    "strcmp": ("return strh.strcmp('abc', 'abc')", 0, ""),
+    "strcpy": ("var b : int8[8] strh.strcpy(&b[0], 'hi') return b[1]",
+               ord("i"), ""),
+    "printf": ("return stdio.printf('%d|%s|%u\\n', 5, 'x', -2)", 15,
+               "5|x|4294967294\n"),
+    "snprintf": ("var b : int8[4] var n = stdio.snprintf(&b[0], 4, '%d', "
+                 "123456) stdio.puts(&b[0]) return n", 6, "123\n"),
+    "puts": ("return stdio.puts('hi')", lambda r: r >= 0, "hi\n"),
+    "putchar": ("return stdio.putchar(65)", 65, "A"),
+    "fopen": ("var fh = stdio.fopen(path, 'wb') var ok = fh ~= nil "
+              "stdio.fclose(fh) return [int](ok)", 1, ""),
+    "fclose": ("return stdio.fclose(stdio.fopen(path, 'wb'))", 0, ""),
+    "fwrite": ("var fh = stdio.fopen(path, 'wb') "
+               "var r = stdio.fwrite('abcd', 1, 4, fh) stdio.fclose(fh) "
+               "return r", 4, ""),
+    "fread": ("var fh = stdio.fopen(path, 'w+b') "
+              "stdio.fwrite('abcd', 1, 4, fh) stdio.fseek(fh, 0, 0) "
+              "var b : int8[4] var r = stdio.fread(&b[0], 1, 4, fh) "
+              "stdio.fclose(fh) return r * 1000 + b[3]", 4100, ""),
+    "fseek": ("var fh = stdio.fopen(path, 'w+b') "
+              "stdio.fwrite('abcd', 1, 4, fh) var r = stdio.fseek(fh, 1, 0) "
+              "var c = stdio.fgetc(fh) stdio.fclose(fh) return r * 1000 + c",
+              ord("b"), ""),
+    "ftell": ("var fh = stdio.fopen(path, 'wb') "
+              "stdio.fwrite('abc', 1, 3, fh) var r = stdio.ftell(fh) "
+              "stdio.fclose(fh) return r", 3, ""),
+    "fgetc": ("var fh = stdio.fopen(path, 'w+b') stdio.fputc(90, fh) "
+              "stdio.fseek(fh, 0, 0) var c = stdio.fgetc(fh) "
+              "var e = stdio.fgetc(fh) stdio.fclose(fh) return c * 1000 + e",
+              ord("Z") * 1000 - 1, ""),
+    "fputc": ("var fh = stdio.fopen(path, 'wb') var r = stdio.fputc(90, fh) "
+              "stdio.fclose(fh) return r", ord("Z"), ""),
+    "clock": ("return timeh.clock()", lambda r: r >= 0, ""),
+}
+_PY_MATH = {"fmin": min, "fmax": max}
+for _name, _fn in header_table("math.h").items():
+    _base, _suffix = (_name[:-1], "f") if _name.endswith("f") else (_name, "")
+    _args = (0.5, 1.5)[:len(_fn.external_type.parameters)]
+    _want = (_PY_MATH.get(_base) or getattr(math, _base))(*_args)
+    ROWS[_name] = (
+        f"return mathh.{_name}({', '.join(f'{a}{_suffix}' for a in _args)})",
+        pytest.approx(_want, rel=1e-6), "")
+
+
+class TestEveryBuiltin:
+    """One row per builtin, run on both backends."""
+
+    def test_every_builtin_has_a_row(self):
+        from repro.backend.interp.builtins import BUILTINS
+        assert set(BUILTINS) == set(ROWS) | {"exit", "abort"}
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_row(self, name, backend, capfd, tmp_path):
+        body, want, printed = ROWS[name]
+        f = terra(f"terra f(path : rawstring) : double {body} end",
+                  env={"std": std, "stdio": stdio, "strh": strh,
+                       "mathh": mathh, "timeh": includec("time.h")})
+        flushed(capfd)
+        got = f.compile(backend)(str(tmp_path / "row.bin"))
+        assert want(got) if callable(want) else got == want
+        assert flushed(capfd) == printed
+
+
+#: a child that prints through stdio, then calls ``std.<argv[2]>``
+ENDER = """
+import sys
+from repro import includec, terra
+f = terra("terra f() : {} stdio.printf('bye %d\\\\n', 7) std." + sys.argv[2]
+          + " end", env={"stdio": includec("stdio.h"),
+                         "std": includec("stdlib.h")})
+f.compile(sys.argv[1])()
+print("not reached")
+"""
+
+
+def run_ender(backend, call, tmp_path):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, REPRO_TERRA_CACHE=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, "-c", ENDER, backend.name, call],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestProcessEnd:
+    """``exit`` is the C library's on both backends: stdio is flushed and
+    the process ends with the status.  ``abort`` is the interpreter's
+    checked fault (``test_interp_traps.py``), and ``SIGABRT`` on C."""
+
+    def test_exit_flushes_and_ends_the_process(self, backend, tmp_path):
+        done = run_ender(backend, "exit(3)", tmp_path)
+        assert (done.returncode, done.stdout) == (3, "bye 7\n"), done.stderr
+
+    def test_abort_is_sigabrt_on_c(self, cbackend, tmp_path):
+        done = run_ender(cbackend, "abort()", tmp_path)
+        assert done.returncode == -signal.SIGABRT, done.stderr
+        assert "not reached" not in done.stdout
 
 
 class TestStrings:

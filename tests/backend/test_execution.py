@@ -306,6 +306,24 @@ class TestFunctions:
         assert run(f, backend, 21) == 43
         assert log[-1] == 21
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_an_exception_in_a_callback_reaches_the_caller(self, backend,
+                                                           request):
+        if backend.name == "c":
+            request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                "ctypes prints the exception and the C caller sees the "
+                "callback return 0 (docs/LANGUAGE.md section 7)")))
+
+        def boom(x):
+            raise ValueError("boom")
+
+        cb = pycallback(functype([int_], int_), boom)
+        f = terra("terra f(x : int) : int return cb(x) + 1 end",
+                  env={"cb": cb})
+        with pytest.raises(ValueError, match="boom"):
+            run(f, backend, 3)
+
     # a callback reads its arguments as a call's results read, on every
     # backend (repro.ffi.convert.callback_runner)
     def test_unit_returning_callback(self, backend):

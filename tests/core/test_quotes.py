@@ -117,3 +117,20 @@ class TestSpliceIsolation:
         bad = terra("terra bad() : int return [q] end")
         with pytest.raises(TypeCheckError, match="scope"):
             bad.ensure_typechecked()
+
+    def test_extruded_parameter_is_reported_at_the_splice(self):
+        """A parameter quote saved from ``f``'s escape and spliced into
+        ``g`` is rejected at the splice, with its line, column and caret."""
+        from repro.errors import TypeCheckError
+        saved = []
+        terra("terra f(x : int) : int return [saved.append(x) or x] end",
+              env={"saved": saved})
+        g = terra("terra g(y : int) : int\n  return [saved[0]] + y\nend",
+                  env={"saved": saved})
+        with pytest.raises(TypeCheckError, match="not in scope") as info:
+            g.ensure_typechecked()
+        loc = info.value.location
+        assert (loc.filename, loc.line) == ("<terra>", 2)
+        assert loc.line_text[loc.column - 1:].startswith("saved[0]]")
+        assert str(info.value).startswith(f"<terra>:2:{loc.column}: ")
+        assert str(info.value).splitlines()[-1].strip() == "^"

@@ -82,7 +82,7 @@ class TestTraps:
 class TestStrings:
     def test_roundtrip(self, mem):
         r = mem.map_region(32, "global")
-        mem.write_cstring(r.start, b"hello world")
+        mem.write(r.start, b"hello world\x00")
         assert mem.read_cstring(r.start) == b"hello world"
 
     def test_unterminated(self, mem):

@@ -6,7 +6,7 @@ not per generated tile/unroll instance — PR 8 semantics)."""
 import numpy as np
 import pytest
 
-from repro import get_backend, terra
+from repro import terra
 from repro.core import tast
 from repro.errors import ScheduleError
 from repro.passes import pipelined_body
@@ -119,7 +119,7 @@ class TestBitIdentity:
         rng = np.random.RandomState(7)
         x = rng.rand(self.N).astype(np.float32)
         y = rng.rand(self.N).astype(np.float32)
-        h = build(SAXPY, schedule).compile(get_backend(backend))
+        h = build(SAXPY, schedule).compile(backend)
         h(self.N, 1.5, x, y)
         return y
 
@@ -128,7 +128,7 @@ class TestBitIdentity:
         a = rng.rand(self.N * self.M).astype(np.float32)
         b = rng.rand(self.N * self.M).astype(np.float32)
         c = np.zeros(self.N * self.M, dtype=np.float32)
-        h = build(ADDMAT, schedule).compile(get_backend(backend))
+        h = build(ADDMAT, schedule).compile(backend)
         h(self.N, self.M, a, b, c)
         return c
 
@@ -138,7 +138,7 @@ class TestBitIdentity:
         Schedule([Vectorize("i", 8)]),
         Schedule([Block("i", 8), Unroll("i", 2)]),
     ], ids=lambda s: s.key())
-    @pytest.mark.parametrize("backend", ["interp", "c"])
+    @pytest.mark.parametrize("backend", ["interp", "c"], indirect=True)
     def test_saxpy_points(self, schedule, backend):
         naive = self._saxpy(None, backend)
         assert np.array_equal(self._saxpy(schedule, backend), naive)
@@ -148,7 +148,7 @@ class TestBitIdentity:
         Schedule([Tile(("i", "j"), (8, 4)), Unroll("j", 2)]),
         Schedule([Block("j", 5)]),
     ], ids=lambda s: s.key())
-    @pytest.mark.parametrize("backend", ["interp", "c"])
+    @pytest.mark.parametrize("backend", ["interp", "c"], indirect=True)
     def test_addmat_points(self, schedule, backend):
         naive = self._addmat(None, backend)
         assert np.array_equal(self._addmat(schedule, backend), naive)
@@ -292,13 +292,13 @@ class TestEnvDisable:
 
 
 class TestParallelDispatch:
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, cbackend):
         n = 133
         rng = np.random.RandomState(11)
         x = rng.rand(n).astype(np.float32)
         y0 = rng.rand(n).astype(np.float32)
         y1 = y0.copy()
-        build(SAXPY).compile(get_backend("c"))(n, 1.5, x, y0)
+        build(SAXPY).compile(cbackend)(n, 1.5, x, y0)
         k = build(SAXPY, Schedule([Block("i", 16), Parallel("i")]))
         k(n, 1.5, x, y1)  # host-side parallel_for over the chunked entry
         assert np.array_equal(y1, y0)
@@ -328,15 +328,15 @@ class TestLenient:
                                             strict=False)))
         assert loop_names(typed.body).count("i_o") == 2
 
-    def test_lenient_identical_results(self):
+    def test_lenient_identical_results(self, cbackend):
         n = 29
         rng = np.random.RandomState(13)
         x = rng.rand(n).astype(np.float32)
         y0 = rng.rand(n).astype(np.float32)
         y1 = y0.copy()
-        build(SAXPY).compile(get_backend("c"))(n, 1.5, x, y0)
+        build(SAXPY).compile(cbackend)(n, 1.5, x, y0)
         sk = build(SAXPY, fuzz_schedule())
-        sk.compile(get_backend("c"))(n, 1.5, x, y1)
+        sk.compile(cbackend)(n, 1.5, x, y1)
         assert np.array_equal(y1, y0)
 
 

@@ -9,7 +9,6 @@ at the default level on both backends."""
 import numpy as np
 import pytest
 
-from repro import get_backend
 from repro.apps import attention, dequant, scan
 from repro.passes.manager import pipeline_override
 
@@ -34,7 +33,7 @@ def run_attention(schedule, backend, n=11, D=16):
     if schedule and schedule.parallel is not None:
         kern(n, q, k, v, o)  # host-side chunked dispatch (C backend)
     else:
-        kern.compile(get_backend(backend))(n, q, k, v, o)
+        kern.compile(backend)(n, q, k, v, o)
     return o
 
 
@@ -48,7 +47,7 @@ def run_dequant(schedule, backend, n=9, m=20, kk=7):
     if schedule and schedule.parallel is not None:
         kern(*args)
     else:
-        kern.compile(get_backend(backend))(*args)
+        kern.compile(backend)(*args)
     return c
 
 
@@ -57,7 +56,7 @@ def run_scan(schedule, backend, n=13, R=16):
     x = rng.rand(n, R).astype(np.float32)
     out = np.zeros((n, R), dtype=np.float32)
     kern = scan.make_scan(R=R, schedule=schedule)
-    kern.compile(get_backend(backend))(n, x, out)
+    kern.compile(backend)(n, x, out)
     return out
 
 
@@ -88,15 +87,17 @@ def family_params():
 
 class TestDifferential:
     @pytest.mark.parametrize("fam,point", list(family_params()))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_point_bit_identical(self, fam, point, backend):
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+    def test_point_bit_identical(self, fam, point, backend, request):
+        if point.parallel is not None:      # host-side chunked dispatch
+            request.getfixturevalue("cbackend")
         run, _, _, _ = FAMILIES[fam]
         naive = run(None, backend)
         assert np.array_equal(run(point, backend), naive), point.key()
 
     @pytest.mark.parametrize("fam", list(FAMILIES))
     @pytest.mark.parametrize("level", LEVELS)
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     def test_levels_bit_identical(self, fam, level, backend):
         """Scheduling happens before any pipeline level, so the
         scheduled/naive equality holds at every level 0–2."""
@@ -107,38 +108,38 @@ class TestDifferential:
         assert np.array_equal(got, naive)
 
     @pytest.mark.parametrize("fam", list(FAMILIES))
-    def test_backends_agree(self, fam):
+    def test_backends_agree(self, fam, cbackend):
         """interp and C are bit-identical on these kernels (same float32
         operation chains; attention's expf is libm on both paths)."""
         run, _, _, _ = FAMILIES[fam]
-        assert np.array_equal(run(None, "interp"), run(None, "c"))
+        assert np.array_equal(run(None, "interp"), run(None, cbackend))
 
 
 class TestAgainstReference:
     """Sanity: the naive kernels compute the right thing (float64 numpy
     reference within tolerance — not bit-identity)."""
 
-    def test_attention(self):
+    def test_attention(self, cbackend):
         n, D = 11, 16
         rng = np.random.RandomState(42)
         q = rng.rand(n, D).astype(np.float32)
         k = rng.rand(n, D).astype(np.float32)
         v = rng.rand(n, D).astype(np.float32)
-        got = run_attention(None, "c")
+        got = run_attention(None, cbackend)
         assert np.allclose(got, attention.reference(q, k, v), atol=1e-4)
 
-    def test_dequant(self):
+    def test_dequant(self, cbackend):
         n, m, kk = 9, 20, 7
         rng = np.random.RandomState(43)
         a = rng.rand(n, kk).astype(np.float32)
         b = rng.randint(-128, 128, size=(kk, m)).astype(np.int8)
-        got = run_dequant(None, "c")
+        got = run_dequant(None, cbackend)
         assert np.allclose(got, dequant.reference(a, b, 0.037), atol=1e-2)
 
-    def test_scan(self):
+    def test_scan(self, cbackend):
         rng = np.random.RandomState(44)
         x = rng.rand(13, 16).astype(np.float32)
-        got = run_scan(None, "c")
+        got = run_scan(None, cbackend)
         assert np.allclose(got, scan.reference(x), atol=1e-3)
 
     def test_scan_handles_n1(self):
