@@ -217,7 +217,7 @@ def fig8_area(full=False):
     def orion_run(vec, lb):
         af = build_area_filter(N, vectorize=vec, linebuffer=lb)
         src, out = af.pad(img), af.alloc_out()
-        return lambda: af.fn(out, src)
+        return lambda: af(out, src)
 
     return _fig8(f"Figure 8 (bottom) — area filter at {N}²", "ms",
                  c_run, orion_run, 8)
@@ -231,7 +231,7 @@ def pointwise(full=False):
         pipe = build_pipeline(N, policy=policy, vectorize=vec)
         src = pipe.pad(img)
         out = pipe.alloc_out()
-        return best_of(lambda: pipe.fn(out, src), 5) * 1000
+        return best_of(lambda: pipe(out, src), 5) * 1000
 
     base = t(L.MATERIALIZE)
     table = Table(f"§6.2 point-wise pipeline at {N}² (paper: inline 3.8x)",

@@ -25,11 +25,11 @@ img = np.random.RandomState(0).rand(N, N).astype(np.float32)
 def best_time(pipe, tries=5):
     src = pipe.pad(img)
     out = pipe.alloc_out()
-    pipe.fn(out, src)
+    pipe(out, src)
     times = []
     for _ in range(tries):
         t0 = time.perf_counter()
-        pipe.fn(out, src)
+        pipe(out, src)
         times.append(time.perf_counter() - t0)
     return min(times) * 1000
 

@@ -107,6 +107,20 @@ def _embed_int(value: int, location) -> sast.SConst:
                           location)
 
 
+def _located(node, location):
+    """``node`` with ``location`` on every node that has none: those are
+    copied (the quote's tree is shared), located subtrees are reused."""
+    if not isinstance(node, sast.SNode) or node.location is not None:
+        return node
+    copy = object.__new__(type(node))
+    copy.location = location
+    for field in node._fields:
+        value = getattr(node, field)
+        setattr(copy, field, [_located(v, location) for v in value]
+                if isinstance(value, list) else _located(value, location))
+    return copy
+
+
 def embed_value(value, location) -> sast.SExpr:
     """Convert a meta-language (Python) value into a specialized Terra term.
 
@@ -115,10 +129,10 @@ def embed_value(value, location) -> sast.SExpr:
     """
     if isinstance(value, Quote):
         tree = value.as_expression()
-        if isinstance(tree, sast.SVar) and tree.location is None:
-            # a variable quoted in Python is located where it is spliced,
-            # so an extruded one is reported there
-            return sast.SVar(tree.symbol, location)
+        if tree.location is None and location is not None:
+            # a quote built in Python (``x``, ``x + 1``) is located where
+            # it is spliced, so an extruded variable is reported there
+            return _located(tree, location)
         return tree
     if isinstance(value, Symbol):
         return sast.SVar(value, location)

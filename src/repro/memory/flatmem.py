@@ -33,6 +33,8 @@ STACK_SIZE = 64 << 20
 libc = ctypes.CDLL(None)
 libc.calloc.restype = ctypes.c_void_p
 libc.calloc.argtypes = [ctypes.c_size_t, ctypes.c_size_t]
+libc.strnlen.restype = ctypes.c_size_t
+libc.strnlen.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
 
 
 def _view(address: int, size: int) -> memoryview:
@@ -218,11 +220,11 @@ class Memory:
         offset = addr - region.start
         region.data[offset:offset + len(data)] = data
 
-    def read_cstring(self, addr: int, limit: int = 1 << 20) -> bytes:
-        """Read a NUL-terminated string, respecting region bounds."""
+    def read_cstring(self, addr: int) -> bytes:
+        """Read a NUL-terminated string that ends inside ``addr``'s
+        region (the C library finds the NUL)."""
         region = self.check_access(addr, 1, write=False)
-        chunk = self.read(addr, min(region.end, addr + limit) - addr)
-        nul = chunk.find(0)
-        if nul < 0:
+        length = libc.strnlen(addr, region.end - addr)
+        if addr + length == region.end:
             raise TrapError(f"unterminated string at {addr:#x}")
-        return chunk[:nul]
+        return self.read(addr, length)

@@ -32,17 +32,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .. import includec, terra, trace
+from .. import terra, trace
 from ..core import types as T
 from ..errors import TerraError
 from . import lang
 
-_std = includec("stdlib.h")
-_str = includec("string.h")
-
 
 class _StageInfo:
-    def __init__(self, stage: lang.Stage):
+    def __init__(self, stage: lang.Stage, k: int):
         self.stage = stage
         self.policy = lang.MATERIALIZE
         self.reads: list[tuple["_StageInfo", int, int]] = []  # after inlining
@@ -53,8 +50,8 @@ class _StageInfo:
         self.ey = 0            # y extent: computed over [-ey, N+ey)
         self.pad_x = 0         # columns consumers read beyond the domain
         self.group = None      # _Group
-        self.slot = None       # persistent buffer slot (None: input/output)
-        self.buf = f"buf_{_sanitize(stage.name)}_{stage.id}"
+        self.slot = None       # scratch slot (None: input/output)
+        self.buf = f"buf{k}_{_sanitize(stage.name)}"
         self.inlined_expr: Optional[lang.Expr] = None
 
     @property
@@ -121,13 +118,18 @@ def _inline_expr(e: lang.Expr, dx: int, dy: int,
 
 class CompiledStencil:
     """The result of :func:`compile_pipeline`: a Terra function plus the
-    buffer geometry needed to call it from Python."""
+    buffer geometry needed to call it from Python.
+
+    ``fn`` takes ``scratch`` last: the zero row and every intermediate
+    buffer, one float array this stencil owns (it is freed with it).
+    Calling the stencil appends it."""
 
     def __init__(self, fn, inputs: list[str], outputs: list[str],
-                 N: int, P: int, W: int, source: str,
+                 N: int, P: int, W: int, source: str, scratch: np.ndarray,
                  params: list[str] | None = None,
                  parallel_plan: dict | None = None):
         self.fn = fn
+        self.scratch = scratch
         self.input_names = inputs
         self.output_names = outputs
         self.param_names = list(params or [])
@@ -136,8 +138,8 @@ class CompiledStencil:
         self.W = W
         self.source = source
         #: set for parallel schedules: {"nthreads": NT, "groups":
-        #: [(index, ymin, ymax, warmup_rows), ...]} — the per-group strip
-        #: dispatch executed by __call__
+        #: [(ymin, ymax), ...]} — the per-group strip dispatch executed
+        #: by __call__
         self.parallel_plan = parallel_plan
 
     # -- padded-buffer helpers ------------------------------------------------
@@ -180,7 +182,7 @@ class CompiledStencil:
         benchmarking loops).  Parallel schedules dispatch per-worker
         strips here; serial schedules call the Terra function directly."""
         if self.parallel_plan is None:
-            return self.fn(*padded_buffers)
+            return self.fn(*padded_buffers, self.scratch)
         return self._run_parallel(padded_buffers)
 
     _BIG = 1 << 30
@@ -192,17 +194,13 @@ class CompiledStencil:
         BIG = self._BIG
         # bind the buffers once: every strip call is then one plain
         # ctypes foreign call with four fresh scalars
-        run = self.fn.compile("c").tail_caller(4, *buffers)
+        run = self.fn.compile("c").tail_caller(4, *buffers, self.scratch)
         if in_worker():
             # nested dispatch: run the whole pipeline serially inline
             run(-1, 0, -BIG, BIG)
             return
-        # alloc warm-up: every group's range clamps empty, so only the
-        # lazy buffer mallocs run — single-threaded, hence race-free
-        run(-1, 0, BIG, -BIG)
-        groups = plan["groups"]
         per_group = [split_range(ymin, ymax, nt)
-                     for _k, ymin, ymax, _w in groups]
+                     for ymin, ymax in plan["groups"]]
         nworkers = max((len(s) for s in per_group), default=0)
         if nworkers <= 1:
             run(-1, 0, -BIG, BIG)  # degenerate ranges: stay serial
@@ -222,7 +220,7 @@ class CompiledStencil:
         def worker(wid):
             def task():
                 err = None
-                for (k, _ymin, _ymax, _w), strips in zip(groups, per_group):
+                for k, strips in enumerate(per_group):
                     try:
                         if wid < len(strips):
                             s0, s1 = strips[wid]
@@ -243,7 +241,7 @@ class CompiledStencil:
 
         t0 = time.perf_counter()
         with trace.span("orion.parallel", cat="orion", nthreads=nt,
-                        groups=len(groups)):
+                        groups=len(per_group)):
             errors = run_tasks([worker(w) for w in range(nworkers)],
                                nthreads=nworkers)
         _account(sum(len(s) for s in per_group), time.perf_counter() - t0,
@@ -350,7 +348,7 @@ def _compile_pipeline(output, N, V, schedule, default_policy, NT):
     for s in stages:
         if not s.is_input and policies[s.id] == lang.INLINE:
             continue
-        info = _StageInfo(s)
+        info = _StageInfo(s, len(infos))
         info.policy = policies[s.id]
         infos[s.id] = info
         if not s.is_input:
@@ -450,11 +448,11 @@ def _compile_pipeline(output, N, V, schedule, default_policy, NT):
     W = P + N + P + max(V, 1)
 
     # -- buffer slot assignment (liveness-based reuse) ---------------------------
-    # Intermediate stage buffers persist across calls (lazily allocated
-    # globals) and are shared between stages whose lifetimes do not
-    # overlap — a Jacobi chain of any length needs only two buffers, just
-    # like a hand-written solver.
-    _assign_slots(infos, group_order, out_ids, W, NT)
+    # Intermediate stage buffers live in the stencil's scratch array,
+    # persist across calls, and are shared between stages whose lifetimes
+    # do not overlap — a Jacobi chain of any length needs only two
+    # buffers, just like a hand-written solver.
+    scratch_floats = _assign_slots(infos, group_order, out_ids, W, NT)
 
     if NT > 1:
         _check_parallelizable(group_order)
@@ -471,10 +469,10 @@ def _compile_pipeline(output, N, V, schedule, default_policy, NT):
     plan = None
     if NT > 1:
         plan = {"nthreads": NT,
-                "groups": [(k, *group.y_bounds(N), _warmup_rows(group))
-                           for k, group in enumerate(group_order)]}
+                "groups": [group.y_bounds(N) for group in group_order]}
     return CompiledStencil(fn, input_names,
                            [s.name for s in out_stages], N, P, W, src,
+                           np.zeros(scratch_floats, dtype=np.float32),
                            params, parallel_plan=plan)
 
 
@@ -515,7 +513,10 @@ def _check_parallelizable(group_order) -> None:
                         f"the parallel directive")
 
 
-def _assign_slots(infos, group_order, out_ids, W: int, NT: int = 0) -> None:
+def _assign_slots(infos, group_order, out_ids, W: int, NT: int = 0) -> int:
+    """Give every intermediate stage a slot of the scratch array and
+    return the array's length in floats.  The zero row comes first; each
+    slot's ``offset`` is a multiple of 16 floats."""
     group_index = {id(g): i for i, g in enumerate(group_order)}
     # birth = own group index; death = last consumer's group index
     events: list[tuple[int, int, _StageInfo]] = []
@@ -528,19 +529,19 @@ def _assign_slots(infos, group_order, out_ids, W: int, NT: int = 0) -> None:
         for consumer in info.consumers:
             death = max(death, group_index[id(consumer.group)])
         events.append((birth, death, info))
-    slots: list[dict] = []  # {"size": bytes, "free_at": group index}
+    slots: list[dict] = []  # {"size": floats, "free_at": group index}
     for birth, death, info in sorted(events, key=lambda e: (e[0], e[1])):
         if NT > 1 and info.policy == lang.LINEBUFFER:
             # under strip parallelism each worker rolls its own window:
             # the slot holds NT windows side by side (base + wid*stride)
             # and is never shared with other stages
             stride = info.rows * W
-            chosen = {"size": NT * stride * 4, "free_at": len(group_order),
-                      "name": f"slot{len(slots)}", "stride": stride}
+            chosen = {"size": NT * stride, "free_at": len(group_order),
+                      "stride": stride}
             slots.append(chosen)
             info.slot = chosen
             continue
-        size = info.rows * W * 4
+        size = info.rows * W
         chosen = None
         for slot in slots:
             if "stride" in slot:
@@ -549,19 +550,27 @@ def _assign_slots(infos, group_order, out_ids, W: int, NT: int = 0) -> None:
                 chosen = slot
                 break
         if chosen is None:
-            chosen = {"size": size, "free_at": -1,
-                      "name": f"slot{len(slots)}"}
+            chosen = {"size": size, "free_at": -1}
             slots.append(chosen)
         chosen["free_at"] = death + 1
         chosen["size"] = max(chosen["size"], size)
         info.slot = chosen
+    end = _round16(W)
+    for slot in slots:
+        slot["offset"] = end
+        end += _round16(slot["size"])
+    return end
+
+
+def _round16(floats: int) -> int:
+    return -(-floats // 16) * 16
 
 
 def _generate(infos, compute_order, group_order, out_stages, stages,
               N, P, W, V, NT=0):
     from .. import fmax, fmin
     float4 = T.vector(T.float32, V) if V else None
-    env = {"std": _std, "cstr": _str, "fmin": fmin, "fmax": fmax}
+    env = {"fmin": fmin, "fmax": fmax}
     if float4 is not None:
         env["vecT"] = float4
 
@@ -589,35 +598,16 @@ def _generate(infos, compute_order, group_order, out_stages, stages,
         par_params
         + [f"out_{_sanitize(s.name)} : &float" for s in out_stages]
         + [f"in_{_sanitize(s.name)} : &float" for s in inputs]
-        + [f"prm_{_sanitize(p)} : float" for p in param_names])
+        + [f"prm_{_sanitize(p)} : float" for p in param_names]
+        + ["scratch : &float"])
 
-    lines: list[str] = [f"terra orionfn{_next_id()}({params}) : {{}}"]
+    name = f"orion_{_sanitize(out_stages[0].name)}"
+    lines: list[str] = [f"terra {name}({params}) : {{}}"]
     w = lines.append
 
-    # buffer setup: persistent slots, lazily allocated once ------------------
-    from ..core.function import GlobalVar
-    from ..core.types import float32, pointer as _ptr
-    slots: dict[str, dict] = {}
-    for info in infos.values():
-        if info.slot is not None:
-            slots[info.slot["name"]] = info.slot
-    zrow_g = GlobalVar(_ptr(float32), None, "orion_zrow")
-    env["zrow_g"] = zrow_g
-    w("  if zrow_g == nil then")
-    w(f"    zrow_g = [&float](std.malloc({W} * 4))")
-    w(f"    cstr.memset(zrow_g, 0, {W} * 4)")
-    w("  end")
     # the zero row is indexed like data rows (columns may be negative
     # within the padded extent), so it gets the same +P column offset
-    w(f"  var zrow = zrow_g + {P}")
-    for name, slot in slots.items():
-        g = GlobalVar(_ptr(float32), None, f"orion_{name}")
-        env[f"{name}_g"] = g
-        slot["global"] = g
-        w(f"  if {name}_g == nil then")
-        w(f"    {name}_g = [&float](std.malloc({slot['size']}))")
-        w(f"    cstr.memset({name}_g, 0, {slot['size']})")
-        w("  end")
+    w(f"  var zrow = scratch + {P}")
     for info in infos.values():
         if info.stage.is_input:
             w(f"  var {info.buf} = in_{_sanitize(info.name)}")
@@ -625,10 +615,10 @@ def _generate(infos, compute_order, group_order, out_stages, stages,
             w(f"  var {info.buf} = out_{_sanitize(info.name)}")
         elif "stride" in info.slot:
             # per-worker private line-buffer window
-            w(f"  var {info.buf} = {info.slot['name']}_g"
+            w(f"  var {info.buf} = scratch + {info.slot['offset']}"
               f" + wid * {info.slot['stride']}")
         else:
-            w(f"  var {info.buf} = {info.slot['name']}_g")
+            w(f"  var {info.buf} = scratch + {info.slot['offset']}")
 
     # group loops ------------------------------------------------------------------
     for k, group in enumerate(group_order):
@@ -662,17 +652,9 @@ def _generate(infos, compute_order, group_order, out_stages, stages,
     return "\n".join(lines), env, input_names, param_names
 
 
-_ids = [0]
-
-
-def _next_id() -> int:
-    _ids[0] += 1
-    return _ids[0]
-
-
 def _row_index(info: _StageInfo, row_var: str, N: int) -> str:
     """The physical row index for logical row ``row_var`` of a stage."""
-    if info.stage.is_input or info.stage is None:
+    if info.stage.is_input:
         return row_var
     if info.policy == lang.LINEBUFFER:
         return f"(({row_var} + {info.ey}) % {info.rows})"

@@ -1,6 +1,10 @@
 """Application-level correctness tests (the benchmark subjects)."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -49,6 +53,32 @@ class TestFluid:
                 par.step()
             for p, o in zip(par.get_state(), got):
                 assert p.tobytes() == o.tobytes(), (vec, lb)
+
+    def test_building_the_app_moves_no_ineligible_memo_counter(
+            self, c_default):
+        from repro.trace.metrics import registry
+        before = registry().counters("spec.memo.ineligible.")
+        make_orion_fluid(FluidParams(self.N), vectorize=4,
+                         linebuffer=True).step()
+        assert registry().counters("spec.memo.ineligible.") == before
+
+    def test_a_warm_second_process_compiles_nothing(self, cbackend,
+                                                    tmp_path):
+        child = textwrap.dedent("""
+            from repro import buildd
+            from repro.apps.fluid import FluidParams, make_orion_fluid
+            make_orion_fluid(FluidParams(64), vectorize=4,
+                             linebuffer=True).step()
+            print(buildd.stats()["compiles"])
+        """)
+        env = {**os.environ, "REPRO_TERRA_CACHE": str(tmp_path),
+               "REPRO_TERRA_BACKEND": "c",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        cold, warm = (int(subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True,
+            text=True, check=True).stdout) for _ in range(2))
+        assert cold > 0
+        assert warm == 0
 
     def test_advect_is_staged_on_its_grid(self):
         # N, W and P are constants in the emitted C, as the C reference's

@@ -252,6 +252,20 @@ class TestStrings:
         """, env={"strh": strh, "std": std})
         assert f.compile(backend)() == 5
 
+    def test_strlen_of_a_string_longer_than_a_mib(self, backend):
+        f = terra("""
+        terra f() : int64
+          var n = 2 * 1024 * 1024
+          var buf = [&int8](std.malloc(n + 1))
+          strh.memset(buf, 65, n)
+          buf[n] = 0
+          var len = [int64](strh.strlen(buf))
+          std.free(buf)
+          return len
+        end
+        """, env={"strh": strh, "std": std})
+        assert f.compile(backend)() == 2097152
+
     def test_memcmp_memcpy(self, backend):
         f = terra("""
         terra f() : int

@@ -134,3 +134,30 @@ class TestSpliceIsolation:
         assert loc.line_text[loc.column - 1:].startswith("saved[0]]")
         assert str(info.value).startswith(f"<terra>:2:{loc.column}: ")
         assert str(info.value).splitlines()[-1].strip() == "^"
+
+    def test_extruded_operator_quote_is_reported_at_each_splice(self):
+        """``x + 1``, built in Python from a parameter quote saved in
+        ``f``, is rejected where it is spliced, in each function it is
+        spliced into; the shared quote stays unlocated."""
+        from repro.errors import TypeCheckError
+        saved = []
+        terra("terra f(x : int) : int return [saved.append(x + 1) or x] end",
+              env={"saved": saved})
+        q = saved[0]
+        g = terra("terra g(y : int) : int\n  return [q] + y\nend",
+                  env={"q": q})
+        h = terra("terra h(y : int) : int\n  var z = y\n"
+                  "  return z * [q]\nend", env={"q": q})
+        columns = set()
+        for fn, line in ((g, 2), (h, 3)):
+            with pytest.raises(TypeCheckError, match="not in scope") as info:
+                fn.ensure_typechecked()
+            loc = info.value.location
+            assert (loc.filename, loc.line) == ("<terra>", line)
+            assert loc.line_text[loc.column - 1:].startswith("q]")
+            assert str(info.value).startswith(f"<terra>:{line}:{loc.column}: ")
+            assert str(info.value).splitlines()[-1].strip() == "^"
+            columns.add(loc.column)
+        assert len(columns) == 2
+        assert q.tree.location is None
+        assert q.tree.lhs.location is None and q.tree.rhs.location is None

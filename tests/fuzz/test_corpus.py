@@ -69,7 +69,7 @@ def test_corpus_is_not_empty():
 @pytest.mark.parametrize("name,program", CORPUS,
                          ids=[name for name, _ in CORPUS])
 @pytest.mark.parametrize("level", ["0", "1", "2"])
-def test_replay_in_process(monkeypatch, name, program, level):
+def test_replay_in_process(monkeypatch, name, program, level, cbackend):
     """Both backends agree bitwise on every entry at every pipeline level."""
     monkeypatch.setenv("REPRO_TERRA_PIPELINE", level)
     assert _outcomes(program, "c") == _outcomes(program, "interp")
@@ -95,7 +95,7 @@ def test_replay_tiered_isolated_subprocess():
         [(e.config, e.outcome) for e in execs]
 
 
-def test_replay_isolated_subprocess():
+def test_replay_isolated_subprocess(cbackend):
     """The CLI's crash-isolated replay path, on the entry that used to
     SIGFPE the host."""
     program = load_entry(os.path.join(CORPUS_DIR, "mod-zero-trap.json"))

@@ -49,14 +49,16 @@ class TestChildExecutor:
         out = _run_program("terra f( : int", "f", [(1,)], "interp")
         assert "fatal" in out
 
-    def test_c_configs_stage_twice_through_the_structural_memo(self):
+    def test_c_configs_stage_twice_through_the_structural_memo(self,
+                                                              cbackend):
         src = "terra f(x : int) : int return x * 5 end"
         for backend in ("c", "sched"):
             out = _run_program(src, "f", [(2,)], backend)
             assert out == {"outcomes": [{"ok": ["int", 10]}], "memo": "hits"}
         assert "memo" not in _run_program(src, "f", [(2,)], "tiered")
 
-    def test_a_second_definition_that_misses_is_a_finding(self, monkeypatch):
+    def test_a_second_definition_that_misses_is_a_finding(self, monkeypatch,
+                                                          cbackend):
         from repro.backend.c.runtime import CBackend
         monkeypatch.setattr(CBackend, "memoized_unit",
                             lambda self, fn: ("miss", None, None))
@@ -68,7 +70,7 @@ class TestChildExecutor:
 class TestRunProgram:
     """Single-program isolated execution (the minimizer/corpus path)."""
 
-    def test_agreeing_program(self):
+    def test_agreeing_program(self, cbackend):
         p = FuzzProgram(seed=0, index=0,
                         source="terra f(x : int) : int return x * 3 end",
                         entry="f", argtypes=["int32"], argsets=[(5,), (-2,)])
@@ -77,7 +79,7 @@ class TestRunProgram:
         assert not executions_diverge(execs)
         assert execs[0].outcome["outcomes"][0] == {"ok": ["int", 15]}
 
-    def test_trapping_program_does_not_kill_harness(self):
+    def test_trapping_program_does_not_kill_harness(self, cbackend):
         # the original bug 1 reproducer: SIGFPE from gcc-compiled % 0
         p = FuzzProgram(
             seed=0, index=0,
@@ -114,7 +116,7 @@ class TestDivergenceDetection:
 
 
 class TestRunDifferential:
-    def test_smoke(self):
+    def test_smoke(self, cbackend):
         """A small end-to-end run: subprocess children on both backends,
         zero divergences expected (the fixed-seed CI run does 300)."""
         report = run_differential(11, 4, configs=SMALL_CONFIGS,

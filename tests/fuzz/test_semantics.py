@@ -15,6 +15,9 @@ import pytest
 from repro import terra
 from repro.errors import TrapError
 
+# every row compares the two backends
+pytestmark = pytest.mark.usefixtures("cbackend")
+
 
 def both(src):
     """Compile one function on both backends; returns the two handles."""
