@@ -431,26 +431,37 @@ def passes(full=False):
     return [table]
 
 
+#: cold rounds per side of ``compile_pool``, the sides alternating
+POOL_ROUNDS = 3
+
+
 def compile_pool(full=False):
     """Cold-cache compile of six tuner candidates through a jobs=1 and a
-    jobs=N buildd pool (N = min(4, cores); parity on one core)."""
+    jobs=N buildd pool (N = min(4, cores); parity on one core): the best
+    of ``POOL_ROUNDS`` cold rounds per side, so one slow round on a shared
+    host decides nothing."""
     sources = [genkernel(NB, RM, RN, V, 0.0).get_c_source()
                for NB, RM, RN, V in [(16, 2, 1, 2), (16, 2, 2, 2),
                                      (16, 4, 1, 2), (32, 2, 2, 2),
                                      (32, 4, 1, 2), (32, 4, 2, 2)]]
-    table = Table(f"buildd pool, {len(sources)} kernels, cold cache",
-                  ["jobs", "seconds"])
+    sides = (1, min(4, os.cpu_count() or 1))
+    best = [float("inf")] * len(sides)
     with tempfile.TemporaryDirectory() as tmp:
-        for i, jobs in enumerate((1, min(4, os.cpu_count() or 1))):
-            svc = CompileService(jobs=jobs, cache=ArtifactCache(
-                root=os.path.join(tmp, f"cold{i}")))  # each pool starts cold
-            try:
-                t0 = time.perf_counter()
-                for fut in [svc.compile_async(src) for src in sources]:
-                    fut.result()
-                table.add(jobs, time.perf_counter() - t0)
-            finally:
-                svc.shutdown()
+        for r in range(POOL_ROUNDS):
+            for i, jobs in enumerate(sides):
+                svc = CompileService(jobs=jobs, cache=ArtifactCache(
+                    root=os.path.join(tmp, f"cold{r}-{i}")))  # starts cold
+                try:
+                    t0 = time.perf_counter()
+                    for fut in [svc.compile_async(src) for src in sources]:
+                        fut.result()
+                    best[i] = min(best[i], time.perf_counter() - t0)
+                finally:
+                    svc.shutdown()
+    table = Table(f"buildd pool, {len(sources)} kernels, cold cache, best "
+                  f"of {POOL_ROUNDS} alternating rounds", ["jobs", "seconds"])
+    for jobs, seconds in zip(sides, best):
+        table.add(jobs, seconds)
     return [table]
 
 

@@ -78,8 +78,7 @@ def _jacobi_chain(x0: L.Stage, a: float, iters: int,
     return x
 
 
-def _advect_terra(N: int, W: int, P: int, fields: int = 1, V: int = 0,
-                  chunked: bool = False):
+def _advect_terra(N: int, W: int, P: int, fields: int = 1, V: int = 0):
     """Semi-Lagrangian advection as a plain Terra function (not a stencil):
     trace velocity backwards from every cell, bilinearly sample there.
 
@@ -90,9 +89,8 @@ def _advect_terra(N: int, W: int, P: int, fields: int = 1, V: int = 0,
     with ``V`` >= 2 a row runs ``V`` cells at a time on ``vector(float,
     V)``, then a scalar tail when ``N % V`` is not 0.  Every output element
     gets the C reference's scalar operation sequence in either form, so
-    results are bit-identical.  With ``chunked=True`` the C backend also
-    emits a chunked entry so rows can be dispatched across workers (each
-    output row is independent)."""
+    results are bit-identical.  Each output row is independent, so its
+    ``chunked`` twin dispatches rows across workers."""
     fp = pointer(float_)
     dsts = [symbol(fp, f"dst{k}") for k in range(fields)]
     srcs = [symbol(fp, f"src{k}") for k in range(fields)]
@@ -182,15 +180,12 @@ def _advect_terra(N: int, W: int, P: int, fields: int = 1, V: int = 0,
     else:
         scalar_cells = cells[1]
         row = quote_("for [j] = 0, N do [scalar_cells] end")
-    fn = terra("""
+    return terra("""
     terra advect([dsts], [srcs], [u], [v], dt : float) : {}
       var [dt0] = dt * [float](N)
       for [i] = 0, N do [row] end
     end
     """)
-    if chunked:
-        fn.mark_chunked()
-    return fn
 
 
 class OrionFluid:
@@ -204,7 +199,7 @@ class OrionFluid:
         p = params
         # effective worker count (``parallel``: None = serial, 0 = auto);
         # <= 1 compiles the exact serial solver (byte-identical generated
-        # code, no chunked entries)
+        # code, no chunked twins)
         self._nt = 0 if parallel is None else default_nthreads(parallel)
         directives = [Vectorize("x", vectorize)] if vectorize else []
         if self._nt > 1:
@@ -218,9 +213,13 @@ class OrionFluid:
         # advection runs on the same schedule: both velocity fields in one
         # pass (each reads the same projected u, v), then density alone.
         # Staged first, so gcc builds it while the pipelines are staged
+        # (in parallel, the kernels are their twins: rows [lo, hi) first)
         self.advect_uv, self.advect_d = (
-            _advect_terra(N, self.W, self.P, fields, vectorize,
-                          chunked=self._nt > 1) for fields in (2, 1))
+            _advect_terra(N, self.W, self.P, fields, vectorize)
+            for fields in (2, 1))
+        if self._nt > 1:
+            self.advect_uv = self.advect_uv.chunked
+            self.advect_d = self.advect_d.chunked
         for fn in (self.advect_uv, self.advect_d):
             fn.compile_async()
 

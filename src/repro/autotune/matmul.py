@@ -110,8 +110,8 @@ def make_gemm_from_schedule(schedule, elem: T.Type = double,
     # the quotes below that use them are spliced in schedule-chosen order
     C, A, B, bufA, bufB = (symbol(pointer(elem), name)
                            for name in ("C", "A", "B", "bufA", "bufB"))
-    N, N0, mb, nb, kb = (symbol(int64, name)
-                         for name in ("N", "N0", "mb", "nb", "kb"))
+    N, N0, mb, nb, kb, lo, hi = (symbol(int64, name) for name in
+                                 ("N", "N0", "mb", "nb", "kb", "lo", "hi"))
 
     dots = []   # C[i,j] = A[i,:] . B[:,j] (full k) over an edge strip
     for ilo, ihi, jlo, jhi in ((N0, N, 0, N), (0, N0, N0, N)):
@@ -186,21 +186,22 @@ def make_gemm_from_schedule(schedule, elem: T.Type = double,
           std.free(rawA)
           std.free(rawB)
         """)
-        if par is not None:   # mb outermost: one writer + scratch per panel
-            blocks = quote_("for [mb] = 0, N0, NB do [blocks] end")
+        if par is not None:   # mb outermost: one writer + scratch per panel;
+            # a worker runs the panels of its rows [lo, hi)
+            blocks = quote_("for [mb] = lo, hi, NB do [blocks] end")
 
     bodies = {"gemm": [blocks, edges]} if par is None else \
         {"gemm_panels": [blocks], "gemm_edges": [edges]}
     fns = []
     for name, body in bodies.items():
+        rows = "[lo] : int64, [hi] : int64, " if name == "gemm_panels" else ""
         fn = terra(f"""
-        terra {name}([C] : &elem, [A] : &elem, [B] : &elem, [N] : int64) : {{}}
+        terra {name}({rows}[C] : &elem, [A] : &elem, [B] : &elem,
+                     [N] : int64) : {{}}
           var [N0] = (N / NB) * NB     -- the blocked interior; edges go naive
           [body]
         end
         """)
-        if name == "gemm_panels":
-            fn.mark_chunked()
         build = fn.compile_async if async_compile else fn.compile
         if fma:
             with extra_cflags("-ffp-contract=fast"):

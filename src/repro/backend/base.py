@@ -139,6 +139,26 @@ class ExecutableHandle:
         return [conv(value, keep)
                 for conv, value in zip(converters, args)], keep
 
+    def tail_caller(self, nlead: int, *tailargs):
+        """Bind every parameter after the first ``nlead`` (integer) leading
+        ones and return a cheap ``run(*lead)`` callable.
+
+        What worker threads call: ``repro.parallel`` binds the arguments
+        after ``(lo, hi)``, Orion's strip dispatch those after its four
+        strip scalars.  ``tailargs`` convert once, on the dispatching
+        thread (``run`` keeps what they converted alive); a call converts
+        only its leading scalars, then runs — on C, one plain ctypes
+        foreign call that releases the GIL."""
+        cargs, keep = self._bind(tailargs, self.converters[nlead:])
+        leading = self.converters[:nlead]
+
+        def run(*lead):
+            lc, lkeep = self._bind(lead, leading)
+            self._run(lead + tailargs, lc + cargs, lkeep + keep)
+
+        run.kernel_name = self.func.name
+        return run
+
     def _run(self, args, cargs, keep):
         """Run the function on ``cargs``, the converted ``args`` (``keep``:
         the keep-alives their pointers' conversions made); return its

@@ -231,8 +231,6 @@ class CEmitter:
             saved = self.lines
             self.lines = body_lines
             self._emit_function(fn)
-            if getattr(fn, "emit_chunk", False):
-                self._emit_chunk_raw(fn)
             self.lines = saved
         # pass 3: assemble the final translation unit
         out: list[str] = [
@@ -259,7 +257,6 @@ class CEmitter:
         out.extend(body_lines)
         if self._trap_used:
             out.extend(self._emit_entry_wrappers())
-        out.extend(self._emit_chunk_wrappers())
         return "\n".join(out) + "\n"
 
     # ==================================================================
@@ -332,137 +329,6 @@ class CEmitter:
             out.append("  trepro_trap_armed = _saved_armed;")
             out.append("  *trapcode = 0;")
             out.append("  return;" if is_void else "  return _r;")
-            out.append("}")
-            out.append("")
-        return out
-
-    # ==================================================================
-    # chunked entries (repro.parallel dispatch targets)
-    # ==================================================================
-    def _chunk_loop_of(self, fn) -> tast.TForNum:
-        """The final top-level loop of a chunk-marked kernel, validated.
-
-        A chunked entry runs only the iterations of that loop falling in
-        ``[lo, hi)``; every statement before it (setup, locals) runs in
-        every chunk, so it must be cheap and idempotent — which is the
-        shape of all the repo's loop kernels (Orion stages, blocked
-        loops, DataTable sweeps, GEMM panels)."""
-        typed = fn.typed
-        ret = typed.type.returntype
-        if not (isinstance(ret, T.TupleType) and ret.isunit()):
-            raise CompileError(
-                f"mark_chunked: {fn.name!r} returns {ret}; chunked kernels "
-                f"must return nothing (results go through out-pointers)")
-        if typed.type.varargs:
-            raise CompileError(
-                f"mark_chunked: {fn.name!r} is varargs")
-        stats = self._fn_body(fn).statements
-        if not stats or not isinstance(stats[-1], tast.TForNum):
-            raise CompileError(
-                f"mark_chunked: {fn.name!r}'s body must end in a numeric "
-                f"for loop (the axis repro.parallel splits into chunks)")
-        loop = stats[-1]
-        if loop.step is not None and loop.step_sign <= 0:
-            raise CompileError(
-                f"mark_chunked: {fn.name!r}'s final loop must ascend "
-                f"(constant positive step) to be split into [lo, hi) chunks")
-        return loop
-
-    def _emit_chunk_raw(self, fn) -> None:
-        """The ``static`` worker body of a chunked kernel: the function's
-        prelude statements followed by its final loop clamped to the
-        ``[_clo, _chi)`` iteration window."""
-        loop = self._chunk_loop_of(fn)
-        typed = fn.typed
-        params = ", ".join(
-            self._field_decl(ty, self._sym(sym))
-            for sym, ty in zip(typed.param_symbols, typed.type.parameters))
-        params = f", {params}" if params else ""
-        self._line(f"static void {self.fn_name(fn)}_chunkraw"
-                   f"(int64_t _clo, int64_t _chi{params}) {{")
-        self.indent += 1
-        for s in self._fn_body(fn).statements[:-1]:
-            self._emit_stat(s)
-        self._emit_for_chunked(loop)
-        self.indent -= 1
-        self._line("}")
-        self._line("")
-
-    def _emit_for_chunked(self, s: tast.TForNum) -> None:
-        """Like :meth:`_emit_for`, but iterating only the loop's own
-        iterates that fall inside ``[_clo, _chi)`` — for a strided loop
-        the start advances to the first iterate >= ``_clo`` (exactly the
-        serial iterate sequence, whatever the chunk alignment)."""
-        cty = self.ctype(s.var_type)
-        name = self._sym(s.symbol)
-        start = f"_sta{next(self._tmp)}"
-        lim = f"_lim{next(self._tmp)}"
-        self._line("{")
-        self.indent += 1
-        # source evaluation order: start, then limit (matches _emit_for
-        # and the interpreter)
-        self._line(f"{cty} {start} = {self._ev(s.start)};")
-        self._line(f"{cty} {lim} = {self._ev(s.limit)};")
-        self._line(f"if ({lim} > ({cty})_chi) {lim} = ({cty})_chi;")
-        if s.step is None:
-            self._line(f"if ({start} < ({cty})_clo) {start} = ({cty})_clo;")
-            inc = f"++{name}"
-        else:
-            stp = f"_stp{next(self._tmp)}"
-            self._line(f"{cty} {stp} = {self._ev(s.step)};")
-            self._line(f"if ({start} < ({cty})_clo) {start} += "
-                       f"((({cty})_clo - {start} + {stp} - 1) / {stp}) * {stp};")
-            inc = f"{name} += {stp}"
-        self._line(f"for ({cty} {name} = {start}; {name} < {lim}; {inc}) {{")
-        self.indent += 1
-        self._emit_block_stmts(s.body)
-        self.indent -= 1
-        self._line("}")
-        self.indent -= 1
-        self._line("}")
-
-    def _emit_chunk_wrappers(self) -> list[str]:
-        """Public ``<name>_chunk(lo, hi, args..., int32_t *trapcode)``
-        entries for chunk-marked kernels.  Always carries the trapcode
-        out-param (uniform ctypes binding); when the unit has trappable
-        operations the wrapper arms the per-thread trap jump buffer the
-        same way ``*_tentry`` does — each worker thread traps
-        independently (the setjmp state is ``__thread``)."""
-        out: list[str] = []
-        for fn in self.component:
-            if fn.is_external or not getattr(fn, "emit_chunk", False):
-                continue
-            typed = fn.typed
-            params = ", ".join(
-                self._field_decl(ty, self._sym(sym))
-                for sym, ty in zip(typed.param_symbols, typed.type.parameters))
-            params = f"{params}, " if params else ""
-            args = ", ".join(self._sym(sym) for sym in typed.param_symbols)
-            args = f", {args}" if args else ""
-            name = self.fn_name(fn)
-            out.append(f"void {name}_chunk(int64_t _clo, int64_t _chi, "
-                       f"{params}int32_t *trapcode) {{")
-            if self._trap_used:
-                out.append("  jmp_buf _saved_jmp;")
-                out.append("  int32_t _saved_armed = trepro_trap_armed;")
-                out.append("  __builtin_memcpy(&_saved_jmp, &trepro_trap_jmp, "
-                           "sizeof(jmp_buf));")
-                out.append("  if (setjmp(trepro_trap_jmp)) {")
-                out.append("    __builtin_memcpy(&trepro_trap_jmp, "
-                           "&_saved_jmp, sizeof(jmp_buf));")
-                out.append("    trepro_trap_armed = _saved_armed;")
-                out.append("    *trapcode = trepro_trap_code;")
-                out.append("    return;")
-                out.append("  }")
-                out.append("  trepro_trap_armed = 1;")
-                out.append(f"  {name}_chunkraw(_clo, _chi{args});")
-                out.append("  __builtin_memcpy(&trepro_trap_jmp, &_saved_jmp, "
-                           "sizeof(jmp_buf));")
-                out.append("  trepro_trap_armed = _saved_armed;")
-                out.append("  *trapcode = 0;")
-            else:
-                out.append("  *trapcode = 0;")
-                out.append(f"  {name}_chunkraw(_clo, _chi{args});")
             out.append("}")
             out.append("")
         return out
@@ -1042,9 +908,12 @@ class CEmitter:
             return f"((uint8_t)(({lhs}) {op} ({rhs})))"
         # integer / and % go through guarded helpers: a zero divisor traps
         # (TrapError in the host, like the interpreter) instead of a
-        # process-killing SIGFPE, and INT_MIN/-1 wraps instead of trapping
+        # process-killing SIGFPE, and INT_MIN/-1 wraps instead of trapping;
+        # a constant divisor that is neither does neither
         if e.op in ("/", "%") and isinstance(ty, T.PrimitiveType) \
                 and ty.isintegral():
+            if isinstance(e.rhs, tast.TConst) and e.rhs.value not in (0, -1):
+                return f"(({self.ctype(ty)})(({lhs}) {op} ({rhs})))"
             return f"{self._div_helper(e.op, ty)}({lhs}, {rhs})"
         if e.op in ("/", "%") and isinstance(ty, T.VectorType) \
                 and ty.elem.isintegral():

@@ -70,8 +70,8 @@ def _trap(code: int) -> TrapError:
 
 
 def _guarded(centry):
-    """A guarded C entry (``*_tentry`` / ``*_chunk``: trailing ``int32_t *``
-    trap code) as ``run(*cargs)``: a nonzero code raises :class:`TrapError`,
+    """A guarded C entry (``*_tentry``: trailing ``int32_t *`` trap code)
+    as ``run(*cargs)``: a nonzero code raises :class:`TrapError`,
     as in the interpreter, where bare C would SIGFPE/SIGILL the process.
     A call plan lends the cell inline, in the same protocol."""
     def run(*cargs):
@@ -173,17 +173,16 @@ class CompiledFunction(ExecutableHandle):
     non-``bool`` scalar as it is, a native ndarray as its ``from_buffer``
     object (a pointer parameter is a ``c_void_p``), and converts only the
     other positions; :meth:`_invoke` decides what either refuses.  Every
-    other caller — :meth:`_invoke` and the prepared callers — converts
+    other caller — :meth:`_invoke` and the prepared caller
+    (:meth:`~repro.backend.base.ExecutableHandle.tail_caller`) — converts
     through the same per-type converters, which put what they converted in
     ``keep``: a prepared caller outlives the argument tuple it was made
     from."""
 
-    def __init__(self, func, cfn, ftype: T.FunctionType, centry=None,
-                 cchunk=None):
+    def __init__(self, func, cfn, ftype: T.FunctionType, centry=None):
         self.func = func
         self.cfn = cfn
         self.centry = centry
-        self.cchunk = cchunk   # chunked entry (mark_chunked), or None
         self.type = ftype
 
     @cached_property
@@ -225,51 +224,6 @@ class CompiledFunction(ExecutableHandle):
 
     __call__ = property(attrgetter("entry"))    # tp_call: no frame of its own
 
-    # -- chunked dispatch (repro.parallel) -----------------------------------
-    def chunk_caller(self, *args):
-        """Bind ``args`` once and return a cheap ``run(lo, hi)`` callable
-        executing the kernel's chunked entry over ``[lo, hi)``.
-
-        This is what worker threads invoke: argument conversion (and the
-        keepalives it creates) happens here, on the dispatching thread,
-        so each chunk call is one plain ctypes foreign call — which
-        releases the GIL for its whole duration.  A nonzero trap code is
-        raised as :class:`TrapError` in the calling (worker) thread."""
-        if self.cchunk is None:
-            raise FFIError(
-                f"{self.func.name}() has no chunked entry; call "
-                f"fn.mark_chunked() before its first C compile")
-        cargs, keep = self._bind(args, self.converters)
-        cchunk = _guarded(self.cchunk)
-
-        def run(lo: int, hi: int, _keep=keep):
-            cchunk(lo, hi, *cargs)
-
-        run.kernel_name = self.func.name
-        return run
-
-    def tail_caller(self, nlead: int, *tailargs):
-        """Bind every parameter after the first ``nlead`` (integer)
-        leading ones and return a cheap ``run(*lead)`` callable.
-
-        Orion's strip dispatch uses this: the image buffers convert to
-        pointers once per pipeline call, and each per-worker strip call
-        is then one plain ctypes foreign call (GIL released) with only
-        the ``gsel/wid/ylo/yhi`` scalars built per call."""
-        cargs, keep = self._bind(tailargs, self.converters[nlead:])
-        leading, entry = self.converters[:nlead], self._centry
-
-        def run(*lead, _keep=keep):
-            lc, lkeep = self._bind(lead, leading)
-            entry(*lc, *cargs)
-
-        run.kernel_name = self.func.name
-        return run
-
-    def call_chunk(self, lo: int, hi: int, *args):
-        """Run the chunked entry once over ``[lo, hi)`` (serial use)."""
-        self.chunk_caller(*args)(lo, hi)
-
 
 class CBackend(Backend):
     name = "c"
@@ -290,8 +244,8 @@ class CBackend(Backend):
         """``(source, names)`` of ``fn``'s component — the C text and each
         member's C name (``uid -> name``) — emitted once and remembered, so
         ``get_c_source()`` shows the text that was compiled.  Only the
-        pipeline level and ``mark_chunked()`` can move it: the key."""
-        key = (self._level(), tuple(f.emit_chunk for f in component))
+        pipeline level can move it: the key."""
+        key = self._level()
         unit = self._units.get(fn)
         if unit is None or unit[0] != key:
             with _trace.span(f"emit:{fn.name}", cat="emit", backend="c",
@@ -420,14 +374,8 @@ class CBackend(Backend):
                 centry.restype = cfn.restype
                 centry.argtypes = list(cfn.argtypes) + \
                     [ctypes.POINTER(ctypes.c_int32)]
-            cchunk = None
-            if getattr(f, "emit_chunk", False):
-                cchunk = lib[cname + "_chunk"]
-                cchunk.restype = None
-                cchunk.argtypes = [ctypes.c_int64, ctypes.c_int64] + \
-                    list(cfn.argtypes) + [ctypes.POINTER(ctypes.c_int32)]
             handle = f.dispatcher.install(
-                self.name, CompiledFunction(f, cfn, ftype, centry, cchunk))
+                self.name, CompiledFunction(f, cfn, ftype, centry))
             if f is fn:
                 entry_handle = handle
         if entry_handle is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ..errors import FFIError, SpecializeError, TypeCheckError
@@ -62,10 +63,6 @@ class TerraFunction:
         # all call/compile state (per-backend handles, pending tickets,
         # tiering) lives on the dispatcher — see repro.exec
         self.dispatcher = Dispatcher(self)
-        # when True the C backend emits a `<name>_chunk(lo, hi, args...,
-        # trap*)` twin driving the body's final loop over [lo, hi) — the
-        # dispatch target of repro.parallel (see mark_chunked)
-        self.emit_chunk = False
 
     # -- definition ------------------------------------------------------------
     def define(self, param_symbols: Sequence[Symbol],
@@ -164,31 +161,22 @@ class TerraFunction:
     __call__ = property(operator.attrgetter("dispatcher.target"))
 
     # -- parallel dispatch (repro.parallel) ---------------------------------------
-    def mark_chunked(self) -> "TerraFunction":
-        """Request a *chunked* C entry for this loop kernel.
+    @cached_property
+    def chunked(self) -> "TerraFunction":
+        """This loop kernel's iterates in ``[lo, hi)``, staged as
+        ``<name>_chunk(lo : int64, hi : int64, <params>)`` — the kernel
+        :func:`repro.parallel.parallel_for` hands each worker a range of.
 
-        The C backend then emits, next to the normal entry, a twin
-        ``<name>_chunk(int64 lo, int64 hi, args..., int32* trap)`` that
-        runs only the iterations of the body's **final top-level loop**
-        that fall in ``[lo, hi)`` — the dispatch target
-        :func:`repro.parallel.parallel_for` hands to worker threads.
-
-        Must be called before the function is compiled on the C backend
-        (the mark changes the emitted unit, hence its cache identity).
-        Returns ``self`` so it chains: ``terra(...)(src).mark_chunked()``.
-        """
-        if self.emit_chunk:
-            return self
-        if self.is_external:
-            raise SpecializeError(
-                f"mark_chunked: {self.name!r} is external; chunked entries "
-                f"exist only for Terra-defined loop kernels")
-        if "c" in self.dispatcher.handles or "c" in self.dispatcher.pending:
-            raise SpecializeError(
-                f"mark_chunked: {self.name!r} is already compiled on the C "
-                f"backend; mark it before the first compile/call")
-        self.emit_chunk = True
-        return self
+        Its body is this function's specialized one: the statements before
+        the **final top-level loop** (they run in every chunk, so they must
+        be cheap and idempotent), then that loop with its start and limit
+        clamped to ``[lo, hi)`` in the loop variable's type; a strided
+        start advances to the first iterate ``>= lo``, so any cuts run
+        exactly the serial iterates.  A scheduled function's twin carries
+        its schedule minus ``Parallel``.  An ordinary function: every
+        backend and tier runs it."""
+        from ..parallel import stage_chunked
+        return stage_chunked(self)
 
     # -- inspection (Terra's printpretty / disas) -----------------------------
     def printpretty(self, typed: bool = False) -> str:

@@ -127,7 +127,7 @@ def structural_digest(fn: TerraFunction, context: str) -> tuple:
     """``(members, digest)`` of ``fn``'s reachable component, read off the
     *specialized* trees: the members in discovery order and a hash of
     ``context`` plus, per member, its name, :class:`~repro.core.sast.
-    Fingerprint` digest, chunk mark and schedule, its callees as component
+    Fingerprint` digest and schedule, its callees as component
     indices (cycles are fine), its symbols numbered by first occurrence
     across the component — externals as symbol name + type.  ``(None,
     reason)`` when typechecking a member depends on state no tree shows: a
@@ -148,7 +148,7 @@ def structural_digest(fn: TerraFunction, context: str) -> tuple:
                 index[ref.uid] = len(members)
                 members.append(ref)
         schedule = getattr(f, "schedule", None)
-        parts.append((f.name, fp.digest, f.emit_chunk,
+        parts.append((f.name, fp.digest,
                       schedule and (schedule.key(), schedule.strict),
                       [index[ref.uid] for ref in fp.refs],
                       [symbols.setdefault(s, len(symbols))

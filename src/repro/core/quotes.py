@@ -43,16 +43,18 @@ class Quote:
         self.in_exprs = list(in_exprs) if in_exprs is not None else None
 
     # -- splicing support ---------------------------------------------------
-    def as_expression(self) -> sast.SExpr:
+    def as_expression(self, location=None) -> sast.SExpr:
         """The tree to splice in expression position — shared, not copied:
-        specialized trees are read-only (see :mod:`repro.core.sast`)."""
+        specialized trees are read-only (see :mod:`repro.core.sast`).  A
+        statements-quote with no ``in`` expression cannot be one: the
+        error names ``location``, the splice."""
         if self.kind == self.EXPRESSION:
             return self.tree
         if self.in_exprs:
             return sast.SLetIn(self.tree, self.in_exprs)
         raise SpecializeError(
             "cannot splice a statements-quote (with no 'in' expression) "
-            "into expression position")
+            "into expression position", location)
 
     def as_statements(self) -> list[sast.SStat]:
         """The statements to splice in statement position."""

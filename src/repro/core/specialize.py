@@ -128,7 +128,7 @@ def embed_value(value, location) -> sast.SExpr:
     must lie in the subset of Lua values that are also Terra terms.
     """
     if isinstance(value, Quote):
-        tree = value.as_expression()
+        tree = value.as_expression(location)
         if tree.location is None and location is not None:
             # a quote built in Python (``x``, ``x + 1``) is located where
             # it is spliced, so an extruded variable is reported there

@@ -758,6 +758,7 @@ class TypeChecker:
         raise TypeCheckError(f"cannot zero-initialize type {ty}", location)
 
     def _check_SLetIn(self, e: sast.SLetIn) -> tast.TExpr:
+        outer = len(self.scope)
         self.defer_stack.append((False, []))
         stmts: list[tast.TStat] = []
         for s in e.block.statements:
@@ -770,13 +771,23 @@ class TypeChecker:
         _, defers = self.defer_stack.pop()
         for call in reversed(defers):
             stmts.append(tast.TExprStat(call, e.location))
+        self._close_scope(outer)
         block = tast.TBlock(stmts, e.location)
         return tast.TLetIn(block, value, value.type, e.location)
 
     # ======================================================================
     # statements
     # ======================================================================
+    def _close_scope(self, outer: int) -> None:
+        """Forget the variables declared since the scope held ``outer``
+        names (a dict pops the last inserted first): a symbol used after
+        its binder's block is out of scope, as C and the interpreter's
+        frames have it."""
+        while len(self.scope) > outer:
+            self.scope.popitem()
+
     def check_block(self, block: sast.SBlock) -> tast.TBlock:
+        outer = len(self.scope)
         self.defer_stack.append((False, []))
         stmts: list[tast.TStat] = []
         for s in block.statements:
@@ -784,9 +795,11 @@ class TypeChecker:
         _, defers = self.defer_stack.pop()
         for call in reversed(defers):
             stmts.append(tast.TExprStat(call, block.location))
+        self._close_scope(outer)
         return tast.TBlock(stmts, block.location)
 
     def _loop_block(self, block: sast.SBlock) -> tast.TBlock:
+        outer = len(self.scope)
         self.loop_depth += 1
         self.defer_stack.append((True, []))
         try:
@@ -796,6 +809,7 @@ class TypeChecker:
             _, defers = self.defer_stack.pop()
             for call in reversed(defers):
                 stmts.append(tast.TExprStat(call, block.location))
+            self._close_scope(outer)
             return tast.TBlock(stmts, block.location)
         finally:
             self.loop_depth -= 1
@@ -957,8 +971,10 @@ class TypeChecker:
                 step_sign = 1 if step.value >= 0 else -1
             else:
                 step_sign = 0
+        outer = len(self.scope)
         self.scope[s.symbol] = var_type
         body = self._loop_block(s.body)
+        self._close_scope(outer)
         return tast.TForNum(s.symbol, var_type, start, limit, step, body,
                             step_sign, s.location)
 

@@ -59,11 +59,11 @@ def map_rows(Table: T.StructType, bodyfn, name: str = "maprows"):
 
     ``bodyfn(row)`` receives the row-handle *symbol* and returns a quote
     (or list of quotes) for the per-row body — the same contract as
-    ``blockedloop``'s body generator.  The result is a ``mark_chunked()``
-    Terra function ``f(t : &Table, n : int64)`` whose final loop runs
-    over row indices, so it can be dispatched across workers with
-    :func:`parallel_map_rows` (or :func:`repro.parallel.parallel_for`)
-    as well as called serially.  Rows are independent: the body must
+    ``blockedloop``'s body generator.  The result is a Terra function
+    ``f(t : &Table, n : int64)`` whose final loop runs over row indices,
+    so its ``chunked`` twin can be dispatched across workers with
+    :func:`parallel_map_rows` (or :func:`repro.parallel.parallel_for`);
+    it is called serially as it is.  Rows are independent: the body must
     only touch its own row for a parallel dispatch to be sound.
     """
     from .. import pointer as _pointer, symbol, terra as _terra
@@ -81,7 +81,7 @@ def map_rows(Table: T.StructType, bodyfn, name: str = "maprows"):
     end
     """, env={"t": t, "n": n, "i": i, "row": row, "body": body})
     fn.name = name
-    return fn.mark_chunked()
+    return fn
 
 
 def parallel_map_rows(kernel, table, nrows: int, *args,
@@ -92,7 +92,7 @@ def parallel_map_rows(kernel, table, nrows: int, *args,
     extra ``args`` follow the kernel's own extra parameters.  For AoSoA
     tables pass ``grain=block`` so whole tiles stay on one worker."""
     from ..parallel import parallel_for
-    parallel_for(kernel, 0, nrows, table, nrows, *args,
+    parallel_for(kernel.chunked, 0, nrows, table, nrows, *args,
                  nthreads=nthreads, grain=grain)
 
 

@@ -192,9 +192,9 @@ class CompiledStencil:
         plan = self.parallel_plan
         nt = plan["nthreads"]
         BIG = self._BIG
-        # bind the buffers once: every strip call is then one plain
-        # ctypes foreign call with four fresh scalars
-        run = self.fn.compile("c").tail_caller(4, *buffers, self.scratch)
+        # bind the buffers once: every strip call then converts only its
+        # four fresh scalars (on C, one plain ctypes foreign call)
+        run = self.fn.compile().tail_caller(4, *buffers, self.scratch)
         if in_worker():
             # nested dispatch: run the whole pipeline serially inline
             run(-1, 0, -BIG, BIG)

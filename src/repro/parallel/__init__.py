@@ -4,13 +4,15 @@ The paper's evaluation kernels are single-threaded; the ROADMAP's north
 star ("as fast as the hardware allows") also includes the *other* cores.
 This package is the runtime half of that story:
 
-* the C backend emits a **chunked entry** for any kernel marked with
-  ``fn.mark_chunked()`` — ``<name>_chunk(int64 lo, int64 hi, args...,
-  int32* trap)`` runs just the iterations of the kernel's final loop
-  that fall in ``[lo, hi)``;
+* a loop kernel's ``fn.chunked`` twin — ``<name>_chunk(lo, hi,
+  args...)``, staged from its definition by :func:`stage_chunked` — runs
+  just the iterations of the kernel's final loop that fall in ``[lo,
+  hi)``;
 * :func:`parallel_for` splits ``[lo, hi)`` into per-worker chunks and
-  drives them through a persistent thread pool.  ctypes releases the
-  GIL during each C call, so the workers genuinely occupy N cores;
+  drives them through a persistent thread pool, each chunk one call of
+  the kernel on the default backend.  ctypes releases the GIL during
+  each C call, so on C the workers genuinely occupy N cores (the
+  interpreter runs them in turns, with the same results);
 * a worker-side trap (``%0`` etc.) surfaces as **one**
   :class:`~repro.errors.TrapError` on the dispatching thread, and the
   pool survives to run the next dispatch;
@@ -36,8 +38,8 @@ dispatches/chunks/traps.
 ... terra scale(n : int64, a : float, x : &float)
 ...   for i = 0, n do x[i] = a * x[i] end
 ... end
-... ''').mark_chunked()
->>> # parallel_for(scale, 0, n, n, 2.0, x_ptr)   # doctest: +SKIP
+... ''')
+>>> # parallel_for(scale.chunked, 0, n, n, 2.0, x)   # doctest: +SKIP
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ from typing import Callable, Optional, Sequence
 
 from .. import config
 from .. import trace as _trace
-from ..errors import TrapError
+from ..core import sast, tast
+from ..core import types as T
+from ..core.function import TerraFunction
+from ..core.symbols import Symbol
+from ..errors import CompileError, SpecializeError, TrapError
 from .pool import WorkerPool, get_pool, in_worker, shutdown_pool
 
 __all__ = [
@@ -100,21 +106,81 @@ def split_range(lo: int, hi: int, nparts: int,
     return out
 
 
-def _chunk_runner(kernel, args) -> Callable[[int, int], None]:
-    """A ``run(lo, hi)`` callable for one dispatch of ``kernel``.
+def stage_chunked(fn):
+    """Stage ``fn.chunked`` (:attr:`TerraFunction.chunked`), the ``[lo,
+    hi)`` twin of a loop kernel: the checks read the typechecked tree (the
+    loop variable's type too), the twin reuses the specialized one."""
+    if fn.is_external:
+        raise SpecializeError(f"chunked: {fn.name!r} is external; chunked "
+                              f"kernels exist only for Terra-defined loops")
+    fn.ensure_typechecked()
+    ftype = fn.typed.type
+    if ftype.returns:
+        raise CompileError(
+            f"chunked: {fn.name!r} returns {ftype.returntype}; chunked "
+            f"kernels must return nothing (results go through out-pointers)")
+    if ftype.varargs:
+        raise CompileError(f"chunked: {fn.name!r} is varargs")
+    *prelude, loop = fn.body.statements or [None]
+    if not isinstance(loop, sast.SForNum):
+        raise CompileError(
+            f"chunked: {fn.name!r}'s body must end in a numeric for loop "
+            f"(the axis repro.parallel splits into chunks)")
+    # the loop as typechecked — found by its variable, which a schedule
+    # lowered since keeps on the loop running the body
+    typed = next(n for n in tast.walk(fn.typed.body)
+                 if isinstance(n, tast.TForNum) and n.symbol is loop.symbol)
+    if typed.step is not None and typed.step_sign <= 0:
+        raise CompileError(
+            f"chunked: {fn.name!r}'s final loop must ascend (constant "
+            f"positive step) to be split into [lo, hi) chunks")
+    vt = typed.var_type
+    lo, hi = Symbol(T.int64, "lo"), Symbol(T.int64, "hi")
+    start, limit = Symbol(vt, "start"), Symbol(vt, "limit")
+    var, binop = sast.SVar, sast.SBinOp
+    lo_, hi_ = sast.SCast(vt, var(lo)), sast.SCast(vt, var(hi))
+    first = lo_
+    if loop.step is not None:   # start + (lo - start + step - 1) / step * step
+        step = sast.SCast(vt, loop.step)
+        gap = binop("-", binop("+", binop("-", lo_, var(start)), step),
+                    sast.SConst(1, vt))
+        first = binop("+", var(start),
+                      binop("*", binop("/", gap, step), step))
 
-    ``kernel`` is a Terra function (compiled on the C backend; must be
-    ``mark_chunked()``), an already-compiled C handle, or any Python
-    callable ``f(lo, hi, *args)`` (the portable fallback — correct, but
-    it cannot release the GIL)."""
+    def clamp(sym, op, bound, value):
+        return sast.SIf([(binop(op, var(sym), bound),
+                          sast.SBlock([sast.SAssign([var(sym)], [value])]))],
+                        None)
+
+    twin = TerraFunction(f"{fn.name}_chunk", fn.location)
+    twin.define([lo, hi, *fn.param_symbols], [T.int64, T.int64,
+                                              *fn.param_types],
+                fn.declared_rettype, sast.SBlock([
+                    *prelude,
+                    sast.SVarDecl([start, limit], [vt, vt],
+                                  [loop.start, loop.limit]),
+                    clamp(limit, ">", hi_, hi_),
+                    clamp(start, "<", lo_, first),
+                    sast.SForNum(loop.symbol, var(start), var(limit),
+                                 loop.step, loop.body, loop.location)]))
+    schedule = getattr(fn, "schedule", None)
+    if schedule:
+        from ..schedule import Parallel
+        twin.schedule = schedule.partition(
+            lambda d: isinstance(d, Parallel))[1]
+    return twin
+
+
+def _chunk_runner(kernel, args) -> Callable[[int, int], None]:
+    """A ``run(lo, hi)`` callable for one dispatch of ``kernel``, which
+    takes ``(lo, hi, *args)``: a Terra function (a loop kernel's
+    ``chunked`` twin, say) runs through its default-backend handle's
+    prepared caller, which converts ``args`` once, here; any other
+    callable is called as it is (correct, but it cannot release the
+    GIL)."""
     if getattr(kernel, "is_terra_function", False):
-        # chunked dispatch is a C-backend feature: resolve the handle
-        # through the kernel's dispatcher (joining any pending async
-        # compile / tier-up) rather than around it
-        kernel = kernel.dispatcher.compiled_handle("c")
-    caller = getattr(kernel, "chunk_caller", None)
-    if caller is not None:
-        return caller(*args)
+        # through the kernel's dispatcher, joining any pending compile
+        return kernel.compile().tail_caller(2, *args)
 
     def run(lo: int, hi: int):
         kernel(lo, hi, *args)

@@ -9,7 +9,7 @@ schedule objects —
 * :class:`Unroll`     — unroll an axis by a factor with a remainder loop,
 * :class:`Vectorize`  — force W-lane vectorization of an innermost axis,
 * :class:`Parallel`   — dispatch an axis across worker threads
-  (:mod:`repro.parallel` chunked entries),
+  (:mod:`repro.parallel`, through the function's ``chunked`` twin),
 * :class:`Pack`       — copy an operand tile/panel into contiguous scratch
   (consumed by schedule-aware builders, not the generic lowering),
 
@@ -180,8 +180,8 @@ class Vectorize(Directive):
 
 @dataclass(frozen=True)
 class Parallel(Directive):
-    """Dispatch ``axis`` across worker threads via the kernel's chunked
-    C entry (:mod:`repro.parallel`).  The axis must be the kernel's
+    """Dispatch ``axis`` across worker threads via the kernel's
+    ``chunked`` twin (:mod:`repro.parallel`).  The axis must be the kernel's
     final top-level loop with host-evaluable bounds (constants or whole
     parameters); each worker runs a contiguous ``[lo, hi)`` slice, so
     results are bit-identical to serial for independent iterations.
@@ -318,7 +318,7 @@ class Schedule:
                         raise ScheduleError(
                             f"{d}: axis {axis!r} is the thread-dispatch "
                             f"axis; {other} would change the per-chunk "
-                            f"loop structure the chunked entry clamps")
+                            f"loop structure the chunked twin clamps")
 
     # -- views ---------------------------------------------------------------
 
@@ -395,10 +395,11 @@ class ScheduledKernel:
     Non-``Parallel`` schedules are entirely an IR property, so calls
     simply forward to the function (any backend, any tier).  With a
     ``Parallel(axis)`` directive the call extracts the axis bounds from
-    the typed IR (validated by the schedule pass at compile time) and
-    drives the kernel's chunked C entry through
-    :func:`repro.parallel.parallel_for`.  Everything else (``compile``,
-    ``get_c_source``, ``name``, ...) delegates to the function.
+    the typed IR (validated by the schedule lowering) and drives the
+    function's ``chunked`` twin — which carries the rest of the schedule
+    — through :func:`repro.parallel.parallel_for`.  Everything else
+    (``compile``, ``get_c_source``, ``name``, ...) delegates to the
+    function.
     """
 
     def __init__(self, fn, schedule: Schedule):
@@ -417,20 +418,18 @@ class ScheduledKernel:
             return self.fn(*args)
         from ..parallel import parallel_for
         lo, hi = self._axis_bounds(args)
-        return parallel_for(self.fn, lo, hi, *args,
+        return parallel_for(self.fn.chunked, lo, hi, *args,
                             nthreads=par.nthreads,
                             grain=self.schedule.split_size(par.axis))
 
     def _axis_bounds(self, args) -> tuple[int, int]:
         """The Parallel axis' (start, limit) for this call — recorded by
-        the schedule pass as (expr, expr) and evaluated against the
+        the schedule lowering as (expr, expr) and evaluated against the
         actual arguments (constants or whole parameters only)."""
-        self.fn.compile("c")  # runs the schedule pass if it hasn't yet ...
-        if self.fn.typed is None:   # ... unless the structural memo bound it
-            from ..backend.base import get_backend
-            from ..core.linker import pipelined_component
-            pipelined_component(self.fn, get_backend("c"))
+        from ..passes import PIPELINE_NONE, pipelined_body
+        self.fn.ensure_typechecked()
         typed = self.fn.typed
+        pipelined_body(typed, PIPELINE_NONE)  # lowers it if nothing has
         bounds = getattr(typed, "_sched_parallel_bounds", None)
         if bounds is None:
             raise ScheduleError(
@@ -489,8 +488,6 @@ def apply(fn, schedule) -> ScheduledKernel:
             f"builders (make_gemm_from_schedule, apps.dequant), not the "
             f"generic lowering — see docs/SCHEDULES.md")
     fn.schedule = schedule
-    if schedule.parallel is not None and not _lowering_disabled():
-        fn.mark_chunked()
     return ScheduledKernel(fn, schedule)
 
 

@@ -18,7 +18,7 @@ auto-vectorizer's machinery where it exists:
 * **Parallel** is validated here (final top-level loop, host-evaluable
   bounds) and recorded on the TypedFunction for
   :class:`~repro.schedule.ScheduledKernel` to dispatch through the
-  chunked-entry path.
+  function's ``chunked`` twin.
 
 Every loop that still *contains the original body* (the intra-chunk
 loop, the unroll remainder) is tagged with a shared ``_sched_origin``
@@ -168,9 +168,9 @@ def _splice(typed, slot, statements: list) -> None:
     """Replace the statement at ``slot`` with ``statements``.
 
     At the *final top-level* position the statements are spliced inline
-    (no ``do`` wrapper), so a loop that stays last keeps the shape the
-    chunked-entry emitter requires; everywhere else they are wrapped in
-    a ``do`` block to keep scoping tight."""
+    (no ``do`` wrapper), so a loop that was last stays a top-level
+    statement; everywhere else they are wrapped in a ``do`` block to keep
+    scoping tight."""
     block, idx = slot
     top_final = block is typed.body and idx == len(block.statements) - 1
     if top_final:
@@ -475,15 +475,6 @@ def _lower_vectorize(typed, d: Vectorize, lenient: bool) -> bool:
             f"{d}: cannot vectorize axis {d.axis!r} "
             f"(vectorizer bailed: {bail.reason})")
     block, idx = slot
-    if block is typed.body and idx == len(block.statements) - 1 \
-            and getattr(typed.func, "emit_chunk", False):
-        if lenient:
-            _metric("sched.skipped")
-            return False
-        raise ScheduleError(
-            f"{d}: axis {d.axis!r} is the chunked-dispatch loop; "
-            f"vectorizing it would break the chunked entry "
-            f"(vectorize an inner axis instead)")
     block.statements[idx] = replacement
     _metric("sched.vectorized")
     return True
@@ -493,14 +484,13 @@ def _lower_vectorize(typed, d: Vectorize, lenient: bool) -> bool:
 
 def _validate_parallel(typed, d: Parallel) -> None:
     """Check the Parallel axis *before* other rewrites and record its
-    dispatch bounds; the splice rules keep its (possibly blocked) loop
-    the final top-level statement."""
+    dispatch bounds."""
     loop, slot = _resolve_axis(typed, d.axis, d)
     block, idx = slot
     if block is not typed.body or idx != len(block.statements) - 1:
         raise ScheduleError(
             f"{d}: axis {d.axis!r} must be the final top-level loop of "
-            f"{typed.name!r} — that is the loop the chunked entry "
+            f"{typed.name!r} — that is the loop the chunked twin "
             f"clamps to [lo, hi)")
     if typed.type.returns:
         raise ScheduleError(

@@ -292,13 +292,8 @@ class ServeServer:
         if type(kernel) is not WarmKernel:   # a miss: call once it is warm
             return self._call_compiled(tenant, kernel, raw_args, rng, t_admit)
         args = tenant.resolve_args(raw_args)
-        call = kernel.handle
+        call = kernel.handle     # a chunked kernel: the entry's twin
         if rng is not None:
-            call = getattr(call, "call_chunk", None)
-            if not kernel.chunked or call is None:
-                raise ServeError("unsupported",
-                                 f"{kernel.entry} has no chunked entry on "
-                                 f"this backend")
             args = [*rng, *args]
         if not kernel.fits_inline(args):
             tenant.placed["offloaded"] += 1
@@ -350,11 +345,9 @@ class ServeServer:
                      chunked: bool):
         """The resident kernel, or on a miss the compile to await."""
         backend = self.config.backend
-        if chunked:
-            backend = "c"  # chunked entries exist only on the C backend
         # tiered kernels carry live tier state; keep them apart from any
         # ahead-of-time compile of the same source
-        tiered = not chunked and current_policy().name == "tiered"
+        tiered = current_policy().name == "tiered"
         ident = ("tiered" if tiered else (backend or "default"), entry,
                  chunked, source)
         kernel = tenant.kernels.get(ident)
@@ -387,8 +380,8 @@ class ServeServer:
                              tiered=tiered):
                 with _buildd_service.cache_namespace(tenant.name):
                     fn = self._resolve_entry(source, entry)
-                    if chunked:
-                        fn.mark_chunked()
+                    if chunked:     # the call takes [lo, hi) first
+                        fn = fn.chunked
                     if tiered:
                         # tier 0: the warm "handle" is the function, whose
                         # call slot starts interpreted, a hot call
@@ -412,7 +405,7 @@ class ServeServer:
                 with _buildd_service.cache_namespace(tenant.name):
                     handle = await self._loop.run_in_executor(self._exec,
                                                               ticket.result)
-            kernel = WarmKernel(key, entry, fn, handle, chunked, tiered=tiered)
+            kernel = WarmKernel(key, entry, fn, handle, tiered=tiered)
             tenant.kernels.put(ident, kernel)
         except BaseException as exc:
             fut.set_exception(exc)

@@ -88,17 +88,16 @@ class WarmKernel:
     only): consecutive runs seen under ``INLINE_BUDGET_S``, how many earn
     the loop, and the largest ``|int|`` per argument position among them."""
 
-    __slots__ = ("key", "entry", "span_name", "fn", "handle", "chunked",
-                 "tiered", "streak", "need", "envelope")
+    __slots__ = ("key", "entry", "span_name", "fn", "handle", "tiered",
+                 "streak", "need", "envelope")
 
-    def __init__(self, key: str, entry: str, fn, handle, chunked: bool,
+    def __init__(self, key: str, entry: str, fn, handle,
                  tiered: bool = False):
         self.key = key
         self.entry = entry
         self.span_name = f"serve.exec:{entry}"
         self.fn = fn            # the TerraFunction (kept alive with the lib)
         self.handle = handle    # backend callable handle, or fn (tiered)
-        self.chunked = chunked
         self.tiered = tiered
         self.streak = 0
         self.need = INLINE_AFTER

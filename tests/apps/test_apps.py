@@ -43,11 +43,11 @@ class TestFluid:
             got = sim.get_state()
             assert [f.tobytes() for f in got] == want, (vec, lb)
             # chunking may never change results: the parallel twin of
-            # every schedule (advection through its chunked entries) is
-            # BIT-identical to its serial version
+            # every schedule (advection through its kernels' chunked
+            # twins) is BIT-identical to its serial version
             par = make_orion_fluid(params, vectorize=vec, linebuffer=lb,
                                    parallel=3)
-            assert par.advect_uv.emit_chunk and par.advect_d.emit_chunk
+            assert par.advect_uv.name == par.advect_d.name == "advect_chunk"
             par.set_state(u, v, d)
             for _ in range(2):
                 par.step()

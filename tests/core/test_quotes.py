@@ -161,3 +161,51 @@ class TestSpliceIsolation:
         assert len(columns) == 2
         assert q.tree.location is None
         assert q.tree.lhs.location is None and q.tree.rhs.location is None
+
+
+# -- staging violations: each rejected with its class, at its location --------
+
+def _extruded():
+    saved = []
+    terra("terra f(x : int) : int return [saved.append(x) or x] end",
+          env={"saved": saved})
+    return saved[0]
+
+
+def _outside_binder():
+    s = symbol(int_, "s")
+    return quote_("do var [s] = 1 end", env={"s": s}), s
+
+
+VIOLATIONS = [
+    # id, error class, body of g, env, where the location points
+    ("extrusion", "TypeCheckError", "return [q] + y",
+     lambda: {"q": _extruded()}, "q]"),
+    ("symbol-outside-binder", "TypeCheckError", "[b]\n  return [s] + y",
+     lambda: dict(zip("bs", _outside_binder())), "s]"),
+    ("statements-quote-as-expression", "SpecializeError", "return [q] + y",
+     lambda: {"q": quote_("var z = 1")}, "q]"),
+    ("escape-returns-non-terra-value", "SpecializeError", "return [v] + y",
+     lambda: {"v": object()}, "v]"),
+    ("type-as-value", "TypeCheckError", "return int + y",
+     lambda: {}, "int +"),
+]
+
+
+@pytest.mark.parametrize("cls,body,env,where",
+                         [row[1:] for row in VIOLATIONS],
+                         ids=[row[0] for row in VIOLATIONS])
+def test_staging_violations_are_located(cls, body, env, where):
+    """A staged program that breaks a level or scope rule fails at
+    specialization or typechecking with its own error class, located
+    where the violation is written (``<terra>:line:col`` and a caret),
+    whichever stage finds it."""
+    import repro.errors
+    lines = ["terra g(y : int) : int", *f"  {body}".splitlines(), "end"]
+    with pytest.raises(getattr(repro.errors, cls)) as info:
+        terra("\n".join(lines), env=env()).ensure_typechecked()
+    loc = info.value.location
+    assert loc is not None and loc.filename == "<terra>"
+    assert loc.line_text[loc.column - 1:].startswith(where)
+    assert str(info.value).startswith(f"<terra>:{loc.line}:{loc.column}: ")
+    assert str(info.value).splitlines()[-1].strip() == "^"

@@ -203,10 +203,10 @@ def test_chunked_kernel_hit():
 
     def run(fn):
         x = np.arange(40.0)
-        fn.compile("c").call_chunk(8, 24, 40, x)
+        fn.compile("c")(8, 24, 40, x)
         return x.tobytes()
 
-    assert_hit_equals_slow_path(lambda: terra(src).mark_chunked(), run)
+    assert_hit_equals_slow_path(lambda: terra(src).chunked, run)
 
 
 # -- (b) what moves the C moves the digest ----------------------------------------
@@ -269,7 +269,7 @@ MUST_MISS = [
     ("display-name", named_local("x"), named_local("y"), None),
     ("function-name", lambda: terra("terra f() : int return 1 end"),
      lambda: terra("terra g() : int return 1 end"), None),
-    ("mark_chunked", loop(), loop(lambda fn: fn.mark_chunked()), None),
+    ("chunked", loop(), loop(lambda fn: fn.chunked), None),
     ("schedule", loop(lambda fn: apply(fn, Block("i", 4)).fn),
      loop(lambda fn: apply(fn, Block("i", 8)).fn), None),
     ("schedule-strict", loop(lambda fn: apply(fn, Schedule([Block("i", 4)])).fn),
@@ -563,7 +563,7 @@ def test_parallel_schedule_dispatch_after_a_hit():
         return apply(terra(src), Schedule([Block("i", 8),
                                            Parallel("i", nthreads=2)]))
 
-    scheduled().compile()
+    scheduled()(100, np.zeros(100))     # compiles the twin the workers run
     kernel = scheduled()
     x = np.zeros(100)
     assert memo_counts(lambda: kernel(100, x)) == {"hits": 1}

@@ -4,7 +4,7 @@ lazy/monotonic checking — the Section 4.1 type-system behaviours."""
 import pytest
 
 from repro import (declare, expr, float_, functype, int_, pointer, quote_,
-                   struct, terra, unit)
+                   struct, symbol, terra, unit)
 from repro.core import types as T
 from repro.errors import LinkError, SpecializeError, TypeCheckError
 
@@ -395,6 +395,35 @@ class TestVectors:
         end
         """)
         assert f(2.0) == 5.0
+
+
+class TestBlockScope:
+    """A binder's scope ends with its block: what C's blocks and the
+    interpreter's frames give a variable, and no more.  (A name is
+    resolved by the specializer; a symbol spliced past its block reaches
+    the typechecker.)"""
+
+    @pytest.mark.parametrize("body", [
+        "for [s] = 0, n do end return [s]",
+        "do var [s] = n end return [s]",
+        "if n > 0 then var [s] = 1 end return [s]",
+        "while n > 0 do var [s] = n n = n - 1 end return [s]",
+        "var k = [quote_('var [s] = 1 in [s]', env={'s': s})] return [s]",
+    ])
+    def test_a_symbol_after_its_block_is_out_of_scope(self, body):
+        tc_error(f"terra f(n : int) : int {body} end", match="not in scope",
+                 env={"quote_": quote_, "s": symbol(int_, "s")})
+
+    def test_sibling_blocks_may_bind_one_symbol(self):
+        s = symbol(int_, "s")
+        q = quote_("do var [s] = 20 end", env={"s": s})
+        f = terra("""terra f() : int
+                       [q]
+                       [q]
+                       var [s] = 22
+                       return [s]
+                     end""", env={"q": q, "s": s})
+        assert f() == 22
 
 
 class TestMoreNegativeCases:

@@ -218,7 +218,7 @@ class TestPointerTable:
 
     def test_every_caller_converts_through_the_per_type_converter(
             self, cbackend, monkeypatch):
-        """``_invoke`` and both prepared callers use
+        """``_invoke`` and the prepared caller use
         ``convert.converter(ty)``, which hands every array to the
         table; only the handle's ``entry`` keeps a native array from it,
         and what it refuses (here a read-only array) re-runs on
@@ -229,16 +229,15 @@ class TestPointerTable:
         monkeypatch.setitem(
             convert._POINTER_ENTRIES, np.ndarray,
             lambda value, ty: seen.append(value) or entry(value, ty))
-        h = terra(self.SCALE).mark_chunked().compile(cbackend)
+        h = terra(self.SCALE).compile(cbackend)
         assert h.converters[2:] == [convert.converter(self.PD)] * 2
         x, y = np.arange(4.0), np.zeros(4)
         x.flags.writeable = False
         h(4, 1.0, x, y)                         # entry, then the checked call
         h._invoke((4, 2.0, x, y))               # the checked call
-        h.tail_caller(2, x, y)(4, 3.0)          # Orion's strip form
-        h.chunk_caller(4, 4.0, x, y)(0, 4)      # parallel_for's
-        assert [v is x for v in seen] == [True, False] * 4
-        assert list(y) == [0.0, 4.0, 8.0, 12.0]
+        h.tail_caller(2, x, y)(4, 3.0)          # the workers' form
+        assert [v is x for v in seen] == [True, False] * 3
+        assert list(y) == [0.0, 3.0, 6.0, 9.0]
         seen.clear()
         h(4, 1.0, np.arange(4.0), y)            # entry's own fast path
         assert seen == [] and list(y) == [0.0, 1.0, 2.0, 3.0]
@@ -246,23 +245,19 @@ class TestPointerTable:
                            "got 1"):
             h.tail_caller(2, x)
 
-    def test_prepared_callers_keep_their_arrays_alive(self, cbackend):
-        h = terra(self.SCALE).mark_chunked().compile(cbackend)
+    def test_prepared_callers_keep_their_arrays_alive(self):
+        h = terra(self.SCALE).compile()     # the default backend's handle
         y = np.zeros(4)
-        for prepare, run in [
-                (lambda x: h.chunk_caller(4, 2.0, x, y), lambda r: r(0, 4)),
-                (lambda x: h.tail_caller(2, x, y), lambda r: r(4, 2.0))]:
-            x = np.arange(4.0) + 1
-            caller, ref = prepare(x), weakref.ref(x)
-            del x
-            gc.collect()
-            assert ref() is not None
-            y[:] = 0
-            run(caller)
-            assert list(y) == [2.0, 4.0, 6.0, 8.0]
-            del caller
-            gc.collect()
-            assert ref() is None
+        x = np.arange(4.0) + 1
+        caller, ref = h.tail_caller(2, x, y), weakref.ref(x)
+        del x
+        gc.collect()
+        assert ref() is not None
+        caller(4, 2.0)
+        assert list(y) == [2.0, 4.0, 6.0, 8.0]
+        del caller
+        gc.collect()
+        assert ref() is None
 
 
 class TestStructArgsEndToEnd:

@@ -78,6 +78,24 @@ class TestDivisionTraps:
         assert agree("terra f(a : int, b : int) : int return a / b end",
                      -7, 2) == -3
 
+    @pytest.mark.parametrize("ty,expr,a", [
+        ("int", "a / 3", -7), ("int", "a % 3", -7),
+        ("int", "a / -3", 2**31 - 1), ("int", "a / -1", -2**31),
+        ("int", "a % -1", -2**31),
+        ("int8", "a / 3", -128), ("uint64", "a % 10", 2**64 - 1)])
+    def test_constant_divisors_agree(self, ty, expr, a):
+        agree(f"terra f(a : {ty}) : {ty} return {expr} end", a)
+
+    def test_only_a_constant_divisor_needs_no_guard(self):
+        # a constant other than 0 and -1 can neither trap nor overflow: the
+        # C divides directly, and the unit has no trap machinery
+        assert "_tentry" not in terra(
+            "terra f(a : int) : int return a / 3 + a % 7 end").get_c_source()
+        for divisor in ("b", "0", "-1"):
+            assert "_tentry" in terra(
+                f"terra f(a : int, b : int) : int return a / {divisor} end"
+            ).get_c_source()
+
     def test_trap_does_not_poison_later_calls(self):
         src = "terra f(a : int, b : int) : int return a % b end"
         for handle in both(src):

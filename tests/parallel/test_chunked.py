@@ -1,10 +1,11 @@
-"""Chunked kernel entries and parallel_for — the C-backend half."""
+"""Chunked twins and parallel_for: a loop kernel's ``[lo, hi)`` variant
+is staged, so every backend runs it."""
 
 import numpy as np
 import pytest
 
 from repro import terra
-from repro.errors import CompileError, SpecializeError, TrapError
+from repro.errors import CompileError, TrapError
 from repro.parallel import parallel_for
 
 
@@ -15,103 +16,126 @@ def make_saxpy():
         y[i] = a * x[i] + y[i]
       end
     end
-    """).mark_chunked()
+    """)
 
 
 class TestChunkEntry:
-    def test_chunks_cover_exactly_the_serial_iterates(self, cbackend):
+    def test_chunks_cover_exactly_the_serial_iterates(self, backend):
         fn = make_saxpy()
         n = 100
         x = np.arange(n, dtype=np.float32)
         ref = np.ones(n, dtype=np.float32)
-        fn(n, 2.0, x, ref)  # plain entry still works
+        fn.compile(backend)(n, 2.0, x, ref)
 
         got = np.ones(n, dtype=np.float32)
-        h = fn.compile("c")
+        h = fn.chunked.compile(backend)
         for lo, hi in [(0, 13), (13, 60), (60, 100)]:
-            h.call_chunk(lo, hi, n, 2.0, x, got)
+            h(lo, hi, n, 2.0, x, got)
+        assert got.tobytes() == ref.tobytes()
+        # parallel_for: the same cuts through the prepared caller
+        got[:] = 1
+        run = h.tail_caller(2, n, 2.0, x, got)
+        for lo, hi in [(0, 13), (13, 60), (60, 100)]:
+            run(lo, hi)
         assert got.tobytes() == ref.tobytes()
 
-    def test_out_of_range_chunk_is_a_noop(self, cbackend):
+    def test_out_of_range_chunk_is_a_noop(self, backend):
         fn = make_saxpy()
         n = 10
         x = np.ones(n, dtype=np.float32)
         y = np.zeros(n, dtype=np.float32)
-        fn.compile("c").call_chunk(50, 90, n, 1.0, x, y)
+        fn.chunked.compile(backend)(50, 90, n, 1.0, x, y)
         assert not y.any()
 
-    def test_strided_loop_misaligned_cuts(self, cbackend):
+    def test_strided_loop_misaligned_cuts(self, backend):
         # iterates are 0, 3, 6, ...; a cut not on a stride multiple must
-        # not duplicate or skip any iterate
+        # not duplicate or skip any iterate — in the loop variable's own
+        # type, here int32
         fn = terra("""
-        terra stamp(n : int64, out : &int) : {}
+        terra stamp(n : int32, out : &int) : {}
           for i = 0, n, 3 do
             out[i] = out[i] + 1
           end
         end
-        """).mark_chunked()
+        """)
         n = 30
         ref = np.zeros(n, dtype=np.int32)
-        fn(n, ref)
+        fn.compile(backend)(n, ref)
         got = np.zeros(n, dtype=np.int32)
-        h = fn.compile("c")
+        h = fn.chunked.compile(backend)
         for lo, hi in [(0, 4), (4, 11), (11, 30)]:
-            h.call_chunk(lo, hi, n, got)
+            h(lo, hi, n, got)
         assert np.array_equal(got, ref)
+        # the start advance divides by the constant step: nothing to trap,
+        # so the twin's C carries no trap machinery and no guarded entry
+        assert "_tentry" not in fn.chunked.get_c_source()
 
-    def test_mark_chunked_requires_final_loop(self):
+    def test_chunked_requires_final_loop(self):
         fn = terra("""
-        terra noloop(x : int) : int
-          return x + 1
-        end
-        """).mark_chunked()
-        with pytest.raises(CompileError, match="final statement|loop"):
-            fn.compile("c")
-
-    def test_mark_chunked_after_compile_rejected(self, cbackend):
-        fn = terra("""
-        terra plain(n : int64, x : &float) : {}
-          for i = 0, n do x[i] = 0.0f end
+        terra noloop(x : int) : {}
+          var y = x + 1
         end
         """)
-        fn.compile("c")
-        with pytest.raises(SpecializeError, match="already"):
-            fn.mark_chunked()
+        with pytest.raises(CompileError, match="must end in a numeric for"):
+            fn.chunked
+        returns = terra("""
+        terra sum(n : int) : int
+          var s = 0
+          for i = 0, n do s = s + i end
+          return s
+        end
+        """)
+        with pytest.raises(CompileError, match="must return nothing"):
+            returns.chunked
+        descends = terra("""
+        terra down(n : int, x : &int) : {}
+          for i = n, 0, -1 do x[i] = 0 end
+        end
+        """)
+        with pytest.raises(CompileError, match="must ascend"):
+            descends.chunked
 
-    def test_interp_backend_ignores_chunk_marking(self):
-        fn = make_saxpy()
-        n = 8
+    def test_chunked_after_compile_is_staged(self, backend):
+        # the twin is an ordinary function of its own: taking it after the
+        # kernel ran (its schedule lowered too) stages it, once
+        from repro.schedule import Block, apply
+        k = apply(make_saxpy(), Block("i", 8))
+        n = 20
         x = np.ones(n, dtype=np.float32)
         y = np.zeros(n, dtype=np.float32)
-        fn.compile("interp")(n, 3.0, x, y)
-        assert np.array_equal(y, np.full(n, 3.0, dtype=np.float32))
+        k.compile(backend)(n, 1.0, x, y)
+        twin = k.fn.chunked
+        assert twin is k.fn.chunked and twin.name == "saxpy_chunk"
+        assert twin.schedule == k.schedule
+        twin.compile(backend)(5, 17, n, 1.0, x, y)
+        assert list(y) == [1.0] * 5 + [2.0] * 12 + [1.0] * 3
 
 
 class TestParallelFor:
-    def test_bit_identical_to_serial(self, cbackend):
+    def test_bit_identical_to_serial(self):
         fn = make_saxpy()
         n = 1000
         x = np.random.RandomState(0).rand(n).astype(np.float32)
         ref = np.ones(n, dtype=np.float32)
         par = np.ones(n, dtype=np.float32)
         fn(n, 1.5, x, ref)
-        parallel_for(fn, 0, n, n, 1.5, x, par, nthreads=4)
+        parallel_for(fn.chunked, 0, n, n, 1.5, x, par, nthreads=4)
         assert par.tobytes() == ref.tobytes()
 
-    def test_grain_aligns_cuts(self, cbackend):
+    def test_grain_aligns_cuts(self):
         # with grain=n a single chunk runs inline — still correct
         fn = make_saxpy()
         n = 64
         x = np.ones(n, dtype=np.float32)
         y = np.zeros(n, dtype=np.float32)
-        parallel_for(fn, 0, n, n, 2.0, x, y, nthreads=4, grain=n)
+        parallel_for(fn.chunked, 0, n, n, 2.0, x, y, nthreads=4, grain=n)
         assert np.array_equal(y, np.full(n, 2.0, dtype=np.float32))
 
-    def test_empty_range_is_a_noop(self, cbackend):
+    def test_empty_range_is_a_noop(self):
         fn = make_saxpy()
         x = np.ones(4, dtype=np.float32)
         y = np.zeros(4, dtype=np.float32)
-        parallel_for(fn, 3, 3, 4, 2.0, x, y, nthreads=4)
+        parallel_for(fn.chunked, 3, 3, 4, 2.0, x, y, nthreads=4)
         assert not y.any()
 
     def test_python_callable_fallback(self):
@@ -155,7 +179,7 @@ class TestParallelFor:
 
 
 class TestWorkerTraps:
-    def test_trap_surfaces_once_and_pool_survives(self, cbackend):
+    def test_trap_surfaces_once_and_pool_survives(self):
         # i == 7 divides by zero: only the chunk containing it traps
         fn = terra("""
         terra poison(n : int64, out : &int64) : {}
@@ -163,21 +187,21 @@ class TestWorkerTraps:
             out[i] = 1000 / (i - 7)
           end
         end
-        """).mark_chunked()
+        """)
         n = 64
         out = np.zeros(n, dtype=np.int64)
         with pytest.raises(TrapError, match="division"):
-            parallel_for(fn, 0, n, n, out, nthreads=4)
+            parallel_for(fn.chunked, 0, n, n, out, nthreads=4)
         # chunks that did not trap completed their writes (C division
         # truncates toward zero: 1000 / -7 == -142)
         assert out[0] == -142
         # the pool is not wedged: the next dispatch works
         ok = np.zeros(n, dtype=np.float32)
         x = np.ones(n, dtype=np.float32)
-        parallel_for(make_saxpy(), 0, n, n, 2.0, x, ok, nthreads=4)
+        parallel_for(make_saxpy().chunked, 0, n, n, 2.0, x, ok, nthreads=4)
         assert np.array_equal(ok, np.full(n, 2.0, dtype=np.float32))
 
-    def test_traps_counted_in_metrics(self, cbackend):
+    def test_traps_counted_in_metrics(self):
         from repro.trace.metrics import registry
         fn = terra("""
         terra alltrap(n : int64, out : &int64) : {}
@@ -185,11 +209,11 @@ class TestWorkerTraps:
             out[i] = 1 / (0 * i)
           end
         end
-        """).mark_chunked()
+        """)
         out = np.zeros(32, dtype=np.int64)
         before = registry().get("parallel.traps")
         with pytest.raises(TrapError):
-            parallel_for(fn, 0, 32, 32, out, nthreads=4)
+            parallel_for(fn.chunked, 0, 32, 32, out, nthreads=4)
         assert registry().get("parallel.traps") > before
 
 

@@ -11,7 +11,7 @@ from repro.parallel import parallel_for
 
 
 class TestParallelBlockedloop:
-    def test_bit_identical_to_serial(self, cbackend):
+    def test_bit_identical_to_serial(self):
         N = 48
         out = symbol(None, "out")
         body = lambda i, j: quote_(  # noqa: E731
@@ -22,13 +22,13 @@ class TestParallelBlockedloop:
         terra f([out] : &float) : {}
           [loop]
         end
-        """).mark_chunked()
+        """)
         serial = np.zeros(N * N, dtype=np.float32)
         par = np.zeros(N * N, dtype=np.float32)
         fn(serial)
         # chunk cuts aligned to the outer block edge keep whole row blocks
         # on one worker, so the blocking structure is the serial call's
-        parallel_for(fn, 0, N, par, nthreads=3, grain=16)
+        parallel_for(fn.chunked, 0, N, par, nthreads=3, grain=16)
         assert serial.tobytes() == par.tobytes()
 
 
@@ -46,12 +46,12 @@ def _make_table(Table, n):
       return t
     end
     """, env={"Tbl": Table, "std": std})
-    return mk.compile("c")(n)
+    return mk(n)
 
 
 class TestDataTableMapRows:
     @pytest.mark.parametrize("layout", ["AoS", "SoA", "AoSoA"])
-    def test_parallel_row_map(self, layout, cbackend):
+    def test_parallel_row_map(self, layout):
         Table = DataTable({"x": float_, "y": float_}, layout)
         get = terra("""
         terra get(t : &Tbl, i : int64) : float
@@ -65,11 +65,10 @@ class TestDataTableMapRows:
         t = _make_table(Table, n)
         parallel_map_rows(kernel, t, n, nthreads=3,
                           grain=8 if layout == "AoSoA" else 1)
-        g = get.compile("c")
         for i in (0, 1, 250, n - 1):
-            assert g(t, i) == 2.0 * i + 1.0
+            assert get(t, i) == 2.0 * i + 1.0
 
-    def test_serial_call_also_works(self, cbackend):
+    def test_serial_call_also_works(self):
         Table = DataTable({"x": float_, "y": float_}, "SoA")
         kernel = map_rows(Table, lambda row: quote_(
             "[row]:sety([row]:x())", env={"row": row}))

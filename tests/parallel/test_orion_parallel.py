@@ -47,8 +47,7 @@ SCHEDULES = [
 ]
 
 
-@pytest.mark.usefixtures("cbackend")   # strip dispatch runs the C chunk entry
-class TestBitIdentity:
+class TestBitIdentity:     # strips run on the default backend's handle
     @pytest.mark.parametrize("vec", [0, 4])
     @pytest.mark.parametrize("sched", SCHEDULES,
                              ids=lambda s: "-".join(s.values()))

@@ -287,7 +287,7 @@ class TestEnvDisable:
         k = build(SAXPY, Schedule([Parallel("i")]))
         x = np.ones(8, dtype=np.float32)
         y = np.ones(8, dtype=np.float32)
-        k(8, 2.0, x, y)  # serial fallback, no chunked entry required
+        k(8, 2.0, x, y)  # serial fallback, no chunked twin staged
         assert np.array_equal(y, np.full(8, 3.0, dtype=np.float32))
 
 
@@ -300,13 +300,14 @@ class TestParallelDispatch:
         y1 = y0.copy()
         build(SAXPY).compile(cbackend)(n, 1.5, x, y0)
         k = build(SAXPY, Schedule([Block("i", 16), Parallel("i")]))
-        k(n, 1.5, x, y1)  # host-side parallel_for over the chunked entry
+        k(n, 1.5, x, y1)  # host-side parallel_for over the chunked twin
         assert np.array_equal(y1, y0)
 
     def test_grain_comes_from_split(self):
         k = build(SAXPY, Schedule([Block("i", 16), Parallel("i")]))
         assert k.schedule.split_size("i") == 16
-        assert k.fn.emit_chunk
+        # the twin the workers run carries the schedule minus Parallel
+        assert k.fn.chunked.schedule == Schedule([Block("i", 16)])
 
 
 class TestLenient:

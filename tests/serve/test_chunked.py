@@ -4,12 +4,6 @@ runs is test_inline.py's subject; per-range traps, test_server_errors.py's)."""
 
 import threading
 
-import pytest
-
-from repro.serve import ServeConfig, ServeError
-from repro.serve.server import ServeServer
-from repro.serve.state import TenantState, WarmKernel
-
 from .conftest import SAXPY, saxpy_buffers
 
 
@@ -33,8 +27,7 @@ def run_concurrent(n_threads, fn):
     assert not errors
 
 
-@pytest.mark.usefixtures("cbackend")   # chunked entries are C only
-class TestConcurrentRanges:
+class TestConcurrentRanges:     # the entry's chunked twin, on any backend
     def test_ranges_compose_to_the_full_range_call(self, server):
         n, parts, rounds = 64, 4, 5
         step = n // parts
@@ -89,15 +82,3 @@ class TestConcurrentRanges:
         for tenant, x in (("ranges-red", 1.0), ("ranges-blue", 10.0)):
             with server.client(tenant=tenant) as c:
                 assert c.read(bufs[tenant][1], n) == [x * i for i in range(n)]
-
-
-def test_a_handle_with_no_chunked_entry_is_unsupported():
-    server = ServeServer(ServeConfig(workers=1))
-    kernel = WarmKernel("k", "f", fn=None, handle=lambda *args: None,
-                        chunked=True)
-    try:
-        with pytest.raises(ServeError) as ei:
-            server._call_kernel(TenantState("t", 4), kernel, [], (0, 1), 0.0)
-    finally:
-        server._exec.shutdown(wait=True)
-    assert ei.value.code == "unsupported"

@@ -23,7 +23,7 @@ FAST, SLOW = INLINE_BUDGET_S / 10, INLINE_BUDGET_S * 10
 
 
 def kernel(handle=None):
-    return WarmKernel("k", "f", fn=None, handle=handle, chunked=False)
+    return WarmKernel("k", "f", fn=None, handle=handle)
 
 
 def run(k, args, seconds):
@@ -236,7 +236,7 @@ class TestLoopIsolation:
         long_call_leaves_the_loop_free(tmp_path)
 
 
-@pytest.mark.usefixtures("cbackend")   # chunked entries are C only
+@pytest.mark.usefixtures("cbackend")   # interpreted calls rarely fit inline
 class TestPlacementAccounting:
     def test_every_request_plain_or_chunked_is_placed_once(self, server):
         n = 8

@@ -49,7 +49,7 @@ class TestCalls:
         client.free(xs)
         client.free(ys)
 
-    def test_chunked_call_covers_exactly_the_range(self, client, cbackend):
+    def test_chunked_call_covers_exactly_the_range(self, client):
         n = 32
         xs = client.alloc("double", n)
         ys = client.alloc("double", n)

@@ -122,6 +122,14 @@ class TestCompileAndEntryErrors:
         """
         assert call_code(client, src, "leak") == "compile-error"
 
+    def test_chunk_of_an_entry_with_no_loop_is_compile_error(self, client):
+        # staging the entry's chunked twin refuses a kernel that returns
+        # a value and ends in no loop
+        with pytest.raises(ServeError) as ei:
+            client.call(SQ, "sq", [1.0], chunk=(0, 4))
+        assert ei.value.code == "compile-error"
+        assert "chunked:" in str(ei.value)
+
     def test_wrong_arity_is_bad_request(self, client):
         assert call_code(client, SQ, "sq", [1.0, 2.0]) == "bad-request"
 
@@ -147,8 +155,7 @@ class TestRuntimeTraps:
         assert client.call(src, "div", [10, 2]) == 5
         assert call_code(client, src, "div", [1, 0]) == "trap"
 
-    def test_trapping_range_fails_only_its_own_request(self, tmp_path,
-                                                        cbackend):
+    def test_trapping_range_fails_only_its_own_request(self, tmp_path):
         """Two concurrent chunked requests: the range covering the poison
         iterate gets ``trap``; the other completes with its writes."""
         from .conftest import POISON
@@ -179,8 +186,8 @@ class TestRuntimeTraps:
                     t.join()
                 assert outcomes[(0, 8)] == "trap"      # covers i == 7
                 assert outcomes[(8, 16)] == "ok"
-                # the healthy chunk's writes landed (1000 // (i-7) in C
-                # truncates toward zero)
+                # the healthy chunk's writes landed (1000 // (i-7): for
+                # positive i - 7, truncation toward zero is floor)
                 got = c.read(out, n)
                 assert got[8:] == [1000 // (i - 7) for i in range(8, 16)]
                 # the pool is not wedged: another call still works

@@ -9,7 +9,7 @@ from repro.exec import TieredPolicy, policy_override
 from repro.serve import ServeConfig, ServerThread
 from repro.trace.metrics import registry
 
-from .conftest import earn_the_loop
+from .conftest import SAXPY, earn_the_loop, saxpy_buffers
 
 SQ = """
 terra sq(x : double) : double
@@ -44,6 +44,22 @@ class TestTieredServing:
             assert [c.call(SQ, "sq", [3.0]) for _ in range(4)] == [9.0] * 4
             tiers = c.stats()["tenants"]["t-hot"]["tiers"]
         assert tiers == {"tier0": 0, "tier1": 1}   # crossed long ago
+
+    def test_a_chunked_kernel_climbs_tiers_like_any(self, cbackend,
+                                                    tiered_server):
+        """A range request runs the entry's chunked twin, which is an
+        ordinary function: it starts interpreted and tiers up in place."""
+        with tiered_server.client(tenant="t-chunk") as c:
+            xs, ys = saxpy_buffers(c, 8)
+            args = [8, 2.0, {"buf": xs}, {"buf": ys}]
+            c.call(SAXPY, "saxpy", args, chunk=(0, 4))
+            assert c.stats()["tenants"]["t-chunk"]["tiers"] == {
+                "tier0": 1, "tier1": 0}
+            for _ in range(2):
+                c.call(SAXPY, "saxpy", args, chunk=(0, 4))
+            assert c.stats()["tenants"]["t-chunk"]["tiers"] == {
+                "tier0": 0, "tier1": 1}
+            assert c.read(ys, 8) == [6.0 * i for i in range(4)] + [0.0] * 4
 
     def test_tier_counts_follow_the_transition(self, cbackend,
                                                tiered_server):

@@ -8,7 +8,7 @@ from repro.serve.state import (KernelPool, TenantState, WarmKernel,
 
 
 def fake_kernel(key):
-    return WarmKernel(key, "f", fn=None, handle=None, chunked=False)
+    return WarmKernel(key, "f", fn=None, handle=None)
 
 
 class TestKernelKey:

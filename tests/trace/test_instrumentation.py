@@ -163,7 +163,8 @@ def test_one_emission_per_unit(c_default):
     end""")
     plain = loop.get_c_source()
     assert "_chunk" not in plain
-    assert "fill_chunk" in loop.mark_chunked().get_c_source()
+    assert "fill_chunk" in loop.chunked.get_c_source()
+    assert loop.get_c_source() is plain
 
 
 def test_tiered_run_traces_the_tier_up(cbackend, tmp_path):
