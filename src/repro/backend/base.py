@@ -96,8 +96,8 @@ class ExecutableHandle:
     behind the observability hook — one module-attribute check when
     tracing and profiling are off, spans + profile samples when on — so
     that it behaves identically on every backend.  :attr:`entry` is what a
-    call slot installs: the handle itself, or (the C handle's) its call
-    plan, which makes the same check per call."""
+    call slot installs: the handle itself, or the C handle's call plan or
+    native entry, which make the same check per call."""
 
     func = None          # the TerraFunction this handle executes
     type = None          # its FunctionType

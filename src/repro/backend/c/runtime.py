@@ -16,10 +16,16 @@ Orion) overlap compilation with other work.
 from __future__ import annotations
 
 import ctypes
+import itertools
+import os
+import queue
+import sysconfig
+import threading
+import time
 import weakref
 from concurrent.futures import Future
 from contextlib import contextmanager
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import attrgetter
 
 from ... import config
@@ -31,7 +37,7 @@ from ...errors import (CompileError, FFIError, LinkError, TrapError,
 from ...trace.metrics import registry
 from ...ffi import convert
 from ..base import Backend, CompileTicket, ExecutableHandle
-from . import abi
+from . import abi, native
 from .emit import CEmitter, TRAP_MESSAGES
 
 
@@ -65,8 +71,8 @@ def extra_cflags(*flags: str):
 _TRAP_CELLS: list = []
 
 
-def _trap(code: int) -> TrapError:
-    return TrapError(TRAP_MESSAGES.get(code, f"runtime trap {code}"))
+def _trap(code: int):
+    raise TrapError(TRAP_MESSAGES.get(code, f"runtime trap {code}"))
 
 
 def _guarded(centry):
@@ -87,7 +93,7 @@ def _guarded(centry):
                 cell.value = 0
             _TRAP_CELLS.append(cell)
         if code:
-            raise _trap(code)
+            _trap(code)
         return result
 
     return run
@@ -99,27 +105,88 @@ _PLAN_SCOPE = {
     "from_buffer": convert.NO_BYTES.from_buffer,
     "refused": (FFIError, ctypes.ArgumentError, TypeError),
     "cells": _TRAP_CELLS, "c_int32": ctypes.c_int32, "trap": _trap,
+    "count": itertools.count,
 }
+
+WARM_CALLS = 10     # the call that requests the shape unit (tiered's default)
+#: the tracing/profiling switch as the C ``int`` native entries read
+_ACTIVE = _trace._runtime_switch = ctypes.c_int(_trace._runtime_active)
+
+_dlopen = ctypes.CDLL(None).dlopen     # libc's: ctypes drops the GIL for it
+_dlopen.restype = ctypes.c_void_p
+#: compile service -> {shape: its unit's ``make``, or what stopped it}
+_SHAPE_UNITS = weakref.WeakKeyDictionary()
+#: ``(shape, handle ref)`` from each scalar plan's WARM_CALLS-th call, for
+#: one thread to serve: no call waits for the build, nor even starts it
+_REQUESTS = queue.Queue()
+_HEADERS = None     # sysconfig's ABI tag and include dir, at the 1st request
+
+
+def _install_native(shape, ref) -> None:
+    """The unit of ``shape`` (:mod:`.native`), built once per service (or
+    what stopped it), then its entry in place of the asking handle's plan."""
+    units = _SHAPE_UNITS.setdefault(service := get_service(), {})
+    if shape not in units:
+        try:    # (no Python.h is a failed build like any other)
+            path = service.compile(native.source(shape, _HEADERS[0]),
+                                   ("-I" + _HEADERS[1],))
+            make = ctypes.PyDLL(path, handle=_dlopen(path.encode(),
+                                                     os.RTLD_NOW)).make
+            make.restype = ctypes.py_object
+        except Exception as exc:
+            registry().add("exec.entry.native_failed")
+            make = exc
+        units[shape] = make
+    handle, make = ref(), units[shape]
+    if handle is not None and not isinstance(make, Exception):
+        plan = handle.entry
+        handle.entry = make(
+            handle.func.name.encode(), handle.centry or handle.cfn,
+            ctypes.py_object(plan), ctypes.py_object(_trap),
+            ctypes.byref(_ACTIVE))
+        handle.func.dispatcher.replace(plan, handle.entry)
+        registry().add("exec.entry.native")
+
+
+def _serve_requests() -> None:
+    global _HEADERS
+    while True:
+        request = _REQUESTS.get()
+        time.sleep(0.05)    # the calls that asked pass first: none waits on it
+        try:
+            _HEADERS = _HEADERS or (sysconfig.get_config_var("SOABI"),
+                                    sysconfig.get_path("include"))
+            _install_native(*request)
+        except Exception:   # make() raised: that handle keeps its plan
+            registry().add("exec.entry.native_failed")
+        finally:
+            _REQUESTS.task_done()
+
+
+threading.Thread(target=_serve_requests, name="repro-native",
+                 daemon=True).start()
 
 
 @cache      # per shape and process: a bind instantiates, never compiles
-def _plan_factory(kinds: str, guarded: bool, returns: bool):
+def _plan_factory(kinds: str, guarded: bool, returns: bool, warm: bool):
     """``make(run, from_c, checked, *converted)`` for a signature of this
     shape, written out a line per parameter, as ``sast._walker`` writes a
     walker.  ``kinds`` has a letter per parameter: ``s``
     a non-``bool`` scalar, handed to ctypes as it is; ``p`` a pointer,
     whose native ndarray goes to ctypes as its ``from_buffer`` object;
     ``c`` any other, through its converter.  ``converted`` is a converter
-    per ``p``/``c`` position, then a dtype per ``p`` position."""
+    per ``p``/``c`` position, a dtype per ``p`` position, then ``warm``."""
     names = [f"a{i}" for i in range(len(kinds))]
     convs = [f"conv{i}" for i, kind in enumerate(kinds) if kind != "s"]
     dtypes = [f"d{i}" for i, kind in enumerate(kinds) if kind == "p"]
     cargs = ", ".join(names + ["cell"] * guarded)
-    params = ", ".join(["run", "from_c", "checked"] + convs + dtypes)
-    code = [f"def make({params}):",
-            "  def entry(*args):",
-            f"    if len(args) != {len(kinds)} or _trace._runtime_active:",
-            "        return checked(args)"]
+    params = ", ".join(["run", "from_c", "checked"] + convs + dtypes
+                       + ["warm"] * warm)
+    code = [f"def make({params}):", "  tick = count(1).__next__",
+            "  def entry(*args):"] + [
+                f"    if tick() == {WARM_CALLS}: warm()"] * warm
+    code += [f"    if len(args) != {len(kinds)} or _trace._runtime_active:",
+             "        return checked(args)"]
     if names:
         code.append(f"    {', '.join(names)}, = args")
     code.append("    try:")
@@ -150,7 +217,7 @@ def _plan_factory(kinds: str, guarded: bool, returns: bool):
              "        return checked(args)"]
     if guarded:
         code += ["    if code:",
-                 "        raise trap(code)"]
+                 "        trap(code)"]
     code += [f"    return {'from_c(result)' if returns else 'result'}",
              "  return entry"]
     scope = dict(_PLAN_SCOPE)
@@ -164,18 +231,14 @@ def _plan_factory(kinds: str, guarded: bool, returns: bool):
 class CompiledFunction(ExecutableHandle):
     """A Python-callable handle to one compiled Terra function.
 
-    Calling it runs :attr:`entry`, its **call plan**, made at the first
-    call from Python (most of a unit's functions only have Terra callers)
-    and installed in the function's call slot as it is: the plan generated
-    for its signature's shape (:func:`_plan_factory`), instantiated with
-    this handle's C entry and converters.  ``cfn.argtypes`` wrap, round and
-    type-check numbers as the converters do, so the plan hands ctypes a
-    non-``bool`` scalar as it is, a native ndarray as its ``from_buffer``
-    object (a pointer parameter is a ``c_void_p``), and converts only the
-    other positions; :meth:`_invoke` decides what either refuses.  Every
+    Calling it runs :attr:`entry`: the call plan generated for its
+    signature's shape (:func:`_plan_factory`), made at the first call from
+    Python (most of a unit's functions only have Terra callers) and
+    installed in the call slot as it is — or, for a scalar signature once
+    its shape unit has loaded, the native entry (:mod:`.native`).  Every
     other caller — :meth:`_invoke` and the prepared caller
     (:meth:`~repro.backend.base.ExecutableHandle.tail_caller`) — converts
-    through the same per-type converters, which put what they converted in
+    through the per-type converters, which put what they converted in
     ``keep``: a prepared caller outlives the argument tuple it was made
     from."""
 
@@ -199,7 +262,7 @@ class CompiledFunction(ExecutableHandle):
         entry, converters and dtypes and named after the function, so a
         keyword argument's ``TypeError`` names it too.  What the plan
         refuses — a read-only or strided array too — re-runs on the checked
-        path."""
+        path, and a scalar plan's 10th requests :func:`_install_native`."""
         kinds, converted, dtypes = [], [], []
         for ty, conv in zip(self.type.parameters, self.converters):
             if isinstance(ty, T.PrimitiveType) and not ty.islogical():
@@ -209,10 +272,12 @@ class CompiledFunction(ExecutableHandle):
             converted.append(conv)
             if ty.ispointer():
                 dtypes.append(convert.native_dtypes().get(ty.pointee))
+        shape = native.shape(self.type, self.centry is not None)
         make = _plan_factory("".join(kinds), self.centry is not None,
-                             self._read is not None)
-        entry = make(self.cfn if self.centry is None else self.centry,
-                     self._read, self._checked, *converted, *dtypes)
+                             self._read is not None, shape is not None)
+        entry = make(self.centry or self.cfn, self._read, self._checked,
+                     *converted, *dtypes, *[partial(_REQUESTS.put, (
+                         shape, weakref.ref(self)))] * bool(shape))
         entry.__name__ = entry.__qualname__ = self.func.name
         return entry
 

@@ -141,6 +141,12 @@ class Dispatcher:
                 _installed.add(self)
         return target
 
+    def replace(self, old: Callable, new: Callable) -> None:
+        """``new`` into the slot if it still holds ``old`` (not reset)."""
+        with _slots_lock:
+            if self.target is old:
+                self.target = new
+
     # -- introspection -------------------------------------------------------
     def tier_info(self) -> dict:
         """A snapshot of tiering state: ``{"tier", "calls"}``.  ``tier`` is

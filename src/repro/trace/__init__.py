@@ -66,11 +66,14 @@ _enabled = False
 #: OR profiling is on.  Backends read this module attribute directly —
 #: one global lookup per call, no env reads (see CompiledFunction).
 _runtime_active = False
+_runtime_switch = None  # the same as a ctypes c_int, once the C backend runs
 
 
 def _sync_runtime() -> None:
     global _runtime_active
     _runtime_active = _enabled or profile._enabled
+    if _runtime_switch is not None:
+        _runtime_switch.value = _runtime_active
 
 
 def enabled() -> bool:

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import sys
+
 import pytest
 
 from repro import get_backend
@@ -56,3 +58,14 @@ def swap_service():
     service_mod._service = saved
     for svc in installed:
         svc.shutdown()
+
+
+@pytest.fixture(autouse=True)
+def settled_shape_units():
+    """A shape unit a test's calls requested (a scalar handle's tenth call
+    from Python) finishes building before the next test, so no test counts
+    another's background compile."""
+    yield
+    runtime = sys.modules.get("repro.backend.c.runtime")
+    if runtime is not None:
+        runtime._REQUESTS.join()

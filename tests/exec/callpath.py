@@ -6,16 +6,21 @@ Python frames one call pushes.
 budget.  The counts are taken under the ``c`` policy — the slot then
 holds the bound C handle's ``entry``, as it does under ``aot`` wherever a
 C compiler exists — so they do not move with ``REPRO_TERRA_BACKEND``; the
-second line is a warm call of a unit with trappable operations, whose
-plan lends the trap cell in its own frame; the third is a warm call under
-the tiered policy at tier 1, where the slot holds that same ``entry``.
+second line is a warm call of a unit with trappable operations; the third
+is a warm call under the tiered policy at tier 1, where the slot holds that
+same ``entry``.  A scalar function's warm call is its native entry once its
+plan has requested the shape unit and the unit has loaded
+(:func:`native_entry` waits for that); each line says which entry ran.
 """
 
 import sys
+from types import BuiltinFunctionType
 
 import numpy as np
 
 from repro import terra
+from repro.backend.c import runtime
+from repro.errors import TrapError
 from repro.exec import TieredPolicy, policy_override
 
 ADD = "terra add(a : int, b : int) : int return a + b end"
@@ -45,25 +50,43 @@ def frames(call) -> int:
     return count
 
 
-def warm_call_frames() -> tuple[int, int]:
-    """``(scalar, pointer)``: the frames of one warm ``add(1, 2)`` and one
-    warm ``axpy(8, a, x, y)``, each counted with the lambda that makes it."""
+def native_entry(handle, *args) -> bool:
+    """Call the C ``handle`` (its ``entry``) with ``args`` until its plan
+    has requested its shape unit, wait until every request so far is
+    served, and say whether the handle's entry is now the native one
+    (False: not a scalar signature, or its unit failed).  A trap a call
+    raises is its outcome: it counts."""
+    for _ in range(runtime.WARM_CALLS):
+        try:
+            handle.entry(*args)
+        except TrapError:
+            pass
+    runtime._REQUESTS.join()
+    return isinstance(handle.entry, BuiltinFunctionType)
+
+
+def warm_call_frames() -> tuple[int, int, str]:
+    """``(scalar, pointer, entry)``: the frames of one warm ``add(1, 2)``
+    and one warm ``axpy(8, a, x, y)``, each counted with the lambda that
+    makes it, and which entry the scalar call ran."""
     add, axpy = terra(ADD), terra(AXPY)
     x, y = np.ones(8), np.ones(8)
     with policy_override("c"):
         add(1, 2)
         axpy(8, 0.5, x, y)
+        entry = "native" if native_entry(add.compile("c"), 1, 2) else "plan"
         return (frames(lambda: add(1, 2)),
-                frames(lambda: axpy(8, 0.5, x, y)))
+                frames(lambda: axpy(8, 0.5, x, y)), entry)
 
 
-def guarded_frames() -> int:
-    """The frames of one warm ``div(7, 2)`` (a ``*_tentry`` unit),
-    counted with the lambda that makes it."""
+def guarded_frames() -> tuple[int, str]:
+    """``(frames, entry)`` of one warm ``div(7, 2)`` (a ``*_tentry``
+    unit), counted with the lambda that makes it."""
     div = terra(DIV)
     with policy_override("c"):
         div(7, 2)
-        return frames(lambda: div(7, 2))
+        entry = "native" if native_entry(div.compile("c"), 7, 2) else "plan"
+        return frames(lambda: div(7, 2)), entry
 
 
 def tiered_frames() -> int:
@@ -78,9 +101,10 @@ def tiered_frames() -> int:
 
 
 if __name__ == "__main__":
-    print("call path: %d frames per warm scalar call, %d per pointer call "
-          "(budget 2 / 2)" % warm_call_frames())
-    print("call path: %d frames per warm guarded call (budget 2)"
+    scalar, pointer, entry = warm_call_frames()
+    print(f"call path: {scalar} frames per warm scalar call ({entry} entry), "
+          f"{pointer} per pointer call (budget 1 / 2)")
+    print("call path: %d frames per warm guarded call (%s entry; budget 1)"
           % guarded_frames())
     print("call path: %d frames per warm tiered call at tier 1 (budget 2)"
           % tiered_frames())

@@ -295,9 +295,12 @@ def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
 def test_warm_call_frame_budget(cbackend):
     """No clock: Python frames per warm call, counted by sys.setprofile —
     a timing test would be noise on a shared host, a frame count is not.
-    A warm call is the measuring lambda and the C handle's ``entry`` —
-    which lends a trappable unit's trap cell itself."""
-    scalar, pointer = warm_call_frames()
-    assert scalar <= 2 and pointer <= 2, (scalar, pointer)
-    assert guarded_frames() <= 2
-    assert tiered_frames() <= 2     # tier 1 is that same entry
+    A warm call is the measuring lambda and the C handle's ``entry``: a
+    scalar function's native entry (no frame) once its shape unit has
+    loaded, a pointer function's plan (which would lend a trappable unit's
+    trap cell itself)."""
+    scalar, pointer, entry = warm_call_frames()
+    assert entry == "native"
+    assert scalar <= 1 and pointer <= 2, (scalar, pointer)
+    assert guarded_frames() == (1, "native")
+    assert tiered_frames() <= 2     # tier 1 is that same entry, on its plan

@@ -16,7 +16,10 @@ The handle's ``entry`` is generated per signature shape, so the rows below
 also cover the shapes that matter to it: no arguments, one, a ``bool`` or a
 struct among other positions, and a unit with trappable operations, whose
 plan lends a trap cell inline and whose checked path lends it through
-``runtime._guarded``.
+``runtime._guarded``.  A scalar signature's C handle is taken once its
+``entry`` is the native one (its shape unit, :mod:`repro.backend.c.native`),
+so the slot and handle routes run that, and the plan behind what it
+refuses.
 
 With no C compiler on the host the interpreter is the only route, and the
 rows check it alone; what only a C route has takes ``cbackend``.
@@ -37,11 +40,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import functype, int_, pycallback, struct as terra_struct, terra
-from repro.backend.c import runtime
+from repro.backend.c import native, runtime
 from repro.buildd import toolchain
 from repro.errors import FFIError, TrapError
 from repro.exec import policy_override
 from repro.trace.metrics import registry
+from tests.exec.callpath import native_entry
 
 #: the backends a row runs on: the interpreter alone with no compiler
 BACKENDS = ("c", "interp") if toolchain.cc_available() else ("interp",)
@@ -95,9 +99,12 @@ _handles = {}
 
 
 def compiled(fn):
-    """``(C handle or None, interpreter handle)`` of ``fn``."""
-    return (fn.compile("c") if "c" in BACKENDS else None,
-            fn.compile("interp"))
+    """``(C handle or None, interpreter handle)`` of ``fn``; a scalar
+    signature's C handle on its native entry (:func:`native_entry`)."""
+    c = fn.compile("c") if "c" in BACKENDS else None
+    if c is not None and native.shape(c.type, c.centry is not None):
+        assert native_entry(c, *[0] * len(c.type.parameters))
+    return c, fn.compile("interp")
 
 
 def handles(ty):
@@ -201,6 +208,17 @@ def test_what_the_values_read_as():
         "FFIError", "cannot convert '1.5' to double")
     assert every_way("double", None) == (
         "FFIError", "cannot convert None to double")
+
+
+def test_the_c_routes_run_the_native_entry(cbackend):
+    """What the rows above compare: the slot and a direct call of the
+    handle run the native entry, a builtin named after the function."""
+    c, _ = handles("int32")
+    assert type(c.entry).__name__ == "builtin_function_or_method"
+    assert c.entry.__name__ == "same"
+    with policy_override("c"):
+        assert c.func(7) == 7
+        assert c.func.dispatcher.target is c.entry
 
 
 def test_bool_results_are_bools():
