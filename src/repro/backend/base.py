@@ -69,6 +69,10 @@ class CompileTicket:
                         settled()
             return self._value
 
+    def add_done_callback(self, fn: Callable) -> None:
+        """``fn(self)`` once the build is done: now, or on its worker."""
+        self._future.add_done_callback(lambda _: fn(self))
+
     async def await_built(self) -> None:
         """Asyncio hook: wait — without blocking the calling event loop —
         until the underlying build has finished, so a subsequent

@@ -18,10 +18,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import os
-import queue
-import sysconfig
-import threading
-import time
+import sys
 import weakref
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -108,63 +105,67 @@ _PLAN_SCOPE = {
     "count": itertools.count,
 }
 
-WARM_CALLS = 10     # the call that requests the shape unit (tiered's default)
+WARM_CALLS = 10     # the counted call that takes the shape unit's ticket
 #: the tracing/profiling switch as the C ``int`` native entries read
 _ACTIVE = _trace._runtime_switch = ctypes.c_int(_trace._runtime_active)
 
 _dlopen = ctypes.CDLL(None).dlopen     # libc's: ctypes drops the GIL for it
 _dlopen.restype = ctypes.c_void_p
-#: compile service -> {shape: its unit's ``make``, or what stopped it}
+#: compile service -> {shape: its unit's CompileTicket}
 _SHAPE_UNITS = weakref.WeakKeyDictionary()
-#: ``(shape, handle ref)`` from each scalar plan's WARM_CALLS-th call, for
-#: one thread to serve: no call waits for the build, nor even starts it
-_REQUESTS = queue.Queue()
-_HEADERS = None     # sysconfig's ABI tag and include dir, at the 1st request
+#: a shape unit's ABI tag and include dir: sysconfig's SOABI and INCLUDEPY
+#: (its data costs ms of GIL), from ``sys`` as CPython lays them out
+_HEADERS = ("%s%s-%s" % (sys.implementation.cache_tag, sys.abiflags, getattr(
+                sys.implementation, "_multiarch", sys.platform)),
+            os.path.join(sys.base_prefix, "include", "python%d.%d%s" % (
+                *sys.version_info[:2], sys.abiflags)))
 
 
-def _install_native(shape, ref) -> None:
-    """The unit of ``shape`` (:mod:`.native`), built once per service (or
-    what stopped it), then its entry in place of the asking handle's plan."""
-    units = _SHAPE_UNITS.setdefault(service := get_service(), {})
-    if shape not in units:
-        try:    # (no Python.h is a failed build like any other)
-            path = service.compile(native.source(shape, _HEADERS[0]),
-                                   ("-I" + _HEADERS[1],))
-            make = ctypes.PyDLL(path, handle=_dlopen(path.encode(),
-                                                     os.RTLD_NOW)).make
-            make.restype = ctypes.py_object
-        except Exception as exc:
+def _load(path: str):   # a shape unit's mapper: its make, loaded once
+    make = ctypes.PyDLL(path, handle=_dlopen(path.encode(), os.RTLD_NOW)).make
+    make.restype = ctypes.py_object
+    return make
+
+
+def _climb(shape, ref) -> None:
+    """A scalar plan's WARM_CALLS-th counted call takes the ticket of
+    ``shape``'s unit (:mod:`.native`), joined only under ``sync``; what
+    stops it is counted, and the handle keeps its plan."""
+    from ...exec import current_policy
+    try:
+        units = _SHAPE_UNITS.setdefault(service := get_service(), {})
+        if shape not in units:  # (no Python.h: a failed build like any other)
+            ticket = CompileTicket(service.compile_async(native.source(
+                shape, _HEADERS[0]), ("-I" + _HEADERS[1],)), _load)
+            if units.setdefault(shape, ticket) is ticket:   # one per shape
+                ticket.add_done_callback(_install)
+        unit = units[shape]
+        if getattr(current_policy(), "sync", False):
+            _install(unit, ref)
+        else:
+            unit.add_done_callback(partial(_install, ref=ref))
+    except Exception:
+        registry().add("exec.entry.native_failed")
+
+
+def _install(unit, ref=None) -> None:
+    """The unit's entry for the handle's plan, in handle and slot; without
+    ``ref``, load it.  A failure counts once: the build's without ``ref``
+    (nothing retries), ``make``'s with its handle, which keeps its plan."""
+    make = None
+    try:
+        make = unit.result()
+        if (handle := ref and ref()) is not None:
+            plan = handle.entry
+            handle.entry = make(
+                handle.func.name.encode(), handle.centry or handle.cfn,
+                ctypes.py_object(plan), ctypes.py_object(_trap),
+                ctypes.byref(_ACTIVE))
+            handle.func.dispatcher.set_target(handle.entry, plan)
+            registry().add("exec.entry.native")
+    except Exception:
+        if ref is None or make is not None:
             registry().add("exec.entry.native_failed")
-            make = exc
-        units[shape] = make
-    handle, make = ref(), units[shape]
-    if handle is not None and not isinstance(make, Exception):
-        plan = handle.entry
-        handle.entry = make(
-            handle.func.name.encode(), handle.centry or handle.cfn,
-            ctypes.py_object(plan), ctypes.py_object(_trap),
-            ctypes.byref(_ACTIVE))
-        handle.func.dispatcher.replace(plan, handle.entry)
-        registry().add("exec.entry.native")
-
-
-def _serve_requests() -> None:
-    global _HEADERS
-    while True:
-        request = _REQUESTS.get()
-        time.sleep(0.05)    # the calls that asked pass first: none waits on it
-        try:
-            _HEADERS = _HEADERS or (sysconfig.get_config_var("SOABI"),
-                                    sysconfig.get_path("include"))
-            _install_native(*request)
-        except Exception:   # make() raised: that handle keeps its plan
-            registry().add("exec.entry.native_failed")
-        finally:
-            _REQUESTS.task_done()
-
-
-threading.Thread(target=_serve_requests, name="repro-native",
-                 daemon=True).start()
 
 
 @cache      # per shape and process: a bind instantiates, never compiles
@@ -182,11 +183,11 @@ def _plan_factory(kinds: str, guarded: bool, returns: bool, warm: bool):
     cargs = ", ".join(names + ["cell"] * guarded)
     params = ", ".join(["run", "from_c", "checked"] + convs + dtypes
                        + ["warm"] * warm)
-    code = [f"def make({params}):", "  tick = count(1).__next__",
-            "  def entry(*args):"] + [
-                f"    if tick() == {WARM_CALLS}: warm()"] * warm
-    code += [f"    if len(args) != {len(kinds)} or _trace._runtime_active:",
+    code = [f"def make({params}):"] + ["  tick = count(1).__next__"] * warm
+    code += ["  def entry(*args):",
+             f"    if len(args) != {len(kinds)} or _trace._runtime_active:",
              "        return checked(args)"]
+    code += [f"    if tick() == {WARM_CALLS}: warm()"] * warm
     if names:
         code.append(f"    {', '.join(names)}, = args")
     code.append("    try:")
@@ -262,7 +263,7 @@ class CompiledFunction(ExecutableHandle):
         entry, converters and dtypes and named after the function, so a
         keyword argument's ``TypeError`` names it too.  What the plan
         refuses — a read-only or strided array too — re-runs on the checked
-        path, and a scalar plan's 10th requests :func:`_install_native`."""
+        path, and a scalar plan's 10th counted call climbs (:func:`_climb`)."""
         kinds, converted, dtypes = [], [], []
         for ty, conv in zip(self.type.parameters, self.converters):
             if isinstance(ty, T.PrimitiveType) and not ty.islogical():
@@ -276,8 +277,8 @@ class CompiledFunction(ExecutableHandle):
         make = _plan_factory("".join(kinds), self.centry is not None,
                              self._read is not None, shape is not None)
         entry = make(self.centry or self.cfn, self._read, self._checked,
-                     *converted, *dtypes, *[partial(_REQUESTS.put, (
-                         shape, weakref.ref(self)))] * bool(shape))
+                     *converted, *dtypes, *[partial(
+                         _climb, shape, weakref.ref(self))] * bool(shape))
         entry.__name__ = entry.__qualname__ = self.func.name
         return entry
 

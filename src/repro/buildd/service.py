@@ -96,8 +96,8 @@ class CompileService:
         self.cache = cache if cache is not None else ArtifactCache()
         self._tc = tc
         self.stats = BuildStats()
-        self._lock = threading.Lock()
-        self._inflight: dict[str, Future] = {}
+        self._lock = threading.Condition()     # notified as a build lands
+        self._inflight: dict[str, Future] = {}  # until its callbacks ran
         self._flag_keys: dict[tuple, str] = {}  # see flags_key
         self._pool = ThreadPoolExecutor(max_workers=self.jobs,
                                         thread_name_prefix="buildd")
@@ -164,15 +164,22 @@ class CompileService:
                 return fut
             self.stats.record_submit()
             trace.instant("buildd.submit", cat="buildd", key=key[:12])
-            fut = self._pool.submit(self._build, key, source, flags,
-                                    current_namespace(), memo)
+            fut = Future()  # (the worker lands it under this lock: after)
+            self._pool.submit(self._build, fut, key, source, flags,
+                              current_namespace(), memo)
             self._inflight[key] = fut
             return fut
 
+    def drain(self) -> None:
+        """Wait until every build in flight has run its done-callbacks."""
+        with self._lock:
+            self._lock.wait_for(lambda: not self._inflight)
+
     # -- the worker ---------------------------------------------------------
-    def _build(self, key: str, source: str, flags: tuple[str, ...],
-               namespace: Optional[str] = None,
-               memo: Optional[tuple] = None) -> str:
+    def _build(self, fut: Future, key: str, source: str,
+               flags: tuple[str, ...], namespace: Optional[str] = None,
+               memo: Optional[tuple] = None) -> None:
+        """Resolve ``fut`` (its done-callbacks run here), then land it."""
         t0 = time.perf_counter()
         try:
             with trace.span("buildd.compile", cat="buildd", key=key[:12],
@@ -182,20 +189,22 @@ class CompileService:
                 if final is not None:
                     self.stats.record_already_built()
                     sp.set(already_built=True)
-                    return final
-                built = self._cc_and_link(key, source, flags)
-                dt, size = time.perf_counter() - t0, os.path.getsize(built)
-                final = self.cache.publish(key, built, namespace=namespace,
-                                           memo=memo)
-                self.stats.record_compile(key, dt, size)
-                sp.set(artifact_bytes=size)
-                return final
-        except BaseException:
+                else:
+                    built = self._cc_and_link(key, source, flags)
+                    dt, size = time.perf_counter() - t0, os.path.getsize(built)
+                    final = self.cache.publish(key, built, memo=memo,
+                                               namespace=namespace)
+                    self.stats.record_compile(key, dt, size)
+                    sp.set(artifact_bytes=size)
+        except BaseException as exc:
             self.stats.record_failure(key, time.perf_counter() - t0)
-            raise
+            fut.set_exception(exc)
+        else:
+            fut.set_result(final)
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
+                self._lock.notify_all()
 
     def _cc_and_link(self, key: str, source: str,
                      flags: tuple[str, ...]) -> str:

@@ -24,16 +24,13 @@ from ..errors import FFIError, unexpected_keyword
 
 #: taken only to install into a slot and to reset the slots, never by a call
 _slots_lock = threading.Lock()
-_epoch = 0      # bumped by a reset; an install decided before one is refused
 _installed: "weakref.WeakSet[Dispatcher]" = weakref.WeakSet()
 
 
 def reset_slots() -> None:
     """Point every installed call slot back at its resolver: each function's
     next call asks the policy (and default backend) current *then*."""
-    global _epoch
     with _slots_lock:
-        _epoch += 1
         for dispatcher in _installed:
             dispatcher.target = dispatcher._resolve
         _installed.clear()
@@ -127,25 +124,20 @@ class Dispatcher:
         if kwargs:
             raise unexpected_keyword(self.fn.name, kwargs)
         from . import current_policy
-        epoch = _epoch      # read before the policy: a flip in between shows
-        target = current_policy().target_for(self, epoch)
-        return self.set_target(target, epoch)(*args)
+        with _slots_lock:   # before the policy: a reset from here on puts a
+            resting = self.target   # new resolver in the slot, refusing the
+            _installed.add(self)    # install below
+        return self.set_target(current_policy().target_for(self),
+                               resting)(*args)
 
-    def set_target(self, target: Callable, epoch: int) -> Callable:
-        """Install ``target`` for the resolve that read ``epoch`` — unless
-        a reset since then has given the slot to a newer policy — and
-        return it."""
-        with _slots_lock:
-            if epoch == _epoch:
-                self.target = target
-                _installed.add(self)
-        return target
-
-    def replace(self, old: Callable, new: Callable) -> None:
-        """``new`` into the slot if it still holds ``old`` (not reset)."""
+    def set_target(self, target: Callable, old: Callable) -> Callable:
+        """Install ``target`` if the slot still holds ``old``, what its
+        installer found there — so one decided before a reset (which puts a
+        new resolver there) is refused — and return it."""
         with _slots_lock:
             if self.target is old:
-                self.target = new
+                self.target = target
+        return target
 
     # -- introspection -------------------------------------------------------
     def tier_info(self) -> dict:

@@ -15,10 +15,11 @@ to run, and not again until a policy or default-backend switch resets it:
   own ticket — which tests and the fuzzer use for determinism).  The
   first trampoline call to find the ticket done binds it and overwrites
   the slot with ``handles["c"].entry`` — the object the ``c`` policy
-  installs — carrying the trampoline's epoch, so a late build cannot undo
-  a policy switch.  There is one compiled tier, so observable behavior is
-  identical at every tier.  A value the program wants specialized it
-  splices when it defines the function (an escape or ``constant()``).
+  installs — in place of the trampoline only, so a late build cannot undo
+  a policy switch.  There is one compiled tier (a scalar plan's native
+  entry is a rung, not a tier), so observable behavior is identical at
+  every tier.  A value the program wants specialized it splices when it
+  defines the function (an escape or ``constant()``).
   The tiers share one address space, so the state a program keeps in
   globals and on the heap carries across the tier-up.
 """
@@ -37,10 +38,10 @@ class ExecutionPolicy:
 
     name = "abstract"
 
-    def target_for(self, dispatcher, epoch: int) -> Callable:
+    def target_for(self, dispatcher) -> Callable:
         """What the resolver installs into ``dispatcher``'s slot; a target
         that replaces itself later does so with
-        ``dispatcher.set_target(next, epoch)``."""
+        ``dispatcher.set_target(next, itself)``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -57,7 +58,7 @@ class AheadOfTimePolicy(ExecutionPolicy):
         self.backend_name = backend_name
         self.name = name or (backend_name or "aot")
 
-    def target_for(self, dispatcher, epoch):
+    def target_for(self, dispatcher):
         return dispatcher.compiled_handle(self.backend_name).entry
 
 
@@ -69,12 +70,12 @@ class TieredPolicy(ExecutionPolicy):
     def __init__(self, threshold: int = 10, sync: bool = False) -> None:
         #: tier-0 calls before the tier-up is staged
         self.threshold = max(1, int(threshold))
-        #: the call that stages a tier-up waits for it — used by
-        #: tests/fuzzing, where determinism beats latency
+        #: the call crossing a rung (the tier-up, a native entry) waits for
+        #: its ticket — tests/fuzzing, where determinism beats latency
         self.sync = bool(sync)
 
     # -- what the slot holds -------------------------------------------------
-    def target_for(self, dispatcher, epoch):
+    def target_for(self, dispatcher):
         st = dispatcher.tier = dispatcher.tier or TierState()
         if st.tier:     # tiered up before an earlier policy switch
             return dispatcher.handles["c"].entry
@@ -98,9 +99,9 @@ class TieredPolicy(ExecutionPolicy):
                     self._finish_tier_up(dispatcher, st)
             if st.tier:
                 return dispatcher.set_target(
-                    dispatcher.handles["c"].entry, epoch)(*args)
+                    dispatcher.handles["c"].entry, tier0)(*args)
             if st.failed:
-                dispatcher.set_target(interp, epoch)
+                dispatcher.set_target(interp, tier0)
             return interp(*args)
 
         tier0.__name__ = tier0.__qualname__ = dispatcher.fn.name

@@ -30,6 +30,7 @@ import math
 from collections import OrderedDict
 from typing import Hashable, Optional
 
+from ..backend.c.runtime import WARM_CALLS
 from ..core import types as T
 from .protocol import ServeError, jsonable_result
 
@@ -57,12 +58,12 @@ MAX_BUFFER_BYTES = 1 << 28  # 256 MiB
 #: runs each took under INLINE_BUDGET_S: what the executor hand-off it
 #: replaces costs the request (a no-op ``run_in_executor`` round trip is
 #: ~50 us bare on one pinned CPU, ~65 us in the server; EXPERIMENTS.md E13).
-#: Eight runs put a kernel's first calls (lazy binding, cold pages) behind
-#: it.  An overrun on the loop doubles the streak to earn, up to the bound:
-#: a kernel slow whenever it is trusted runs there once in 513 calls.
+#: The streak puts a kernel's first calls (lazy binding, cold pages, the C
+#: plan's WARM_CALLS-th: its native rung) behind it.  An overrun on the loop
+#: doubles the streak to earn, up to the bound: once in 513 calls.
 INLINE_BUDGET_S = 100e-6
-INLINE_AFTER = 8
-_INLINE_AFTER_MAX = INLINE_AFTER << 6
+INLINE_AFTER = max(8, WARM_CALLS)
+_INLINE_AFTER_MAX = 512
 
 
 def kernel_key(source: str, entry: str, chunked: bool, backend: str) -> str:
@@ -111,17 +112,15 @@ class WarmKernel:
 
     @property
     def eligible(self) -> bool:
-        """Streak earned, and compiled: a tier-0 call interprets, and may
-        be the one that stages the tier-up."""
-        return self.streak >= self.need and not (
-            self.tiered and self.tier_info()["tier"] == 0)
+        """Streak earned, so compiled: a tier-0 run (it interprets, and
+        may stage the tier-up) earns none in :meth:`observe`."""
+        return self.streak >= self.need
 
     def fits_inline(self, args: list) -> bool:
         """Whether this call may run on the loop: the kernel is eligible
         and every ``int`` argument (what a loop bound is; not ``bool``)
         lies inside the envelope.  Other types never gate."""
-        if self.streak < self.need or len(args) != len(self.envelope) or (
-                self.tiered and not self.eligible):
+        if self.streak < self.need or len(args) != len(self.envelope):
             return False
         for a, bound in zip(args, self.envelope):
             if type(a) is int and abs(a) > bound:
@@ -132,6 +131,8 @@ class WarmKernel:
         """Record one run; True when it demoted the kernel.  A fast run
         extends the streak and widens the envelope; an overrun clears
         both, and one that held the loop doubles the streak to earn."""
+        if self.tiered and self.tier_info()["tier"] == 0:
+            return False    # interpreted: the streak counts compiled runs
         if seconds > INLINE_BUDGET_S:
             self.streak, self.envelope = 0, []
             if inline:

@@ -1,9 +1,10 @@
 """The native entry: a scalar signature's warm call from Python as C against
 the CPython API (``repro.backend.c.native``).
 
-A scalar handle's plan requests its signature's shape unit at its tenth
-call; the unit builds in the background, and once it has loaded its
-builtin replaces the plan as the handle's ``entry`` and in the call slot.
+A scalar handle's plan takes its signature's shape unit's compile ticket
+at its tenth counted (untraced) call; the unit builds on buildd, and once
+it has loaded its builtin replaces the plan as the handle's ``entry`` and
+in the call slot.
 What it refuses it vectorcalls the plan with, so every refusal keeps the
 plan's outcome and message.  A failed build, or no ``Python.h``, leaves the
 plan in place, counted once per shape.
@@ -46,9 +47,16 @@ def is_native(call) -> bool:
 
 def unit_of(handle):
     """``handle``'s shape unit under the current service: its ``make``,
-    the exception that stopped it, or None while it builds."""
+    the exception that stopped it, or None before its ticket and while it
+    builds."""
     shape = native.shape(handle.type, handle.centry is not None)
-    return runtime._SHAPE_UNITS.get(get_service(), {}).get(shape)
+    unit = runtime._SHAPE_UNITS.get(get_service(), {}).get(shape)
+    if unit is None or not unit.done():
+        return None
+    try:
+        return unit.result()
+    except Exception as exc:
+        return exc
 
 
 def outcome(call, *args, **kwargs):
@@ -234,8 +242,8 @@ def test_a_function_dropped_while_its_unit_builds_is_collected(
     del fn, handle
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    runtime._REQUESTS.join()                    # it built, for nobody
-    assert callable(runtime._SHAPE_UNITS[get_service()][shape])
+    get_service().drain()                       # it built, for nobody
+    assert callable(runtime._SHAPE_UNITS[get_service()][shape].result())
     later = terra(ADD).compile("c")
     assert native_entry(later, 1, 2)
 
@@ -287,3 +295,40 @@ def test_no_python_headers_leaves_the_plan(cold_service, monkeypatch,
     assert "Python.h" in str(unit_of(handle))
     assert stats.registry.get("buildd.failures") == 1
     assert buildd_main(["--gc"]) == 0 and buildd_main(["--stats"]) == 0
+
+
+def test_the_unit_headers_are_sysconfigs():
+    """The ABI tag and include dir come from ``sys`` (sysconfig's data
+    holds the GIL for ms on the call that climbs); a layout where they are
+    not sysconfig's fails here, not as a plan that never climbs."""
+    assert runtime._HEADERS == (sysconfig.get_config_var("SOABI"),
+                                sysconfig.get_config_var("INCLUDEPY"))
+
+
+
+def test_a_make_that_raises_leaves_the_plan(cold_service, monkeypatch):
+    """The unit loaded, but its ``make`` raised for this handle: counted
+    once, and the handle keeps its plan."""
+    def make(*args):
+        raise MemoryError("no builtin")
+    monkeypatch.setattr(runtime, "_load", lambda path: make)
+    handle = terra(ADD).compile("c")
+    failed = registry().get("exec.entry.native_failed")
+    assert not native_entry(handle, 1, 2)
+    assert handle(1, 2) == 3
+    assert registry().get("exec.entry.native_failed") == failed + 1
+
+
+def test_a_ticket_that_cannot_be_taken_leaves_the_plan(cold_service,
+                                                       monkeypatch):
+    """``compile_async`` raised on the crossing call (a service shut
+    down): the call still returns, counted once, on its plan."""
+    handle = terra(ADD).compile("c")
+
+    def refused(*args, **kwargs):
+        raise RuntimeError("cannot schedule new futures after shutdown")
+    monkeypatch.setattr(get_service(), "compile_async", refused)
+    failed = registry().get("exec.entry.native_failed")
+    assert not native_entry(handle, 1, 2)
+    assert handle(1, 2) == 3
+    assert registry().get("exec.entry.native_failed") == failed + 1

@@ -3,6 +3,7 @@
 import ctypes
 import os
 import threading
+import time
 
 import pytest
 
@@ -108,6 +109,27 @@ class TestDedup:
         monkeypatch.delenv("FAKECC_DELAY")
         assert svc.compile("int broken;")
         assert svc.stats.snapshot()["compiles"] == 1
+
+
+class TestDrain:
+    def test_drain_waits_for_the_build_and_its_callbacks(
+            self, tmp_path, fake_toolchain, monkeypatch):
+        monkeypatch.setenv("FAKECC_DELAY", "0.3")
+        svc = make_service(tmp_path, fake_toolchain)
+        seen = []
+        svc.compile_async("int drained;").add_done_callback(
+            lambda fut: (time.sleep(0.1), seen.append(fut.result())))
+        svc.drain()
+        assert len(seen) == 1 and seen[0].endswith(".so")
+
+    def test_a_refused_submit_leaves_nothing_in_flight(self, tmp_path,
+                                                       fake_toolchain):
+        svc = make_service(tmp_path, fake_toolchain)
+        svc._pool.shutdown()
+        for _ in range(2):      # not a dedup against a build never run
+            with pytest.raises(RuntimeError):
+                svc.compile_async("int late;")
+        svc.drain()     # returns: no build was left to wait for
 
 
 class TestTelemetry:

@@ -61,11 +61,11 @@ def swap_service():
 
 
 @pytest.fixture(autouse=True)
-def settled_shape_units():
-    """A shape unit a test's calls requested (a scalar handle's tenth call
-    from Python) finishes building before the next test, so no test counts
-    another's background compile."""
+def drained_builds():
+    """A build a test started — a unit compiled in the background, a scalar
+    handle's shape unit and the install that follows it — ends with the
+    test, so no test counts another's compile."""
     yield
-    runtime = sys.modules.get("repro.backend.c.runtime")
-    if runtime is not None:
-        runtime._REQUESTS.join()
+    if "repro.buildd" in sys.modules:
+        from repro.buildd import get_service
+        get_service().drain()

@@ -9,8 +9,9 @@ C compiler exists — so they do not move with ``REPRO_TERRA_BACKEND``; the
 second line is a warm call of a unit with trappable operations; the third
 is a warm call under the tiered policy at tier 1, where the slot holds that
 same ``entry``.  A scalar function's warm call is its native entry once its
-plan has requested the shape unit and the unit has loaded
-(:func:`native_entry` waits for that); each line says which entry ran.
+plan's tenth counted call has taken the shape unit's ticket and the unit
+has loaded (:func:`native_entry` waits for that); each line says which
+entry ran.
 """
 
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro import terra
 from repro.backend.c import runtime
+from repro.buildd import get_service
 from repro.errors import TrapError
 from repro.exec import TieredPolicy, policy_override
 
@@ -52,16 +54,16 @@ def frames(call) -> int:
 
 def native_entry(handle, *args) -> bool:
     """Call the C ``handle`` (its ``entry``) with ``args`` until its plan
-    has requested its shape unit, wait until every request so far is
-    served, and say whether the handle's entry is now the native one
-    (False: not a scalar signature, or its unit failed).  A trap a call
-    raises is its outcome: it counts."""
+    has taken its shape unit's ticket, wait until every build so far and
+    its install are done (``drain``), and say whether the handle's entry
+    is now the native one (False: not a scalar signature, or its unit
+    failed).  A trap a call raises is its outcome: it counts."""
     for _ in range(runtime.WARM_CALLS):
         try:
             handle.entry(*args)
         except TrapError:
             pass
-    runtime._REQUESTS.join()
+    get_service().drain()
     return isinstance(handle.entry, BuiltinFunctionType)
 
 

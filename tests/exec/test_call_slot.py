@@ -266,8 +266,8 @@ def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
         slow_cc, monkeypatch):
     """The build lands after the policy changed.  Neither the buildd
     worker (it never touches a slot) nor a trampoline call that was already
-    running (its install carries the epoch of a slot that was reset since)
-    may put a tiered target back."""
+    running (it installs only in place of itself, and the reset put a
+    resolver there) may put a tiered target back."""
     monkeypatch.setenv("FAKECC_DELAY", "0.5")   # the compiler holds the build
     fn = _fresh()
     with policy_override(TieredPolicy(threshold=1, sync=False)):
@@ -288,6 +288,26 @@ def test_a_switch_during_a_tier_up_leaves_the_slot_to_the_new_policy(
         # back under tiered: straight to tier 1
         assert fn(20, 22) == 42
         assert _slot(fn) is fn.dispatcher.handles["c"].entry
+
+
+def test_a_switch_during_a_first_resolve_leaves_the_slot_to_the_new_policy(
+        slow_cc, monkeypatch):
+    """A function's first call is still resolving — its build held in the
+    compiler — when the policy changes.  Its resolver had put the slot
+    among the installed ones before it read the policy, so the reset gives
+    the slot a new resolver, and the old policy's target is refused it."""
+    monkeypatch.setenv("FAKECC_DELAY", "0.5")   # the compiler holds the build
+    fn, got = _fresh(), []
+    with policy_override("c"):
+        first = threading.Thread(target=lambda: got.append(fn(20, 22)))
+        first.start()
+        deadline = time.time() + 30
+        while "c" not in fn.dispatcher.pending and time.time() < deadline:
+            time.sleep(0.005)
+        assert "c" in fn.dispatcher.pending     # inside the old policy
+    first.join(60)
+    assert not first.is_alive() and got == [42]
+    assert _resting(fn)     # the next call asks the policy current now
 
 
 # -- the budget ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ def saxpy_buffers(client, n, x=1.0):
 
 def earn_the_loop(client, source, entry, args, limit=1000, chunk=None):
     """Call a kernel until its tenant has one that may run on the event
-    loop: eight fast runs, or more on a noisy host, where one slow run
+    loop: INLINE_AFTER fast runs, or more on a noisy host, where one slow run
     starts the count again.  Returns the calls made."""
     for calls in range(INLINE_AFTER, limit, INLINE_AFTER):
         for _ in range(INLINE_AFTER):

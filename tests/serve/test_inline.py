@@ -7,10 +7,12 @@ import ctypes
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro import trace
+from repro.backend.c.runtime import WARM_CALLS
 from repro.errors import TrapError
 from repro.serve import ServeConfig, ServeError, ServerThread, state
 from repro.serve.server import ServeServer
@@ -44,6 +46,21 @@ class TestCostRecord:
         placed = [run(k, [5], FAST) for _ in range(INLINE_AFTER + 2)]
         assert placed == [False] * INLINE_AFTER + [True, True]
         assert k.eligible
+
+    def test_a_tiered_kernel_counts_its_compiled_runs_only(self):
+        """An interpreted run earns nothing, so the streak counts the C
+        plan's calls and the plan's WARM_CALLS-th, which takes its native
+        entry's compile ticket, is one of those made off the loop."""
+        info = {"tier": 0, "calls": 0}
+        fn = SimpleNamespace(dispatcher=SimpleNamespace(
+            tier_info=lambda: dict(info)))
+        k = WarmKernel("k", "f", fn=fn, handle=fn, tiered=True)
+        warm(k, [5], runs=3 * INLINE_AFTER)
+        assert (k.streak, k.eligible) == (0, False)
+        info["tier"] = 1
+        placed = [run(k, [5], FAST) for _ in range(INLINE_AFTER + 1)]
+        assert placed == [False] * INLINE_AFTER + [True]
+        assert INLINE_AFTER >= WARM_CALLS
 
     def test_int_above_the_envelope_is_offloaded_then_widens_it(self):
         k = kernel()
