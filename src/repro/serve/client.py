@@ -26,6 +26,9 @@ from . import protocol
 from .protocol import ServeError
 from .server import default_socket_path
 
+#: the request heads a client keeps, one per (tenant, source, entry) called
+REQUEST_HEADS = 64
+
 
 class ServeClient:
     """A blocking newline-delimited-JSON client (one request at a time)."""
@@ -44,6 +47,7 @@ class ServeClient:
         self._sock: Optional[socket.socket] = None
         self._file = None
         self._next_id = 1
+        self._heads: dict[tuple, bytes] = {}
 
     # -- connection management ----------------------------------------------
     def connect(self) -> "ServeClient":
@@ -81,15 +85,20 @@ class ServeClient:
         none), wait for its response object.  Raises :class:`ServeError`
         when the server answers ``ok: false``, and ``ConnectionError``
         when the stream dies mid-cycle."""
-        self.connect()
         req.setdefault("id", self._next_id)
         self._next_id += 1
-        self._sock.sendall(protocol.encode(req))
-        line = self._file.readline()
-        if not line:
+        return self._exchange(protocol.encode(req))
+
+    def _exchange(self, line: bytes) -> dict:
+        """Send one encoded request line and return its response object,
+        raising what :meth:`request` documents."""
+        self.connect()
+        self._sock.sendall(line)
+        reply = self._file.readline()
+        if not reply:
             self.close()
             raise ConnectionError("server closed the connection")
-        resp = protocol.decode(line)
+        resp = protocol.decode(reply)
         if resp.get("ok"):
             return resp
         err = resp.get("error") or {}
@@ -122,11 +131,26 @@ class ServeClient:
     def call(self, source: str, entry: str, args: Optional[list] = None,
              tenant: Optional[str] = None,
              chunk: Optional[tuple[int, int]] = None):
-        req = {"op": "call", "source": source, "entry": entry,
-               "args": list(args or []), "tenant": tenant or self.tenant}
+        """Call ``entry`` of ``source`` with ``args`` (a chunked call runs
+        ``[lo, hi)`` of its final loop).  The request's compact JSON up to
+        its arguments is encoded once per (tenant, source, entry), kept in
+        a table of at most :data:`REQUEST_HEADS`, and each call appends the
+        arguments, the range and the id to it: a client calls the kernels
+        it has called before."""
+        key = (tenant or self.tenant, source, entry)
+        head = self._heads.get(key)
+        if head is None:
+            if len(self._heads) >= REQUEST_HEADS:      # the oldest goes
+                del self._heads[next(iter(self._heads))]
+            head = self._heads[key] = protocol.encode(
+                {"op": "call", "tenant": key[0], "source": source,
+                 "entry": entry})[:-2] + b',"args":'
+        tail = protocol.dumps(list(args or []))
         if chunk is not None:
-            req["chunk"] = [int(chunk[0]), int(chunk[1])]
-        return protocol.from_wire_result(self.request(req)["result"])
+            tail += ',"chunk":[%d,%d]' % (int(chunk[0]), int(chunk[1]))
+        line = head + (tail + ',"id":%d}\n' % self._next_id).encode()
+        self._next_id += 1
+        return protocol.from_wire_result(self._exchange(line)["result"])
 
     def alloc(self, dtype: str, count: int,
               tenant: Optional[str] = None) -> int:

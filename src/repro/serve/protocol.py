@@ -70,6 +70,10 @@ class ServeError(TerraError):
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
+#: compact JSON text of one value
+dumps = _ENCODER.encode
+
+
 def encode(obj: dict) -> bytes:
     """One protocol line: compact JSON plus the terminating newline."""
     return (_ENCODER.encode(obj) + "\n").encode("utf-8")

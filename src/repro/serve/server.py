@@ -35,6 +35,7 @@ buildd's in-flight dedup one layer up.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import tempfile
 import time
@@ -51,9 +52,10 @@ from ..errors import FFIError, TerraError, TrapError
 from ..exec import current_policy
 from ..trace.metrics import fold_time, registry
 from . import protocol
+from . import state as _state
 from .admission import Admission
 from .protocol import ServeError
-from .state import TenantState, WarmKernel, kernel_key
+from .state import WIRE_SCALARS, TenantState, WarmKernel, kernel_key
 
 
 def default_socket_path() -> str:
@@ -101,6 +103,9 @@ class ServeServer:
             "serve.connections", "serve.compile", "serve.compile_dedup",
             "serve.traps", "serve.errors"), 0)
         self._timings: dict[str, dict] = {}
+        #: ``serve.request`` of the calls answered inline: runs, seconds,
+        #: min, max (an inline call is timed by its run)
+        self._inline_answered = [0, 0.0, math.inf, 0.0]
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> str:
@@ -195,10 +200,10 @@ class ServeServer:
                 return protocol.ok_response(req_id, "pong")
             if op == "stats":
                 return protocol.ok_response(req_id, self.stats())
+            if op == "call":
+                return self._op_call(req, req_id)
             tenant = self._tenant(protocol.field(req, "tenant", str,
                                                  default="default"))
-            if op == "call":
-                return self._op_call(req, req_id, tenant)
             if op == "alloc":
                 buf = tenant.alloc(
                     protocol.field(req, "dtype", str, required=True),
@@ -246,78 +251,126 @@ class ServeServer:
         return state
 
     # -- the call op --------------------------------------------------------
-    def _op_call(self, req: dict, req_id, tenant: TenantState):
-        source = protocol.field(req, "source", str, required=True)
-        entry = protocol.field(req, "entry", str, required=True)
-        raw_args = protocol.field(req, "args", list, default=[])
-        rng = protocol.chunk_range(req)
-        rejection = self._admission.try_admit(tenant)
-        if rejection is not None:
-            return protocol.error_response(req_id, *rejection)
+    def _op_call(self, req: dict, req_id):
+        """A call, answered in this frame when its kernel is resident and
+        :meth:`WarmKernel.fits_inline` (a chunked call's ``[lo, hi)`` leads
+        the arguments it sees); else the coroutine of one that waits.
+        A decoded field has its exact type: ``protocol.field`` only words
+        an ill-typed one.  An inline call never yields, so no request sees
+        it in flight: admission tests the limits and raises the peak."""
+        name = req.get("tenant")
+        if type(name) is not str:
+            name = protocol.field(req, "tenant", str, default="default")
+        tenant = self._tenants.get(name) or self._tenant(name)
+        source, entry, args = req.get("source"), req.get("entry"), \
+            req.get("args")
+        if type(source) is not str:
+            source = protocol.field(req, "source", str, required=True)
+        if type(entry) is not str:
+            entry = protocol.field(req, "entry", str, required=True)
+        if type(args) is not list:
+            args = protocol.field(req, "args", list, default=[])
+        rng = protocol.chunk_range(req) if "chunk" in req else None
+        admission = self._admission
+        if admission.inflight >= admission.queue_limit or \
+                tenant.inflight >= admission.tenant_limit:
+            return protocol.error_response(req_id,
+                                           *admission.try_admit(tenant))
+        if admission.inflight >= admission.peak:
+            admission.peak = admission.inflight + 1
         tenant.requests += 1
-        t_admit = perf_counter()
-        waits = False
+        # tiered kernels carry live tier state; keep them apart from any
+        # ahead-of-time compile of the same source
+        ident = ("tiered" if current_policy().name == "tiered"
+                 else self.config.backend or "default",
+                 entry, rng is not None, source)
+        kernel = tenant.kernels.get(ident)
         try:
-            kernel = self._warm_kernel(tenant, source, entry, rng is not None)
-            result = self._call_kernel(tenant, kernel, raw_args, rng, t_admit)
-            if type(result) is CoroutineType:
-                waits = True
-                return self._answer_later(req_id, tenant, result)
-            return protocol.ok_response(req_id, result)
+            if kernel is None:      # a miss: the call waits for its compile
+                return self._call_later(req_id, tenant, ident, None, args,
+                                        rng)
+            if _trace._enabled:
+                _trace.instant("serve.cache_hit", cat="serve",
+                               tenant=tenant.name, key=kernel.key)
+            if rng is not None or not WIRE_SCALARS.issuperset(map(type, args)):
+                args = tenant.resolve_args(args, rng)
+            if not kernel.fits_inline(args):
+                return self._call_later(req_id, tenant, ident, kernel, args,
+                                        rng)
+            tenant.placed["inline"] += 1
+            if _trace._enabled:
+                out, seconds, _ = self._run(tenant, kernel, args, True, 0.0)
+            else:
+                t0 = perf_counter()
+                try:
+                    out = kernel.handle(*args)
+                except Exception as exc:
+                    out = exc
+                seconds = perf_counter() - t0
+            # a run under budget leaves the record as it is (so observe
+            # would); an overrun on the loop demotes the kernel
+            if seconds > _state.INLINE_BUDGET_S and \
+                    kernel.observe(args, seconds, True):
+                tenant.placed["demotions"] += 1
+            if isinstance(out, Exception):
+                return self._failed(req_id, out)
+            if type(out) is not int:      # an int crosses as it is
+                out = protocol.jsonable_result(out, entry)
+            answered = self._inline_answered    # stats() folds it in
+            answered[0] += 1
+            answered[1] += seconds
+            if seconds < answered[2]:
+                answered[2] = seconds
+            if seconds > answered[3]:
+                answered[3] = seconds
+            return protocol.ok_response(req_id, out)
         except Exception as exc:
             return self._failed(req_id, exc)
-        finally:
-            if not waits:
-                self._admission.release(tenant)
 
-    async def _answer_later(self, req_id, tenant: TenantState, pending):
+    async def _call_later(self, req_id, tenant: TenantState, ident: tuple,
+                          kernel: Optional[WarmKernel], args: list, rng):
+        """A call that waits: admitted now, then on a miss (``kernel``
+        None) its compile, or the one under way, and then its wire
+        ``args``; then the run on the executor, recorded back here on the
+        loop."""
+        self._admission.try_admit(tenant)   # the limits were tested
+        t_admit = perf_counter()
         try:
-            return protocol.ok_response(req_id, await pending)
+            if kernel is None:      # join the compile under way, or stage
+                pending = self._compiling.get((tenant.name, ident))
+                if pending is not None:
+                    self._counts["serve.compile_dedup"] += 1
+                    kernel = await asyncio.shield(pending)
+                else:
+                    kernel = await self._compile(tenant, ident)
+                args = tenant.resolve_args(args, rng)
+            tenant.placed["offloaded"] += 1
+            out, seconds, queued = await self._loop.run_in_executor(
+                self._exec, self._run, tenant, kernel, args, False, t_admit)
+            fold_time(self._timings, "serve.queue_wait", queued)
+            kernel.observe(args, seconds, False)
+            if isinstance(out, Exception):
+                return self._failed(req_id, out)
+            result = protocol.jsonable_result(out, kernel.entry)
+            fold_time(self._timings, "serve.request", perf_counter() - t_admit)
+            return protocol.ok_response(req_id, result)
         except Exception as exc:
             return self._failed(req_id, exc)
         finally:
             self._admission.release(tenant)
 
-    async def _call_compiled(self, tenant, miss, raw_args, rng, t_admit):
-        result = self._call_kernel(tenant, await miss, raw_args, rng, t_admit)
-        return await result if type(result) is CoroutineType else result
-
-    def _call_kernel(self, tenant: TenantState, kernel: WarmKernel,
-                     raw_args: list, rng, t_admit: float):
-        """Place and run the call: on the loop, answered here, if ``kernel``
-        was just observed short inside these arguments; else on the
-        executor, through the coroutine returned.  A chunked request is a
-        call with a range: ``[lo, hi)`` leads the arguments the cost record
-        sees, so the envelope bounds it too."""
-        if type(kernel) is not WarmKernel:   # a miss: call once it is warm
-            return self._call_compiled(tenant, kernel, raw_args, rng, t_admit)
-        args = tenant.resolve_args(raw_args)
-        call = kernel.handle     # a chunked kernel: the entry's twin
-        if rng is not None:
-            args = [*rng, *args]
-        if not kernel.fits_inline(args):
-            tenant.placed["offloaded"] += 1
-            return self._call_offloaded(tenant, kernel, call, args, t_admit)
-        tenant.placed["inline"] += 1
-        return self._ran(tenant, kernel, args, True, t_admit,
-                         *self._run(tenant, kernel, call, args, True, t_admit))
-
-    async def _call_offloaded(self, tenant, kernel, call, args, t_admit):
-        ran = await self._loop.run_in_executor(
-            self._exec, self._run, tenant, kernel, call, args, False, t_admit)
-        return self._ran(tenant, kernel, args, False, t_admit, *ran)
-
     @staticmethod
-    def _run(tenant: TenantState, kernel: WarmKernel, call, args: list,
+    def _run(tenant: TenantState, kernel: WarmKernel, args: list,
              inline: bool, t_admit: float):
-        """The call on either thread, in a ``serve.exec`` span if tracing:
-        its outcome (an error is carried), seconds and wait since admission."""
+        """The call on an executor thread, or a traced one on the loop, in
+        a ``serve.exec`` span if tracing: its outcome (an error is
+        carried), seconds and wait since admission."""
         span = _trace.span(kernel.span_name, cat="serve", tenant=tenant.name,
                            key=kernel.key, inline=inline) \
             if _trace._enabled else None
         t0 = perf_counter()
         try:
-            out = call(*args)
+            out = kernel.handle(*args)
         except Exception as exc:
             out = exc
         t1 = perf_counter()
@@ -327,46 +380,12 @@ class ServeServer:
             span.__exit__(None, None, None)
         return out, t1 - t0, t0 - t_admit
 
-    def _ran(self, tenant: TenantState, kernel: WarmKernel, args: list,
-             inline: bool, t_admit: float, out, seconds: float, queued: float):
-        """Back on the loop: record the run, then answer or raise."""
-        if not inline:
-            fold_time(self._timings, "serve.queue_wait", queued)
-        if kernel.observe(args, seconds, inline):
-            tenant.placed["demotions"] += 1
-        if isinstance(out, Exception):
-            raise out
-        result = protocol.jsonable_result(out, kernel.entry)
-        fold_time(self._timings, "serve.request", perf_counter() - t_admit)
-        return result
-
     # -- compilation (warm pool miss) ---------------------------------------
-    def _warm_kernel(self, tenant: TenantState, source: str, entry: str,
-                     chunked: bool):
-        """The resident kernel, or on a miss the compile to await."""
-        backend = self.config.backend
-        # tiered kernels carry live tier state; keep them apart from any
-        # ahead-of-time compile of the same source
-        tiered = current_policy().name == "tiered"
-        ident = ("tiered" if tiered else (backend or "default"), entry,
-                 chunked, source)
-        kernel = tenant.kernels.get(ident)
-        if kernel is not None:
-            if _trace._enabled:
-                _trace.instant("serve.cache_hit", cat="serve",
-                               tenant=tenant.name, key=kernel.key)
-            return kernel
-        compile_key = (tenant.name, ident)
-        pending = self._compiling.get(compile_key)
-        if pending is not None:
-            self._counts["serve.compile_dedup"] += 1
-            return asyncio.shield(pending)
-        fut = self._compiling[compile_key] = self._loop.create_future()
-        return self._compile(tenant, ident, backend, fut)
-
-    async def _compile(self, tenant: TenantState, ident: tuple,
-                       backend: Optional[str], fut) -> WarmKernel:
-        """Stage a missed kernel, make it resident and resolve ``fut``."""
+    async def _compile(self, tenant: TenantState, ident: tuple) -> WarmKernel:
+        """Stage a missed kernel and make it resident; until then the same
+        (tenant, kernel) joins this compile's future."""
+        fut = self._compiling[(tenant.name, ident)] = \
+            self._loop.create_future()
         key_backend, entry, chunked, source = ident
         key = kernel_key(source, entry, chunked, key_backend)
         tiered = key_backend == "tiered"
@@ -390,7 +409,7 @@ class ServeServer:
                         fn.dispatcher.compiled_handle("interp")
                         return fn, "tiered", None
                     from ..backend.base import resolve_backend
-                    be = resolve_backend(backend)
+                    be = resolve_backend(self.config.backend)
                     return fn, be.name, fn.compile_async(be)
 
         try:
@@ -471,8 +490,20 @@ class ServeServer:
                     ("serve.inline.demoted", "demotions"))},
                 **registry().counters("parse.cache."),
                 **registry().counters("spec.memo.")},
-            "timings": {name: dict(t) for name, t in self._timings.items()},
+            "timings": self._timings_now(),
         }
+
+    def _timings_now(self) -> dict:
+        """The timings, with the inline calls folded into ``serve.request``."""
+        timings = {name: dict(t) for name, t in self._timings.items()}
+        runs, seconds, lo, hi = self._inline_answered
+        if runs:
+            t = timings.setdefault("serve.request", {
+                "runs": 0, "seconds": 0.0, "min": lo, "max": hi})
+            t["runs"] += runs
+            t["seconds"] += seconds
+            t["min"], t["max"] = min(t["min"], lo), max(t["max"], hi)
+        return timings
 
 
 async def run_server(config: Optional[ServeConfig] = None,

@@ -50,6 +50,10 @@ DTYPES = {
     "float64": (T.float64, ctypes.c_double),
 }
 
+#: the JSON values that pass through :meth:`TenantState.resolve_args` as
+#: they are
+WIRE_SCALARS = frozenset((int, float, str, bool, type(None)))
+
 #: hard cap on one tenant buffer, independent of every other knob
 MAX_BUFFER_BYTES = 1 << 28  # 256 MiB
 
@@ -86,8 +90,9 @@ class WarmKernel:
     resident in the pool.
 
     ``streak``, ``need`` and ``envelope`` are its cost record (loop thread
-    only): consecutive runs seen under ``INLINE_BUDGET_S``, how many earn
-    the loop, and the largest ``|int|`` per argument position among them."""
+    only): runs seen under ``INLINE_BUDGET_S`` off the loop since the last
+    overrun, how many earn the loop, and the largest ``|int|`` per
+    argument position among them."""
 
     __slots__ = ("key", "entry", "span_name", "fn", "handle", "tiered",
                  "streak", "need", "envelope")
@@ -120,17 +125,23 @@ class WarmKernel:
         """Whether this call may run on the loop: the kernel is eligible
         and every ``int`` argument (what a loop bound is; not ``bool``)
         lies inside the envelope.  Other types never gate."""
-        if self.streak < self.need or len(args) != len(self.envelope):
+        envelope = self.envelope
+        if self.streak < self.need or len(args) != len(envelope):
             return False
-        for a, bound in zip(args, self.envelope):
-            if type(a) is int and abs(a) > bound:
+        i = 0       # an index, not zip(): this runs on every warm call
+        for a in args:
+            if type(a) is int and not -envelope[i] <= a <= envelope[i]:
                 return False
+            i += 1
         return True
 
     def observe(self, args: list, seconds: float, inline: bool) -> bool:
         """Record one run; True when it demoted the kernel.  A fast run
-        extends the streak and widens the envelope; an overrun clears
-        both, and one that held the loop doubles the streak to earn."""
+        off the loop extends the streak and widens the envelope, and one on
+        it changes nothing (:meth:`fits_inline` held, so the streak is
+        earned and the envelope covers ``args``: the server skips this
+        call for it); an overrun clears both, and one that held the loop
+        doubles the streak to earn."""
         if self.tiered and self.tier_info()["tier"] == 0:
             return False    # interpreted: the streak counts compiled runs
         if seconds > INLINE_BUDGET_S:
@@ -138,8 +149,7 @@ class WarmKernel:
             if inline:
                 self.need = min(2 * self.need, _INLINE_AFTER_MAX)
             return inline
-        if inline:      # fits_inline held: the envelope covers args
-            self.streak += 1
+        if inline:
             return False
         if len(args) != len(self.envelope):
             self.streak, self.envelope = 0, [0] * len(args)
@@ -281,13 +291,14 @@ class TenantState:
                 for v in values]
 
     # -- argument resolution ------------------------------------------------
-    def resolve_args(self, raw_args: list) -> list:
+    def resolve_args(self, raw_args: list, rng=None) -> list:
         """Map wire arguments onto FFI-ready Python values: numbers pass
         through, ``{"buf": id}`` becomes the tenant's ctypes array (the
-        FFI takes its address), None becomes a null pointer."""
-        out = []
+        FFI takes its address), None becomes a null pointer.  A chunked
+        call's range ``(lo, hi)`` leads them."""
+        out = [] if rng is None else [*rng]
         for a in raw_args:
-            if a is None or isinstance(a, (bool, int, float, str)):
+            if type(a) in WIRE_SCALARS:
                 out.append(a)
             elif isinstance(a, dict) and set(a) == {"buf"}:
                 out.append(self.buffer(a["buf"]).cdata)

@@ -4,7 +4,9 @@ One runner for every doc that promises executable snippets: it extracts
 fenced ```python blocks from the README, the tutorial, and the
 observability guide and executes each in a fresh namespace.  A block
 whose info string contains ``no-run`` (e.g. ```` ```python no-run ````)
-is displayed-only and skipped.
+is displayed-only and skipped; one whose info string contains
+``needs-cc`` asserts what only the C backend does, and skips on a host
+with no C compiler.
 """
 
 import os
@@ -27,26 +29,30 @@ _FENCE = re.compile(r"```python([^\n]*)\n(.*?)```", re.S)
 
 
 def blocks_of(relpath):
-    """Runnable (index, source) pairs for one document."""
+    """Runnable (index, info string, source) triples for one document."""
     text = open(os.path.join(_ROOT, relpath)).read()
     out = []
     for i, match in enumerate(_FENCE.finditer(text)):
         info, body = match.group(1).strip(), match.group(2)
         if "no-run" in info:
             continue
-        out.append((i, body))
+        out.append((i, info, body))
     return out
 
 
 def _cases():
     for relpath, _ in DOCS:
-        for index, source in blocks_of(relpath):
-            yield pytest.param(relpath, index, source,
+        for index, info, source in blocks_of(relpath):
+            yield pytest.param(relpath, index, info, source,
                                id=f"{os.path.basename(relpath)}-{index}")
 
 
-@pytest.mark.parametrize("relpath,index,source", list(_cases()))
-def test_block_runs(relpath, index, source, tmp_path):
+@pytest.mark.parametrize("relpath,index,info,source", list(_cases()))
+def test_block_runs(relpath, index, info, source, tmp_path):
+    if "needs-cc" in info:
+        from repro.buildd import toolchain
+        if not toolchain.cc_available():
+            pytest.skip("the block needs a C compiler")
     # materialize the block as a real file so snippets that use the
     # @terra decorator (which reads its function's source via inspect)
     # work exactly like user code in a module

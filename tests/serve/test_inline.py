@@ -14,6 +14,7 @@ import pytest
 from repro import trace
 from repro.backend.c.runtime import WARM_CALLS
 from repro.errors import TrapError
+from repro.exec import current_policy
 from repro.serve import ServeConfig, ServeError, ServerThread, state
 from repro.serve.server import ServeServer
 from repro.serve.state import (_INLINE_AFTER_MAX, INLINE_AFTER,
@@ -341,24 +342,27 @@ class TestPlacementInTheTrace:
 
 
 class TestOverrunsAreObserved:
-    """Through the server's own call body, with a handle whose duration
-    the test controls."""
+    """Through the server's own call op, with a resident kernel whose
+    handle's duration the test controls."""
 
     def drive(self, handle, calls):
         server = ServeServer(ServeConfig(workers=1))
-        tenant, k = TenantState("t", 4), kernel(handle)
+        tenant, k = server._tenant("t"), kernel(handle)
+        pool = "tiered" if current_policy().name == "tiered" else "default"
+        tenant.kernels.put((pool, "f", False, "<source>"), k)
         outcomes = []
 
         async def main():
             server._loop = asyncio.get_running_loop()
             for args in calls:
-                try:
-                    out = server._call_kernel(tenant, k, args, None,
-                                              time.perf_counter())
-                    outcomes.append(await out if asyncio.iscoroutine(out)
-                                    else out)
-                except TrapError as exc:
-                    outcomes.append(exc)
+                out = server._op_call({"tenant": "t", "source": "<source>",
+                                       "entry": "f", "args": args}, None)
+                if asyncio.iscoroutine(out):
+                    out = await out
+                if not out["ok"]:
+                    assert out["error"]["code"] == "trap", out
+                outcomes.append(out["result"] if out["ok"] else
+                                TrapError(out["error"]["message"]))
 
         try:
             asyncio.run(main())

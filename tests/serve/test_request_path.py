@@ -10,8 +10,10 @@ from types import CoroutineType
 import pytest
 
 from repro import trace
+from repro.exec import current_policy
 from repro.serve import ServeConfig, ServeError, ServerThread
 from repro.serve.server import ServeServer
+from repro.serve.state import WarmKernel
 
 from .conftest import SQ, earn_the_loop
 
@@ -156,6 +158,30 @@ class TestServerOwnedCounts:
         assert (counters["serve.traps"], counters["serve.errors"]) == (1, 3)
         assert mixed["kernel_evictions"] == counters["serve.evicted"] == 4
         assert mixed["kernel_hits"] == counters["serve.cache_hit"] == 5
+
+    def test_an_inline_call_is_never_in_flight_but_counts_in_the_peak(
+            self):
+        """It never yields, so no other request can see it: admission
+        tests the limits and raises the peak, with nothing to release."""
+        async def body(server):
+            kernel = WarmKernel("k", "bump", fn=None,
+                                handle=lambda x: x + 7)
+            kernel.streak, kernel.envelope = kernel.need, [1 << 20]
+            pool = "tiered" if current_policy().name == "tiered" \
+                else "default"
+            server._tenant("t").kernels.put((pool, "bump", False, BUMP),
+                                            kernel)
+            for x in range(20):
+                assert now(server._handle_line(CALL))["result"] == 12
+            return server.stats()
+
+        stats = drive(body)
+        assert (stats["inflight"], stats["inflight_peak"]) == (0, 1)
+        assert stats["counters"]["serve.inflight_peak"] == 1
+        summary = stats["tenants"]["t"]
+        assert (summary["inline"], summary["offloaded"]) == (20, 0)
+        assert (summary["requests"], summary["inflight"]) == (20, 0)
+        assert stats["timings"]["serve.request"]["runs"] == 20
 
     def test_two_servers_in_one_process_count_their_own(self, tmp_path,
                                                         cbackend):

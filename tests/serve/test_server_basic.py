@@ -4,7 +4,7 @@ import threading
 
 from repro.serve import ServeConfig, ServerThread
 
-from .conftest import SAXPY, SQ
+from .conftest import SAXPY, SQ, earn_the_loop
 
 
 def counter(source, name):
@@ -118,6 +118,31 @@ class TestWarmPoolEviction:
                 summary = c.stats()["tenants"]["evictee"]
                 assert summary["kernels"] == 1
                 assert summary["kernel_evictions"] == 2
+
+    def test_an_evicted_kernel_compiles_and_earns_the_loop_again(
+            self, tmp_path, cbackend):
+        cfg = ServeConfig(socket_path=str(tmp_path / "e.sock"), workers=2,
+                          tenant_kernels=1, backend="c")
+        k1 = "terra one(x : int) : int return x + 1 end"
+        k2 = "terra two(x : int) : int return x + 2 end"
+        calls = 0
+        with ServerThread(cfg) as srv:
+            with srv.client(tenant="evictee") as c:
+                for _ in range(2):
+                    compiled = counter(c, "serve.compile")
+                    calls += earn_the_loop(c, k1, "one", [0])
+                    assert counter(c, "serve.compile") == compiled + 1
+                    inline = counter(c, "serve.exec.inline")
+                    assert c.call(k1, "one", [0]) == 1
+                    assert counter(c, "serve.exec.inline") == inline + 1
+                    assert c.call(k2, "two", [0]) == 2      # evicts one
+                    calls += 2
+                counters = c.stats()["counters"]
+        assert counters["serve.compile"] == counters["serve.evicted"] + 1 \
+            == 4
+        assert counters["serve.exec.inline"] + \
+            counters["serve.exec.offloaded"] == \
+            counters["serve.requests"] == calls
 
 
 class TestConcurrentClients:

@@ -73,6 +73,25 @@ class TestRequestValidation:
                 c.request({"op": "call", "source": 42, "entry": "f"})
             assert ei.value.code == "bad-request"
 
+    @pytest.mark.parametrize("name,kind,bad", [
+        ("tenant", str, 7), ("tenant", str, True), ("source", str, 42),
+        ("source", str, None), ("entry", str, ["sq"]), ("entry", str, None),
+        ("args", list, {"x": 1}), ("args", list, "1.0"), ("args", list, 1.0)])
+    def test_each_call_field_is_worded_as_field_words_it(self, server, name,
+                                                         kind, bad):
+        """The call op reads its fields with exact-type tests and leaves
+        the wording of an ill-typed or missing one to ``protocol.field``."""
+        req = {"op": "call", "tenant": "t", "source": SQ, "entry": "sq",
+               "args": [1.0], name: bad}
+        required = name in ("source", "entry")
+        with pytest.raises(ServeError) as want:
+            protocol.field(req, name, kind, required=required)
+        with server.client() as c:
+            with pytest.raises(ServeError) as ei:
+                c.request(req)
+        assert (ei.value.code, ei.value.message) == \
+            ("bad-request", want.value.message)
+
     def test_bad_chunk_shape(self, server):
         with server.client() as c:
             with pytest.raises(ServeError) as ei:
